@@ -275,7 +275,7 @@ fn run_serve(joblist: &std::path::Path, args: &Args) -> ExitCode {
 
     let opts = ServeOptions {
         workers: args.workers,
-        threads_per_job: args.threads,
+        threads_per_job: args.threads.map(tea_core::request_num_threads),
         cache: !args.no_cache,
         deadline: args.deadline.map(std::time::Duration::from_secs_f64),
         retries: args.retries,
@@ -343,6 +343,10 @@ fn run_serve(joblist: &std::path::Path, args: &Args) -> ExitCode {
             "  recovery         {} timeout(s), {} retry(ies), {} panic(s) recovered",
             s.timeouts, s.retries, s.panics_recovered
         );
+    }
+
+    if let Some(warning) = tea_core::thread_warning() {
+        println!("  warning          {warning}");
     }
 
     if s.failed > 0 || !load_failures.is_empty() {
@@ -454,7 +458,7 @@ fn main() -> ExitCode {
         deck.control.threads = args.threads;
     }
     if let Some(t) = deck.control.threads {
-        tea_core::set_num_threads(t);
+        tea_core::request_num_threads(t);
     }
 
     // resolve solver × precision before any work so conflicts (e.g.
@@ -566,6 +570,9 @@ fn main() -> ExitCode {
         tea_core::num_threads(),
         tea_core::par_threshold()
     );
+    if let Some(warning) = tea_core::thread_warning() {
+        println!("  warning          {warning}");
+    }
     println!("  wall time        {elapsed:.3}s");
 
     if let Some(tune) = &output.tune {

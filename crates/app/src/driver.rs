@@ -321,11 +321,13 @@ fn split_diagnostics(diag: Option<Box<dyn std::any::Any>>) -> (Option<MgTrace>, 
 }
 
 /// Applies the deck's thread-count override (if any) to the kernel
-/// runtime. Called once per run entry point; a deck without the setting
-/// leaves the ambient configuration (`TEA_NUM_THREADS` / cores) alone.
+/// runtime, clamped to the hardware threads (`tea_core::thread_warning`
+/// reports a clamp). Called once per run entry point; a deck without
+/// the setting leaves the ambient configuration (`TEA_NUM_THREADS` /
+/// cores) alone.
 fn apply_thread_config(deck: &Deck) {
     if let Some(threads) = deck.control.threads {
-        tea_core::set_num_threads(threads);
+        tea_core::request_num_threads(threads);
     }
 }
 

@@ -9,14 +9,18 @@
 //! and writes everything to a JSON artefact (default `BENCH_PR10.json`)
 //! so the performance trajectory of the repository is recorded per PR.
 //!
-//! It also micro-benches the hot kernels (`apply`, `residual`, `dot`,
-//! `axpy`, `scale_add`, `fused_cheb`) on crooked-pipe coefficients:
-//! each kernel is first run once at 1 thread — the scalar f64 reference
-//! path — and once threaded on the lane path, **asserting bitwise
-//! equality**, then timed and reported as a percent of the machine's
-//! *measured* streaming peak (a flat-array fused update at the same
-//! thread count) using the `tea-perfmodel` roofline byte counts. `--smoke`
-//! shrinks every axis for CI.
+//! It also micro-benches the hot kernels (`apply`, `apply_fused_dot`,
+//! `residual`, `dot`, `axpy`, `scale_add`, `cg_update`, `fused_cheb`) on
+//! crooked-pipe coefficients: each kernel first runs once at the benched
+//! thread count and is compared **bitwise** against a scalar oracle built
+//! in this file — the element-at-a-time loops of `vector::scalar_ref`
+//! for elementwise output, a cell-by-cell evaluation of the stencil, and
+//! the scalar model of the 16-lane reduction tree
+//! (`scalar_ref::tree_sum`, rows folded in order) for every reduction —
+//! then is timed and reported as a percent of the machine's *measured*
+//! streaming peak (a flat-array fused update at the same thread count)
+//! using the `tea-perfmodel` roofline byte counts. `--smoke` shrinks
+//! every axis for CI.
 //!
 //! ```text
 //! cargo run --release -p tea-bench --bin speedup -- \
@@ -58,9 +62,7 @@ struct Args {
 }
 
 fn parse_args() -> Args {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let hw = tea_core::hardware_threads();
     let mut args = Args {
         sizes: vec![512, 1024, 2048],
         steps: 1,
@@ -232,15 +234,13 @@ struct KernelRow {
     lane_bits_ok: bool,
 }
 
-/// Interior bit pattern of a field, for exact lane-vs-scalar comparison.
-fn interior_bits(f: &Field2D) -> Vec<u64> {
-    let mut bits = Vec::with_capacity(f.nx() * f.ny());
-    for k in 0..f.ny() as isize {
-        for j in 0..f.nx() as isize {
-            bits.push(f.at(j, k).to_bits());
-        }
-    }
-    bits
+/// Interior values of a field, row-major.
+fn interior(f: &Field2D) -> Vec<f64> {
+    f.iter_interior().map(|(_, _, v)| v).collect()
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
 }
 
 /// Measured streaming peak: a threaded flat-array fused update
@@ -286,8 +286,9 @@ fn streaming_peak(threads: usize, reps: usize, smoke: bool) -> f64 {
     n as f64 * 32.0 / best
 }
 
-/// Runs one hot kernel: asserts the threaded lane path is bit-identical
-/// to the 1-thread scalar f64 reference, then times it and scores it
+/// Runs one hot kernel: asserts its output at the benched thread count
+/// is bit-identical to `oracle` (scalar loops and the scalar reduction
+/// tree model, see the module docs), then times it and scores it
 /// against the measured streaming peak.
 #[allow(clippy::too_many_arguments)]
 fn bench_kernel(
@@ -297,21 +298,17 @@ fn bench_kernel(
     sweeps: usize,
     cells: f64,
     peak: f64,
-    once: &mut dyn FnMut() -> Vec<u64>,
+    oracle: &[f64],
+    once: &mut dyn FnMut() -> Vec<f64>,
     many: &mut dyn FnMut(usize) -> f64,
 ) -> KernelRow {
-    // 1 thread selects the scalar reference path; >= 2 selects lanes
-    tea_core::set_num_threads(1);
-    let scalar_bits = once();
-    tea_core::set_num_threads(threads.max(2));
-    let lane_bits = once();
-    let lane_bits_ok = scalar_bits == lane_bits;
+    tea_core::set_num_threads(threads);
+    let lane_bits_ok = bits(&once()) == bits(oracle);
     assert!(
         lane_bits_ok,
-        "{name}: lane kernel diverged from the scalar f64 reference"
+        "{name}: kernel diverged from its scalar oracle"
     );
 
-    tea_core::set_num_threads(threads);
     let _ = many(sweeps.div_ceil(4)); // warm-up, discarded
     let mut best = f64::INFINITY;
     for _ in 0..reps.max(1) {
@@ -334,7 +331,8 @@ fn bench_kernel(
 
 /// The per-kernel roofline bench on crooked-pipe coefficients.
 fn kernel_bench(args: &Args, peak: f64) -> Vec<KernelRow> {
-    use tea_core::{vector, SolveTrace, TileBounds, TileOperator};
+    use tea_core::vector::{self, scalar_ref};
+    use tea_core::{SolveTrace, TileBounds, TileOperator};
     use tea_mesh::{crooked_pipe, timestep_scalings, Coefficients, Mesh2D};
 
     let n = args.kernel_cells;
@@ -366,6 +364,34 @@ fn kernel_bench(args: &Args, peak: f64) -> Vec<KernelRow> {
     let cells = (n * n) as f64;
     let reps = args.reps;
     let threads = args.threads;
+
+    // scalar oracles: A·p cell by cell in the kernels' association, the
+    // scalar_ref loops over the flattened interior, and reductions as
+    // per-row tree sums folded in row order
+    let (kx, ky) = (&op.coeffs.kx, &op.coeffs.ky);
+    let mut ap = Vec::with_capacity(n * n);
+    for k in 0..n as isize {
+        for j in 0..n as isize {
+            let diag = 1.0 + (ky.at(j, k + 1) + ky.at(j, k)) + (kx.at(j + 1, k) + kx.at(j, k));
+            ap.push(
+                diag * p.at(j, k)
+                    - (ky.at(j, k + 1) * p.at(j, k + 1) + ky.at(j, k) * p.at(j, k - 1))
+                    - (kx.at(j + 1, k) * p.at(j + 1, k) + kx.at(j, k) * p.at(j - 1, k)),
+            );
+        }
+    }
+    let (pv, u0v) = (interior(&p), interior(&u0));
+    let tree = |a: &[f64], b: &[f64]| -> f64 {
+        let prods: Vec<f64> = a.iter().zip(b).map(|(x, y)| x * y).collect();
+        prods
+            .chunks(n)
+            .fold(0.0, |acc, row| acc + scalar_ref::tree_sum(row))
+    };
+    let axpy_oracle = |seed: f64, a: f64, x: &[f64]| -> Vec<f64> {
+        let mut y = interior(&field(n, halo, seed));
+        scalar_ref::axpy_row(&mut y, a, x);
+        y
+    };
     let mut rows = Vec::new();
 
     rows.push(bench_kernel(
@@ -375,11 +401,11 @@ fn kernel_bench(args: &Args, peak: f64) -> Vec<KernelRow> {
         sweeps,
         cells,
         peak,
+        &ap,
         &mut || {
             let mut w = Field2D::new(n, n, halo);
-            let mut tr = SolveTrace::new("k");
-            op.apply(&p, &mut w, 0, &mut tr);
-            interior_bits(&w)
+            op.apply(&p, &mut w, 0, &mut SolveTrace::new("k"));
+            interior(&w)
         },
         &mut |s| {
             let mut w = Field2D::new(n, n, halo);
@@ -392,6 +418,37 @@ fn kernel_bench(args: &Args, peak: f64) -> Vec<KernelRow> {
         },
     ));
 
+    let mut fused_oracle = ap.clone();
+    fused_oracle.push(tree(&pv, &ap));
+    rows.push(bench_kernel(
+        "apply_fused_dot",
+        threads,
+        reps,
+        sweeps,
+        cells,
+        peak,
+        &fused_oracle,
+        &mut || {
+            let mut w = Field2D::new(n, n, halo);
+            let pw = op.apply_fused_dot(&p, &mut w, &mut SolveTrace::new("k"));
+            let mut out = interior(&w);
+            out.push(pw);
+            out
+        },
+        &mut |s| {
+            let mut w = Field2D::new(n, n, halo);
+            let mut tr = SolveTrace::new("k");
+            let t0 = std::time::Instant::now();
+            let mut acc = 0.0;
+            for _ in 0..s {
+                acc += op.apply_fused_dot(&p, &mut w, &mut tr);
+            }
+            std::hint::black_box(acc);
+            t0.elapsed().as_secs_f64()
+        },
+    ));
+
+    let residual_oracle: Vec<f64> = u0v.iter().zip(&ap).map(|(b, v)| b - v).collect();
     rows.push(bench_kernel(
         "residual",
         threads,
@@ -399,11 +456,11 @@ fn kernel_bench(args: &Args, peak: f64) -> Vec<KernelRow> {
         sweeps,
         cells,
         peak,
+        &residual_oracle,
         &mut || {
             let mut r = Field2D::new(n, n, halo);
-            let mut tr = SolveTrace::new("k");
-            op.residual(&p, &u0, &mut r, 0, &mut tr);
-            interior_bits(&r)
+            op.residual(&p, &u0, &mut r, 0, &mut SolveTrace::new("k"));
+            interior(&r)
         },
         &mut |s| {
             let mut r = Field2D::new(n, n, halo);
@@ -423,9 +480,14 @@ fn kernel_bench(args: &Args, peak: f64) -> Vec<KernelRow> {
         sweeps,
         cells,
         peak,
+        &[tree(&pv, &u0v)],
         &mut || {
-            let mut tr = SolveTrace::new("k");
-            vec![vector::dot_local(&p, &u0, &bounds, &mut tr).to_bits()]
+            vec![vector::dot_local(
+                &p,
+                &u0,
+                &bounds,
+                &mut SolveTrace::new("k"),
+            )]
         },
         &mut |s| {
             let mut tr = SolveTrace::new("k");
@@ -446,11 +508,11 @@ fn kernel_bench(args: &Args, peak: f64) -> Vec<KernelRow> {
         sweeps,
         cells,
         peak,
+        &axpy_oracle(3.0, 0.25, &pv),
         &mut || {
             let mut y = field(n, halo, 3.0);
-            let mut tr = SolveTrace::new("k");
-            vector::axpy(&mut y, 0.25, &p, &bounds, 0, &mut tr);
-            interior_bits(&y)
+            vector::axpy(&mut y, 0.25, &p, &bounds, 0, &mut SolveTrace::new("k"));
+            interior(&y)
         },
         &mut |s| {
             let mut y = field(n, halo, 3.0);
@@ -463,6 +525,8 @@ fn kernel_bench(args: &Args, peak: f64) -> Vec<KernelRow> {
         },
     ));
 
+    let mut scale_add_oracle = interior(&field(n, halo, 4.0));
+    scalar_ref::scale_add_row(&mut scale_add_oracle, 0.5, 0.5, &pv);
     rows.push(bench_kernel(
         "scale_add",
         threads,
@@ -470,11 +534,11 @@ fn kernel_bench(args: &Args, peak: f64) -> Vec<KernelRow> {
         sweeps,
         cells,
         peak,
+        &scale_add_oracle,
         &mut || {
             let mut y = field(n, halo, 4.0);
-            let mut tr = SolveTrace::new("k");
-            vector::scale_add(&mut y, 0.5, 0.5, &p, &bounds, 0, &mut tr);
-            interior_bits(&y)
+            vector::scale_add(&mut y, 0.5, 0.5, &p, &bounds, 0, &mut SolveTrace::new("k"));
+            interior(&y)
         },
         &mut |s| {
             let mut y = field(n, halo, 4.0);
@@ -487,6 +551,46 @@ fn kernel_bench(args: &Args, peak: f64) -> Vec<KernelRow> {
         },
     ));
 
+    // CG's fused update: u += αp, r −= αw (w = u0 here), Σ r·r
+    let alpha = 0.25;
+    let mut update_oracle = axpy_oracle(7.0, alpha, &pv);
+    let r_new = axpy_oracle(8.0, -alpha, &u0v);
+    update_oracle.extend(&r_new);
+    update_oracle.push(tree(&r_new, &r_new));
+    let cg_update = |u: &mut Field2D, r: &mut Field2D, a: f64, tr: &mut SolveTrace| {
+        vector::cg_update(u, r, a, &p, &u0, None, &bounds, tr)
+    };
+    rows.push(bench_kernel(
+        "cg_update",
+        threads,
+        reps,
+        sweeps,
+        cells,
+        peak,
+        &update_oracle,
+        &mut || {
+            let (mut u, mut r) = (field(n, halo, 7.0), field(n, halo, 8.0));
+            let rz = cg_update(&mut u, &mut r, alpha, &mut SolveTrace::new("k"));
+            let mut out = interior(&u);
+            out.extend(interior(&r));
+            out.push(rz);
+            out
+        },
+        &mut |s| {
+            let (mut u, mut r) = (field(n, halo, 7.0), field(n, halo, 8.0));
+            let mut tr = SolveTrace::new("k");
+            let t0 = std::time::Instant::now();
+            let mut acc = 0.0;
+            for _ in 0..s {
+                acc += cg_update(&mut u, &mut r, 1e-3, &mut tr);
+            }
+            std::hint::black_box(acc);
+            t0.elapsed().as_secs_f64()
+        },
+    ));
+
+    let mut cheb_oracle = axpy_oracle(5.0, 1.0, &pv);
+    cheb_oracle.extend(axpy_oracle(6.0, -1.0, &ap));
     rows.push(bench_kernel(
         "fused_cheb",
         threads,
@@ -494,14 +598,14 @@ fn kernel_bench(args: &Args, peak: f64) -> Vec<KernelRow> {
         sweeps,
         cells,
         peak,
+        &cheb_oracle,
         &mut || {
             let mut z = field(n, halo, 5.0);
             let mut rr = field(n, halo, 6.0);
-            let mut tr = SolveTrace::new("k");
-            op.apply_cheb_fused(&p, &mut z, &mut rr, 0, &mut tr);
-            let mut bits = interior_bits(&z);
-            bits.extend(interior_bits(&rr));
-            bits
+            op.apply_cheb_fused(&p, &mut z, &mut rr, 0, &mut SolveTrace::new("k"));
+            let mut out = interior(&z);
+            out.extend(interior(&rr));
+            out
         },
         &mut |s| {
             let mut z = field(n, halo, 5.0);
@@ -525,7 +629,7 @@ fn fused_model(inner_steps: usize) -> (f64, f64) {
     let kb = tea_perfmodel::KernelBytes::default();
     let fused = tea_perfmodel::predicted_iteration_bytes("ppcg", inner_steps, &kb);
     let sweep = kb.spmv + 3.0 * kb.vector + kb.precon;
-    let unfused = sweep + 2.0 * kb.dot + inner_steps as f64 * sweep;
+    let unfused = sweep + kb.dot + inner_steps as f64 * sweep;
     assert!(
         fused < unfused,
         "fused Chebyshev sweep must reduce modelled bytes/iteration: {fused} vs {unfused}"
@@ -605,9 +709,7 @@ fn write_json(
 
 fn main() {
     let args = parse_args();
-    let hw_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let hw_threads = tea_core::hardware_threads();
     println!(
         "speedup: {} hardware thread(s), timing serial (1) vs threaded ({})",
         hw_threads, args.threads
@@ -620,7 +722,7 @@ fn main() {
     }
 
     // kernel roofline: measured streaming peak, then the hot kernels
-    // scored against it (with the lane-vs-scalar bit-identity gate)
+    // scored against it (each gated on bit-identity to its scalar oracle)
     let peak = streaming_peak(args.threads, args.reps, args.smoke);
     println!(
         "streaming peak (fused update, {} threads): {:.2} GB/s",
@@ -629,12 +731,12 @@ fn main() {
     );
     let kernels = kernel_bench(&args, peak);
     println!(
-        "{:>11} {:>8} {:>7} {:>7} {:>12} {:>9} {:>7} {:>6}",
+        "{:>15} {:>8} {:>7} {:>7} {:>12} {:>9} {:>7} {:>6}",
         "kernel", "cells", "B/cell", "F/cell", "s/sweep", "GB/s", "%peak", "bits"
     );
     for k in &kernels {
         println!(
-            "{:>11} {:>8} {:>7} {:>7} {:>12.3e} {:>9.2} {:>7.1} {:>6}",
+            "{:>15} {:>8} {:>7} {:>7} {:>12.3e} {:>9.2} {:>7.1} {:>6}",
             k.name,
             k.cells,
             k.bytes_per_cell,

@@ -1,14 +1,17 @@
 //! The (preconditioned) Conjugate Gradient solver — the paper's baseline
 //! and the eigenvalue-estimation prelude for the Chebyshev family.
 //!
-//! Structure per iteration (paper §III.A):
+//! Structure per iteration (paper §III.A) — three sweeps over the tile:
 //!
 //! 1. depth-1 halo exchange of the search direction `p`;
 //! 2. fused `w = A·p, pw = p·w` sweep (Listing 1) + **global reduction**;
-//! 3. `u += α p`, `r -= α w`;
-//! 4. preconditioner apply `z = M⁻¹ r`;
-//! 5. `rz = r·z` + **global reduction**, convergence test, `p = z + β p`.
+//! 3. fused `u += α p`, `r -= α w`, `rz = r·M⁻¹r` sweep
+//!    ([`Preconditioner::cg_update`], upstream's `cg_calc_ur`) +
+//!    **global reduction**, convergence test;
+//! 4. `p = M⁻¹r + β p` ([`Preconditioner::cg_direction`]).
 //!
+//! Identity and diagonal preconditioning never store `z = M⁻¹r`;
+//! block-Jacobi adds its strip solve and a separate dot to step 3.
 //! Two allreduce latencies per iteration — the strong-scaling bottleneck
 //! the CPPCG solver exists to amortise.
 //!
@@ -151,36 +154,10 @@ pub fn cg_solve_recording<C: Communicator + ?Sized>(
 
     let rz_local = vector::dot_local(&ws.r, &ws.z, bounds, &mut trace);
     let mut rro = tile.reduce_sum(rz_local, &mut trace);
-    if !rro.is_finite() {
-        // non-finite input: report divergence instead of letting the
-        // NaN-swallowing max(0.0) below read as instant convergence
-        return (
-            SolveResult {
-                converged: false,
-                iterations: 0,
-                initial_residual: f64::NAN,
-                final_residual: f64::NAN,
-                status: SolveStatus::Diverged { iteration: 0 },
-                trace,
-            },
-            coeffs,
-        );
-    }
-    let initial_residual = rro.max(0.0).sqrt();
-
-    if initial_residual == 0.0 {
-        return (
-            SolveResult {
-                converged: true,
-                iterations: 0,
-                initial_residual,
-                final_residual: 0.0,
-                status: SolveStatus::Converged,
-                trace,
-            },
-            coeffs,
-        );
-    }
+    let initial_residual = match SolveResult::start(rro, &trace) {
+        Ok(norm) => norm,
+        Err(end) => return (*end, coeffs),
+    };
     let target = opts.eps * initial_residual;
 
     let mut converged = false;
@@ -214,11 +191,8 @@ pub fn cg_solve_recording<C: Communicator + ?Sized>(
         let alpha = rro / pw;
         coeffs.alphas.push(alpha);
 
-        vector::axpy(u, alpha, &ws.p, bounds, 0, &mut trace);
-        vector::axpy(&mut ws.r, -alpha, &ws.w, bounds, 0, &mut trace);
-
-        precon.apply(&ws.r, &mut ws.z, bounds, 0, &mut trace);
-        let rz_local = vector::dot_local(&ws.r, &ws.z, bounds, &mut trace);
+        let (r, z) = (&mut ws.r, &mut ws.z);
+        let rz_local = precon.cg_update(u, r, z, alpha, &ws.p, &ws.w, bounds, &mut trace);
         let rrn = tile.reduce_sum(rz_local, &mut trace);
         if !rrn.is_finite() {
             // check before the NaN-swallowing max(0.0) below — a NaN
@@ -238,7 +212,7 @@ pub fn cg_solve_recording<C: Communicator + ?Sized>(
 
         let beta = rrn / rro;
         coeffs.betas.push(beta);
-        vector::xpay(&mut ws.p, &ws.z, beta, bounds, 0, &mut trace);
+        precon.cg_direction(&mut ws.p, &ws.r, &ws.z, beta, bounds, &mut trace);
         rro = rrn;
     }
 
@@ -371,25 +345,41 @@ mod tests {
     }
 
     #[test]
-    fn trace_counts_two_reductions_per_iteration() {
+    fn trace_counts_three_sweeps_and_two_reductions_per_iteration() {
         let n = 16;
         let (op, b) = serial_problem(n, 1);
         let comm = SerialComm::new();
         let d = Decomposition2D::with_grid(n, n, 1, 1);
         let layout = HaloLayout::new(&d, 0);
         let tile = Tile::new(&op, &layout, &comm);
-        let mut ws = Workspace::new(n, n, 1);
-        let mut u = b.clone();
-        let m = Preconditioner::setup(PreconKind::None, &op, 0);
-        let res = cg_solve_impl(&tile, &mut u, &b, &m, &mut ws, SolveOpts::default());
-        let t = &res.trace;
-        // initial rz + 2 per iteration
-        assert_eq!(t.reductions, 1 + 2 * res.iterations);
-        // one depth-1 exchange for u plus one per iteration for p
-        assert_eq!(t.halo_exchanges[&(1, 1)], 1 + res.iterations);
-        // one residual + one fused spmv per iteration, all interior
-        assert_eq!(t.spmv.total(), 1 + res.iterations);
-        assert_eq!(t.spmv.interior_only(), t.spmv.total());
+        // (setup vector sweeps for z and p = z, dot sweeps and precon
+        // applications per iteration)
+        for (kind, setup_vector, dot, precon) in [
+            (PreconKind::None, 2, 0, 0),
+            (PreconKind::Diagonal, 2, 0, 1),
+            (PreconKind::BlockJacobi, 1, 1, 1),
+        ] {
+            let mut ws = Workspace::new(n, n, 1);
+            let mut u = b.clone();
+            let m = Preconditioner::setup(kind, &op, 0);
+            let res = cg_solve_impl(&tile, &mut u, &b, &m, &mut ws, SolveOpts::default());
+            let (t, its) = (&res.trace, res.iterations);
+            // initial rz + 2 per iteration
+            assert_eq!(t.reductions, 1 + 2 * its, "{kind:?}");
+            // one depth-1 exchange for u plus one per iteration for p
+            assert_eq!(t.halo_exchanges[&(1, 1)], 1 + its, "{kind:?}");
+            // one residual + one fused spmv per iteration, all interior
+            assert_eq!(t.spmv.total(), 1 + its, "{kind:?}");
+            assert_eq!(t.spmv.interior_only(), t.spmv.total());
+            // the fused update (two axpy-class streams) + the direction
+            // sweep; the converging iteration stops before its direction
+            assert!(res.converged);
+            assert_eq!(t.vector_ops.total(), setup_vector + 3 * its - 1, "{kind:?}");
+            // r·z rides in the fused update; only the strip solve still
+            // pays a dot sweep (plus the setup one)
+            assert_eq!(t.dot_kernels.total(), 1 + dot * its, "{kind:?}");
+            assert_eq!(t.precon_ops.total(), precon * (1 + its), "{kind:?}");
+        }
     }
 
     #[test]

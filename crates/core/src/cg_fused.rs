@@ -111,27 +111,12 @@ pub(crate) fn cg_fused_solve_impl<C: Communicator + ?Sized>(
     let reduced = tile.reduce_sum_many(&[gamma_local, delta_local], &mut trace);
     let (mut gamma, delta) = (reduced[0], reduced[1]);
 
-    if !gamma.is_finite() || !delta.is_finite() {
-        return SolveResult {
-            converged: false,
-            iterations: 0,
-            initial_residual: f64::NAN,
-            final_residual: f64::NAN,
-            status: SolveStatus::Diverged { iteration: 0 },
-            trace,
-        };
-    }
-    let initial_residual = gamma.max(0.0).sqrt();
-    if initial_residual == 0.0 {
-        return SolveResult {
-            converged: true,
-            iterations: 0,
-            initial_residual,
-            final_residual: 0.0,
-            status: SolveStatus::Converged,
-            trace,
-        };
-    }
+    // a non-finite δ poisons the first α just like a non-finite γ
+    let rz0 = if delta.is_finite() { gamma } else { delta };
+    let initial_residual = match SolveResult::start(rz0, &trace) {
+        Ok(norm) => norm,
+        Err(end) => return *end,
+    };
     let target = opts.eps * initial_residual;
 
     // p = z ; s = w ; alpha = γ/δ

@@ -83,27 +83,10 @@ pub(crate) fn jacobi_solve_impl<C: Communicator + ?Sized>(
     tile.op.residual(u, b, &mut ws.r, 0, &mut trace);
     let rr0_local = vector::dot_local(&ws.r, &ws.r, bounds, &mut trace);
     let rr0 = tile.reduce_sum(rr0_local, &mut trace);
-    if !rr0.is_finite() {
-        return SolveResult {
-            converged: false,
-            iterations: 0,
-            initial_residual: f64::NAN,
-            final_residual: f64::NAN,
-            status: SolveStatus::Diverged { iteration: 0 },
-            trace,
-        };
-    }
-    let initial_residual = rr0.max(0.0).sqrt();
-    if initial_residual == 0.0 {
-        return SolveResult {
-            converged: true,
-            iterations: 0,
-            initial_residual,
-            final_residual: 0.0,
-            status: SolveStatus::Converged,
-            trace,
-        };
-    }
+    let initial_residual = match SolveResult::start(rr0, &trace) {
+        Ok(norm) => norm,
+        Err(end) => return *end,
+    };
     let target = opts.eps * initial_residual;
 
     let mut iterations = 0;

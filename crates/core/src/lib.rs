@@ -17,12 +17,15 @@
 //! by name from the [`SolverRegistry`], and the [`Solve`] builder is
 //! the one-expression way in.
 //!
-//! The hot kernel rows run as explicit-width lane kernels
-//! ([`vector::lanes`], `Scalar::LANES` elements per group, safe
-//! `chunks_exact` code only) that are bit-identical to the scalar f64
-//! reference ([`vector::scalar_ref`]) — the reference itself is what
-//! executes at f64 precision with one worker thread, so the
-//! determinism contract is anchored to the original scalar loop.
+//! There is one kernel path: every precision and thread count runs the
+//! same row bodies ([`vector::lanes`] — explicit-width elementwise
+//! sweeps, safe `chunks_exact` code only). Contract: elementwise kernels
+//! are bit-identical to element-at-a-time loops, and every reduction
+//! (dots, `p·w`, CG's fused `r·z`) has one fixed shape — 16 lane
+//! accumulators per row, a fixed pairwise tree, remainder last, rows in
+//! row order — that depends only on the sweep bounds, so results are
+//! bit-identical for any thread count, chunking and parallel threshold.
+//! Bits differ from pre-PR-12 runs (serial add chain) by design.
 //!
 //! ## Example: block-Jacobi-preconditioned CG on the crooked pipe
 //!
@@ -85,7 +88,10 @@ pub use ppcg::{Ppcg, PpcgOpts};
 pub use precon::{BlockJacobi, PreconKind, Preconditioner, DEFAULT_BLOCK_STRIP};
 pub use registry::{SolverFactory, SolverRegistry};
 pub use richardson::{Richardson, RichardsonOpts};
-pub use runtime::{num_threads, par_threshold, set_num_threads, set_par_threshold, PAR_THRESHOLD};
+pub use runtime::{
+    hardware_threads, num_threads, par_threshold, request_num_threads, set_num_threads,
+    set_par_threshold, thread_warning, PAR_THRESHOLD,
+};
 pub use session::{CacheStats, PreparedSolve, SessionSpec, SetupCache, SetupKey, SolveSession};
 pub use solver::{SolveOpts, Tile, Workspace};
 pub use sync::lock_tolerant;

@@ -244,28 +244,10 @@ fn mixed_cg_solve<C: Communicator + ?Sized>(
 
     let rz_local = vector::dot_local(&ws.r, &ws.z, bounds, &mut trace);
     let mut rro = tile.reduce_sum(rz_local, &mut trace);
-    if !rro.is_finite() {
-        return SolveResult {
-            converged: false,
-            iterations: 0,
-            initial_residual: f64::NAN,
-            final_residual: f64::NAN,
-            status: SolveStatus::Diverged { iteration: 0 },
-            trace,
-        };
-    }
-    let initial_residual = rro.max(0.0).sqrt();
-
-    if initial_residual == 0.0 {
-        return SolveResult {
-            converged: true,
-            iterations: 0,
-            initial_residual,
-            final_residual: 0.0,
-            status: SolveStatus::Converged,
-            trace,
-        };
-    }
+    let initial_residual = match SolveResult::start(rro, &trace) {
+        Ok(norm) => norm,
+        Err(end) => return *end,
+    };
     let target = opts.eps * initial_residual;
 
     let mut converged = false;
@@ -296,9 +278,9 @@ fn mixed_cg_solve<C: Communicator + ?Sized>(
         }
         let alpha = rro / pw;
 
-        vector::axpy(u, alpha, &ws.p, bounds, 0, &mut trace);
-        vector::axpy(&mut ws.r, -alpha, &ws.w, bounds, 0, &mut trace);
-
+        // fused u/r sweep; its f64 r·r is unused — z comes from the f32
+        // round trip, so r·z stays a separate dot
+        vector::cg_update(u, &mut ws.r, alpha, &ws.p, &ws.w, None, bounds, &mut trace);
         apply_precon_demoted(precon32, &ws.r, &mut ws.z, scratch, bounds, &mut trace);
         let rz_local = vector::dot_local(&ws.r, &ws.z, bounds, &mut trace);
         let rrn = tile.reduce_sum(rz_local, &mut trace);
@@ -1247,28 +1229,10 @@ fn cg_f32_solve<C: Communicator + ?Sized>(
     // scalar is widened for the f64 control logic
     let rz_local = vector::dot_local(&f.r, &f.z, bounds, &mut trace);
     let mut rro = tile.reduce_sum_native(rz_local, &mut trace).to_f64();
-    if !rro.is_finite() {
-        return SolveResult {
-            converged: false,
-            iterations: 0,
-            initial_residual: f64::NAN,
-            final_residual: f64::NAN,
-            status: SolveStatus::Diverged { iteration: 0 },
-            trace,
-        };
-    }
-    let initial_residual = rro.max(0.0).sqrt();
-
-    if initial_residual == 0.0 {
-        return SolveResult {
-            converged: true,
-            iterations: 0,
-            initial_residual,
-            final_residual: 0.0,
-            status: SolveStatus::Converged,
-            trace,
-        };
-    }
+    let initial_residual = match SolveResult::start(rro, &trace) {
+        Ok(norm) => norm,
+        Err(end) => return *end,
+    };
     let target = opts.eps * initial_residual;
 
     let mut converged = false;
@@ -1306,11 +1270,9 @@ fn cg_f32_solve<C: Communicator + ?Sized>(
         }
         let alpha = rro / pw;
 
-        vector::axpy(&mut f.u, f32::from_f64(alpha), &f.p, bounds, 0, &mut trace);
-        vector::axpy(&mut f.r, f32::from_f64(-alpha), &f.w, bounds, 0, &mut trace);
-
-        precon32.apply(&f.r, &mut f.z, bounds, 0, &mut trace);
-        let rz_local = vector::dot_local(&f.r, &f.z, bounds, &mut trace);
+        let alpha = f32::from_f64(alpha);
+        let (r, z) = (&mut f.r, &mut f.z);
+        let rz_local = precon32.cg_update(&mut f.u, r, z, alpha, &f.p, &f.w, bounds, &mut trace);
         let rrn = tile.reduce_sum_native(rz_local, &mut trace).to_f64();
 
         if !rrn.is_finite() {
@@ -1376,8 +1338,8 @@ fn cg_f32_solve<C: Communicator + ?Sized>(
             }
         }
 
-        let beta = rrn / rro;
-        vector::xpay(&mut f.p, &f.z, f32::from_f64(beta), bounds, 0, &mut trace);
+        let beta = f32::from_f64(rrn / rro);
+        precon32.cg_direction(&mut f.p, &f.r, &f.z, beta, bounds, &mut trace);
         rro = rrn;
     }
 

@@ -23,6 +23,7 @@
 //! run to run regardless of thread count or scheduling.
 
 use crate::trace::SolveTrace;
+use crate::vector::lanes::{arr, tree_sum, whole_blocks, REDUCE_LANES};
 use tea_mesh::{Coefficients, Field2, Mesh2D, Scalar};
 
 /// The 5-point stencil at column `i` of one row — the one expression
@@ -151,7 +152,7 @@ impl<S: Scalar> TileOperator<S> {
     /// `ext + 1` and field halos of at least `ext + 1`.
     pub fn apply(&self, p: &Field2<S>, w: &mut Field2<S>, ext: usize, trace: &mut SolveTrace) {
         trace.spmv.record(ext);
-        self.apply_inner(p, w, ext, false);
+        self.apply_inner(p, w, ext);
     }
 
     /// Fused `w = A·p; return local p·w` over the tile interior — the
@@ -159,7 +160,7 @@ impl<S: Scalar> TileOperator<S> {
     /// responsible for the global reduction.
     pub fn apply_fused_dot(&self, p: &Field2<S>, w: &mut Field2<S>, trace: &mut SolveTrace) -> S {
         trace.spmv.record(0);
-        self.apply_inner(p, w, 0, true)
+        self.apply_inner(p, w, 0)
     }
 
     /// Writes the operator diagonal
@@ -277,7 +278,8 @@ impl<S: Scalar> TileOperator<S> {
         });
     }
 
-    fn apply_inner(&self, p: &Field2<S>, w: &mut Field2<S>, ext: usize, fused_dot: bool) -> S {
+    /// `w = A·p` over extension `ext`, returning the local `p·w`.
+    fn apply_inner(&self, p: &Field2<S>, w: &mut Field2<S>, ext: usize) -> S {
         let (x_lo, x_hi, _, _) = self.bounds.range(ext);
         let n = (x_hi - x_lo) as usize;
         let kx = &self.coeffs.kx;
@@ -286,30 +288,41 @@ impl<S: Scalar> TileOperator<S> {
             p.halo() as isize > ext as isize,
             "p halo too shallow for extension {ext}"
         );
+        // the stencil is blocked in the 16-lane reduction shape
+        // (`vector::lanes::tree_sum`) over fixed-size windows, so it
+        // vectorizes together with the p·w partial — two flops a cell on
+        // a bandwidth-bound sweep, which plain `apply` simply drops
         let row_body = |k: isize, wr: &mut [S]| -> S {
+            const RL: usize = REDUCE_LANES;
             let pc = p.row(k, x_lo - 1, x_hi + 1);
             let ps = p.row(k - 1, x_lo, x_hi);
             let pn = p.row(k + 1, x_lo, x_hi);
             let kxr = kx.row(k, x_lo, x_hi + 1);
             let kyc = ky.row(k, x_lo, x_hi);
             let kyn = ky.row(k + 1, x_lo, x_hi);
-            let mut partial = S::ZERO;
-            for i in 0..n {
-                let v = stencil5(kxr, kyc, kyn, pc, ps, pn, i);
-                wr[i] = v;
-                partial += pc[i + 1] * v;
-            }
-            partial
+            let (wm, wt) = wr.split_at_mut(whole_blocks(n));
+            let full = wm.len();
+            tree_sum(
+                wm.chunks_exact_mut(RL).enumerate().map(|(blk, wa)| {
+                    let b = blk * RL;
+                    let kxr = arr::<S, { RL + 1 }>(&kxr[b..b + RL + 1]);
+                    let pc = arr::<S, { RL + 2 }>(&pc[b..b + RL + 2]);
+                    let (kyc, kyn) = (arr::<S, RL>(&kyc[b..b + RL]), arr::<S, RL>(&kyn[b..b + RL]));
+                    let (ps, pn) = (arr::<S, RL>(&ps[b..b + RL]), arr::<S, RL>(&pn[b..b + RL]));
+                    std::array::from_fn(|l| {
+                        let v = stencil5(kxr, kyc, kyn, pc, ps, pn, l);
+                        wa[l] = v;
+                        pc[l + 1] * v
+                    })
+                }),
+                wt.iter_mut().enumerate().map(|(t, wi)| {
+                    let v = stencil5(kxr, kyc, kyn, pc, ps, pn, full + t);
+                    *wi = v;
+                    pc[full + t + 1] * v
+                }),
+            )
         };
-        if fused_dot {
-            crate::vector::for_rows_sum(w, &self.bounds, ext, row_body)
-        } else {
-            // plain apply: skip the partials buffer entirely
-            crate::vector::for_rows(w, &self.bounds, ext, |k, wr| {
-                row_body(k, wr);
-            });
-            S::ZERO
-        }
+        crate::vector::for_rows_sum(w, &self.bounds, ext, row_body)
     }
 }
 

@@ -177,6 +177,65 @@ impl<S: Scalar> Preconditioner<S> {
         }
     }
 
+    /// CG's fused step over the tile interior: `u += αp`, `r −= αw`,
+    /// then the local `r·z` of the updated residual (`z = M⁻¹r`) —
+    /// bit-identical to [`vector::axpy`], [`vector::axpy`],
+    /// [`Preconditioner::apply`], [`vector::dot_local`] in that order.
+    /// Identity and Diagonal do all of it in the one [`vector::cg_update`]
+    /// sweep and leave `z` untouched (follow with
+    /// [`Preconditioner::cg_direction`], which does not read it);
+    /// block-Jacobi keeps its strip solve into `z` and a separate dot
+    /// after the fused `u`/`r` sweep.
+    #[allow(clippy::too_many_arguments)]
+    pub fn cg_update(
+        &self,
+        u: &mut Field2<S>,
+        r: &mut Field2<S>,
+        z: &mut Field2<S>,
+        alpha: S,
+        p: &Field2<S>,
+        w: &Field2<S>,
+        bounds: &TileBounds,
+        trace: &mut SolveTrace,
+    ) -> S {
+        match self {
+            Preconditioner::Identity => vector::cg_update(u, r, alpha, p, w, None, bounds, trace),
+            Preconditioner::Diagonal { inv_diag } => {
+                trace.precon_ops.record(0);
+                vector::cg_update(u, r, alpha, p, w, Some(inv_diag), bounds, trace)
+            }
+            Preconditioner::BlockJacobi(_) => {
+                vector::cg_update(u, r, alpha, p, w, None, bounds, trace);
+                self.apply(r, z, bounds, 0, trace);
+                vector::dot_local(r, z, bounds, trace)
+            }
+        }
+    }
+
+    /// CG's direction update `p = M⁻¹r + βp` after
+    /// [`Preconditioner::cg_update`], bit-identical to
+    /// [`vector::xpay`]`(p, z, β)` on a materialized `z`: Identity reads
+    /// `r` itself, Diagonal folds `r·inv_diag` into the sweep
+    /// ([`vector::scale_add_mul`]; `βp + 1·(r·d)` rounds as
+    /// `(r·d) + βp`), block-Jacobi reads the `z` its strip solve stored.
+    pub fn cg_direction(
+        &self,
+        p: &mut Field2<S>,
+        r: &Field2<S>,
+        z: &Field2<S>,
+        beta: S,
+        bounds: &TileBounds,
+        trace: &mut SolveTrace,
+    ) {
+        match self {
+            Preconditioner::Identity => vector::xpay(p, r, beta, bounds, 0, trace),
+            Preconditioner::Diagonal { inv_diag } => {
+                vector::scale_add_mul(p, beta, S::ONE, r, inv_diag, bounds, 0, trace)
+            }
+            Preconditioner::BlockJacobi(_) => vector::xpay(p, z, beta, bounds, 0, trace),
+        }
+    }
+
     /// Whether this preconditioner may be applied at `ext > 0`.
     pub fn supports_extension(&self) -> bool {
         !matches!(self, Preconditioner::BlockJacobi(_))
@@ -484,6 +543,92 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// One fused CG step against `axpy, axpy, apply, dot_local, xpay` on
+    /// an `n × n` crooked pipe in precision `S`: `u`, `r`, the returned
+    /// `r·z`, the next direction `p` — and `z` where it is stored — must
+    /// agree to the bit.
+    fn fused_cg_step_matches_unfused<S: Scalar>(n: usize) {
+        let op: TileOperator<S> = crooked_op(n, 1).convert();
+        let bounds = &op.bounds;
+        let gen = |a: isize, b: isize, m: isize, s: f64| -> Field2<S> {
+            let mut f = Field2D::new(n, n, 1);
+            for k in 0..n as isize {
+                for j in 0..n as isize {
+                    f.set(j, k, ((j * a + k * b) % m) as f64 / s - 0.7);
+                }
+            }
+            f.convert()
+        };
+        let bits = |f: &Field2<S>| -> Vec<u64> {
+            f.iter_interior()
+                .map(|(_, _, v)| v.to_f64().to_bits())
+                .collect()
+        };
+        let (alpha, beta) = (
+            S::from_f64(0.8191061549414237),
+            S::from_f64(0.3066128620687435),
+        );
+        for kind in [
+            PreconKind::None,
+            PreconKind::Diagonal,
+            PreconKind::BlockJacobi,
+        ] {
+            let m = Preconditioner::setup(kind, &op, 0);
+            let mut t = SolveTrace::new("t");
+            let (p0, w) = (gen(5, 3, 13, 7.0), gen(2, 7, 11, 3.0));
+            let (u0, r0) = (gen(3, 1, 17, 5.0), gen(7, 5, 19, 9.0));
+
+            let (mut u1, mut r1, mut p1) = (u0.clone(), r0.clone(), p0.clone());
+            let mut z1 = Field2::new(n, n, 1);
+            vector::axpy(&mut u1, alpha, &p0, bounds, 0, &mut t);
+            vector::axpy(&mut r1, -alpha, &w, bounds, 0, &mut t);
+            m.apply(&r1, &mut z1, bounds, 0, &mut t);
+            let want = vector::dot_local(&r1, &z1, bounds, &mut t);
+            vector::xpay(&mut p1, &z1, beta, bounds, 0, &mut t);
+
+            let (mut u2, mut r2, mut p2) = (u0.clone(), r0.clone(), p0.clone());
+            let mut z2 = Field2::new(n, n, 1);
+            let mut fused = SolveTrace::new("fused");
+            let got = m.cg_update(
+                &mut u2, &mut r2, &mut z2, alpha, &p0, &w, bounds, &mut fused,
+            );
+            m.cg_direction(&mut p2, &r2, &z2, beta, bounds, &mut fused);
+
+            let tag = format!("{kind:?} {} n={n}", S::NAME);
+            assert_eq!(
+                got.to_f64().to_bits(),
+                want.to_f64().to_bits(),
+                "{tag}: r·z"
+            );
+            assert_eq!(bits(&u2), bits(&u1), "{tag}: u");
+            assert_eq!(bits(&r2), bits(&r1), "{tag}: r");
+            assert_eq!(bits(&p2), bits(&p1), "{tag}: p");
+            let block = kind == PreconKind::BlockJacobi;
+            if block {
+                assert_eq!(bits(&z2), bits(&z1), "{tag}: z");
+            }
+            // two axpy-class streams + the direction sweep; only the
+            // block solve still pays a separate dot
+            assert_eq!(fused.vector_ops.total(), 3, "{tag}");
+            assert_eq!(fused.dot_kernels.total(), u64::from(block), "{tag}");
+            assert_eq!(
+                fused.precon_ops.total(),
+                u64::from(kind != PreconKind::None),
+                "{tag}"
+            );
+        }
+    }
+
+    #[test]
+    fn fused_cg_step_is_bit_identical_to_the_unfused_sequence() {
+        // 11 and 37: odd widths below and above one 16-lane reduction
+        // block, ragged in every lane width; 48: whole blocks only
+        for n in [11, 37, 48] {
+            fused_cg_step_matches_unfused::<f64>(n);
+            fused_cg_step_matches_unfused::<f32>(n);
         }
     }
 

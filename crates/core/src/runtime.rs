@@ -11,6 +11,16 @@
 //! * `TEA_PAR_THRESHOLD` — minimum swept cells before a kernel takes its
 //!   parallel path (default [`PAR_THRESHOLD`]).
 //!
+//! A *user-facing* worker count — `TEA_NUM_THREADS`, the CLI's
+//! `--threads`, a deck's `tl_num_threads` — is clamped to
+//! [`hardware_threads`] ([`request_num_threads`]): more workers than
+//! cores only time-slice the same sweeps (every committed "speedup"
+//! measured that way was a 0.62–0.98× slowdown), and results are
+//! bit-identical at any count, so nothing is lost. The clamp is
+//! reported, not silent ([`thread_warning`]). The programmatic
+//! [`set_num_threads`] stays unclamped: the determinism tests
+//! oversubscribe on purpose to exercise real threading on 1-core CI.
+//!
 //! Thread count lives in the vendored `rayon` runtime; this module is
 //! the one spot that calls its configuration shim. When the workspace is
 //! swapped onto crates.io rayon (one manifest line), only the two
@@ -27,14 +37,22 @@ pub const PAR_THRESHOLD: usize = 1 << 15;
 
 static THRESHOLD: OnceLock<AtomicUsize> = OnceLock::new();
 
+/// The last user request [`request_num_threads`] had to clamp (0: none).
+static OVERSUBSCRIBED: AtomicUsize = AtomicUsize::new(0);
+
+fn env_usize(name: &str) -> Option<usize> {
+    std::env::var(name).ok()?.trim().parse().ok()
+}
+
+/// The environment, read once on the first touch of either knob — every
+/// kernel asks for the threshold before it can open a parallel region,
+/// so an over-subscribed `TEA_NUM_THREADS` is clamped before it is used.
 fn threshold_cell() -> &'static AtomicUsize {
     THRESHOLD.get_or_init(|| {
-        AtomicUsize::new(
-            std::env::var("TEA_PAR_THRESHOLD")
-                .ok()
-                .and_then(|s| s.trim().parse().ok())
-                .unwrap_or(PAR_THRESHOLD),
-        )
+        if let Some(requested) = env_usize("TEA_NUM_THREADS") {
+            rayon::set_num_threads(grant_threads(requested, hardware_threads()));
+        }
+        AtomicUsize::new(env_usize("TEA_PAR_THRESHOLD").unwrap_or(PAR_THRESHOLD))
     })
 }
 
@@ -56,14 +74,53 @@ pub fn set_par_threshold(cells: usize) {
 
 /// The number of worker threads parallel sweeps currently use.
 pub fn num_threads() -> usize {
+    threshold_cell();
     rayon::current_num_threads()
 }
 
 /// Overrides the worker count for subsequent parallel sweeps (clamped
-/// to `1..=1024`; `1` is exact sequential execution). Oversubscribing
-/// physical cores is allowed but pointless beyond stress-testing.
+/// to `1..=1024`; `1` is exact sequential execution). Not clamped to
+/// the hardware — tests and benches oversubscribe deliberately; user
+/// requests go through [`request_num_threads`].
 pub fn set_num_threads(threads: usize) {
+    threshold_cell(); // so the lazy environment read cannot overwrite this
     rayon::set_num_threads(threads);
+}
+
+/// Hardware threads the OS grants this process (1 when it will not say).
+pub fn hardware_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The worker count a user request for `requested` resolves to on
+/// `hardware` threads, remembering a clamped request for
+/// [`thread_warning`].
+fn grant_threads(requested: usize, hardware: usize) -> usize {
+    let clamped = if requested > hardware { requested } else { 0 };
+    OVERSUBSCRIBED.store(clamped, Ordering::Relaxed);
+    requested.clamp(1, hardware)
+}
+
+/// Applies a user-facing worker-count request (CLI `--threads`, deck
+/// `tl_num_threads`), clamped to [`hardware_threads`]; returns the count
+/// granted.
+pub fn request_num_threads(requested: usize) -> usize {
+    let granted = grant_threads(requested, hardware_threads());
+    set_num_threads(granted);
+    granted
+}
+
+/// One line for the run summary when the latest user request (or
+/// `TEA_NUM_THREADS`) asked for more workers than the hardware has.
+pub fn thread_warning() -> Option<String> {
+    threshold_cell();
+    let requested = OVERSUBSCRIBED.load(Ordering::Relaxed);
+    (requested > 0).then(|| {
+        format!(
+            "{requested} worker threads requested, clamped to the {} hardware thread(s) available",
+            hardware_threads()
+        )
+    })
 }
 
 #[cfg(test)]
@@ -89,6 +146,17 @@ mod tests {
         assert_eq!(num_threads(), 1);
         set_num_threads(usize::MAX);
         assert_eq!(num_threads(), 1024, "runaway counts must clamp");
+
+        // user requests clamp to the hardware and say so; a request the
+        // hardware can serve clears the warning again
+        let hw = hardware_threads();
+        assert_eq!(request_num_threads(hw + 3), hw);
+        assert_eq!(num_threads(), hw);
+        let warning = thread_warning().expect("over-subscription must be reported");
+        assert!(warning.starts_with(&format!("{} worker threads requested", hw + 3)));
+        assert_eq!(request_num_threads(1), 1);
+        assert_eq!(thread_warning(), None);
+        assert_eq!(request_num_threads(0), 1, "zero workers means one");
         set_num_threads(before);
     }
 }

@@ -63,9 +63,12 @@ pub struct SolveTrace {
     pub inner_iterations: u64,
     /// Matrix-free `A·p` sweeps by extension (includes fused-dot sweeps).
     pub spmv: KernelCounts,
-    /// Light vector kernels (axpy-class, copies, scales) by extension.
+    /// Light vector kernels (axpy-class, copies, scales) by extension,
+    /// in units of one axpy-class stream triple: CG's fused `u`/`r`
+    /// update is one pass but records two, the traffic it carries.
     pub vector_ops: KernelCounts,
-    /// Local dot-product sweeps (excluding those fused into spmv).
+    /// Local dot-product sweeps (excluding those fused into spmv or
+    /// into CG's update, which cost no pass of their own).
     pub dot_kernels: KernelCounts,
     /// Preconditioner applications by extension.
     pub precon_ops: KernelCounts,
@@ -272,6 +275,33 @@ pub struct SolveResult {
 }
 
 impl SolveResult {
+    /// The initial residual norm `√rz0` of a solve about to iterate — or,
+    /// as `Err`, how the solve ends before its first iteration: a
+    /// non-finite `rz0` is [`SolveStatus::Diverged`] at iteration 0
+    /// (checked before the NaN-swallowing `max(0.0)`, so a poisoned
+    /// reduction cannot read as convergence) and an exactly zero one is
+    /// instant convergence. The ending carries a copy of `trace`.
+    pub(crate) fn start(rz0: f64, trace: &SolveTrace) -> Result<f64, Box<SolveResult>> {
+        let initial_residual = rz0.max(0.0).sqrt();
+        if rz0.is_finite() && initial_residual > 0.0 {
+            return Ok(initial_residual);
+        }
+        let converged = rz0.is_finite();
+        let residual = if converged { 0.0 } else { f64::NAN };
+        Err(Box::new(SolveResult {
+            converged,
+            iterations: 0,
+            initial_residual: residual,
+            final_residual: residual,
+            status: if converged {
+                SolveStatus::Converged
+            } else {
+                SolveStatus::Diverged { iteration: 0 }
+            },
+            trace: trace.clone(),
+        }))
+    }
+
     /// Relative residual reduction achieved.
     pub fn reduction(&self) -> f64 {
         if self.initial_residual > 0.0 {

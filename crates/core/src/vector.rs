@@ -9,23 +9,31 @@
 //! sites read exactly as before; the mixed-precision solvers
 //! instantiate the same code at `f32`).
 //!
-//! # Lane kernels and the scalar reference
+//! # One kernel path
 //!
-//! Each kernel has two row bodies: the [`lanes`] module sweeps rows in
-//! fixed-width groups of [`Scalar::LANES`] elements (`f64`×4 / `f32`×8
-//! — one 256-bit register per group, no `unsafe`, plain `chunks_exact`
-//! that LLVM turns into vector code), and the [`scalar_ref`] module
-//! keeps the original element-at-a-time loops as the bit-identity
-//! reference. Both bodies evaluate the *same* floating-point expression
-//! per element — elementwise kernels chunk without reassociating, and
-//! the reductions vectorize only the multiplies while folding the adds
-//! in element order — so the two paths are bitwise equal by
-//! construction. The reference body is selected whenever
-//! [`scalar_reference_active`] holds (`f64` at `TEA_NUM_THREADS=1`), so
-//! the sequential f64 baseline the determinism contract pins is still
-//! executed by the pre-vectorization code, and the lane path is
-//! continuously checked against it (`tests/lane_identity.rs`, the
-//! `speedup` bench).
+//! Every precision and thread count runs the same row bodies, the
+//! [`lanes`] module: elementwise kernels sweep rows in fixed-width
+//! groups of [`Scalar::LANES`] elements (`f64`×4 / `f32`×8, no
+//! `unsafe`, plain `chunks_exact` that LLVM turns into vector code) and
+//! apply the identical per-element expression to each lane, so they are
+//! bitwise equal to the element-at-a-time loops kept in `scalar_ref`, a
+//! hidden test oracle no run dispatches to.
+//!
+//! # The reduction shape
+//!
+//! Every row partial — [`dot_local`], [`abs_diff_local`], the `p·w` of
+//! `apply_fused_dot`, the `r·z` of [`cg_update`] — is
+//! [`lanes::tree_sum`]: element `i` of the row accumulates into lane
+//! `i mod 16` of [`lanes::REDUCE_LANES`] accumulators (the same 16 for
+//! `f64` and `f32`) over the whole 16-element blocks, the lanes fold by
+//! a fixed pairwise tree (`l += l+8`, `+4`, `+2`, `+1`), the `n mod 16`
+//! remainder elements are added last in order, and rows fold in row
+//! order. The shape is a function of the sweep bounds alone — not of
+//! thread count, chunking or parallel threshold — so results are
+//! bit-identical across the whole runtime matrix, while sixteen
+//! independent add chains keep the reduction off the critical path.
+//! Bits differ from the serial add chain used before PR 12 by design
+//! (within `n·ε·Σ|aᵢbᵢ|`); CG-family iteration counts may move by ±1.
 
 use crate::ops::TileBounds;
 use crate::runtime::par_threshold;
@@ -33,32 +41,8 @@ use crate::trace::SolveTrace;
 use rayon::prelude::*;
 use tea_mesh::{Field2, Scalar};
 
-/// True when the pre-vectorization scalar row bodies are dispatched:
-/// `f64` storage on a single-thread runtime (`TEA_NUM_THREADS=1`).
-///
-/// This is the bit-identity reference configuration: the sequential f64
-/// sweep every other thread count and precision is pinned against runs
-/// exactly the code it ran before the lane kernels existed. Because the
-/// lane bodies are bitwise-equal by construction, flipping this
-/// predicate never changes results — it changes which machine code
-/// produces them.
-#[inline]
-pub fn scalar_reference_active<S: Scalar>() -> bool {
-    S::BYTES == 8 && crate::runtime::num_threads() == 1
-}
-
-/// Explicit-width lane row kernels: each body walks the row in
-/// `chunks_exact(S::LANES)` groups materialized as fixed-size arrays,
-/// which LLVM compiles to vector loads/stores without any `unsafe`.
-///
-/// Elementwise kernels apply the identical per-element expression to
-/// each lane, so chunking cannot change a single rounding. The
-/// reduction kernels ([`lanes::dot_row`], [`lanes::abs_diff_row`])
-/// vectorize only the elementwise part (products / absolute
-/// differences) into a lane buffer and then fold the buffer in element
-/// order — the additions form the same serial chain as the scalar
-/// reference, so the result is bit-identical while the multiplies leave
-/// the critical path.
+/// The row bodies of every kernel: explicit-width elementwise sweeps
+/// and the fixed-shape [`lanes::tree_sum`] reduction.
 pub mod lanes {
     use tea_mesh::Scalar;
 
@@ -72,70 +56,69 @@ pub mod lanes {
         };
     }
 
-    /// `y += a * x` over one row.
+    /// A lane group as a fixed-size array, so LLVM sees the width.
     #[inline(always)]
-    pub fn axpy_row<S: Scalar>(y: &mut [S], a: S, x: &[S]) {
-        by_lanes!(S, axpy_chunks(y, a, x))
+    pub(crate) fn arr<S, const L: usize>(chunk: &[S]) -> &[S; L] {
+        chunk.try_into().expect("lane chunk")
     }
 
+    /// Mutable [`arr`].
     #[inline(always)]
-    fn axpy_chunks<S: Scalar, const L: usize>(y: &mut [S], a: S, x: &[S]) {
+    fn arr_mut<S, const L: usize>(chunk: &mut [S]) -> &mut [S; L] {
+        chunk.try_into().expect("lane chunk")
+    }
+
+    /// `y[i] = f(y[i], x[i])` in `L`-wide groups, remainder element by
+    /// element.
+    #[inline(always)]
+    fn zip1<S: Scalar, const L: usize>(y: &mut [S], x: &[S], f: impl Fn(S, S) -> S) {
         let mut yc = y.chunks_exact_mut(L);
         let mut xc = x.chunks_exact(L);
         for (ya, xa) in (&mut yc).zip(&mut xc) {
-            let ya: &mut [S; L] = ya.try_into().expect("lane chunk");
-            let xa: &[S; L] = xa.try_into().expect("lane chunk");
+            let (ya, xa) = (arr_mut::<S, L>(ya), arr::<S, L>(xa));
             for i in 0..L {
-                ya[i] += a * xa[i];
+                ya[i] = f(ya[i], xa[i]);
             }
         }
         for (yi, &xi) in yc.into_remainder().iter_mut().zip(xc.remainder()) {
-            *yi += a * xi;
+            *yi = f(*yi, xi);
         }
+    }
+
+    /// `y[i] = f(y[i], a[i], b[i])`, grouped like [`zip1`].
+    #[inline(always)]
+    fn zip2<S: Scalar, const L: usize>(y: &mut [S], a: &[S], b: &[S], f: impl Fn(S, S, S) -> S) {
+        let mut yc = y.chunks_exact_mut(L);
+        let mut ac = a.chunks_exact(L);
+        let mut bc = b.chunks_exact(L);
+        for ((ya, aa), ba) in (&mut yc).zip(&mut ac).zip(&mut bc) {
+            let (ya, aa, ba) = (arr_mut::<S, L>(ya), arr::<S, L>(aa), arr::<S, L>(ba));
+            for i in 0..L {
+                ya[i] = f(ya[i], aa[i], ba[i]);
+            }
+        }
+        let rest = yc.into_remainder().iter_mut();
+        for ((yi, &ai), &bi) in rest.zip(ac.remainder()).zip(bc.remainder()) {
+            *yi = f(*yi, ai, bi);
+        }
+    }
+
+    /// `y += a * x` over one row.
+    #[inline(always)]
+    pub fn axpy_row<S: Scalar>(y: &mut [S], a: S, x: &[S]) {
+        by_lanes!(S, zip1(y, x, |yi, xi| yi + a * xi))
     }
 
     /// `y = x + a * y` over one row.
     #[inline(always)]
     pub fn xpay_row<S: Scalar>(y: &mut [S], x: &[S], a: S) {
-        by_lanes!(S, xpay_chunks(y, x, a))
-    }
-
-    #[inline(always)]
-    fn xpay_chunks<S: Scalar, const L: usize>(y: &mut [S], x: &[S], a: S) {
-        let mut yc = y.chunks_exact_mut(L);
-        let mut xc = x.chunks_exact(L);
-        for (ya, xa) in (&mut yc).zip(&mut xc) {
-            let ya: &mut [S; L] = ya.try_into().expect("lane chunk");
-            let xa: &[S; L] = xa.try_into().expect("lane chunk");
-            for i in 0..L {
-                ya[i] = xa[i] + a * ya[i];
-            }
-        }
-        for (yi, &xi) in yc.into_remainder().iter_mut().zip(xc.remainder()) {
-            *yi = xi + a * *yi;
-        }
+        by_lanes!(S, zip1(y, x, |yi, xi| xi + a * yi))
     }
 
     /// `y = a*y + b*x` over one row.
     #[inline(always)]
     pub fn scale_add_row<S: Scalar>(y: &mut [S], a: S, b: S, x: &[S]) {
-        by_lanes!(S, scale_add_chunks(y, a, b, x))
-    }
-
-    #[inline(always)]
-    fn scale_add_chunks<S: Scalar, const L: usize>(y: &mut [S], a: S, b: S, x: &[S]) {
-        let mut yc = y.chunks_exact_mut(L);
-        let mut xc = x.chunks_exact(L);
-        for (ya, xa) in (&mut yc).zip(&mut xc) {
-            let ya: &mut [S; L] = ya.try_into().expect("lane chunk");
-            let xa: &[S; L] = xa.try_into().expect("lane chunk");
-            for i in 0..L {
-                ya[i] = a * ya[i] + b * xa[i];
-            }
-        }
-        for (yi, &xi) in yc.into_remainder().iter_mut().zip(xc.remainder()) {
-            *yi = a * *yi + b * xi;
-        }
+        by_lanes!(S, zip1(y, x, |yi, xi| a * yi + b * xi))
     }
 
     /// `y = a*y + b*(r .* d)` over one row — the diagonal-preconditioned
@@ -144,154 +127,160 @@ pub mod lanes {
     /// rounds first, then `a*y + b*tmp`).
     #[inline(always)]
     pub fn scale_add_mul_row<S: Scalar>(y: &mut [S], a: S, b: S, r: &[S], d: &[S]) {
-        by_lanes!(S, scale_add_mul_chunks(y, a, b, r, d))
-    }
-
-    #[inline(always)]
-    fn scale_add_mul_chunks<S: Scalar, const L: usize>(y: &mut [S], a: S, b: S, r: &[S], d: &[S]) {
-        let mut yc = y.chunks_exact_mut(L);
-        let mut rc = r.chunks_exact(L);
-        let mut dc = d.chunks_exact(L);
-        for ((ya, ra), da) in (&mut yc).zip(&mut rc).zip(&mut dc) {
-            let ya: &mut [S; L] = ya.try_into().expect("lane chunk");
-            let ra: &[S; L] = ra.try_into().expect("lane chunk");
-            let da: &[S; L] = da.try_into().expect("lane chunk");
-            for i in 0..L {
-                ya[i] = a * ya[i] + b * (ra[i] * da[i]);
-            }
-        }
-        for ((yi, &ri), &di) in yc
-            .into_remainder()
-            .iter_mut()
-            .zip(rc.remainder())
-            .zip(dc.remainder())
-        {
-            *yi = a * *yi + b * (ri * di);
-        }
+        by_lanes!(S, zip2(y, r, d, |yi, ri, di| a * yi + b * (ri * di)))
     }
 
     /// `dst = src * scale` over one row.
     #[inline(always)]
     pub fn scaled_copy_row<S: Scalar>(dst: &mut [S], src: &[S], scale: S) {
-        by_lanes!(S, scaled_copy_chunks(dst, src, scale))
-    }
-
-    #[inline(always)]
-    fn scaled_copy_chunks<S: Scalar, const L: usize>(dst: &mut [S], src: &[S], scale: S) {
-        let mut dc = dst.chunks_exact_mut(L);
-        let mut sc = src.chunks_exact(L);
-        for (da, sa) in (&mut dc).zip(&mut sc) {
-            let da: &mut [S; L] = da.try_into().expect("lane chunk");
-            let sa: &[S; L] = sa.try_into().expect("lane chunk");
-            for i in 0..L {
-                da[i] = sa[i] * scale;
-            }
-        }
-        for (di, &si) in dc.into_remainder().iter_mut().zip(sc.remainder()) {
-            *di = si * scale;
-        }
+        by_lanes!(S, zip1(dst, src, |_, si| si * scale))
     }
 
     /// `dst = a .* b` elementwise over one row.
     #[inline(always)]
     pub fn mul_into_row<S: Scalar>(dst: &mut [S], a: &[S], b: &[S]) {
-        by_lanes!(S, mul_into_chunks(dst, a, b))
+        by_lanes!(S, zip2(dst, a, b, |_, ai, bi| ai * bi))
     }
 
+    /// Lane accumulators of every row reduction — one constant for
+    /// `f64` and `f32`, so the reduction shape is precision-independent.
+    pub const REDUCE_LANES: usize = 16;
+
+    /// Sums a row's terms in the crate's one reduction shape (module
+    /// docs): `blocks` yields the terms of each whole 16-element block
+    /// in order and block element `l` accumulates into lane `l`; the
+    /// lanes fold by the fixed pairwise tree; `tail` — the terms of the
+    /// `n mod 16` remainder elements — is added last, in order. Both
+    /// iterators may write their rows as they go (the fused kernels do).
     #[inline(always)]
-    fn mul_into_chunks<S: Scalar, const L: usize>(dst: &mut [S], a: &[S], b: &[S]) {
-        let mut dc = dst.chunks_exact_mut(L);
-        let mut ac = a.chunks_exact(L);
-        let mut bc = b.chunks_exact(L);
-        for ((da, aa), ba) in (&mut dc).zip(&mut ac).zip(&mut bc) {
-            let da: &mut [S; L] = da.try_into().expect("lane chunk");
-            let aa: &[S; L] = aa.try_into().expect("lane chunk");
-            let ba: &[S; L] = ba.try_into().expect("lane chunk");
-            for i in 0..L {
-                da[i] = aa[i] * ba[i];
+    pub fn tree_sum<S: Scalar>(
+        blocks: impl Iterator<Item = [S; REDUCE_LANES]>,
+        tail: impl Iterator<Item = S>,
+    ) -> S {
+        let mut acc = [S::ZERO; REDUCE_LANES];
+        for t in blocks {
+            for l in 0..REDUCE_LANES {
+                acc[l] += t[l];
             }
         }
-        for ((di, &ai), &bi) in dc
-            .into_remainder()
-            .iter_mut()
-            .zip(ac.remainder())
-            .zip(bc.remainder())
-        {
-            *di = ai * bi;
+        let mut half = REDUCE_LANES / 2;
+        while half > 0 {
+            for l in 0..half {
+                acc[l] += acc[l + half];
+            }
+            half /= 2;
         }
+        tail.fold(acc[0], |sum, t| sum + t)
     }
 
-    /// Row dot product `Σ a[i]·b[i]` with the adds folded in element
-    /// order (bit-identical to the scalar chain; only the products are
-    /// lane-parallel).
+    /// Elements of an `n`-long row covered by whole reduction blocks.
+    #[inline(always)]
+    pub(crate) fn whole_blocks(n: usize) -> usize {
+        n - n % REDUCE_LANES
+    }
+
+    /// `Σ f(a[i], b[i])` over one row, tree-shaped.
+    #[inline(always)]
+    fn reduce2<S: Scalar>(a: &[S], b: &[S], f: impl Fn(S, S) -> S) -> S {
+        let (am, at) = a.split_at(whole_blocks(a.len()));
+        let (bm, bt) = b.split_at(am.len());
+        let blocks = am
+            .chunks_exact(REDUCE_LANES)
+            .zip(bm.chunks_exact(REDUCE_LANES));
+        tree_sum(
+            blocks.map(|(aa, ba)| {
+                let (aa, ba) = (arr::<S, REDUCE_LANES>(aa), arr::<S, REDUCE_LANES>(ba));
+                std::array::from_fn(|l| f(aa[l], ba[l]))
+            }),
+            at.iter().zip(bt).map(|(&x, &y)| f(x, y)),
+        )
+    }
+
+    /// Row dot product `Σ a[i]·b[i]`.
     #[inline(always)]
     pub fn dot_row<S: Scalar>(a: &[S], b: &[S]) -> S {
-        by_lanes!(S, dot_chunks(a, b))
+        reduce2(a, b, |x, y| x * y)
     }
 
-    #[inline(always)]
-    fn dot_chunks<S: Scalar, const L: usize>(a: &[S], b: &[S]) -> S {
-        let mut ac = a.chunks_exact(L);
-        let mut bc = b.chunks_exact(L);
-        let mut acc = S::ZERO;
-        for (aa, ba) in (&mut ac).zip(&mut bc) {
-            let aa: &[S; L] = aa.try_into().expect("lane chunk");
-            let ba: &[S; L] = ba.try_into().expect("lane chunk");
-            let mut prod = [S::ZERO; L];
-            for i in 0..L {
-                prod[i] = aa[i] * ba[i];
-            }
-            // fold in element order: the same serial add chain as the
-            // scalar reference, so the partial is bit-identical
-            for p in prod {
-                acc += p;
-            }
-        }
-        for (&ai, &bi) in ac.remainder().iter().zip(bc.remainder()) {
-            acc += ai * bi;
-        }
-        acc
-    }
-
-    /// Row sum of absolute differences `Σ|a[i]-b[i]|`, folded in element
-    /// order like [`dot_row`].
+    /// Row sum of absolute differences `Σ|a[i]-b[i]|`.
     #[inline(always)]
     pub fn abs_diff_row<S: Scalar>(a: &[S], b: &[S]) -> S {
-        by_lanes!(S, abs_diff_chunks(a, b))
+        reduce2(a, b, |x, y| (x - y).abs())
     }
 
+    /// One row of [`super::cg_update`]: `u += αp`, `r −= αw`, returning
+    /// `Σ r·z` with `z = r` (`d` absent) or `z = r·d`. Each element
+    /// rounds exactly like `axpy`, `axpy`, `mul_into`, `dot`.
     #[inline(always)]
-    fn abs_diff_chunks<S: Scalar, const L: usize>(a: &[S], b: &[S]) -> S {
-        let mut ac = a.chunks_exact(L);
-        let mut bc = b.chunks_exact(L);
-        let mut acc = S::ZERO;
-        for (aa, ba) in (&mut ac).zip(&mut bc) {
-            let aa: &[S; L] = aa.try_into().expect("lane chunk");
-            let ba: &[S; L] = ba.try_into().expect("lane chunk");
-            let mut diff = [S::ZERO; L];
-            for i in 0..L {
-                diff[i] = (aa[i] - ba[i]).abs();
-            }
-            for d in diff {
-                acc += d;
-            }
+    pub fn cg_update_row<S: Scalar>(
+        u: &mut [S],
+        r: &mut [S],
+        alpha: S,
+        p: &[S],
+        w: &[S],
+        d: Option<&[S]>,
+    ) -> S {
+        match d {
+            None => cg_update_with(u, r, alpha, p, w, p, |ri, _| ri * ri),
+            Some(d) => cg_update_with(u, r, alpha, p, w, d, |ri, di| ri * (ri * di)),
         }
-        for (&ai, &bi) in ac.remainder().iter().zip(bc.remainder()) {
-            acc += (ai - bi).abs();
-        }
-        acc
+    }
+
+    /// [`cg_update_row`] with the `r·z` term `rz(r[i], d[i])` factored
+    /// out (`d` is a dummy row when the term ignores it).
+    #[inline(always)]
+    fn cg_update_with<S: Scalar>(
+        u: &mut [S],
+        r: &mut [S],
+        alpha: S,
+        p: &[S],
+        w: &[S],
+        d: &[S],
+        rz: impl Fn(S, S) -> S,
+    ) -> S {
+        const RL: usize = REDUCE_LANES;
+        let neg = -alpha;
+        let (um, ut) = u.split_at_mut(whole_blocks(u.len()));
+        let (rm, rt) = r.split_at_mut(um.len());
+        let ((pm, pt), (wm, wt), (dm, dt)) = (
+            p.split_at(um.len()),
+            w.split_at(um.len()),
+            d.split_at(um.len()),
+        );
+        let outs = um.chunks_exact_mut(RL).zip(rm.chunks_exact_mut(RL));
+        let ins = pm
+            .chunks_exact(RL)
+            .zip(wm.chunks_exact(RL))
+            .zip(dm.chunks_exact(RL));
+        tree_sum(
+            outs.zip(ins).map(|((ua, ra), ((pa, wa), da))| {
+                let (ua, ra) = (arr_mut::<S, RL>(ua), arr_mut::<S, RL>(ra));
+                let (pa, wa, da) = (arr::<S, RL>(pa), arr::<S, RL>(wa), arr::<S, RL>(da));
+                std::array::from_fn(|l| {
+                    ua[l] += alpha * pa[l];
+                    ra[l] += neg * wa[l];
+                    rz(ra[l], da[l])
+                })
+            }),
+            (ut.iter_mut().zip(rt.iter_mut()))
+                .zip(pt.iter().zip(wt).zip(dt))
+                .map(|((ui, ri), ((&pi, &wi), &di))| {
+                    *ui += alpha * pi;
+                    *ri += neg * wi;
+                    rz(*ri, di)
+                }),
+        )
     }
 }
 
-/// The pre-vectorization row bodies, unchanged — the bit-identity
-/// reference the lane kernels are checked against, and the code that
-/// still runs for `f64` at `TEA_NUM_THREADS=1` (see
-/// [`scalar_reference_active`]).
+/// The element-at-a-time row bodies from before the lane kernels, kept
+/// as the oracle the test suites and the `speedup` bench compare the
+/// [`lanes`] bodies against. Nothing at run time dispatches here.
+#[doc(hidden)]
 pub mod scalar_ref {
     use tea_mesh::Scalar;
 
     /// `y += a * x` over one row (element-at-a-time).
-    #[inline(always)]
     pub fn axpy_row<S: Scalar>(y: &mut [S], a: S, x: &[S]) {
         for (yi, &xi) in y.iter_mut().zip(x) {
             *yi += a * xi;
@@ -299,7 +288,6 @@ pub mod scalar_ref {
     }
 
     /// `y = x + a * y` over one row (element-at-a-time).
-    #[inline(always)]
     pub fn xpay_row<S: Scalar>(y: &mut [S], x: &[S], a: S) {
         for (yi, &xi) in y.iter_mut().zip(x) {
             *yi = xi + a * *yi;
@@ -307,7 +295,6 @@ pub mod scalar_ref {
     }
 
     /// `y = a*y + b*x` over one row (element-at-a-time).
-    #[inline(always)]
     pub fn scale_add_row<S: Scalar>(y: &mut [S], a: S, b: S, x: &[S]) {
         for (yi, &xi) in y.iter_mut().zip(x) {
             *yi = a * *yi + b * xi;
@@ -315,7 +302,6 @@ pub mod scalar_ref {
     }
 
     /// `y = a*y + b*(r .* d)` over one row (element-at-a-time).
-    #[inline(always)]
     pub fn scale_add_mul_row<S: Scalar>(y: &mut [S], a: S, b: S, r: &[S], d: &[S]) {
         for ((yi, &ri), &di) in y.iter_mut().zip(r).zip(d) {
             *yi = a * *yi + b * (ri * di);
@@ -323,7 +309,6 @@ pub mod scalar_ref {
     }
 
     /// `dst = src * scale` over one row (element-at-a-time).
-    #[inline(always)]
     pub fn scaled_copy_row<S: Scalar>(dst: &mut [S], src: &[S], scale: S) {
         for (di, &si) in dst.iter_mut().zip(src) {
             *di = si * scale;
@@ -331,31 +316,33 @@ pub mod scalar_ref {
     }
 
     /// `dst = a .* b` over one row (element-at-a-time).
-    #[inline(always)]
     pub fn mul_into_row<S: Scalar>(dst: &mut [S], a: &[S], b: &[S]) {
         for ((di, &ai), &bi) in dst.iter_mut().zip(a).zip(b) {
             *di = ai * bi;
         }
     }
 
-    /// Row dot product, serial add chain.
-    #[inline(always)]
-    pub fn dot_row<S: Scalar>(a: &[S], b: &[S]) -> S {
-        let mut acc = S::ZERO;
-        for (x, y) in a.iter().zip(b) {
-            acc += *x * *y;
-        }
-        acc
+    /// Serial add chain `((t₀ + t₁) + t₂) + …` — the pre-PR-12
+    /// reduction order, kept for the tolerance half of the contract.
+    pub fn chain_sum<S: Scalar>(terms: &[S]) -> S {
+        terms.iter().fold(S::ZERO, |acc, &t| acc + t)
     }
 
-    /// Row sum of absolute differences, serial add chain.
-    #[inline(always)]
-    pub fn abs_diff_row<S: Scalar>(a: &[S], b: &[S]) -> S {
-        let mut acc = S::ZERO;
-        for (x, y) in a.iter().zip(b) {
-            acc += (*x - *y).abs();
+    /// Independent scalar model of [`super::lanes::tree_sum`]: deal the
+    /// whole 16-blocks of `terms` onto 16 lanes by `i mod 16`, halve the
+    /// lane vector pairwise (`l + (l + len/2)`) down to one value, then
+    /// add the remainder terms in order.
+    pub fn tree_sum<S: Scalar>(terms: &[S]) -> S {
+        let full = terms.len() - terms.len() % 16;
+        let mut lanes = vec![S::ZERO; 16];
+        for i in 0..full {
+            lanes[i % 16] += terms[i];
         }
-        acc
+        while lanes.len() > 1 {
+            let half = lanes.len() / 2;
+            lanes = (0..half).map(|l| lanes[l] + lanes[l + half]).collect();
+        }
+        terms[full..].iter().fold(lanes[0], |sum, &t| sum + t)
     }
 }
 
@@ -363,39 +350,23 @@ pub mod scalar_ref {
 /// in parallel when large. `body(k, row)` gets the row index and the
 /// mutable row slice.
 ///
-/// This is *the* padded-row dispatch of the crate — the halo offset,
-/// interior slice bounds and row-range guard live here once, and every
+/// With its siblings this is *the* padded-row dispatch of the crate —
+/// the halo offset, interior slice bounds and row-range guard live in
+/// [`for_rows_sum`] (one output) and [`for_rows2_sum`] (two), and every
 /// row-parallel kernel (the vector ops below, the 2D operator apply and
-/// residual, the block-Jacobi solve) routes through it or its fused
-/// siblings [`for_rows_sum`] and [`for_rows2`]. The 3D operator keeps
-/// its own copy only because `Field3D`'s two-level row decode does not
-/// fit this shape.
+/// residual, the block-Jacobi solve) routes through one of the four.
+/// The 3D operator keeps its own copy only because `Field3D`'s
+/// two-level row decode does not fit this shape.
 pub(crate) fn for_rows<S: Scalar>(
     out: &mut Field2<S>,
     bounds: &TileBounds,
     ext: usize,
     body: impl Fn(isize, &mut [S]) + Sync,
 ) {
-    let (x_lo, x_hi, y_lo, y_hi) = bounds.range(ext);
-    let n = (x_hi - x_lo) as usize;
-    if bounds.cells(ext) >= par_threshold() {
-        let stride = out.stride();
-        let h = out.halo() as isize;
-        let x0 = (x_lo + h) as usize;
-        out.raw_mut()
-            .par_chunks_mut(stride)
-            .enumerate()
-            .for_each(|(row, chunk)| {
-                let k = row as isize - h;
-                if k >= y_lo && k < y_hi {
-                    body(k, &mut chunk[x0..x0 + n]);
-                }
-            });
-    } else {
-        for k in y_lo..y_hi {
-            body(k, out.row_mut(k, x_lo, x_hi));
-        }
-    }
+    for_rows_sum(out, bounds, ext, |k, row| {
+        body(k, row);
+        S::ZERO
+    });
 }
 
 /// [`for_rows`] over *two* output fields of identical shape: `body(k,
@@ -409,6 +380,21 @@ pub(crate) fn for_rows2<S: Scalar>(
     ext: usize,
     body: impl Fn(isize, &mut [S], &mut [S]) + Sync,
 ) {
+    for_rows2_sum(out1, out2, bounds, ext, |k, r1, r2| {
+        body(k, r1, r2);
+        S::ZERO
+    });
+}
+
+/// [`for_rows2`] with a fused per-row reduction, folded like
+/// [`for_rows_sum`] — the dispatch of [`cg_update`].
+pub(crate) fn for_rows2_sum<S: Scalar>(
+    out1: &mut Field2<S>,
+    out2: &mut Field2<S>,
+    bounds: &TileBounds,
+    ext: usize,
+    body: impl Fn(isize, &mut [S], &mut [S]) -> S + Sync,
+) -> S {
     let (x_lo, x_hi, y_lo, y_hi) = bounds.range(ext);
     let n = (x_hi - x_lo) as usize;
     if bounds.cells(ext) >= par_threshold() {
@@ -417,20 +403,25 @@ pub(crate) fn for_rows2<S: Scalar>(
         debug_assert_eq!(stride, out2.stride(), "fused outputs must share shape");
         debug_assert_eq!(h, out2.halo() as isize, "fused outputs must share halo");
         let x0 = (x_lo + h) as usize;
+        let mut partials = vec![S::ZERO; out1.raw().len() / stride];
         out1.raw_mut()
             .par_chunks_mut(stride)
             .zip(out2.raw_mut().par_chunks_mut(stride))
+            .zip(partials.par_iter_mut())
             .enumerate()
-            .for_each(|(row, (c1, c2))| {
+            .for_each(|(row, ((c1, c2), slot))| {
                 let k = row as isize - h;
                 if k >= y_lo && k < y_hi {
-                    body(k, &mut c1[x0..x0 + n], &mut c2[x0..x0 + n]);
+                    *slot = body(k, &mut c1[x0..x0 + n], &mut c2[x0..x0 + n]);
                 }
             });
+        partials.iter().fold(S::ZERO, |acc, &p| acc + p)
     } else {
+        let mut acc = S::ZERO;
         for k in y_lo..y_hi {
-            body(k, out1.row_mut(k, x_lo, x_hi), out2.row_mut(k, x_lo, x_hi));
+            acc += body(k, out1.row_mut(k, x_lo, x_hi), out2.row_mut(k, x_lo, x_hi));
         }
+        acc
     }
 }
 
@@ -525,14 +516,8 @@ pub fn axpy<S: Scalar>(
 ) {
     trace.vector_ops.record(ext);
     let (x_lo, x_hi, _, _) = bounds.range(ext);
-    let scalar = scalar_reference_active::<S>();
     for_rows(y, bounds, ext, |k, row| {
-        let xr = x.row(k, x_lo, x_hi);
-        if scalar {
-            scalar_ref::axpy_row(row, a, xr);
-        } else {
-            lanes::axpy_row(row, a, xr);
-        }
+        lanes::axpy_row(row, a, x.row(k, x_lo, x_hi));
     });
 }
 
@@ -548,14 +533,8 @@ pub fn xpay<S: Scalar>(
 ) {
     trace.vector_ops.record(ext);
     let (x_lo, x_hi, _, _) = bounds.range(ext);
-    let scalar = scalar_reference_active::<S>();
     for_rows(y, bounds, ext, |k, row| {
-        let xr = x.row(k, x_lo, x_hi);
-        if scalar {
-            scalar_ref::xpay_row(row, xr, a);
-        } else {
-            lanes::xpay_row(row, xr, a);
-        }
+        lanes::xpay_row(row, x.row(k, x_lo, x_hi), a);
     });
 }
 
@@ -571,14 +550,8 @@ pub fn scale_add<S: Scalar>(
 ) {
     trace.vector_ops.record(ext);
     let (x_lo, x_hi, _, _) = bounds.range(ext);
-    let scalar = scalar_reference_active::<S>();
     for_rows(y, bounds, ext, |k, row| {
-        let xr = x.row(k, x_lo, x_hi);
-        if scalar {
-            scalar_ref::scale_add_row(row, a, b, xr);
-        } else {
-            lanes::scale_add_row(row, a, b, xr);
-        }
+        lanes::scale_add_row(row, a, b, x.row(k, x_lo, x_hi));
     });
 }
 
@@ -599,15 +572,8 @@ pub fn scale_add_mul<S: Scalar>(
 ) {
     trace.vector_ops.record(ext);
     let (x_lo, x_hi, _, _) = bounds.range(ext);
-    let scalar = scalar_reference_active::<S>();
     for_rows(y, bounds, ext, |k, row| {
-        let rr = r.row(k, x_lo, x_hi);
-        let dr = d.row(k, x_lo, x_hi);
-        if scalar {
-            scalar_ref::scale_add_mul_row(row, a, b, rr, dr);
-        } else {
-            lanes::scale_add_mul_row(row, a, b, rr, dr);
-        }
+        lanes::scale_add_mul_row(row, a, b, r.row(k, x_lo, x_hi), d.row(k, x_lo, x_hi));
     });
 }
 
@@ -622,14 +588,8 @@ pub fn scaled_copy<S: Scalar>(
 ) {
     trace.vector_ops.record(ext);
     let (x_lo, x_hi, _, _) = bounds.range(ext);
-    let scalar = scalar_reference_active::<S>();
     for_rows(dst, bounds, ext, |k, row| {
-        let sr = src.row(k, x_lo, x_hi);
-        if scalar {
-            scalar_ref::scaled_copy_row(row, sr, scale);
-        } else {
-            lanes::scaled_copy_row(row, sr, scale);
-        }
+        lanes::scaled_copy_row(row, src.row(k, x_lo, x_hi), scale);
     });
 }
 
@@ -644,15 +604,8 @@ pub fn mul_into<S: Scalar>(
 ) {
     trace.vector_ops.record(ext);
     let (x_lo, x_hi, _, _) = bounds.range(ext);
-    let scalar = scalar_reference_active::<S>();
     for_rows(dst, bounds, ext, |k, row| {
-        let ar = a.row(k, x_lo, x_hi);
-        let br = b.row(k, x_lo, x_hi);
-        if scalar {
-            scalar_ref::mul_into_row(row, ar, br);
-        } else {
-            lanes::mul_into_row(row, ar, br);
-        }
+        lanes::mul_into_row(row, a.row(k, x_lo, x_hi), b.row(k, x_lo, x_hi));
     });
 }
 
@@ -676,15 +629,8 @@ pub fn dot_local<S: Scalar>(
     trace: &mut SolveTrace,
 ) -> S {
     trace.dot_kernels.record(0);
-    let scalar = scalar_reference_active::<S>();
     sum_rows(bounds, 0, |k, x_lo, x_hi| {
-        let ar = a.row(k, x_lo, x_hi);
-        let br = b.row(k, x_lo, x_hi);
-        if scalar {
-            scalar_ref::dot_row(ar, br)
-        } else {
-            lanes::dot_row(ar, br)
-        }
+        lanes::dot_row(a.row(k, x_lo, x_hi), b.row(k, x_lo, x_hi))
     })
 }
 
@@ -697,15 +643,36 @@ pub fn abs_diff_local<S: Scalar>(
     trace: &mut SolveTrace,
 ) -> S {
     trace.dot_kernels.record(0);
-    let scalar = scalar_reference_active::<S>();
     sum_rows(bounds, 0, |k, x_lo, x_hi| {
-        let ar = a.row(k, x_lo, x_hi);
-        let br = b.row(k, x_lo, x_hi);
-        if scalar {
-            scalar_ref::abs_diff_row(ar, br)
-        } else {
-            lanes::abs_diff_row(ar, br)
-        }
+        lanes::abs_diff_row(a.row(k, x_lo, x_hi), b.row(k, x_lo, x_hi))
+    })
+}
+
+/// CG's fused update over the tile interior, one sweep: `u += αp`,
+/// `r −= αw`, returning the local `Σ r·z` of the *updated* residual with
+/// `z = r` (`inv_diag` absent) or `z = r·inv_diag` — `z` is never
+/// stored. Bit-identical to [`axpy`], [`axpy`], [`mul_into`],
+/// [`dot_local`] run back to back; the caller pays the reduction.
+///
+/// Traced as the two axpy-class streams it carries (6 elements/cell;
+/// `inv_diag` adds a seventh); the dot rides along and records nothing.
+#[allow(clippy::too_many_arguments)]
+pub fn cg_update<S: Scalar>(
+    u: &mut Field2<S>,
+    r: &mut Field2<S>,
+    alpha: S,
+    p: &Field2<S>,
+    w: &Field2<S>,
+    inv_diag: Option<&Field2<S>>,
+    bounds: &TileBounds,
+    trace: &mut SolveTrace,
+) -> S {
+    trace.vector_ops.record(0);
+    trace.vector_ops.record(0);
+    let (x_lo, x_hi, _, _) = bounds.range(0);
+    for_rows2_sum(u, r, bounds, 0, |k, ur, rr| {
+        let d = inv_diag.map(|d| d.row(k, x_lo, x_hi));
+        lanes::cg_update_row(ur, rr, alpha, p.row(k, x_lo, x_hi), w.row(k, x_lo, x_hi), d)
     })
 }
 
@@ -775,13 +742,24 @@ mod tests {
     }
 
     #[test]
-    fn lane_rows_match_scalar_reference_bitwise() {
+    fn lane_rows_match_their_scalar_models_bitwise() {
         // quick in-crate check of the contract the property suite
-        // (tests/lane_identity.rs) explores exhaustively: every lane row
-        // body is bitwise equal to the scalar_ref body, remainder included
-        let len = 23; // 5 lane groups of 4 + remainder 3 for f64
+        // (tests/lane_identity.rs) explores exhaustively: elementwise
+        // lane rows equal the scalar_ref loops, reduction rows equal the
+        // scalar model of the 16-lane tree — remainders included
+        let len = 57usize; // 3 reduction blocks of 16 + 9; 14 f64 groups + 1
         let xs: Vec<f64> = (0..len).map(|i| 0.3 + (i as f64) / 7.0).collect();
-        let ys: Vec<f64> = (0..len).map(|i| -1.2 + (i as f64) / 5.0).collect();
+        // mixed signs over nine decades, so the add order shows in the bits
+        let ys: Vec<f64> = (0..len)
+            .map(|i| {
+                let mag = (0.7 + i as f64 / 3.0) * 10f64.powi((i * 5 % 9) as i32 - 4);
+                if i % 3 == 0 {
+                    -mag
+                } else {
+                    mag
+                }
+            })
+            .collect();
         let (a, bb) = (1.7320508075688772, -0.5772156649015329);
 
         let (mut l, mut s) = (ys.clone(), ys.clone());
@@ -802,13 +780,38 @@ mod tests {
         scalar_ref::scale_add_row(&mut s, a, bb, &xs);
         assert_eq!(l, s);
 
+        let prods: Vec<f64> = (0..len).map(|i| xs[i] * ys[i]).collect();
         let dl = lanes::dot_row(&xs, &ys);
-        let ds = scalar_ref::dot_row(&xs, &ys);
-        assert_eq!(dl.to_bits(), ds.to_bits(), "dot fold order must match");
+        assert_eq!(dl.to_bits(), scalar_ref::tree_sum(&prods).to_bits());
+        let chain = scalar_ref::chain_sum(&prods);
+        assert_ne!(
+            dl.to_bits(),
+            chain.to_bits(),
+            "data must tell the orders apart"
+        );
+        assert!((dl - chain).abs() <= 1e-13 * prods.iter().map(|p| p.abs()).sum::<f64>());
 
+        let diffs: Vec<f64> = (0..len).map(|i| (xs[i] - ys[i]).abs()).collect();
         let al = lanes::abs_diff_row(&xs, &ys);
-        let as_ = scalar_ref::abs_diff_row(&xs, &ys);
-        assert_eq!(al.to_bits(), as_.to_bits());
+        assert_eq!(al.to_bits(), scalar_ref::tree_sum(&diffs).to_bits());
+    }
+
+    #[test]
+    fn for_rows2_sum_folds_row_partials_in_row_order() {
+        let (nx, ny) = (7, 5);
+        let b = TileBounds::serial(nx, ny);
+        let run = || {
+            let mut y = Field2D::new(nx, ny, 1);
+            let mut z = Field2D::new(nx, ny, 1);
+            let s = for_rows2_sum(&mut y, &mut z, &b, 0, |k, yr, zr| {
+                yr.fill(k as f64);
+                zr.fill(-(k as f64));
+                0.1 * (k + 1) as f64
+            });
+            (s, y.at(3, 2), z.at(3, 2))
+        };
+        let want = (1..=5).fold(0.0, |acc, k| acc + 0.1 * k as f64);
+        assert_eq!(run(), (want, 2.0, -2.0));
     }
 
     #[test]

@@ -1,16 +1,22 @@
-//! Property suite for the lane-kernel bit-identity contract
-//! (`tea_core::vector`): every explicit-width lane kernel must be
-//! **bit-identical** to the scalar f64 reference
-//! (`vector::scalar_ref`), for any input — including ragged row lengths
-//! that exercise the `chunks_exact` remainder path — and for any
-//! worker-thread count and parallel threshold.
+//! Property suite for the kernel identity contract of
+//! `tea_core::vector`, for any input — including ragged row lengths
+//! that exercise every remainder path — and for any worker-thread count
+//! and parallel threshold:
+//!
+//! * **elementwise** lane kernels are bit-identical to the
+//!   element-at-a-time loops in `vector::scalar_ref`;
+//! * **reductions** (`dot_row`, `abs_diff_row`, the `r·z` partial of the
+//!   fused CG update) are bit-identical to an independent scalar model
+//!   of the fixed 16-lane tree (`scalar_ref::tree_sum`: plain indexed
+//!   loops over precomputed terms, no `chunks_exact`), and within
+//!   `n·ε·Σ|tᵢ|` of the serial add chain they replaced.
 //!
 //! Two layers:
 //!
-//! * row level — `lanes::*_row` vs `scalar_ref::*_row` on arbitrary
-//!   slices, no global state touched;
+//! * row level — `lanes::*_row` against those models on arbitrary
+//!   slices, `f64` and `f32`, no global state touched;
 //! * field level — the public kernels at threads ∈ {1, 2, 4} ×
-//!   thresholds {1, 64, MAX} against the 1-thread scalar-reference
+//!   thresholds {1, 64, MAX} against the 1-thread never-parallel
 //!   baseline, all inside one `#[test]` because thread count and
 //!   threshold are process-global knobs (same discipline as
 //!   `tests/thread_identity.rs`).
@@ -27,14 +33,15 @@ fn bits(v: &[f64]) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Ragged lengths 0..38 sweep every remainder class of the 4-wide
-    /// f64 lane groups (and would for 8-wide too). Values come from a
+    /// Ragged lengths 0..70 sweep every remainder class of the 4- and
+    /// 8-wide lane groups and of the 16-wide reduction blocks, with up
+    /// to four whole blocks. Values come from a
     /// seeded LCG (the vendored proptest has no inclusive-range or
     /// fixed-length vec strategies; NaN-free finite values keep bitwise
     /// comparison meaningful).
     #[test]
-    fn lane_rows_bit_identical_to_scalar_reference(
-        n in 0usize..38,
+    fn lane_rows_bit_identical_to_their_scalar_models(
+        n in 0usize..70,
         seed in any::<u64>(),
         a in -8.0f64..8.0,
         b in -8.0f64..8.0,
@@ -90,16 +97,44 @@ proptest! {
         lanes::mul_into_row(&mut yl, &r, &d);
         prop_assert_eq!(bits(&ys), bits(&yl));
 
-        // reductions: same serial fold order is part of the contract
+        // reductions: the 16-lane tree, bitwise; the old chain, closely
+        let prods: Vec<f64> = (0..n).map(|i| x[i] * r[i]).collect();
+        let diffs: Vec<f64> = (0..n).map(|i| (x[i] - r[i]).abs()).collect();
+        check_reduction(lanes::dot_row(&x, &r), &prods);
+        check_reduction(lanes::abs_diff_row(&x, &r), &diffs);
+
+        // the fused CG update: u and r like two axpys, r·z like the tree
+        for diag in [None, Some(&d)] {
+            let (mut us, mut rs) = (y0.clone(), r.clone());
+            scalar_ref::axpy_row(&mut us, a, &x);
+            scalar_ref::axpy_row(&mut rs, -a, &d);
+            let rz: Vec<f64> = (0..n)
+                .map(|i| rs[i] * diag.map_or(rs[i], |dd| rs[i] * dd[i]))
+                .collect();
+            let (mut ul, mut rl) = (y0.clone(), r.clone());
+            let got = lanes::cg_update_row(&mut ul, &mut rl, a, &x, &d, diag.map(|v| &v[..]));
+            prop_assert_eq!(bits(&us), bits(&ul));
+            prop_assert_eq!(bits(&rs), bits(&rl));
+            check_reduction(got, &rz);
+        }
+
+        // f32 rows reduce through the same 16 lanes
+        let (xf, rf): (Vec<f32>, Vec<f32>) =
+            (x.iter().map(|&v| v as f32).collect(), r.iter().map(|&v| v as f32).collect());
+        let pf: Vec<f32> = (0..n).map(|i| xf[i] * rf[i]).collect();
         prop_assert_eq!(
-            scalar_ref::dot_row(&x, &r).to_bits(),
-            lanes::dot_row(&x, &r).to_bits()
-        );
-        prop_assert_eq!(
-            scalar_ref::abs_diff_row(&x, &r).to_bits(),
-            lanes::abs_diff_row(&x, &r).to_bits()
+            lanes::dot_row(&xf, &rf).to_bits(),
+            scalar_ref::tree_sum(&pf).to_bits()
         );
     }
+}
+
+/// A lane reduction must equal the scalar tree model bitwise and sit
+/// within `n·ε·Σ|tᵢ|` of the serial add chain over the same terms.
+fn check_reduction(got: f64, terms: &[f64]) {
+    assert_eq!(got.to_bits(), scalar_ref::tree_sum(terms).to_bits());
+    let bound = terms.len() as f64 * f64::EPSILON * terms.iter().map(|t| t.abs()).sum::<f64>();
+    assert!((got - scalar_ref::chain_sum(terms)).abs() <= bound);
 }
 
 /// Builds an `nx × ny` field with deterministic pseudo-random interior.
@@ -129,7 +164,7 @@ fn interior_bits(f: &Field2D) -> Vec<u64> {
 }
 
 /// Runs every public vector kernel once on fresh fields and returns the
-/// concatenated result bits (outputs + both reduction scalars).
+/// concatenated result bits (outputs + the reduction scalars).
 fn kernel_sweep_bits(nx: usize, ny: usize, seed: u64) -> Vec<u64> {
     let bounds = TileBounds::serial(nx, ny);
     let mut tr = SolveTrace::new("lane-identity");
@@ -164,23 +199,32 @@ fn kernel_sweep_bits(nx: usize, ny: usize, seed: u64) -> Vec<u64> {
 
     out.push(vector::dot_local(&x, &r, &bounds, &mut tr).to_bits());
     out.push(vector::abs_diff_local(&x, &r, &bounds, &mut tr).to_bits());
+
+    for diag in [None, Some(&d)] {
+        let (mut u, mut rr) = (field(nx, ny, seed ^ 8), field(nx, ny, seed ^ 9));
+        let rz = vector::cg_update(&mut u, &mut rr, 0.375, &x, &r, diag, &bounds, &mut tr);
+        out.extend(interior_bits(&u));
+        out.extend(interior_bits(&rr));
+        out.push(rz.to_bits());
+    }
     out
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Field-level contract across the runtime configuration matrix.
-    /// Ragged widths (odd `nx`) put every row through the lane
-    /// remainder path; `threshold = 1` forces the parallel branch even
-    /// on tiny fields.
+    /// Field-level contract across the runtime configuration matrix:
+    /// the reduction shape depends on the sweep bounds alone. Ragged
+    /// widths put every row through the remainder paths (`nx` up to 39
+    /// spans two whole reduction blocks); `threshold = 1` forces the
+    /// parallel branch even on tiny fields.
     #[test]
     fn kernels_bit_identical_across_threads_and_thresholds(
-        nx in 1usize..20,
+        nx in 1usize..40,
         ny in 1usize..10,
         seed in any::<u64>(),
     ) {
-        // baseline: the scalar f64 reference (1 worker, never parallel)
+        // baseline: 1 worker, never parallel
         tea_core::set_num_threads(1);
         tea_core::set_par_threshold(usize::MAX);
         let baseline = kernel_sweep_bits(nx, ny, seed);

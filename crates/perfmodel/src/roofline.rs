@@ -19,8 +19,9 @@
 /// Static traffic and arithmetic model of one hot kernel.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelRoofline {
-    /// Kernel name as reported by the `speedup` bench
-    /// (`apply`/`residual`/`dot`/`axpy`/`scale_add`/`fused_cheb`).
+    /// Kernel name as reported by the `speedup` bench (`apply`/
+    /// `apply_fused_dot`/`residual`/`dot`/`axpy`/`scale_add`/
+    /// `cg_update`/`fused_cheb`).
     pub name: &'static str,
     /// Elements moved per interior cell per sweep (width-agnostic;
     /// multiply by the element width for bytes).
@@ -71,19 +72,28 @@ impl KernelRoofline {
 ///
 /// * `apply` — 5-point stencil `w = A·p`: p 5-point (2) + Kx + Ky +
 ///   store w = 5 elems; 5 multiplies + 8 adds = 13 flops.
+/// * `apply_fused_dot` — `apply` with the `p·w` partial riding along:
+///   the same 5 elems, + 1 multiply + 1 add = 15 flops.
 /// * `residual` — `r = u0 − A·u`: u 5-point (2) + Kx + Ky + u0 +
 ///   store r = 6 elems; the stencil + 1 subtract = 14 flops.
 /// * `dot` — two streamed loads, 1 multiply + 1 add.
 /// * `axpy` — `y += α·x`: 2 loads + 1 store, 1 multiply + 1 add.
 /// * `scale_add` — `y = α·y + β·x`: 2 loads + 1 store, 2 mul + 1 add.
+/// * `cg_update` — CG's fused `u += αp; r −= αw; Σ r·r`: u rmw (2) +
+///   r rmw (2) + p + w = 6 elems; 3 multiplies + 3 adds = 6 flops.
 /// * `fused_cheb` — the fused Chebyshev pass `z += sd; rr −= A·sd`:
 ///   sd 5-point (2) + Kx + Ky + z rmw (2) + rr rmw (2) = 8 elems;
 ///   the stencil + 1 add + 1 subtract = 15 flops.
-pub const HOT_KERNELS: [KernelRoofline; 6] = [
+pub const HOT_KERNELS: [KernelRoofline; 8] = [
     KernelRoofline {
         name: "apply",
         elems_per_cell: 5.0,
         flops_per_cell: 13.0,
+    },
+    KernelRoofline {
+        name: "apply_fused_dot",
+        elems_per_cell: 5.0,
+        flops_per_cell: 15.0,
     },
     KernelRoofline {
         name: "residual",
@@ -104,6 +114,11 @@ pub const HOT_KERNELS: [KernelRoofline; 6] = [
         name: "scale_add",
         elems_per_cell: 3.0,
         flops_per_cell: 3.0,
+    },
+    KernelRoofline {
+        name: "cg_update",
+        elems_per_cell: 6.0,
+        flops_per_cell: 6.0,
     },
     KernelRoofline {
         name: "fused_cheb",
@@ -131,6 +146,9 @@ mod tests {
         let fused = kernel_roofline("fused_cheb").unwrap();
         let axpy = kernel_roofline("axpy").unwrap();
         assert!(fused.elems_per_cell < apply.elems_per_cell + 2.0 * axpy.elems_per_cell);
+        // CG's fused update carries two axpys' streams; its dot is free
+        let update = kernel_roofline("cg_update").unwrap();
+        assert_eq!(update.elems_per_cell, 2.0 * axpy.elems_per_cell);
     }
 
     #[test]

@@ -255,7 +255,12 @@ pub fn predict_width(
 /// bench weights measured iteration counts by it. Per-iteration kernel
 /// mix by family (one stencil sweep plus the recurrence updates; the
 /// reduction-avoiding methods drop the dots; the PPCG/mixed families add
-/// `inner_steps` smoothing sweeps per outer iteration). Reduced-precision
+/// `inner_steps` smoothing sweeps per outer iteration). CG is priced as
+/// the three sweeps it runs — fused stencil + `p·w`, fused `u`/`r`/`r·z`
+/// update (two axpy-class streams), direction update: 5 + 6 + 3 = 14
+/// elements/cell with no dot and no preconditioner pass of its own (a
+/// diagonal preconditioner adds 2: its reciprocal diagonal streams
+/// through the update and the direction sweep). Reduced-precision
 /// sweeps count half the bytes (their 4-byte elements move exactly half
 /// the traffic of the 8-byte schedule in `bytes` — see
 /// [`solver_elem_bytes`]); the mixed methods add one conversion sweep
@@ -267,17 +272,23 @@ pub fn predict_width(
 pub fn predicted_iteration_bytes(solver: &str, inner_steps: usize, bytes: &KernelBytes) -> f64 {
     let m = inner_steps.max(1) as f64;
     let sweep = bytes.spmv + 3.0 * bytes.vector + bytes.precon;
+    // CG in three sweeps: both dots ride in passes that run anyway
+    let cg = bytes.spmv + 3.0 * bytes.vector;
+    // the PPCG outer iteration: `p·w` is fused into the stencil, `r·z`
+    // (after the inner solve) is the one separate dot left
+    let ppcg_outer = sweep + bytes.dot;
     // fused Chebyshev inner step: apply_cheb_fused folds the stencil and
     // both vector updates into one pass, and the recurrence folds the
     // preconditioner apply + scale_add into one precon-class pass
     let fused_step = bytes.spmv + bytes.fused_update + bytes.precon;
     match solver {
         "jacobi" => bytes.spmv + bytes.vector,
-        "cg" | "cg_fused" | "amg" => sweep + 2.0 * bytes.dot,
-        "cg_f32" => 0.5 * (sweep + 2.0 * bytes.dot),
-        "mixed_cg" => {
-            bytes.spmv + 3.0 * bytes.vector + 2.0 * bytes.dot + 0.5 * bytes.precon + bytes.vector
-        }
+        "cg" | "amg" => cg,
+        "cg_f32" => 0.5 * cg,
+        // the f32 round trip keeps z materialized: conversion sweep,
+        // half-width preconditioner, separate r·z dot
+        "mixed_cg" => cg + bytes.vector + 0.5 * bytes.precon + bytes.dot,
+        "cg_fused" => sweep + 2.0 * bytes.dot,
         "chebyshev" | "richardson" => sweep,
         "mixed_chebyshev" => {
             // one block of m fused f32 sweeps + the f64 residual control
@@ -288,8 +299,8 @@ pub fn predicted_iteration_bytes(solver: &str, inner_steps: usize, bytes: &Kerne
             // f32 sweeps + the f64 residual control
             m * 0.5 * sweep + bytes.spmv + bytes.vector + bytes.dot
         }
-        "ppcg" => sweep + 2.0 * bytes.dot + m * fused_step,
-        "mixed_ppcg" => sweep + 2.0 * bytes.dot + m * 0.5 * fused_step + bytes.vector,
+        "ppcg" => ppcg_outer + m * fused_step,
+        "mixed_ppcg" => ppcg_outer + m * 0.5 * fused_step + bytes.vector,
         // unknown methods: price them as a plain preconditioned CG so
         // the tuner still has a finite ordering key
         _ => sweep + 2.0 * bytes.dot,
@@ -817,7 +828,7 @@ mod tests {
         let b = KernelBytes::default();
         let m = 16;
         let sweep = b.spmv + 3.0 * b.vector + b.precon;
-        let unfused = sweep + 2.0 * b.dot + m as f64 * sweep;
+        let unfused = sweep + b.dot + m as f64 * sweep;
         let fused = predicted_iteration_bytes("ppcg", m, &b);
         assert!(fused < unfused, "fusion must reduce modelled bytes");
         // each fused inner step saves 6 elements/cell: the skipped `w`
@@ -827,6 +838,53 @@ mod tests {
         // the mixed variant keeps the same fused structure at half width
         let mixed = predicted_iteration_bytes("mixed_ppcg", m, &b);
         assert!(mixed < fused);
+    }
+
+    /// Elements/cell a trace's sweeps price to, class by class.
+    fn trace_elems(t: &SolveTrace) -> f64 {
+        let [spmv, vector, dot, precon, fused] = KernelBytes::ELEMS;
+        t.spmv.total() as f64 * spmv
+            + t.vector_ops.total() as f64 * vector
+            + t.dot_kernels.total() as f64 * dot
+            + t.precon_ops.total() as f64 * precon
+            + t.fused_updates.total() as f64 * fused
+    }
+
+    #[test]
+    fn cg_schedule_follows_a_real_trace() {
+        use tea_core::{crooked_pipe_system, PreconKind, Solve};
+        // ten more iterations of a real 16² solve, priced by the class
+        // element counts: setup and the final iteration cancel out
+        let (op, b) = crooked_pipe_system(16, 0.04, 1);
+        let per_iteration = |solver: &str, precon: PreconKind| -> f64 {
+            let run = |iters: u64| {
+                let mut u = b.clone();
+                let solve = Solve::on(&op).with_solver(solver).precon(precon);
+                let res = solve.eps(1e-30).max_iters(iters).run(&mut u, &b);
+                trace_elems(&res.expect("registered").trace)
+            };
+            (run(15) - run(5)) / 10.0
+        };
+        let model = |solver: &str| predicted_iteration_bytes(solver, 0, &KernelBytes::default());
+        // identity CG: fused stencil 5 + fused update 6 + direction 3
+        assert_eq!(per_iteration("cg", PreconKind::None), 14.0);
+        assert_eq!(model("cg"), 14.0 * 8.0);
+        assert_eq!(model("cg_f32"), 14.0 * 4.0);
+        assert_eq!(per_iteration("cg_f32", PreconKind::None), 14.0);
+        // a diagonal preconditioner adds no sweep, only the application
+        // (the replay prices it at the coarser precon class; the two
+        // streams it really adds are the model doc's "+2")
+        let diag = per_iteration("cg", PreconKind::Diagonal);
+        assert_eq!(diag - 14.0, KernelBytes::ELEMS[3]);
+        // block-Jacobi keeps its strip solve and one separate dot
+        let block = per_iteration("cg", PreconKind::BlockJacobi);
+        assert_eq!(block - 14.0, KernelBytes::ELEMS[3] + KernelBytes::ELEMS[2]);
+        // mixed CG: + conversion sweeps, f32 preconditioner, r·z dot
+        assert!(model("mixed_cg") > model("cg"));
+        assert!(
+            model("cg_fused") > model("cg"),
+            "the single-reduction variant is unfused"
+        );
     }
 
     #[test]

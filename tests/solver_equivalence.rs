@@ -147,3 +147,43 @@ fn solver_traces_tell_the_communication_story() {
         "CPPCG must slash reductions per sweep: {pp_ratio:.3} vs {cg_ratio:.3}"
     );
 }
+
+#[test]
+fn cg_family_iteration_counts_stay_within_two_of_the_serial_chain_era() {
+    // PR 12 changed every reduction's add order (fixed 16-lane tree) and
+    // fused CG's update sweep; bits moved by design, convergence must
+    // not. Counts measured at PR 11 on the crooked pipe, one step,
+    // per (cells, [none, jac_diag, jac_block]); cg_f32 at eps 1e-5.
+    let pins: [(usize, &str, [u64; 3]); 9] = [
+        (32, "cg", [58, 53, 42]),
+        (32, "mixed_cg", [58, 53, 42]),
+        (32, "cg_f32", [28, 26, 21]),
+        (48, "cg", [88, 79, 64]),
+        (48, "mixed_cg", [88, 79, 64]),
+        (48, "cg_f32", [41, 38, 30]),
+        (64, "cg", [116, 106, 84]),
+        (64, "mixed_cg", [116, 106, 84]),
+        (64, "cg_f32", [52, 49, 39]),
+    ];
+    let precons = [
+        PreconKind::None,
+        PreconKind::Diagonal,
+        PreconKind::BlockJacobi,
+    ];
+    for (n, solver, want) in pins {
+        for (precon, want) in precons.into_iter().zip(want) {
+            let mut d = deck(n, solver, 1);
+            d.control.precon = precon;
+            if solver == "cg_f32" {
+                d.control.opts.eps = 1e-5;
+            }
+            let step = &run_serial(&d).expect("deck runs").steps[0];
+            assert!(step.converged, "{solver}/{precon:?} at {n}^2 unconverged");
+            assert!(
+                step.iterations.abs_diff(want) <= 2,
+                "{solver}/{precon:?} at {n}^2: {} iterations, PR 11 took {want}",
+                step.iterations
+            );
+        }
+    }
+}

@@ -17,7 +17,7 @@
 use tealeaf::app::{crooked_pipe_deck, run_serial, Deck};
 use tealeaf::mesh::{hot_ball, Coefficients3D, Field3D, Mesh3D};
 use tealeaf::solvers as runtime;
-use tealeaf::solvers::{SolveOpts, SolveTrace, TileOperator3D};
+use tealeaf::solvers::{PreconKind, SolveOpts, SolveTrace, TileOperator3D};
 
 fn deck(n: usize, solver: &str) -> Deck {
     let mut d = crooked_pipe_deck(n, solver);
@@ -86,15 +86,29 @@ fn solvers_are_bit_identical_across_threads_and_thresholds() {
     let n = 48;
     // mixed_ppcg exercises the native-f32 halo exchange path (the inner
     // Chebyshev smoothing's deep-halo payloads travel at 4-byte width):
-    // it must be exactly as thread-deterministic as the f64 solvers
-    let solvers = ["cg", "cg_fused", "ppcg", "chebyshev", "mixed_ppcg"];
-    // thread counts the ISSUE pins, crossed with "everything parallel",
-    // the default crossover, and "everything serial"
-    let thresholds = [1usize, runtime::PAR_THRESHOLD, usize::MAX];
+    // it must be exactly as thread-deterministic as the f64 solvers.
+    // CG runs under every preconditioner: Identity and Diagonal fold
+    // r·z into the fused u/r sweep (`for_rows2_sum`), block-Jacobi keeps
+    // its strip solve and a separate 16-lane-tree dot
+    let solvers = [
+        ("cg", PreconKind::None),
+        ("cg", PreconKind::Diagonal),
+        ("cg", PreconKind::BlockJacobi),
+        ("cg_fused", PreconKind::None),
+        ("ppcg", PreconKind::None),
+        ("chebyshev", PreconKind::None),
+        ("mixed_ppcg", PreconKind::None),
+    ];
+    // thread counts the ISSUE pins, crossed with "everything parallel"
+    // (1 and 64 cells), the default crossover, and "everything serial":
+    // the reduction shape depends on the sweep bounds alone
+    let thresholds = [1usize, 64, runtime::PAR_THRESHOLD, usize::MAX];
     let threads = [1usize, 2, 4];
 
-    for solver in solvers {
-        let d = deck(n, solver);
+    for (solver, precon) in solvers {
+        let mut d = deck(n, solver);
+        d.control.precon = precon;
+        let solver = format!("{solver}/{}", precon.label());
 
         // today's behaviour, exactly: sequential branch everywhere
         runtime::set_num_threads(1);
