@@ -1,0 +1,371 @@
+//! Bit-level fingerprints of every registry solver, pinned as literals.
+//!
+//! `registry_golden` compares registry construction against direct
+//! construction of the *same* code, so it cannot see a change that moves
+//! both. This suite pins each solver against its past self: every
+//! registry solver × legal preconditioner × halo depth (1, and 4 for the
+//! matrix-powers family) × CG presteps (the default 30, and 10 for the
+//! methods with an eigenvalue prelude, so their own phase runs longer) on
+//! the 32² crooked pipe, on one rank and on a 2×2 grid of threaded
+//! ranks. One row per configuration records the
+//! iteration count, the `SolveStatus`, the bits of the initial and final
+//! residual, an FNV-1a hash of the gathered solution's bits, the
+//! `trace.solver` label, the eigenvalue bounds, every protocol counter of
+//! the result's `SolveTrace`, and the iteration and reduction totals the
+//! caller's accumulated trace received.
+//!
+//! The rows were generated at the commit that introduced this file and
+//! are not edited by hand. On a mismatch the test prints the complete
+//! table it computed, in source form.
+
+use tealeaf::app::solver_registry;
+use tealeaf::comms::{gather_to_root, run_threaded, Communicator, HaloLayout, SerialComm};
+use tealeaf::mesh::{
+    crooked_pipe, timestep_scalings, Coefficients, Decomposition2D, Field2D, Mesh2D,
+};
+use tealeaf::solvers::{
+    Assembly, DynTile, KernelCounts, PreconKind, SolveContext, SolveOpts, SolveResult, SolveTrace,
+    SolverParams, Tile, TileBounds, TileOperator, Workspace,
+};
+
+const N: usize = 32;
+const DT: f64 = 0.04;
+
+fn counts(k: &KernelCounts) -> String {
+    let parts: Vec<String> = k
+        .sweeps_by_extension
+        .iter()
+        .map(|(e, n)| format!("{e}:{n}"))
+        .collect();
+    format!("{{{}}}", parts.join(","))
+}
+
+fn fnv(bits: impl Iterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for word in bits {
+        for byte in word.to_le_bytes() {
+            h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+fn describe(result: &SolveResult, acc: &SolveTrace, u_hash: u64) -> String {
+    let t = &result.trace;
+    let halo: Vec<String> = t
+        .halo_exchanges
+        .iter()
+        .map(|((d, f), n)| format!("{d}x{f}:{n}"))
+        .collect();
+    let eig = match t.eigen_bounds {
+        Some((lo, hi)) => format!("{:016x}/{:016x}", lo.to_bits(), hi.to_bits()),
+        None => "-".into(),
+    };
+    format!(
+        "its={} {:?} r0={:016x} r={:016x} u={:016x} '{}' eig={} outer={} inner={} spmv={} \
+         vec={} dot={} precon={} fused={} red={}/{} halo={{{}}} acc={}/{}",
+        result.iterations,
+        result.status,
+        result.initial_residual.to_bits(),
+        result.final_residual.to_bits(),
+        u_hash,
+        t.solver,
+        eig,
+        t.outer_iterations,
+        t.inner_iterations,
+        counts(&t.spmv),
+        counts(&t.vector_ops),
+        counts(&t.dot_kernels),
+        counts(&t.precon_ops),
+        counts(&t.fused_updates),
+        t.reductions,
+        t.reduction_elements,
+        halo.join(","),
+        acc.outer_iterations,
+        acc.reductions,
+    )
+}
+
+/// One solve on this rank's tile of `decomp`, set up the way the
+/// application driver sets up a time step; returns the result, the
+/// caller-side accumulated trace (which for `auto` also holds the
+/// candidate races) and, on rank 0, the hash of the gathered solution.
+fn solve_on_rank<C: Communicator + ?Sized>(
+    name: &str,
+    (precon, depth, presteps): (PreconKind, usize, u64),
+    decomp: &Decomposition2D,
+    comm: &C,
+) -> (SolveResult, SolveTrace, Option<u64>) {
+    let problem = crooked_pipe(N);
+    let params = SolverParams {
+        precon,
+        halo_depth: depth,
+        presteps,
+        ..SolverParams::default()
+    };
+    let mut solver = solver_registry()
+        .create(name, &params)
+        .expect("registered solver");
+    let mesh = Mesh2D::new(decomp, comm.rank(), problem.extent);
+    let layout = HaloLayout::new(decomp, comm.rank());
+    let halo = solver.halo_depth().max(1);
+    let (nx, ny) = (mesh.nx(), mesh.ny());
+
+    let mut density = Field2D::new(nx, ny, halo + 1);
+    let mut energy = Field2D::new(nx, ny, halo + 1);
+    problem.apply_states(&mesh, &mut density, &mut energy);
+    let (rx, ry) = timestep_scalings(&mesh, DT);
+    let coeffs = Coefficients::assemble(&mesh, &density, problem.coefficient, rx, ry, halo + 1);
+    let op = TileOperator::new(coeffs, TileBounds::new(&mesh, halo));
+    let mut b = Field2D::new(nx, ny, halo);
+    for k in 0..ny as isize {
+        for j in 0..nx as isize {
+            b.set(j, k, density.at(j, k) * energy.at(j, k));
+        }
+    }
+    let mut u = b.clone();
+
+    let tile: DynTile<'_> = Tile::new(&op, &layout, comm.as_dyn());
+    let ctx = SolveContext::with_assembly(
+        &tile,
+        Assembly {
+            density: &density,
+            coefficient: problem.coefficient,
+            rx,
+            ry,
+        },
+    );
+    let mut ws = Workspace::new(nx, ny, halo);
+    let mut acc = SolveTrace::new(solver.label());
+    solver.prepare(&ctx, &SolveOpts::default());
+    let result = solver.solve(&ctx, &mut u, &b, &mut ws, &mut acc);
+
+    let mut interior = Field2D::new(nx, ny, 0);
+    interior.copy_interior_from(&u);
+    let hash = gather_to_root(&interior, decomp, comm).map(|g| {
+        fnv((0..g.ny() as isize)
+            .flat_map(|k| (0..g.nx() as isize).map(move |j| (j, k)))
+            .map(|(j, k)| g.at(j, k).to_bits()))
+    });
+    (result, acc, hash)
+}
+
+/// Every legal `(solver, precon, depth, presteps, ranks)` configuration.
+fn configurations() -> Vec<(&'static str, PreconKind, usize, u64, usize)> {
+    let mut out = Vec::new();
+    for meta in solver_registry().iter() {
+        let precons: &[PreconKind] = if meta.preconditioned {
+            &[
+                PreconKind::None,
+                PreconKind::Diagonal,
+                PreconKind::BlockJacobi,
+            ]
+        } else {
+            &[PreconKind::None]
+        };
+        let depths: &[usize] = if meta.deep_halo { &[1, 4] } else { &[1] };
+        let presteps: &[u64] = if meta.needs_eigen_estimate {
+            &[30, 10]
+        } else {
+            &[30]
+        };
+        let rank_counts: &[usize] = if meta.serial_only { &[1] } else { &[1, 4] };
+        for &depth in depths {
+            for &precon in precons {
+                // block-Jacobi needs whole fresh strips, which matrix
+                // powers cannot provide (paper §IV.C.2)
+                if depth > 1 && precon == PreconKind::BlockJacobi {
+                    continue;
+                }
+                for &pre in presteps {
+                    for &ranks in rank_counts {
+                        out.push((meta.name, precon, depth, pre, ranks));
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+fn fingerprint(name: &str, precon: PreconKind, depth: usize, pre: u64, ranks: usize) -> String {
+    let cfg = (precon, depth, pre);
+    let (result, acc, hash) = if ranks == 1 {
+        let decomp = Decomposition2D::with_grid(N, N, 1, 1);
+        solve_on_rank(name, cfg, &decomp, &SerialComm::new())
+    } else {
+        let decomp = Decomposition2D::with_grid(N, N, 2, 2);
+        let mut per_rank = run_threaded(decomp.ranks(), |comm| {
+            solve_on_rank(name, cfg, &decomp, comm)
+        });
+        let (root, acc, hash) = per_rank.remove(0);
+        for (other, ..) in &per_rank {
+            assert_eq!(other.iterations, root.iterations, "{name}: ranks disagree");
+            assert_eq!(other.status, root.status, "{name}: ranks disagree");
+            assert_eq!(
+                other.final_residual.to_bits(),
+                root.final_residual.to_bits(),
+                "{name}: ranks disagree"
+            );
+            assert_eq!(other.trace, root.trace, "{name}: ranks disagree");
+        }
+        (root, acc, hash)
+    };
+    format!(
+        "{name} {} d{depth} p{pre} x{ranks}: {}",
+        precon.label(),
+        describe(&result, &acc, hash.expect("rank 0 gathers the field"))
+    )
+}
+
+#[test]
+fn every_registry_solver_matches_its_pinned_fingerprint() {
+    let actual: Vec<String> = configurations()
+        .into_iter()
+        .map(|(name, precon, depth, pre, ranks)| fingerprint(name, precon, depth, pre, ranks))
+        .collect();
+    let mismatches: Vec<String> = (0..actual.len().max(EXPECTED.len()))
+        .filter(|&i| actual.get(i).map(String::as_str) != EXPECTED.get(i).copied())
+        .map(|i| {
+            format!(
+                "  expected: {}\n  actual:   {}",
+                EXPECTED.get(i).copied().unwrap_or("<no row>"),
+                actual.get(i).map_or("<no row>", String::as_str)
+            )
+        })
+        .collect();
+    if !mismatches.is_empty() {
+        let table: Vec<String> = actual.iter().map(|row| format!("    {row:?},")).collect();
+        panic!(
+            "{} of {} fingerprints differ:\n{}\n\nthe table this build computes:\n{}",
+            mismatches.len(),
+            actual.len(),
+            mismatches.join("\n"),
+            table.join("\n")
+        );
+    }
+}
+
+#[rustfmt::skip]
+const EXPECTED: &[&str] = &[
+    "jacobi none d1 p30 x1: its=233 Converged r0=407730511be5ffe9 r=3e63078e686fcb06 u=b90283f63545c1f3 'Jacobi' eig=- outer=233 inner=0 spmv={0:234} vec={0:466} dot={0:234} precon={} fused={} red=234/234 halo={1x1:234} acc=233/234",
+    "jacobi none d1 p30 x4: its=233 Converged r0=407730511be5ffe8 r=3e63078e686fcb06 u=b90283f63545c1f3 'Jacobi' eig=- outer=233 inner=0 spmv={0:234} vec={0:466} dot={0:234} precon={} fused={} red=234/234 halo={1x1:234} acc=233/234",
+    "cg none d1 p30 x1: its=58 Converged r0=407730511be5ffe9 r=3e6341e8e312d0bc u=d282f47e77d9471b 'CG/none' eig=- outer=58 inner=0 spmv={0:59} vec={0:175} dot={0:1} precon={} fused={} red=117/117 halo={1x1:59} acc=58/117",
+    "cg none d1 p30 x4: its=58 Converged r0=407730511be5ffe8 r=3e6341e8e312d0dd u=38f0fae294fdab2c 'CG/none' eig=- outer=58 inner=0 spmv={0:59} vec={0:175} dot={0:1} precon={} fused={} red=117/117 halo={1x1:59} acc=58/117",
+    "cg jac_diag d1 p30 x1: its=53 Converged r0=405d313300a515b2 r=3e4256637c8084bf u=78e59051c20aa7aa 'CG/jac_diag' eig=- outer=53 inner=0 spmv={0:54} vec={0:160} dot={0:1} precon={0:54} fused={} red=107/107 halo={1x1:54} acc=53/107",
+    "cg jac_diag d1 p30 x4: its=53 Converged r0=405d313300a515b6 r=3e4256637c8084cc u=6087a6923db63ded 'CG/jac_diag' eig=- outer=53 inner=0 spmv={0:54} vec={0:160} dot={0:1} precon={0:54} fused={} red=107/107 halo={1x1:54} acc=53/107",
+    "cg jac_block d1 p30 x1: its=42 Converged r0=405d7e20ee4604ff r=3e43bc967891d8d1 u=43c9b77ace9cc31d 'CG/jac_block' eig=- outer=42 inner=0 spmv={0:43} vec={0:126} dot={0:43} precon={0:43} fused={} red=85/85 halo={1x1:43} acc=42/85",
+    "cg jac_block d1 p30 x4: its=42 Converged r0=405d7e20ee460502 r=3e43bc967891d8e6 u=ae2d3e23fdd47c5d 'CG/jac_block' eig=- outer=42 inner=0 spmv={0:43} vec={0:126} dot={0:43} precon={0:43} fused={} red=85/85 halo={1x1:43} acc=42/85",
+    "cg_fused none d1 p30 x1: its=58 Converged r0=407730511be5ffe9 r=3e6341e8e312d0a3 u=26c709c48dfbbe03 'CG-fused' eig=- outer=58 inner=0 spmv={0:60} vec={0:291} dot={0:118} precon={} fused={} red=59/118 halo={1x1:60} acc=58/59",
+    "cg_fused none d1 p30 x4: its=58 Converged r0=407730511be5ffe8 r=3e6341e8e312d0d8 u=49d5167c472103b1 'CG-fused' eig=- outer=58 inner=0 spmv={0:60} vec={0:291} dot={0:118} precon={} fused={} red=59/118 halo={1x1:60} acc=58/59",
+    "cg_fused jac_diag d1 p30 x1: its=53 Converged r0=405d313300a515b2 r=3e4256637c8084cd u=4f76d113b9c43288 'CG-fused' eig=- outer=53 inner=0 spmv={0:55} vec={0:266} dot={0:108} precon={0:54} fused={} red=54/108 halo={1x1:55} acc=53/54",
+    "cg_fused jac_diag d1 p30 x4: its=53 Converged r0=405d313300a515b6 r=3e4256637c8084c0 u=29428e3546be60b8 'CG-fused' eig=- outer=53 inner=0 spmv={0:55} vec={0:266} dot={0:108} precon={0:54} fused={} red=54/108 halo={1x1:55} acc=53/54",
+    "cg_fused jac_block d1 p30 x1: its=42 Converged r0=405d7e20ee4604ff r=3e43bc967891d8c1 u=f8f6c31bab828ae5 'CG-fused' eig=- outer=42 inner=0 spmv={0:44} vec={0:168} dot={0:86} precon={0:43} fused={} red=43/86 halo={1x1:44} acc=42/43",
+    "cg_fused jac_block d1 p30 x4: its=42 Converged r0=405d7e20ee460502 r=3e43bc967891d8e4 u=157bfd628dc33188 'CG-fused' eig=- outer=42 inner=0 spmv={0:44} vec={0:168} dot={0:86} precon={0:43} fused={} red=43/86 halo={1x1:44} acc=42/43",
+    "chebyshev none d1 p30 x1: its=70 Converged r0=407730511be5ffe9 r=3e1ad88906abea0a u=308ade2e3aba10b9 'Chebyshev' eig=3ff046ea11510b33/4041624a0bdc4780 outer=70 inner=0 spmv={0:72} vec={0:254} dot={0:5} precon={} fused={} red=65/65 halo={1x1:72} acc=70/65",
+    "chebyshev none d1 p30 x4: its=70 Converged r0=407730511be5ffe8 r=3e1ad88906ac4ac0 u=4f42911f01ae63e2 'Chebyshev' eig=3ff046ea11510b4d/4041624a0bdc477f outer=70 inner=0 spmv={0:72} vec={0:254} dot={0:5} precon={} fused={} red=65/65 halo={1x1:72} acc=70/65",
+    "chebyshev none d1 p10 x1: its=100 Converged r0=407730511be5ffe9 r=3e411f3e308f6bb5 u=be29ee8edf58664f 'Chebyshev' eig=3ff902556c71fb77/40409d12169e96e6 outer=100 inner=0 spmv={0:102} vec={0:394} dot={0:10} precon={} fused={} red=30/30 halo={1x1:102} acc=100/30",
+    "chebyshev none d1 p10 x4: its=100 Converged r0=407730511be5ffe8 r=3e411f3e308f6847 u=954397d6be7b6ded 'Chebyshev' eig=3ff902556c71fb6e/40409d12169e96e6 outer=100 inner=0 spmv={0:102} vec={0:394} dot={0:10} precon={} fused={} red=30/30 halo={1x1:102} acc=100/30",
+    "chebyshev jac_diag d1 p30 x1: its=60 Converged r0=405d313300a515b2 r=3e472111c0287bf2 u=ef51a59122890d35 'Chebyshev' eig=3fb2cfcee0f06290/4000d8d91ee45b5c outer=60 inner=0 spmv={0:62} vec={0:214} dot={0:4} precon={0:62} fused={} red=64/64 halo={1x1:62} acc=60/64",
+    "chebyshev jac_diag d1 p30 x4: its=60 Converged r0=405d313300a515b6 r=3e472111c02995c8 u=a804a3ff4defb35b 'Chebyshev' eig=3fb2cfcee0f06274/4000d8d91ee45b5b outer=60 inner=0 spmv={0:62} vec={0:214} dot={0:4} precon={0:62} fused={} red=64/64 halo={1x1:62} acc=60/64",
+    "chebyshev jac_diag d1 p10 x1: its=90 Converged r0=405d313300a515b2 r=3e21d1311347f8a8 u=24f5e904d62e9fe5 'Chebyshev' eig=3fb9ac8ff508bfcb/4000bd590f5e19cd outer=90 inner=0 spmv={0:92} vec={0:354} dot={0:9} precon={0:92} fused={} red=29/29 halo={1x1:92} acc=90/29",
+    "chebyshev jac_diag d1 p10 x4: its=90 Converged r0=405d313300a515b6 r=3e21d1311347f78b u=56139decbf8eb064 'Chebyshev' eig=3fb9ac8ff508bfc4/4000bd590f5e19cd outer=90 inner=0 spmv={0:92} vec={0:354} dot={0:9} precon={0:92} fused={} red=29/29 halo={1x1:92} acc=90/29",
+    "chebyshev jac_block d1 p30 x1: its=50 Converged r0=405d7e20ee4604ff r=3e23f1850c59c325 u=84fb1f640191cf7c 'Chebyshev' eig=3fbb65ddf62a4d19/40006b4e9e5caf1e outer=50 inner=0 spmv={0:52} vec={0:152} dot={0:33} precon={0:52} fused={} red=63/63 halo={1x1:52} acc=50/63",
+    "chebyshev jac_block d1 p30 x4: its=50 Converged r0=405d7e20ee460502 r=3e23f1850ccc11f6 u=ff3ebdafb028312e 'Chebyshev' eig=3fbb65ddf62a4d14/40006b4e9e5caf1e outer=50 inner=0 spmv={0:52} vec={0:152} dot={0:33} precon={0:52} fused={} red=63/63 halo={1x1:52} acc=50/63",
+    "chebyshev jac_block d1 p10 x1: its=60 Converged r0=405d7e20ee4604ff r=3e125b28394ae1c0 u=b3910f306973ada9 'Chebyshev' eig=3fc037838a1e57d6/400042f4995b3bcf outer=60 inner=0 spmv={0:62} vec={0:182} dot={0:16} precon={0:62} fused={} red=26/26 halo={1x1:62} acc=60/26",
+    "chebyshev jac_block d1 p10 x4: its=60 Converged r0=405d7e20ee460502 r=3e125b28394ae08a u=a05ddfaa7d0c07b3 'Chebyshev' eig=3fc037838a1e57d3/400042f4995b3bcf outer=60 inner=0 spmv={0:62} vec={0:182} dot={0:16} precon={0:62} fused={} red=26/26 halo={1x1:62} acc=60/26",
+    "ppcg none d1 p30 x1: its=32 Converged r0=407730511be5ffe9 r=3e46a69da3f3777d u=efae7435f23c0e20 'PPCG-1' eig=3ff046ea11510b33/4041624a0bdc4780 outer=32 inner=48 spmv={0:82} vec={0:155,1:3} dot={0:4} precon={} fused={0:48} red=66/66 halo={1x1:82} acc=32/66",
+    "ppcg none d1 p30 x4: its=32 Converged r0=407730511be5ffe8 r=3e46a69da3f1e156 u=c3d640807f21731d 'PPCG-1' eig=3ff046ea11510b4d/4041624a0bdc477f outer=32 inner=48 spmv={0:82} vec={0:155,1:3} dot={0:4} precon={} fused={0:48} red=66/66 halo={1x1:82} acc=32/66",
+    "ppcg none d1 p10 x1: its=14 Converged r0=407730511be5ffe9 r=3e62268342f42d7f u=1d5e35b90c70300b 'PPCG-1' eig=3ff902556c71fb77/40409d12169e96e6 outer=14 inner=80 spmv={0:96} vec={0:139,1:5} dot={0:6} precon={} fused={0:80} red=30/30 halo={1x1:96} acc=14/30",
+    "ppcg none d1 p10 x4: its=14 Converged r0=407730511be5ffe8 r=3e62268342f42ad4 u=20595f085ffc1c21 'PPCG-1' eig=3ff902556c71fb6e/40409d12169e96e6 outer=14 inner=80 spmv={0:96} vec={0:139,1:5} dot={0:6} precon={} fused={0:80} red=30/30 halo={1x1:96} acc=14/30",
+    "ppcg jac_diag d1 p30 x1: its=32 Converged r0=405d313300a515b2 r=3e205cf42dc3424d u=43d432429bb3b119 'PPCG-1' eig=3fb2cfcee0f06290/4000d8d91ee45b5c outer=32 inner=48 spmv={0:82} vec={0:155,1:3} dot={0:4} precon={0:82} fused={0:48} red=66/66 halo={1x1:82} acc=32/66",
+    "ppcg jac_diag d1 p30 x4: its=32 Converged r0=405d313300a515b6 r=3e205cf42dc1e23b u=59070d6fbd475dc8 'PPCG-1' eig=3fb2cfcee0f06274/4000d8d91ee45b5b outer=32 inner=48 spmv={0:82} vec={0:155,1:3} dot={0:4} precon={0:82} fused={0:48} red=66/66 halo={1x1:82} acc=32/66",
+    "ppcg jac_diag d1 p10 x1: its=14 Converged r0=405d313300a515b2 r=3e11fcd65b57eb63 u=630645cb98f088b6 'PPCG-1' eig=3fb9ac8ff508bfcb/4000bd590f5e19cd outer=14 inner=80 spmv={0:96} vec={0:139,1:5} dot={0:6} precon={0:96} fused={0:80} red=30/30 halo={1x1:96} acc=14/30",
+    "ppcg jac_diag d1 p10 x4: its=14 Converged r0=405d313300a515b6 r=3e11fcd65b57ea4c u=b8dce4b3a81c06ca 'PPCG-1' eig=3fb9ac8ff508bfc4/4000bd590f5e19cd outer=14 inner=80 spmv={0:96} vec={0:139,1:5} dot={0:6} precon={0:96} fused={0:80} red=30/30 halo={1x1:96} acc=14/30",
+    "ppcg jac_block d1 p30 x1: its=31 Converged r0=405d7e20ee4604ff r=3e3dec2027a3e6cf u=17d758f6b8eefce7 'PPCG-1' eig=3fbb65ddf62a4d19/40006b4e9e5caf1e outer=31 inner=32 spmv={0:65} vec={0:130,1:2} dot={0:33} precon={0:65} fused={0:32} red=64/64 halo={1x1:65} acc=31/64",
+    "ppcg jac_block d1 p30 x4: its=31 Converged r0=405d7e20ee460502 r=3e3dec2027d70b09 u=a451630ac00f1f5c 'PPCG-1' eig=3fbb65ddf62a4d14/40006b4e9e5caf1e outer=31 inner=32 spmv={0:65} vec={0:130,1:2} dot={0:33} precon={0:65} fused={0:32} red=64/64 halo={1x1:65} acc=31/64",
+    "ppcg jac_block d1 p10 x1: its=13 Converged r0=405d7e20ee4604ff r=3dd80f265475f259 u=8044ebf26fc1d5a2 'PPCG-1' eig=3fc037838a1e57d6/400042f4995b3bcf outer=13 inner=64 spmv={0:79} vec={0:112,1:4} dot={0:15} precon={0:79} fused={0:64} red=28/28 halo={1x1:79} acc=13/28",
+    "ppcg jac_block d1 p10 x4: its=13 Converged r0=405d7e20ee460502 r=3dd80f265475e5d1 u=ee1feae62eefa83e 'PPCG-1' eig=3fc037838a1e57d3/400042f4995b3bcf outer=13 inner=64 spmv={0:79} vec={0:112,1:4} dot={0:15} precon={0:79} fused={0:64} red=28/28 halo={1x1:79} acc=13/28",
+    "ppcg none d4 p30 x1: its=32 Converged r0=407730511be5ffe9 r=3e46a69da3f3777d u=efae7435f23c0e20 'PPCG-4' eig=3ff046ea11510b33/4041624a0bdc4780 outer=32 inner=48 spmv={0:46,1:12,2:12,3:12} vec={0:113,1:12,2:12,3:12,4:9} dot={0:4} precon={} fused={0:12,1:12,2:12,3:12} red=66/66 halo={1x1:34,4x1:3,4x2:9} acc=32/66",
+    "ppcg none d4 p30 x4: its=32 Converged r0=407730511be5ffe8 r=3e46a69da3f1e156 u=c3d640807f21731d 'PPCG-4' eig=3ff046ea11510b4d/4041624a0bdc477f outer=32 inner=48 spmv={0:46,1:12,2:12,3:12} vec={0:113,1:12,2:12,3:12,4:9} dot={0:4} precon={} fused={0:12,1:12,2:12,3:12} red=66/66 halo={1x1:34,4x1:3,4x2:9} acc=32/66",
+    "ppcg none d4 p10 x1: its=14 Converged r0=407730511be5ffe9 r=3e62268342f42d7f u=1d5e35b90c70300b 'PPCG-4' eig=3ff902556c71fb77/40409d12169e96e6 outer=14 inner=80 spmv={0:36,1:20,2:20,3:20} vec={0:69,1:20,2:20,3:20,4:15} dot={0:6} precon={} fused={0:20,1:20,2:20,3:20} red=30/30 halo={1x1:16,4x1:5,4x2:15} acc=14/30",
+    "ppcg none d4 p10 x4: its=14 Converged r0=407730511be5ffe8 r=3e62268342f42ad4 u=20595f085ffc1c21 'PPCG-4' eig=3ff902556c71fb6e/40409d12169e96e6 outer=14 inner=80 spmv={0:36,1:20,2:20,3:20} vec={0:69,1:20,2:20,3:20,4:15} dot={0:6} precon={} fused={0:20,1:20,2:20,3:20} red=30/30 halo={1x1:16,4x1:5,4x2:15} acc=14/30",
+    "ppcg jac_diag d4 p30 x1: its=32 Converged r0=405d313300a515b2 r=3e205cf42dc3424d u=43d432429bb3b119 'PPCG-4' eig=3fb2cfcee0f06290/4000d8d91ee45b5c outer=32 inner=48 spmv={0:46,1:12,2:12,3:12} vec={0:113,1:12,2:12,3:12,4:9} dot={0:4} precon={0:43,1:12,2:12,3:12,4:3} fused={0:12,1:12,2:12,3:12} red=66/66 halo={1x1:34,4x1:3,4x2:9} acc=32/66",
+    "ppcg jac_diag d4 p30 x4: its=32 Converged r0=405d313300a515b6 r=3e205cf42dc1e23b u=59070d6fbd475dc8 'PPCG-4' eig=3fb2cfcee0f06274/4000d8d91ee45b5b outer=32 inner=48 spmv={0:46,1:12,2:12,3:12} vec={0:113,1:12,2:12,3:12,4:9} dot={0:4} precon={0:43,1:12,2:12,3:12,4:3} fused={0:12,1:12,2:12,3:12} red=66/66 halo={1x1:34,4x1:3,4x2:9} acc=32/66",
+    "ppcg jac_diag d4 p10 x1: its=14 Converged r0=405d313300a515b2 r=3e11fcd65b57eb63 u=630645cb98f088b6 'PPCG-4' eig=3fb9ac8ff508bfcb/4000bd590f5e19cd outer=14 inner=80 spmv={0:36,1:20,2:20,3:20} vec={0:69,1:20,2:20,3:20,4:15} dot={0:6} precon={0:31,1:20,2:20,3:20,4:5} fused={0:20,1:20,2:20,3:20} red=30/30 halo={1x1:16,4x1:5,4x2:15} acc=14/30",
+    "ppcg jac_diag d4 p10 x4: its=14 Converged r0=405d313300a515b6 r=3e11fcd65b57ea4c u=b8dce4b3a81c06ca 'PPCG-4' eig=3fb9ac8ff508bfc4/4000bd590f5e19cd outer=14 inner=80 spmv={0:36,1:20,2:20,3:20} vec={0:69,1:20,2:20,3:20,4:15} dot={0:6} precon={0:31,1:20,2:20,3:20,4:5} fused={0:20,1:20,2:20,3:20} red=30/30 halo={1x1:16,4x1:5,4x2:15} acc=14/30",
+    "richardson none d1 p30 x1: its=180 Converged r0=407730511be5ffe9 r=3e5e562b0b5237e2 u=3bcd59b813a705ab 'Richardson' eig=3ff046ea11510b33/4041624a0bdc4780 outer=180 inner=0 spmv={0:182} vec={0:393} dot={0:16} precon={} fused={} red=76/76 halo={1x1:182} acc=180/76",
+    "richardson none d1 p30 x4: its=180 Converged r0=407730511be5ffe8 r=3e5e562b1f4532a5 u=678076f358b46791 'Richardson' eig=3ff046ea11510b4d/4041624a0bdc477f outer=180 inner=0 spmv={0:182} vec={0:393} dot={0:16} precon={} fused={} red=76/76 halo={1x1:182} acc=180/76",
+    "richardson none d1 p10 x1: its=260 Converged r0=407730511be5ffe9 r=3e600782d416af79 u=7b97b9c90cba6711 'Richardson' eig=3ff902556c71fb77/40409d12169e96e6 outer=260 inner=0 spmv={0:262} vec={0:533} dot={0:26} precon={} fused={} red=46/46 halo={1x1:262} acc=260/46",
+    "richardson none d1 p10 x4: its=260 Converged r0=407730511be5ffe8 r=3e600782cdec6359 u=4a8315da8f96ee2d 'Richardson' eig=3ff902556c71fb6e/40409d12169e96e6 outer=260 inner=0 spmv={0:262} vec={0:533} dot={0:26} precon={} fused={} red=46/46 halo={1x1:262} acc=260/46",
+    "richardson jac_diag d1 p30 x1: its=160 Converged r0=405d313300a515b2 r=3e3e1f9a09d6b6b4 u=e952c4d9d16e45b5 'Richardson' eig=3fb2cfcee0f06290/4000d8d91ee45b5c outer=160 inner=0 spmv={0:162} vec={0:353} dot={0:14} precon={0:162} fused={} red=74/74 halo={1x1:162} acc=160/74",
+    "richardson jac_diag d1 p30 x4: its=160 Converged r0=405d313300a515b6 r=3e3e1f9a7d3c30aa u=33aef9fa15439e19 'Richardson' eig=3fb2cfcee0f06274/4000d8d91ee45b5b outer=160 inner=0 spmv={0:162} vec={0:353} dot={0:14} precon={0:162} fused={} red=74/74 halo={1x1:162} acc=160/74",
+    "richardson jac_diag d1 p10 x1: its=250 Converged r0=405d313300a515b2 r=3e4133b88ccb2040 u=70a5e2298d34babc 'Richardson' eig=3fb9ac8ff508bfcb/4000bd590f5e19cd outer=250 inner=0 spmv={0:252} vec={0:513} dot={0:25} precon={0:252} fused={} red=45/45 halo={1x1:252} acc=250/45",
+    "richardson jac_diag d1 p10 x4: its=250 Converged r0=405d313300a515b6 r=3e4133b8f585270e u=d342656172eed9ce 'Richardson' eig=3fb9ac8ff508bfc4/4000bd590f5e19cd outer=250 inner=0 spmv={0:252} vec={0:513} dot={0:25} precon={0:252} fused={} red=45/45 halo={1x1:252} acc=250/45",
+    "richardson jac_block d1 p30 x1: its=80 Converged r0=405d7e20ee4604ff r=3e37f59433edb39d u=e7bbfed677e18c14 'Richardson' eig=3fbb65ddf62a4d19/40006b4e9e5caf1e outer=80 inner=0 spmv={0:82} vec={0:141} dot={0:36} precon={0:82} fused={} red=66/66 halo={1x1:82} acc=80/66",
+    "richardson jac_block d1 p30 x4: its=80 Converged r0=405d7e20ee460502 r=3e37f594a9579bc8 u=d700b7d59552a78b 'Richardson' eig=3fbb65ddf62a4d14/40006b4e9e5caf1e outer=80 inner=0 spmv={0:82} vec={0:141} dot={0:36} precon={0:82} fused={} red=66/66 halo={1x1:82} acc=80/66",
+    "richardson jac_block d1 p10 x1: its=160 Converged r0=405d7e20ee4604ff r=3e36dd8c5b8f33fd u=a4b818684c426995 'Richardson' eig=3fc037838a1e57d6/400042f4995b3bcf outer=160 inner=0 spmv={0:162} vec={0:181} dot={0:26} precon={0:162} fused={} red=36/36 halo={1x1:162} acc=160/36",
+    "richardson jac_block d1 p10 x4: its=160 Converged r0=405d7e20ee460502 r=3e36dd8c57bd9cd2 u=cb782a0875fb981a 'Richardson' eig=3fc037838a1e57d3/400042f4995b3bcf outer=160 inner=0 spmv={0:162} vec={0:181} dot={0:26} precon={0:162} fused={} red=36/36 halo={1x1:162} acc=160/36",
+    "mixed_cg none d1 p30 x1: its=58 Converged r0=407730511ac3f819 r=3e63428df36bd9e3 u=9ebb9e904d3a22f0 'CG-mixed' eig=- outer=58 inner=0 spmv={0:59} vec={0:351} dot={0:59} precon={} fused={} red=117/117 halo={1x1:59} acc=58/117",
+    "mixed_cg none d1 p30 x4: its=58 Converged r0=407730511ac3f81c r=3e63428e3c836dec u=7843ee4a9cc9682a 'CG-mixed' eig=- outer=58 inner=0 spmv={0:59} vec={0:351} dot={0:59} precon={} fused={} red=117/117 halo={1x1:59} acc=58/117",
+    "mixed_cg jac_diag d1 p30 x1: its=53 Converged r0=405d3132efdf8bb4 r=3e4256634b79841c u=3925479d4ec18e1e 'CG-mixed' eig=- outer=53 inner=0 spmv={0:54} vec={0:321} dot={0:54} precon={0:54} fused={} red=107/107 halo={1x1:54} acc=53/107",
+    "mixed_cg jac_diag d1 p30 x4: its=53 Converged r0=405d3132efdf8bb2 r=3e4256635de4d72e u=e64493d86efe6e0d 'CG-mixed' eig=- outer=53 inner=0 spmv={0:54} vec={0:321} dot={0:54} precon={0:54} fused={} red=107/107 halo={1x1:54} acc=53/107",
+    "mixed_cg jac_block d1 p30 x1: its=42 Converged r0=405d7e20dbe84c51 r=3e43bc94ce030dd7 u=ab0de1a257a3505b 'CG-mixed' eig=- outer=42 inner=0 spmv={0:43} vec={0:212} dot={0:43} precon={0:43} fused={} red=85/85 halo={1x1:43} acc=42/85",
+    "mixed_cg jac_block d1 p30 x4: its=42 Converged r0=405d7e20dbe84c52 r=3e43bc94cbf91b7a u=abeb0f89bd68e71c 'CG-mixed' eig=- outer=42 inner=0 spmv={0:43} vec={0:212} dot={0:43} precon={0:43} fused={} red=85/85 halo={1x1:43} acc=42/85",
+    "mixed_ppcg none d1 p30 x1: its=32 Converged r0=407730511be5ffe9 r=3e46a69b50f42fd3 u=ba8e8f1c078cea56 'PPCG-1-mixed' eig=3ff046ea11510b33/4041624a0bdc4780 outer=32 inner=48 spmv={0:82} vec={0:158,1:3} dot={0:4} precon={} fused={0:48} red=66/66 halo={1x1:82} acc=32/66",
+    "mixed_ppcg none d1 p30 x4: its=32 Converged r0=407730511be5ffe8 r=3e46a697b6aed7d8 u=76f697d0e36394c3 'PPCG-1-mixed' eig=3ff046ea11510b4d/4041624a0bdc477f outer=32 inner=48 spmv={0:82} vec={0:158,1:3} dot={0:4} precon={} fused={0:48} red=66/66 halo={1x1:82} acc=32/66",
+    "mixed_ppcg none d1 p10 x1: its=14 Converged r0=407730511be5ffe9 r=3e622684a5e112ed u=d6cc6f369cad7d10 'PPCG-1-mixed' eig=3ff902556c71fb77/40409d12169e96e6 outer=14 inner=80 spmv={0:96} vec={0:144,1:5} dot={0:6} precon={} fused={0:80} red=30/30 halo={1x1:96} acc=14/30",
+    "mixed_ppcg none d1 p10 x4: its=14 Converged r0=407730511be5ffe8 r=3e622684bfed367f u=757ee57a8f9a0515 'PPCG-1-mixed' eig=3ff902556c71fb6e/40409d12169e96e6 outer=14 inner=80 spmv={0:96} vec={0:144,1:5} dot={0:6} precon={} fused={0:80} red=30/30 halo={1x1:96} acc=14/30",
+    "mixed_ppcg jac_diag d1 p30 x1: its=32 Converged r0=405d313300a515b2 r=3e205cda78eb7b66 u=e45389b30565d0ee 'PPCG-1-mixed' eig=3fb2cfcee0f06290/4000d8d91ee45b5c outer=32 inner=48 spmv={0:82} vec={0:158,1:3} dot={0:4} precon={0:82} fused={0:48} red=66/66 halo={1x1:82} acc=32/66",
+    "mixed_ppcg jac_diag d1 p30 x4: its=32 Converged r0=405d313300a515b6 r=3e205cdfd60d980a u=73f263ccbeaf90fa 'PPCG-1-mixed' eig=3fb2cfcee0f06274/4000d8d91ee45b5b outer=32 inner=48 spmv={0:82} vec={0:158,1:3} dot={0:4} precon={0:82} fused={0:48} red=66/66 halo={1x1:82} acc=32/66",
+    "mixed_ppcg jac_diag d1 p10 x1: its=14 Converged r0=405d313300a515b2 r=3e11fcedbb39638a u=ad07c1771d97aa73 'PPCG-1-mixed' eig=3fb9ac8ff508bfcb/4000bd590f5e19cd outer=14 inner=80 spmv={0:96} vec={0:144,1:5} dot={0:6} precon={0:96} fused={0:80} red=30/30 halo={1x1:96} acc=14/30",
+    "mixed_ppcg jac_diag d1 p10 x4: its=14 Converged r0=405d313300a515b6 r=3e11fcdfd4c870ba u=11d78a40511e1247 'PPCG-1-mixed' eig=3fb9ac8ff508bfc4/4000bd590f5e19cd outer=14 inner=80 spmv={0:96} vec={0:144,1:5} dot={0:6} precon={0:96} fused={0:80} red=30/30 halo={1x1:96} acc=14/30",
+    "mixed_ppcg jac_block d1 p30 x1: its=31 Converged r0=405d7e20ee4604ff r=3e3dec5124b47944 u=219670136f80b6f5 'PPCG-1-mixed' eig=3fbb65ddf62a4d19/40006b4e9e5caf1e outer=31 inner=32 spmv={0:65} vec={0:132,1:2} dot={0:33} precon={0:65} fused={0:32} red=64/64 halo={1x1:65} acc=31/64",
+    "mixed_ppcg jac_block d1 p30 x4: its=31 Converged r0=405d7e20ee460502 r=3e3dec29e66abd4a u=579ac033d868b139 'PPCG-1-mixed' eig=3fbb65ddf62a4d14/40006b4e9e5caf1e outer=31 inner=32 spmv={0:65} vec={0:132,1:2} dot={0:33} precon={0:65} fused={0:32} red=64/64 halo={1x1:65} acc=31/64",
+    "mixed_ppcg jac_block d1 p10 x1: its=13 Converged r0=405d7e20ee4604ff r=3dd80ef4bdb46dfc u=efa60bdb0df93ccb 'PPCG-1-mixed' eig=3fc037838a1e57d6/400042f4995b3bcf outer=13 inner=64 spmv={0:79} vec={0:116,1:4} dot={0:15} precon={0:79} fused={0:64} red=28/28 halo={1x1:79} acc=13/28",
+    "mixed_ppcg jac_block d1 p10 x4: its=13 Converged r0=405d7e20ee460502 r=3dd80f41852be702 u=617ef83fe1b3fc3e 'PPCG-1-mixed' eig=3fc037838a1e57d3/400042f4995b3bcf outer=13 inner=64 spmv={0:79} vec={0:116,1:4} dot={0:15} precon={0:79} fused={0:64} red=28/28 halo={1x1:79} acc=13/28",
+    "mixed_ppcg none d4 p30 x1: its=32 Converged r0=407730511be5ffe9 r=3e46a69b50f42fd3 u=ba8e8f1c078cea56 'PPCG-4-mixed' eig=3ff046ea11510b33/4041624a0bdc4780 outer=32 inner=48 spmv={0:46,1:12,2:12,3:12} vec={0:116,1:12,2:12,3:12,4:9} dot={0:4} precon={} fused={0:12,1:12,2:12,3:12} red=66/66 halo={1x1:34,4x1:3,4x2:9} acc=32/66",
+    "mixed_ppcg none d4 p30 x4: its=32 Converged r0=407730511be5ffe8 r=3e46a697b6aed7d8 u=76f697d0e36394c3 'PPCG-4-mixed' eig=3ff046ea11510b4d/4041624a0bdc477f outer=32 inner=48 spmv={0:46,1:12,2:12,3:12} vec={0:116,1:12,2:12,3:12,4:9} dot={0:4} precon={} fused={0:12,1:12,2:12,3:12} red=66/66 halo={1x1:34,4x1:3,4x2:9} acc=32/66",
+    "mixed_ppcg none d4 p10 x1: its=14 Converged r0=407730511be5ffe9 r=3e622684a5e112ed u=d6cc6f369cad7d10 'PPCG-4-mixed' eig=3ff902556c71fb77/40409d12169e96e6 outer=14 inner=80 spmv={0:36,1:20,2:20,3:20} vec={0:74,1:20,2:20,3:20,4:15} dot={0:6} precon={} fused={0:20,1:20,2:20,3:20} red=30/30 halo={1x1:16,4x1:5,4x2:15} acc=14/30",
+    "mixed_ppcg none d4 p10 x4: its=14 Converged r0=407730511be5ffe8 r=3e622684bfed367f u=757ee57a8f9a0515 'PPCG-4-mixed' eig=3ff902556c71fb6e/40409d12169e96e6 outer=14 inner=80 spmv={0:36,1:20,2:20,3:20} vec={0:74,1:20,2:20,3:20,4:15} dot={0:6} precon={} fused={0:20,1:20,2:20,3:20} red=30/30 halo={1x1:16,4x1:5,4x2:15} acc=14/30",
+    "mixed_ppcg jac_diag d4 p30 x1: its=32 Converged r0=405d313300a515b2 r=3e205cda78eb7b66 u=e45389b30565d0ee 'PPCG-4-mixed' eig=3fb2cfcee0f06290/4000d8d91ee45b5c outer=32 inner=48 spmv={0:46,1:12,2:12,3:12} vec={0:116,1:12,2:12,3:12,4:9} dot={0:4} precon={0:43,1:12,2:12,3:12,4:3} fused={0:12,1:12,2:12,3:12} red=66/66 halo={1x1:34,4x1:3,4x2:9} acc=32/66",
+    "mixed_ppcg jac_diag d4 p30 x4: its=32 Converged r0=405d313300a515b6 r=3e205cdfd60d980a u=73f263ccbeaf90fa 'PPCG-4-mixed' eig=3fb2cfcee0f06274/4000d8d91ee45b5b outer=32 inner=48 spmv={0:46,1:12,2:12,3:12} vec={0:116,1:12,2:12,3:12,4:9} dot={0:4} precon={0:43,1:12,2:12,3:12,4:3} fused={0:12,1:12,2:12,3:12} red=66/66 halo={1x1:34,4x1:3,4x2:9} acc=32/66",
+    "mixed_ppcg jac_diag d4 p10 x1: its=14 Converged r0=405d313300a515b2 r=3e11fcedbb39638a u=ad07c1771d97aa73 'PPCG-4-mixed' eig=3fb9ac8ff508bfcb/4000bd590f5e19cd outer=14 inner=80 spmv={0:36,1:20,2:20,3:20} vec={0:74,1:20,2:20,3:20,4:15} dot={0:6} precon={0:31,1:20,2:20,3:20,4:5} fused={0:20,1:20,2:20,3:20} red=30/30 halo={1x1:16,4x1:5,4x2:15} acc=14/30",
+    "mixed_ppcg jac_diag d4 p10 x4: its=14 Converged r0=405d313300a515b6 r=3e11fcdfd4c870ba u=11d78a40511e1247 'PPCG-4-mixed' eig=3fb9ac8ff508bfc4/4000bd590f5e19cd outer=14 inner=80 spmv={0:36,1:20,2:20,3:20} vec={0:74,1:20,2:20,3:20,4:15} dot={0:6} precon={0:31,1:20,2:20,3:20,4:5} fused={0:20,1:20,2:20,3:20} red=30/30 halo={1x1:16,4x1:5,4x2:15} acc=14/30",
+    "mixed_chebyshev none d1 p30 x1: its=34 Converged r0=407730511be5ffe9 r=3e42e2405287a3ce u=0614dfac151f4147 'Chebyshev-mixed' eig=3ff046ea11510b33/4041624a0bdc4780 outer=34 inner=40 spmv={0:76} vec={0:152,1:4} dot={0:5} precon={} fused={0:40} red=65/65 halo={1x1:76} acc=34/65",
+    "mixed_chebyshev none d1 p30 x4: its=34 Converged r0=407730511be5ffe8 r=3e42e2412da5a2ea u=edc242a52e37aaee 'Chebyshev-mixed' eig=3ff046ea11510b4d/4041624a0bdc477f outer=34 inner=40 spmv={0:76} vec={0:152,1:4} dot={0:5} precon={} fused={0:40} red=65/65 halo={1x1:76} acc=34/65",
+    "mixed_chebyshev none d1 p10 x1: its=19 Converged r0=407730511be5ffe9 r=3e42158e4dba97f3 u=b44c587a285ea31f 'Chebyshev-mixed' eig=3ff902556c71fb77/40409d12169e96e6 outer=19 inner=90 spmv={0:111} vec={0:167,1:9} dot={0:10} precon={} fused={0:90} red=30/30 halo={1x1:111} acc=19/30",
+    "mixed_chebyshev none d1 p10 x4: its=19 Converged r0=407730511be5ffe8 r=3e42158ef78c3346 u=5718a64ac3871195 'Chebyshev-mixed' eig=3ff902556c71fb6e/40409d12169e96e6 outer=19 inner=90 spmv={0:111} vec={0:167,1:9} dot={0:10} precon={} fused={0:90} red=30/30 halo={1x1:111} acc=19/30",
+    "mixed_chebyshev jac_diag d1 p30 x1: its=34 Converged r0=405d313300a515b2 r=3e196c9e2cf40aad u=7150bbaa02e7327f 'Chebyshev-mixed' eig=3fb2cfcee0f06290/4000d8d91ee45b5c outer=34 inner=40 spmv={0:76} vec={0:152,1:4} dot={0:5} precon={0:75} fused={0:40} red=65/65 halo={1x1:76} acc=34/65",
+    "mixed_chebyshev jac_diag d1 p30 x4: its=34 Converged r0=405d313300a515b6 r=3e196ca5d65dabb4 u=ba746a4cf714d8b5 'Chebyshev-mixed' eig=3fb2cfcee0f06274/4000d8d91ee45b5b outer=34 inner=40 spmv={0:76} vec={0:152,1:4} dot={0:5} precon={0:75} fused={0:40} red=65/65 halo={1x1:76} acc=34/65",
+    "mixed_chebyshev jac_diag d1 p10 x1: its=18 Converged r0=405d313300a515b2 r=3e2487baa0984c2d u=fbd3d3ba3a85bcfe 'Chebyshev-mixed' eig=3fb9ac8ff508bfcb/4000bd590f5e19cd outer=18 inner=80 spmv={0:100} vec={0:152,1:8} dot={0:9} precon={0:99} fused={0:80} red=29/29 halo={1x1:100} acc=18/29",
+    "mixed_chebyshev jac_diag d1 p10 x4: its=18 Converged r0=405d313300a515b6 r=3e2487b9c71af3f0 u=3ac83335f6193112 'Chebyshev-mixed' eig=3fb9ac8ff508bfc4/4000bd590f5e19cd outer=18 inner=80 spmv={0:100} vec={0:152,1:8} dot={0:9} precon={0:99} fused={0:80} red=29/29 halo={1x1:100} acc=18/29",
+    "mixed_chebyshev jac_block d1 p30 x1: its=32 Converged r0=405d7e20ee4604ff r=3e30cc38422f1abe u=cbc6f57f9ef56099 'Chebyshev-mixed' eig=3fbb65ddf62a4d19/40006b4e9e5caf1e outer=32 inner=20 spmv={0:54} vec={0:119,1:2} dot={0:33} precon={0:53} fused={0:20} red=63/63 halo={1x1:54} acc=32/63",
+    "mixed_chebyshev jac_block d1 p30 x4: its=32 Converged r0=405d7e20ee460502 r=3e30cc3706ec7ae0 u=3e8c348e9b8d68b7 'Chebyshev-mixed' eig=3fbb65ddf62a4d14/40006b4e9e5caf1e outer=32 inner=20 spmv={0:54} vec={0:119,1:2} dot={0:33} precon={0:53} fused={0:20} red=63/63 halo={1x1:54} acc=32/63",
+    "mixed_chebyshev jac_block d1 p10 x1: its=15 Converged r0=405d7e20ee4604ff r=3e1ab4a641552ece u=c5ec5699d34f9a24 'Chebyshev-mixed' eig=3fc037838a1e57d6/400042f4995b3bcf outer=15 inner=50 spmv={0:67} vec={0:101,1:5} dot={0:16} precon={0:66} fused={0:50} red=26/26 halo={1x1:67} acc=15/26",
+    "mixed_chebyshev jac_block d1 p10 x4: its=15 Converged r0=405d7e20ee460502 r=3e1ab4b130eb34af u=57f11e70df723490 'Chebyshev-mixed' eig=3fc037838a1e57d3/400042f4995b3bcf outer=15 inner=50 spmv={0:67} vec={0:101,1:5} dot={0:16} precon={0:66} fused={0:50} red=26/26 halo={1x1:67} acc=15/26",
+    "mixed_richardson none d1 p30 x1: its=45 Converged r0=407730511be5ffe9 r=3e5e562bd5d737e2 u=6190b5c4fb054b00 'Richardson-mixed' eig=3ff046ea11510b33/4041624a0bdc4780 outer=45 inner=150 spmv={0:197} vec={0:737,1:15} dot={0:16} precon={} fused={} red=76/76 halo={1x1:197} acc=45/76",
+    "mixed_richardson none d1 p30 x4: its=45 Converged r0=407730511be5ffe8 r=3e5e562c419d1855 u=28d28db350d3c4ee 'Richardson-mixed' eig=3ff046ea11510b4d/4041624a0bdc477f outer=45 inner=150 spmv={0:197} vec={0:737,1:15} dot={0:16} precon={} fused={} red=76/76 halo={1x1:197} acc=45/76",
+    "mixed_richardson none d1 p10 x1: its=35 Converged r0=407730511be5ffe9 r=3e600782c4a8d5d8 u=b69cc123ae45a99a 'Richardson-mixed' eig=3ff902556c71fb77/40409d12169e96e6 outer=35 inner=250 spmv={0:287} vec={0:1107,1:25} dot={0:26} precon={} fused={} red=46/46 halo={1x1:287} acc=35/46",
+    "mixed_richardson none d1 p10 x4: its=35 Converged r0=407730511be5ffe8 r=3e600782d031569d u=b73280804aa038e8 'Richardson-mixed' eig=3ff902556c71fb6e/40409d12169e96e6 outer=35 inner=250 spmv={0:287} vec={0:1107,1:25} dot={0:26} precon={} fused={} red=46/46 halo={1x1:287} acc=35/46",
+    "mixed_richardson jac_diag d1 p30 x1: its=43 Converged r0=405d313300a515b2 r=3e3e1f9d1935532c u=dccd203eef930f28 'Richardson-mixed' eig=3fb2cfcee0f06290/4000d8d91ee45b5c outer=43 inner=130 spmv={0:175} vec={0:651,1:13} dot={0:14} precon={0:161} fused={} red=74/74 halo={1x1:175} acc=43/74",
+    "mixed_richardson jac_diag d1 p30 x4: its=43 Converged r0=405d313300a515b6 r=3e3e1f9d32afa1c0 u=6bbbac2461691422 'Richardson-mixed' eig=3fb2cfcee0f06274/4000d8d91ee45b5b outer=43 inner=130 spmv={0:175} vec={0:651,1:13} dot={0:14} precon={0:161} fused={} red=74/74 halo={1x1:175} acc=43/74",
+    "mixed_richardson jac_diag d1 p10 x1: its=34 Converged r0=405d313300a515b2 r=3e4133bb59567210 u=6bb6a279e7d9c0d6 'Richardson-mixed' eig=3fb9ac8ff508bfcb/4000bd590f5e19cd outer=34 inner=240 spmv={0:276} vec={0:1064,1:24} dot={0:25} precon={0:251} fused={} red=45/45 halo={1x1:276} acc=34/45",
+    "mixed_richardson jac_diag d1 p10 x4: its=34 Converged r0=405d313300a515b6 r=3e4133bb71bb0f3c u=f7c156bbb1b2cffb 'Richardson-mixed' eig=3fb9ac8ff508bfc4/4000bd590f5e19cd outer=34 inner=240 spmv={0:276} vec={0:1064,1:24} dot={0:25} precon={0:251} fused={} red=45/45 halo={1x1:276} acc=34/45",
+    "mixed_richardson jac_block d1 p30 x1: its=35 Converged r0=405d7e20ee4604ff r=3e37f59615319757 u=76624e6ff0a3cd30 'Richardson-mixed' eig=3fbb65ddf62a4d19/40006b4e9e5caf1e outer=35 inner=50 spmv={0:87} vec={0:256,1:5} dot={0:36} precon={0:81} fused={} red=66/66 halo={1x1:87} acc=35/66",
+    "mixed_richardson jac_block d1 p30 x4: its=35 Converged r0=405d7e20ee460502 r=3e37f5967ab3ca08 u=4cdeee8e050a6301 'Richardson-mixed' eig=3fbb65ddf62a4d14/40006b4e9e5caf1e outer=35 inner=50 spmv={0:87} vec={0:256,1:5} dot={0:36} precon={0:81} fused={} red=66/66 halo={1x1:87} acc=35/66",
+    "mixed_richardson jac_block d1 p10 x1: its=25 Converged r0=405d7e20ee4604ff r=3e36dd90750dd62a u=75ef2f0e09b58b1c 'Richardson-mixed' eig=3fc037838a1e57d6/400042f4995b3bcf outer=25 inner=150 spmv={0:177} vec={0:526,1:15} dot={0:26} precon={0:161} fused={} red=36/36 halo={1x1:177} acc=25/36",
+    "mixed_richardson jac_block d1 p10 x4: its=25 Converged r0=405d7e20ee460502 r=3e36dd91325463b7 u=92178647e2c8ff41 'Richardson-mixed' eig=3fc037838a1e57d3/400042f4995b3bcf outer=25 inner=150 spmv={0:177} vec={0:526,1:15} dot={0:26} precon={0:161} fused={} red=36/36 halo={1x1:177} acc=25/36",
+    "cg_f32 none d1 p30 x1: its=168 IterationLimit r0=4077305129896a9e r=3efc73c4406c3727 u=6b938bb17eaea4de 'CG-f32' eig=- outer=168 inner=0 spmv={0:176} vec={0:514} dot={0:8} precon={} fused={} red=344/344 halo={1x1:176} acc=168/344",
+    "cg_f32 none d1 p30 x4: its=116 IterationLimit r0=407730516bc69c9d r=3f03ed68b59a6bf1 u=c21eb812914e9cc3 'CG-f32' eig=- outer=116 inner=0 spmv={0:121} vec={0:355} dot={0:5} precon={} fused={} red=237/237 halo={1x1:121} acc=116/237",
+    "cg_f32 jac_diag d1 p30 x1: its=135 IterationLimit r0=405d313317d6d95d r=3ee2d454debf8cde u=a31a49de6f86d5cb 'CG-f32' eig=- outer=135 inner=0 spmv={0:142} vec={0:414} dot={0:7} precon={0:142} fused={} red=277/277 halo={1x1:142} acc=135/277",
+    "cg_f32 jac_diag d1 p30 x4: its=113 IterationLimit r0=405d31335dfeb8f4 r=3ee589afc5799ff5 u=9cf8abdafb501f90 'CG-f32' eig=- outer=113 inner=0 spmv={0:119} vec={0:347} dot={0:6} precon={0:119} fused={} red=232/232 halo={1x1:119} acc=113/232",
+    "cg_f32 jac_block d1 p30 x1: its=96 IterationLimit r0=405d7e20e3c90a6d r=3ee3d1a4d3e45781 u=3edb9fe0f77b6869 'CG-f32' eig=- outer=96 inner=0 spmv={0:102} vec={0:290} dot={0:102} precon={0:102} fused={} red=198/198 halo={1x1:102} acc=96/198",
+    "cg_f32 jac_block d1 p30 x4: its=69 IterationLimit r0=405d7e20e3c90a6d r=3ee1ae00adc2389f u=935aa8f7471f5c4a 'CG-f32' eig=- outer=69 inner=0 spmv={0:73} vec={0:209} dot={0:73} precon={0:73} fused={} red=142/142 halo={1x1:73} acc=69/142",
+    "amg none d1 p30 x1: its=9 Converged r0=405f14c9330d771a r=3e2ffc4c7e8aedcd u=546374f076c1d46a 'BoomerAMG' eig=- outer=9 inner=0 spmv={0:10} vec={0:27} dot={0:10} precon={} fused={} red=19/19 halo={1x1:10} acc=9/19",
+    "auto none d1 p30 x1: its=58 Converged r0=407730511be5ffe9 r=3e6341e8e312d0bc u=d282f47e77d9471b 'auto[CG]' eig=- outer=58 inner=0 spmv={0:59} vec={0:175} dot={0:1} precon={} fused={} red=117/117 halo={1x1:59} acc=390/701",
+    "auto jac_diag d1 p30 x1: its=53 Converged r0=405d313300a515b2 r=3e4256637c8084bf u=78e59051c20aa7aa 'auto[CG]' eig=- outer=53 inner=0 spmv={0:54} vec={0:160} dot={0:1} precon={0:54} fused={} red=107/107 halo={1x1:54} acc=338/615",
+    "auto jac_block d1 p30 x1: its=42 Converged r0=405d7e20ee4604ff r=3e43bc967891d8d1 u=43c9b77ace9cc31d 'auto[CG]' eig=- outer=42 inner=0 spmv={0:43} vec={0:126} dot={0:43} precon={0:43} fused={} red=85/85 halo={1x1:43} acc=256/491",
+    "auto none d4 p30 x1: its=58 Converged r0=407730511be5ffe9 r=3e6341e8e312d0bc u=d282f47e77d9471b 'auto[CG]' eig=- outer=58 inner=0 spmv={0:59} vec={0:175} dot={0:1} precon={} fused={} red=117/117 halo={1x1:59} acc=390/701",
+    "auto jac_diag d4 p30 x1: its=53 Converged r0=405d313300a515b2 r=3e4256637c8084bf u=78e59051c20aa7aa 'auto[CG]' eig=- outer=53 inner=0 spmv={0:54} vec={0:160} dot={0:1} precon={0:54} fused={} red=107/107 halo={1x1:54} acc=338/615",
+];
