@@ -1,6 +1,10 @@
 //! CG preconditioned by one multigrid V-cycle per iteration — the
 //! stand-in for the paper's "PETSc CG + Hypre BoomerAMG" baseline.
 //!
+//! The CG recurrence is tea-core's shared [`pcg_loop`] — so the baseline
+//! honours stop handles and probes and types its endings like every
+//! other solver; this crate plugs in only the V-cycle.
+//!
 //! The defining behaviours this reproduces (paper §VI):
 //! near-mesh-independent iteration counts (fastest time-to-solution at
 //! low node counts) bought with per-iteration work on *every* level —
@@ -11,8 +15,8 @@ use crate::hierarchy::{MgHierarchy, MgOpts};
 use crate::trace::MgTrace;
 use tea_comms::Communicator;
 use tea_core::{
-    vector, IterativeSolver, SolveContext, SolveOpts, SolveResult, SolveTrace, SolverMeta,
-    SolverParams, SolverRegistry, Tile, Workspace,
+    pcg_loop, Entry, IterativeSolver, Krylov, Precondition, SolveContext, SolveOpts, SolveResult,
+    SolveTrace, SolverMeta, SolverParams, SolverRegistry, Tile, Workspace,
 };
 use tea_mesh::{Coefficient, Field2D};
 
@@ -158,6 +162,24 @@ pub struct AmgSolveResult {
     pub mg_trace: MgTrace,
 }
 
+/// The AMG instance of [`pcg_loop`]: `z = M⁻¹r` is one multigrid
+/// V-cycle (SPD for symmetric smoothing, so `r·z` is a norm).
+struct Vcycle<'a> {
+    hierarchy: &'a mut MgHierarchy,
+    mg_trace: &'a mut MgTrace,
+}
+
+impl Precondition<f64> for Vcycle<'_> {
+    fn apply<C: Communicator + ?Sized>(
+        &mut self,
+        _tile: &Tile<'_, C>,
+        k: &mut Krylov<'_, f64>,
+        _trace: &mut SolveTrace,
+    ) {
+        self.hierarchy.vcycle(k.r, k.z, self.mg_trace);
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn amg_pcg_solve_impl<C: Communicator + ?Sized>(
     tile: &Tile<'_, C>,
@@ -182,70 +204,13 @@ pub(crate) fn amg_pcg_solve_impl<C: Communicator + ?Sized>(
         setup_cells: hierarchy.setup_cells,
         ..Default::default()
     };
-    let mut trace = tea_core::SolveTrace::new("BoomerAMG");
-    let bounds = &tile.op.bounds;
-
-    tile.exchange(&mut [u], 1, &mut trace);
-    tile.op.residual(u, b, &mut ws.r, 0, &mut trace);
-
-    hierarchy.vcycle(&ws.r, &mut ws.z, &mut mg_trace);
-    vector::copy(&mut ws.p, &ws.z, bounds, 0, &mut trace);
-
-    let rz_local = vector::dot_local(&ws.r, &ws.z, bounds, &mut trace);
-    let mut rro = tile.reduce_sum(rz_local, &mut trace);
-    // the V-cycle is SPD for symmetric smoothing, so r·z is a norm
-    let initial_residual = rro.abs().sqrt();
-    if initial_residual == 0.0 {
-        let result = SolveResult {
-            converged: true,
-            iterations: 0,
-            initial_residual,
-            final_residual: 0.0,
-            status: tea_core::SolveStatus::Converged,
-            trace,
-        };
-        return AmgSolveResult { result, mg_trace };
-    }
-    let target = opts.eps * initial_residual;
-
-    let mut converged = false;
-    let mut final_residual = initial_residual;
-    let mut iterations = 0;
-
-    while iterations < opts.max_iters {
-        iterations += 1;
-        trace.outer_iterations += 1;
-
-        tile.exchange(&mut [&mut ws.p], 1, &mut trace);
-        let pw_local = tile.op.apply_fused_dot(&ws.p, &mut ws.w, &mut trace);
-        let pw = tile.reduce_sum(pw_local, &mut trace);
-        let alpha = rro / pw;
-
-        vector::axpy(u, alpha, &ws.p, bounds, 0, &mut trace);
-        vector::axpy(&mut ws.r, -alpha, &ws.w, bounds, 0, &mut trace);
-
-        hierarchy.vcycle(&ws.r, &mut ws.z, &mut mg_trace);
-
-        let rz_local = vector::dot_local(&ws.r, &ws.z, bounds, &mut trace);
-        let rrn = tile.reduce_sum(rz_local, &mut trace);
-        final_residual = rrn.abs().sqrt();
-        if final_residual <= target {
-            converged = true;
-            break;
-        }
-        let beta = rrn / rro;
-        vector::xpay(&mut ws.p, &ws.z, beta, bounds, 0, &mut trace);
-        rro = rrn;
-    }
-
-    let result = SolveResult {
-        converged,
-        iterations,
-        initial_residual,
-        final_residual,
-        status: tea_core::SolveStatus::from_converged(converged),
-        trace,
+    let mut step = Vcycle {
+        hierarchy: &mut hierarchy,
+        mg_trace: &mut mg_trace,
     };
+    let (mut k, _) = ws.krylov(tile.op, u, b);
+    let entry = Entry::Fresh(SolveTrace::new("BoomerAMG"));
+    let (result, _) = pcg_loop(tile, &mut k, &mut step, entry, opts);
     AmgSolveResult { result, mg_trace }
 }
 
@@ -253,7 +218,9 @@ pub(crate) fn amg_pcg_solve_impl<C: Communicator + ?Sized>(
 mod tests {
     use super::*;
     use tea_comms::{HaloLayout, SerialComm};
-    use tea_core::{Solve, SolveTrace, TileBounds, TileOperator};
+    use tea_core::{
+        Solve, SolveControls, SolveStatus, SolveTrace, StopHandle, TileBounds, TileOperator,
+    };
     use tea_mesh::{crooked_pipe, timestep_scalings, Coefficients, Decomposition2D, Mesh2D};
 
     struct Setup {
@@ -291,11 +258,15 @@ mod tests {
     }
 
     fn run(n: usize) -> (AmgSolveResult, Field2D, Setup) {
-        let s = setup(n);
+        run_under(setup(n), SolveControls::default())
+    }
+
+    fn run_under(s: Setup, controls: SolveControls<'_>) -> (AmgSolveResult, Field2D, Setup) {
+        let (n, _) = s.op.bounds.tile();
         let comm = SerialComm::new();
         let d = Decomposition2D::with_grid(n, n, 1, 1);
         let layout = HaloLayout::new(&d, 0);
-        let tile = Tile::new(&s.op, &layout, &comm);
+        let tile = Tile::with_controls(&s.op, &layout, &comm, controls);
         let mut ws = Workspace::new(n, n, 1);
         let mut u = s.b.clone();
         let res = amg_pcg_solve_impl(
@@ -323,6 +294,25 @@ mod tests {
         assert!(r.interior_norm() / s.b.interior_norm() < 1e-7);
         assert_eq!(res.mg_trace.vcycles, res.result.iterations + 1);
         assert!(!res.mg_trace.level_shapes.is_empty());
+    }
+
+    #[test]
+    fn a_cancelled_stop_handle_ends_the_solve_before_it_iterates() {
+        let stop = StopHandle::new();
+        stop.cancel();
+        let (res, ..) = run_under(setup(16), SolveControls::stopping(&stop));
+        assert_eq!(res.result.status, SolveStatus::Cancelled { iteration: 0 });
+        assert!(!res.result.converged);
+    }
+
+    #[test]
+    fn a_nan_right_hand_side_ends_diverged_at_once() {
+        // not 10 000 NaN iterations to `IterationLimit`
+        let mut s = setup(16);
+        s.b.set(3, 3, f64::NAN);
+        let (res, ..) = run_under(s, SolveControls::default());
+        assert_eq!(res.result.status, SolveStatus::Diverged { iteration: 0 });
+        assert!(res.result.final_residual.is_nan());
     }
 
     #[test]

@@ -1,40 +1,53 @@
-//! The (preconditioned) Conjugate Gradient solver — the paper's baseline
-//! and the eigenvalue-estimation prelude for the Chebyshev family.
+//! The (preconditioned) Conjugate Gradient solver — the paper's baseline,
+//! the eigenvalue-estimation prelude of the Chebyshev family, and, along
+//! its precision axis, `mixed_cg` and `cg_f32`.
 //!
-//! Structure per iteration (paper §III.A) — three sweeps over the tile:
+//! The recurrence itself is [`pcg_loop`], shared with CPPCG and the AMG
+//! baseline; [`Cg`] plugs in one of three ways to produce `z = M⁻¹r`:
 //!
-//! 1. depth-1 halo exchange of the search direction `p`;
-//! 2. fused `w = A·p, pw = p·w` sweep (Listing 1) + **global reduction**;
-//! 3. fused `u += α p`, `r -= α w`, `rz = r·M⁻¹r` sweep
-//!    ([`Preconditioner::cg_update`], upstream's `cg_calc_ur`) +
-//!    **global reduction**, convergence test;
-//! 4. `p = M⁻¹r + β p` ([`Preconditioner::cg_direction`]).
-//!
-//! Identity and diagonal preconditioning never store `z = M⁻¹r`;
-//! block-Jacobi adds its strip solve and a separate dot to step 3.
-//! Two allreduce latencies per iteration — the strong-scaling bottleneck
-//! the CPPCG solver exists to amortise.
+//! * `cg` — `Fused`, three sweeps over the tile per iteration (paper
+//!   §III.A): the fused `w = A·p, pw = p·w` sweep (Listing 1) and its
+//!   **global reduction**; the fused `u += α p`, `r -= α w`,
+//!   `rz = r·M⁻¹r` sweep ([`Preconditioner::cg_update`], upstream's
+//!   `cg_calc_ur`) and its **global reduction**; then `p = M⁻¹r + β p`
+//!   ([`Preconditioner::cg_direction`]). Identity and diagonal
+//!   preconditioning never store `z`; block-Jacobi adds its strip solve
+//!   and a separate dot. Two allreduce latencies per iteration — the
+//!   strong-scaling bottleneck the CPPCG solver exists to amortise.
+//! * `mixed_cg` ([`Cg::mixed`]) — the `f64` recurrence around the `f32`
+//!   preconditioner round trip (`Lowered`); CG tolerates any fixed SPD
+//!   preconditioner, so it still reaches `f64` tolerances.
+//! * `cg_f32` ([`Cg::single`]) — the same `Fused` step with every
+//!   vector in `f32`, plus the round-off `Floor` policy: the honest
+//!   end of the precision sweep, stalling near `κ(A)·ε_f32`.
 //!
 //! Convergence is declared when `√(r·z) <= eps * √(r₀·z₀)` (the
 //! reference's criterion; for `M = I` this is the plain relative residual
 //! norm).
 
-use crate::api::{IterativeSolver, SolveContext, SolverParams};
+use crate::api::{IterativeSolver, Precision, SolveContext, SolverParams};
+use crate::control::Probed;
+use crate::eigen::{estimate_from_cg, EigenEstimate};
+use crate::mixed::{Inner, Low, Lowered};
 use crate::precon::{PreconKind, Preconditioner};
+use crate::recurrence::{pcg_loop, reduce, Entry, Krylov, Precondition};
 use crate::solver::{SolveOpts, Tile, Workspace};
-use crate::trace::{SolveResult, SolveStatus, SolveTrace};
+use crate::trace::{SolveResult, SolveTrace};
 use crate::vector;
 use tea_comms::Communicator;
 use tea_mesh::Field2D;
 
 /// Preconditioned CG as an [`IterativeSolver`] — the paper's baseline
-/// Krylov method. Carries its preconditioner kind; `prepare` assembles
-/// the preconditioner against the current operator.
+/// Krylov method, at the precision chosen by [`Cg::mixed`] /
+/// [`Cg::single`] (default `f64`). `prepare` assembles the
+/// preconditioner, in that precision, against the current operator.
 #[derive(Debug, Clone, Default)]
 pub struct Cg {
     kind: PreconKind,
+    precision: Precision,
     opts: SolveOpts,
     precon: Option<Preconditioner>,
+    low: Option<Low<f32>>,
 }
 
 impl Cg {
@@ -42,37 +55,61 @@ impl Cg {
     pub fn new(kind: PreconKind) -> Self {
         Cg {
             kind,
-            opts: SolveOpts::default(),
-            precon: None,
+            ..Default::default()
         }
+    }
+
+    /// The `"mixed_cg"` registry entry: the preconditioner is assembled
+    /// from the demoted operator and applied to demoted residuals.
+    pub fn mixed(mut self) -> Self {
+        self.precision = Precision::Mixed;
+        self
+    }
+
+    /// The `"cg_f32"` registry entry: every kernel in `f32`, dot
+    /// products widened only for the scalar recurrence. Tight `f64`-era
+    /// tolerances are generally unreachable, so the solve ends honestly
+    /// unconverged once the residual stops improving.
+    pub fn single(mut self) -> Self {
+        self.precision = Precision::F32;
+        self
     }
 
     /// Registry factory: consumes [`SolverParams::precon`].
     pub fn from_params(params: &SolverParams) -> Self {
         Cg::new(params.precon)
     }
-}
 
-impl Cg {
     /// The one place the preconditioner is assembled for this solver
     /// (used by both `prepare` and the prepare-on-demand path).
-    fn assemble_precon(&self, ctx: &SolveContext<'_>) -> Preconditioner {
-        Preconditioner::setup(self.kind, ctx.tile.op, 0)
+    fn assemble(&mut self, ctx: &SolveContext<'_>) {
+        match self.precision {
+            Precision::F64 => self.precon = Some(Preconditioner::setup(self.kind, ctx.tile.op, 0)),
+            _ => self.low = Some(Low::assemble(self.kind, ctx.tile.op, 0)),
+        }
     }
 }
 
 impl IterativeSolver for Cg {
     fn name(&self) -> &'static str {
-        "cg"
+        match self.precision {
+            Precision::F64 => "cg",
+            Precision::Mixed => "mixed_cg",
+            Precision::F32 => "cg_f32",
+        }
     }
 
     fn label(&self) -> String {
-        "CG".into()
+        match self.precision {
+            Precision::F64 => "CG".into(),
+            Precision::Mixed => "CG-mixed".into(),
+            Precision::F32 => "CG-f32".into(),
+        }
     }
 
     fn prepare(&mut self, ctx: &SolveContext<'_>, opts: &SolveOpts) {
         self.opts = *opts;
-        self.precon = Some(self.assemble_precon(ctx));
+        self.assemble(ctx);
     }
 
     fn solve(
@@ -83,11 +120,23 @@ impl IterativeSolver for Cg {
         ws: &mut Workspace,
         trace: &mut SolveTrace,
     ) -> SolveResult {
-        if self.precon.is_none() {
-            self.precon = Some(self.assemble_precon(ctx));
+        if self.precon.is_none() && self.low.is_none() {
+            self.assemble(ctx);
         }
-        let precon = self.precon.as_ref().expect("just prepared");
-        let result = cg_solve_impl(ctx.tile, u, b, precon, ws, self.opts);
+        let (tile, opts) = (ctx.tile, self.opts);
+        let result = match (self.precision, &self.precon, &mut self.low) {
+            (Precision::F64, Some(precon), _) => {
+                cg_solve_recording(tile, u, b, precon, ws, opts, u64::MAX).0
+            }
+            (Precision::Mixed, _, Some(low)) => {
+                let (mut k, _) = ws.krylov(tile.op, u, b);
+                let mut step = Lowered(low, Inner::Precon);
+                let entry = Entry::Fresh(SolveTrace::new("CG-mixed"));
+                pcg_loop(tile, &mut k, &mut step, entry, opts).0
+            }
+            (Precision::F32, _, Some(low)) => low.cg_solve(tile, u, b, opts),
+            _ => unreachable!("assembled above, in the solver's precision"),
+        };
         trace.merge(&result.trace);
         result
     }
@@ -116,18 +165,6 @@ impl CgCoefficients {
     }
 }
 
-pub(crate) fn cg_solve_impl<C: Communicator + ?Sized>(
-    tile: &Tile<'_, C>,
-    u: &mut Field2D,
-    b: &Field2D,
-    precon: &Preconditioner,
-    ws: &mut Workspace,
-    opts: SolveOpts,
-) -> SolveResult {
-    let (result, _coeffs) = cg_solve_recording(tile, u, b, precon, ws, opts, u64::MAX);
-    result
-}
-
 /// CG with recorded `α`/`β` coefficients, optionally stopping after
 /// `stop_after` iterations even if unconverged (the eigenvalue-estimation
 /// presteps of Chebyshev/CPPCG, which keep the partial solution).
@@ -140,93 +177,161 @@ pub fn cg_solve_recording<C: Communicator + ?Sized>(
     opts: SolveOpts,
     stop_after: u64,
 ) -> (SolveResult, CgCoefficients) {
-    let mut trace = SolveTrace::new(format!("CG/{}", precon_label(precon)));
-    let bounds = &tile.op.bounds;
-    let mut coeffs = CgCoefficients::default();
-
-    // r = b - A u (u needs one fresh ghost layer for the stencil)
-    tile.exchange(&mut [u], 1, &mut trace);
-    tile.op.residual(u, b, &mut ws.r, 0, &mut trace);
-
-    // z = M^{-1} r ; p = z
-    precon.apply(&ws.r, &mut ws.z, bounds, 0, &mut trace);
-    vector::copy(&mut ws.p, &ws.z, bounds, 0, &mut trace);
-
-    let rz_local = vector::dot_local(&ws.r, &ws.z, bounds, &mut trace);
-    let mut rro = tile.reduce_sum(rz_local, &mut trace);
-    let initial_residual = match SolveResult::start(rro, &trace) {
-        Ok(norm) => norm,
-        Err(end) => return (*end, coeffs),
+    let capped = SolveOpts {
+        max_iters: opts.max_iters.min(stop_after),
+        ..opts
     };
-    let target = opts.eps * initial_residual;
+    let (mut k, _) = ws.krylov(tile.op, u, b);
+    let entry = Entry::Fresh(SolveTrace::new(format!("CG/{}", precon_label(precon))));
+    let mut step = Fused {
+        precon,
+        floor: None,
+    };
+    pcg_loop(tile, &mut k, &mut step, entry, capped)
+}
 
-    let mut converged = false;
-    let mut status = SolveStatus::IterationLimit;
-    let mut final_residual = initial_residual;
-    let mut iterations = 0;
-    let cap = opts.max_iters.min(stop_after);
+/// The CG presteps → Lanczos → eigenvalue-estimate prelude every
+/// Chebyshev-family solve opens with (paper §III.D): runs
+/// `presteps.max(1)` CG iterations, keeping the partial solution. `Err`
+/// is a solve the presteps already finished, diverged in, or were
+/// cancelled during; `Ok` carries the unfinished result — its trace
+/// relabelled `label` and stamped with the estimate — for the method's
+/// own loop to pick up.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn eigen_prelude<C: Communicator + ?Sized>(
+    tile: &Tile<'_, C>,
+    u: &mut Field2D,
+    b: &Field2D,
+    precon: &Preconditioner,
+    ws: &mut Workspace,
+    opts: SolveOpts,
+    (presteps, eigen_safety): (u64, f64),
+    hint: Option<EigenEstimate>,
+    label: &str,
+) -> Result<(SolveResult, EigenEstimate), Box<SolveResult>> {
+    let (mut pre, coeffs) = cg_solve_recording(tile, u, b, precon, ws, opts, presteps.max(1));
+    if pre.converged || pre.status.is_diverged() || pre.status.is_cancelled() {
+        return Err(Box::new(pre));
+    }
+    // a pinned estimate (session replay of identical input) skips only
+    // the Lanczos analysis; the presteps above still advanced u
+    let est = hint.unwrap_or_else(|| {
+        let (al, be) = coeffs.for_lanczos();
+        estimate_from_cg(al, be, eigen_safety)
+    });
+    pre.trace.solver = label.to_string();
+    pre.trace.eigen_bounds = Some((est.min, est.max));
+    Ok((pre, est))
+}
 
-    while iterations < cap {
-        if tile.controls.should_stop() {
-            status = SolveStatus::Cancelled {
-                iteration: iterations,
-            };
-            break;
-        }
-        iterations += 1;
-        trace.outer_iterations += 1;
-        tile.controls.poke(iterations, u, &mut ws.r);
+/// Iterations without a ≥0.1% residual improvement before the `f32`
+/// recurrence is declared flatlined at its round-off floor.
+const F32_STALL_LIMIT: u64 = 100;
 
-        tile.exchange(&mut [&mut ws.p], 1, &mut trace);
-        let pw_local = tile.op.apply_fused_dot(&ws.p, &mut ws.w, &mut trace);
-        let pw = tile.reduce_sum(pw_local, &mut trace);
-        if !pw.is_finite() || pw <= 0.0 {
-            // <p, Ap> lost positivity or went non-finite: the recurrence
-            // cannot recover, so stop burning iterations
-            status = SolveStatus::Diverged {
-                iteration: iterations,
-            };
-            break;
-        }
-        let alpha = rro / pw;
-        coeffs.alphas.push(alpha);
+/// `cg_f32`'s round-off floor policy: the best recurrence and true
+/// residuals seen so far, and how long the former has not improved.
+#[derive(Debug)]
+pub(crate) struct Floor {
+    best: f64,
+    best_true: f64,
+    stalled: u64,
+}
 
-        let (r, z) = (&mut ws.r, &mut ws.z);
-        let rz_local = precon.cg_update(u, r, z, alpha, &ws.p, &ws.w, bounds, &mut trace);
-        let rrn = tile.reduce_sum(rz_local, &mut trace);
-        if !rrn.is_finite() {
-            // check before the NaN-swallowing max(0.0) below — a NaN
-            // reduction must read as divergence, not convergence
-            status = SolveStatus::Diverged {
-                iteration: iterations,
-            };
-            break;
-        }
+impl Floor {
+    pub(crate) const NEW: Floor = Floor {
+        best: f64::INFINITY,
+        best_true: f64::INFINITY,
+        stalled: 0,
+    };
+}
 
-        final_residual = rrn.max(0.0).sqrt();
-        if final_residual <= target {
-            converged = true;
-            status = SolveStatus::Converged;
-            break;
-        }
+/// The plain CG instance of [`pcg_loop`]: `z = M⁻¹r` by an assembled
+/// [`Preconditioner`], fused into the update and direction sweeps, in
+/// whichever precision `S` the [`Krylov`] vectors are. With a [`Floor`]
+/// (`cg_f32`) a recurrence residual that claims convergence is confirmed
+/// against the true residual, and a flatlined recurrence is stopped.
+pub(crate) struct Fused<'a, S: Probed> {
+    pub precon: &'a Preconditioner<S>,
+    pub floor: Option<Floor>,
+}
 
-        let beta = rrn / rro;
-        coeffs.betas.push(beta);
-        precon.cg_direction(&mut ws.p, &ws.r, &ws.z, beta, bounds, &mut trace);
-        rro = rrn;
+impl<S: Probed> Precondition<S> for Fused<'_, S> {
+    fn apply<C: Communicator + ?Sized>(
+        &mut self,
+        _tile: &Tile<'_, C>,
+        k: &mut Krylov<'_, S>,
+        trace: &mut SolveTrace,
+    ) {
+        self.precon.apply(k.r, k.z, &k.op.bounds, 0, trace);
     }
 
-    (
-        SolveResult {
-            converged,
-            iterations,
-            initial_residual,
-            final_residual,
-            status,
-            trace,
-        },
-        coeffs,
-    )
+    fn update<C: Communicator + ?Sized>(
+        &mut self,
+        _tile: &Tile<'_, C>,
+        k: &mut Krylov<'_, S>,
+        alpha: S,
+        trace: &mut SolveTrace,
+    ) -> S {
+        let bounds = &k.op.bounds;
+        self.precon
+            .cg_update(k.u, k.r, k.z, alpha, k.p, k.w, bounds, trace)
+    }
+
+    fn direction(&mut self, k: &mut Krylov<'_, S>, beta: S, trace: &mut SolveTrace) {
+        self.precon
+            .cg_direction(k.p, k.r, k.z, beta, &k.op.bounds, trace);
+    }
+
+    fn confirm<C: Communicator + ?Sized>(
+        &mut self,
+        tile: &Tile<'_, C>,
+        k: &mut Krylov<'_, S>,
+        target: f64,
+        run: &mut SolveResult,
+    ) -> Option<f64> {
+        let Some(floor) = &mut self.floor else {
+            run.converge();
+            return None;
+        };
+        // The f32 recurrence residual drifts below the true residual
+        // long before convergence (round-off in the u updates), so a
+        // recurrence-only test would claim tolerances the solution does
+        // not meet. Confirm against the true residual `b − A·u` —
+        // classic residual replacement — and restart the direction from
+        // it if the claim was premature.
+        let bounds = &k.op.bounds;
+        tile.exchange(&mut [&mut *k.u], 1, &mut run.trace);
+        k.op.residual(k.u, k.b, k.r, 0, &mut run.trace);
+        self.precon.apply(k.r, k.z, bounds, 0, &mut run.trace);
+        let rz_true = vector::dot_local(k.r, k.z, bounds, &mut run.trace);
+        let rz_true = reduce(tile, rz_true, &mut run.trace);
+        if run.observe(rz_true, target) {
+            return None;
+        }
+        if run.final_residual >= 0.999 * floor.best_true {
+            // the true residual is no longer improving: that is the f32
+            // round-off floor — report unconverged honestly
+            return None;
+        }
+        // the recurrence restarts from the (much larger) true residual:
+        // reset its stall watermark too, or the whole re-descent would
+        // count as stalled
+        (floor.best_true, floor.best, floor.stalled) = (run.final_residual, run.final_residual, 0);
+        vector::copy(k.p, k.z, bounds, 0, &mut run.trace);
+        Some(rz_true)
+    }
+
+    fn stalled(&mut self, residual: f64) -> bool {
+        let Some(floor) = &mut self.floor else {
+            return false;
+        };
+        if residual < 0.999 * floor.best {
+            (floor.best, floor.stalled) = (residual, 0);
+        } else {
+            floor.stalled += 1;
+        }
+        floor.stalled >= F32_STALL_LIMIT
+    }
 }
 
 fn precon_label(p: &Preconditioner) -> &'static str {
@@ -240,34 +345,18 @@ fn precon_label(p: &Preconditioner) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{TileBounds, TileOperator};
+    use crate::builder::{crooked_pipe_system, Solve};
+    use crate::ops::TileOperator;
     use crate::precon::PreconKind;
     use tea_comms::{HaloLayout, SerialComm};
-    use tea_mesh::{
-        crooked_pipe, timestep_scalings, Coefficients, Decomposition2D, Field2D, Mesh2D,
-    };
+    use tea_mesh::{Decomposition2D, Field2D};
 
-    pub(crate) fn serial_problem(n: usize, halo: usize) -> (TileOperator, Field2D) {
-        serial_problem_dt(n, halo, 0.04)
-    }
-
-    fn serial_problem_dt(n: usize, halo: usize, dt: f64) -> (TileOperator, Field2D) {
-        let p = crooked_pipe(n);
-        let mesh = Mesh2D::serial(n, n, p.extent);
-        let mut density = Field2D::new(n, n, halo);
-        let mut energy = Field2D::new(n, n, halo);
-        p.apply_states(&mesh, &mut density, &mut energy);
-        let (rx, ry) = timestep_scalings(&mesh, dt);
-        let coeffs = Coefficients::assemble(&mesh, &density, p.coefficient, rx, ry, halo);
-        let op = TileOperator::new(coeffs, TileBounds::serial(n, n));
-        // b = u0 = density * energy, the TeaLeaf right-hand side
-        let mut b = Field2D::new(n, n, halo);
-        for k in 0..n as isize {
-            for j in 0..n as isize {
-                b.set(j, k, density.at(j, k) * energy.at(j, k));
-            }
-        }
-        (op, b)
+    /// Plain `f64` CG with preconditioner `kind` at the default options.
+    fn cg(op: &TileOperator, kind: PreconKind, u: &mut Field2D, b: &Field2D) -> SolveResult {
+        Solve::on(op)
+            .precon(kind)
+            .run(u, b)
+            .expect("cg is registered")
     }
 
     fn check_solution(op: &TileOperator, u: &Field2D, b: &Field2D, tol: f64) {
@@ -280,16 +369,9 @@ mod tests {
 
     #[test]
     fn cg_converges_on_crooked_pipe() {
-        let n = 32;
-        let (op, b) = serial_problem(n, 1);
-        let comm = SerialComm::new();
-        let d = Decomposition2D::with_grid(n, n, 1, 1);
-        let layout = HaloLayout::new(&d, 0);
-        let tile = Tile::new(&op, &layout, &comm);
-        let mut ws = Workspace::new(n, n, 1);
+        let (op, b) = crooked_pipe_system(32, 0.04, 1);
         let mut u = b.clone();
-        let m = Preconditioner::setup(PreconKind::None, &op, 0);
-        let res = cg_solve_impl(&tile, &mut u, &b, &m, &mut ws, SolveOpts::default());
+        let res = cg(&op, PreconKind::None, &mut u, &b);
         assert!(res.converged, "CG must converge: {res:?}");
         assert!(res.iterations > 1);
         check_solution(&op, &u, &b, 1e-8);
@@ -297,22 +379,15 @@ mod tests {
 
     #[test]
     fn preconditioning_reduces_iterations() {
-        let n = 32;
-        let (op, b) = serial_problem(n, 1);
-        let comm = SerialComm::new();
-        let d = Decomposition2D::with_grid(n, n, 1, 1);
-        let layout = HaloLayout::new(&d, 0);
-        let tile = Tile::new(&op, &layout, &comm);
+        let (op, b) = crooked_pipe_system(32, 0.04, 1);
         let mut iters = Vec::new();
         for kind in [
             PreconKind::None,
             PreconKind::Diagonal,
             PreconKind::BlockJacobi,
         ] {
-            let m = Preconditioner::setup(kind, &op, 0);
-            let mut ws = Workspace::new(n, n, 1);
             let mut u = b.clone();
-            let res = cg_solve_impl(&tile, &mut u, &b, &m, &mut ws, SolveOpts::default());
+            let res = cg(&op, kind, &mut u, &b);
             assert!(res.converged, "{kind:?} failed");
             check_solution(&op, &u, &b, 1e-8);
             iters.push(res.iterations);
@@ -328,17 +403,10 @@ mod tests {
 
     #[test]
     fn zero_rhs_converges_immediately() {
-        let n = 8;
-        let (op, _b) = serial_problem(n, 1);
-        let comm = SerialComm::new();
-        let d = Decomposition2D::with_grid(n, n, 1, 1);
-        let layout = HaloLayout::new(&d, 0);
-        let tile = Tile::new(&op, &layout, &comm);
-        let mut ws = Workspace::new(n, n, 1);
-        let zero = Field2D::new(n, n, 1);
-        let mut u = Field2D::new(n, n, 1);
-        let m = Preconditioner::setup(PreconKind::None, &op, 0);
-        let res = cg_solve_impl(&tile, &mut u, &zero, &m, &mut ws, SolveOpts::default());
+        let (op, _b) = crooked_pipe_system(8, 0.04, 1);
+        let zero = Field2D::new(8, 8, 1);
+        let mut u = Field2D::new(8, 8, 1);
+        let res = cg(&op, PreconKind::None, &mut u, &zero);
         assert!(res.converged);
         assert_eq!(res.iterations, 0);
         assert_eq!(u.interior_norm(), 0.0);
@@ -346,12 +414,7 @@ mod tests {
 
     #[test]
     fn trace_counts_three_sweeps_and_two_reductions_per_iteration() {
-        let n = 16;
-        let (op, b) = serial_problem(n, 1);
-        let comm = SerialComm::new();
-        let d = Decomposition2D::with_grid(n, n, 1, 1);
-        let layout = HaloLayout::new(&d, 0);
-        let tile = Tile::new(&op, &layout, &comm);
+        let (op, b) = crooked_pipe_system(16, 0.04, 1);
         // (setup vector sweeps for z and p = z, dot sweeps and precon
         // applications per iteration)
         for (kind, setup_vector, dot, precon) in [
@@ -359,10 +422,7 @@ mod tests {
             (PreconKind::Diagonal, 2, 0, 1),
             (PreconKind::BlockJacobi, 1, 1, 1),
         ] {
-            let mut ws = Workspace::new(n, n, 1);
-            let mut u = b.clone();
-            let m = Preconditioner::setup(kind, &op, 0);
-            let res = cg_solve_impl(&tile, &mut u, &b, &m, &mut ws, SolveOpts::default());
+            let res = cg(&op, kind, &mut b.clone(), &b);
             let (t, its) = (&res.trace, res.iterations);
             // initial rz + 2 per iteration
             assert_eq!(t.reductions, 1 + 2 * its, "{kind:?}");
@@ -386,7 +446,7 @@ mod tests {
     fn recorded_coefficients_estimate_spectrum() {
         use crate::eigen::estimate_from_cg;
         let n = 24;
-        let (op, b) = serial_problem(n, 1);
+        let (op, b) = crooked_pipe_system(n, 0.04, 1);
         let comm = SerialComm::new();
         let d = Decomposition2D::with_grid(n, n, 1, 1);
         let layout = HaloLayout::new(&d, 0);
@@ -412,25 +472,15 @@ mod tests {
         // temperature is near the solution, so the TeaLeaf warm start
         // (u = b = u_old) must start far closer than zero
         let n = 24;
-        let (op, b0) = serial_problem_dt(n, 1, 0.002);
-        let comm = SerialComm::new();
-        let d = Decomposition2D::with_grid(n, n, 1, 1);
-        let layout = HaloLayout::new(&d, 0);
-        let tile = Tile::new(&op, &layout, &comm);
-        let m = Preconditioner::setup(PreconKind::None, &op, 0);
-
-        let mut ws = Workspace::new(n, n, 1);
+        let (op, b0) = crooked_pipe_system(n, 0.002, 1);
         let mut u1 = b0.clone();
-        let first = cg_solve_impl(&tile, &mut u1, &b0, &m, &mut ws, SolveOpts::default());
+        let first = cg(&op, PreconKind::None, &mut u1, &b0);
         assert!(first.converged);
 
         // second time step: b = u1 (the smoothed temperature)
         let b = u1.clone();
-        let mut u_warm = b.clone();
-        let warm = cg_solve_impl(&tile, &mut u_warm, &b, &m, &mut ws, SolveOpts::default());
-
-        let mut u_cold = Field2D::new(n, n, 1);
-        let cold = cg_solve_impl(&tile, &mut u_cold, &b, &m, &mut ws, SolveOpts::default());
+        let warm = cg(&op, PreconKind::None, &mut b.clone(), &b);
+        let cold = cg(&op, PreconKind::None, &mut Field2D::new(n, n, 1), &b);
 
         assert!(warm.converged && cold.converged);
         assert!(

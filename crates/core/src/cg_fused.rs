@@ -16,7 +16,7 @@
 use crate::api::{IterativeSolver, SolveContext, SolverParams};
 use crate::precon::{PreconKind, Preconditioner};
 use crate::solver::{SolveOpts, Tile, Workspace};
-use crate::trace::{SolveResult, SolveStatus, SolveTrace};
+use crate::trace::{SolveResult, SolveTrace};
 use crate::vector;
 use tea_comms::Communicator;
 use tea_mesh::Field2D;
@@ -113,127 +113,65 @@ pub(crate) fn cg_fused_solve_impl<C: Communicator + ?Sized>(
 
     // a non-finite δ poisons the first α just like a non-finite γ
     let rz0 = if delta.is_finite() { gamma } else { delta };
-    let initial_residual = match SolveResult::start(rz0, &trace) {
-        Ok(norm) => norm,
+    let mut run = match SolveResult::start(rz0, trace) {
+        Ok(run) => run,
         Err(end) => return *end,
     };
-    let target = opts.eps * initial_residual;
+    let target = opts.eps * run.initial_residual;
 
     // p = z ; s = w ; alpha = γ/δ
-    vector::copy(&mut ws.p, &ws.z, bounds, 0, &mut trace);
-    vector::copy(&mut ws.sd, &ws.rr, bounds, 0, &mut trace); // s lives in sd
+    vector::copy(&mut ws.p, &ws.z, bounds, 0, &mut run.trace);
+    vector::copy(&mut ws.sd, &ws.rr, bounds, 0, &mut run.trace); // s lives in sd
     let mut alpha = gamma / delta;
 
-    let mut iterations = 0;
-    let mut converged = false;
-    let mut status = SolveStatus::IterationLimit;
-    let mut final_residual = initial_residual;
+    while run.iterations < opts.max_iters && run.begin(&tile.controls, u, &mut ws.r) {
+        let trace = &mut run.trace;
+        vector::axpy(u, alpha, &ws.p, bounds, 0, trace);
+        vector::axpy(&mut ws.r, -alpha, &ws.sd, bounds, 0, trace);
 
-    while iterations < opts.max_iters {
-        if tile.controls.should_stop() {
-            status = SolveStatus::Cancelled {
-                iteration: iterations,
-            };
-            break;
-        }
-        iterations += 1;
-        trace.outer_iterations += 1;
-        tile.controls.poke(iterations, u, &mut ws.r);
-
-        vector::axpy(u, alpha, &ws.p, bounds, 0, &mut trace);
-        vector::axpy(&mut ws.r, -alpha, &ws.sd, bounds, 0, &mut trace);
-
-        precon.apply(&ws.r, &mut ws.z, bounds, 0, &mut trace);
-        tile.exchange(&mut [&mut ws.z], 1, &mut trace);
-        tile.op.apply(&ws.z, &mut ws.rr, 0, &mut trace);
+        precon.apply(&ws.r, &mut ws.z, bounds, 0, trace);
+        tile.exchange(&mut [&mut ws.z], 1, trace);
+        tile.op.apply(&ws.z, &mut ws.rr, 0, trace);
 
         // the single fused reduction of the iteration
-        let g_local = vector::dot_local(&ws.r, &ws.z, bounds, &mut trace);
-        let d_local = vector::dot_local(&ws.rr, &ws.z, bounds, &mut trace);
-        let red = tile.reduce_sum_many(&[g_local, d_local], &mut trace);
+        let g_local = vector::dot_local(&ws.r, &ws.z, bounds, trace);
+        let d_local = vector::dot_local(&ws.rr, &ws.z, bounds, trace);
+        let red = tile.reduce_sum_many(&[g_local, d_local], trace);
         let (gamma_new, delta_new) = (red[0], red[1]);
-        if !gamma_new.is_finite() || !delta_new.is_finite() {
-            // a NaN fused reduction must read as divergence, not as the
-            // max(0.0)-swallowed instant convergence below
-            status = SolveStatus::Diverged {
-                iteration: iterations,
-            };
+        if !delta_new.is_finite() {
+            run.diverge();
             break;
         }
-
-        final_residual = gamma_new.max(0.0).sqrt();
-        if final_residual <= target {
-            converged = true;
-            status = SolveStatus::Converged;
+        if run.observe(gamma_new, target) {
             break;
         }
 
         let beta = gamma_new / gamma;
         alpha = gamma_new / (delta_new - beta * gamma_new / alpha);
         if !alpha.is_finite() {
-            status = SolveStatus::Diverged {
-                iteration: iterations,
-            };
+            run.diverge();
             break;
         }
-        vector::xpay(&mut ws.p, &ws.z, beta, bounds, 0, &mut trace);
-        vector::xpay(&mut ws.sd, &ws.rr, beta, bounds, 0, &mut trace);
+        vector::xpay(&mut ws.p, &ws.z, beta, bounds, 0, &mut run.trace);
+        vector::xpay(&mut ws.sd, &ws.rr, beta, bounds, 0, &mut run.trace);
         gamma = gamma_new;
     }
-
-    SolveResult {
-        converged,
-        iterations,
-        initial_residual,
-        final_residual,
-        status,
-        trace,
-    }
+    run
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cg::cg_solve_impl;
-    use crate::ops::{TileBounds, TileOperator};
-    use crate::precon::{PreconKind, Preconditioner};
-    use tea_comms::{HaloLayout, SerialComm};
-    use tea_mesh::{crooked_pipe, timestep_scalings, Coefficients, Decomposition2D, Mesh2D};
-
-    fn serial_problem(n: usize) -> (TileOperator, Field2D) {
-        let p = crooked_pipe(n);
-        let mesh = Mesh2D::serial(n, n, p.extent);
-        let mut density = Field2D::new(n, n, 1);
-        let mut energy = Field2D::new(n, n, 1);
-        p.apply_states(&mesh, &mut density, &mut energy);
-        let (rx, ry) = timestep_scalings(&mesh, 0.04);
-        let coeffs = Coefficients::assemble(&mesh, &density, p.coefficient, rx, ry, 1);
-        let op = TileOperator::new(coeffs, TileBounds::serial(n, n));
-        let mut b = Field2D::new(n, n, 1);
-        for k in 0..n as isize {
-            for j in 0..n as isize {
-                b.set(j, k, density.at(j, k) * energy.at(j, k));
-            }
-        }
-        (op, b)
-    }
+    use crate::builder::{crooked_pipe_system, Solve};
 
     #[test]
     fn fused_cg_converges_and_matches_cg() {
         let n = 32;
-        let (op, b) = serial_problem(n);
-        let comm = SerialComm::new();
-        let d = Decomposition2D::with_grid(n, n, 1, 1);
-        let layout = HaloLayout::new(&d, 0);
-        let tile = Tile::new(&op, &layout, &comm);
-        let m = Preconditioner::setup(PreconKind::None, &op, 0);
-        let opts = SolveOpts::with_eps(1e-10);
-
-        let mut ws = Workspace::new(n, n, 1);
-        let mut u1 = b.clone();
-        let plain = cg_solve_impl(&tile, &mut u1, &b, &m, &mut ws, opts);
-        let mut u2 = b.clone();
-        let fused = cg_fused_solve_impl(&tile, &mut u2, &b, &m, &mut ws, opts);
+        let (op, b) = crooked_pipe_system(n, 0.04, 1);
+        let solve = Solve::on(&op).eps(1e-10);
+        let (mut u1, mut u2) = (b.clone(), b.clone());
+        let plain = solve.run(&mut u1, &b).unwrap();
+        let fused = solve.with_solver("cg_fused").run(&mut u2, &b).unwrap();
 
         assert!(plain.converged && fused.converged);
         // same Krylov trajectory up to rounding: iteration counts within
@@ -258,20 +196,11 @@ mod tests {
 
     #[test]
     fn fused_cg_halves_reduction_latencies() {
-        let n = 24;
-        let (op, b) = serial_problem(n);
-        let comm = SerialComm::new();
-        let d = Decomposition2D::with_grid(n, n, 1, 1);
-        let layout = HaloLayout::new(&d, 0);
-        let tile = Tile::new(&op, &layout, &comm);
-        let m = Preconditioner::setup(PreconKind::None, &op, 0);
-        let opts = SolveOpts::with_eps(1e-9);
-
-        let mut ws = Workspace::new(n, n, 1);
-        let mut u1 = b.clone();
-        let plain = cg_solve_impl(&tile, &mut u1, &b, &m, &mut ws, opts);
-        let mut u2 = b.clone();
-        let fused = cg_fused_solve_impl(&tile, &mut u2, &b, &m, &mut ws, opts);
+        let (op, b) = crooked_pipe_system(24, 0.04, 1);
+        let solve = Solve::on(&op).eps(1e-9);
+        let plain = solve.run(&mut b.clone(), &b).unwrap();
+        let fused = solve.with_solver("cg_fused").run(&mut b.clone(), &b);
+        let fused = fused.expect("cg_fused is registered");
 
         // plain: 2 reductions/iteration; fused: 1 (of 2 elements)
         let plain_rate = plain.trace.reductions as f64 / plain.iterations as f64;
@@ -285,35 +214,24 @@ mod tests {
     #[test]
     fn fused_cg_with_block_jacobi() {
         let n = 24;
-        let (op, b) = serial_problem(n);
-        let comm = SerialComm::new();
-        let d = Decomposition2D::with_grid(n, n, 1, 1);
-        let layout = HaloLayout::new(&d, 0);
-        let tile = Tile::new(&op, &layout, &comm);
-        let m = Preconditioner::setup(PreconKind::BlockJacobi, &op, 0);
-        let mut ws = Workspace::new(n, n, 1);
+        let (op, b) = crooked_pipe_system(n, 0.04, 1);
         let mut u = b.clone();
-        let res = cg_fused_solve_impl(&tile, &mut u, &b, &m, &mut ws, SolveOpts::with_eps(1e-9));
-        assert!(res.converged);
+        let solve = Solve::on(&op).with_solver("cg_fused").eps(1e-9);
+        let res = solve.precon(PreconKind::BlockJacobi).run(&mut u, &b);
+        assert!(res.expect("cg_fused is registered").converged);
         let mut t = SolveTrace::new("check");
         let mut r = Field2D::new(n, n, 1);
-        tile.op.residual(&u, &b, &mut r, 0, &mut t);
+        op.residual(&u, &b, &mut r, 0, &mut t);
         assert!(r.interior_norm() / b.interior_norm() < 1e-6);
     }
 
     #[test]
     fn zero_rhs_immediate() {
-        let n = 8;
-        let (op, _) = serial_problem(n);
-        let comm = SerialComm::new();
-        let d = Decomposition2D::with_grid(n, n, 1, 1);
-        let layout = HaloLayout::new(&d, 0);
-        let tile = Tile::new(&op, &layout, &comm);
-        let m = Preconditioner::setup(PreconKind::None, &op, 0);
-        let mut ws = Workspace::new(n, n, 1);
-        let zero = Field2D::new(n, n, 1);
-        let mut u = Field2D::new(n, n, 1);
-        let res = cg_fused_solve_impl(&tile, &mut u, &zero, &m, &mut ws, SolveOpts::default());
+        let (op, _) = crooked_pipe_system(8, 0.04, 1);
+        let zero = Field2D::new(8, 8, 1);
+        let mut u = Field2D::new(8, 8, 1);
+        let res = Solve::on(&op).with_solver("cg_fused").run(&mut u, &zero);
+        let res = res.expect("cg_fused is registered");
         assert!(res.converged);
         assert_eq!(res.iterations, 0);
     }

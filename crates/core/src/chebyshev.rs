@@ -15,16 +15,23 @@
 //!
 //! Its appeal for strong scaling: **no dot products** — the only global
 //! communication is the occasional convergence check. The eigenvalue
-//! bounds come from a short plain-CG prelude (paper §III.D).
+//! bounds come from a short plain-CG prelude (paper §III.D,
+//! `eigen_prelude`); the iteration itself is that step handed to the
+//! shared `stationary_loop`. `mixed_chebyshev` ([`Chebyshev::mixed`])
+//! keeps the prelude and the `f64` residual control but runs the
+//! polynomial as `check_interval`-step blocks of CPPCG's inner smoother
+//! in `f32` (`refine`).
 
-use crate::api::{IterativeSolver, SolveContext, SolverParams};
-use crate::cg::cg_solve_recording;
-use crate::eigen::{estimate_from_cg, EigenEstimate};
+use crate::api::{DynTile, IterativeSolver, SolveContext, SolverParams};
+use crate::cg::eigen_prelude;
+use crate::eigen::EigenEstimate;
+use crate::mixed::{refine, Inner, Low};
+use crate::ppcg::Smoothing;
 use crate::precon::{PreconKind, Preconditioner};
-use crate::solver::{SolveOpts, Tile, Workspace};
-use crate::trace::{SolveResult, SolveStatus, SolveTrace};
+use crate::recurrence::stationary_loop;
+use crate::solver::{SolveOpts, Workspace};
+use crate::trace::{SolveResult, SolveTrace};
 use crate::vector;
-use tea_comms::Communicator;
 use tea_mesh::Field2D;
 
 /// Shift/scale constants derived from an eigenvalue estimate.
@@ -114,15 +121,29 @@ impl Default for ChebyOpts {
     }
 }
 
+impl From<&SolverParams> for ChebyOpts {
+    /// Consumes `presteps`, `eigen_safety` and `check_interval`.
+    fn from(params: &SolverParams) -> Self {
+        ChebyOpts {
+            presteps: params.presteps,
+            eigen_safety: params.eigen_safety,
+            check_interval: params.check_interval,
+        }
+    }
+}
+
 /// CG-prelude Chebyshev acceleration as an [`IterativeSolver`]: no dot
 /// products in the acceleration phase, only the periodic convergence
-/// check communicates.
+/// check communicates. [`Chebyshev::mixed`] moves the polynomial sweeps
+/// to `f32`.
 #[derive(Debug, Clone, Default)]
 pub struct Chebyshev {
     kind: PreconKind,
     cheby: ChebyOpts,
     opts: SolveOpts,
+    mixed: bool,
     precon: Option<Preconditioner>,
+    low: Option<Low<f32>>,
     hint: Option<EigenEstimate>,
     last_est: Option<EigenEstimate>,
 }
@@ -134,47 +155,49 @@ impl Chebyshev {
         Chebyshev {
             kind,
             cheby,
-            opts: SolveOpts::default(),
-            precon: None,
-            hint: None,
-            last_est: None,
+            ..Default::default()
         }
     }
 
-    /// Registry factory: consumes `precon`, `presteps`, `eigen_safety`
-    /// and `check_interval`.
-    pub fn from_params(params: &SolverParams) -> Self {
-        Chebyshev::new(
-            params.precon,
-            ChebyOpts {
-                presteps: params.presteps,
-                eigen_safety: params.eigen_safety,
-                check_interval: params.check_interval,
-            },
-        )
+    /// The `"mixed_chebyshev"` registry entry: each outer iteration
+    /// demotes the `f64` residual, runs `check_interval` Chebyshev steps
+    /// of `A z ≈ r` in `f32`, promotes the correction and re-derives the
+    /// residual in `f64`, so the method reaches `f64` tolerances while
+    /// the bandwidth-dominant sweeps move half the bytes.
+    pub fn mixed(mut self) -> Self {
+        self.mixed = true;
+        self
     }
-}
 
-impl Chebyshev {
-    /// The one place the preconditioner is assembled for this solver
+    /// Registry factory: consumes `precon` and the [`ChebyOpts`] fields.
+    pub fn from_params(params: &SolverParams) -> Self {
+        Chebyshev::new(params.precon, params.into())
+    }
+
+    /// The one place the preconditioners are assembled for this solver
     /// (used by both `prepare` and the prepare-on-demand path).
-    fn assemble_precon(&self, ctx: &SolveContext<'_>) -> Preconditioner {
-        Preconditioner::setup(self.kind, ctx.tile.op, 0)
+    fn assemble(&mut self, ctx: &SolveContext<'_>) {
+        self.precon = Some(Preconditioner::setup(self.kind, ctx.tile.op, 0));
+        self.low = self.mixed.then(|| Low::assemble(self.kind, ctx.tile.op, 0));
     }
 }
 
 impl IterativeSolver for Chebyshev {
     fn name(&self) -> &'static str {
-        "chebyshev"
+        if self.mixed {
+            "mixed_chebyshev"
+        } else {
+            "chebyshev"
+        }
     }
 
     fn label(&self) -> String {
-        "Chebyshev".into()
+        format!("Chebyshev{}", if self.mixed { "-mixed" } else { "" })
     }
 
     fn prepare(&mut self, ctx: &SolveContext<'_>, opts: &SolveOpts) {
         self.opts = *opts;
-        self.precon = Some(self.assemble_precon(ctx));
+        self.assemble(ctx);
     }
 
     fn solve(
@@ -186,15 +209,10 @@ impl IterativeSolver for Chebyshev {
         trace: &mut SolveTrace,
     ) -> SolveResult {
         if self.precon.is_none() {
-            self.precon = Some(self.assemble_precon(ctx));
+            self.assemble(ctx);
         }
-        let precon = self.precon.as_ref().expect("just prepared");
-        let result =
-            chebyshev_solve_impl(ctx.tile, u, b, precon, ws, self.opts, self.cheby, self.hint);
-        self.last_est = result
-            .trace
-            .eigen_bounds
-            .map(|(min, max)| EigenEstimate { min, max });
+        let result = self.run(ctx.tile, u, b, ws);
+        self.last_est = result.trace.eigen_estimate();
         trace.merge(&result.trace);
         result
     }
@@ -208,153 +226,61 @@ impl IterativeSolver for Chebyshev {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn chebyshev_solve_impl<C: Communicator + ?Sized>(
-    tile: &Tile<'_, C>,
-    u: &mut Field2D,
-    b: &Field2D,
-    precon: &Preconditioner,
-    ws: &mut Workspace,
-    opts: SolveOpts,
-    cheby: ChebyOpts,
-    hint: Option<EigenEstimate>,
-) -> SolveResult {
-    let bounds = &tile.op.bounds;
-
-    // Phase 1: CG presteps, keeping the partial solution and coefficients.
-    let (pre, coeffs) = cg_solve_recording(tile, u, b, precon, ws, opts, cheby.presteps.max(1));
-    if pre.converged || pre.status.is_diverged() || pre.status.is_cancelled() {
-        return pre; // the prelude finished, diverged, or was cancelled
-    }
-    let mut trace = pre.trace;
-    trace.solver = "Chebyshev".into();
-    // a pinned estimate (from a session replaying identical input) skips
-    // only the Lanczos analysis — the presteps above still advanced u
-    let est = hint.unwrap_or_else(|| {
-        let (al, be) = coeffs.for_lanczos();
-        estimate_from_cg(al, be, cheby.eigen_safety)
-    });
-    trace.eigen_bounds = Some((est.min, est.max));
-    let consts = ChebyConstants::from_estimate(est);
-
-    // Phase 2: Chebyshev acceleration from the CG-advanced iterate.
-    tile.exchange(&mut [u], 1, &mut trace);
-    tile.op.residual(u, b, &mut ws.r, 0, &mut trace);
-    precon.apply(&ws.r, &mut ws.z, bounds, 0, &mut trace);
-    vector::scaled_copy(&mut ws.sd, &ws.z, 1.0 / consts.theta, bounds, 0, &mut trace);
-
-    let initial_residual = pre.initial_residual;
-    let target = opts.eps * initial_residual;
-    let check_interval = cheby.check_interval.max(1); // 0 would divide by zero
-    let mut rho_old = 1.0 / consts.sigma;
-    let mut iterations = pre.iterations;
-    let mut converged = false;
-    let mut status = SolveStatus::IterationLimit;
-    let mut final_residual = pre.final_residual;
-
-    while iterations < opts.max_iters {
-        if tile.controls.should_stop() {
-            status = SolveStatus::Cancelled {
-                iteration: iterations,
-            };
-            break;
+impl Chebyshev {
+    /// CG presteps (keeping the partial solution), then Chebyshev
+    /// acceleration from the CG-advanced iterate — in `f64`, or as `f32`
+    /// refinement blocks when the solver is `mixed`.
+    fn run(
+        &mut self,
+        tile: &DynTile<'_>,
+        u: &mut Field2D,
+        b: &Field2D,
+        ws: &mut Workspace,
+    ) -> SolveResult {
+        let (opts, cheby, label) = (self.opts, self.cheby, self.label());
+        let precon = self.precon.as_ref().expect("assembled by solve");
+        let bounds = &tile.op.bounds;
+        let spectrum = (cheby.presteps, cheby.eigen_safety);
+        let prelude = eigen_prelude(tile, u, b, precon, ws, opts, spectrum, self.hint, &label);
+        let (mut pre, est) = match prelude {
+            Ok(prelude) => prelude,
+            Err(end) => return *end,
+        };
+        if let Some(low) = &mut self.low {
+            let smoothing = Smoothing::new(est, cheby.check_interval.max(1) as usize, 1);
+            let inner = Inner::Chebyshev(&smoothing);
+            return refine(tile, u, b, ws, pre, opts, low, inner);
         }
-        iterations += 1;
-        trace.outer_iterations += 1;
-        tile.controls.poke(iterations, u, &mut ws.r);
 
-        tile.exchange(&mut [&mut ws.sd], 1, &mut trace);
-        tile.op.apply(&ws.sd, &mut ws.w, 0, &mut trace);
-        vector::axpy(u, 1.0, &ws.sd, bounds, 0, &mut trace);
-        vector::axpy(&mut ws.r, -1.0, &ws.w, bounds, 0, &mut trace);
-        precon.apply(&ws.r, &mut ws.z, bounds, 0, &mut trace);
+        let consts = ChebyConstants::from_estimate(est);
+        tile.exchange(&mut [u], 1, &mut pre.trace);
+        tile.op.residual(u, b, &mut ws.r, 0, &mut pre.trace);
+        precon.apply(&ws.r, &mut ws.z, bounds, 0, &mut pre.trace);
+        let inv_theta = 1.0 / consts.theta;
+        vector::scaled_copy(&mut ws.sd, &ws.z, inv_theta, bounds, 0, &mut pre.trace);
 
-        let rho_new = 1.0 / (2.0 * consts.sigma - rho_old);
-        vector::scale_add(
-            &mut ws.sd,
-            rho_new * rho_old,
-            2.0 * rho_new / consts.delta,
-            &ws.z,
-            bounds,
-            0,
-            &mut trace,
-        );
-        rho_old = rho_new;
+        let mut rho_old = 1.0 / consts.sigma;
+        let check = Some(cheby.check_interval);
+        stationary_loop(tile, u, &mut ws.r, pre, opts, check, |u, r, trace| {
+            tile.exchange(&mut [&mut ws.sd], 1, trace);
+            tile.op.apply(&ws.sd, &mut ws.w, 0, trace);
+            vector::axpy(u, 1.0, &ws.sd, bounds, 0, trace);
+            vector::axpy(r, -1.0, &ws.w, bounds, 0, trace);
+            precon.apply(r, &mut ws.z, bounds, 0, trace);
 
-        // periodic convergence check: the only global communication here
-        let since_pre = iterations - pre.iterations;
-        if since_pre % check_interval == 0 {
-            let rr_local = vector::dot_local(&ws.r, &ws.r, bounds, &mut trace);
-            let rr = tile.reduce_sum(rr_local, &mut trace);
-            if !rr.is_finite() {
-                status = SolveStatus::Diverged {
-                    iteration: iterations,
-                };
-                final_residual = f64::NAN;
-                break;
-            }
-            final_residual = rr.max(0.0).sqrt();
-            if final_residual <= target {
-                converged = true;
-                status = SolveStatus::Converged;
-                break;
-            }
-        }
-    }
-    if !converged && !status.is_diverged() && !status.is_cancelled() {
-        // final authoritative residual
-        let rr_local = vector::dot_local(&ws.r, &ws.r, bounds, &mut trace);
-        let rr = tile.reduce_sum(rr_local, &mut trace);
-        if !rr.is_finite() {
-            status = SolveStatus::Diverged {
-                iteration: iterations,
-            };
-            final_residual = f64::NAN;
-        } else {
-            final_residual = rr.max(0.0).sqrt();
-            converged = final_residual <= target;
-            if converged {
-                status = SolveStatus::Converged;
-            }
-        }
-    }
-
-    SolveResult {
-        converged,
-        iterations,
-        initial_residual,
-        final_residual,
-        status,
-        trace,
+            let rho_new = 1.0 / (2.0 * consts.sigma - rho_old);
+            let (alpha, beta) = (rho_new * rho_old, 2.0 * rho_new / consts.delta);
+            vector::scale_add(&mut ws.sd, alpha, beta, &ws.z, bounds, 0, trace);
+            rho_old = rho_new;
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{TileBounds, TileOperator};
-    use crate::precon::PreconKind;
+    use crate::builder::{crooked_pipe_system, Solve};
     use crate::trace::SolveTrace;
-    use tea_comms::{HaloLayout, SerialComm};
-    use tea_mesh::{crooked_pipe, timestep_scalings, Coefficients, Decomposition2D, Mesh2D};
-
-    fn serial_problem(n: usize, halo: usize) -> (TileOperator, Field2D) {
-        let p = crooked_pipe(n);
-        let mesh = Mesh2D::serial(n, n, p.extent);
-        let mut density = Field2D::new(n, n, halo);
-        let mut energy = Field2D::new(n, n, halo);
-        p.apply_states(&mesh, &mut density, &mut energy);
-        let (rx, ry) = timestep_scalings(&mesh, 0.04);
-        let coeffs = Coefficients::assemble(&mesh, &density, p.coefficient, rx, ry, halo);
-        let op = TileOperator::new(coeffs, TileBounds::serial(n, n));
-        let mut b = Field2D::new(n, n, halo);
-        for k in 0..n as isize {
-            for j in 0..n as isize {
-                b.set(j, k, density.at(j, k) * energy.at(j, k));
-            }
-        }
-        (op, b)
-    }
 
     #[test]
     fn constants_from_estimate() {
@@ -412,24 +338,10 @@ mod tests {
     #[test]
     fn chebyshev_converges_on_crooked_pipe() {
         let n = 32;
-        let (op, b) = serial_problem(n, 1);
-        let comm = SerialComm::new();
-        let d = Decomposition2D::with_grid(n, n, 1, 1);
-        let layout = HaloLayout::new(&d, 0);
-        let tile = Tile::new(&op, &layout, &comm);
-        let mut ws = Workspace::new(n, n, 1);
+        let (op, b) = crooked_pipe_system(n, 0.04, 1);
         let mut u = b.clone();
-        let m = Preconditioner::setup(PreconKind::None, &op, 0);
-        let res = chebyshev_solve_impl(
-            &tile,
-            &mut u,
-            &b,
-            &m,
-            &mut ws,
-            SolveOpts::with_eps(1e-8),
-            ChebyOpts::default(),
-            None,
-        );
+        let solve = Solve::on(&op).with_solver("chebyshev").eps(1e-8);
+        let res = solve.run(&mut u, &b).expect("chebyshev is registered");
         assert!(res.converged, "Chebyshev must converge: {res:?}");
         let mut t = SolveTrace::new("check");
         let mut r = Field2D::new(n, n, 1);
@@ -440,30 +352,13 @@ mod tests {
 
     #[test]
     fn chebyshev_uses_far_fewer_reductions_than_cg() {
-        use crate::cg::cg_solve_impl;
-        let n = 32;
-        let (op, b) = serial_problem(n, 1);
-        let comm = SerialComm::new();
-        let d = Decomposition2D::with_grid(n, n, 1, 1);
-        let layout = HaloLayout::new(&d, 0);
-        let tile = Tile::new(&op, &layout, &comm);
-        let m = Preconditioner::setup(PreconKind::None, &op, 0);
-
-        let mut ws = Workspace::new(n, n, 1);
-        let mut u1 = b.clone();
-        let cg = cg_solve_impl(&tile, &mut u1, &b, &m, &mut ws, SolveOpts::with_eps(1e-8));
-
-        let mut u2 = b.clone();
-        let ch = chebyshev_solve_impl(
-            &tile,
-            &mut u2,
-            &b,
-            &m,
-            &mut ws,
-            SolveOpts::with_eps(1e-8),
-            ChebyOpts::default(),
-            None,
-        );
+        let (op, b) = crooked_pipe_system(32, 0.04, 1);
+        let solve = Solve::on(&op).eps(1e-8);
+        let cg = solve.run(&mut b.clone(), &b).unwrap();
+        let ch = solve
+            .with_solver("chebyshev")
+            .run(&mut b.clone(), &b)
+            .unwrap();
         assert!(cg.converged && ch.converged);
         let cg_reds_per_iter = cg.trace.reductions as f64 / cg.iterations as f64;
         let ch_post = ch

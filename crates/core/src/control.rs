@@ -20,7 +20,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tea_mesh::{Field2D, Field2F};
+use tea_comms::WireScalar;
+use tea_mesh::{Field2, Field2D, Field2F};
 
 /// Shared cancellation state behind a [`StopHandle`].
 #[derive(Debug)]
@@ -122,6 +123,25 @@ pub trait SolveProbe: Sync {
     }
 }
 
+/// A scalar a [`SolveProbe`] has an iteration hook for — what lets one
+/// loop, generic over its working precision, reach the right hook.
+pub trait Probed: WireScalar {
+    /// Calls `probe`'s hook for this precision.
+    fn probe(probe: &dyn SolveProbe, iteration: u64, u: &mut Field2<Self>, r: &mut Field2<Self>);
+}
+
+impl Probed for f64 {
+    fn probe(probe: &dyn SolveProbe, iteration: u64, u: &mut Field2D, r: &mut Field2D) {
+        probe.on_iteration(iteration, u, r);
+    }
+}
+
+impl Probed for f32 {
+    fn probe(probe: &dyn SolveProbe, iteration: u64, u: &mut Field2F, r: &mut Field2F) {
+        probe.on_iteration_f32(iteration, u, r);
+    }
+}
+
 /// The optional control bundle a [`crate::Tile`] carries into a solve:
 /// a cancellation/deadline token and an iteration probe. The default
 /// (both `None`) is what every non-serving path uses, and costs two
@@ -157,17 +177,11 @@ impl<'a> SolveControls<'a> {
         self.stop.is_some_and(StopHandle::should_stop)
     }
 
-    /// Invokes the probe (if any) for an `f64` solve iteration.
-    pub fn poke(&self, iteration: u64, u: &mut Field2D, r: &mut Field2D) {
+    /// Invokes the probe (if any) for a solve iteration in precision
+    /// `S`.
+    pub fn poke<S: Probed>(&self, iteration: u64, u: &mut Field2<S>, r: &mut Field2<S>) {
         if let Some(probe) = self.probe {
-            probe.on_iteration(iteration, u, r);
-        }
-    }
-
-    /// Invokes the probe (if any) for an `f32` solve iteration.
-    pub fn poke_f32(&self, iteration: u64, u: &mut Field2F, r: &mut Field2F) {
-        if let Some(probe) = self.probe {
-            probe.on_iteration_f32(iteration, u, r);
+            S::probe(probe, iteration, u, r);
         }
     }
 
@@ -236,7 +250,7 @@ mod tests {
         // the default f32 hook is a no-op but must be callable
         let mut uf = Field2F::new(4, 4, 1);
         let mut rf = Field2F::new(4, 4, 1);
-        controls.poke_f32(1, &mut uf, &mut rf);
+        controls.poke(1, &mut uf, &mut rf);
         assert_eq!(probe.0.load(Ordering::Relaxed), 2);
     }
 }

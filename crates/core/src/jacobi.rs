@@ -1,14 +1,17 @@
 //! The Jacobi solver — TeaLeaf's simplest stand-alone method.
 //!
-//! `u ← u + D⁻¹ (b − A·u)`, one depth-1 halo exchange and one global
-//! reduction (the convergence error) per iteration. Converges slowly
+//! `u ← u + D⁻¹ (b − A·u)` — that step handed to the shared
+//! `stationary_loop`, checked every iteration: one depth-1 halo
+//! exchange and one global reduction (the convergence error) per
+//! iteration. Converges slowly
 //! (spectral radius close to 1 for diffusion operators) but is trivially
 //! parallel; it exists in TeaLeaf as the design-space floor against which
 //! the Krylov methods are judged.
 
 use crate::api::{IterativeSolver, SolveContext, SolverParams};
+use crate::recurrence::stationary_loop;
 use crate::solver::{SolveOpts, Tile, Workspace};
-use crate::trace::{SolveResult, SolveStatus, SolveTrace};
+use crate::trace::{SolveResult, SolveTrace};
 use crate::vector;
 use tea_comms::Communicator;
 use tea_mesh::Field2D;
@@ -81,110 +84,33 @@ pub(crate) fn jacobi_solve_impl<C: Communicator + ?Sized>(
 
     tile.exchange(&mut [u], 1, &mut trace);
     tile.op.residual(u, b, &mut ws.r, 0, &mut trace);
-    let rr0_local = vector::dot_local(&ws.r, &ws.r, bounds, &mut trace);
-    let rr0 = tile.reduce_sum(rr0_local, &mut trace);
-    let initial_residual = match SolveResult::start(rr0, &trace) {
-        Ok(norm) => norm,
+    let rr0 = vector::dot_local(&ws.r, &ws.r, bounds, &mut trace);
+    let rr0 = tile.reduce_sum(rr0, &mut trace);
+    let run = match SolveResult::start(rr0, trace) {
+        Ok(run) => run,
         Err(end) => return *end,
     };
-    let target = opts.eps * initial_residual;
-
-    let mut iterations = 0;
-    let mut converged = false;
-    let mut status = SolveStatus::IterationLimit;
-    let mut final_residual = initial_residual;
-
-    while iterations < opts.max_iters {
-        if tile.controls.should_stop() {
-            status = SolveStatus::Cancelled {
-                iteration: iterations,
-            };
-            break;
-        }
-        iterations += 1;
-        trace.outer_iterations += 1;
-        tile.controls.poke(iterations, u, &mut ws.r);
-
+    stationary_loop(tile, u, &mut ws.r, run, opts, None, |u, r, trace| {
         // u += D^{-1} r
-        vector::mul_into(&mut ws.z, &ws.r, &inv_diag, bounds, 0, &mut trace);
-        vector::axpy(u, 1.0, &ws.z, bounds, 0, &mut trace);
-
-        tile.exchange(&mut [u], 1, &mut trace);
-        tile.op.residual(u, b, &mut ws.r, 0, &mut trace);
-
-        let rr_local = vector::dot_local(&ws.r, &ws.r, bounds, &mut trace);
-        let rr = tile.reduce_sum(rr_local, &mut trace);
-        if !rr.is_finite() {
-            status = SolveStatus::Diverged {
-                iteration: iterations,
-            };
-            break;
-        }
-        final_residual = rr.max(0.0).sqrt();
-        if final_residual <= target {
-            converged = true;
-            status = SolveStatus::Converged;
-            break;
-        }
-    }
-
-    SolveResult {
-        converged,
-        iterations,
-        initial_residual,
-        final_residual,
-        status,
-        trace,
-    }
+        vector::mul_into(&mut ws.z, r, &inv_diag, bounds, 0, trace);
+        vector::axpy(u, 1.0, &ws.z, bounds, 0, trace);
+        tile.exchange(&mut [u], 1, trace);
+        tile.op.residual(u, b, r, 0, trace);
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cg::cg_solve_impl;
-    use crate::ops::{TileBounds, TileOperator};
-    use crate::precon::{PreconKind, Preconditioner};
-    use tea_comms::{HaloLayout, SerialComm};
-    use tea_mesh::{crooked_pipe, timestep_scalings, Coefficients, Decomposition2D, Mesh2D};
-
-    fn serial_problem(n: usize) -> (TileOperator, Field2D) {
-        let p = crooked_pipe(n);
-        let mesh = Mesh2D::serial(n, n, p.extent);
-        let mut density = Field2D::new(n, n, 1);
-        let mut energy = Field2D::new(n, n, 1);
-        p.apply_states(&mesh, &mut density, &mut energy);
-        let (rx, ry) = timestep_scalings(&mesh, 0.04);
-        let coeffs = Coefficients::assemble(&mesh, &density, p.coefficient, rx, ry, 1);
-        let op = TileOperator::new(coeffs, TileBounds::serial(n, n));
-        let mut b = Field2D::new(n, n, 1);
-        for k in 0..n as isize {
-            for j in 0..n as isize {
-                b.set(j, k, density.at(j, k) * energy.at(j, k));
-            }
-        }
-        (op, b)
-    }
+    use crate::builder::{crooked_pipe_system, Solve};
 
     #[test]
     fn jacobi_converges_slowly_but_surely() {
         let n = 16;
-        let (op, b) = serial_problem(n);
-        let comm = SerialComm::new();
-        let d = Decomposition2D::with_grid(n, n, 1, 1);
-        let layout = HaloLayout::new(&d, 0);
-        let tile = Tile::new(&op, &layout, &comm);
-        let mut ws = Workspace::new(n, n, 1);
+        let (op, b) = crooked_pipe_system(n, 0.04, 1);
         let mut u = b.clone();
-        let res = jacobi_solve_impl(
-            &tile,
-            &mut u,
-            &b,
-            &mut ws,
-            SolveOpts {
-                eps: 1e-8,
-                max_iters: 100_000,
-            },
-        );
+        let solve = Solve::on(&op).with_solver("jacobi").eps(1e-8);
+        let res = solve.max_iters(100_000).run(&mut u, &b).unwrap();
         assert!(res.converged, "Jacobi must converge: {res:?}");
         let mut t = SolveTrace::new("check");
         let mut r = Field2D::new(n, n, 1);
@@ -194,23 +120,10 @@ mod tests {
 
     #[test]
     fn jacobi_needs_far_more_iterations_than_cg() {
-        let n = 32;
-        let (op, b) = serial_problem(n);
-        let comm = SerialComm::new();
-        let d = Decomposition2D::with_grid(n, n, 1, 1);
-        let layout = HaloLayout::new(&d, 0);
-        let tile = Tile::new(&op, &layout, &comm);
-        let m = Preconditioner::setup(PreconKind::None, &op, 0);
-
-        let mut ws = Workspace::new(n, n, 1);
-        let mut u1 = b.clone();
-        let opts = SolveOpts {
-            eps: 1e-8,
-            max_iters: 200_000,
-        };
-        let jac = jacobi_solve_impl(&tile, &mut u1, &b, &mut ws, opts);
-        let mut u2 = b.clone();
-        let cg = cg_solve_impl(&tile, &mut u2, &b, &m, &mut ws, opts);
+        let (op, b) = crooked_pipe_system(32, 0.04, 1);
+        let solve = Solve::on(&op).eps(1e-8).max_iters(200_000);
+        let cg = solve.run(&mut b.clone(), &b).unwrap();
+        let jac = solve.with_solver("jacobi").run(&mut b.clone(), &b).unwrap();
         assert!(jac.converged && cg.converged);
         assert!(
             jac.iterations > 2 * cg.iterations,
@@ -222,16 +135,11 @@ mod tests {
 
     #[test]
     fn zero_rhs_immediate() {
-        let n = 8;
-        let (op, _b) = serial_problem(n);
-        let comm = SerialComm::new();
-        let d = Decomposition2D::with_grid(n, n, 1, 1);
-        let layout = HaloLayout::new(&d, 0);
-        let tile = Tile::new(&op, &layout, &comm);
-        let mut ws = Workspace::new(n, n, 1);
-        let zero = Field2D::new(n, n, 1);
-        let mut u = Field2D::new(n, n, 1);
-        let res = jacobi_solve_impl(&tile, &mut u, &zero, &mut ws, SolveOpts::default());
+        let (op, _b) = crooked_pipe_system(8, 0.04, 1);
+        let zero = Field2D::new(8, 8, 1);
+        let mut u = Field2D::new(8, 8, 1);
+        let res = Solve::on(&op).with_solver("jacobi").run(&mut u, &zero);
+        let res = res.expect("jacobi is registered");
         assert!(res.converged);
         assert_eq!(res.iterations, 0);
     }

@@ -3,7 +3,9 @@
 //! The primary contribution of the TeaLeaf paper, reimplemented in Rust:
 //! matrix-free 5-point diffusion operators ([`ops`]), the solver family
 //! (Jacobi, CG, Chebyshev, CPPCG — [`jacobi`], [`cg`], [`chebyshev`],
-//! [`ppcg`]), preconditioners including the zero-communication 4×1-strip
+//! [`ppcg`] — each one piece plugged into the two loops of
+//! [`recurrence`], at `f64` or through the `f32` image in [`mixed`]),
+//! preconditioners including the zero-communication 4×1-strip
 //! block-Jacobi ([`precon`]), Lanczos/Sturm eigenvalue estimation
 //! ([`eigen`]), and the matrix-powers deep-halo schedule inside CPPCG.
 //!
@@ -58,6 +60,7 @@ pub mod ops;
 pub mod ops3d;
 pub mod ppcg;
 pub mod precon;
+pub mod recurrence;
 pub mod registry;
 pub mod richardson;
 pub mod runtime;
@@ -75,17 +78,18 @@ pub use builder::{crooked_pipe_system, Solve};
 pub use cg::{cg_solve_recording, Cg, CgCoefficients};
 pub use cg_fused::CgFused;
 pub use chebyshev::{cg_iteration_bound, ChebyConstants, ChebyOpts, Chebyshev};
-pub use control::{SolveControls, SolveProbe, StopHandle};
+pub use control::{Probed, SolveControls, SolveProbe, StopHandle};
 pub use eigen::{
     estimate_from_cg, lanczos_tridiagonal, sturm_count, tridiag_all_eigenvalues,
     tridiag_extreme_eigenvalues, EigenError, EigenEstimate,
 };
 pub use jacobi::Jacobi;
-pub use mixed::{solver_for_precision, CgF32, MixedCg, MixedChebyshev, MixedPpcg, MixedRichardson};
+pub use mixed::solver_for_precision;
 pub use ops::{TileBounds, TileOperator};
 pub use ops3d::{cg_solve_3d, jacobi_solve_3d, TileOperator3D};
 pub use ppcg::{Ppcg, PpcgOpts};
 pub use precon::{BlockJacobi, PreconKind, Preconditioner, DEFAULT_BLOCK_STRIP};
+pub use recurrence::{pcg_loop, Entry, Krylov, Precondition};
 pub use registry::{SolverFactory, SolverRegistry};
 pub use richardson::{Richardson, RichardsonOpts};
 pub use runtime::{

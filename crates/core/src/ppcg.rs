@@ -1,13 +1,21 @@
 //! CPPCG — the Chebyshev Polynomially Preconditioned Conjugate Gradient
 //! solver with the matrix-powers kernel (paper §III–IV).
 //!
-//! The outer loop is standard PCG, but the preconditioner application
-//! `z = M⁻¹r` is an `m`-step Chebyshev smoothing of `A z = r` from
-//! `z₀ = 0` (paper §III.B–C). Each outer iteration therefore costs `m+1`
-//! stencil sweeps but only the **two** outer dot products — the global
-//! reduction count per sweep drops by a factor of ~`m` versus plain CG,
-//! which is the communication-avoidance the paper quantifies with
-//! Eqs. 6–7.
+//! The outer recurrence is the shared [`pcg_loop`], picking up from the
+//! CG eigenvalue prelude (`eigen_prelude`); what CPPCG plugs into it
+//! is the preconditioner application: `z = M⁻¹r` is an `m`-step
+//! Chebyshev smoothing of `A z = r` from `z₀ = 0` (`cheb_inner`, paper
+//! §III.B–C). Each outer iteration therefore costs `m+1` stencil sweeps
+//! but only the **two** outer dot products — the global reduction count
+//! per sweep drops by a factor of ~`m` versus plain CG, which is the
+//! communication-avoidance the paper quantifies with Eqs. 6–7.
+//!
+//! `cheb_inner` is generic over the scalar: `ppcg` runs it on the
+//! workspace's own `f64` fields (`Smoothed`); `mixed_ppcg`
+//! ([`Ppcg::mixed`]) runs the same code on the `f32` image of the
+//! operator (`crate::mixed::Low`), halving the traffic of the dominant
+//! sweeps and the bytes of every deep-halo message while the outer
+//! recurrence, both dot products and the convergence test stay in `f64`.
 //!
 //! Halo traffic inside the inner smoothing is governed by the
 //! **matrix-powers kernel** (paper §IV.C.2, Figs. 1–2): with halo depth
@@ -22,16 +30,20 @@
 //! blocks (paper's stated incompatibility with matrix powers, enforced
 //! here at configuration time).
 
-use crate::api::{IterativeSolver, SolveContext, SolverParams};
-use crate::cg::cg_solve_recording;
+use crate::api::{DynTile, IterativeSolver, SolveContext, SolverParams};
+use crate::cg::eigen_prelude;
 use crate::chebyshev::ChebyConstants;
-use crate::eigen::{estimate_from_cg, EigenEstimate};
+use crate::control::Probed;
+use crate::eigen::EigenEstimate;
+use crate::mixed::{Inner, Low, Lowered};
+use crate::ops::TileOperator;
 use crate::precon::{PreconKind, Preconditioner};
+use crate::recurrence::{pcg_loop, Entry, Krylov, Precondition};
 use crate::solver::{SolveOpts, Tile, Workspace};
-use crate::trace::{SolveResult, SolveStatus, SolveTrace};
+use crate::trace::{SolveResult, SolveTrace};
 use crate::vector;
 use tea_comms::Communicator;
-use tea_mesh::Field2D;
+use tea_mesh::{Field2, Field2D};
 
 /// CPPCG configuration.
 #[derive(Debug, Clone, Copy)]
@@ -75,16 +87,32 @@ impl PpcgOpts {
     }
 }
 
+impl From<&SolverParams> for PpcgOpts {
+    /// Consumes `inner_steps`, `halo_depth`, `presteps` and
+    /// `eigen_safety`.
+    fn from(params: &SolverParams) -> Self {
+        PpcgOpts {
+            inner_steps: params.inner_steps,
+            halo_depth: params.halo_depth,
+            presteps: params.presteps,
+            eigen_safety: params.eigen_safety,
+        }
+    }
+}
+
 /// CPPCG as an [`IterativeSolver`]: Chebyshev polynomially
 /// preconditioned CG with the matrix-powers deep-halo schedule — the
-/// paper's communication-avoiding headliner. The only built-in method
-/// whose [`IterativeSolver::halo_depth`] exceeds 1.
+/// paper's communication-avoiding headliner, and the only built-in
+/// method whose [`IterativeSolver::halo_depth`] exceeds 1.
+/// [`Ppcg::mixed`] moves the inner smoothing to `f32`.
 #[derive(Debug, Clone, Default)]
 pub struct Ppcg {
     kind: PreconKind,
     ppcg: PpcgOpts,
     opts: SolveOpts,
+    mixed: bool,
     precon: Option<Preconditioner>,
+    low: Option<Low<f32>>,
     hint: Option<EigenEstimate>,
     last_est: Option<EigenEstimate>,
 }
@@ -96,44 +124,46 @@ impl Ppcg {
         Ppcg {
             kind,
             ppcg,
-            opts: SolveOpts::default(),
-            precon: None,
-            hint: None,
-            last_est: None,
+            ..Default::default()
         }
     }
 
-    /// Registry factory: consumes `precon`, `inner_steps`, `halo_depth`,
-    /// `presteps` and `eigen_safety`.
-    pub fn from_params(params: &SolverParams) -> Self {
-        Ppcg::new(
-            params.precon,
-            PpcgOpts {
-                inner_steps: params.inner_steps,
-                halo_depth: params.halo_depth,
-                presteps: params.presteps,
-                eigen_safety: params.eigen_safety,
-            },
-        )
+    /// The `"mixed_ppcg"` registry entry: the whole inner smoothing,
+    /// matrix-powers exchanges included, in `f32`. The CG presteps and
+    /// their Lanczos estimate stay in `f64`; the safety widening absorbs
+    /// the (tiny) spectral difference to the demoted operator.
+    pub fn mixed(mut self) -> Self {
+        self.mixed = true;
+        self
     }
-}
 
-impl Ppcg {
-    /// The one place the preconditioner is assembled for this solver —
+    /// Registry factory: consumes `precon` and the [`PpcgOpts`] fields.
+    pub fn from_params(params: &SolverParams) -> Self {
+        Ppcg::new(params.precon, params.into())
+    }
+
+    /// The one place the preconditioners are assembled for this solver —
     /// over the matrix-powers extent — used by both `prepare` and the
     /// prepare-on-demand path.
-    fn assemble_precon(&self, ctx: &SolveContext<'_>) -> Preconditioner {
-        Preconditioner::setup(self.kind, ctx.tile.op, self.ppcg.halo_depth)
+    fn assemble(&mut self, ctx: &SolveContext<'_>) {
+        let (op, h) = (ctx.tile.op, self.ppcg.halo_depth);
+        self.precon = Some(Preconditioner::setup(self.kind, op, h));
+        self.low = self.mixed.then(|| Low::assemble(self.kind, op, h));
     }
 }
 
 impl IterativeSolver for Ppcg {
     fn name(&self) -> &'static str {
-        "ppcg"
+        if self.mixed {
+            "mixed_ppcg"
+        } else {
+            "ppcg"
+        }
     }
 
     fn label(&self) -> String {
-        self.ppcg.label()
+        let suffix = if self.mixed { "-mixed" } else { "" };
+        format!("{}{suffix}", self.ppcg.label())
     }
 
     fn halo_depth(&self) -> usize {
@@ -142,7 +172,7 @@ impl IterativeSolver for Ppcg {
 
     fn prepare(&mut self, ctx: &SolveContext<'_>, opts: &SolveOpts) {
         self.opts = *opts;
-        self.precon = Some(self.assemble_precon(ctx));
+        self.assemble(ctx);
     }
 
     fn solve(
@@ -154,14 +184,10 @@ impl IterativeSolver for Ppcg {
         trace: &mut SolveTrace,
     ) -> SolveResult {
         if self.precon.is_none() {
-            self.precon = Some(self.assemble_precon(ctx));
+            self.assemble(ctx);
         }
-        let precon = self.precon.as_ref().expect("just prepared");
-        let result = ppcg_solve_impl(ctx.tile, u, b, precon, ws, self.opts, self.ppcg, self.hint);
-        self.last_est = result
-            .trace
-            .eigen_bounds
-            .map(|(min, max)| EigenEstimate { min, max });
+        let result = self.run(ctx.tile, u, b, ws);
+        self.last_est = result.trace.eigen_estimate();
         trace.merge(&result.trace);
         result
     }
@@ -175,164 +201,152 @@ impl IterativeSolver for Ppcg {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn ppcg_solve_impl<C: Communicator + ?Sized>(
-    tile: &Tile<'_, C>,
-    u: &mut Field2D,
-    b: &Field2D,
-    precon: &Preconditioner,
-    ws: &mut Workspace,
-    opts: SolveOpts,
-    ppcg: PpcgOpts,
-    hint: Option<EigenEstimate>,
-) -> SolveResult {
-    let h = ppcg.halo_depth;
-    let m = ppcg.inner_steps;
-    assert!(h >= 1, "matrix-powers depth must be at least 1");
-    assert!(m >= 1, "need at least one inner step");
-    assert!(
-        ws.halo() >= h,
-        "workspace halo {} shallower than matrix-powers depth {h}",
-        ws.halo()
-    );
-    assert!(
-        precon.supports_extension() || h == 1,
-        "block-Jacobi cannot be combined with matrix powers (paper §IV.C.2)"
-    );
-    let bounds = &tile.op.bounds;
+impl Ppcg {
+    /// CG presteps for the spectrum of `M⁻¹A`, then the PCG loop with
+    /// the `m`-step Chebyshev preconditioner — smoothing in the
+    /// workspace's `f64`, or in `f32` when the solver is `mixed`.
+    fn run(
+        &mut self,
+        tile: &DynTile<'_>,
+        u: &mut Field2D,
+        b: &Field2D,
+        ws: &mut Workspace,
+    ) -> SolveResult {
+        let (opts, ppcg, label) = (self.opts, self.ppcg, self.label());
+        let precon = self.precon.as_ref().expect("assembled by solve");
+        let h = ppcg.halo_depth;
+        assert!(h >= 1, "matrix-powers depth must be at least 1");
+        assert!(ppcg.inner_steps >= 1, "need at least one inner step");
+        assert!(
+            ws.halo() >= h,
+            "workspace halo {} shallower than matrix-powers depth {h}",
+            ws.halo()
+        );
+        assert!(
+            precon.supports_extension() || h == 1,
+            "block-Jacobi cannot be combined with matrix powers (paper §IV.C.2)"
+        );
 
-    // Phase 1: plain-CG presteps for the spectrum of M⁻¹A.
-    let (pre, coeffs) = cg_solve_recording(tile, u, b, precon, ws, opts, ppcg.presteps.max(1));
-    if pre.converged || pre.status.is_diverged() || pre.status.is_cancelled() {
-        return pre;
-    }
-    let mut trace = pre.trace;
-    trace.solver = ppcg.label().to_string();
-    // a pinned estimate (session replay of identical input) skips only
-    // the Lanczos analysis; the presteps above still advanced u
-    let est: EigenEstimate = hint.unwrap_or_else(|| {
-        let (al, be) = coeffs.for_lanczos();
-        estimate_from_cg(al, be, ppcg.eigen_safety)
-    });
-    trace.eigen_bounds = Some((est.min, est.max));
-    let consts = ChebyConstants::from_estimate(est);
-    let cheb = consts.coefficients(m);
-
-    // Phase 2: outer PCG with the m-step Chebyshev preconditioner.
-    tile.exchange(&mut [u], 1, &mut trace);
-    tile.op.residual(u, b, &mut ws.r, 0, &mut trace);
-
-    cheb_inner(tile, precon, ws, &consts, &cheb, h, &mut trace);
-    trace.inner_iterations += m as u64;
-    vector::copy(&mut ws.p, &ws.z, bounds, 0, &mut trace);
-
-    let rz_local = vector::dot_local(&ws.r, &ws.z, bounds, &mut trace);
-    let mut rro = tile.reduce_sum(rz_local, &mut trace);
-    let initial_residual = pre.initial_residual;
-    let target = opts.eps * initial_residual;
-
-    let mut converged = false;
-    let mut status = SolveStatus::IterationLimit;
-    let mut final_residual = pre.final_residual;
-    let mut iterations = pre.iterations;
-
-    while iterations < opts.max_iters {
-        if tile.controls.should_stop() {
-            status = SolveStatus::Cancelled {
-                iteration: iterations,
-            };
-            break;
+        let spectrum = (ppcg.presteps, ppcg.eigen_safety);
+        let prelude = eigen_prelude(tile, u, b, precon, ws, opts, spectrum, self.hint, &label);
+        let (pre, est) = match prelude {
+            Ok(prelude) => prelude,
+            Err(end) => return *end,
+        };
+        let smoothing = Smoothing::new(est, ppcg.inner_steps, h);
+        let entry = Entry::Carried(pre);
+        if let Some(low) = &mut self.low {
+            let (mut k, _) = ws.krylov(tile.op, u, b);
+            let mut step = Lowered(low, Inner::Chebyshev(&smoothing));
+            return pcg_loop(tile, &mut k, &mut step, entry, opts).0;
         }
-        iterations += 1;
-        trace.outer_iterations += 1;
-        tile.controls.poke(iterations, u, &mut ws.r);
-
-        tile.exchange(&mut [&mut ws.p], 1, &mut trace);
-        let pw_local = tile.op.apply_fused_dot(&ws.p, &mut ws.w, &mut trace);
-        let pw = tile.reduce_sum(pw_local, &mut trace);
-        if !pw.is_finite() || pw <= 0.0 {
-            status = SolveStatus::Diverged {
-                iteration: iterations,
-            };
-            final_residual = f64::NAN;
-            break;
-        }
-        let alpha = rro / pw;
-
-        vector::axpy(u, alpha, &ws.p, bounds, 0, &mut trace);
-        vector::axpy(&mut ws.r, -alpha, &ws.w, bounds, 0, &mut trace);
-
-        cheb_inner(tile, precon, ws, &consts, &cheb, h, &mut trace);
-        trace.inner_iterations += m as u64;
-
-        let rz_local = vector::dot_local(&ws.r, &ws.z, bounds, &mut trace);
-        let rrn = tile.reduce_sum(rz_local, &mut trace);
-        if !rrn.is_finite() {
-            status = SolveStatus::Diverged {
-                iteration: iterations,
-            };
-            final_residual = f64::NAN;
-            break;
-        }
-        final_residual = rrn.max(0.0).sqrt();
-        if final_residual <= target {
-            converged = true;
-            status = SolveStatus::Converged;
-            break;
-        }
-        let beta = rrn / rro;
-        vector::xpay(&mut ws.p, &ws.z, beta, bounds, 0, &mut trace);
-        rro = rrn;
-    }
-
-    SolveResult {
-        converged,
-        iterations,
-        initial_residual,
-        final_residual,
-        status,
-        trace,
+        let (mut k, scratch) = ws.krylov(tile.op, u, b);
+        let mut step = Smoothed {
+            precon,
+            smoothing: &smoothing,
+            scratch,
+        };
+        pcg_loop(tile, &mut k, &mut step, entry, opts).0
     }
 }
 
-/// The inner m-step Chebyshev solve of `A z ≈ r` from `z = 0`, with the
-/// matrix-powers deep-halo schedule.
-///
-/// Uses `ws.r` as the outer residual (read only), and `ws.z` (result
-/// accumulator), `ws.rr` (inner residual) and `ws.sd` as scratch
-/// (`ws.tmp` only on the unfused block-Jacobi fallback — the fused
-/// sweeps never materialize `A·sd`, so `ws.w` is untouched here).
-fn cheb_inner<C: Communicator + ?Sized>(
+/// One preconditioner application's worth of Chebyshev smoothing.
+#[derive(Debug, Clone)]
+pub(crate) struct Smoothing {
+    /// Spectrum midpoint `θ` (the first direction is `M⁻¹r / θ`).
+    pub theta: f64,
+    /// The `(α_k, β_k)` of each step: `sd ← α_k·sd + β_k·M⁻¹rr`.
+    pub cheb: Vec<(f64, f64)>,
+    /// Matrix-powers halo depth `h ≥ 1`.
+    pub depth: usize,
+}
+
+impl Smoothing {
+    /// `steps` steps at depth `depth` for the spectrum estimate `est`.
+    pub(crate) fn new(est: EigenEstimate, steps: usize, depth: usize) -> Self {
+        let consts = ChebyConstants::from_estimate(est);
+        Smoothing {
+            theta: consts.theta,
+            cheb: consts.coefficients(steps),
+            depth,
+        }
+    }
+}
+
+/// The fields of one smoothing in precision `S`: `rr` enters holding the
+/// outer residual and is consumed as the inner residual, `z` leaves
+/// holding the result; `sd` and `tmp` are scratch (`tmp` only on the
+/// unfused block-Jacobi fallback).
+pub(crate) struct Smooth<'a, S: Probed> {
+    pub z: &'a mut Field2<S>,
+    pub rr: &'a mut Field2<S>,
+    pub sd: &'a mut Field2<S>,
+    pub tmp: &'a mut Field2<S>,
+}
+
+/// `ppcg`'s `z = M⁻¹r`: [`cheb_inner`] on the workspace's own fields.
+struct Smoothed<'a> {
+    precon: &'a Preconditioner,
+    smoothing: &'a Smoothing,
+    /// `rr`, `sd`, `tmp`.
+    scratch: [&'a mut Field2D; 3],
+}
+
+impl Precondition<f64> for Smoothed<'_> {
+    fn apply<C: Communicator + ?Sized>(
+        &mut self,
+        tile: &Tile<'_, C>,
+        k: &mut Krylov<'_, f64>,
+        trace: &mut SolveTrace,
+    ) {
+        let [rr, sd, tmp] = &mut self.scratch;
+        vector::copy(rr, k.r, &k.op.bounds, 0, trace);
+        let mut f = Smooth {
+            z: k.z,
+            rr,
+            sd,
+            tmp,
+        };
+        cheb_inner(tile, k.op, self.precon, &mut f, self.smoothing, trace);
+        trace.inner_iterations += self.smoothing.cheb.len() as u64;
+    }
+}
+
+/// The inner m-step Chebyshev solve of `A z ≈ rr` from `z = 0` in
+/// precision `S`, with the matrix-powers deep-halo schedule. Each step
+/// is two fused sweeps: stencil + `z`/`rr` updates in one pass (`A·sd`
+/// is never stored), then the preconditioned `sd` recurrence in a second
+/// — except block-Jacobi, whose strip solves fall back to the unfused
+/// recurrence through `tmp`.
+pub(crate) fn cheb_inner<S: Probed, C: Communicator + ?Sized>(
     tile: &Tile<'_, C>,
-    precon: &Preconditioner,
-    ws: &mut Workspace,
-    consts: &ChebyConstants,
-    cheb: &[(f64, f64)],
-    h: usize,
+    op: &TileOperator<S>,
+    precon: &Preconditioner<S>,
+    f: &mut Smooth<'_, S>,
+    smoothing: &Smoothing,
     trace: &mut SolveTrace,
 ) {
-    let bounds = &tile.op.bounds;
-    let m = cheb.len();
-    vector::zero(&mut ws.z, bounds, h, trace);
-    vector::copy(&mut ws.rr, &ws.r, bounds, 0, trace);
+    let bounds = &op.bounds;
+    let (h, m) = (smoothing.depth, smoothing.cheb.len());
+    let inv_theta = S::from_f64(1.0 / smoothing.theta);
+    let step = |f: &mut Smooth<'_, S>, (a_k, b_k): (f64, f64), e, trace: &mut SolveTrace| {
+        let (a_k, b_k) = (S::from_f64(a_k), S::from_f64(b_k));
+        op.apply_cheb_fused(f.sd, f.z, f.rr, e, trace);
+        if !precon.fused_recurrence(f.sd, f.rr, a_k, b_k, bounds, e, trace) {
+            precon.apply(f.rr, f.tmp, bounds, e, trace);
+            vector::scale_add(f.sd, a_k, b_k, f.tmp, bounds, e, trace);
+        }
+    };
+    vector::zero(f.z, bounds, h, trace);
 
     if h == 1 {
         // Classic depth-1 schedule: interior-only updates, one exchange
-        // per inner step, block-Jacobi allowed. Each step is two fused
-        // sweeps: stencil + z/rr updates in one pass (w never stored),
-        // then the preconditioned sd recurrence in a second — except
-        // block-Jacobi, whose strip solves fall back to the unfused
-        // recurrence.
-        precon.apply(&ws.rr, &mut ws.tmp, bounds, 0, trace);
-        vector::scaled_copy(&mut ws.sd, &ws.tmp, 1.0 / consts.theta, bounds, 0, trace);
-        for &(a_k, b_k) in cheb {
-            tile.exchange(&mut [&mut ws.sd], 1, trace);
-            tile.op
-                .apply_cheb_fused(&ws.sd, &mut ws.z, &mut ws.rr, 0, trace);
-            if !precon.fused_recurrence(&mut ws.sd, &ws.rr, a_k, b_k, bounds, 0, trace) {
-                precon.apply(&ws.rr, &mut ws.tmp, bounds, 0, trace);
-                vector::scale_add(&mut ws.sd, a_k, b_k, &ws.tmp, bounds, 0, trace);
-            }
+        // per inner step, block-Jacobi allowed.
+        precon.apply(f.rr, f.tmp, bounds, 0, trace);
+        vector::scaled_copy(f.sd, f.tmp, inv_theta, bounds, 0, trace);
+        for &coeffs in &smoothing.cheb {
+            tile.exchange(&mut [&mut *f.sd], 1, trace);
+            step(f, coeffs, 0, trace);
         }
         return;
     }
@@ -340,73 +354,27 @@ fn cheb_inner<C: Communicator + ?Sized>(
     // Matrix-powers schedule: one depth-h exchange buys h sweeps over
     // shrinking bounds (paper Fig. 2), each depth level fused exactly
     // like the depth-1 step (block-Jacobi never reaches this branch).
-    tile.exchange(&mut [&mut ws.rr], h, trace);
+    tile.exchange(&mut [&mut *f.rr], h, trace);
     let mut avail = h; // sd/rr validity extension after the exchange
-    apply_precon_ext(precon, &ws.rr, &mut ws.tmp, bounds, avail, trace);
-    vector::scaled_copy(
-        &mut ws.sd,
-        &ws.tmp,
-        1.0 / consts.theta,
-        bounds,
-        avail,
-        trace,
-    );
-
-    for (step, &(a_k, b_k)) in cheb.iter().enumerate() {
+    precon.apply(f.rr, f.tmp, bounds, avail, trace);
+    vector::scaled_copy(f.sd, f.tmp, inv_theta, bounds, avail, trace);
+    for (i, &coeffs) in smoothing.cheb.iter().enumerate() {
         if avail == 0 {
-            tile.exchange(&mut [&mut ws.sd, &mut ws.rr], h, trace);
+            tile.exchange(&mut [&mut *f.sd, &mut *f.rr], h, trace);
             avail = h;
         }
         // never sweep wider than the remaining steps can use
-        let e = (avail - 1).min(m - 1 - step);
-        tile.op
-            .apply_cheb_fused(&ws.sd, &mut ws.z, &mut ws.rr, e, trace);
-        if !precon.fused_recurrence(&mut ws.sd, &ws.rr, a_k, b_k, bounds, e, trace) {
-            apply_precon_ext(precon, &ws.rr, &mut ws.tmp, bounds, e, trace);
-            vector::scale_add(&mut ws.sd, a_k, b_k, &ws.tmp, bounds, e, trace);
-        }
+        let e = (avail - 1).min(m - 1 - i);
+        step(f, coeffs, e, trace);
         avail = e;
     }
-}
-
-fn apply_precon_ext(
-    precon: &Preconditioner,
-    r: &Field2D,
-    out: &mut Field2D,
-    bounds: &crate::ops::TileBounds,
-    ext: usize,
-    trace: &mut SolveTrace,
-) {
-    debug_assert!(precon.supports_extension() || ext == 0);
-    precon.apply(r, out, bounds, ext, trace);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cg::cg_solve_impl;
-    use crate::ops::{TileBounds, TileOperator};
+    use crate::builder::{crooked_pipe_system, Solve};
     use crate::precon::PreconKind;
-    use tea_comms::{HaloLayout, SerialComm};
-    use tea_mesh::{crooked_pipe, timestep_scalings, Coefficients, Decomposition2D, Mesh2D};
-
-    fn serial_problem(n: usize, halo: usize) -> (TileOperator, Field2D) {
-        let p = crooked_pipe(n);
-        let mesh = Mesh2D::serial(n, n, p.extent);
-        let mut density = Field2D::new(n, n, halo);
-        let mut energy = Field2D::new(n, n, halo);
-        p.apply_states(&mesh, &mut density, &mut energy);
-        let (rx, ry) = timestep_scalings(&mesh, 0.04);
-        let coeffs = Coefficients::assemble(&mesh, &density, p.coefficient, rx, ry, halo);
-        let op = TileOperator::new(coeffs, TileBounds::serial(n, n));
-        let mut b = Field2D::new(n, n, halo);
-        for k in 0..n as isize {
-            for j in 0..n as isize {
-                b.set(j, k, density.at(j, k) * energy.at(j, k));
-            }
-        }
-        (op, b)
-    }
 
     fn residual_norm(op: &TileOperator, u: &Field2D, b: &Field2D) -> f64 {
         let mut t = SolveTrace::new("check");
@@ -421,24 +389,17 @@ mod tests {
         kind: PreconKind,
         ppcg_opts: PpcgOpts,
     ) -> (SolveResult, Field2D, TileOperator, Field2D) {
-        let (op, b) = serial_problem(n, halo);
-        let comm = SerialComm::new();
-        let d = Decomposition2D::with_grid(n, n, 1, 1);
-        let layout = HaloLayout::new(&d, 0);
-        let tile = Tile::new(&op, &layout, &comm);
-        let mut ws = Workspace::new(n, n, halo);
+        let (op, b) = crooked_pipe_system(n, 0.04, halo);
         let mut u = b.clone();
-        let m = Preconditioner::setup(kind, &op, ppcg_opts.halo_depth);
-        let res = ppcg_solve_impl(
-            &tile,
-            &mut u,
-            &b,
-            &m,
-            &mut ws,
-            SolveOpts::with_eps(1e-9),
-            ppcg_opts,
-            None,
-        );
+        let res = Solve::on(&op)
+            .with_solver("ppcg")
+            .precon(kind)
+            .halo_depth(ppcg_opts.halo_depth)
+            .inner_steps(ppcg_opts.inner_steps)
+            .presteps(ppcg_opts.presteps)
+            .eps(1e-9)
+            .run(&mut u, &b)
+            .expect("ppcg is registered");
         (res, u, op, b)
     }
 
@@ -511,16 +472,9 @@ mod tests {
     #[test]
     fn ppcg_slashes_reductions_versus_cg() {
         let n = 32;
-        let (op, b) = serial_problem(n, 1);
-        let comm = SerialComm::new();
-        let d = Decomposition2D::with_grid(n, n, 1, 1);
-        let layout = HaloLayout::new(&d, 0);
-        let tile = Tile::new(&op, &layout, &comm);
-        let m = Preconditioner::setup(PreconKind::None, &op, 0);
-
-        let mut ws = Workspace::new(n, n, 1);
+        let (op, b) = crooked_pipe_system(n, 0.04, 1);
         let mut u1 = b.clone();
-        let cg = cg_solve_impl(&tile, &mut u1, &b, &m, &mut ws, SolveOpts::with_eps(1e-9));
+        let cg = Solve::on(&op).eps(1e-9).run(&mut u1, &b).unwrap();
 
         let (pp, u2, ..) = solve_with(n, 1, PreconKind::None, PpcgOpts::default());
         assert!(cg.converged && pp.converged);

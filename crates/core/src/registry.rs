@@ -12,7 +12,6 @@ use crate::cg::Cg;
 use crate::cg_fused::CgFused;
 use crate::chebyshev::Chebyshev;
 use crate::jacobi::Jacobi;
-use crate::mixed::{CgF32, MixedCg, MixedChebyshev, MixedPpcg, MixedRichardson};
 use crate::ppcg::Ppcg;
 use crate::richardson::Richardson;
 
@@ -149,7 +148,7 @@ impl SolverRegistry {
                 precision: Precision::Mixed,
                 tunable: true,
             },
-            |p| Box::new(MixedCg::from_params(p)),
+            |p| Box::new(Cg::from_params(p).mixed()),
         );
         reg.register(
             SolverMeta {
@@ -163,7 +162,7 @@ impl SolverRegistry {
                 precision: Precision::Mixed,
                 tunable: true,
             },
-            |p| Box::new(MixedPpcg::from_params(p)),
+            |p| Box::new(Ppcg::from_params(p).mixed()),
         );
         reg.register(
             SolverMeta {
@@ -177,7 +176,7 @@ impl SolverRegistry {
                 precision: Precision::Mixed,
                 tunable: true,
             },
-            |p| Box::new(MixedChebyshev::from_params(p)),
+            |p| Box::new(Chebyshev::from_params(p).mixed()),
         );
         reg.register(
             SolverMeta {
@@ -191,7 +190,7 @@ impl SolverRegistry {
                 precision: Precision::Mixed,
                 tunable: true,
             },
-            |p| Box::new(MixedRichardson::from_params(p)),
+            |p| Box::new(Richardson::from_params(p).mixed()),
         );
         reg.register(
             SolverMeta {
@@ -205,7 +204,7 @@ impl SolverRegistry {
                 precision: Precision::F32,
                 tunable: true,
             },
-            |p| Box::new(CgF32::from_params(p)),
+            |p| Box::new(Cg::from_params(p).single()),
         );
         reg
     }

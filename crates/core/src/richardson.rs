@@ -13,25 +13,34 @@
 //! at the Chebyshev-optimal damping `ω* = 2/(λmin + λmax)`, where the
 //! error contracts per sweep by `(κ−1)/(κ+1)` with `κ = λmax/λmin`.
 //! The spectrum bounds come from the same short plain-CG + Lanczos
-//! prelude the Chebyshev and CPPCG solvers use (paper §III.D), so like
-//! them the iteration itself needs **no dot products** — one depth-1
-//! halo exchange and one stencil sweep per iteration, with a global
-//! reduction only at the periodic convergence check.
+//! prelude the Chebyshev and CPPCG solvers use (paper §III.D,
+//! `eigen_prelude`), so like them the iteration itself — one step
+//! closure handed to the shared `stationary_loop` — needs **no dot
+//! products**: one depth-1 halo exchange and one stencil sweep per
+//! iteration, with a global reduction only at the periodic convergence
+//! check. `mixed_richardson` ([`Richardson::mixed`]) runs the damped
+//! sweeps as `check_interval`-sweep `f32` blocks (`rich_inner`) under
+//! `f64` residual control (`refine`).
 //!
 //! In the design space it sits between Jacobi (ω = 1, M = diag A) and
 //! Chebyshev (which replaces the fixed ω by the optimal polynomial):
 //! the communication profile of Chebyshev with the convergence rate of
 //! a stationary method.
 
-use crate::api::{IterativeSolver, SolveContext, SolverParams};
-use crate::cg::cg_solve_recording;
-use crate::eigen::{estimate_from_cg, EigenEstimate};
+use crate::api::{DynTile, IterativeSolver, SolveContext, SolverParams};
+use crate::cg::eigen_prelude;
+use crate::control::Probed;
+use crate::eigen::EigenEstimate;
+use crate::mixed::{refine, Inner, Low};
+use crate::ops::TileOperator;
+use crate::ppcg::Smooth;
 use crate::precon::{PreconKind, Preconditioner};
+use crate::recurrence::stationary_loop;
 use crate::solver::{SolveOpts, Tile, Workspace};
-use crate::trace::{SolveResult, SolveStatus, SolveTrace};
+use crate::trace::{SolveResult, SolveTrace};
 use crate::vector;
 use tea_comms::Communicator;
-use tea_mesh::Field2D;
+use tea_mesh::{Field2, Field2D};
 
 /// Options for the Richardson solver.
 #[derive(Debug, Clone, Copy)]
@@ -56,14 +65,28 @@ impl Default for RichardsonOpts {
     }
 }
 
+impl From<&SolverParams> for RichardsonOpts {
+    /// Consumes `presteps`, `eigen_safety` and `check_interval`.
+    fn from(params: &SolverParams) -> Self {
+        RichardsonOpts {
+            presteps: params.presteps,
+            eigen_safety: params.eigen_safety,
+            check_interval: params.check_interval,
+        }
+    }
+}
+
 /// Preconditioned Richardson iteration as an
-/// [`IterativeSolver`] (see the module docs).
+/// [`IterativeSolver`] (see the module docs). [`Richardson::mixed`]
+/// moves the damped sweeps to `f32`.
 #[derive(Debug, Clone, Default)]
 pub struct Richardson {
     kind: PreconKind,
     rich: RichardsonOpts,
     opts: SolveOpts,
+    mixed: bool,
     precon: Option<Preconditioner>,
+    low: Option<Low<f32>>,
     hint: Option<EigenEstimate>,
     last_est: Option<EigenEstimate>,
 }
@@ -75,47 +98,48 @@ impl Richardson {
         Richardson {
             kind,
             rich,
-            opts: SolveOpts::default(),
-            precon: None,
-            hint: None,
-            last_est: None,
+            ..Default::default()
         }
     }
 
-    /// Registry factory: consumes `precon`, `presteps`, `eigen_safety`
-    /// and `check_interval`.
-    pub fn from_params(params: &SolverParams) -> Self {
-        Richardson::new(
-            params.precon,
-            RichardsonOpts {
-                presteps: params.presteps,
-                eigen_safety: params.eigen_safety,
-                check_interval: params.check_interval,
-            },
-        )
+    /// The `"mixed_richardson"` registry entry: `check_interval` damped
+    /// sweeps run in `f32` against the demoted residual; the promoted
+    /// correction and the convergence test stay in `f64`.
+    pub fn mixed(mut self) -> Self {
+        self.mixed = true;
+        self
     }
-}
 
-impl Richardson {
-    /// The one place the preconditioner is assembled for this solver
+    /// Registry factory: consumes `precon` and the [`RichardsonOpts`]
+    /// fields.
+    pub fn from_params(params: &SolverParams) -> Self {
+        Richardson::new(params.precon, params.into())
+    }
+
+    /// The one place the preconditioners are assembled for this solver
     /// (used by both `prepare` and the prepare-on-demand path).
-    fn assemble_precon(&self, ctx: &SolveContext<'_>) -> Preconditioner {
-        Preconditioner::setup(self.kind, ctx.tile.op, 0)
+    fn assemble(&mut self, ctx: &SolveContext<'_>) {
+        self.precon = Some(Preconditioner::setup(self.kind, ctx.tile.op, 0));
+        self.low = self.mixed.then(|| Low::assemble(self.kind, ctx.tile.op, 0));
     }
 }
 
 impl IterativeSolver for Richardson {
     fn name(&self) -> &'static str {
-        "richardson"
+        if self.mixed {
+            "mixed_richardson"
+        } else {
+            "richardson"
+        }
     }
 
     fn label(&self) -> String {
-        "Richardson".into()
+        format!("Richardson{}", if self.mixed { "-mixed" } else { "" })
     }
 
     fn prepare(&mut self, ctx: &SolveContext<'_>, opts: &SolveOpts) {
         self.opts = *opts;
-        self.precon = Some(self.assemble_precon(ctx));
+        self.assemble(ctx);
     }
 
     fn solve(
@@ -127,14 +151,10 @@ impl IterativeSolver for Richardson {
         trace: &mut SolveTrace,
     ) -> SolveResult {
         if self.precon.is_none() {
-            self.precon = Some(self.assemble_precon(ctx));
+            self.assemble(ctx);
         }
-        let precon = self.precon.as_ref().expect("just prepared");
-        let result = richardson_solve(ctx.tile, u, b, precon, ws, self.opts, self.rich, self.hint);
-        self.last_est = result
-            .trace
-            .eigen_bounds
-            .map(|(min, max)| EigenEstimate { min, max });
+        let result = self.run(ctx.tile, u, b, ws);
+        self.last_est = result.trace.eigen_estimate();
         trace.merge(&result.trace);
         result
     }
@@ -148,133 +168,87 @@ impl IterativeSolver for Richardson {
     }
 }
 
-/// The solve engine (kept free-standing and generic like the other
-/// engines so unit tests can drive it directly; the public way in is
-/// the [`Richardson`] struct).
+impl Richardson {
+    /// CG presteps for the spectrum of `M⁻¹A` (keeping the partial
+    /// solution), then the damped stationary iteration from the
+    /// CG-advanced iterate — in `f64`, or as `f32` refinement blocks
+    /// when the solver is `mixed`.
+    fn run(
+        &mut self,
+        tile: &DynTile<'_>,
+        u: &mut Field2D,
+        b: &Field2D,
+        ws: &mut Workspace,
+    ) -> SolveResult {
+        let (opts, rich, label) = (self.opts, self.rich, self.label());
+        let precon = self.precon.as_ref().expect("assembled by solve");
+        let bounds = &tile.op.bounds;
+        let spectrum = (rich.presteps, rich.eigen_safety);
+        let prelude = eigen_prelude(tile, u, b, precon, ws, opts, spectrum, self.hint, &label);
+        let (mut pre, est) = match prelude {
+            Ok(prelude) => prelude,
+            Err(end) => return *end,
+        };
+        let omega = 2.0 / (est.min + est.max);
+        if let Some(low) = &mut self.low {
+            let steps = rich.check_interval.max(1) as usize;
+            let inner = Inner::Richardson { omega, steps };
+            return refine(tile, u, b, ws, pre, opts, low, inner);
+        }
+
+        tile.exchange(&mut [u], 1, &mut pre.trace);
+        tile.op.residual(u, b, &mut ws.r, 0, &mut pre.trace);
+        precon.apply(&ws.r, &mut ws.z, bounds, 0, &mut pre.trace);
+        let check = Some(rich.check_interval);
+        stationary_loop(tile, u, &mut ws.r, pre, opts, check, |u, r, trace| {
+            // u += ω z ; refresh r = b - A u and z = M⁻¹ r
+            vector::axpy(u, omega, &ws.z, bounds, 0, trace);
+            tile.exchange(&mut [u], 1, trace);
+            tile.op.residual(u, b, r, 0, trace);
+            precon.apply(r, &mut ws.z, bounds, 0, trace);
+        })
+    }
+}
+
+/// `steps` damped Richardson sweeps on `A z ≈ rr` from `z = 0` in
+/// precision `S`: `z += ω M⁻¹ r̃` with the inner residual `r̃ = rr`
+/// maintained incrementally (`r̃ −= A·(ω M⁻¹ r̃)`) — the depth-1 schedule
+/// of [`crate::ppcg::cheb_inner`] with the Chebyshev recurrence replaced
+/// by the fixed Chebyshev-optimal damping.
 #[allow(clippy::too_many_arguments)]
-fn richardson_solve<C: Communicator + ?Sized>(
+pub(crate) fn rich_inner<S: Probed, C: Communicator + ?Sized>(
     tile: &Tile<'_, C>,
-    u: &mut Field2D,
-    b: &Field2D,
-    precon: &Preconditioner,
-    ws: &mut Workspace,
-    opts: SolveOpts,
-    rich: RichardsonOpts,
-    hint: Option<EigenEstimate>,
-) -> SolveResult {
-    let bounds = &tile.op.bounds;
-
-    // Phase 1: CG presteps for the spectrum of M⁻¹A, keeping the
-    // partial solution (exactly the Chebyshev/CPPCG prelude).
-    let (pre, coeffs) = cg_solve_recording(tile, u, b, precon, ws, opts, rich.presteps.max(1));
-    if pre.converged || pre.status.is_diverged() || pre.status.is_cancelled() {
-        return pre;
-    }
-    let mut trace = pre.trace;
-    trace.solver = "Richardson".into();
-    // a pinned estimate (session replay of identical input) skips only
-    // the Lanczos analysis; the presteps above still advanced u
-    let est = hint.unwrap_or_else(|| {
-        let (al, be) = coeffs.for_lanczos();
-        estimate_from_cg(al, be, rich.eigen_safety)
-    });
-    trace.eigen_bounds = Some((est.min, est.max));
-    let omega = 2.0 / (est.min + est.max);
-
-    // Phase 2: damped stationary iteration from the CG-advanced iterate.
-    tile.exchange(&mut [u], 1, &mut trace);
-    tile.op.residual(u, b, &mut ws.r, 0, &mut trace);
-    precon.apply(&ws.r, &mut ws.z, bounds, 0, &mut trace);
-
-    let initial_residual = pre.initial_residual;
-    let target = opts.eps * initial_residual;
-    let check_interval = rich.check_interval.max(1); // 0 would divide by zero
-    let mut iterations = pre.iterations;
-    let mut converged = false;
-    let mut status = SolveStatus::IterationLimit;
-    let mut final_residual = pre.final_residual;
-
-    while iterations < opts.max_iters {
-        if tile.controls.should_stop() {
-            status = SolveStatus::Cancelled {
-                iteration: iterations,
-            };
-            break;
-        }
-        iterations += 1;
-        trace.outer_iterations += 1;
-        tile.controls.poke(iterations, u, &mut ws.r);
-
-        // u += ω z ; refresh r = b - A u and z = M⁻¹ r
-        vector::axpy(u, omega, &ws.z, bounds, 0, &mut trace);
-        tile.exchange(&mut [u], 1, &mut trace);
-        tile.op.residual(u, b, &mut ws.r, 0, &mut trace);
-        precon.apply(&ws.r, &mut ws.z, bounds, 0, &mut trace);
-
-        // periodic convergence check: the only global communication
-        let since_pre = iterations - pre.iterations;
-        if since_pre % check_interval == 0 {
-            let rr_local = vector::dot_local(&ws.r, &ws.r, bounds, &mut trace);
-            let rr = tile.reduce_sum(rr_local, &mut trace);
-            if !rr.is_finite() {
-                status = SolveStatus::Diverged {
-                    iteration: iterations,
-                };
-                final_residual = f64::NAN;
-                break;
-            }
-            final_residual = rr.max(0.0).sqrt();
-            if final_residual <= target {
-                converged = true;
-                status = SolveStatus::Converged;
-                break;
-            }
-        }
-    }
-    if !converged && !status.is_diverged() && !status.is_cancelled() {
-        let rr_local = vector::dot_local(&ws.r, &ws.r, bounds, &mut trace);
-        let rr = tile.reduce_sum(rr_local, &mut trace);
-        if !rr.is_finite() {
-            status = SolveStatus::Diverged {
-                iteration: iterations,
-            };
-            final_residual = f64::NAN;
-        } else {
-            final_residual = rr.max(0.0).sqrt();
-            converged = final_residual <= target;
-            if converged {
-                status = SolveStatus::Converged;
-            }
-        }
-    }
-
-    SolveResult {
-        converged,
-        iterations,
-        initial_residual,
-        final_residual,
-        status,
-        trace,
+    op: &TileOperator<S>,
+    precon: &Preconditioner<S>,
+    f: &mut Smooth<'_, S>,
+    w: &mut Field2<S>,
+    omega: f64,
+    steps: usize,
+    trace: &mut SolveTrace,
+) {
+    let bounds = &op.bounds;
+    vector::zero(f.z, bounds, 1, trace);
+    for _ in 0..steps {
+        precon.apply(f.rr, f.tmp, bounds, 0, trace);
+        vector::scaled_copy(f.sd, f.tmp, S::from_f64(omega), bounds, 0, trace);
+        tile.exchange(&mut [&mut *f.sd], 1, trace);
+        op.apply(f.sd, w, 0, trace);
+        vector::axpy(f.z, S::ONE, f.sd, bounds, 0, trace);
+        vector::axpy(f.rr, -S::ONE, w, bounds, 0, trace);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::DynTile;
-    use crate::builder::crooked_pipe_system;
-    use crate::ops::TileOperator;
+    use crate::builder::{crooked_pipe_system, Solve};
     use tea_comms::{HaloLayout, SerialComm};
     use tea_mesh::Decomposition2D;
-
-    fn serial_problem(n: usize) -> (TileOperator, Field2D) {
-        crooked_pipe_system(n, 0.04, 1)
-    }
 
     #[test]
     fn richardson_converges_on_crooked_pipe() {
         let n = 24;
-        let (op, b) = serial_problem(n);
+        let (op, b) = crooked_pipe_system(n, 0.04, 1);
         let comm = SerialComm::new();
         let d = Decomposition2D::with_grid(n, n, 1, 1);
         let layout = HaloLayout::new(&d, 0);
@@ -311,34 +285,20 @@ mod tests {
     fn richardson_is_reduction_avoiding() {
         // between checks the iteration must not communicate: reductions
         // grow by ~1 per check_interval iterations, not per iteration
-        let n = 24;
-        let (op, b) = serial_problem(n);
-        let comm = SerialComm::new();
-        let d = Decomposition2D::with_grid(n, n, 1, 1);
-        let layout = HaloLayout::new(&d, 0);
-        let tile: DynTile<'_> = Tile::new(&op, &layout, comm.as_dyn());
-        let ctx = SolveContext::new(&tile);
-        let mut ws = Workspace::new(n, n, 1);
-        let mut u = b.clone();
-        let rich = RichardsonOpts {
-            presteps: 8,
-            ..Default::default()
-        };
-        let mut solver = Richardson::new(PreconKind::Diagonal, rich);
-        solver.prepare(
-            &ctx,
-            &SolveOpts {
-                eps: 1e-8,
-                max_iters: 100_000,
-            },
-        );
-        let mut acc = SolveTrace::new("run");
-        let res = solver.solve(&ctx, &mut u, &b, &mut ws, &mut acc);
+        let (op, b) = crooked_pipe_system(24, 0.04, 1);
+        let (presteps, check_interval) = (8, RichardsonOpts::default().check_interval);
+        let res = Solve::on(&op)
+            .with_solver("richardson")
+            .precon(PreconKind::Diagonal)
+            .presteps(presteps)
+            .eps(1e-8)
+            .max_iters(100_000)
+            .run(&mut b.clone(), &b)
+            .expect("richardson is registered");
         assert!(res.converged);
-        let post = res.trace.outer_iterations - solver.rich.presteps;
+        let post = res.trace.outer_iterations - presteps;
         // presteps cost 2 reductions each (CG); afterwards ~1 per 10 its
-        let cheby_like_budget =
-            1 + 2 * solver.rich.presteps + post / solver.rich.check_interval + 2;
+        let cheby_like_budget = 1 + 2 * presteps + post / check_interval + 2;
         assert!(
             res.trace.reductions <= cheby_like_budget,
             "reductions {} exceed the reduction-avoiding budget {}",
@@ -349,19 +309,11 @@ mod tests {
 
     #[test]
     fn zero_rhs_immediate() {
-        let n = 8;
-        let (op, _b) = serial_problem(n);
-        let comm = SerialComm::new();
-        let d = Decomposition2D::with_grid(n, n, 1, 1);
-        let layout = HaloLayout::new(&d, 0);
-        let tile: DynTile<'_> = Tile::new(&op, &layout, comm.as_dyn());
-        let ctx = SolveContext::new(&tile);
-        let mut ws = Workspace::new(n, n, 1);
-        let zero = Field2D::new(n, n, 1);
-        let mut u = Field2D::new(n, n, 1);
-        let mut solver = Richardson::new(PreconKind::None, RichardsonOpts::default());
-        let mut acc = SolveTrace::new("run");
-        let res = solver.solve(&ctx, &mut u, &zero, &mut ws, &mut acc);
+        let (op, _b) = crooked_pipe_system(8, 0.04, 1);
+        let zero = Field2D::new(8, 8, 1);
+        let mut u = Field2D::new(8, 8, 1);
+        let res = Solve::on(&op).with_solver("richardson").run(&mut u, &zero);
+        let res = res.expect("richardson is registered");
         assert!(res.converged);
         assert_eq!(res.iterations, 0);
     }

@@ -13,8 +13,11 @@
 //! that makes deep halos stop paying off on CPUs around depth 8 (paper
 //! §VI).
 
+use crate::control::{Probed, SolveControls};
+use crate::eigen::EigenEstimate;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use tea_mesh::Field2;
 
 /// Sweep counts bucketed by extension outside the interior (0 = interior
 /// sweep).
@@ -109,6 +112,12 @@ impl SolveTrace {
     pub fn record_reduction(&mut self, elements: usize) {
         self.reductions += 1;
         self.reduction_elements += elements as u64;
+    }
+
+    /// The eigenvalue estimate the solve used, if it computed one.
+    pub fn eigen_estimate(&self) -> Option<EigenEstimate> {
+        self.eigen_bounds
+            .map(|(min, max)| EigenEstimate { min, max })
     }
 
     /// Total halo exchange operations (any depth).
@@ -275,31 +284,87 @@ pub struct SolveResult {
 }
 
 impl SolveResult {
-    /// The initial residual norm `√rz0` of a solve about to iterate — or,
-    /// as `Err`, how the solve ends before its first iteration: a
-    /// non-finite `rz0` is [`SolveStatus::Diverged`] at iteration 0
-    /// (checked before the NaN-swallowing `max(0.0)`, so a poisoned
-    /// reduction cannot read as convergence) and an exactly zero one is
-    /// instant convergence. The ending carries a copy of `trace`.
-    pub(crate) fn start(rz0: f64, trace: &SolveTrace) -> Result<f64, Box<SolveResult>> {
-        let initial_residual = rz0.max(0.0).sqrt();
-        if rz0.is_finite() && initial_residual > 0.0 {
-            return Ok(initial_residual);
-        }
-        let converged = rz0.is_finite();
-        let residual = if converged { 0.0 } else { f64::NAN };
-        Err(Box::new(SolveResult {
-            converged,
+    /// A solve about to iterate from the reduced `rz0 = r·z` (or `r·r`):
+    /// `Ok` carries the in-progress result (zero iterations, both
+    /// residuals `√rz0`, status still [`SolveStatus::IterationLimit`])
+    /// the shared loops advance in place. `Err` is how the solve ends
+    /// before its first iteration: an exactly zero `rz0` is instant
+    /// convergence; a non-finite or negative one — a poisoned reduction,
+    /// an indefinite preconditioner — is [`SolveStatus::Diverged`] at
+    /// iteration 0, checked before the NaN-swallowing `max(0.0)` so it
+    /// cannot read as convergence.
+    pub(crate) fn start(rz0: f64, trace: SolveTrace) -> Result<SolveResult, Box<SolveResult>> {
+        let norm = rz0.max(0.0).sqrt();
+        let mut run = SolveResult {
+            converged: false,
             iterations: 0,
-            initial_residual: residual,
-            final_residual: residual,
-            status: if converged {
-                SolveStatus::Converged
-            } else {
-                SolveStatus::Diverged { iteration: 0 }
-            },
-            trace: trace.clone(),
-        }))
+            initial_residual: norm,
+            final_residual: norm,
+            status: SolveStatus::IterationLimit,
+            trace,
+        };
+        if rz0.is_finite() && rz0 > 0.0 {
+            return Ok(run);
+        }
+        if rz0 == 0.0 {
+            run.converge();
+        } else {
+            run.diverge();
+            run.initial_residual = f64::NAN;
+        }
+        Err(Box::new(run))
+    }
+
+    /// Opens the next outer iteration: counts it and shows the iterate
+    /// and residual to the probe — or, if the stop handle fired, ends
+    /// the solve [`SolveStatus::Cancelled`] and returns `false`.
+    pub(crate) fn begin<S: Probed>(
+        &mut self,
+        controls: &SolveControls<'_>,
+        u: &mut Field2<S>,
+        r: &mut Field2<S>,
+    ) -> bool {
+        if controls.should_stop() {
+            self.status = SolveStatus::Cancelled {
+                iteration: self.iterations,
+            };
+            return false;
+        }
+        self.iterations += 1;
+        self.trace.outer_iterations += 1;
+        controls.poke(self.iterations, u, r);
+        true
+    }
+
+    /// Ends the solve [`SolveStatus::Converged`].
+    pub(crate) fn converge(&mut self) {
+        (self.converged, self.status) = (true, SolveStatus::Converged);
+    }
+
+    /// Ends the solve [`SolveStatus::Diverged`] at the current
+    /// iteration. The one ending convention: every diverged result
+    /// reports a NaN final residual, whichever loop detected it.
+    pub(crate) fn diverge(&mut self) {
+        self.status = SolveStatus::Diverged {
+            iteration: self.iterations,
+        };
+        self.final_residual = f64::NAN;
+    }
+
+    /// Folds a freshly reduced squared residual norm in and returns
+    /// whether the solve is over: non-finite is divergence (checked
+    /// before the NaN-swallowing `max(0.0)`), `√rr ≤ target` is
+    /// convergence.
+    pub(crate) fn observe(&mut self, rr: f64, target: f64) -> bool {
+        if !rr.is_finite() {
+            self.diverge();
+            return true;
+        }
+        self.final_residual = rr.max(0.0).sqrt();
+        if self.final_residual <= target {
+            self.converge();
+        }
+        self.converged
     }
 
     /// Relative residual reduction achieved.

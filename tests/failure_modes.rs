@@ -1,36 +1,111 @@
 //! Failure injection: the library must fail loudly and informatively,
 //! not silently produce wrong physics.
 
-use tealeaf::app::{crooked_pipe_deck, parse_deck, run_serial};
+use tealeaf::app::{crooked_pipe_deck, parse_deck, run_serial, solver_registry};
 use tealeaf::comms::{Communicator, HaloLayout, SerialComm};
 use tealeaf::mesh::{
-    crooked_pipe, timestep_scalings, Coefficients, Decomposition2D, Field2D, Mesh2D,
+    crooked_pipe, timestep_scalings, Coefficients, Decomposition2D, Field2D, Field2F, Mesh2D,
 };
 use tealeaf::solvers::{
-    PreconKind, Preconditioner, Solve, SolveOpts, Tile, TileBounds, TileOperator, Workspace,
+    crooked_pipe_system, Assembly, DynTile, IterativeSolver, Ppcg, PpcgOpts, PreconKind,
+    Preconditioner, Solve, SolveContext, SolveControls, SolveOpts, SolveProbe, SolveResult,
+    SolveTrace, SolverParams, Tile, TileBounds, TileOperator, Workspace,
 };
 
-fn small_problem(n: usize) -> (TileOperator, Field2D) {
-    let p = crooked_pipe(n);
-    let mesh = Mesh2D::serial(n, n, p.extent);
-    let mut density = Field2D::new(n, n, 1);
-    let mut energy = Field2D::new(n, n, 1);
-    p.apply_states(&mesh, &mut density, &mut energy);
+/// One default-options solve of `solver` on the serial 32² crooked pipe
+/// under `controls`, with the assembly recipe the AMG baseline needs.
+fn solve_under(solver: &mut dyn IterativeSolver, controls: SolveControls<'_>) -> SolveResult {
+    let (n, halo) = (32, solver.halo_depth());
+    let (op, b) = crooked_pipe_system(n, 0.04, halo);
+    let problem = crooked_pipe(n);
+    let mesh = Mesh2D::serial(n, n, problem.extent);
+    let mut density = Field2D::new(n, n, halo);
+    problem.apply_states(&mesh, &mut density, &mut Field2D::new(n, n, halo));
     let (rx, ry) = timestep_scalings(&mesh, 0.04);
-    let coeffs = Coefficients::assemble(&mesh, &density, p.coefficient, rx, ry, 1);
-    let op = TileOperator::new(coeffs, TileBounds::serial(n, n));
-    let mut b = Field2D::new(n, n, 1);
-    for k in 0..n as isize {
-        for j in 0..n as isize {
-            b.set(j, k, density.at(j, k) * energy.at(j, k));
+    let assembly = Assembly {
+        density: &density,
+        coefficient: problem.coefficient,
+        rx,
+        ry,
+    };
+
+    let comm = SerialComm::new();
+    let layout = HaloLayout::new(&Decomposition2D::with_grid(n, n, 1, 1), 0);
+    let tile: DynTile<'_> = Tile::with_controls(&op, &layout, comm.as_dyn(), controls);
+    let ctx = SolveContext::with_assembly(&tile, assembly);
+    let mut ws = Workspace::new(n, n, halo);
+    let mut u = b.clone();
+    solver.prepare(&ctx, &SolveOpts::default());
+    solver.solve(&ctx, &mut u, &b, &mut ws, &mut SolveTrace::new("run"))
+}
+
+#[test]
+fn indefinite_chebyshev_preconditioner_ends_diverged_not_converged() {
+    // deck `tl_ch_cg_presteps=2`: two presteps give a Lanczos bound that
+    // undershoots λmax, the even-degree polynomial goes indefinite and
+    // `r·z < 0` — which `max(0.0).sqrt() <= target` used to call
+    // converged, in 3 iterations, at a true residual of 1.14·‖b‖
+    let mut ppcg = Ppcg::new(
+        PreconKind::None,
+        PpcgOpts {
+            inner_steps: 16,
+            halo_depth: 1,
+            presteps: 2,
+            eigen_safety: 0.1,
+        },
+    );
+    let res = solve_under(&mut ppcg, SolveControls::default());
+    assert!(!res.converged, "{res:?}");
+    assert!(res.status.is_diverged(), "{res:?}");
+}
+
+#[test]
+fn every_diverged_ending_reports_a_nan_final_residual() {
+    /// Poisons the centre of `u` and `r` from `iteration` on.
+    struct Poison(u64);
+    impl SolveProbe for Poison {
+        fn on_iteration(&self, iteration: u64, u: &mut Field2D, r: &mut Field2D) {
+            if iteration >= self.0 {
+                u.set(16, 16, f64::NAN);
+                r.set(16, 16, f64::NAN);
+            }
+        }
+        fn on_iteration_f32(&self, iteration: u64, u: &mut Field2F, r: &mut Field2F) {
+            if iteration >= self.0 {
+                u.set(16, 16, f32::NAN);
+                r.set(16, 16, f32::NAN);
+            }
         }
     }
-    (op, b)
+
+    // iteration 2 lands in every method's first loop (the CG prelude of
+    // the Chebyshev family), iteration 32 in the loop after the prelude
+    for poison_at in [2, 32] {
+        let probe = Poison(poison_at);
+        let controls = SolveControls {
+            stop: None,
+            probe: Some(&probe),
+        };
+        for meta in solver_registry().iter() {
+            let mut solver = solver_registry()
+                .create(meta.name, &SolverParams::default())
+                .expect("registered");
+            let res = solve_under(solver.as_mut(), controls);
+            let what = format!("{} poisoned at {poison_at}: {res:?}", meta.name);
+            if res.iterations >= poison_at && meta.name != "auto" {
+                assert!(res.status.is_diverged(), "{what}");
+            }
+            if res.status.is_diverged() {
+                assert!(res.final_residual.is_nan(), "{what}");
+                assert!(!res.converged, "{what}");
+            }
+        }
+    }
 }
 
 #[test]
 fn iteration_cap_reports_non_convergence() {
-    let (op, b) = small_problem(32);
+    let (op, b) = crooked_pipe_system(32, 0.04, 1);
     let comm = SerialComm::new();
     let d = Decomposition2D::with_grid(32, 32, 1, 1);
     let layout = HaloLayout::new(&d, 0);
@@ -137,7 +212,7 @@ fn decomposed_diagonal_precon_rejects_full_depth_extension() {
 #[test]
 #[should_panic(expected = "block-Jacobi cannot be combined with matrix powers")]
 fn ppcg_rejects_block_jacobi_with_deep_halos() {
-    let (op, b) = small_problem(32);
+    let (op, b) = crooked_pipe_system(32, 0.04, 1);
     let comm = SerialComm::new();
     let d = Decomposition2D::with_grid(32, 32, 1, 1);
     let layout = HaloLayout::new(&d, 0);
@@ -154,7 +229,7 @@ fn ppcg_rejects_block_jacobi_with_deep_halos() {
 #[test]
 #[should_panic(expected = "workspace halo")]
 fn ppcg_rejects_shallow_workspace() {
-    let (op, b) = small_problem(32);
+    let (op, b) = crooked_pipe_system(32, 0.04, 1);
     let comm = SerialComm::new();
     let d = Decomposition2D::with_grid(32, 32, 1, 1);
     let layout = HaloLayout::new(&d, 0);
@@ -172,7 +247,7 @@ fn eigen_estimation_handles_tiny_runs() {
     // one CG iteration gives a 1x1 Lanczos matrix; bounds must still be
     // finite and positive for an SPD operator
     use tealeaf::solvers::{cg_solve_recording, estimate_from_cg};
-    let (op, b) = small_problem(16);
+    let (op, b) = crooked_pipe_system(16, 0.04, 1);
     let comm = SerialComm::new();
     let d = Decomposition2D::with_grid(16, 16, 1, 1);
     let layout = HaloLayout::new(&d, 0);

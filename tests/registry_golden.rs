@@ -18,9 +18,9 @@ use tealeaf::app::{crooked_pipe_deck, run_serial, Control, Deck};
 use tealeaf::comms::{Communicator, HaloLayout, SerialComm};
 use tealeaf::mesh::{timestep_scalings, Coefficients, Decomposition2D, Field2D, Mesh2D};
 use tealeaf::solvers::{
-    crooked_pipe_system, Cg, CgFused, ChebyOpts, Chebyshev, DynTile, IterativeSolver, Jacobi,
-    MixedCg, Ppcg, PpcgOpts, PreconKind, Richardson, RichardsonOpts, SolveContext, SolveOpts,
-    SolveResult, SolveTrace, SolverParams, Tile, TileBounds, TileOperator, Workspace,
+    crooked_pipe_system, Cg, CgFused, ChebyOpts, Chebyshev, DynTile, IterativeSolver, Jacobi, Ppcg,
+    PpcgOpts, PreconKind, Richardson, RichardsonOpts, SolveContext, SolveOpts, SolveResult,
+    SolveTrace, SolverParams, Tile, TileBounds, TileOperator, Workspace,
 };
 
 fn field_bits(f: &Field2D) -> Vec<u64> {
@@ -56,7 +56,7 @@ fn direct_solver(name: &str, precon: PreconKind, depth: usize) -> Box<dyn Iterat
         "jacobi" => Box::new(Jacobi::new()),
         "cg" => Box::new(Cg::new(precon)),
         "cg_fused" => Box::new(CgFused::new(precon)),
-        "mixed_cg" => Box::new(MixedCg::new(precon)),
+        "mixed_cg" => Box::new(Cg::new(precon).mixed()),
         "chebyshev" => Box::new(Chebyshev::new(
             precon,
             ChebyOpts {
