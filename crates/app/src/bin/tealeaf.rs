@@ -70,6 +70,12 @@ SERVING (batched multi-solve mode):
                          faulted jobs recover via retry and the
                          precision ladder; for testing the queue's
                          fault tolerance
+
+EXIT STATUS:
+    0 on success; 1 on a usage, deck or solver error, on a failed
+    audit or --serve job, and when a time step of a single-deck run
+    ends without converging (iteration cap or divergence) — the run
+    summary then carries a 'warning' line naming the first such step
 ";
 
 /// Solver/stepping flags are `Option` so that, with `--deck`, only the
@@ -573,6 +579,19 @@ fn main() -> ExitCode {
     if let Some(warning) = tea_core::thread_warning() {
         println!("  warning          {warning}");
     }
+    let unconverged: Vec<u64> = output
+        .steps
+        .iter()
+        .filter(|s| !s.converged)
+        .map(|s| s.step)
+        .collect();
+    if let Some(first) = unconverged.first() {
+        println!(
+            "  warning          {} of {} steps did not converge (first: step {first})",
+            unconverged.len(),
+            output.steps.len()
+        );
+    }
     println!("  wall time        {elapsed:.3}s");
 
     if let Some(tune) = &output.tune {
@@ -591,5 +610,9 @@ fn main() -> ExitCode {
         }
         println!("wrote {} and {}", ppm.display(), csv.display());
     }
-    ExitCode::SUCCESS
+    if unconverged.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

@@ -8,9 +8,15 @@
 //! 4. `e = u/ρ` — fold the new temperature back into energy;
 //! 5. field summary (reduced diagnostics) at the reporting cadence.
 //!
-//! The same [`run_rank`] body executes serially ([`run_serial`]) or as
-//! one thread per rank ([`run_threaded_ranks`]); decomposed runs gather
-//! the final temperature field to rank 0 for output.
+//! One road runs through this file — resolve the solver, set the rank
+//! up, loop over the steps, finish — and an entry point chooses only
+//! *how a step is solved*, a closure handed to the loop. [`run_rank`]
+//! (serially via [`run_serial`], one thread per rank via
+//! [`run_threaded_ranks`]) reassembles the operator and re-prepares the
+//! solver every step, as the reference does; the serving road
+//! [`run_serial_session_with`] solves through a session checked out of
+//! a [`SetupCache`]. Decomposed runs gather the final temperature field
+//! to rank 0 for output.
 
 use crate::deck::Deck;
 use crate::summary::{field_summary, FieldSummary};
@@ -19,10 +25,10 @@ use tea_comms::{
     gather_to_root, run_threaded as comm_run, Communicator, HaloLayout, SerialComm, StatsSnapshot,
 };
 use tea_core::{
-    Assembly, DynTile, SessionSpec, SetupCache, SetupKey, SolveContext, SolveControls,
-    SolveSession, SolveStatus, SolveTrace, Tile, TileBounds, TileOperator, Workspace,
+    Assembly, DynTile, IterativeSolver, SessionSpec, SetupCache, SolveContext, SolveControls,
+    SolveResult, SolveStatus, SolveTrace, Tile, TileBounds, TileOperator, Workspace,
 };
-use tea_mesh::{timestep_scalings, Coefficients, Decomposition2D, Field2D, Mesh2D};
+use tea_mesh::{timestep_scalings, Coefficient, Coefficients, Decomposition2D, Field2D, Mesh2D};
 use tea_tune::TuneLog;
 
 /// Why a deck could not be driven. Until this type existed the driver
@@ -141,93 +147,141 @@ pub struct RankOutput {
     pub comm: StatsSnapshot,
 }
 
-/// Runs the deck on one rank of `decomp`.
-///
-/// The solver is resolved by name from [`crate::solver_registry`] and
-/// driven entirely through the [`tea_core::IterativeSolver`] trait —
-/// the driver
-/// contains no per-solver dispatch, so registering a new method makes
-/// it deck- and CLI-selectable without touching this file.
-///
-/// # Errors
-/// [`DriverError`] when the deck's problem fails validation, the solver
-/// name or precision does not resolve, the decomposition does not match
-/// the communicator, or a serial-only solver is run decomposed.
-pub fn run_rank<C: Communicator + ?Sized>(
-    deck: &Deck,
-    decomp: &Decomposition2D,
-    comm: &C,
-) -> Result<RankOutput, DriverError> {
-    let problem = &deck.problem;
-    let control = &deck.control;
-    problem.validate().map_err(DriverError::InvalidProblem)?;
-    if decomp.ranks() != comm.size() {
-        return Err(DriverError::DecompositionMismatch {
-            decomp: decomp.ranks(),
-            comm: comm.size(),
-        });
-    }
-
+/// Validates the deck's problem, resolves its solver by name in
+/// [`crate::solver_registry`] and constructs the run's one instance of
+/// it. Everything after this drives it through the
+/// [`tea_core::IterativeSolver`] trait — the driver contains no
+/// per-solver dispatch, so registering a new method makes it deck- and
+/// CLI-selectable without touching this file.
+fn resolve(deck: &Deck, ranks: usize) -> Result<Box<dyn IterativeSolver>, DriverError> {
+    deck.problem
+        .validate()
+        .map_err(DriverError::InvalidProblem)?;
     let registry = crate::solver_registry();
+    let solver_err = |e: tea_core::SolverError| DriverError::Solver(e.to_string());
     // tl_precision re-routes within the solver family (cg → mixed_cg /
     // cg_f32, ppcg → mixed_ppcg); at the default f64 this is the
     // identity on the deck's solver name
-    let solver_name = control.effective_solver().map_err(DriverError::Solver)?;
-    let meta = registry
-        .resolve(&solver_name)
-        .map_err(|e| DriverError::Solver(e.to_string()))?;
-    if meta.serial_only && comm.size() != 1 {
+    let name = deck
+        .control
+        .effective_solver()
+        .map_err(DriverError::Solver)?;
+    let meta = registry.resolve(&name).map_err(solver_err)?;
+    if meta.serial_only && ranks != 1 {
         return Err(DriverError::SerialOnly {
             solver: meta.name.to_string(),
-            ranks: comm.size(),
+            ranks,
         });
     }
-    let mut solver = registry
-        .create(&solver_name, &control.solver_params())
-        .map_err(|e| DriverError::Solver(e.to_string()))?;
+    registry
+        .create(&name, &deck.control.solver_params())
+        .map_err(solver_err)
+}
 
-    let mesh = Mesh2D::new(decomp, comm.rank(), problem.extent);
-    let layout = HaloLayout::new(decomp, comm.rank());
-    let halo = solver.halo_depth().max(1);
+/// One rank's share of the problem, fixed for the run: its mesh, the
+/// constant density, the operator recipe and the field halo depth.
+struct Rank {
+    mesh: Mesh2D,
+    density: Field2D,
+    coefficient: Coefficient,
+    rx: f64,
+    ry: f64,
+    halo: usize,
+}
+
+impl Rank {
+    /// Sets `rank` of `decomp` up for a solver of halo depth
+    /// `solver_halo` — the *solver's*, not the deck's matrix-powers
+    /// knob: `auto` reports its deepest candidate — and returns it with
+    /// the initial energy field.
+    fn setup(
+        deck: &Deck,
+        decomp: &Decomposition2D,
+        rank: usize,
+        solver_halo: usize,
+    ) -> (Rank, Field2D) {
+        let problem = &deck.problem;
+        let mesh = Mesh2D::new(decomp, rank, problem.extent);
+        let halo = solver_halo.max(1);
+        // State fields and face coefficients carry one ghost layer more than
+        // the solver's halo: the operator diagonal at matrix-powers extension
+        // `halo` reads `Kx(j+1)` / `Ky(k+1)`, so a Diagonal preconditioner on
+        // a decomposed tile needs coefficients assembled a layer deeper. The
+        // per-cell values are depth-independent, so solver results are
+        // unchanged; only the loud assert on deep-halo setups goes away.
+        let mut density = Field2D::new(mesh.nx(), mesh.ny(), halo + 1);
+        let mut energy = Field2D::new(mesh.nx(), mesh.ny(), halo + 1);
+        problem.apply_states(&mesh, &mut density, &mut energy);
+        let (rx, ry) = timestep_scalings(&mesh, deck.control.dt);
+        let rank = Rank {
+            mesh,
+            density,
+            coefficient: problem.coefficient,
+            rx,
+            ry,
+            halo,
+        };
+        (rank, energy)
+    }
+
+    /// Assembles the rank's operator.
+    fn operator(&self) -> TileOperator {
+        let coeffs = Coefficients::assemble(
+            &self.mesh,
+            &self.density,
+            self.coefficient,
+            self.rx,
+            self.ry,
+            self.halo + 1,
+        );
+        TileOperator::new(coeffs, TileBounds::new(&self.mesh, self.halo))
+    }
+}
+
+/// What the step loop leaves for [`Stepped::finish`].
+struct Stepped {
+    steps: Vec<StepRecord>,
+    trace: SolveTrace,
+    energy: Field2D,
+    u: Field2D,
+}
+
+/// Runs `f`, returning its value and its wall-clock seconds.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let started = std::time::Instant::now();
+    let value = f();
+    (value, started.elapsed().as_secs_f64())
+}
+
+/// The time-step loop. `solve_step(step, u, b, trace)` solves one
+/// step's system from the warm start in `u` and reports the result and
+/// the [`StepRecord::wall`] seconds it wants recorded; an error ends
+/// the run. Field summaries reduce over `comm`.
+fn time_steps<C: Communicator + ?Sized>(
+    deck: &Deck,
+    rank: &Rank,
+    mut energy: Field2D,
+    label: String,
+    comm: &C,
+    mut solve_step: impl FnMut(
+        u64,
+        &mut Field2D,
+        &Field2D,
+        &mut SolveTrace,
+    ) -> Result<(SolveResult, f64), DriverError>,
+) -> Result<Stepped, DriverError> {
+    let control = &deck.control;
+    let (mesh, density) = (&rank.mesh, &rank.density);
     let (nx, ny) = (mesh.nx(), mesh.ny());
-
-    // State fields and face coefficients carry one ghost layer more than
-    // the solver's halo: the operator diagonal at matrix-powers extension
-    // `halo` reads `Kx(j+1)` / `Ky(k+1)`, so a Diagonal preconditioner on
-    // a decomposed tile needs coefficients assembled a layer deeper. The
-    // per-cell values are depth-independent, so solver results are
-    // unchanged; only the loud assert on deep-halo setups goes away.
-    let mut density = Field2D::new(nx, ny, halo + 1);
-    let mut energy = Field2D::new(nx, ny, halo + 1);
-    problem.apply_states(&mesh, &mut density, &mut energy);
-
-    let (rx, ry) = timestep_scalings(&mesh, control.dt);
-    let bounds = TileBounds::new(&mesh, halo);
-
-    let mut u = Field2D::new(nx, ny, halo);
-    let mut b = Field2D::new(nx, ny, halo);
-    let mut ws = Workspace::new(nx, ny, halo);
-
-    let mut trace = SolveTrace::new(solver.label());
+    let mut u = Field2D::new(nx, ny, rank.halo);
+    let mut b = Field2D::new(nx, ny, rank.halo);
+    let mut trace = SolveTrace::new(label);
     let mut steps = Vec::new();
 
     let nsteps = control.steps();
     let mut time = 0.0;
     for step in 1..=nsteps {
-        // 1-2. rhs and operator (density is constant but the reference
-        // reassembles every step; we follow it)
-        let coeffs = Coefficients::assemble(&mesh, &density, problem.coefficient, rx, ry, halo + 1);
-        let op = TileOperator::new(coeffs, bounds);
-        let tile: DynTile<'_> = Tile::new(&op, &layout, comm.as_dyn());
-        let ctx = SolveContext::with_assembly(
-            &tile,
-            Assembly {
-                density: &density,
-                coefficient: problem.coefficient,
-                rx,
-                ry,
-            },
-        );
+        // 1. the right-hand side, which is also the warm start
         for k in 0..ny as isize {
             let dr = density.row(k, 0, nx as isize);
             let er = energy.row(k, 0, nx as isize);
@@ -238,11 +292,8 @@ pub fn run_rank<C: Communicator + ?Sized>(
         }
         u.copy_interior_from(&b);
 
-        // 3. the solve, through the uniform trait protocol
-        let started = std::time::Instant::now();
-        solver.prepare(&ctx, &control.opts);
-        let result = solver.solve(&ctx, &mut u, &b, &mut ws, &mut trace);
-        let wall = started.elapsed().as_secs_f64();
+        // 2-3. operator and solve, the entry point's way
+        let (result, wall) = solve_step(step, &mut u, &b, &mut trace)?;
 
         // 4. fold back into energy
         for k in 0..ny as isize {
@@ -257,7 +308,7 @@ pub fn run_rank<C: Communicator + ?Sized>(
         time += control.dt;
         let report = control.summary_frequency > 0 && step % control.summary_frequency == 0;
         let summary = if report || step == nsteps {
-            Some(field_summary(&mesh, &density, &energy, &u, comm))
+            Some(field_summary(mesh, density, &energy, &u, comm))
         } else {
             None
         };
@@ -272,63 +323,112 @@ pub fn run_rank<C: Communicator + ?Sized>(
             wall,
         });
     }
-
-    // solver-specific diagnostics come back type-erased through the
-    // trait hook; the driver only knows the payload types it reports
-    let (mg_trace, tune) = split_diagnostics(solver.take_diagnostics());
-
-    // snapshot the counters before the diagnostic gather below, so the
-    // record reflects the solver protocol's traffic, not output shipping
-    let comm_stats = comm.stats().snapshot();
-
-    let final_summary = field_summary(&mesh, &density, &energy, &u, comm);
-    let final_u = gather_to_root(
-        &{
-            // strip to interior for gathering
-            let mut interior = Field2D::new(nx, ny, 0);
-            interior.copy_interior_from(&u);
-            interior
-        },
-        decomp,
-        comm,
-    );
-
-    Ok(RankOutput {
+    Ok(Stepped {
         steps,
         trace,
-        mg_trace,
-        tune,
-        final_u,
-        final_summary,
-        comm: comm_stats,
+        energy,
+        u,
     })
 }
 
-/// Sorts a solver's type-erased diagnostics into the payload types the
-/// driver reports: the AMG V-cycle trace or the auto-tuner's decision
-/// log.
-fn split_diagnostics(diag: Option<Box<dyn std::any::Any>>) -> (Option<MgTrace>, Option<TuneLog>) {
-    match diag {
-        None => (None, None),
-        Some(d) => match d.downcast::<MgTrace>() {
-            Ok(mg) => (Some(*mg), None),
-            Err(d) => match d.downcast::<TuneLog>() {
-                Ok(tune) => (None, Some(*tune)),
-                Err(_) => (None, None),
-            },
-        },
+impl Stepped {
+    /// Closes the run: final summary over `comm`, then the gather to
+    /// rank 0. The caller snapshots `comm_stats` before calling, so the
+    /// record reflects the solver protocol's traffic, not output
+    /// shipping.
+    fn finish<C: Communicator + ?Sized>(
+        self,
+        rank: &Rank,
+        decomp: &Decomposition2D,
+        comm: &C,
+        diagnostics: Option<Box<dyn std::any::Any>>,
+        comm_stats: StatsSnapshot,
+    ) -> RankOutput {
+        // solver-specific diagnostics come back type-erased through the
+        // trait hook; the driver only knows the payload types it reports
+        let (mg_trace, tune) = match diagnostics.map(|d| d.downcast::<MgTrace>()) {
+            None => (None, None),
+            Some(Ok(mg)) => (Some(*mg), None),
+            Some(Err(d)) => (None, d.downcast::<TuneLog>().ok().map(|t| *t)),
+        };
+        let final_summary = field_summary(&rank.mesh, &rank.density, &self.energy, &self.u, comm);
+        // strip to interior for gathering
+        let mut interior = Field2D::new(rank.mesh.nx(), rank.mesh.ny(), 0);
+        interior.copy_interior_from(&self.u);
+        RankOutput {
+            steps: self.steps,
+            trace: self.trace,
+            mg_trace,
+            tune,
+            final_u: gather_to_root(&interior, decomp, comm),
+            final_summary,
+            comm: comm_stats,
+        }
     }
 }
 
-/// Applies the deck's thread-count override (if any) to the kernel
-/// runtime, clamped to the hardware threads (`tea_core::thread_warning`
-/// reports a clamp). Called once per run entry point; a deck without
-/// the setting leaves the ambient configuration (`TEA_NUM_THREADS` /
-/// cores) alone.
-fn apply_thread_config(deck: &Deck) {
+/// Runs the deck on one rank of `decomp`, reassembling the operator and
+/// re-preparing the solver every time step (density is constant, but
+/// the reference does both per step; we follow it).
+///
+/// # Errors
+/// [`DriverError`] when the deck's problem fails validation, the solver
+/// name or precision does not resolve, the decomposition does not match
+/// the communicator, or a serial-only solver is run decomposed.
+pub fn run_rank<C: Communicator + ?Sized>(
+    deck: &Deck,
+    decomp: &Decomposition2D,
+    comm: &C,
+) -> Result<RankOutput, DriverError> {
+    if decomp.ranks() != comm.size() {
+        return Err(DriverError::DecompositionMismatch {
+            decomp: decomp.ranks(),
+            comm: comm.size(),
+        });
+    }
+    let mut solver = resolve(deck, comm.size())?;
+    let (rank, energy) = Rank::setup(deck, decomp, comm.rank(), solver.halo_depth());
+    let layout = HaloLayout::new(decomp, comm.rank());
+    let mut ws = Workspace::new(rank.mesh.nx(), rank.mesh.ny(), rank.halo);
+
+    let label = solver.label();
+    let stepped = time_steps(deck, &rank, energy, label, comm, |_, u, b, trace| {
+        let op = rank.operator();
+        let tile: DynTile<'_> = Tile::new(&op, &layout, comm.as_dyn());
+        let ctx = SolveContext::with_assembly(
+            &tile,
+            Assembly {
+                density: &rank.density,
+                coefficient: rank.coefficient,
+                rx: rank.rx,
+                ry: rank.ry,
+            },
+        );
+        // the solve, through the uniform trait protocol
+        Ok(timed(|| {
+            solver.prepare(&ctx, &deck.control.opts);
+            solver.solve(&ctx, u, b, &mut ws, trace)
+        }))
+    })?;
+    let (diagnostics, comm_stats) = (solver.take_diagnostics(), comm.stats().snapshot());
+    Ok(stepped.finish(&rank, decomp, comm, diagnostics, comm_stats))
+}
+
+/// What [`run_serial`] and [`run_threaded_ranks`] do before building a
+/// decomposition: validate the problem (a zero-cell one must surface as
+/// an error, not a decomposition assert) and apply the deck's
+/// thread-count override, if any, to the kernel runtime, clamped to the
+/// hardware threads (`tea_core::thread_warning` reports a clamp). A
+/// deck without the setting leaves the ambient configuration
+/// (`TEA_NUM_THREADS` / cores) alone.
+fn begin(deck: &Deck) -> Result<(), DriverError> {
+    deck.problem
+        .validate()
+        .map_err(DriverError::InvalidProblem)?;
     if let Some(threads) = deck.control.threads {
         tea_core::request_num_threads(threads);
     }
+    Ok(())
 }
 
 /// Runs the deck on a single rank.
@@ -336,12 +436,7 @@ fn apply_thread_config(deck: &Deck) {
 /// # Errors
 /// [`DriverError`] as for [`run_rank`].
 pub fn run_serial(deck: &Deck) -> Result<RankOutput, DriverError> {
-    // validate before building the decomposition — zero-cell problems
-    // must surface as an error, not a decomposition assert
-    deck.problem
-        .validate()
-        .map_err(DriverError::InvalidProblem)?;
-    apply_thread_config(deck);
+    begin(deck)?;
     let decomp = Decomposition2D::with_grid(deck.problem.x_cells, deck.problem.y_cells, 1, 1);
     let comm = SerialComm::new();
     run_rank(deck, &decomp, &comm)
@@ -360,18 +455,16 @@ pub fn run_serial(deck: &Deck) -> Result<RankOutput, DriverError> {
 /// [`DriverError`] as for [`run_rank`] — every rank hits the same deck
 /// checks, so the first rank's error is returned.
 pub fn run_threaded_ranks(deck: &Deck, ranks: usize) -> Result<Vec<RankOutput>, DriverError> {
-    deck.problem
-        .validate()
-        .map_err(DriverError::InvalidProblem)?;
-    apply_thread_config(deck);
+    begin(deck)?;
     let decomp = Decomposition2D::new(deck.problem.x_cells, deck.problem.y_cells, ranks);
     comm_run(decomp.ranks(), |comm| run_rank(deck, &decomp, comm))
         .into_iter()
         .collect()
 }
 
-/// Runs the deck serially through a reusable [`SolveSession`] checked
-/// out of `cache` — the serving-queue counterpart of [`run_serial`].
+/// Runs the deck serially through a reusable [`tea_core::SolveSession`]
+/// checked out of `cache` — the serving-queue counterpart of
+/// [`run_serial`].
 ///
 /// The session path assembles the operator once per run (the reference
 /// loop reassembles per step, but density is constant so the
@@ -379,8 +472,9 @@ pub fn run_threaded_ranks(deck: &Deck, ranks: usize) -> Result<Vec<RankOutput>, 
 /// prepares the solver only when the cache misses, and memoises the
 /// Chebyshev-family eigenvalue analysis across repeated right-hand
 /// sides. The session's communication counters are reset at checkout so
-/// [`RankOutput::comm`] reports this run's solver traffic only, and the
-/// session is checked back in before returning.
+/// [`RankOutput::comm`] reports this run's solver traffic only (field
+/// summaries reduce over a throwaway communicator), and the session is
+/// checked back in before returning.
 ///
 /// Unlike [`run_serial`] this does **not** apply the deck's thread
 /// override: the kernel thread pool is process-global, and a serving
@@ -408,139 +502,54 @@ pub fn run_serial_session_with(
     cache: &SetupCache,
     controls: SolveControls<'_>,
 ) -> Result<RankOutput, DriverError> {
-    let problem = &deck.problem;
-    let control = &deck.control;
-    problem.validate().map_err(DriverError::InvalidProblem)?;
+    let solver = resolve(deck, 1)?;
+    let name = solver.name();
+    let decomp = Decomposition2D::with_grid(deck.problem.x_cells, deck.problem.y_cells, 1, 1);
+    let (rank, energy) = Rank::setup(deck, &decomp, 0, solver.halo_depth());
 
-    let registry = crate::solver_registry();
-    let solver_name = control.effective_solver().map_err(DriverError::Solver)?;
+    // no precision routing: effective_solver already folded
+    // tl_precision into the name
     let spec = SessionSpec {
-        solver: solver_name.clone(),
-        // effective_solver already folded tl_precision into the name
-        precision: None,
-        opts: control.opts,
-        params: control.solver_params(),
+        opts: deck.control.opts,
+        params: deck.control.solver_params(),
+        ..SessionSpec::solver(name)
     };
-
-    let decomp = Decomposition2D::with_grid(problem.x_cells, problem.y_cells, 1, 1);
-    let mesh = Mesh2D::new(&decomp, 0, problem.extent);
-    let (nx, ny) = (mesh.nx(), mesh.ny());
-    // the *solver's* halo depth, not the deck's matrix-powers knob: the
-    // auto pseudo-solver races deep-halo candidates regardless of the
-    // deck's `tl_ppcg_halo_depth`, so fields must carry its full depth
-    let halo = registry
-        .create(&solver_name, &spec.params)
-        .map_err(|e| DriverError::Solver(e.to_string()))?
-        .halo_depth()
-        .max(spec.params.halo_depth)
-        .max(1);
-
-    // same layout as run_rank: coefficients one layer deeper than the
-    // solver halo so Diagonal preconditioning works at full depth
-    let mut density = Field2D::new(nx, ny, halo + 1);
-    let mut energy = Field2D::new(nx, ny, halo + 1);
-    problem.apply_states(&mesh, &mut density, &mut energy);
-    let (rx, ry) = timestep_scalings(&mesh, control.dt);
-    let coeffs = Coefficients::assemble(&mesh, &density, problem.coefficient, rx, ry, halo + 1);
-    let op = TileOperator::new(coeffs, TileBounds::new(&mesh, halo));
-
-    let key = SetupKey::probe_with(&op, &spec, registry)
-        .map_err(|e| DriverError::Solver(e.to_string()))?;
-    let mut session = match cache.checkout(&key) {
-        Some(session) => session,
-        None => SolveSession::with_registry(op, &spec, registry)
-            .map_err(|e| DriverError::Solver(e.to_string()))?
-            .with_assembly(density.clone(), problem.coefficient, rx, ry),
-    };
+    // the instance built above lands in the session on a miss and is
+    // dropped on a hit; only a miss clones the density
+    let mut session = cache.checkout_or_build(rank.operator(), &spec, solver, |cold| {
+        cold.with_assembly(rank.density.clone(), rank.coefficient, rank.rx, rank.ry)
+    });
     session.reset_comm_stats();
 
     let summary_comm = SerialComm::new();
-    let mut u = Field2D::new(nx, ny, halo);
-    let mut b = Field2D::new(nx, ny, halo);
-    let mut trace = SolveTrace::new(session.solver_label());
-    let mut steps = Vec::new();
-
-    let nsteps = control.steps();
-    let mut time = 0.0;
-    for step in 1..=nsteps {
-        for k in 0..ny as isize {
-            let dr = density.row(k, 0, nx as isize);
-            let er = energy.row(k, 0, nx as isize);
-            let br = b.row_mut(k, 0, nx as isize);
-            for i in 0..br.len() {
-                br[i] = dr[i] * er[i];
-            }
-        }
-        u.copy_interior_from(&b);
-
-        let started = std::time::Instant::now();
-        let result = session.solve_controlled(&mut u, &b, controls);
-        let wall = started.elapsed().as_secs_f64();
-        trace.merge(&result.trace);
-
-        // a diverged or cancelled session is dropped here (early
-        // return, no checkin): its workspace may carry non-finite
-        // state and must not be pooled for later jobs
-        match result.status {
-            SolveStatus::Diverged { iteration } => {
-                return Err(DriverError::Diverged {
-                    solver: solver_name,
+    let label = session.solver_label();
+    // a diverged or cancelled session is dropped by the early return
+    // (no checkin): its workspace may carry non-finite state and must
+    // not be pooled for later jobs
+    let stepped = time_steps(
+        deck,
+        &rank,
+        energy,
+        label,
+        &summary_comm,
+        |step, u, b, trace| {
+            let (result, wall) = timed(|| session.solve_controlled(u, b, controls));
+            trace.merge(&result.trace);
+            match result.status {
+                SolveStatus::Diverged { iteration } => Err(DriverError::Diverged {
+                    solver: name.to_string(),
                     step,
                     iteration,
-                });
+                }),
+                SolveStatus::Cancelled { .. } => Err(DriverError::Cancelled { step }),
+                SolveStatus::Converged | SolveStatus::IterationLimit => Ok((result, wall)),
             }
-            SolveStatus::Cancelled { .. } => return Err(DriverError::Cancelled { step }),
-            SolveStatus::Converged | SolveStatus::IterationLimit => {}
-        }
-
-        for k in 0..ny as isize {
-            let ur = u.row(k, 0, nx as isize);
-            let dr = density.row(k, 0, nx as isize);
-            let er = energy.row_mut(k, 0, nx as isize);
-            for i in 0..er.len() {
-                er[i] = ur[i] / dr[i];
-            }
-        }
-
-        time += control.dt;
-        let report = control.summary_frequency > 0 && step % control.summary_frequency == 0;
-        let summary = if report || step == nsteps {
-            Some(field_summary(&mesh, &density, &energy, &u, &summary_comm))
-        } else {
-            None
-        };
-        steps.push(StepRecord {
-            step,
-            time,
-            iterations: result.iterations,
-            converged: result.converged,
-            initial_residual: result.initial_residual,
-            final_residual: result.final_residual,
-            summary,
-            wall,
-        });
-    }
-
-    let (mg_trace, tune) = split_diagnostics(session.take_diagnostics());
-    let comm_stats = session.comm_stats();
-    let final_summary = field_summary(&mesh, &density, &energy, &u, &summary_comm);
-    let final_u = {
-        let mut interior = Field2D::new(nx, ny, 0);
-        interior.copy_interior_from(&u);
-        Some(interior)
-    };
-
+        },
+    )?;
+    let (diagnostics, comm_stats) = (session.take_diagnostics(), session.comm_stats());
+    let output = stepped.finish(&rank, &decomp, &summary_comm, diagnostics, comm_stats);
     cache.checkin(session);
-
-    Ok(RankOutput {
-        steps,
-        trace,
-        mg_trace,
-        tune,
-        final_u,
-        final_summary,
-        comm: comm_stats,
-    })
+    Ok(output)
 }
 
 #[cfg(test)]

@@ -93,13 +93,9 @@ pub fn serve_decks_with_plan(
     let registry = crate::solver_registry();
     let policy = EscalationPolicy::new(registry);
     let run = |ctx: JobCtx<'_>, DeckJob { label, deck }: &DeckJob| {
-        let fault = plan.and_then(|p| {
-            if ctx.attempt == 0 {
-                p.fault_for(ctx.job)
-            } else {
-                None
-            }
-        });
+        let fault = plan
+            .filter(|_| ctx.attempt == 0)
+            .and_then(|p| p.fault_for(ctx.job));
         if let Some(FaultKind::PanicWorker) = fault {
             // audit:allow(panic_hygiene) — deliberate fault injection: this panic IS the
             // fault being tested; the serve queue's catch_unwind must absorb it.
@@ -148,21 +144,15 @@ pub fn serve_decks_with_plan(
             };
             match result {
                 Ok(output) => {
-                    // merge the job-level ladder walk with the
-                    // auto-tuner's race record (ladder first: its
-                    // decisions chronologically precede the race that
-                    // finally converged)
-                    let tune = match (&output.tune, ladder.decisions.is_empty()) {
-                        (None, true) => None,
-                        (inner, _) => {
-                            let mut merged = ladder.clone();
-                            if let Some(inner) = inner {
-                                merged.seed = inner.seed;
-                                merged.winner = inner.winner.clone();
-                                merged.reuses = inner.reuses;
-                                merged.decisions.extend(inner.decisions.iter().cloned());
-                            }
-                            Some(merged)
+                    // the job-level ladder walk, then the auto-tuner's
+                    // race record: the ladder's decisions chronologically
+                    // precede the race that finally converged
+                    let tune = match output.tune.clone() {
+                        None if ladder.decisions.is_empty() => None,
+                        None => Some(ladder),
+                        Some(mut race) => {
+                            race.decisions.splice(0..0, ladder.decisions);
+                            Some(race)
                         }
                     };
                     return Ok(DeckOutcome {
@@ -242,15 +232,32 @@ mod tests {
             },
         );
 
-        assert_eq!(cached.stats.failed, 0);
-        assert_eq!(cold.stats.failed, 0);
-        assert!(cached.stats.cache.hits > 0);
+        for report in [&cached, &cold] {
+            let stats = &report.stats;
+            assert_eq!((stats.jobs, stats.failed), (9, 0));
+            assert_eq!((stats.timeouts, stats.panics_recovered), (0, 0));
+            assert!(stats.jobs_per_sec > 0.0);
+            assert!(stats.p99_latency_s >= stats.p50_latency_s);
+            assert_eq!(
+                stats.cache.hits + stats.cache.misses,
+                9,
+                "one checkout a job"
+            );
+            for (i, o) in report.outcomes.iter().enumerate() {
+                assert_eq!(o.job, i, "outcomes must come back in submission order");
+                assert_eq!(o.attempts, 1);
+            }
+        }
+        // 3 distinct setups: 3 misses, 6 hits — workers racing on first
+        // touch can only turn hits into misses, and a hit never prepares
+        let pooled = cached.stats.cache;
+        assert!(pooled.hits > 0, "repeated setups must hit the cache");
+        assert!(pooled.misses >= 3);
+        assert_eq!(pooled.prepares, pooled.misses, "hits must not re-prepare");
         assert_eq!(cold.stats.cache.hits, 0);
-        assert!(
-            cached.stats.cache.prepares < cold.stats.cache.prepares,
-            "the pool must save preparations: {} vs {}",
-            cached.stats.cache.prepares,
-            cold.stats.cache.prepares
+        assert_eq!(
+            cold.stats.cache.prepares, 9,
+            "cold path prepares once per job"
         );
 
         for (a, b) in cached.outcomes.iter().zip(&cold.outcomes) {
@@ -260,6 +267,7 @@ mod tests {
             let (a, b) = (&a.output, &b.output);
             assert_eq!(a.steps.len(), b.steps.len());
             for (sa, sb) in a.steps.iter().zip(&b.steps) {
+                assert!(sa.converged);
                 assert_eq!(sa.iterations, sb.iterations);
                 assert_eq!(sa.final_residual.to_bits(), sb.final_residual.to_bits());
             }
@@ -275,8 +283,56 @@ mod tests {
         let report = serve_decks(jobs, &ServeOptions::default());
         assert_eq!(report.stats.failed, 1);
         let err = report.outcomes[0].result.as_ref().unwrap_err();
+        assert!(matches!(err, JobError::Failed { .. }), "{err:?}");
         assert!(err.to_string().starts_with("bad.in:"), "{err}");
+        assert!(err.to_string().contains("warp"), "{err}");
         assert!(report.outcomes[1].result.is_ok());
+    }
+
+    #[test]
+    fn a_zero_deadline_times_every_job_out_without_retrying() {
+        // the solver really observes the handle: each job's first solve
+        // is cancelled at its first iteration boundary
+        let jobs: Vec<DeckJob> = (0..3).map(|_| job(20, "cg", 1e-8)).collect();
+        let report = serve_decks(
+            jobs,
+            &ServeOptions {
+                workers: 2,
+                deadline: Some(std::time::Duration::ZERO),
+                retries: 3,
+                ..Default::default()
+            },
+        );
+        assert_eq!(report.stats.failed, 3);
+        assert_eq!(report.stats.timeouts, 3);
+        assert_eq!(report.stats.retries, 0, "timeouts must not be retried");
+        for o in &report.outcomes {
+            assert_eq!(o.result.as_ref().unwrap_err(), &JobError::TimedOut);
+            assert_eq!(o.attempts, 1);
+        }
+        assert_eq!(
+            report.stats.cache.prepares, 0,
+            "cancelled sessions are dropped"
+        );
+    }
+
+    #[test]
+    fn divergence_on_every_rung_reports_the_whole_ladder() {
+        // b = ρ·e overflows to +inf, so every rung's initial residual is
+        // non-finite: the job must try cg_f32 → mixed_cg → cg and report
+        // the full attempt history
+        let mut jobs = vec![job(16, "cg", 1e-8)];
+        jobs[0].deck.control.precision = Some(tea_core::Precision::F32);
+        jobs[0].deck.problem.states[0].energy = 1e308;
+        let report = serve_decks(jobs, &ServeOptions::default());
+        assert_eq!(report.stats.failed, 1);
+        assert_eq!(
+            report.outcomes[0].result.as_ref().unwrap_err(),
+            &JobError::Diverged {
+                iteration: 0,
+                attempts: vec!["cg_f32".into(), "mixed_cg".into(), "cg".into()],
+            }
+        );
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Regression focus: `--quiet` must apply whether or not `--deck` is
 //! given (it used to be applied only in the no-deck branch, so deck
-//! runs kept computing and printing per-step summaries), and
-//! `--precision` must surface conflicts as errors, not panics.
+//! runs kept computing and printing per-step summaries),
+//! `--precision` must surface conflicts as errors, not panics, and a
+//! run whose solves did not converge must say so and exit non-zero.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -145,4 +146,25 @@ fn unknown_precision_value_is_a_usage_error() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr).to_string();
     assert!(stderr.contains("unknown precision 'f16'"), "{stderr}");
+}
+
+#[test]
+fn unconverged_steps_warn_and_exit_nonzero() {
+    // regression: single-deck mode used to print the summary and exit 0
+    // when every step hit the iteration cap
+    let deck = write_deck("capped.in", "tl_solver=cg\ntl_max_iters=2");
+    let out = tealeaf(&["--deck", deck.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+    assert!(
+        stdout.contains("warning          3 of 3 steps did not converge (first: step 1)"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("field summary"), "{stdout}");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+
+    let deck = write_deck("converged.in", "tl_solver=cg");
+    let out = tealeaf(&["--deck", deck.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+    assert!(!stdout.contains("did not converge"), "{stdout}");
+    assert!(out.status.success(), "{out:?}");
 }

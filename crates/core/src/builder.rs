@@ -2,15 +2,17 @@
 //! space, and the small problem-assembly helper its doctests and the
 //! benches share.
 
-use crate::api::{DynTile, Precision, SolveContext, SolverError, SolverParams};
+use crate::api::{DynTile, IterativeSolver, Precision, SolveContext, SolverError, SolverParams};
+use crate::control::SolveControls;
 use crate::mixed::solver_for_precision;
 use crate::ops::{TileBounds, TileOperator};
 use crate::precon::PreconKind;
 use crate::registry::SolverRegistry;
+use crate::session::{SerialTile, SessionSpec, SolveSession};
 use crate::solver::{SolveOpts, Tile, Workspace};
 use crate::trace::{SolveResult, SolveTrace};
-use tea_comms::{Communicator, HaloLayout, SerialComm};
-use tea_mesh::{crooked_pipe, timestep_scalings, Coefficients, Decomposition2D, Field2D, Mesh2D};
+use tea_comms::Communicator;
+use tea_mesh::{crooked_pipe, timestep_scalings, Coefficients, Field2D, Mesh2D};
 
 /// Builder for one linear solve: pick a solver by registry name, adjust
 /// options, run. The one documented way in for single-tile callers.
@@ -36,10 +38,7 @@ use tea_mesh::{crooked_pipe, timestep_scalings, Coefficients, Decomposition2D, F
 pub struct Solve<'a> {
     op: &'a TileOperator,
     registry: Option<&'a SolverRegistry>,
-    solver: String,
-    precision: Option<Precision>,
-    opts: SolveOpts,
-    params: SolverParams,
+    spec: SessionSpec,
 }
 
 impl<'a> Solve<'a> {
@@ -48,16 +47,13 @@ impl<'a> Solve<'a> {
         Solve {
             op,
             registry: None,
-            solver: "cg".into(),
-            precision: None,
-            opts: SolveOpts::default(),
-            params: SolverParams::default(),
+            spec: SessionSpec::default(),
         }
     }
 
     /// Selects the solver by registry name or alias (default `"cg"`).
     pub fn with_solver(mut self, name: impl Into<String>) -> Self {
-        self.solver = name.into();
+        self.spec.solver = name.into();
         self
     }
 
@@ -71,19 +67,19 @@ impl<'a> Solve<'a> {
 
     /// Relative residual-reduction target (TeaLeaf `tl_eps`).
     pub fn eps(mut self, eps: f64) -> Self {
-        self.opts.eps = eps;
+        self.spec.opts.eps = eps;
         self
     }
 
     /// Outer-iteration cap (TeaLeaf `tl_max_iters`).
     pub fn max_iters(mut self, max_iters: u64) -> Self {
-        self.opts.max_iters = max_iters;
+        self.spec.opts.max_iters = max_iters;
         self
     }
 
     /// Preconditioner for the methods that accept one.
     pub fn precon(mut self, kind: PreconKind) -> Self {
-        self.params.precon = kind;
+        self.spec.params.precon = kind;
         self
     }
 
@@ -108,38 +104,38 @@ impl<'a> Solve<'a> {
     /// assert!(result.converged);
     /// ```
     pub fn precision(mut self, precision: Precision) -> Self {
-        self.precision = Some(precision);
+        self.spec.precision = Some(precision);
         self
     }
 
     /// Matrix-powers halo depth (PPCG). The operator must be assembled
     /// at least this deep.
     pub fn halo_depth(mut self, depth: usize) -> Self {
-        self.params.halo_depth = depth;
+        self.spec.params.halo_depth = depth;
         self
     }
 
     /// Inner Chebyshev smoothing steps per outer iteration (PPCG).
     pub fn inner_steps(mut self, steps: usize) -> Self {
-        self.params.inner_steps = steps;
+        self.spec.params.inner_steps = steps;
         self
     }
 
     /// Eigenvalue-estimation CG presteps (Chebyshev, PPCG, Richardson).
     pub fn presteps(mut self, presteps: u64) -> Self {
-        self.params.presteps = presteps;
+        self.spec.params.presteps = presteps;
         self
     }
 
     /// Replaces the full parameter bag in one call.
     pub fn params(mut self, params: SolverParams) -> Self {
-        self.params = params;
+        self.spec.params = params;
         self
     }
 
     /// Replaces the full convergence options in one call.
     pub fn opts(mut self, opts: SolveOpts) -> Self {
-        self.opts = opts;
+        self.spec.opts = opts;
         self
     }
 
@@ -150,16 +146,8 @@ impl<'a> Solve<'a> {
     /// # Errors
     /// [`SolverError::UnknownSolver`] if the name resolves against
     /// neither the chosen registry nor the builtin one.
-    pub fn build(&self) -> Result<Box<dyn crate::IterativeSolver>, SolverError> {
-        static BUILTIN: std::sync::OnceLock<SolverRegistry> = std::sync::OnceLock::new();
-        let registry = self
-            .registry
-            .unwrap_or_else(|| BUILTIN.get_or_init(SolverRegistry::builtin));
-        let name = match self.precision {
-            Some(p) => solver_for_precision(&self.solver, p, registry)?,
-            None => self.solver.clone(),
-        };
-        registry.create(&name, &self.params)
+    pub fn build(&self) -> Result<Box<dyn IterativeSolver>, SolverError> {
+        create_solver(self.registry, &self.spec)
     }
 
     /// Splits the builder into its reusable half: a
@@ -172,17 +160,12 @@ impl<'a> Solve<'a> {
     /// # Errors
     /// [`SolverError::UnknownSolver`] if the name resolves against
     /// neither the chosen registry nor the builtin one.
-    pub fn session(&self) -> Result<crate::SolveSession, SolverError> {
-        let spec = crate::SessionSpec {
-            solver: self.solver.clone(),
-            precision: self.precision,
-            opts: self.opts,
-            params: self.params.clone(),
-        };
-        match self.registry {
-            Some(r) => crate::SolveSession::with_registry(self.op.clone(), &spec, r),
-            None => crate::SolveSession::build(self.op.clone(), &spec),
-        }
+    pub fn session(&self) -> Result<SolveSession, SolverError> {
+        Ok(SolveSession::new(
+            self.op.clone(),
+            &self.spec,
+            self.build()?,
+        ))
     }
 
     /// Runs the solve on a single serial tile, allocating the workspace
@@ -192,17 +175,12 @@ impl<'a> Solve<'a> {
     /// # Errors
     /// [`SolverError::UnknownSolver`] for an unregistered solver name.
     pub fn run(&self, u: &mut Field2D, b: &Field2D) -> Result<SolveResult, SolverError> {
-        let mut solver = self.build()?;
+        let solver = self.build()?;
         let (nx, ny) = self.op.bounds.tile();
-        let decomp = Decomposition2D::with_grid(nx, ny, 1, 1);
-        let layout = HaloLayout::new(&decomp, 0);
-        let comm = SerialComm::new();
-        let tile: DynTile<'_> = Tile::new(self.op, &layout, comm.as_dyn());
-        let ctx = SolveContext::new(&tile);
         let mut ws = Workspace::new(nx, ny, solver.halo_depth());
-        solver.prepare(&ctx, &self.opts);
-        let mut trace = SolveTrace::new(solver.label());
-        Ok(solver.solve(&ctx, u, b, &mut ws, &mut trace))
+        let serial = SerialTile::new(self.op);
+        let tile = serial.tile(self.op, SolveControls::default());
+        Ok(self.drive(solver, &SolveContext::new(&tile), u, b, &mut ws))
     }
 
     /// Runs the solve on an existing tile (serial or decomposed) with a
@@ -219,7 +197,7 @@ impl<'a> Solve<'a> {
         b: &Field2D,
         ws: &mut Workspace,
     ) -> Result<SolveResult, SolverError> {
-        let mut solver = self.build()?;
+        let solver = self.build()?;
         assert!(
             ws.halo() >= solver.halo_depth(),
             "workspace halo {} shallower than the {} the configured solver needs \
@@ -228,11 +206,38 @@ impl<'a> Solve<'a> {
             solver.halo_depth()
         );
         let dyn_tile: DynTile<'_> = Tile::new(tile.op, tile.layout, tile.comm.as_dyn());
-        let ctx = SolveContext::new(&dyn_tile);
-        solver.prepare(&ctx, &self.opts);
-        let mut trace = SolveTrace::new(solver.label());
-        Ok(solver.solve(&ctx, u, b, ws, &mut trace))
+        Ok(self.drive(solver, &SolveContext::new(&dyn_tile), u, b, ws))
     }
+
+    /// The one-shot protocol behind [`Solve::run`] and
+    /// [`Solve::run_with`]: prepare against `ctx`, then solve.
+    fn drive(
+        &self,
+        mut solver: Box<dyn IterativeSolver>,
+        ctx: &SolveContext<'_>,
+        u: &mut Field2D,
+        b: &Field2D,
+        ws: &mut Workspace,
+    ) -> SolveResult {
+        solver.prepare(ctx, &self.spec.opts);
+        let mut trace = SolveTrace::new(solver.label());
+        solver.solve(ctx, u, b, ws, &mut trace)
+    }
+}
+
+/// Routes `spec`'s solver name through its precision override and
+/// constructs the solver from `registry` (the builtin one when `None`).
+pub(crate) fn create_solver(
+    registry: Option<&SolverRegistry>,
+    spec: &SessionSpec,
+) -> Result<Box<dyn IterativeSolver>, SolverError> {
+    static BUILTIN: std::sync::OnceLock<SolverRegistry> = std::sync::OnceLock::new();
+    let registry = registry.unwrap_or_else(|| BUILTIN.get_or_init(SolverRegistry::builtin));
+    let name = match spec.precision {
+        Some(p) => solver_for_precision(&spec.solver, p, registry)?,
+        None => spec.solver.clone(),
+    };
+    registry.create(&name, &spec.params)
 }
 
 /// Assembles the paper's crooked-pipe system at `n × n` cells: the
@@ -269,6 +274,8 @@ pub fn crooked_pipe_system(n: usize, dt: f64, halo: usize) -> (TileOperator, Fie
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tea_comms::{HaloLayout, SerialComm};
+    use tea_mesh::Decomposition2D;
 
     #[test]
     fn builder_runs_every_builtin_solver() {

@@ -96,7 +96,7 @@ pub use runtime::{
     hardware_threads, num_threads, par_threshold, request_num_threads, set_num_threads,
     set_par_threshold, thread_warning, PAR_THRESHOLD,
 };
-pub use session::{CacheStats, PreparedSolve, SessionSpec, SetupCache, SetupKey, SolveSession};
+pub use session::{CacheStats, SessionSpec, SetupCache, SetupKey, SolveSession};
 pub use solver::{SolveOpts, Tile, Workspace};
 pub use sync::lock_tolerant;
 pub use trace::{KernelCounts, SolveResult, SolveStatus, SolveTrace};

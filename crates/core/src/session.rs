@@ -8,21 +8,20 @@
 //! preconditioner assembly, and (for the Chebyshev family) the CG
 //! prelude's Lanczos eigenvalue analysis.
 //!
-//! This module splits the builder into a reusable pair:
-//!
-//! * [`SolveSession`] owns everything `Solve::run` allocated per call —
-//!   operator, halo layout, serial communicator, workspace, solver
-//!   instance — and keeps it alive across solves. Preparation happens
-//!   once; subsequent [`SolveSession::solve`] calls skip it.
-//! * [`PreparedSolve`] is the borrowed proof that preparation has run:
-//!   obtained from [`SolveSession::prepare`], its `solve` never
-//!   re-prepares.
+//! A [`SolveSession`] owns everything `Solve::run` allocated per call —
+//! operator, serial tile plumbing, workspace, solver instance — and
+//! keeps it alive across solves: the first [`SolveSession::solve`]
+//! prepares, every later one skips it. The application driver's one
+//! time-step loop has two step-solvers: the reference one reassembles
+//! and re-prepares every step, the serving one solves through a session
+//! checked out of the cache below.
 //!
 //! On top sits a keyed pool: [`SetupKey`] fingerprints the setup —
 //! geometry, coefficient bits, solver configuration, precision, halo
-//! depth — and [`SetupCache`] maps keys to idle sessions so repeated
-//! decks check out a warm session instead of building a cold one. Hit
-//! and miss counters feed the serving run summary.
+//! depth — and [`SetupCache::checkout_or_build`] hands a job the warm
+//! session pooled under its key, or wraps the job's freshly constructed
+//! solver into a cold one. Either way a job constructs its solver once.
+//! Hit and miss counters feed the serving run summary.
 //!
 //! Sessions also memoise eigenvalue estimates: a solve over bit-
 //! identical `(u, b, opts)` pins the previous [`EigenEstimate`] via
@@ -33,16 +32,16 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 use crate::api::{
     Assembly, DynTile, IterativeSolver, Precision, SolveContext, SolverError, SolverParams,
 };
+use crate::builder::create_solver;
+use crate::control::SolveControls;
 use crate::eigen::EigenEstimate;
-use crate::mixed::solver_for_precision;
 use crate::ops::TileOperator;
 use crate::precon::PreconKind;
-use crate::registry::SolverRegistry;
 use crate::solver::{SolveOpts, Tile, Workspace};
 use crate::trace::{SolveResult, SolveTrace};
 use tea_comms::{Communicator, HaloLayout, SerialComm, StatsSnapshot};
@@ -50,8 +49,8 @@ use tea_mesh::{Coefficient, Decomposition2D, Field2D};
 
 /// Everything a session needs to know besides the operator: which
 /// solver, at which precision, with which convergence options and
-/// method knobs. The session analogue of the [`crate::Solve`] builder's
-/// configuration half.
+/// method knobs — the configuration half of the [`crate::Solve`]
+/// builder, which carries one.
 #[derive(Debug, Clone)]
 pub struct SessionSpec {
     /// Solver name (canonical or alias) to resolve in the registry.
@@ -116,62 +115,21 @@ pub struct SetupKey {
 }
 
 impl SetupKey {
-    /// Computes the key a [`SolveSession::build`] over `(op, spec)`
-    /// would carry, without building the session's workspace. Cheap
-    /// enough to call per job: it resolves the name and constructs the
-    /// (field-free) solver object only to read its halo depth.
-    ///
-    /// # Errors
-    /// [`SolverError`] when the name or precision does not resolve.
-    pub fn probe(op: &TileOperator, spec: &SessionSpec) -> Result<SetupKey, SolverError> {
-        Self::probe_with(op, spec, builtin_registry())
+    /// The key of a session running `solver` over `(op, spec)`. Name
+    /// and halo depth are properties of the built instance (PPCG reads
+    /// its depth from the params, `auto` reports its deepest
+    /// candidate), so they are read from the one the job constructed.
+    fn of(op: &TileOperator, spec: &SessionSpec, solver: &dyn IterativeSolver) -> SetupKey {
+        let (nx, ny) = op.bounds.tile();
+        SetupKey {
+            nx,
+            ny,
+            fingerprint: fingerprint(op, spec),
+            solver: solver.name().to_string(),
+            precision: spec.precision.map(Precision::label).unwrap_or("native"),
+            halo_depth: solver.halo_depth(),
+        }
     }
-
-    /// [`SetupKey::probe`] against a caller-supplied registry.
-    ///
-    /// # Errors
-    /// [`SolverError`] when the name or precision does not resolve.
-    pub fn probe_with(
-        op: &TileOperator,
-        spec: &SessionSpec,
-        registry: &SolverRegistry,
-    ) -> Result<SetupKey, SolverError> {
-        let (_, key) = resolve_key(op, spec, registry)?;
-        Ok(key)
-    }
-}
-
-fn builtin_registry() -> &'static SolverRegistry {
-    static BUILTIN: OnceLock<SolverRegistry> = OnceLock::new();
-    BUILTIN.get_or_init(SolverRegistry::builtin)
-}
-
-/// Resolves `spec` against `registry` and returns the create-name (the
-/// precision-routed spelling to pass to [`SolverRegistry::create`])
-/// plus the session's [`SetupKey`].
-fn resolve_key(
-    op: &TileOperator,
-    spec: &SessionSpec,
-    registry: &SolverRegistry,
-) -> Result<(String, SetupKey), SolverError> {
-    let name = match spec.precision {
-        Some(p) => solver_for_precision(&spec.solver, p, registry)?,
-        None => spec.solver.clone(),
-    };
-    let canonical = registry.resolve(&name)?.name.to_string();
-    // Halo depth is a property of the built instance (PPCG reads it
-    // from its params), so build one to ask it.
-    let probe = registry.create(&name, &spec.params)?;
-    let (nx, ny) = op.bounds.tile();
-    let key = SetupKey {
-        nx,
-        ny,
-        fingerprint: fingerprint(op, spec),
-        solver: canonical,
-        precision: spec.precision.map(Precision::label).unwrap_or("native"),
-        halo_depth: probe.halo_depth(),
-    };
-    Ok((name, key))
 }
 
 /// 64-bit FNV-1a accumulator.
@@ -192,6 +150,17 @@ impl Fnv {
     fn push_f64(&mut self, v: f64) {
         self.push_u64(v.to_bits());
     }
+
+    /// Every allocated bit of `field`, ghosts included.
+    fn push_field(&mut self, field: &Field2D) {
+        let depth = field.halo() as isize;
+        let (nx, ny) = (field.nx() as isize, field.ny() as isize);
+        for k in -depth..ny + depth {
+            for &v in field.row(k, -depth, nx + depth) {
+                self.push_f64(v);
+            }
+        }
+    }
 }
 
 /// Hashes every allocated coefficient bit (interior and ghosts — deep-
@@ -199,15 +168,8 @@ impl Fnv {
 /// a prepared solver latches.
 fn fingerprint(op: &TileOperator, spec: &SessionSpec) -> u64 {
     let mut h = Fnv::new();
-    let (nx, ny) = op.bounds.tile();
-    for field in [&op.coeffs.kx, &op.coeffs.ky] {
-        let depth = field.halo() as isize;
-        for k in -depth..ny as isize + depth {
-            for &v in field.row(k, -depth, nx as isize + depth) {
-                h.push_f64(v);
-            }
-        }
-    }
+    h.push_field(&op.coeffs.kx);
+    h.push_field(&op.coeffs.ky);
     let p = &spec.params;
     h.push_u64(match p.precon {
         PreconKind::None => 0,
@@ -231,18 +193,38 @@ fn fingerprint(op: &TileOperator, spec: &SessionSpec) -> u64 {
 /// the memoised one changes nothing but the Lanczos work.
 fn eigen_memo_key(u: &Field2D, b: &Field2D, opts: &SolveOpts) -> u64 {
     let mut h = Fnv::new();
-    for field in [u, b] {
-        let depth = field.halo() as isize;
-        let (nx, ny) = (field.nx() as isize, field.ny() as isize);
-        for k in -depth..ny + depth {
-            for &v in field.row(k, -depth, nx + depth) {
-                h.push_f64(v);
-            }
-        }
-    }
+    h.push_field(u);
+    h.push_field(b);
     h.push_f64(opts.eps);
     h.push_u64(opts.max_iters);
     h.0
+}
+
+/// The plumbing around an operator on an undecomposed domain: the 1×1
+/// halo layout and the serial communicator. The one place a single-tile
+/// solve — [`crate::Solve::run`], a session's prepare, a session's
+/// solve — gets its [`Tile`] from.
+pub(crate) struct SerialTile {
+    layout: HaloLayout,
+    comm: SerialComm,
+}
+
+impl SerialTile {
+    pub(crate) fn new(op: &TileOperator) -> Self {
+        let (nx, ny) = op.bounds.tile();
+        SerialTile {
+            layout: HaloLayout::new(&Decomposition2D::with_grid(nx, ny, 1, 1), 0),
+            comm: SerialComm::new(),
+        }
+    }
+
+    pub(crate) fn tile<'a>(
+        &'a self,
+        op: &'a TileOperator,
+        controls: SolveControls<'a>,
+    ) -> DynTile<'a> {
+        Tile::with_controls(op, &self.layout, self.comm.as_dyn(), controls)
+    }
 }
 
 /// Assembly provenance a session can own (the borrowed
@@ -265,7 +247,7 @@ struct OwnedAssembly {
 /// let (op, b) = crooked_pipe_system(24, 0.04, 1);
 /// let mut session = SolveSession::build(op, &SessionSpec::default()).unwrap();
 /// let mut u = b.clone();
-/// let first = session.prepare().solve(&mut u, &b);
+/// let first = session.solve(&mut u, &b); // prepares, then solves
 /// let again = session.solve(&mut u, &b); // reuses the prepared state
 /// assert!(first.converged && again.converged);
 /// assert_eq!(session.prepare_count(), 1);
@@ -276,14 +258,12 @@ struct OwnedAssembly {
 /// time.
 pub struct SolveSession {
     op: TileOperator,
-    layout: HaloLayout,
-    comm: SerialComm,
+    serial: SerialTile,
     ws: Workspace,
     solver: Box<dyn IterativeSolver>,
     opts: SolveOpts,
     key: SetupKey,
     assembly: Option<OwnedAssembly>,
-    prepared: bool,
     prepares: u64,
     solves: u64,
     eigen_memo: BTreeMap<u64, EigenEstimate>,
@@ -292,47 +272,46 @@ pub struct SolveSession {
 
 impl SolveSession {
     /// Builds a session over `op` from `spec`, resolving the solver in
-    /// the builtin registry. Nothing is prepared yet — the first
-    /// [`SolveSession::solve`] (or an explicit
-    /// [`SolveSession::prepare`]) does that.
+    /// the builtin registry ([`crate::Solve::session`] resolves in a
+    /// caller-supplied one). Nothing is prepared yet — the first
+    /// [`SolveSession::solve`] does that.
     ///
     /// # Errors
     /// [`SolverError`] when the name or precision does not resolve.
     pub fn build(op: TileOperator, spec: &SessionSpec) -> Result<Self, SolverError> {
-        Self::with_registry(op, spec, builtin_registry())
+        Ok(Self::new(op, spec, create_solver(None, spec)?))
     }
 
-    /// [`SolveSession::build`] against a caller-supplied registry (the
-    /// app composes tea-amg's `amg` in this way).
-    ///
-    /// # Errors
-    /// [`SolverError`] when the name or precision does not resolve.
-    pub fn with_registry(
+    /// A cold session running `solver` over `op` with `spec`'s options.
+    pub(crate) fn new(
         op: TileOperator,
         spec: &SessionSpec,
-        registry: &SolverRegistry,
-    ) -> Result<Self, SolverError> {
-        let (create_name, key) = resolve_key(&op, spec, registry)?;
-        let solver = registry.create(&create_name, &spec.params)?;
+        solver: Box<dyn IterativeSolver>,
+    ) -> Self {
+        let key = SetupKey::of(&op, spec, solver.as_ref());
+        Self::keyed(op, spec, solver, key)
+    }
+
+    fn keyed(
+        op: TileOperator,
+        spec: &SessionSpec,
+        solver: Box<dyn IterativeSolver>,
+        key: SetupKey,
+    ) -> Self {
         let (nx, ny) = op.bounds.tile();
-        let decomp = Decomposition2D::with_grid(nx, ny, 1, 1);
-        let layout = HaloLayout::new(&decomp, 0);
-        let ws = Workspace::new(nx, ny, solver.halo_depth());
-        Ok(SolveSession {
+        SolveSession {
+            serial: SerialTile::new(&op),
+            ws: Workspace::new(nx, ny, solver.halo_depth()),
             op,
-            layout,
-            comm: SerialComm::new(),
-            ws,
             solver,
             opts: spec.opts,
             key,
             assembly: None,
-            prepared: false,
             prepares: 0,
             solves: 0,
             eigen_memo: BTreeMap::new(),
             eigen_hits: 0,
-        })
+        }
     }
 
     /// Attaches the assembly recipe behind the operator, for solvers
@@ -393,11 +372,6 @@ impl SolveSession {
         self.eigen_hits
     }
 
-    /// Whether `prepare` has already run.
-    pub fn is_prepared(&self) -> bool {
-        self.prepared
-    }
-
     /// Drains the solver's type-erased diagnostics (AMG's multigrid
     /// trace) — the session pass-through of
     /// [`IterativeSolver::take_diagnostics`].
@@ -409,28 +383,20 @@ impl SolveSession {
     /// calls this at job checkout so [`SolveSession::comm_stats`] at
     /// job end reads per-job traffic, not lifetime traffic.
     pub fn reset_comm_stats(&self) {
-        self.comm.stats().reset();
+        self.serial.comm.stats().reset();
     }
 
     /// Communication counters since the last
     /// [`SolveSession::reset_comm_stats`].
     pub fn comm_stats(&self) -> StatsSnapshot {
-        self.comm.stats().snapshot()
-    }
-
-    /// Runs the solver's `prepare` against the session operator if it
-    /// has not run yet, and returns the handle whose `solve` is
-    /// guaranteed not to re-prepare.
-    pub fn prepare(&mut self) -> PreparedSolve<'_> {
-        self.ensure_prepared();
-        PreparedSolve { session: self }
+        self.serial.comm.stats().snapshot()
     }
 
     /// Solves `A u = b` with `u` entering as the initial guess,
     /// preparing on first use and reusing the prepared state (and any
     /// memoised eigenvalue estimate) afterwards.
     pub fn solve(&mut self, u: &mut Field2D, b: &Field2D) -> SolveResult {
-        self.solve_controlled(u, b, crate::control::SolveControls::default())
+        self.solve_controlled(u, b, SolveControls::default())
     }
 
     /// [`SolveSession::solve`] with an armed control bundle: the
@@ -443,9 +409,15 @@ impl SolveSession {
         &mut self,
         u: &mut Field2D,
         b: &Field2D,
-        controls: crate::control::SolveControls<'_>,
+        controls: SolveControls<'_>,
     ) -> SolveResult {
-        self.ensure_prepared();
+        if self.prepares == 0 {
+            let opts = self.opts;
+            self.in_context(SolveControls::default(), |solver, ctx, _| {
+                solver.prepare(ctx, &opts)
+            });
+            self.prepares = 1;
+        }
         let probed = controls.probe.is_some();
         let memo_key = eigen_memo_key(u, b, &self.opts);
         let hint = if probed {
@@ -457,22 +429,10 @@ impl SolveSession {
             self.eigen_hits += 1;
         }
         self.solver.set_eigen_hint(hint);
-        let tile: DynTile<'_> =
-            Tile::with_controls(&self.op, &self.layout, self.comm.as_dyn(), controls);
-        let ctx = match &self.assembly {
-            Some(a) => SolveContext::with_assembly(
-                &tile,
-                Assembly {
-                    density: &a.density,
-                    coefficient: a.coefficient,
-                    rx: a.rx,
-                    ry: a.ry,
-                },
-            ),
-            None => SolveContext::new(&tile),
-        };
-        let mut trace = SolveTrace::new(self.solver.label());
-        let result = self.solver.solve(&ctx, u, b, &mut self.ws, &mut trace);
+        let result = self.in_context(controls, |solver, ctx, ws| {
+            let mut trace = SolveTrace::new(solver.label());
+            solver.solve(ctx, u, b, ws, &mut trace)
+        });
         // Clear the pin so a stale spectrum never leaks into a solve
         // over different input, then memoise what this solve measured.
         self.solver.set_eigen_hint(None);
@@ -485,11 +445,13 @@ impl SolveSession {
         result
     }
 
-    fn ensure_prepared(&mut self) {
-        if self.prepared {
-            return;
-        }
-        let tile: DynTile<'_> = Tile::new(&self.op, &self.layout, self.comm.as_dyn());
+    /// Runs `f` on the solver inside the session's solve context.
+    fn in_context<R>(
+        &mut self,
+        controls: SolveControls<'_>,
+        f: impl FnOnce(&mut dyn IterativeSolver, &SolveContext<'_>, &mut Workspace) -> R,
+    ) -> R {
+        let tile = self.serial.tile(&self.op, controls);
         let ctx = match &self.assembly {
             Some(a) => SolveContext::with_assembly(
                 &tile,
@@ -502,28 +464,7 @@ impl SolveSession {
             ),
             None => SolveContext::new(&tile),
         };
-        self.solver.prepare(&ctx, &self.opts);
-        self.prepared = true;
-        self.prepares += 1;
-    }
-}
-
-/// Borrowed proof that a session is prepared: `solve` through this
-/// handle never re-runs preparation. Obtained from
-/// [`SolveSession::prepare`].
-pub struct PreparedSolve<'s> {
-    session: &'s mut SolveSession,
-}
-
-impl PreparedSolve<'_> {
-    /// Solves `A u = b` with `u` entering as the initial guess.
-    pub fn solve(&mut self, u: &mut Field2D, b: &Field2D) -> SolveResult {
-        self.session.solve(u, b)
-    }
-
-    /// The underlying session (for counters and keys).
-    pub fn session(&self) -> &SolveSession {
-        self.session
+        f(self.solver.as_mut(), &ctx, &mut self.ws)
     }
 }
 
@@ -532,16 +473,16 @@ impl PreparedSolve<'_> {
 pub struct CacheStats {
     /// Checkouts that found a warm session.
     pub hits: u64,
-    /// Checkouts that found nothing (the caller builds cold).
+    /// Checkouts that found nothing (the job's session was built cold).
     pub misses: u64,
     /// Total `prepare` calls across the pooled sessions.
     pub prepares: u64,
 }
 
 /// A keyed pool of idle [`SolveSession`]s shared across serving
-/// workers. Checkout pops a warm session for the key (hit) or reports a
-/// miss; the caller builds a cold session on miss and checks whichever
-/// one it used back in when the job ends.
+/// workers. [`SetupCache::checkout_or_build`] pops the warm session for
+/// a job's key (hit) or builds the job a cold one (miss); the job checks
+/// whichever it got back in when it ends.
 ///
 /// Interior-locked, so workers share it behind a plain `Arc`.
 #[derive(Default)]
@@ -557,17 +498,32 @@ impl SetupCache {
         SetupCache::default()
     }
 
-    /// Pops an idle session for `key`, counting a hit or a miss.
-    pub fn checkout(&self, key: &SetupKey) -> Option<SolveSession> {
-        let mut pool = crate::sync::lock_tolerant(&self.pool);
-        match pool.get_mut(key).and_then(Vec::pop) {
+    /// The session for a job that assembled `op` and constructed
+    /// `solver` for it: the idle one pooled under the job's
+    /// [`SetupKey`] (a hit — `op` and `solver` are dropped), or a cold
+    /// one wrapping `op` and `solver` and finished by `cold` (a miss;
+    /// `cold` is where the job attaches its assembly recipe). The
+    /// coefficients are fingerprinted once and no second solver is
+    /// constructed on either branch.
+    pub fn checkout_or_build(
+        &self,
+        op: TileOperator,
+        spec: &SessionSpec,
+        solver: Box<dyn IterativeSolver>,
+        cold: impl FnOnce(SolveSession) -> SolveSession,
+    ) -> SolveSession {
+        let key = SetupKey::of(&op, spec, solver.as_ref());
+        let warm = crate::sync::lock_tolerant(&self.pool)
+            .get_mut(&key)
+            .and_then(Vec::pop);
+        match warm {
             Some(session) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(session)
+                session
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                None
+                cold(SolveSession::keyed(op, spec, solver, key))
             }
         }
     }
@@ -637,6 +593,10 @@ mod tests {
         spec.params.halo_depth.max(1)
     }
 
+    fn key_of(op: &TileOperator, spec: &SessionSpec) -> SetupKey {
+        SetupKey::of(op, spec, create_solver(None, spec).unwrap().as_ref())
+    }
+
     #[test]
     fn warm_solve_is_bit_identical_to_cold() {
         for solver in ["cg", "chebyshev", "ppcg", "mixed_ppcg"] {
@@ -644,6 +604,7 @@ mod tests {
             let (op, b) = crooked_pipe_system(24, 0.04, halo_for(&spec));
 
             let mut warm = SolveSession::build(op.clone(), &spec).unwrap();
+            assert_eq!(warm.prepare_count(), 0, "{solver}: nothing prepared yet");
             let mut u_first = b.clone();
             let first = warm.solve(&mut u_first, &b);
             let mut u_warm = b.clone();
@@ -697,31 +658,16 @@ mod tests {
     }
 
     #[test]
-    fn prepared_handle_never_reprepares() {
-        let spec = spec_for("cg");
-        let (op, b) = crooked_pipe_system(16, 0.04, 1);
-        let mut session = SolveSession::build(op, &spec).unwrap();
-        assert!(!session.is_prepared());
-        let mut prepared = session.prepare();
-        for _ in 0..3 {
-            let mut u = b.clone();
-            assert!(prepared.solve(&mut u, &b).converged);
-        }
-        assert_eq!(prepared.session().prepare_count(), 1);
-        assert_eq!(session.solve_count(), 3);
-    }
-
-    #[test]
     fn setup_keys_distinguish_precision_and_depth() {
         let (op, _) = crooked_pipe_system(16, 0.04, 4);
 
-        let native = SetupKey::probe(&op, &SessionSpec::solver("cg")).unwrap();
-        let same = SetupKey::probe(&op, &SessionSpec::solver("cg")).unwrap();
+        let native = key_of(&op, &SessionSpec::solver("cg"));
+        let same = key_of(&op, &SessionSpec::solver("cg"));
         assert_eq!(native, same, "identical specs must pool together");
 
         let mut f32_spec = SessionSpec::solver("cg");
         f32_spec.precision = Some(Precision::F32);
-        let routed = SetupKey::probe(&op, &f32_spec).unwrap();
+        let routed = key_of(&op, &f32_spec);
         assert_ne!(native, routed);
         assert_eq!(routed.solver, "cg_f32");
         assert_eq!(routed.precision, "f32");
@@ -730,36 +676,45 @@ mod tests {
         shallow.params.halo_depth = 2;
         let mut deep = SessionSpec::solver("ppcg");
         deep.params.halo_depth = 4;
-        let k2 = SetupKey::probe(&op, &shallow).unwrap();
-        let k4 = SetupKey::probe(&op, &deep).unwrap();
+        let k2 = key_of(&op, &shallow);
+        let k4 = key_of(&op, &deep);
         assert_ne!(k2, k4, "halo depth must split the pool");
         assert_eq!(k2.halo_depth, 2);
         assert_eq!(k4.halo_depth, 4);
 
         let mut loose = SessionSpec::solver("cg");
         loose.opts.eps = 1e-4;
-        let kl = SetupKey::probe(&op, &loose).unwrap();
+        let kl = key_of(&op, &loose);
         assert_ne!(native, kl, "latched options must split the pool");
     }
 
     #[test]
-    fn cache_counts_hits_misses_and_prepares() {
+    fn a_job_constructs_its_solver_once_cold_or_warm() {
+        static CONSTRUCTED: AtomicU64 = AtomicU64::new(0);
+        let mut registry = crate::SolverRegistry::builtin();
+        let meta = *registry.resolve("cg").unwrap();
+        registry.register(meta, |p| {
+            CONSTRUCTED.fetch_add(1, Ordering::Relaxed);
+            Box::new(crate::Cg::from_params(p))
+        });
+
         let spec = spec_for("cg");
         let (op, b) = crooked_pipe_system(16, 0.04, 1);
-        let key = SetupKey::probe(&op, &spec).unwrap();
         let cache = SetupCache::new();
-
-        assert!(cache.checkout(&key).is_none());
-        let mut session = SolveSession::build(op, &spec).unwrap();
-        let mut u = b.clone();
-        session.solve(&mut u, &b);
-        cache.checkin(session);
+        // the serving driver's sequence: construct the job's solver (to
+        // read its halo depth), then ask the cache for a session
+        let job = |constructed_so_far: u64| {
+            let solver = registry.create(&spec.solver, &spec.params).unwrap();
+            let mut session = cache.checkout_or_build(op.clone(), &spec, solver, |cold| cold);
+            assert_eq!(CONSTRUCTED.load(Ordering::Relaxed), constructed_so_far);
+            let mut u = b.clone();
+            assert!(session.solve(&mut u, &b).converged);
+            assert_eq!(session.prepare_count(), 1);
+            cache.checkin(session);
+        };
+        job(1); // cold: the job's instance lands in the session
         assert_eq!(cache.pooled(), 1);
-
-        let mut session = cache.checkout(&key).expect("warm session pooled");
-        let mut u = b.clone();
-        session.solve(&mut u, &b);
-        cache.checkin(session);
+        job(2); // warm: the job's instance is dropped, the pooled one solves
 
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);

@@ -6,20 +6,15 @@
 //! allocation, preconditioner assembly, eigenvalue analysis) dominates
 //! once the solves themselves are small. This crate adds the missing
 //! middle layer: a work queue that drains independent solve jobs over
-//! a pool of worker threads, checking reusable
+//! a pool of worker threads. The jobs' run function checks reusable
 //! [`tea_core::SolveSession`]s in and out of a keyed
-//! [`tea_core::SetupCache`] so repeated setups skip preparation
+//! [`tea_core::SetupCache`], so repeated setups skip preparation
 //! entirely.
 //!
-//! Two entry points:
-//!
-//! * [`serve_with`] — the generic scheduler: any job type, any run
-//!   function. The deck-serving layer in `tea-app` (and the `tealeaf
-//!   --serve` CLI) is built on it.
-//! * [`serve_requests`] — builder-style jobs: a [`SolveRequest`]
-//!   carries an operator, a right-hand side and a
-//!   [`tea_core::SessionSpec`]; the scheduler caches sessions across
-//!   requests with equal [`tea_core::SetupKey`]s.
+//! One entry point: [`serve_with`], the generic scheduler — any job
+//! type, any run function. The deck-serving layer in `tea-app`
+//! (`serve_decks`, and the `tealeaf --serve` CLI on top of it) is the
+//! run function that ships.
 //!
 //! Every serve returns a [`ServeReport`]: per-job outcomes in
 //! submission order plus [`QueueStats`] — throughput, latency
@@ -47,13 +42,13 @@
 //!   re-runs. The attempt index reaches the run function through
 //!   [`JobCtx`], so deterministic fault injectors can arm themselves on
 //!   the first attempt only.
-//! * **Graceful degradation** — [`serve_requests`] escalates a solve
-//!   whose status is `Diverged` along the precision ladder
-//!   (`cg_f32 → mixed_cg → cg`) via
-//!   [`tea_core::solver_for_precision`], recording each abandoned rung
-//!   in [`RequestOutput::escalations`] (or, if every rung diverges, in
-//!   [`JobError::Diverged`]'s attempt history). Diverged or cancelled
-//!   sessions are dropped, never checked back into the pool.
+//! * **Graceful degradation** — lives with the run function, not the
+//!   queue: `tea_app::serve_decks_with_plan` escalates a deck whose
+//!   solve ends `Diverged` along the precision ladder
+//!   (`cg_f32 → mixed_cg → cg`), recording each abandoned rung in its
+//!   outcome (or, if every rung diverges, in [`JobError::Diverged`]'s
+//!   attempt history). Diverged or cancelled sessions are dropped,
+//!   never checked back into the pool.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -64,12 +59,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use tea_core::{
-    lock_tolerant, solver_for_precision, CacheStats, SessionSpec, SetupCache, SetupKey,
-    SolveControls, SolveResult, SolveSession, SolveStatus, SolverRegistry, StopHandle,
-    TileOperator,
-};
-use tea_mesh::Field2D;
+use tea_core::{lock_tolerant, CacheStats, StopHandle};
 
 /// How a serve runs: worker count, kernel thread budget, caching,
 /// deadlines and retry policy.
@@ -84,7 +74,7 @@ pub struct ServeOptions {
     /// machine. `None` leaves the ambient configuration alone. The
     /// ambient value is restored when the drain completes.
     pub threads_per_job: Option<usize>,
-    /// Whether to pool sessions in a [`SetupCache`] across jobs.
+    /// Whether to pool sessions in a [`tea_core::SetupCache`] across jobs.
     /// Disabling it makes every job build (and prepare) cold — the
     /// baseline the throughput bench compares against.
     pub cache: bool,
@@ -191,7 +181,7 @@ pub struct JobCtx<'a> {
     pub attempt: u32,
     /// Cancellation/deadline token for this attempt. Pass it into
     /// [`tea_core::SolveSession::solve_controlled`] (via
-    /// [`SolveControls::stopping`]) so deadlines can interrupt the
+    /// [`tea_core::SolveControls::stopping`]) so deadlines can interrupt the
     /// iteration loop.
     pub stop: &'a StopHandle,
 }
@@ -278,7 +268,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 ///
 /// `cache_stats` (when given) is folded into the report's
 /// [`QueueStats::cache`] — callers running their jobs over a
-/// [`SetupCache`] pass its post-drain counters through this hook.
+/// [`tea_core::SetupCache`] pass its post-drain counters through this hook.
 pub fn serve_with<J, T, F>(
     jobs: Vec<J>,
     opts: &ServeOptions,
@@ -392,242 +382,9 @@ where
     ServeReport { outcomes, stats }
 }
 
-/// A builder-style solve job: operator + right-hand side + session
-/// spec. The warm start is `u = b`, matching the driver convention.
-#[derive(Debug)]
-pub struct SolveRequest {
-    /// The assembled operator to solve against.
-    pub op: TileOperator,
-    /// Right-hand side (also the warm start).
-    pub b: Field2D,
-    /// Solver, precision, options and knobs for the session.
-    pub spec: SessionSpec,
-}
-
-/// What a served [`SolveRequest`] returns.
-#[derive(Debug)]
-pub struct RequestOutput {
-    /// The solve's result and protocol trace.
-    pub result: SolveResult,
-    /// The solution field.
-    pub u: Field2D,
-    /// Canonical name of the solver that produced the result (after
-    /// precision routing and any escalation).
-    pub solver: String,
-    /// Solvers abandoned to divergence before `solver` succeeded, in
-    /// escalation order. Empty on the happy path.
-    pub escalations: Vec<String>,
-}
-
-/// The next rung of the graceful-degradation ladder for `name`:
-/// reduced-precision methods escalate towards the full-`f64` member of
-/// their family (`cg_f32 → mixed_cg → cg`), full-precision methods
-/// have nowhere further to go. The ladder itself is owned by the
-/// `tea-tune` policy layer ([`tea_tune::next_precision_rung`]); this
-/// re-export keeps the serving API stable for the deck-serving layer
-/// in `tea-app`.
-pub use tea_tune::next_precision_rung;
-
-/// Serves builder-style [`SolveRequest`]s over a session pool: requests
-/// whose `(op, spec)` produce equal [`SetupKey`]s share prepared
-/// sessions (and memoised eigenvalue estimates), so repeated requests
-/// skip the setup tax while returning bit-identical results.
-///
-/// Solves observe the per-attempt stop token, so
-/// [`ServeOptions::deadline`] interrupts long solves mid-iteration. A
-/// solve that diverges (non-finite residual) escalates along the
-/// precision ladder — see [`RequestOutput::escalations`]. Sessions
-/// that diverged or were cancelled are dropped rather than returned to
-/// the pool.
-pub fn serve_requests(
-    requests: Vec<SolveRequest>,
-    opts: &ServeOptions,
-) -> ServeReport<RequestOutput> {
-    let registry = SolverRegistry::default();
-    let cache = SetupCache::new();
-    let cold_prepares = AtomicU64::new(0);
-    let use_cache = opts.cache;
-    let fail = |e: tea_core::SolverError| JobError::Failed {
-        message: e.to_string(),
-    };
-    let run = |ctx: JobCtx<'_>, req: &SolveRequest| -> Result<RequestOutput, JobError> {
-        // resolve precision routing once, so escalation starts from the
-        // solver that would actually have run
-        let mut spec = req.spec.clone();
-        spec.solver = match spec.precision.take() {
-            Some(p) => solver_for_precision(&spec.solver, p, &registry).map_err(fail)?,
-            None => registry
-                .resolve(&spec.solver)
-                .map_err(fail)?
-                .name
-                .to_string(),
-        };
-        let mut escalations: Vec<String> = Vec::new();
-        loop {
-            let mut session = if use_cache {
-                let key = SetupKey::probe(&req.op, &spec).map_err(fail)?;
-                match cache.checkout(&key) {
-                    Some(session) => session,
-                    None => SolveSession::build(req.op.clone(), &spec).map_err(fail)?,
-                }
-            } else {
-                SolveSession::build(req.op.clone(), &spec).map_err(fail)?
-            };
-            session.reset_comm_stats();
-            let mut u = req.b.clone();
-            let result =
-                session.solve_controlled(&mut u, &req.b, SolveControls::stopping(ctx.stop));
-            let finish_session = |session: SolveSession, keep: bool| {
-                if !use_cache {
-                    cold_prepares.fetch_add(session.prepare_count(), Ordering::Relaxed);
-                } else if keep {
-                    cache.checkin(session);
-                }
-                // diverged/cancelled cached sessions are dropped here
-            };
-            match result.status {
-                SolveStatus::Cancelled { .. } => {
-                    finish_session(session, false);
-                    return Err(JobError::TimedOut);
-                }
-                SolveStatus::Diverged { iteration } => {
-                    finish_session(session, false);
-                    escalations.push(spec.solver.clone());
-                    match next_precision_rung(&spec.solver, &registry) {
-                        Some(next) => {
-                            spec.solver = next;
-                            continue;
-                        }
-                        None => {
-                            return Err(JobError::Diverged {
-                                iteration,
-                                attempts: escalations,
-                            })
-                        }
-                    }
-                }
-                SolveStatus::Converged | SolveStatus::IterationLimit => {
-                    let solver = spec.solver.clone();
-                    finish_session(session, true);
-                    return Ok(RequestOutput {
-                        result,
-                        u,
-                        solver,
-                        escalations,
-                    });
-                }
-            }
-        }
-    };
-    serve_with(requests, opts, run, || {
-        let mut stats = cache.stats();
-        stats.prepares += cold_prepares.load(Ordering::Relaxed);
-        stats
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tea_core::{crooked_pipe_system, Precision};
-
-    fn requests(n_jobs: usize, distinct_sizes: &[usize]) -> Vec<SolveRequest> {
-        (0..n_jobs)
-            .map(|i| {
-                let n = distinct_sizes[i % distinct_sizes.len()];
-                let (op, b) = crooked_pipe_system(n, 0.04, 1);
-                let mut spec = SessionSpec::solver("cg");
-                spec.opts.eps = 1e-8;
-                SolveRequest { op, b, spec }
-            })
-            .collect()
-    }
-
-    #[test]
-    fn serves_all_jobs_and_counts_cache_traffic() {
-        let report = serve_requests(
-            requests(12, &[16, 20, 24]),
-            &ServeOptions {
-                workers: 4,
-                ..Default::default()
-            },
-        );
-        assert_eq!(report.outcomes.len(), 12);
-        assert_eq!(report.stats.failed, 0);
-        assert_eq!(report.stats.timeouts, 0);
-        assert_eq!(report.stats.panics_recovered, 0);
-        assert!(report.stats.jobs_per_sec > 0.0);
-        assert!(report.stats.p99_latency_s >= report.stats.p50_latency_s);
-        for (i, o) in report.outcomes.iter().enumerate() {
-            assert_eq!(o.job, i, "outcomes must come back in submission order");
-            assert_eq!(o.attempts, 1);
-            let out = o.result.as_ref().unwrap();
-            assert!(out.result.converged);
-            assert_eq!(out.solver, "cg");
-            assert!(out.escalations.is_empty());
-        }
-        let cache = report.stats.cache;
-        // 3 distinct setups: 3 misses, 9 hits (modulo worker racing on
-        // first touch, which can only add misses — never hits beyond 9)
-        assert_eq!(cache.hits + cache.misses, 12);
-        assert!(cache.hits > 0, "repeated setups must hit the cache");
-        assert!(cache.misses >= 3);
-        assert_eq!(cache.prepares, cache.misses, "hits must not re-prepare");
-    }
-
-    #[test]
-    fn cache_off_prepares_every_job() {
-        let report = serve_requests(
-            requests(8, &[16, 20]),
-            &ServeOptions {
-                workers: 2,
-                cache: false,
-                ..Default::default()
-            },
-        );
-        assert_eq!(report.stats.failed, 0);
-        let cache = report.stats.cache;
-        assert_eq!(cache.hits, 0);
-        assert_eq!(cache.prepares, 8, "cold path prepares once per job");
-    }
-
-    #[test]
-    fn cached_and_cold_runs_agree_bitwise() {
-        let on = serve_requests(requests(9, &[16, 20, 24]), &ServeOptions::default());
-        let off = serve_requests(
-            requests(9, &[16, 20, 24]),
-            &ServeOptions {
-                cache: false,
-                ..Default::default()
-            },
-        );
-        for (a, b) in on.outcomes.iter().zip(&off.outcomes) {
-            let (a, b) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
-            assert_eq!(a.u, b.u, "cache must not change results");
-            assert_eq!(a.result.iterations, b.result.iterations);
-            assert_eq!(
-                a.result.final_residual.to_bits(),
-                b.result.final_residual.to_bits()
-            );
-        }
-        assert!(on.stats.cache.prepares < off.stats.cache.prepares);
-    }
-
-    #[test]
-    fn a_bad_job_fails_alone() {
-        let mut jobs = requests(3, &[16]);
-        jobs[1].spec.solver = "warp-drive".to_string();
-        let report = serve_requests(jobs, &ServeOptions::default());
-        assert_eq!(report.stats.failed, 1);
-        assert!(report.outcomes[0].result.is_ok());
-        let err = report.outcomes[1].result.as_ref().unwrap_err();
-        assert!(
-            matches!(err, JobError::Failed { .. }),
-            "unknown solver is a structural failure: {err:?}"
-        );
-        assert!(err.to_string().contains("warp-drive"), "{err}");
-        assert!(report.outcomes[2].result.is_ok(), "queue must keep going");
-    }
 
     #[test]
     fn a_panicking_job_is_isolated_and_counted() {
@@ -708,14 +465,23 @@ mod tests {
 
     #[test]
     fn a_zero_deadline_times_out_without_retrying() {
-        let report = serve_requests(
-            requests(3, &[20]),
+        // the job observes its stop token the way a solver loop does
+        let report = serve_with(
+            vec![(); 3],
             &ServeOptions {
                 workers: 2,
                 deadline: Some(Duration::ZERO),
                 retries: 3,
                 ..Default::default()
             },
+            |ctx, ()| {
+                if ctx.stop.should_stop() {
+                    Err(JobError::TimedOut)
+                } else {
+                    Ok(())
+                }
+            },
+            CacheStats::default,
         );
         assert_eq!(report.stats.failed, 3);
         assert_eq!(report.stats.timeouts, 3);
@@ -723,28 +489,6 @@ mod tests {
         for o in &report.outcomes {
             assert_eq!(o.result.as_ref().unwrap_err(), &JobError::TimedOut);
             assert_eq!(o.attempts, 1);
-        }
-    }
-
-    #[test]
-    fn divergence_walks_the_whole_ladder() {
-        // A NaN right-hand side diverges at iteration 0 on every rung,
-        // so the job must try cg_f32 → mixed_cg → cg and report the
-        // full attempt history.
-        let mut jobs = requests(1, &[16]);
-        jobs[0].spec.precision = Some(Precision::F32);
-        jobs[0].b.set(8, 8, f64::NAN);
-        let report = serve_requests(jobs, &ServeOptions::default());
-        assert_eq!(report.stats.failed, 1);
-        match report.outcomes[0].result.as_ref().unwrap_err() {
-            JobError::Diverged {
-                iteration,
-                attempts,
-            } => {
-                assert_eq!(*iteration, 0);
-                assert_eq!(attempts, &["cg_f32", "mixed_cg", "cg"]);
-            }
-            other => panic!("expected Diverged, got {other:?}"),
         }
     }
 
