@@ -30,10 +30,12 @@ OPTIONS:
     --precon <p>         none | jac_diag | jac_block      [default: none]
     --precision <x>      f64 | f32 | mixed                [default: f64]
                          (mixed: f32 preconditioning, f64 recurrence)
-    --depth <d>          PPCG matrix-powers halo depth    [default: 1]
-    --inner <m>          PPCG inner steps                 [default: 16]
+    --depth <d>          PPCG matrix-powers halo depth, 1 up to the
+                         mesh's shorter side (1 only with
+                         --precon jac_block under ppcg)   [default: 1]
+    --inner <m>          PPCG inner steps, at least 1     [default: 16]
     --steps <n>          number of time steps             [default: 10]
-    --dt <t>             time step                        [default: 0.04]
+    --dt <t>             time step, finite and > 0        [default: 0.04]
     --eps <e>            solver tolerance                 [default: 1e-10]
     --tune-seed <n>      seed for --solver auto's candidate
                          search order                     [default: 0]
@@ -344,7 +346,7 @@ fn run_serve(joblist: &std::path::Path, args: &Args) -> ExitCode {
         "  session cache    {} hit(s), {} miss(es), {} prepare(s)",
         s.cache.hits, s.cache.misses, s.cache.prepares
     );
-    if s.timeouts + s.retries + s.panics_recovered > 0 {
+    if s.failed > 0 || s.timeouts + s.retries + s.panics_recovered > 0 {
         println!(
             "  recovery         {} timeout(s), {} retry(ies), {} panic(s) recovered",
             s.timeouts, s.retries, s.panics_recovered

@@ -135,6 +135,42 @@ impl Control {
         }
     }
 
+    /// Checks the control values a deck or the CLI can set against what
+    /// the solvers and the allocator accept, on `problem`'s mesh under
+    /// the resolved registry name `solver` — the one gate between
+    /// outside input and the library's own `assert!`s.
+    ///
+    /// # Errors
+    /// A message naming the offending deck key.
+    pub fn check(&self, problem: &Problem, solver: &str) -> Result<(), String> {
+        if !(self.dt.is_finite() && self.dt > 0.0) {
+            return Err(format!(
+                "initial_timestep must be finite and > 0, got {}",
+                self.dt
+            ));
+        }
+        if self.ppcg_inner_steps == 0 {
+            return Err("tl_ppcg_inner_steps must be at least 1, got 0".into());
+        }
+        // the fields carry the halo on every side: a depth beyond the
+        // mesh buys no sweep and is bounded here, before the allocator
+        let (depth, deepest) = (self.ppcg_halo_depth, problem.x_cells.min(problem.y_cells));
+        if !(1..=deepest).contains(&depth) {
+            return Err(format!(
+                "tl_ppcg_halo_depth must be between 1 and {deepest} (the mesh's shorter side), \
+                 got {depth}"
+            ));
+        }
+        let strips = self.precon == PreconKind::BlockJacobi;
+        if strips && depth > 1 && matches!(solver, "ppcg" | "mixed_ppcg") {
+            return Err(format!(
+                "tl_preconditioner_type=jac_block needs tl_ppcg_halo_depth=1 under {solver} \
+                 (its strips cannot span matrix-powers halos), got {depth}"
+            ));
+        }
+        Ok(())
+    }
+
     /// The generic solver parameters this deck configures — what the
     /// driver hands to [`tea_core::SolverRegistry::create`].
     pub fn solver_params(&self) -> SolverParams {

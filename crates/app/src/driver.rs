@@ -39,6 +39,9 @@ use tea_tune::TuneLog;
 pub enum DriverError {
     /// The deck's problem definition failed validation.
     InvalidProblem(String),
+    /// A control value is outside the range the solvers accept
+    /// ([`crate::Control::check`]); the message names the deck key.
+    InvalidControl(String),
     /// The solver name or precision did not resolve in the registry.
     Solver(String),
     /// A serial-only solver was asked to run decomposed.
@@ -79,6 +82,7 @@ impl std::fmt::Display for DriverError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DriverError::InvalidProblem(why) => write!(f, "invalid problem: {why}"),
+            DriverError::InvalidControl(why) => write!(f, "invalid control: {why}"),
             DriverError::Solver(why) => write!(f, "solver selection failed: {why}"),
             DriverError::SerialOnly { solver, ranks } => write!(
                 f,
@@ -147,9 +151,9 @@ pub struct RankOutput {
     pub comm: StatsSnapshot,
 }
 
-/// Validates the deck's problem, resolves its solver by name in
-/// [`crate::solver_registry`] and constructs the run's one instance of
-/// it. Everything after this drives it through the
+/// Validates the deck's problem and control values, resolves its solver
+/// by name in [`crate::solver_registry`] and constructs the run's one
+/// instance of it. Everything after this drives it through the
 /// [`tea_core::IterativeSolver`] trait — the driver contains no
 /// per-solver dispatch, so registering a new method makes it deck- and
 /// CLI-selectable without touching this file.
@@ -167,6 +171,9 @@ fn resolve(deck: &Deck, ranks: usize) -> Result<Box<dyn IterativeSolver>, Driver
         .effective_solver()
         .map_err(DriverError::Solver)?;
     let meta = registry.resolve(&name).map_err(solver_err)?;
+    deck.control
+        .check(&deck.problem, meta.name)
+        .map_err(DriverError::InvalidControl)?;
     if meta.serial_only && ranks != 1 {
         return Err(DriverError::SerialOnly {
             solver: meta.name.to_string(),

@@ -277,15 +277,33 @@ mod tests {
 
     #[test]
     fn a_bad_deck_fails_its_job_only() {
-        let mut jobs = vec![job(16, "cg", 1e-8), job(16, "cg", 1e-8)];
+        let mut jobs: Vec<DeckJob> = (0..3).map(|_| job(16, "cg", 1e-8)).collect();
         jobs[0].deck.control.solver = "warp".into();
         jobs[0].label = "bad.in".into();
-        let report = serve_decks(jobs, &ServeOptions::default());
-        assert_eq!(report.stats.failed, 1);
-        let err = report.outcomes[0].result.as_ref().unwrap_err();
-        assert!(matches!(err, JobError::Failed { .. }), "{err:?}");
-        assert!(err.to_string().starts_with("bad.in:"), "{err}");
-        assert!(err.to_string().contains("warp"), "{err}");
+        // at the parent this one aborted the whole queue on a 320 GB
+        // allocation; its siblings below panicked and burned retries
+        jobs[2].deck.control.ppcg_halo_depth = 100_000;
+        jobs[2].label = "deep.in".into();
+        let opts = ServeOptions {
+            retries: 2,
+            ..Default::default()
+        };
+        let report = serve_decks(jobs, &opts);
+        assert_eq!(report.stats.failed, 2);
+        assert_eq!(
+            (report.stats.retries, report.stats.panics_recovered),
+            (0, 0)
+        );
+        for (i, label, names) in [
+            (0, "bad.in:", "warp"),
+            (2, "deep.in:", "tl_ppcg_halo_depth"),
+        ] {
+            let err = report.outcomes[i].result.as_ref().unwrap_err();
+            assert!(matches!(err, JobError::Failed { .. }), "{err:?}");
+            assert!(err.to_string().starts_with(label), "{err}");
+            assert!(err.to_string().contains(names), "{err}");
+            assert_eq!(report.outcomes[i].attempts, 1, "a bad deck is not retried");
+        }
         assert!(report.outcomes[1].result.is_ok());
     }
 

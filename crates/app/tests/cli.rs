@@ -168,3 +168,46 @@ fn unconverged_steps_warn_and_exit_nonzero() {
     assert!(!stdout.contains("did not converge"), "{stdout}");
     assert!(out.status.success(), "{out:?}");
 }
+
+#[test]
+fn out_of_range_controls_are_errors_not_panics() {
+    // regression: each of these reached a solver `assert!` (exit 101)
+    // or, for the deep halo, aborted on a 320 GB allocation (exit 134)
+    let cases: [(&[&str], &str); 7] = [
+        (&["--dt", "0"], "initial_timestep"),
+        (&["--dt", "-0.04"], "initial_timestep"),
+        (&["--dt", "nan"], "initial_timestep"),
+        (&["--depth", "0"], "tl_ppcg_halo_depth"),
+        (&["--depth", "100000"], "tl_ppcg_halo_depth"),
+        (&["--inner", "0"], "tl_ppcg_inner_steps"),
+        (
+            &["--depth", "4", "--precon", "jac_block"],
+            "tl_preconditioner_type=jac_block",
+        ),
+    ];
+    for (flags, key) in cases {
+        let args = [
+            &["--cells", "16", "--steps", "1", "--solver", "ppcg"],
+            flags,
+        ]
+        .concat();
+        let out = tealeaf(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {out:?}");
+        assert!(!stderr.contains("panicked"), "{flags:?}: {stderr}");
+        let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+        assert_eq!(errors.len(), 1, "{flags:?}: {stderr}");
+        assert!(errors[0].contains(key), "{flags:?}: {stderr}");
+    }
+
+    // the deck spelling takes the same road
+    let deck = write_deck("zero_dt.in", "tl_solver=cg\ninitial_timestep=0");
+    let out = tealeaf(&["--deck", deck.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(
+        stderr.contains("error:") && stderr.contains("initial_timestep"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

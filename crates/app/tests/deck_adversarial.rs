@@ -6,11 +6,24 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use tea_app::{crooked_pipe_deck, parse_deck, render_deck};
+use tea_app::{crooked_pipe_deck, parse_deck, render_deck, run_serial};
+use tea_core::PreconKind;
 
 /// The vendored proptest has no `u8` strategy; derive one from `u32`.
 fn any_byte() -> impl Strategy<Value = u8> {
     any::<u32>().prop_map(|x| (x & 0xFF) as u8)
+}
+
+/// Three draws in four land in `0..small` — where the accepted ranges
+/// and their edges live — the fourth anywhere in `u64`.
+fn edgy(small: u64) -> impl Strategy<Value = u64> {
+    any::<u64>().prop_map(move |x| if x & 3 != 0 { (x >> 2) % small } else { x })
+}
+
+/// Three draws in four are `sane`, the fourth any bit pattern: NaNs,
+/// infinities, negatives, subnormals, magnitudes near the `f64` limits.
+fn edgy_f64(sane: f64) -> impl Strategy<Value = f64> {
+    any::<u64>().prop_map(move |x| if x & 3 != 0 { sane } else { f64::from_bits(x) })
 }
 
 /// Tokens the parser cares about, mixed with junk: exercises the
@@ -112,6 +125,49 @@ proptest! {
             "*tea\nx_cells={cells}\ny_cells={cells}\ntl_eps={eps}\ntl_max_iters={iters}\n*endtea\n"
         );
         let _ = parse_deck(&text);
+    }
+
+    /// The same idea one layer down: whatever control values a deck
+    /// carries, the driver answers `Ok` or a typed `Err` — a value the
+    /// solvers would `assert!` on, or the allocator abort on, is
+    /// rejected by `Control::check` first. (Inner steps stay small: the
+    /// check bounds them from below only, and a huge count is a huge
+    /// amount of honest work.)
+    #[test]
+    fn extreme_controls_never_unwind_the_driver(
+        dt in edgy_f64(0.04),
+        eps in edgy_f64(1e-8),
+        depth in edgy(10),
+        inner in 0usize..24,
+        presteps in edgy(12),
+        pick in any::<usize>(),
+    ) {
+        // every registry method but `amg`: its dense coarse Cholesky
+        // still asserts on an operator a huge finite time step made
+        // numerically singular (ROADMAP, aim 3)
+        const SOLVERS: &[&str] = &[
+            "ppcg",
+            "mixed_ppcg",
+            "chebyshev",
+            "mixed_chebyshev",
+            "richardson",
+            "mixed_richardson",
+            "cg",
+            "cg_fused",
+            "mixed_cg",
+            "cg_f32",
+            "jacobi",
+            "auto",
+        ];
+        const PRECONS: &[PreconKind] =
+            &[PreconKind::None, PreconKind::Diagonal, PreconKind::BlockJacobi];
+        let mut deck = crooked_pipe_deck(8, SOLVERS[pick % SOLVERS.len()]);
+        let c = &mut deck.control;
+        (c.end_step, c.summary_frequency, c.opts.max_iters) = (1, 0, 40);
+        (c.dt, c.opts.eps, c.presteps) = (dt, eps, presteps);
+        (c.ppcg_halo_depth, c.ppcg_inner_steps) = (depth as usize, inner);
+        c.precon = PRECONS[(pick / SOLVERS.len()) % PRECONS.len()];
+        let _ = run_serial(&deck);
     }
 
     /// Single-character mutations of a valid deck never panic: either

@@ -8,7 +8,7 @@ use crate::mixed::solver_for_precision;
 use crate::ops::{TileBounds, TileOperator};
 use crate::precon::PreconKind;
 use crate::registry::SolverRegistry;
-use crate::session::{SerialTile, SessionSpec, SolveSession};
+use crate::session::{SerialTile, SessionSpec};
 use crate::solver::{SolveOpts, Tile, Workspace};
 use crate::trace::{SolveResult, SolveTrace};
 use tea_comms::Communicator;
@@ -148,24 +148,6 @@ impl<'a> Solve<'a> {
     /// neither the chosen registry nor the builtin one.
     pub fn build(&self) -> Result<Box<dyn IterativeSolver>, SolverError> {
         create_solver(self.registry, &self.spec)
-    }
-
-    /// Splits the builder into its reusable half: a
-    /// [`crate::SolveSession`] that owns a clone of the operator plus
-    /// the tile plumbing, workspace and solver instance `run` would
-    /// have allocated per call, and keeps them alive across solves.
-    /// Callers serving repeated right-hand sides over one operator
-    /// should prefer this to calling [`Solve::run`] in a loop.
-    ///
-    /// # Errors
-    /// [`SolverError::UnknownSolver`] if the name resolves against
-    /// neither the chosen registry nor the builtin one.
-    pub fn session(&self) -> Result<SolveSession, SolverError> {
-        Ok(SolveSession::new(
-            self.op.clone(),
-            &self.spec,
-            self.build()?,
-        ))
     }
 
     /// Runs the solve on a single serial tile, allocating the workspace

@@ -25,15 +25,17 @@
 //! reference's criterion; for `M = I` this is the plain relative residual
 //! norm).
 
-use crate::api::{IterativeSolver, Precision, SolveContext, SolverParams};
+use crate::api::{DynTile, IterativeSolver, Precision, SolveContext, SolverParams};
 use crate::control::Probed;
 use crate::eigen::{estimate_from_cg, EigenEstimate};
 use crate::mixed::{Inner, Low, Lowered};
+use crate::ops::TileOperator;
 use crate::precon::{PreconKind, Preconditioner};
 use crate::recurrence::{pcg_loop, reduce, Entry, Krylov, Precondition};
 use crate::solver::{SolveOpts, Tile, Workspace};
 use crate::trace::{SolveResult, SolveTrace};
 use crate::vector;
+use std::any::Any;
 use tea_comms::Communicator;
 use tea_mesh::Field2D;
 
@@ -222,6 +224,126 @@ pub(crate) fn eigen_prelude<C: Communicator + ?Sized>(
     pre.trace.solver = label.to_string();
     pre.trace.eigen_bounds = Some((est.min, est.max));
     Ok((pre, est))
+}
+
+/// What the three families that open with [`eigen_prelude`] (CPPCG,
+/// Chebyshev, Richardson) hold in common: the preconditioner choice and
+/// precision switch, the latched options, the state assembled against
+/// the current operator, and the eigen-estimate pin and memo.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Family {
+    pub kind: PreconKind,
+    pub mixed: bool,
+    pub opts: SolveOpts,
+    pub precon: Option<Preconditioner>,
+    pub low: Option<Low<f32>>,
+    hint: Option<EigenEstimate>,
+    last_est: Option<EigenEstimate>,
+}
+
+impl Family {
+    /// The unassembled `f64` state for preconditioner `kind`.
+    pub fn new(kind: PreconKind) -> Self {
+        Family {
+            kind,
+            ..Default::default()
+        }
+    }
+}
+
+/// A method of the eigen-prelude family: its options, its names and its
+/// own loop. Everything else an [`IterativeSolver`] needs — prepare,
+/// prepare on demand, the prelude itself, the estimate pin and memo —
+/// is the one blanket impl below.
+pub(crate) trait EigenFamily: Any + Send {
+    /// Registry names: the `f64` method, then its `mixed` variant.
+    const NAMES: [&'static str; 2];
+    /// The shared state.
+    fn family(&self) -> &Family;
+    /// The shared state, mutably.
+    fn family_mut(&mut self) -> &mut Family;
+    /// Figure-legend label of the `f64` method.
+    fn legend(&self) -> String;
+    /// `(presteps, eigen_safety)` of the prelude.
+    fn spectrum(&self) -> (u64, f64);
+    /// Matrix-powers depth: the halo the fields must carry and the
+    /// extent the preconditioners are assembled over (`None`: depth-1
+    /// exchanges, interior-only sweeps).
+    fn matrix_powers(&self) -> Option<usize> {
+        None
+    }
+    /// The one place a family's preconditioners are assembled, over the
+    /// matrix-powers extent, for both `prepare` and the
+    /// prepare-on-demand path.
+    fn assemble(&mut self, op: &TileOperator) {
+        let ext = self.matrix_powers().unwrap_or(0);
+        let family = self.family_mut();
+        family.precon = Some(Preconditioner::setup(family.kind, op, ext));
+        family.low = family.mixed.then(|| Low::assemble(family.kind, op, ext));
+    }
+    /// The method's own loop, picking up the unfinished prelude `pre`
+    /// with the spectrum estimate `est`.
+    fn run(
+        &mut self,
+        tile: &DynTile<'_>,
+        u: &mut Field2D,
+        b: &Field2D,
+        ws: &mut Workspace,
+        pre: SolveResult,
+        est: EigenEstimate,
+    ) -> SolveResult;
+}
+
+impl<T: EigenFamily> IterativeSolver for T {
+    fn name(&self) -> &'static str {
+        T::NAMES[usize::from(self.family().mixed)]
+    }
+
+    fn label(&self) -> String {
+        let suffix = if self.family().mixed { "-mixed" } else { "" };
+        format!("{}{suffix}", self.legend())
+    }
+
+    fn halo_depth(&self) -> usize {
+        self.matrix_powers().unwrap_or(1)
+    }
+
+    fn prepare(&mut self, ctx: &SolveContext<'_>, opts: &SolveOpts) {
+        self.family_mut().opts = *opts;
+        self.assemble(ctx.tile.op);
+    }
+
+    fn solve(
+        &mut self,
+        ctx: &SolveContext<'_>,
+        u: &mut Field2D,
+        b: &Field2D,
+        ws: &mut Workspace,
+        trace: &mut SolveTrace,
+    ) -> SolveResult {
+        let (tile, label, spectrum) = (ctx.tile, self.label(), self.spectrum());
+        if self.family().precon.is_none() {
+            self.assemble(tile.op);
+        }
+        let family = self.family();
+        let precon = family.precon.as_ref().expect("assembled above");
+        let (opts, hint) = (family.opts, family.hint);
+        let result = match eigen_prelude(tile, u, b, precon, ws, opts, spectrum, hint, &label) {
+            Ok((pre, est)) => self.run(tile, u, b, ws, pre, est),
+            Err(end) => *end,
+        };
+        self.family_mut().last_est = result.trace.eigen_estimate();
+        trace.merge(&result.trace);
+        result
+    }
+
+    fn set_eigen_hint(&mut self, hint: Option<EigenEstimate>) {
+        self.family_mut().hint = hint;
+    }
+
+    fn last_eigen_estimate(&self) -> Option<EigenEstimate> {
+        self.family().last_est
+    }
 }
 
 /// Iterations without a ≥0.1% residual improvement before the `f32`

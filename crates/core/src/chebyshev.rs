@@ -22,15 +22,15 @@
 //! polynomial as `check_interval`-step blocks of CPPCG's inner smoother
 //! in `f32` (`refine`).
 
-use crate::api::{DynTile, IterativeSolver, SolveContext, SolverParams};
-use crate::cg::eigen_prelude;
+use crate::api::{DynTile, SolverParams};
+use crate::cg::{EigenFamily, Family};
 use crate::eigen::EigenEstimate;
-use crate::mixed::{refine, Inner, Low};
+use crate::mixed::{refine, Inner};
 use crate::ppcg::Smoothing;
-use crate::precon::{PreconKind, Preconditioner};
+use crate::precon::PreconKind;
 use crate::recurrence::stationary_loop;
-use crate::solver::{SolveOpts, Workspace};
-use crate::trace::{SolveResult, SolveTrace};
+use crate::solver::Workspace;
+use crate::trace::SolveResult;
 use crate::vector;
 use tea_mesh::Field2D;
 
@@ -97,7 +97,8 @@ pub fn cg_iteration_bound(kappa: f64, eps: f64) -> f64 {
     0.5 * kappa.sqrt() * (2.0 / eps).ln()
 }
 
-/// Options for the standalone Chebyshev solver.
+/// Options for the standalone Chebyshev and Richardson solvers (the
+/// latter as [`crate::RichardsonOpts`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ChebyOpts {
     /// Plain-CG iterations used to estimate the spectrum (TeaLeaf
@@ -132,31 +133,23 @@ impl From<&SolverParams> for ChebyOpts {
     }
 }
 
-/// CG-prelude Chebyshev acceleration as an [`IterativeSolver`]: no dot
-/// products in the acceleration phase, only the periodic convergence
-/// check communicates. [`Chebyshev::mixed`] moves the polynomial sweeps
-/// to `f32`.
+/// CG-prelude Chebyshev acceleration as an
+/// [`IterativeSolver`](crate::IterativeSolver): no dot products in the
+/// acceleration phase, only the periodic convergence check
+/// communicates. [`Chebyshev::mixed`] moves the polynomial sweeps to
+/// `f32`.
 #[derive(Debug, Clone, Default)]
 pub struct Chebyshev {
-    kind: PreconKind,
     cheby: ChebyOpts,
-    opts: SolveOpts,
-    mixed: bool,
-    precon: Option<Preconditioner>,
-    low: Option<Low<f32>>,
-    hint: Option<EigenEstimate>,
-    last_est: Option<EigenEstimate>,
+    family: Family,
 }
 
 impl Chebyshev {
     /// A Chebyshev solver with preconditioner `kind` and phase options
     /// `cheby`.
     pub fn new(kind: PreconKind, cheby: ChebyOpts) -> Self {
-        Chebyshev {
-            kind,
-            cheby,
-            ..Default::default()
-        }
+        let family = Family::new(kind);
+        Chebyshev { cheby, family }
     }
 
     /// The `"mixed_chebyshev"` registry entry: each outer iteration
@@ -165,7 +158,7 @@ impl Chebyshev {
     /// residual in `f64`, so the method reaches `f64` tolerances while
     /// the bandwidth-dominant sweeps move half the bytes.
     pub fn mixed(mut self) -> Self {
-        self.mixed = true;
+        self.family.mixed = true;
         self
     }
 
@@ -173,80 +166,42 @@ impl Chebyshev {
     pub fn from_params(params: &SolverParams) -> Self {
         Chebyshev::new(params.precon, params.into())
     }
-
-    /// The one place the preconditioners are assembled for this solver
-    /// (used by both `prepare` and the prepare-on-demand path).
-    fn assemble(&mut self, ctx: &SolveContext<'_>) {
-        self.precon = Some(Preconditioner::setup(self.kind, ctx.tile.op, 0));
-        self.low = self.mixed.then(|| Low::assemble(self.kind, ctx.tile.op, 0));
-    }
 }
 
-impl IterativeSolver for Chebyshev {
-    fn name(&self) -> &'static str {
-        if self.mixed {
-            "mixed_chebyshev"
-        } else {
-            "chebyshev"
-        }
+impl EigenFamily for Chebyshev {
+    const NAMES: [&'static str; 2] = ["chebyshev", "mixed_chebyshev"];
+
+    fn family(&self) -> &Family {
+        &self.family
     }
 
-    fn label(&self) -> String {
-        format!("Chebyshev{}", if self.mixed { "-mixed" } else { "" })
+    fn family_mut(&mut self) -> &mut Family {
+        &mut self.family
     }
 
-    fn prepare(&mut self, ctx: &SolveContext<'_>, opts: &SolveOpts) {
-        self.opts = *opts;
-        self.assemble(ctx);
+    fn legend(&self) -> String {
+        "Chebyshev".into()
     }
 
-    fn solve(
-        &mut self,
-        ctx: &SolveContext<'_>,
-        u: &mut Field2D,
-        b: &Field2D,
-        ws: &mut Workspace,
-        trace: &mut SolveTrace,
-    ) -> SolveResult {
-        if self.precon.is_none() {
-            self.assemble(ctx);
-        }
-        let result = self.run(ctx.tile, u, b, ws);
-        self.last_est = result.trace.eigen_estimate();
-        trace.merge(&result.trace);
-        result
+    fn spectrum(&self) -> (u64, f64) {
+        (self.cheby.presteps, self.cheby.eigen_safety)
     }
 
-    fn set_eigen_hint(&mut self, hint: Option<EigenEstimate>) {
-        self.hint = hint;
-    }
-
-    fn last_eigen_estimate(&self) -> Option<EigenEstimate> {
-        self.last_est
-    }
-}
-
-impl Chebyshev {
-    /// CG presteps (keeping the partial solution), then Chebyshev
-    /// acceleration from the CG-advanced iterate — in `f64`, or as `f32`
-    /// refinement blocks when the solver is `mixed`.
+    /// Chebyshev acceleration from the CG-advanced iterate — in `f64`,
+    /// or as `f32` refinement blocks when the solver is `mixed`.
     fn run(
         &mut self,
         tile: &DynTile<'_>,
         u: &mut Field2D,
         b: &Field2D,
         ws: &mut Workspace,
+        mut pre: SolveResult,
+        est: EigenEstimate,
     ) -> SolveResult {
-        let (opts, cheby, label) = (self.opts, self.cheby, self.label());
-        let precon = self.precon.as_ref().expect("assembled by solve");
+        let (cheby, opts) = (self.cheby, self.family.opts);
+        let precon = self.family.precon.as_ref().expect("assembled by solve");
         let bounds = &tile.op.bounds;
-        let spectrum = (cheby.presteps, cheby.eigen_safety);
-        let prelude = eigen_prelude(tile, u, b, precon, ws, opts, spectrum, self.hint, &label);
-        let (mut pre, est) = match prelude {
-            Ok(prelude) => prelude,
-            Err(end) => return *end,
-        };
-        if let Some(low) = &mut self.low {
+        if let Some(low) = &mut self.family.low {
             let smoothing = Smoothing::new(est, cheby.check_interval.max(1) as usize, 1);
             let inner = Inner::Chebyshev(&smoothing);
             return refine(tile, u, b, ws, pre, opts, low, inner);

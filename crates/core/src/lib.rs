@@ -57,7 +57,6 @@ pub mod eigen;
 pub mod jacobi;
 pub mod mixed;
 pub mod ops;
-pub mod ops3d;
 pub mod ppcg;
 pub mod precon;
 pub mod recurrence;
@@ -86,7 +85,6 @@ pub use eigen::{
 pub use jacobi::Jacobi;
 pub use mixed::solver_for_precision;
 pub use ops::{TileBounds, TileOperator};
-pub use ops3d::{cg_solve_3d, jacobi_solve_3d, TileOperator3D};
 pub use ppcg::{Ppcg, PpcgOpts};
 pub use precon::{BlockJacobi, PreconKind, Preconditioner, DEFAULT_BLOCK_STRIP};
 pub use recurrence::{pcg_loop, Entry, Krylov, Precondition};

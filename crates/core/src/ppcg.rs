@@ -30,16 +30,16 @@
 //! blocks (paper's stated incompatibility with matrix powers, enforced
 //! here at configuration time).
 
-use crate::api::{DynTile, IterativeSolver, SolveContext, SolverParams};
-use crate::cg::eigen_prelude;
+use crate::api::{DynTile, SolverParams};
+use crate::cg::{EigenFamily, Family};
 use crate::chebyshev::ChebyConstants;
 use crate::control::Probed;
 use crate::eigen::EigenEstimate;
-use crate::mixed::{Inner, Low, Lowered};
+use crate::mixed::{Inner, Lowered};
 use crate::ops::TileOperator;
 use crate::precon::{PreconKind, Preconditioner};
 use crate::recurrence::{pcg_loop, Entry, Krylov, Precondition};
-use crate::solver::{SolveOpts, Tile, Workspace};
+use crate::solver::{Tile, Workspace};
 use crate::trace::{SolveResult, SolveTrace};
 use crate::vector;
 use tea_comms::Communicator;
@@ -100,32 +100,23 @@ impl From<&SolverParams> for PpcgOpts {
     }
 }
 
-/// CPPCG as an [`IterativeSolver`]: Chebyshev polynomially
-/// preconditioned CG with the matrix-powers deep-halo schedule — the
-/// paper's communication-avoiding headliner, and the only built-in
-/// method whose [`IterativeSolver::halo_depth`] exceeds 1.
-/// [`Ppcg::mixed`] moves the inner smoothing to `f32`.
+/// CPPCG as an [`IterativeSolver`](crate::IterativeSolver): Chebyshev
+/// polynomially preconditioned CG with the matrix-powers deep-halo
+/// schedule — the paper's communication-avoiding headliner, and the
+/// only built-in method whose halo depth exceeds 1. [`Ppcg::mixed`]
+/// moves the inner smoothing to `f32`.
 #[derive(Debug, Clone, Default)]
 pub struct Ppcg {
-    kind: PreconKind,
     ppcg: PpcgOpts,
-    opts: SolveOpts,
-    mixed: bool,
-    precon: Option<Preconditioner>,
-    low: Option<Low<f32>>,
-    hint: Option<EigenEstimate>,
-    last_est: Option<EigenEstimate>,
+    family: Family,
 }
 
 impl Ppcg {
     /// A CPPCG solver with preconditioner `kind` and configuration
     /// `ppcg`.
     pub fn new(kind: PreconKind, ppcg: PpcgOpts) -> Self {
-        Ppcg {
-            kind,
-            ppcg,
-            ..Default::default()
-        }
+        let family = Family::new(kind);
+        Ppcg { ppcg, family }
     }
 
     /// The `"mixed_ppcg"` registry entry: the whole inner smoothing,
@@ -133,7 +124,7 @@ impl Ppcg {
     /// their Lanczos estimate stay in `f64`; the safety widening absorbs
     /// the (tiny) spectral difference to the demoted operator.
     pub fn mixed(mut self) -> Self {
-        self.mixed = true;
+        self.family.mixed = true;
         self
     }
 
@@ -141,79 +132,45 @@ impl Ppcg {
     pub fn from_params(params: &SolverParams) -> Self {
         Ppcg::new(params.precon, params.into())
     }
-
-    /// The one place the preconditioners are assembled for this solver —
-    /// over the matrix-powers extent — used by both `prepare` and the
-    /// prepare-on-demand path.
-    fn assemble(&mut self, ctx: &SolveContext<'_>) {
-        let (op, h) = (ctx.tile.op, self.ppcg.halo_depth);
-        self.precon = Some(Preconditioner::setup(self.kind, op, h));
-        self.low = self.mixed.then(|| Low::assemble(self.kind, op, h));
-    }
 }
 
-impl IterativeSolver for Ppcg {
-    fn name(&self) -> &'static str {
-        if self.mixed {
-            "mixed_ppcg"
-        } else {
-            "ppcg"
-        }
+impl EigenFamily for Ppcg {
+    const NAMES: [&'static str; 2] = ["ppcg", "mixed_ppcg"];
+
+    fn family(&self) -> &Family {
+        &self.family
     }
 
-    fn label(&self) -> String {
-        let suffix = if self.mixed { "-mixed" } else { "" };
-        format!("{}{suffix}", self.ppcg.label())
+    fn family_mut(&mut self) -> &mut Family {
+        &mut self.family
     }
 
-    fn halo_depth(&self) -> usize {
-        self.ppcg.halo_depth.max(1)
+    fn legend(&self) -> String {
+        self.ppcg.label()
     }
 
-    fn prepare(&mut self, ctx: &SolveContext<'_>, opts: &SolveOpts) {
-        self.opts = *opts;
-        self.assemble(ctx);
+    fn spectrum(&self) -> (u64, f64) {
+        (self.ppcg.presteps, self.ppcg.eigen_safety)
     }
 
-    fn solve(
-        &mut self,
-        ctx: &SolveContext<'_>,
-        u: &mut Field2D,
-        b: &Field2D,
-        ws: &mut Workspace,
-        trace: &mut SolveTrace,
-    ) -> SolveResult {
-        if self.precon.is_none() {
-            self.assemble(ctx);
-        }
-        let result = self.run(ctx.tile, u, b, ws);
-        self.last_est = result.trace.eigen_estimate();
-        trace.merge(&result.trace);
-        result
+    fn matrix_powers(&self) -> Option<usize> {
+        Some(self.ppcg.halo_depth)
     }
 
-    fn set_eigen_hint(&mut self, hint: Option<EigenEstimate>) {
-        self.hint = hint;
-    }
-
-    fn last_eigen_estimate(&self) -> Option<EigenEstimate> {
-        self.last_est
-    }
-}
-
-impl Ppcg {
-    /// CG presteps for the spectrum of `M⁻¹A`, then the PCG loop with
-    /// the `m`-step Chebyshev preconditioner — smoothing in the
-    /// workspace's `f64`, or in `f32` when the solver is `mixed`.
+    /// The PCG loop with the `m`-step Chebyshev preconditioner —
+    /// smoothing in the workspace's `f64`, or in `f32` when the solver
+    /// is `mixed`.
     fn run(
         &mut self,
         tile: &DynTile<'_>,
         u: &mut Field2D,
         b: &Field2D,
         ws: &mut Workspace,
+        pre: SolveResult,
+        est: EigenEstimate,
     ) -> SolveResult {
-        let (opts, ppcg, label) = (self.opts, self.ppcg, self.label());
-        let precon = self.precon.as_ref().expect("assembled by solve");
+        let (ppcg, opts) = (self.ppcg, self.family.opts);
+        let precon = self.family.precon.as_ref().expect("assembled by solve");
         let h = ppcg.halo_depth;
         assert!(h >= 1, "matrix-powers depth must be at least 1");
         assert!(ppcg.inner_steps >= 1, "need at least one inner step");
@@ -227,15 +184,9 @@ impl Ppcg {
             "block-Jacobi cannot be combined with matrix powers (paper §IV.C.2)"
         );
 
-        let spectrum = (ppcg.presteps, ppcg.eigen_safety);
-        let prelude = eigen_prelude(tile, u, b, precon, ws, opts, spectrum, self.hint, &label);
-        let (pre, est) = match prelude {
-            Ok(prelude) => prelude,
-            Err(end) => return *end,
-        };
         let smoothing = Smoothing::new(est, ppcg.inner_steps, h);
         let entry = Entry::Carried(pre);
-        if let Some(low) = &mut self.low {
+        if let Some(low) = &mut self.family.low {
             let (mut k, _) = ws.krylov(tile.op, u, b);
             let mut step = Lowered(low, Inner::Chebyshev(&smoothing));
             return pcg_loop(tile, &mut k, &mut step, entry, opts).0;

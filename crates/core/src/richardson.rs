@@ -27,86 +27,48 @@
 //! the communication profile of Chebyshev with the convergence rate of
 //! a stationary method.
 
-use crate::api::{DynTile, IterativeSolver, SolveContext, SolverParams};
-use crate::cg::eigen_prelude;
+use crate::api::{DynTile, SolverParams};
+use crate::cg::{EigenFamily, Family};
+use crate::chebyshev::ChebyOpts;
 use crate::control::Probed;
 use crate::eigen::EigenEstimate;
-use crate::mixed::{refine, Inner, Low};
+use crate::mixed::{refine, Inner};
 use crate::ops::TileOperator;
 use crate::ppcg::Smooth;
 use crate::precon::{PreconKind, Preconditioner};
 use crate::recurrence::stationary_loop;
-use crate::solver::{SolveOpts, Tile, Workspace};
+use crate::solver::{Tile, Workspace};
 use crate::trace::{SolveResult, SolveTrace};
 use crate::vector;
 use tea_comms::Communicator;
 use tea_mesh::{Field2, Field2D};
 
-/// Options for the Richardson solver.
-#[derive(Debug, Clone, Copy)]
-pub struct RichardsonOpts {
-    /// Plain-CG iterations used to estimate the spectrum of `M⁻¹A`.
-    pub presteps: u64,
-    /// Safety widening of the Lanczos bounds (a too-small `λmax`
-    /// estimate would overdamp past the stability limit).
-    pub eigen_safety: f64,
-    /// Convergence-check cadence in iterations (each check is one
-    /// global reduction).
-    pub check_interval: u64,
-}
-
-impl Default for RichardsonOpts {
-    fn default() -> Self {
-        RichardsonOpts {
-            presteps: 30,
-            eigen_safety: 0.1,
-            check_interval: 10,
-        }
-    }
-}
-
-impl From<&SolverParams> for RichardsonOpts {
-    /// Consumes `presteps`, `eigen_safety` and `check_interval`.
-    fn from(params: &SolverParams) -> Self {
-        RichardsonOpts {
-            presteps: params.presteps,
-            eigen_safety: params.eigen_safety,
-            check_interval: params.check_interval,
-        }
-    }
-}
+/// Options for the Richardson solver: the prelude and check cadence it
+/// shares, field for field, with Chebyshev.
+pub type RichardsonOpts = ChebyOpts;
 
 /// Preconditioned Richardson iteration as an
-/// [`IterativeSolver`] (see the module docs). [`Richardson::mixed`]
-/// moves the damped sweeps to `f32`.
+/// [`IterativeSolver`](crate::IterativeSolver) (see the module docs).
+/// [`Richardson::mixed`] moves the damped sweeps to `f32`.
 #[derive(Debug, Clone, Default)]
 pub struct Richardson {
-    kind: PreconKind,
     rich: RichardsonOpts,
-    opts: SolveOpts,
-    mixed: bool,
-    precon: Option<Preconditioner>,
-    low: Option<Low<f32>>,
-    hint: Option<EigenEstimate>,
-    last_est: Option<EigenEstimate>,
+    family: Family,
 }
 
 impl Richardson {
     /// A Richardson solver with preconditioner `kind` and options
     /// `rich`.
     pub fn new(kind: PreconKind, rich: RichardsonOpts) -> Self {
-        Richardson {
-            kind,
-            rich,
-            ..Default::default()
-        }
+        let family = Family::new(kind);
+        Richardson { rich, family }
     }
 
     /// The `"mixed_richardson"` registry entry: `check_interval` damped
     /// sweeps run in `f32` against the demoted residual; the promoted
     /// correction and the convergence test stay in `f64`.
     pub fn mixed(mut self) -> Self {
-        self.mixed = true;
+        self.family.mixed = true;
         self
     }
 
@@ -115,82 +77,44 @@ impl Richardson {
     pub fn from_params(params: &SolverParams) -> Self {
         Richardson::new(params.precon, params.into())
     }
-
-    /// The one place the preconditioners are assembled for this solver
-    /// (used by both `prepare` and the prepare-on-demand path).
-    fn assemble(&mut self, ctx: &SolveContext<'_>) {
-        self.precon = Some(Preconditioner::setup(self.kind, ctx.tile.op, 0));
-        self.low = self.mixed.then(|| Low::assemble(self.kind, ctx.tile.op, 0));
-    }
 }
 
-impl IterativeSolver for Richardson {
-    fn name(&self) -> &'static str {
-        if self.mixed {
-            "mixed_richardson"
-        } else {
-            "richardson"
-        }
+impl EigenFamily for Richardson {
+    const NAMES: [&'static str; 2] = ["richardson", "mixed_richardson"];
+
+    fn family(&self) -> &Family {
+        &self.family
     }
 
-    fn label(&self) -> String {
-        format!("Richardson{}", if self.mixed { "-mixed" } else { "" })
+    fn family_mut(&mut self) -> &mut Family {
+        &mut self.family
     }
 
-    fn prepare(&mut self, ctx: &SolveContext<'_>, opts: &SolveOpts) {
-        self.opts = *opts;
-        self.assemble(ctx);
+    fn legend(&self) -> String {
+        "Richardson".into()
     }
 
-    fn solve(
-        &mut self,
-        ctx: &SolveContext<'_>,
-        u: &mut Field2D,
-        b: &Field2D,
-        ws: &mut Workspace,
-        trace: &mut SolveTrace,
-    ) -> SolveResult {
-        if self.precon.is_none() {
-            self.assemble(ctx);
-        }
-        let result = self.run(ctx.tile, u, b, ws);
-        self.last_est = result.trace.eigen_estimate();
-        trace.merge(&result.trace);
-        result
+    fn spectrum(&self) -> (u64, f64) {
+        (self.rich.presteps, self.rich.eigen_safety)
     }
 
-    fn set_eigen_hint(&mut self, hint: Option<EigenEstimate>) {
-        self.hint = hint;
-    }
-
-    fn last_eigen_estimate(&self) -> Option<EigenEstimate> {
-        self.last_est
-    }
-}
-
-impl Richardson {
-    /// CG presteps for the spectrum of `M⁻¹A` (keeping the partial
-    /// solution), then the damped stationary iteration from the
-    /// CG-advanced iterate — in `f64`, or as `f32` refinement blocks
-    /// when the solver is `mixed`.
+    /// The damped stationary iteration from the CG-advanced iterate —
+    /// in `f64`, or as `f32` refinement blocks when the solver is
+    /// `mixed`.
     fn run(
         &mut self,
         tile: &DynTile<'_>,
         u: &mut Field2D,
         b: &Field2D,
         ws: &mut Workspace,
+        mut pre: SolveResult,
+        est: EigenEstimate,
     ) -> SolveResult {
-        let (opts, rich, label) = (self.opts, self.rich, self.label());
-        let precon = self.precon.as_ref().expect("assembled by solve");
+        let (rich, opts) = (self.rich, self.family.opts);
+        let precon = self.family.precon.as_ref().expect("assembled by solve");
         let bounds = &tile.op.bounds;
-        let spectrum = (rich.presteps, rich.eigen_safety);
-        let prelude = eigen_prelude(tile, u, b, precon, ws, opts, spectrum, self.hint, &label);
-        let (mut pre, est) = match prelude {
-            Ok(prelude) => prelude,
-            Err(end) => return *end,
-        };
         let omega = 2.0 / (est.min + est.max);
-        if let Some(low) = &mut self.low {
+        if let Some(low) = &mut self.family.low {
             let steps = rich.check_interval.max(1) as usize;
             let inner = Inner::Richardson { omega, steps };
             return refine(tile, u, b, ws, pre, opts, low, inner);
@@ -241,7 +165,9 @@ pub(crate) fn rich_inner<S: Probed, C: Communicator + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{IterativeSolver, SolveContext};
     use crate::builder::{crooked_pipe_system, Solve};
+    use crate::solver::SolveOpts;
     use tea_comms::{HaloLayout, SerialComm};
     use tea_mesh::Decomposition2D;
 

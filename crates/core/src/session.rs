@@ -271,25 +271,17 @@ pub struct SolveSession {
 }
 
 impl SolveSession {
-    /// Builds a session over `op` from `spec`, resolving the solver in
-    /// the builtin registry ([`crate::Solve::session`] resolves in a
-    /// caller-supplied one). Nothing is prepared yet — the first
+    /// Builds a cold session over `op` from `spec`, resolving the solver
+    /// in the builtin registry (a [`SetupCache`] takes an instance built
+    /// from any registry). Nothing is prepared yet — the first
     /// [`SolveSession::solve`] does that.
     ///
     /// # Errors
     /// [`SolverError`] when the name or precision does not resolve.
     pub fn build(op: TileOperator, spec: &SessionSpec) -> Result<Self, SolverError> {
-        Ok(Self::new(op, spec, create_solver(None, spec)?))
-    }
-
-    /// A cold session running `solver` over `op` with `spec`'s options.
-    pub(crate) fn new(
-        op: TileOperator,
-        spec: &SessionSpec,
-        solver: Box<dyn IterativeSolver>,
-    ) -> Self {
+        let solver = create_solver(None, spec)?;
         let key = SetupKey::of(&op, spec, solver.as_ref());
-        Self::keyed(op, spec, solver, key)
+        Ok(Self::keyed(op, spec, solver, key))
     }
 
     fn keyed(
@@ -340,19 +332,9 @@ impl SolveSession {
         &self.key
     }
 
-    /// The session's operator (shared with every solve it runs).
-    pub fn operator(&self) -> &TileOperator {
-        &self.op
-    }
-
     /// Human-readable solver label (e.g. `"PPCG-16"`).
     pub fn solver_label(&self) -> String {
         self.solver.label()
-    }
-
-    /// Convergence options latched at prepare time.
-    pub fn opts(&self) -> &SolveOpts {
-        &self.opts
     }
 
     /// How many times this session has run the solver's `prepare` —
@@ -543,11 +525,6 @@ impl SetupCache {
             .values()
             .map(Vec::len)
             .sum()
-    }
-
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.pooled() == 0
     }
 
     /// Counters so far. `prepares` sums over the sessions currently

@@ -228,17 +228,6 @@ pub enum SolveStatus {
 }
 
 impl SolveStatus {
-    /// [`SolveStatus::Converged`] or [`SolveStatus::IterationLimit`]
-    /// from the legacy boolean — for solve paths with no breakdown or
-    /// cancellation states of their own.
-    pub fn from_converged(converged: bool) -> Self {
-        if converged {
-            SolveStatus::Converged
-        } else {
-            SolveStatus::IterationLimit
-        }
-    }
-
     /// Whether this is [`SolveStatus::Diverged`].
     pub fn is_diverged(&self) -> bool {
         matches!(self, SolveStatus::Diverged { .. })
@@ -460,11 +449,6 @@ mod tests {
 
     #[test]
     fn status_helpers_and_display() {
-        assert_eq!(SolveStatus::from_converged(true), SolveStatus::Converged);
-        assert_eq!(
-            SolveStatus::from_converged(false),
-            SolveStatus::IterationLimit
-        );
         let d = SolveStatus::Diverged { iteration: 7 };
         assert!(d.is_diverged() && !d.is_cancelled());
         assert_eq!(d.to_string(), "diverged at iteration 7");

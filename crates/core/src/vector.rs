@@ -355,8 +355,6 @@ pub mod scalar_ref {
 /// [`for_rows_sum`] (one output) and [`for_rows2_sum`] (two), and every
 /// row-parallel kernel (the vector ops below, the 2D operator apply and
 /// residual, the block-Jacobi solve) routes through one of the four.
-/// The 3D operator keeps its own copy only because `Field3D`'s
-/// two-level row decode does not fit this shape.
 pub(crate) fn for_rows<S: Scalar>(
     out: &mut Field2<S>,
     bounds: &TileBounds,

@@ -1,11 +1,10 @@
 //! # tea-mesh — structured meshes for TeaLeaf-rs
 //!
 //! The mesh substrate of the TeaLeaf reproduction: halo-padded dense
-//! fields ([`Field2D`], [`Field3D`]), balanced rectangular domain
-//! decomposition ([`Decomposition2D`]), physical mesh metadata
-//! ([`Mesh2D`]), input-deck material states and the crooked-pipe problem
-//! generator ([`geometry`]), and face conduction-coefficient assembly
-//! ([`coefficients`]).
+//! fields ([`Field2D`]), balanced rectangular domain decomposition
+//! ([`Decomposition2D`]), physical mesh metadata ([`Mesh2D`]), input-deck
+//! material states and the crooked-pipe problem generator ([`geometry`]),
+//! and face conduction-coefficient assembly ([`coefficients`]).
 //!
 //! Everything here is deliberately solver-agnostic: `tea-core` builds its
 //! matrix-free operators on top of these types, and `tea-comms` moves
@@ -32,11 +31,8 @@
 pub mod coefficients;
 pub mod decomp;
 pub mod field;
-pub mod field3d;
 pub mod geometry;
-pub mod geometry3d;
 pub mod mesh;
-pub mod mesh3d;
 pub mod scalar;
 
 pub use coefficients::{timestep_scalings, Coefficients};
@@ -44,11 +40,8 @@ pub use decomp::{
     choose_process_grid, factor_pairs, split_extent, Decomposition2D, Dir, Subdomain,
 };
 pub use field::{Field2, Field2D, Field2F};
-pub use field3d::Field3D;
 pub use geometry::{
     crooked_pipe, crooked_pipe_rect, hot_square, Coefficient, Problem, Shape, State,
 };
-pub use geometry3d::{crooked_pipe_3d, hot_ball, Problem3D, Shape3D, State3D};
 pub use mesh::{Extent2D, Mesh2D};
-pub use mesh3d::{Coefficients3D, Extent3D, Mesh3D};
 pub use scalar::Scalar;

@@ -10,7 +10,7 @@
 //! same seed always explores in the same order.
 
 use serde::{Deserialize, Serialize};
-use tea_core::{SolverParams, SolverRegistry};
+use tea_core::{PreconKind, SolverParams, SolverRegistry};
 use tea_perfmodel::{predicted_iteration_bytes, KernelBytes};
 
 /// Halo depths tried for methods with `deep_halo` metadata (the paper's
@@ -67,7 +67,8 @@ pub fn splitmix64(seed: u64) -> u64 {
 }
 
 /// Expands `registry`'s tunable entries into the ordered candidate
-/// list: tunable, non-serial metas × halo depths, sorted by the
+/// list: tunable, non-serial metas × halo depths (depth 1 only under
+/// the block-Jacobi preconditioner), sorted by the
 /// bytes-per-iteration prior ascending with seeded tie-breaking.
 pub fn plan_candidates(
     registry: &SolverRegistry,
@@ -80,7 +81,10 @@ pub fn plan_candidates(
         if !meta.tunable || meta.serial_only {
             continue;
         }
-        let depths: &[usize] = if meta.deep_halo {
+        // block-Jacobi strips cannot span matrix-powers halos (paper
+        // §IV.C.2; the solver asserts it), so that deck keeps depth 1
+        let strips = params.precon == PreconKind::BlockJacobi;
+        let depths: &[usize] = if meta.deep_halo && !strips {
             &DEEP_HALO_DEPTHS
         } else {
             &[1]
@@ -139,6 +143,16 @@ mod tests {
             assert_eq!(instances, expect, "{}", meta.name);
         }
         assert!(!plan.iter().any(|c| c.solver == "jacobi"));
+
+        // regression: under block-Jacobi the deep depths used to be
+        // planned anyway, and racing one hit the solver's assert
+        let strips = SolverParams {
+            precon: PreconKind::BlockJacobi,
+            ..SolverParams::default()
+        };
+        let plan = plan_candidates(&reg, &strips, 0);
+        assert_eq!(plan.len(), 10, "{plan:#?}");
+        assert!(plan.iter().all(|c| c.halo_depth == 1), "{plan:#?}");
     }
 
     #[test]

@@ -15,9 +15,8 @@
 //! the failure messages would attribute configs wrongly.
 
 use tealeaf::app::{crooked_pipe_deck, run_serial, Deck};
-use tealeaf::mesh::{hot_ball, Coefficients3D, Field3D, Mesh3D};
 use tealeaf::solvers as runtime;
-use tealeaf::solvers::{PreconKind, SolveOpts, SolveTrace, TileOperator3D};
+use tealeaf::solvers::{PreconKind, SolveTrace};
 
 fn deck(n: usize, solver: &str) -> Deck {
     let mut d = crooked_pipe_deck(n, solver);
@@ -47,38 +46,6 @@ fn run_bits(deck: &Deck) -> (Vec<u64>, u64, SolveTrace) {
     }
     let iters = out.steps.iter().map(|s| s.iterations).sum();
     (bits, iters, out.trace)
-}
-
-fn build_3d(n: usize) -> (TileOperator3D, Field3D) {
-    let p = hot_ball(n);
-    let mesh = Mesh3D::new(n, n, n, p.extent);
-    let mut density = Field3D::new(n, n, n, 1);
-    let mut energy = Field3D::new(n, n, n, 1);
-    p.apply_states(&mesh, &mut density, &mut energy);
-    let (rx, ry, rz) = mesh.timestep_scalings(0.002);
-    let coeffs = Coefficients3D::assemble(&mesh, &density, p.coefficient, rx, ry, rz, 1);
-    let op = TileOperator3D::new(coeffs);
-    let mut b = Field3D::new(n, n, n, 1);
-    for i in 0..n as isize {
-        for k in 0..n as isize {
-            for j in 0..n as isize {
-                b.set(j, k, i, density.at(j, k, i) * energy.at(j, k, i));
-            }
-        }
-    }
-    (op, b)
-}
-
-fn field3d_bits(f: &Field3D) -> Vec<u64> {
-    let mut bits = Vec::with_capacity(f.nx() * f.ny() * f.nz());
-    for i in 0..f.nz() as isize {
-        for k in 0..f.ny() as isize {
-            for j in 0..f.nx() as isize {
-                bits.push(f.at(j, k, i).to_bits());
-            }
-        }
-    }
-    bits
 }
 
 #[test]
@@ -136,40 +103,6 @@ fn solvers_are_bit_identical_across_threads_and_thresholds() {
                 );
             }
         }
-    }
-
-    // the 3D operator: fused sweep + dot through the same matrix
-    let (op, b) = build_3d(16); // 4096 cells: parallel once threshold = 1
-    runtime::set_num_threads(1);
-    runtime::set_par_threshold(usize::MAX);
-    let mut w = Field3D::new(16, 16, 16, 1);
-    let mut t = SolveTrace::new("t");
-    let base_dot = op.apply_fused_dot(&b, &mut w, &mut t);
-    let base_w = field3d_bits(&w);
-    let mut u = b.clone();
-    let base_res = runtime::cg_solve_3d(&op, &mut u, &b, SolveOpts::with_eps(1e-8));
-    let base_u = field3d_bits(&u);
-    for &nthreads in &[1usize, 2, 4] {
-        runtime::set_par_threshold(1);
-        runtime::set_num_threads(nthreads);
-        let mut w2 = Field3D::new(16, 16, 16, 1);
-        let dot = op.apply_fused_dot(&b, &mut w2, &mut t);
-        assert_eq!(
-            dot.to_bits(),
-            base_dot.to_bits(),
-            "3D fused dot drifted at threads={nthreads}"
-        );
-        assert!(
-            field3d_bits(&w2) == base_w,
-            "3D sweep not bit-identical at threads={nthreads}"
-        );
-        let mut u2 = b.clone();
-        let res = runtime::cg_solve_3d(&op, &mut u2, &b, SolveOpts::with_eps(1e-8));
-        assert_eq!(res.iterations, base_res.iterations);
-        assert!(
-            field3d_bits(&u2) == base_u,
-            "3D CG solve not bit-identical at threads={nthreads}"
-        );
     }
 
     // leave the process-global knobs at their defaults
