@@ -33,7 +33,7 @@ OPTIONS:
     --depth <d>          PPCG matrix-powers halo depth, 1 up to the
                          mesh's shorter side (1 only with
                          --precon jac_block under ppcg)   [default: 1]
-    --inner <m>          PPCG inner steps, at least 1     [default: 16]
+    --inner <m>          PPCG inner steps, 1 to 4096      [default: 16]
     --steps <n>          number of time steps             [default: 10]
     --dt <t>             time step, finite and > 0        [default: 0.04]
     --eps <e>            solver tolerance                 [default: 1e-10]

@@ -35,6 +35,10 @@ use std::collections::BTreeMap;
 use tea_core::{Precision, PreconKind, SolveOpts, SolverParams};
 use tea_mesh::{Coefficient, Extent2D, Problem, Shape, State};
 
+/// The most inner Chebyshev steps a deck may ask of CPPCG
+/// (`tl_ppcg_inner_steps`); the paper's sweeps stop at 16.
+pub const MAX_PPCG_INNER_STEPS: usize = 4096;
+
 /// Time-stepping and solver controls (the deck's non-geometry half).
 #[derive(Debug, Clone)]
 pub struct Control {
@@ -149,8 +153,13 @@ impl Control {
                 self.dt
             ));
         }
-        if self.ppcg_inner_steps == 0 {
-            return Err("tl_ppcg_inner_steps must be at least 1, got 0".into());
+        // the count sizes the Chebyshev coefficient vector and the
+        // smoothing's level table
+        if !(1..=MAX_PPCG_INNER_STEPS).contains(&self.ppcg_inner_steps) {
+            return Err(format!(
+                "tl_ppcg_inner_steps must be between 1 and {MAX_PPCG_INNER_STEPS}, got {}",
+                self.ppcg_inner_steps
+            ));
         }
         // the fields carry the halo on every side: a depth beyond the
         // mesh buys no sweep and is bounded here, before the allocator

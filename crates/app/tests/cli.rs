@@ -173,13 +173,14 @@ fn unconverged_steps_warn_and_exit_nonzero() {
 fn out_of_range_controls_are_errors_not_panics() {
     // regression: each of these reached a solver `assert!` (exit 101)
     // or, for the deep halo, aborted on a 320 GB allocation (exit 134)
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 8] = [
         (&["--dt", "0"], "initial_timestep"),
         (&["--dt", "-0.04"], "initial_timestep"),
         (&["--dt", "nan"], "initial_timestep"),
         (&["--depth", "0"], "tl_ppcg_halo_depth"),
         (&["--depth", "100000"], "tl_ppcg_halo_depth"),
         (&["--inner", "0"], "tl_ppcg_inner_steps"),
+        (&["--inner", "18446744073709551615"], "tl_ppcg_inner_steps"),
         (
             &["--depth", "4", "--precon", "jac_block"],
             "tl_preconditioner_type=jac_block",

@@ -130,15 +130,14 @@ proptest! {
     /// The same idea one layer down: whatever control values a deck
     /// carries, the driver answers `Ok` or a typed `Err` — a value the
     /// solvers would `assert!` on, or the allocator abort on, is
-    /// rejected by `Control::check` first. (Inner steps stay small: the
-    /// check bounds them from below only, and a huge count is a huge
-    /// amount of honest work.)
+    /// rejected by `Control::check` first — a runaway inner-step count
+    /// included, before it can size the coefficient vector.
     #[test]
     fn extreme_controls_never_unwind_the_driver(
         dt in edgy_f64(0.04),
         eps in edgy_f64(1e-8),
         depth in edgy(10),
-        inner in 0usize..24,
+        inner in edgy(24),
         presteps in edgy(12),
         pick in any::<usize>(),
     ) {
@@ -165,7 +164,7 @@ proptest! {
         let c = &mut deck.control;
         (c.end_step, c.summary_frequency, c.opts.max_iters) = (1, 0, 40);
         (c.dt, c.opts.eps, c.presteps) = (dt, eps, presteps);
-        (c.ppcg_halo_depth, c.ppcg_inner_steps) = (depth as usize, inner);
+        (c.ppcg_halo_depth, c.ppcg_inner_steps) = (depth as usize, inner as usize);
         c.precon = PRECONS[(pick / SOLVERS.len()) % PRECONS.len()];
         let _ = run_serial(&deck);
     }

@@ -91,8 +91,8 @@ pub use recurrence::{pcg_loop, Entry, Krylov, Precondition};
 pub use registry::{SolverFactory, SolverRegistry};
 pub use richardson::{Richardson, RichardsonOpts};
 pub use runtime::{
-    hardware_threads, num_threads, par_threshold, request_num_threads, set_num_threads,
-    set_par_threshold, thread_warning, PAR_THRESHOLD,
+    hardware_threads, num_threads, par_threshold, parallel_sweep, request_num_threads,
+    set_num_threads, set_par_threshold, thread_warning, PAR_THRESHOLD,
 };
 pub use session::{CacheStats, SessionSpec, SetupCache, SetupKey, SolveSession};
 pub use solver::{SolveOpts, Tile, Workspace};

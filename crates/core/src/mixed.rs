@@ -194,7 +194,7 @@ impl<S: Probed> Low<S> {
             (Inner::Precon, _) => precon.apply(rr, lz, &op.bounds, 0, trace),
             (Inner::Chebyshev(smoothing), [sd, tmp, ..]) => {
                 let mut f = Smooth { z: lz, rr, sd, tmp };
-                cheb_inner(tile, op, precon, &mut f, smoothing, trace);
+                cheb_inner(tile, op, precon, &mut f, None, smoothing, trace);
                 trace.inner_iterations += smoothing.cheb.len() as u64;
             }
             (&Inner::Richardson { omega, steps }, [sd, tmp, w, ..]) => {

@@ -24,6 +24,7 @@
 
 use crate::trace::SolveTrace;
 use crate::vector::lanes::{arr, tree_sum, whole_blocks, REDUCE_LANES};
+use crate::vector::Rows;
 use tea_mesh::{Coefficients, Field2, Mesh2D, Scalar};
 
 /// The 5-point stencil at column `i` of one row — the one expression
@@ -255,6 +256,28 @@ impl<S: Scalar> TileOperator<S> {
     ) {
         trace.spmv.record(ext);
         trace.fused_updates.record(ext);
+        self.cheb_fused_rows(sd, z, rr, ext, Rows::All, false, None);
+    }
+
+    /// [`TileOperator::apply_cheb_fused`] over `rows` of the sweep,
+    /// untraced — the lead sweep of one level of a
+    /// [`crate::vector::for_rows_block`] pass. `fresh` marks a
+    /// smoothing's first step, which absorbs the sweeps that used to
+    /// prepare its operands and rounds exactly like them: `z = 0 + sd`
+    /// for `z`'s zero fill (the add stays, so a `-0.0` direction still
+    /// leaves `+0.0`) and, given the outer residual `r`, `rr = r - A·sd`
+    /// for its copy into `rr`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn cheb_fused_rows(
+        &self,
+        sd: &Field2<S>,
+        z: &mut Field2<S>,
+        rr: &mut Field2<S>,
+        ext: usize,
+        rows: Rows,
+        fresh: bool,
+        r: Option<&Field2<S>>,
+    ) {
         let (x_lo, x_hi, _, _) = self.bounds.range(ext);
         let n = (x_hi - x_lo) as usize;
         let kx = &self.coeffs.kx;
@@ -263,17 +286,35 @@ impl<S: Scalar> TileOperator<S> {
             sd.halo() as isize > ext as isize,
             "sd halo too shallow for extension {ext}"
         );
-        crate::vector::for_rows2(z, rr, &self.bounds, ext, |k, zr, rrow| {
+        crate::vector::for_rows2(z, rr, &self.bounds, ext, rows, |k, zr, rrow| {
             let pc = sd.row(k, x_lo - 1, x_hi + 1);
             let ps = sd.row(k - 1, x_lo, x_hi);
             let pn = sd.row(k + 1, x_lo, x_hi);
             let kxr = kx.row(k, x_lo, x_hi + 1);
             let kyc = ky.row(k, x_lo, x_hi);
             let kyn = ky.row(k + 1, x_lo, x_hi);
-            for i in 0..n {
-                let v = stencil5(kxr, kyc, kyn, pc, ps, pn, i);
-                zr[i] += pc[i + 1];
-                rrow[i] -= v;
+            let v = |i| stencil5(kxr, kyc, kyn, pc, ps, pn, i);
+            // one plain loop per start, so each vectorizes
+            match (fresh, r.map(|r| r.row(k, x_lo, x_hi))) {
+                (false, _) => {
+                    for i in 0..n {
+                        let v = v(i);
+                        zr[i] += pc[i + 1];
+                        rrow[i] -= v;
+                    }
+                }
+                (true, None) => {
+                    for i in 0..n {
+                        zr[i] = S::ZERO + pc[i + 1];
+                        rrow[i] -= v(i);
+                    }
+                }
+                (true, Some(r)) => {
+                    for i in 0..n {
+                        zr[i] = S::ZERO + pc[i + 1];
+                        rrow[i] = r[i] - v(i);
+                    }
+                }
             }
         });
     }

@@ -25,6 +25,28 @@
 //! before every inner step; `PPCG-16` exchanges once or twice per outer
 //! iteration.
 //!
+//! **Matrix powers in time.** What one exchange buys is a *block*, and
+//! a block runs as one pass over the rows
+//! (`vector::for_rows_block`): nothing leaves the tile between two
+//! exchanges, so the block that avoids the network can avoid the memory
+//! hierarchy too. At wavefront `t`, level `l` of the block applies the
+//! fused stencil/`z`/`rr` body to row `t − 2l` of its own shrinking
+//! bounds and then the `sd` recurrence to row `t − 2l − 1`. The lag of
+//! two rows means each read sees exactly what sweep-at-a-time order
+//! produced — the three `sd` rows a stencil reads are complete, and
+//! none is overwritten before the stencil above it has passed — so the
+//! result is bit-identical, with no scratch rows and no redundant
+//! cells. A level-at-a-time step streams 10 elements per cell (7 for
+//! the stencil pass, 3 for the recurrence), a block of `h` steps `10·h`;
+//! the pipelined block streams `sd`, `z`, `rr` in and out and `Kx`,
+//! `Ky` in: 8, with about `2h + 1` rows of five fields resident in L2.
+//! Depth 1 already fuses the two sweeps of a step into one pass, and
+//! the first block also absorbs the sweeps that used to prepare the
+//! smoothing (`rr ← r`, `z ← 0`, `sd ← M⁻¹r/θ`). The halo depth is the
+//! only knob: the paper's `PPCG-n` axis sets the temporal-blocking
+//! depth as well. With more than one worker a block above the parallel
+//! threshold runs its sweeps one after another, each row-parallel.
+//!
 //! The block-Jacobi preconditioner may additionally smooth the *inner*
 //! residual — but only at depth 1, because its strips need fresh whole
 //! blocks (paper's stated incompatibility with matrix powers, enforced
@@ -43,7 +65,7 @@ use crate::solver::{Tile, Workspace};
 use crate::trace::{SolveResult, SolveTrace};
 use crate::vector;
 use tea_comms::Communicator;
-use tea_mesh::{Field2, Field2D};
+use tea_mesh::{Field2, Field2D, Scalar};
 
 /// CPPCG configuration.
 #[derive(Debug, Clone, Copy)]
@@ -203,35 +225,121 @@ impl EigenFamily for Ppcg {
 
 /// One preconditioner application's worth of Chebyshev smoothing.
 #[derive(Debug, Clone)]
-pub(crate) struct Smoothing {
+pub struct Smoothing {
     /// Spectrum midpoint `θ` (the first direction is `M⁻¹r / θ`).
-    pub theta: f64,
+    theta: f64,
     /// The `(α_k, β_k)` of each step: `sd ← α_k·sd + β_k·M⁻¹rr`.
-    pub cheb: Vec<(f64, f64)>,
+    pub(crate) cheb: Vec<(f64, f64)>,
     /// Matrix-powers halo depth `h ≥ 1`.
-    pub depth: usize,
+    depth: usize,
+    /// The sweep extension of every level: level 0 is the prelude
+    /// `sd = M⁻¹r/θ`, level `j` is step `j - 1`. A maximal strictly
+    /// decreasing run is one block — the levels one exchange buys.
+    exts: Vec<usize>,
 }
 
 impl Smoothing {
     /// `steps` steps at depth `depth` for the spectrum estimate `est`.
-    pub(crate) fn new(est: EigenEstimate, steps: usize, depth: usize) -> Self {
+    pub fn new(est: EigenEstimate, steps: usize, depth: usize) -> Self {
         let consts = ChebyConstants::from_estimate(est);
+        // depth 1 smooths the interior and exchanges `sd` before every
+        // step; deeper, the first exchange carries the residual and the
+        // prelude already runs over the whole halo
+        let mut avail = if depth > 1 { depth } else { 0 };
+        let mut exts = vec![avail];
+        for i in 0..steps {
+            if avail == 0 {
+                avail = depth;
+            }
+            // never sweep wider than the remaining steps can use
+            avail = (avail - 1).min(steps - 1 - i);
+            exts.push(avail);
+        }
         Smoothing {
             theta: consts.theta,
             cheb: consts.coefficients(steps),
             depth,
+            exts,
         }
+    }
+
+    /// The blocks, in order: each one's first level and the sweep
+    /// extensions of its levels.
+    pub fn blocks(&self) -> impl Iterator<Item = (usize, &[usize])> {
+        self.exts.chunk_by(|a, b| b < a).scan(0, |next, exts| {
+            let first = *next;
+            *next += exts.len();
+            Some((first, exts))
+        })
+    }
+
+    /// Runs one of the [`Smoothing::blocks`] on `f` as one
+    /// `vector::for_rows_block` pass: each level's stencil sweep leads,
+    /// its `sd` recurrence lags. `r` is the outer residual where `f.rr`
+    /// does not hold it yet; the first step then reads it there. The
+    /// trace gets the records of the sweeps the pass stands for, the
+    /// prelude's `z ← 0`, `tmp ← M⁻¹r` and `sd ← tmp/θ` included.
+    pub fn run_block<S: Scalar>(
+        &self,
+        op: &TileOperator<S>,
+        precon: &Preconditioner<S>,
+        f: &mut Smooth<'_, S>,
+        r: Option<&Field2<S>>,
+        (first, exts): (usize, &[usize]),
+        trace: &mut SolveTrace,
+    ) {
+        let bounds = &op.bounds;
+        for (j, &e) in (first..).zip(exts) {
+            if j == 0 {
+                trace.vector_ops.record(self.depth);
+                if precon.supports_extension() {
+                    trace.vector_ops.record(e);
+                }
+            } else {
+                trace.spmv.record(e);
+                trace.fused_updates.record(e);
+            }
+            if !precon.is_identity() {
+                trace.precon_ops.record(e);
+            }
+            trace.vector_ops.record(e);
+        }
+        let inv_theta = S::from_f64(1.0 / self.theta);
+        vector::for_rows_block(bounds, exts, |l, lag, rows| {
+            let (j, e) = (first + l, exts[l]);
+            match (j, lag) {
+                (0, false) => {} // the prelude has no stencil
+                (0, true) => {
+                    let g = move |_, m| m * inv_theta;
+                    precon.combine_rows(f.sd, r.unwrap_or(f.rr), f.tmp, bounds, e, rows, g);
+                }
+                (_, false) => {
+                    let r = r.filter(|_| j == 1);
+                    op.cheb_fused_rows(f.sd, f.z, f.rr, e, rows, j == 1, r);
+                }
+                (_, true) => {
+                    let (a, b) = self.cheb[j - 1];
+                    let (a, b) = (S::from_f64(a), S::from_f64(b));
+                    precon.combine_rows(f.sd, f.rr, f.tmp, bounds, e, rows, move |y, m| {
+                        a * y + b * m
+                    });
+                }
+            }
+        });
     }
 }
 
-/// The fields of one smoothing in precision `S`: `rr` enters holding the
-/// outer residual and is consumed as the inner residual, `z` leaves
-/// holding the result; `sd` and `tmp` are scratch (`tmp` only on the
-/// unfused block-Jacobi fallback).
-pub(crate) struct Smooth<'a, S: Probed> {
+/// The fields of one smoothing in precision `S`: `rr` is consumed as the
+/// inner residual, `z` leaves holding the result; `sd` and `tmp` are
+/// scratch (`tmp` holds block-Jacobi's strip solves).
+pub struct Smooth<'a, S: Scalar> {
+    /// The smoothed result `z ≈ A⁻¹r`.
     pub z: &'a mut Field2<S>,
+    /// The inner residual.
     pub rr: &'a mut Field2<S>,
+    /// The Chebyshev direction.
     pub sd: &'a mut Field2<S>,
+    /// Row scratch of the preconditioner.
     pub tmp: &'a mut Field2<S>,
 }
 
@@ -251,73 +359,51 @@ impl Precondition<f64> for Smoothed<'_> {
         trace: &mut SolveTrace,
     ) {
         let [rr, sd, tmp] = &mut self.scratch;
-        vector::copy(rr, k.r, &k.op.bounds, 0, trace);
+        // `rr ← r`: the first step reads `r` itself
+        trace.vector_ops.record(0);
         let mut f = Smooth {
             z: k.z,
             rr,
             sd,
             tmp,
         };
-        cheb_inner(tile, k.op, self.precon, &mut f, self.smoothing, trace);
+        cheb_inner(
+            tile,
+            k.op,
+            self.precon,
+            &mut f,
+            Some(k.r),
+            self.smoothing,
+            trace,
+        );
         trace.inner_iterations += self.smoothing.cheb.len() as u64;
     }
 }
 
-/// The inner m-step Chebyshev solve of `A z ≈ rr` from `z = 0` in
-/// precision `S`, with the matrix-powers deep-halo schedule. Each step
-/// is two fused sweeps: stencil + `z`/`rr` updates in one pass (`A·sd`
-/// is never stored), then the preconditioned `sd` recurrence in a second
-/// — except block-Jacobi, whose strip solves fall back to the unfused
-/// recurrence through `tmp`.
+/// The inner m-step Chebyshev solve of `A z ≈ r` from `z = 0` in
+/// precision `S`, block by block: an exchange, then everything it buys
+/// as one pass ([`Smoothing::run_block`]). `r` is the residual where it
+/// is not in `f.rr` already, and is then what the first exchange moves.
 pub(crate) fn cheb_inner<S: Probed, C: Communicator + ?Sized>(
     tile: &Tile<'_, C>,
     op: &TileOperator<S>,
     precon: &Preconditioner<S>,
     f: &mut Smooth<'_, S>,
+    mut r: Option<&mut Field2<S>>,
     smoothing: &Smoothing,
     trace: &mut SolveTrace,
 ) {
-    let bounds = &op.bounds;
-    let (h, m) = (smoothing.depth, smoothing.cheb.len());
-    let inv_theta = S::from_f64(1.0 / smoothing.theta);
-    let step = |f: &mut Smooth<'_, S>, (a_k, b_k): (f64, f64), e, trace: &mut SolveTrace| {
-        let (a_k, b_k) = (S::from_f64(a_k), S::from_f64(b_k));
-        op.apply_cheb_fused(f.sd, f.z, f.rr, e, trace);
-        if !precon.fused_recurrence(f.sd, f.rr, a_k, b_k, bounds, e, trace) {
-            precon.apply(f.rr, f.tmp, bounds, e, trace);
-            vector::scale_add(f.sd, a_k, b_k, f.tmp, bounds, e, trace);
+    let h = smoothing.depth;
+    for block in smoothing.blocks() {
+        match block.0 {
+            // the prelude reads the residual as far out as it sweeps
+            0 if h > 1 => tile.exchange(&mut [r.as_deref_mut().unwrap_or(f.rr)], h, trace),
+            0 => {}
+            // depth 1 sweeps the interior: only the stencil's input moves
+            _ if h == 1 => tile.exchange(&mut [&mut *f.sd], 1, trace),
+            _ => tile.exchange(&mut [&mut *f.sd, &mut *f.rr], h, trace),
         }
-    };
-    vector::zero(f.z, bounds, h, trace);
-
-    if h == 1 {
-        // Classic depth-1 schedule: interior-only updates, one exchange
-        // per inner step, block-Jacobi allowed.
-        precon.apply(f.rr, f.tmp, bounds, 0, trace);
-        vector::scaled_copy(f.sd, f.tmp, inv_theta, bounds, 0, trace);
-        for &coeffs in &smoothing.cheb {
-            tile.exchange(&mut [&mut *f.sd], 1, trace);
-            step(f, coeffs, 0, trace);
-        }
-        return;
-    }
-
-    // Matrix-powers schedule: one depth-h exchange buys h sweeps over
-    // shrinking bounds (paper Fig. 2), each depth level fused exactly
-    // like the depth-1 step (block-Jacobi never reaches this branch).
-    tile.exchange(&mut [&mut *f.rr], h, trace);
-    let mut avail = h; // sd/rr validity extension after the exchange
-    precon.apply(f.rr, f.tmp, bounds, avail, trace);
-    vector::scaled_copy(f.sd, f.tmp, inv_theta, bounds, avail, trace);
-    for (i, &coeffs) in smoothing.cheb.iter().enumerate() {
-        if avail == 0 {
-            tile.exchange(&mut [&mut *f.sd, &mut *f.rr], h, trace);
-            avail = h;
-        }
-        // never sweep wider than the remaining steps can use
-        let e = (avail - 1).min(m - 1 - i);
-        step(f, coeffs, e, trace);
-        avail = e;
+        smoothing.run_block(op, precon, f, r.as_deref(), block, trace);
     }
 }
 

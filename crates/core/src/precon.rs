@@ -21,7 +21,7 @@
 
 use crate::ops::{TileBounds, TileOperator};
 use crate::trace::SolveTrace;
-use crate::vector;
+use crate::vector::{self, lanes, Rows};
 use tea_mesh::{Field2, Scalar};
 
 /// Which preconditioner a solver should use.
@@ -143,38 +143,42 @@ impl<S: Scalar> Preconditioner<S> {
         }
     }
 
-    /// Fused Chebyshev inner step, second pass: the `sd` recurrence
-    /// `sd = a·sd + b·(M⁻¹ rr)` in one sweep when the preconditioner is
-    /// elementwise. Identity drops the intermediate copy (`M⁻¹rr = rr`);
-    /// Diagonal fuses the reciprocal-diagonal product into the
-    /// recurrence via [`vector::scale_add_mul`]. Both round exactly like
-    /// the unfused [`Preconditioner::apply`] + [`vector::scale_add`]
-    /// sequence. Returns `false` for block-Jacobi — whole-strip direct
-    /// solves cannot fold into an elementwise pass — in which case the
-    /// caller must run the unfused sequence itself.
+    /// `sd = g(sd, M⁻¹rr)` over `rows` of the sweep in one pass, untraced
+    /// — with `g = a·sd + b·m` the Chebyshev `sd` recurrence, the
+    /// row-local lag sweep of one level of a [`vector::for_rows_block`]
+    /// pass. Identity drops the intermediate copy (`M⁻¹rr = rr`),
+    /// Diagonal fuses the reciprocal-diagonal product in, and
+    /// block-Jacobi solves each row's strips into `tmp` (which the
+    /// others leave untouched) just before `g` reads them. All round
+    /// exactly like [`Preconditioner::apply`] into `tmp` followed by an
+    /// elementwise `g`.
     #[allow(clippy::too_many_arguments)]
-    pub fn fused_recurrence(
+    pub(crate) fn combine_rows(
         &self,
         sd: &mut Field2<S>,
         rr: &Field2<S>,
-        a: S,
-        b: S,
+        tmp: &mut Field2<S>,
         bounds: &TileBounds,
         ext: usize,
-        trace: &mut SolveTrace,
-    ) -> bool {
-        match self {
-            Preconditioner::Identity => {
-                vector::scale_add(sd, a, b, rr, bounds, ext, trace);
-                true
+        rows: Rows,
+        g: impl Fn(S, S) -> S + Sync + Copy,
+    ) {
+        let (x_lo, x_hi, _, _) = bounds.range(ext);
+        vector::for_rows2(sd, tmp, bounds, ext, rows, |k, sdr, tr| {
+            let rrow = rr.row(k, x_lo, x_hi);
+            match self {
+                Preconditioner::Identity => lanes::zip_row(sdr, rrow, g),
+                Preconditioner::Diagonal { inv_diag } => {
+                    let d = inv_diag.row(k, x_lo, x_hi);
+                    lanes::zip2_row(sdr, rrow, d, move |y, r, d| g(y, r * d));
+                }
+                Preconditioner::BlockJacobi(bj) => {
+                    debug_assert_eq!(ext, 0, "block-Jacobi strips span the interior only");
+                    bj.solve_row(k, rrow, tr);
+                    lanes::zip_row(sdr, tr, g);
+                }
             }
-            Preconditioner::Diagonal { inv_diag } => {
-                trace.precon_ops.record(ext);
-                vector::scale_add_mul(sd, a, b, rr, inv_diag, bounds, ext, trace);
-                true
-            }
-            Preconditioner::BlockJacobi(_) => false,
-        }
+        });
     }
 
     /// CG's fused step over the tile interior: `u += αp`, `r −= αw`,
@@ -318,25 +322,32 @@ impl<S: Scalar> BlockJacobi<S> {
     pub fn apply(&self, r: &Field2<S>, z: &mut Field2<S>, bounds: &TileBounds) {
         let (nx, _) = bounds.tile();
         vector::for_rows(z, bounds, 0, |k, zr| {
-            let rr = r.row(k, 0, nx as isize);
-            let cpr = self.cp.row(k, 0, nx as isize);
-            let mr = self.minv.row(k, 0, nx as isize);
-            let sr = self.sub.row(k, 0, nx as isize);
-            let mut j0 = 0usize;
-            while j0 < nx {
-                let j1 = (j0 + self.strip).min(nx);
-                // forward substitution into z
-                zr[j0] = rr[j0] * mr[j0];
-                for j in j0 + 1..j1 {
-                    zr[j] = (rr[j] - sr[j] * zr[j - 1]) * mr[j];
-                }
-                // backward substitution in place
-                for j in (j0..j1 - 1).rev() {
-                    zr[j] -= cpr[j] * zr[j + 1];
-                }
-                j0 = j1;
-            }
+            self.solve_row(k, r.row(k, 0, nx as isize), zr)
         });
+    }
+
+    /// One interior row of [`BlockJacobi::apply`]: `zr = M⁻¹ rr` strip by
+    /// strip on row `k`.
+    #[inline(always)]
+    fn solve_row(&self, k: isize, rr: &[S], zr: &mut [S]) {
+        let nx = rr.len();
+        let cpr = self.cp.row(k, 0, nx as isize);
+        let mr = self.minv.row(k, 0, nx as isize);
+        let sr = self.sub.row(k, 0, nx as isize);
+        let mut j0 = 0usize;
+        while j0 < nx {
+            let j1 = (j0 + self.strip).min(nx);
+            // forward substitution into z
+            zr[j0] = rr[j0] * mr[j0];
+            for j in j0 + 1..j1 {
+                zr[j] = (rr[j] - sr[j] * zr[j - 1]) * mr[j];
+            }
+            // backward substitution in place
+            for j in (j0..j1 - 1).rev() {
+                zr[j] -= cpr[j] * zr[j + 1];
+            }
+            j0 = j1;
+        }
     }
 }
 
@@ -510,7 +521,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_recurrence_matches_apply_then_scale_add_bitwise() {
+    fn combined_recurrence_matches_apply_then_scale_add_bitwise() {
         let op = crooked_op(11, 1); // odd size exercises lane remainders
         let (a, b) = (0.8191061549414237, 0.3066128620687435);
         for kind in [
@@ -534,12 +545,9 @@ mod tests {
             m.apply(&rr, &mut tmp, &op.bounds, 0, &mut t);
             crate::vector::scale_add(&mut want, a, b, &tmp, &op.bounds, 0, &mut t);
 
-            let fused = m.fused_recurrence(&mut sd, &rr, a, b, &op.bounds, 0, &mut t);
-            if kind == PreconKind::BlockJacobi {
-                assert!(!fused, "block solves must refuse to fuse");
-                continue;
-            }
-            assert!(fused, "{kind:?} must fuse");
+            let mut scratch = Field2D::new(11, 11, 1);
+            let g = move |y, m| a * y + b * m;
+            m.combine_rows(&mut sd, &rr, &mut scratch, &op.bounds, 0, Rows::All, g);
             for k in 0..11isize {
                 for j in 0..11isize {
                     assert_eq!(

@@ -101,7 +101,7 @@ pub trait Precondition<S: Probed> {
         alpha: S,
         trace: &mut SolveTrace,
     ) -> S {
-        vector::cg_update(k.u, k.r, alpha, k.p, k.w, None, &k.op.bounds, trace);
+        vector::axpy2(k.u, k.r, alpha, k.p, k.w, &k.op.bounds, trace);
         self.apply(tile, k, trace);
         vector::dot_local(k.r, k.z, &k.op.bounds, trace)
     }

@@ -72,6 +72,15 @@ pub fn set_par_threshold(cells: usize) {
     threshold_cell().store(cells, Ordering::Relaxed);
 }
 
+/// Whether a sweep over `cells` cells opens a parallel region — the one
+/// predicate of every row dispatch in [`crate::vector`]: large enough
+/// *and* more than one worker to share it, so a single worker never
+/// pays for a region (its slot vector, the team's dispatch) it would
+/// run alone.
+pub fn parallel_sweep(cells: usize) -> bool {
+    cells >= par_threshold() && num_threads() > 1
+}
+
 /// The number of worker threads parallel sweeps currently use.
 pub fn num_threads() -> usize {
     threshold_cell();
@@ -142,6 +151,9 @@ mod tests {
         let before = num_threads();
         set_num_threads(3);
         assert_eq!(num_threads(), 3);
+        assert!(parallel_sweep(usize::MAX), "any threshold is met");
+        set_num_threads(1);
+        assert!(!parallel_sweep(usize::MAX), "one worker opens no region");
         set_num_threads(0);
         assert_eq!(num_threads(), 1);
         set_num_threads(usize::MAX);

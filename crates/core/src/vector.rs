@@ -3,9 +3,10 @@
 //! The axpy-class building blocks of every solver, each sweeping an
 //! extension-clamped range like the operator kernels (the matrix-powers
 //! inner loop updates vectors over the same shrinking bounds as its
-//! stencil applications). All are rayon-parallel above
-//! [`crate::runtime::par_threshold`] with deterministic row-ordered
-//! reductions, and generic over the [`Scalar`] precision (f64 call
+//! stencil applications). All are rayon-parallel where
+//! [`crate::runtime::parallel_sweep`] says so (above the threshold, with
+//! more than one worker) with deterministic row-ordered reductions, and
+//! generic over the [`Scalar`] precision (f64 call
 //! sites read exactly as before; the mixed-precision solvers
 //! instantiate the same code at `f32`).
 //!
@@ -36,7 +37,7 @@
 //! (within `n·ε·Σ|aᵢbᵢ|`); CG-family iteration counts may move by ±1.
 
 use crate::ops::TileBounds;
-use crate::runtime::par_threshold;
+use crate::runtime::parallel_sweep;
 use crate::trace::SolveTrace;
 use rayon::prelude::*;
 use tea_mesh::{Field2, Scalar};
@@ -101,6 +102,18 @@ pub mod lanes {
         for ((yi, &ai), &bi) in rest.zip(ac.remainder()).zip(bc.remainder()) {
             *yi = f(*yi, ai, bi);
         }
+    }
+
+    /// `y[i] = f(y[i], x[i])` over one row.
+    #[inline(always)]
+    pub fn zip_row<S: Scalar>(y: &mut [S], x: &[S], f: impl Fn(S, S) -> S) {
+        by_lanes!(S, zip1(y, x, f))
+    }
+
+    /// `y[i] = f(y[i], a[i], b[i])` over one row.
+    #[inline(always)]
+    pub fn zip2_row<S: Scalar>(y: &mut [S], a: &[S], b: &[S], f: impl Fn(S, S, S) -> S) {
+        by_lanes!(S, zip2(y, a, b, f))
     }
 
     /// `y += a * x` over one row.
@@ -354,7 +367,9 @@ pub mod scalar_ref {
 /// the halo offset, interior slice bounds and row-range guard live in
 /// [`for_rows_sum`] (one output) and [`for_rows2_sum`] (two), and every
 /// row-parallel kernel (the vector ops below, the 2D operator apply and
-/// residual, the block-Jacobi solve) routes through one of the four.
+/// residual, the block-Jacobi solve) routes through one of the four;
+/// [`for_rows_block`] strings several such sweeps into one pass. All of
+/// them open a parallel region on [`parallel_sweep`] alone.
 pub(crate) fn for_rows<S: Scalar>(
     out: &mut Field2<S>,
     bounds: &TileBounds,
@@ -367,21 +382,87 @@ pub(crate) fn for_rows<S: Scalar>(
     });
 }
 
+/// Which rows of a sweep a row dispatch visits: all of them (in
+/// parallel when large), or the one row a [`for_rows_block`] pass has
+/// reached.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Rows {
+    /// Every row of `bounds.range(ext)`.
+    All,
+    /// Row `k` alone, on the calling thread.
+    One(isize),
+}
+
 /// [`for_rows`] over *two* output fields of identical shape: `body(k,
 /// row1, row2)` gets both mutable row slices for the same sweep row.
-/// The fused Chebyshev inner sweep updates `z` and `rr` in one pass per
-/// stencil application through this dispatch.
+/// The fused Chebyshev inner sweeps (`z`/`rr`, then `sd`/`tmp`) update
+/// both fields in one pass through this dispatch, a whole sweep or one
+/// row of it at a time.
 pub(crate) fn for_rows2<S: Scalar>(
     out1: &mut Field2<S>,
     out2: &mut Field2<S>,
     bounds: &TileBounds,
     ext: usize,
+    rows: Rows,
     body: impl Fn(isize, &mut [S], &mut [S]) + Sync,
 ) {
-    for_rows2_sum(out1, out2, bounds, ext, |k, r1, r2| {
-        body(k, r1, r2);
-        S::ZERO
-    });
+    match rows {
+        Rows::All => {
+            for_rows2_sum(out1, out2, bounds, ext, |k, r1, r2| {
+                body(k, r1, r2);
+                S::ZERO
+            });
+        }
+        Rows::One(k) => {
+            let (x_lo, x_hi, _, _) = bounds.range(ext);
+            body(k, out1.row_mut(k, x_lo, x_hi), out2.row_mut(k, x_lo, x_hi));
+        }
+    }
+}
+
+/// Runs a block of dependent sweep pairs as **one** pass over the rows,
+/// so the fields stream through cache once per block instead of twice
+/// per level. Level `l` sweeps `bounds.range(exts[l])` (`exts` strictly
+/// decreasing) twice: a *lead* sweep whose row `k` reads what the level
+/// before left in rows `k-1..=k+1`, then a row-local *lag* sweep that
+/// overwrites that stencil input. `body(l, lag, rows)` runs either over
+/// `rows`.
+///
+/// Where the widest sweep would open a parallel region the sweeps run
+/// one after another over [`Rows::All`]. Otherwise they are skewed in
+/// time: at wavefront `t` level `l` leads on row `t - 2l`, then lags on
+/// row `t - 2l - 1`, levels in order — every read sees the value the
+/// sweep-at-a-time order produced (rows `k-1..=k+1` of level `l-1` are
+/// complete when level `l` leads on `k`, and row `k-1` is not
+/// overwritten until that lead has passed), so both orders agree bit
+/// for bit with no scratch rows and no redundant cells.
+pub(crate) fn for_rows_block(
+    bounds: &TileBounds,
+    exts: &[usize],
+    mut body: impl FnMut(usize, bool, Rows),
+) {
+    debug_assert!(exts.windows(2).all(|w| w[1] < w[0]), "levels must shrink");
+    let Some(&widest) = exts.first() else { return };
+    if parallel_sweep(bounds.cells(widest)) {
+        for l in 0..exts.len() {
+            body(l, false, Rows::All);
+            body(l, true, Rows::All);
+        }
+        return;
+    }
+    let (_, _, y_lo, y_hi) = bounds.range(widest);
+    for t in y_lo..y_hi + 2 * exts.len() as isize - 1 {
+        for (l, &ext) in exts.iter().enumerate() {
+            let (_, _, lo, hi) = bounds.range(ext);
+            let k = t - 2 * l as isize;
+            if (lo..hi).contains(&k) {
+                body(l, false, Rows::One(k));
+            }
+            if (lo..hi).contains(&(k - 1)) {
+                body(l, true, Rows::One(k - 1));
+            }
+        }
+    }
 }
 
 /// [`for_rows2`] with a fused per-row reduction, folded like
@@ -395,7 +476,7 @@ pub(crate) fn for_rows2_sum<S: Scalar>(
 ) -> S {
     let (x_lo, x_hi, y_lo, y_hi) = bounds.range(ext);
     let n = (x_hi - x_lo) as usize;
-    if bounds.cells(ext) >= par_threshold() {
+    if parallel_sweep(bounds.cells(ext)) {
         let stride = out1.stride();
         let h = out1.halo() as isize;
         debug_assert_eq!(stride, out2.stride(), "fused outputs must share shape");
@@ -435,7 +516,7 @@ pub(crate) fn for_rows_sum<S: Scalar>(
 ) -> S {
     let (x_lo, x_hi, y_lo, y_hi) = bounds.range(ext);
     let n = (x_hi - x_lo) as usize;
-    if bounds.cells(ext) >= par_threshold() {
+    if parallel_sweep(bounds.cells(ext)) {
         let stride = out.stride();
         let h = out.halo() as isize;
         let x0 = (x_lo + h) as usize;
@@ -472,7 +553,7 @@ fn sum_rows<S: Scalar>(
     body: impl Fn(isize, isize, isize) -> S + Sync,
 ) -> S {
     let (x_lo, x_hi, y_lo, y_hi) = bounds.range(ext);
-    if bounds.cells(ext) >= par_threshold() {
+    if parallel_sweep(bounds.cells(ext)) {
         let mut partials = vec![S::ZERO; (y_hi - y_lo) as usize];
         partials
             .par_iter_mut()
@@ -674,6 +755,27 @@ pub fn cg_update<S: Scalar>(
     })
 }
 
+/// [`cg_update`] without the dot, for the recurrences whose `r·z` has
+/// to wait for a `z = M⁻¹r` that is more than a row product: `u += αp`,
+/// `r −= αw` in one sweep, traced as the same two axpy-class streams.
+pub fn axpy2<S: Scalar>(
+    u: &mut Field2<S>,
+    r: &mut Field2<S>,
+    alpha: S,
+    p: &Field2<S>,
+    w: &Field2<S>,
+    bounds: &TileBounds,
+    trace: &mut SolveTrace,
+) {
+    trace.vector_ops.record(0);
+    trace.vector_ops.record(0);
+    let (x_lo, x_hi, _, _) = bounds.range(0);
+    for_rows2(u, r, bounds, 0, Rows::All, |k, ur, rr| {
+        lanes::axpy_row(ur, alpha, p.row(k, x_lo, x_hi));
+        lanes::axpy_row(rr, -alpha, w.row(k, x_lo, x_hi));
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -818,7 +920,7 @@ mod tests {
         let b = TileBounds::serial(n, n);
         let mut z = Field2D::new(n, n, 1);
         let mut rr = f(n, 1, |j, k| (j * 10 + k) as f64);
-        for_rows2(&mut z, &mut rr, &b, 0, |k, zr, rrow| {
+        for_rows2(&mut z, &mut rr, &b, 0, Rows::All, |k, zr, rrow| {
             for (zi, ri) in zr.iter_mut().zip(rrow.iter_mut()) {
                 *zi = *ri + k as f64;
                 *ri = 0.0;

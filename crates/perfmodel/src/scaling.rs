@@ -269,6 +269,17 @@ pub fn predict_width(
 /// one stencil + [`KernelBytes::fused_update`] + the fused recurrence
 /// (precon-class) per step, instead of stencil + three separate vector
 /// passes + precon.
+///
+/// That Chebyshev term still prices `m` full sweeps of main-memory
+/// traffic, although the solver now runs each deep-halo block of steps
+/// as one pass through cache (`tea_core::ppcg`, "matrix powers in
+/// time": a block of `h` steps streams 8 elements/cell, not `10·h`).
+/// The prior therefore overstates `ppcg`/`mixed_ppcg` at depth > 1, and
+/// a predicted ÷ measured ratio (the benchmark's `perfmodel.model_error`
+/// on `deep_ppcg`) reads ≈ 1.9–2.0 where it read 1.5. It is left
+/// depth-blind on purpose: making it depth-aware belongs to the
+/// calibration step of ROADMAP direction 1, and `auto`'s ranking must
+/// not move before that lands.
 pub fn predicted_iteration_bytes(solver: &str, inner_steps: usize, bytes: &KernelBytes) -> f64 {
     let m = inner_steps.max(1) as f64;
     let sweep = bytes.spmv + 3.0 * bytes.vector + bytes.precon;

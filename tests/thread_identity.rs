@@ -56,13 +56,19 @@ fn solvers_are_bit_identical_across_threads_and_thresholds() {
     // it must be exactly as thread-deterministic as the f64 solvers.
     // CG runs under every preconditioner: Identity and Diagonal fold
     // r·z into the fused u/r sweep (`for_rows2_sum`), block-Jacobi keeps
-    // its strip solve and a separate 16-lane-tree dot
+    // its strip solve and a separate 16-lane-tree dot.
+    // The ppcg rows smooth at depth 4 and cross-check the two dispatches
+    // of a block: one worker runs it as a time-skewed pass over the rows,
+    // 2 and 4 workers (where the threshold lets them) as row-parallel
+    // sweeps, level at a time — jac_diag adds the product fused into the
+    // `sd` recurrence
     let solvers = [
         ("cg", PreconKind::None),
         ("cg", PreconKind::Diagonal),
         ("cg", PreconKind::BlockJacobi),
         ("cg_fused", PreconKind::None),
         ("ppcg", PreconKind::None),
+        ("ppcg", PreconKind::Diagonal),
         ("chebyshev", PreconKind::None),
         ("mixed_ppcg", PreconKind::None),
     ];
