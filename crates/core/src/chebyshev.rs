@@ -216,7 +216,7 @@ impl EigenFamily for Chebyshev {
 
         let mut rho_old = 1.0 / consts.sigma;
         let check = Some(cheby.check_interval);
-        stationary_loop(tile, u, &mut ws.r, pre, opts, check, |u, r, trace| {
+        stationary_loop(tile, u, &mut ws.r, pre, opts, check, |u, r, _, trace| {
             tile.exchange(&mut [&mut ws.sd], 1, trace);
             tile.op.apply(&ws.sd, &mut ws.w, 0, trace);
             vector::axpy(u, 1.0, &ws.sd, bounds, 0, trace);

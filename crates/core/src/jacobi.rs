@@ -90,7 +90,7 @@ pub(crate) fn jacobi_solve_impl<C: Communicator + ?Sized>(
         Ok(run) => run,
         Err(end) => return *end,
     };
-    stationary_loop(tile, u, &mut ws.r, run, opts, None, |u, r, trace| {
+    stationary_loop(tile, u, &mut ws.r, run, opts, None, |u, r, _, trace| {
         // u += D^{-1} r
         vector::mul_into(&mut ws.z, r, &inv_diag, bounds, 0, trace);
         vector::axpy(u, 1.0, &ws.z, bounds, 0, trace);

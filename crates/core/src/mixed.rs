@@ -28,6 +28,45 @@
 //! traffic. `cg_f32` is the honest floor of the sweep: it demonstrates
 //! *why* mixed precision exists, stalling near `κ(A)·ε_f32`.
 //!
+//! # The noise-floor pedestal
+//!
+//! Where the `f64` residual's far field is *exactly* zero (the stock 96²
+//! crooked pipe; the 384² one at about one jittered wall density in
+//! four), a plainly demoted `r` gives the `f32` inner solve a front that
+//! decays through the subnormal range, and every sweep drags a band of
+//! subnormals along it: same iterations, 2.6× the time. Decks whose far
+//! field is rounding noise instead of zero never see this, so
+//! [`Low::apply`] — the one demotion site every mixed method goes
+//! through — gives every deck that noise floor: it demotes `r + δ` with
+//! `δ = PEDESTAL·√(r·z)`, where `√(r·z)` is the outer loop's last
+//! *globally reduced* residual norm (`Krylov::norm` from `pcg_loop`, the
+//! last checked `‖r‖` from `stationary_loop`), and promotes `z` with
+//! entries `|z| ≤ 4δ` written as zero. No sweep, exchange, reduction or
+//! trace record is added, and every rank adds the same `δ`.
+//!
+//! * `A·1 = 1` (every row of the operator sums to one), so a
+//!   constant stays a constant through every smoothing step: the far
+//!   field of the inner solve sits at `≈ δ`, never near
+//!   `f32::MIN_POSITIVE`.
+//! * Two bounds fix the level `PEDESTAL = 2⁻⁴⁰`: `δ` is `2¹⁶` below the
+//!   `f32` rounding of the entries that carry the norm, so it costs no
+//!   accuracy and no iterations; and it stays `≥ 2²⁶` above
+//!   `f32::MIN_POSITIVE` down to a norm of `2⁻⁶⁰`. Being relative to the
+//!   norm, it keeps a solve exactly scale-equivariant
+//!   (`b, u₀ → 2ᵏ·b, 2ᵏ·u₀` gives `2ᵏ·u`).
+//! * The promote cut removes the pedestal's own image, so the far field
+//!   of `u` stays bit-untouched, as the `f64` methods leave it.
+//! * The one un-normed application is the first of a fresh `mixed_cg`,
+//!   before the loop's first reduction: it demotes plainly (`δ = 0`).
+//!   `cg_f32` has no demotion site at all — its whole recurrence is
+//!   `f32` — so it is *not* covered and can still run denormal.
+//!
+//! Two alternatives were built and measured, and lose: flushing
+//! subnormals per step in the row bodies (`serve_mix` +7 % but the
+//! 384² `mixed_ppcg` `solve_s` +46 %), and truncating at demotion
+//! (`serve_mix` +15 %, `mixed_ppcg` +34 %) — manufacturing exact zeros
+//! *creates* a regenerating subnormal band on decks that had none.
+//!
 //! Halo exchanges are **precision-native**: the `tea-comms` wire format
 //! is generic over the field scalar, so every `f32` field here
 //! exchanges 4-byte elements directly — half the message volume of the
@@ -114,6 +153,10 @@ pub fn solver_for_precision(
     }
 }
 
+/// The noise-floor pedestal of [`Low::apply`] as a fraction of the outer
+/// loop's residual norm (module doc): `2⁻⁴⁰`.
+const PEDESTAL: f64 = 1.0 / (1u64 << 40) as f64;
+
 /// The operator and preconditioner demoted to precision `S`, with the
 /// scratch fields the chosen [`Inner`] application reads — and no more:
 /// they are allocated by count on first use, so `mixed_cg` holds two `S`
@@ -172,14 +215,18 @@ impl<S: Probed> Low<S> {
     }
 
     /// `z ≈ A⁻¹r` by `inner`, through the low-precision round trip:
-    /// demote `r`, run `inner` in `S` (its halo exchanges move native
-    /// `S` payloads), promote the result. Counts `inner`'s steps as
-    /// inner iterations.
+    /// demote `r` onto the pedestal `δ = PEDESTAL·norm` (see the module
+    /// doc; `norm` is the outer loop's last globally reduced residual
+    /// norm, `None` — no pedestal — before it has one), run `inner` in
+    /// `S` (its halo exchanges move native `S` payloads), promote the
+    /// result with the pedestal's image cut back to zero. Counts
+    /// `inner`'s steps as inner iterations.
     pub(crate) fn apply<C: Communicator + ?Sized>(
         &mut self,
         tile: &Tile<'_, C>,
         r: &Field2D,
         z: &mut Field2D,
+        norm: Option<f64>,
         inner: &Inner<'_>,
         trace: &mut SolveTrace,
     ) {
@@ -188,8 +235,13 @@ impl<S: Probed> Low<S> {
         let [lz, rr, rest @ ..] = &mut self.fields[..] else {
             unreachable!("every Inner needs at least z and rr");
         };
+        #[cfg(test)]
+        let norm = norm.filter(|_| !census::WITHHOLD.get());
+        let delta = norm.map_or(0.0, |n| PEDESTAL * n);
         trace.vector_ops.record(0);
-        r.convert_into(rr);
+        for (d, &s) in rr.raw_mut().iter_mut().zip(r.raw()) {
+            *d = S::from_f64(s + delta);
+        }
         match (inner, rest) {
             (Inner::Precon, _) => precon.apply(rr, lz, &op.bounds, 0, trace),
             (Inner::Chebyshev(smoothing), [sd, tmp, ..]) => {
@@ -205,7 +257,16 @@ impl<S: Probed> Low<S> {
             _ => unreachable!("fit() allocated what Inner::fields() asked for"),
         }
         trace.vector_ops.record(0);
-        lz.convert_into(z);
+        // the pedestal's own image: `A·1 = 1`, so the inner solve scales
+        // the constant by a factor near one, never by four
+        let cut = 4.0 * delta;
+        assert_eq!(z.raw().len(), lz.raw().len(), "z is shaped like r");
+        for (d, &s) in z.raw_mut().iter_mut().zip(lz.raw()) {
+            let v = s.to_f64();
+            *d = if v.abs() <= cut { 0.0 } else { v };
+        }
+        #[cfg(test)]
+        census::record(&self.fields);
     }
 
     /// The `"cg_f32"` solve: `u` and `b` demoted, the whole PCG loop —
@@ -236,6 +297,7 @@ impl<S: Probed> Low<S> {
             r,
             w,
             z,
+            norm: None,
         };
         let mut step = Fused {
             precon: &self.precon,
@@ -263,7 +325,7 @@ impl<S: Probed> Precondition<f64> for Lowered<'_, S> {
         k: &mut Krylov<'_, f64>,
         trace: &mut SolveTrace,
     ) {
-        self.0.apply(tile, k.r, k.z, &self.1, trace);
+        self.0.apply(tile, k.r, k.z, k.norm, &self.1, trace);
     }
 }
 
@@ -285,12 +347,33 @@ pub(crate) fn refine<C: Communicator + ?Sized, S: Probed>(
 ) -> SolveResult {
     tile.exchange(&mut [u], 1, &mut pre.trace);
     tile.op.residual(u, b, &mut ws.r, 0, &mut pre.trace);
-    stationary_loop(tile, u, &mut ws.r, pre, opts, None, |u, r, trace| {
-        low.apply(tile, r, &mut ws.z, &inner, trace);
+    stationary_loop(tile, u, &mut ws.r, pre, opts, None, |u, r, norm, trace| {
+        low.apply(tile, r, &mut ws.z, Some(norm), &inner, trace);
         vector::axpy(u, 1.0, &ws.z, &tile.op.bounds, 0, trace);
         tile.exchange(&mut [u], 1, trace);
         tile.op.residual(u, b, r, 0, trace);
     })
+}
+
+/// Test instrument: how many `f32` subnormals each [`Low::apply`] on
+/// this thread left in its scratch fields, and a switch that withholds
+/// the norm — the control that shows the census sees the cliff.
+#[cfg(test)]
+mod census {
+    use super::{Field2, Probed};
+    use std::cell::{Cell, RefCell};
+
+    thread_local! {
+        pub(super) static WITHHOLD: Cell<bool> = const { Cell::new(false) };
+        pub(super) static COUNTS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+    }
+
+    pub(super) fn record<S: Probed>(fields: &[Field2<S>]) {
+        assert_eq!(S::BYTES, 4, "the census reads f32 scratch");
+        let cells = fields.iter().flat_map(|f| f.raw());
+        let subnormal = cells.filter(|v| (v.to_f64() as f32).is_subnormal());
+        COUNTS.with_borrow_mut(|c| c.push(subnormal.count()));
+    }
 }
 
 #[cfg(test)]
@@ -410,6 +493,47 @@ mod tests {
             "stagnation guard should cut the run short, ran {}",
             tight.iterations
         );
+    }
+
+    /// Per-application subnormal counts of `name` on the 96² crooked
+    /// pipe — the size where the `f64` far-field residual is exactly
+    /// zero and a plain demotion drags a subnormal band along the front.
+    fn census_of(name: &str, withhold: bool) -> Vec<usize> {
+        census::WITHHOLD.set(withhold);
+        census::COUNTS.take();
+        let (op, b) = crooked_pipe_system(96, 0.04, 4);
+        let mut u = b.clone();
+        let result = Solve::on(&op)
+            .with_solver(name)
+            .halo_depth(4)
+            .inner_steps(16)
+            .eps(1e-10)
+            .run(&mut u, &b)
+            .expect("registered solver");
+        census::WITHHOLD.set(false);
+        assert!(result.converged, "{name}: {result:?}");
+        census::COUNTS.take()
+    }
+
+    #[test]
+    fn pedestal_leaves_no_subnormals_and_the_census_sees_the_cliff() {
+        for name in [
+            "mixed_ppcg",
+            "mixed_cg",
+            "mixed_chebyshev",
+            "mixed_richardson",
+        ] {
+            let counts = census_of(name, false);
+            assert!(counts.len() > 2, "{name}: {counts:?}");
+            // (a fresh mixed_cg has no norm yet at its first application)
+            assert!(counts[1..].iter().all(|&n| n == 0), "{name}: {counts:?}");
+            let control = census_of(name, true);
+            assert_eq!(control.len(), counts.len(), "{name}: same applications");
+            // (mixed_cg's front takes a dozen iterations to decay into
+            // the subnormal range; the smoothers are there at once)
+            let hit = control.iter().filter(|&&n| n > 0).count();
+            assert!(2 * hit > control.len(), "{name}: {control:?}");
+        }
     }
 
     #[test]

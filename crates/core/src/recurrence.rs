@@ -53,6 +53,10 @@ pub struct Krylov<'a, S: Probed> {
     pub w: &'a mut Field2<S>,
     /// Preconditioned residual `M⁻¹r`.
     pub z: &'a mut Field2<S>,
+    /// `√(r·z)` as last globally reduced — the same value on every rank —
+    /// for a [`Precondition`] that needs the residual's scale; `None`
+    /// until [`pcg_loop`] has one.
+    pub norm: Option<f64>,
 }
 
 impl Workspace {
@@ -74,6 +78,7 @@ impl Workspace {
             r,
             w,
             z,
+            norm: None,
         };
         (krylov, [&mut self.rr, &mut self.sd, &mut self.tmp])
     }
@@ -173,7 +178,10 @@ pub fn pcg_loop<S: Probed, C: Communicator + ?Sized, M: Precondition<S>>(
     let mut coeffs = CgCoefficients::default();
     let (mut trace, carried) = match entry {
         Entry::Fresh(trace) => (trace, None),
-        Entry::Carried(mut pre) => (std::mem::take(&mut pre.trace), Some(pre)),
+        Entry::Carried(mut pre) => {
+            k.norm = Some(pre.final_residual);
+            (std::mem::take(&mut pre.trace), Some(pre))
+        }
     };
 
     // r = b − A·u (u needs one fresh ghost layer), z = M⁻¹r, p = z
@@ -196,6 +204,7 @@ pub fn pcg_loop<S: Probed, C: Communicator + ?Sized, M: Precondition<S>>(
         return (run, coeffs);
     }
     let target = opts.eps * run.initial_residual;
+    k.norm = Some(rro.sqrt());
 
     while run.iterations < opts.max_iters && run.begin(&tile.controls, k.u, k.r) {
         tile.exchange(&mut [&mut *k.p], 1, &mut run.trace);
@@ -234,6 +243,7 @@ pub fn pcg_loop<S: Probed, C: Communicator + ?Sized, M: Precondition<S>>(
         coeffs.betas.push(beta);
         m.direction(k, S::from_f64(beta), &mut run.trace);
         rro = rrn;
+        k.norm = Some(run.final_residual);
     }
     (run, coeffs)
 }
@@ -242,7 +252,8 @@ pub fn pcg_loop<S: Probed, C: Communicator + ?Sized, M: Precondition<S>>(
 /// its residual `r`, and the loop pays for `‖r‖` only at its checks —
 /// every iteration when `check_interval` is `None`, otherwise every
 /// `check_interval` iterations plus one authoritative check after a run
-/// that reached the iteration cap.
+/// that reached the iteration cap. `step`'s third argument is the last
+/// checked norm (on entry, the carried result's).
 pub(crate) fn stationary_loop<C: Communicator + ?Sized>(
     tile: &Tile<'_, C>,
     u: &mut Field2D,
@@ -250,7 +261,7 @@ pub(crate) fn stationary_loop<C: Communicator + ?Sized>(
     mut run: SolveResult,
     opts: SolveOpts,
     check_interval: Option<u64>,
-    mut step: impl FnMut(&mut Field2D, &mut Field2D, &mut SolveTrace),
+    mut step: impl FnMut(&mut Field2D, &mut Field2D, f64, &mut SolveTrace),
 ) -> SolveResult {
     let target = opts.eps * run.initial_residual;
     let first = run.iterations;
@@ -261,7 +272,7 @@ pub(crate) fn stationary_loop<C: Communicator + ?Sized>(
         run.observe(rr, target)
     };
     while run.iterations < opts.max_iters && run.begin(&tile.controls, u, r) {
-        step(u, r, &mut run.trace);
+        step(u, r, run.final_residual, &mut run.trace);
         if (run.iterations - first).is_multiple_of(every) && check(&mut run, r) {
             break;
         }

@@ -196,7 +196,8 @@ impl SolverRegistry {
             SolverMeta {
                 name: "cg_f32",
                 aliases: &["f32_cg"],
-                summary: "fully single-precision CG (accuracy limited by f32 round-off)",
+                summary: "fully single-precision CG (accuracy limited by f32 round-off; \
+                          no demotion site, so no subnormal pedestal: its far field can run denormal)",
                 preconditioned: true,
                 needs_eigen_estimate: false,
                 deep_halo: false,

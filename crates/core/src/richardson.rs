@@ -124,7 +124,7 @@ impl EigenFamily for Richardson {
         tile.op.residual(u, b, &mut ws.r, 0, &mut pre.trace);
         precon.apply(&ws.r, &mut ws.z, bounds, 0, &mut pre.trace);
         let check = Some(rich.check_interval);
-        stationary_loop(tile, u, &mut ws.r, pre, opts, check, |u, r, trace| {
+        stationary_loop(tile, u, &mut ws.r, pre, opts, check, |u, r, _, trace| {
             // u += ω z ; refresh r = b - A u and z = M⁻¹ r
             vector::axpy(u, omega, &ws.z, bounds, 0, trace);
             tile.exchange(&mut [u], 1, trace);

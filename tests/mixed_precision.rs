@@ -7,9 +7,17 @@
 //! (different mesh sizes, solvers, preconditioners and tolerances)
 //! pin this down end to end, plus the honest counterexample: the
 //! all-`f32` solver must *fail* the same bar.
+//!
+//! Three properties guard the noise-floor pedestal of
+//! `tea_core::mixed` (`Low::apply`): the contract above on the decks
+//! whose `f64` far-field residual is exactly zero (the denormal-cliff
+//! decks), on 1 and 4 ranks; the far field of `u` staying bit-untouched
+//! (the promote cut); and exact scale equivariance (the pedestal is
+//! relative to the residual norm, never absolute).
 
-use tealeaf::app::{crooked_pipe_deck, run_serial, Control, Deck};
-use tealeaf::solvers::{Precision, PreconKind};
+use tealeaf::app::{crooked_pipe_deck, run_serial, run_threaded_ranks, Control, Deck};
+use tealeaf::mesh::Field2D;
+use tealeaf::solvers::{crooked_pipe_system, Precision, PreconKind, Solve};
 
 fn deck(
     n: usize,
@@ -36,52 +44,62 @@ fn deck(
     deck
 }
 
-/// Runs the f64 deck and its mixed twin; asserts per-step convergence
-/// to the same `tl_eps` and final-field agreement beyond f32 precision.
-fn assert_mixed_matches_f64(base: Deck) {
+/// Runs the f64 deck and its mixed twin on `ranks` ranks; asserts
+/// per-step convergence to the same `tl_eps` and final-field agreement
+/// beyond f32 precision.
+fn assert_mixed_matches_f64(base: &Deck, ranks: usize) {
     let mut mixed = base.clone();
     mixed.control.precision = Some(Precision::Mixed);
     let eps = base.control.opts.eps;
+    let what = format!("{} {}² x{ranks}", base.control.solver, base.problem.x_cells);
 
-    let out64 = run_serial(&base).expect("deck runs");
-    let outmx = run_serial(&mixed).expect("deck runs");
+    let run = |deck: &Deck| match ranks {
+        1 => run_serial(deck).expect("deck runs"),
+        _ => run_threaded_ranks(deck, ranks)
+            .expect("deck runs")
+            .swap_remove(0),
+    };
+    let (out64, outmx) = (run(base), run(&mixed));
 
     for (s64, smx) in out64.steps.iter().zip(&outmx.steps) {
-        assert!(s64.converged, "f64 step {} unconverged", s64.step);
-        assert!(smx.converged, "mixed step {} unconverged", smx.step);
+        assert!(s64.converged, "{what}: f64 step {} unconverged", s64.step);
+        assert!(smx.converged, "{what}: mixed step {} unconverged", smx.step);
         // both met the same relative target; their final residuals agree
         // to within that target's scale
         assert!(
             smx.final_residual <= eps * smx.initial_residual,
-            "mixed step {}: {} > eps * {}",
+            "{what}: mixed step {}: {} > eps * {}",
             smx.step,
             smx.final_residual,
             smx.initial_residual
         );
         assert!(
             s64.final_residual <= eps * s64.initial_residual,
-            "f64 step {} missed its own tolerance",
+            "{what}: f64 step {} missed its own tolerance",
             s64.step
         );
     }
 
-    let u64f = out64.final_u.expect("serial run gathers");
-    let umx = outmx.final_u.expect("serial run gathers");
+    let u64f = out64.final_u.expect("rank 0 gathers");
+    let umx = outmx.final_u.expect("rank 0 gathers");
     let diff = umx.interior_max_rel_diff(&u64f);
     assert!(
         diff < 1e-6,
-        "mixed field must match f64 beyond f32 resolution, worst rel diff {diff:e}"
+        "{what}: mixed field must match f64 beyond f32 resolution, worst rel diff {diff:e}"
     );
 }
 
 #[test]
 fn mixed_cg_matches_f64_on_the_crooked_pipe() {
-    assert_mixed_matches_f64(deck(32, "cg", None, PreconKind::BlockJacobi, 1, 1e-10, 3));
+    assert_mixed_matches_f64(
+        &deck(32, "cg", None, PreconKind::BlockJacobi, 1, 1e-10, 3),
+        1,
+    );
 }
 
 #[test]
 fn mixed_ppcg_matches_f64_on_a_deeper_halo_deck() {
-    assert_mixed_matches_f64(deck(24, "ppcg", None, PreconKind::None, 4, 1e-9, 2));
+    assert_mixed_matches_f64(&deck(24, "ppcg", None, PreconKind::None, 4, 1e-9, 2), 1);
 }
 
 #[test]
@@ -130,4 +148,80 @@ tl_eps=1e-9
     assert_eq!(deck.control.effective_solver().unwrap(), "mixed_cg");
     let out = run_serial(&deck).expect("deck runs");
     assert!(out.steps.iter().all(|s| s.converged), "{:?}", out.steps);
+}
+
+/// The four families with a mixed variant, as `(f64 name, halo depth)`.
+const FAMILIES: [(&str, usize); 4] = [("cg", 1), ("ppcg", 4), ("chebyshev", 1), ("richardson", 1)];
+
+#[test]
+fn mixed_matches_f64_on_the_cliff_decks_serial_and_decomposed() {
+    // 96² at the stock wall density and 64² at the jittered one are decks
+    // whose f64 far-field residual is exactly zero: a plain demotion
+    // drags a subnormal band along the front there
+    for (n, wall_density) in [(96, 100.0), (64, 100.15820240816151)] {
+        for (solver, depth) in FAMILIES {
+            let mut base = deck(n, solver, None, PreconKind::Diagonal, depth, 1e-9, 1);
+            base.problem.states[0].density = wall_density;
+            for ranks in [1, 4] {
+                assert_mixed_matches_f64(&base, ranks);
+            }
+        }
+    }
+}
+
+/// One solve of the `n`² crooked pipe from `u = b`, both scaled by `2^k`.
+fn solve_scaled(name: &str, n: usize, depth: usize, k: i32) -> (u64, Field2D, Field2D) {
+    let (op, mut b) = crooked_pipe_system(n, 0.04, depth);
+    b.raw_mut().iter_mut().for_each(|v| *v *= 2f64.powi(k));
+    let mut u = b.clone();
+    let result = Solve::on(&op)
+        .with_solver(name)
+        .halo_depth(depth)
+        .inner_steps(16)
+        .eps(1e-10)
+        .run(&mut u, &b)
+        .expect("registered solver");
+    assert!(result.converged, "{name} 2^{k}: {result:?}");
+    (result.iterations, u, b)
+}
+
+#[test]
+fn mixed_ppcg_leaves_the_far_field_bit_untouched_where_ppcg_does() {
+    // pins the promote cut: without it the pedestal's image lands on
+    // every far-field cell of u (on this deck, 4001 of them)
+    let (_, u64f, b) = solve_scaled("ppcg", 96, 4, 0);
+    let (_, umx, _) = solve_scaled("mixed_ppcg", 96, 4, 0);
+    let cells = || (0..96isize).flat_map(|k| (0..96isize).map(move |j| (j, k)));
+    let untouched = |u: &Field2D, (j, k)| u.at(j, k).to_bits() == b.at(j, k).to_bits();
+    let far: Vec<_> = cells().filter(|&c| untouched(&u64f, c)).collect();
+    assert!(far.len() > 1000, "only {} far-field cells", far.len());
+    let moved: Vec<_> = far.iter().filter(|&&c| !untouched(&umx, c)).collect();
+    assert!(
+        moved.is_empty(),
+        "mixed_ppcg wrote {} of {} far-field cells, e.g. {:?}",
+        moved.len(),
+        far.len(),
+        moved[0]
+    );
+}
+
+#[test]
+fn mixed_solves_are_exactly_scale_equivariant() {
+    // b, u₀ → 2ᵏ·b, 2ᵏ·u₀ must give exactly 2ᵏ·u in the same iterations:
+    // a pedestal that were absolute instead of norm-relative would not
+    for (family, depth) in FAMILIES {
+        let name = format!("mixed_{family}");
+        let (its, u, _) = solve_scaled(&name, 48, depth, 0);
+        for k in [-60, -20, 20, 60] {
+            let (its_k, u_k, _) = solve_scaled(&name, 48, depth, k);
+            assert_eq!(its_k, its, "{name} 2^{k}: iteration count");
+            let scale = 2f64.powi(k);
+            let same = u_k
+                .raw()
+                .iter()
+                .zip(u.raw())
+                .all(|(a, b)| a.to_bits() == (b * scale).to_bits());
+            assert!(same, "{name} 2^{k}: u is not exactly 2^{k}·u");
+        }
+    }
 }
