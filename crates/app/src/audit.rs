@@ -1,4 +1,4 @@
-//! The semantic audit behind `tealeaf --audit`: the three
+//! The semantic audit behind `tealeaf --audit`: the two
 //! cross-artefact contract checks combined into one [`AuditReport`].
 //!
 //! * **registry** — [`SolverRegistry::audit`] over the application's
@@ -7,14 +7,11 @@
 //!   precision routing closure.
 //! * **deck_keys** — `tea_audit::deck_key_audit`: every `tl_*` key the
 //!   deck parser knows appears in the README table and vice versa.
-//! * **bench_artifacts** — `tea_audit::bench_artifact_audit`: the
-//!   committed `BENCH_*.json` claim artefacts parse and carry the
-//!   shared envelope.
 //!
 //! The textual linter is *not* run here — it wants source trees, not a
-//! built binary, and stays `cargo run -p tea-audit`'s job. The two
-//! file-based checks degrade gracefully when the binary runs outside a
-//! source checkout (no deck.rs/README to read): they report a finding
+//! built binary, and stays `cargo run -p tea-audit`'s job. The
+//! file-based check degrades gracefully when the binary runs outside a
+//! source checkout (no deck.rs/README to read): it reports a finding
 //! saying so rather than silently passing.
 //!
 //! [`SolverRegistry::audit`]: tea_core::SolverRegistry::audit
@@ -56,32 +53,18 @@ pub fn semantic_audit(root: Option<&Path>) -> AuditReport {
     report.record("registry", registry_findings);
 
     match root {
-        Some(root) => {
-            match tea_audit::deck_key_audit(root) {
-                Ok(findings) => report.record("deck_keys", findings),
-                Err(e) => report.record(
+        Some(root) => match tea_audit::deck_key_audit(root) {
+            Ok(findings) => report.record("deck_keys", findings),
+            Err(e) => report.record(
+                "deck_keys",
+                vec![Finding::deny(
                     "deck_keys",
-                    vec![Finding::deny(
-                        "deck_keys",
-                        "<repo root>",
-                        0,
-                        format!("audit could not read the checkout: {e}"),
-                    )],
-                ),
-            }
-            match tea_audit::bench_artifact_audit(root) {
-                Ok(findings) => report.record("bench_artifacts", findings),
-                Err(e) => report.record(
-                    "bench_artifacts",
-                    vec![Finding::deny(
-                        "bench_artifacts",
-                        "<repo root>",
-                        0,
-                        format!("audit could not read the checkout: {e}"),
-                    )],
-                ),
-            }
-        }
+                    "<repo root>",
+                    0,
+                    format!("audit could not read the checkout: {e}"),
+                )],
+            ),
+        },
         None => report.record(
             "deck_keys",
             vec![Finding::deny(
@@ -120,7 +103,7 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         );
-        assert_eq!(report.checks.len(), 3);
+        assert_eq!(report.checks.len(), 2);
     }
 
     #[test]

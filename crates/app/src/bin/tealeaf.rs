@@ -46,9 +46,9 @@ OPTIONS:
     --quiet              only print the final summary
     --list-solvers       print the registered solvers and exit
     --audit              run the semantic audits (solver registry,
-                         deck-key drift, benchmark artefact schemas),
-                         print the machine-readable report to stdout
-                         and exit nonzero on any violation
+                         deck-key drift), print the machine-readable
+                         report to stdout and exit nonzero on any
+                         violation
     --help               show this help
 
 SERVING (batched multi-solve mode):

@@ -1,9 +1,9 @@
 //! Deck-level serving: drains many parsed decks through the session
 //! driver ([`crate::run_serial_session`]) on a `tea-serve` worker pool,
 //! pooling prepared [`tea_core::SolveSession`]s across jobs with equal
-//! setup keys. The `tealeaf --serve <joblist>` CLI mode and the
-//! `tea-bench throughput` / `chaos` harnesses call [`serve_decks`] and
-//! [`serve_decks_with_plan`].
+//! setup keys. The `tealeaf --serve <joblist>` CLI mode and the repo
+//! benchmark's `serve_mix` workload call [`serve_decks`]; the chaos
+//! tests below arm [`serve_decks_with_plan`].
 //!
 //! Fault tolerance follows the `tea-serve` contract: each job runs
 //! under panic isolation with per-attempt deadlines and bounded
@@ -61,8 +61,7 @@ pub struct DeckOutcome {
 /// geometry, coefficients, solver, precision, halo depth and latched
 /// options) share prepared sessions — the report's cache counters show
 /// how many preparations the pool saved. With it off, every job builds
-/// cold; the counters then read zero hits and one preparation per job,
-/// which is the baseline the throughput bench compares against.
+/// cold; the counters then read zero hits and one preparation per job.
 ///
 /// A failing deck (unknown solver, invalid problem) records an error
 /// outcome carrying its label; the queue keeps draining.
@@ -416,45 +415,68 @@ mod tests {
 
     #[test]
     fn chaos_outcomes_are_identical_at_any_worker_count() {
-        // Determinism under chaos: the same seeded plan must yield the
-        // same per-job outcome classification — and bit-identical
-        // results for unfaulted jobs — at 1, 2 and 4 workers.
-        let jobs: Vec<DeckJob> = (0..12).map(|i| job(12 + 4 * (i % 3), "cg", 1e-8)).collect();
-        let plan = FaultPlan::serving(2024, 0.4);
-        let classify = |workers: usize| {
-            let report = serve_decks_with_plan(
-                jobs.clone(),
-                &ServeOptions {
-                    workers,
-                    retries: 1,
-                    ..Default::default()
-                },
-                Some(&plan),
-            );
+        // Determinism and recovery under chaos. A mixed queue — three
+        // sizes, one or two steps, every third job at tl_precision=f32
+        // (poisoned, it degrades along cg_f32 → mixed_cg → cg) — drains
+        // once clean and then under the same seeded plan at 1, 2 and 4
+        // workers: no job is lost or fails, the per-job outcomes are
+        // identical at every worker count, every injected panic is
+        // caught and counted, and the jobs the plan left alone match
+        // the clean run to the bit.
+        let jobs: Vec<DeckJob> = (0..24)
+            .map(|i| {
+                let mut job = job(12 + 4 * (i % 3), "cg", 1e-6);
+                job.deck.control.end_step = 1 + (i % 2) as u64;
+                if i % 3 == 0 {
+                    job.deck.control.precision = Some(tea_core::Precision::F32);
+                }
+                job
+            })
+            .collect();
+        let plan = FaultPlan::serving(42, 0.4);
+        let drain = |workers: usize, plan: Option<&FaultPlan>| {
+            let opts = ServeOptions {
+                workers,
+                retries: 2,
+                ..Default::default()
+            };
+            let report = serve_decks_with_plan(jobs.clone(), &opts, plan);
             assert_eq!(report.outcomes.len(), jobs.len(), "no lost jobs");
-            report
+            assert_eq!(report.stats.failed, 0, "retry + ladder absorb this mix");
+            let outcomes: Vec<_> = report
                 .outcomes
                 .iter()
-                .map(|o| match &o.result {
-                    Ok(out) => (
-                        format!("ok:{}:{:?}", out.solver, out.escalations),
-                        out.output.final_u.as_ref().map(|u| {
-                            u.raw()
-                                .iter()
-                                .fold(0u64, |acc, x| acc.wrapping_add(x.to_bits()))
-                        }),
-                    ),
-                    Err(e) => (format!("err:{e}"), None),
+                .map(|o| {
+                    let out = o.result.as_ref().expect("no job fails");
+                    let steps: Vec<_> = out.output.steps.iter().map(|s| s.iterations).collect();
+                    let u = out.output.final_u.as_ref().expect("the field is kept");
+                    let bits: Vec<u64> = u.raw().iter().map(|x| x.to_bits()).collect();
+                    (out.solver.clone(), out.escalations.clone(), steps, bits)
                 })
-                .collect::<Vec<_>>()
+                .collect();
+            (outcomes, report.stats.panics_recovered)
         };
-        let w1 = classify(1);
-        assert_eq!(w1, classify(2), "1 vs 2 workers");
-        assert_eq!(w1, classify(4), "1 vs 4 workers");
-        // sanity: the plan actually faulted something
-        assert!(
-            (0..jobs.len()).any(|j| plan.fault_for(j).is_some()),
-            "a 40% plan over 12 jobs must fault at least one"
-        );
+        let (clean, clean_panics) = drain(1, None);
+        assert_eq!(clean_panics, 0);
+        let w1 = drain(1, Some(&plan));
+        assert_eq!(w1, drain(2, Some(&plan)), "1 vs 2 workers");
+        assert_eq!(w1, drain(4, Some(&plan)), "1 vs 4 workers");
+
+        let (chaos, panics_recovered) = w1;
+        let faults: Vec<_> = (0..jobs.len()).map(|j| plan.fault_for(j)).collect();
+        // each PanicWorker fault fires exactly once, on attempt 0
+        let panics = faults
+            .iter()
+            .filter(|f| matches!(f, Some(FaultKind::PanicWorker)))
+            .count() as u64;
+        assert!(panics > 0, "the plan must panic at least one worker");
+        assert_eq!(panics_recovered, panics, "nothing else panicked");
+        let degraded = chaos.iter().filter(|o| !o.1.is_empty()).count();
+        assert!(degraded > 0, "a poisoned f32 job must walk the ladder");
+        for (j, fault) in faults.iter().enumerate() {
+            if fault.is_none() {
+                assert_eq!(chaos[j], clean[j], "unfaulted job {j} vs the clean run");
+            }
+        }
     }
 }

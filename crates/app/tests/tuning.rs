@@ -10,8 +10,9 @@
 
 use proptest::prelude::*;
 use tea_app::{crooked_pipe_deck, run_serial, serve_decks, Control, Deck, DeckJob};
+use tea_mesh::{crooked_pipe_rect, Coefficient};
 use tea_serve::ServeOptions;
-use tea_tune::{TuneAction, TuneLog};
+use tea_tune::{plan_candidates, TuneAction, TuneLog};
 
 fn auto_deck(n: usize, seed: u64, eps: f64) -> Deck {
     let mut deck = crooked_pipe_deck(n, "auto");
@@ -140,4 +141,72 @@ fn auto_settles_on_the_plain_family_without_escalation() {
     // the reduced-precision candidate was tried and rejected by the
     // stagnation guard rather than adopted
     assert!(winner != "cg_f32");
+}
+
+/// `auto` finds the design point an exhaustive sweep would have found:
+/// on six small decks that pull the best configuration in different
+/// directions (loose tolerances favour reduced precision, deep halos
+/// only pay on stretched meshes, the coefficient recipe and the material
+/// contrast move the spectrum), the adopted winner's steady-state
+/// modelled cost — last-step iterations × the prior's bytes per
+/// iteration — is within 10 % of the cheapest converging candidate. The
+/// slack is by design: the race judges a cold first solve, the sweep
+/// scores the warm steady state.
+#[test]
+fn auto_lands_within_ten_percent_of_the_exhaustive_sweep() {
+    const SEED: u64 = 42;
+    let pipe = |n: usize, eps: f64| {
+        let mut deck = auto_deck(n, SEED, eps);
+        deck.control.end_step = 1;
+        deck
+    };
+    let mut stretched = pipe(12, 1e-8);
+    stretched.problem = crooked_pipe_rect(24, 12);
+    let mut recip = pipe(12, 1e-8);
+    recip.problem.coefficient = Coefficient::RecipConductivity;
+    let mut contrast = pipe(12, 1e-8);
+    for state in &mut contrast.problem.states {
+        state.density *= 10.0;
+    }
+    let suite = [
+        ("pipe-loose", pipe(12, 1e-6)),
+        ("pipe-tight", pipe(12, 1e-10)),
+        ("pipe-mid", pipe(16, 1e-8)),
+        ("pipe-stretched", stretched),
+        ("pipe-recip", recip),
+        ("pipe-contrast", contrast),
+    ];
+    // last-step iterations of a run whose every step converged
+    let steady = |deck: &Deck| {
+        let out = run_serial(deck).ok()?;
+        let all_converged = out.steps.iter().all(|s| s.converged);
+        all_converged.then(|| (out.steps.last().map_or(0, |s| s.iterations), out.tune))
+    };
+    for (name, auto) in suite {
+        let params = auto.control.solver_params();
+        let candidates = plan_candidates(tea_app::solver_registry(), &params, SEED);
+        let best = candidates
+            .iter()
+            .filter_map(|c| {
+                let mut deck = auto.clone();
+                deck.control.solver = c.solver.clone();
+                deck.control.ppcg_halo_depth = c.halo_depth;
+                let (iterations, _) = steady(&deck)?;
+                Some(iterations as f64 * c.bytes_per_iteration)
+            })
+            .min_by(f64::total_cmp)
+            .expect("at least one hand-picked configuration converges");
+
+        let (iterations, tune) = steady(&auto).expect("auto converges");
+        let winner = tune.and_then(|t| t.winner).expect("auto adopts a winner");
+        let adopted = candidates
+            .iter()
+            .find(|c| c.label() == winner)
+            .expect("the winner comes from the candidate set");
+        let ratio = iterations as f64 * adopted.bytes_per_iteration / best;
+        assert!(
+            ratio <= 1.10,
+            "{name}: auto adopted {winner} at {ratio:.3}x the best hand-picked cost"
+        );
+    }
 }

@@ -1,12 +1,13 @@
-//! A minimal strict JSON parser for artefact schema checks.
+//! A minimal strict JSON parser for machine-readable artefacts.
 //!
 //! The workspace vendors no `serde_json`, and the audit crate stays
-//! dependency-free on principle, so the ~RFC 8259 subset the committed
-//! `BENCH_*.json` artefacts need is implemented here directly: objects,
-//! arrays, strings with escapes, numbers (including exponents), bools
-//! and null. Anything else — trailing commas, comments, `NaN`,
-//! unquoted keys — is a parse error, which is exactly what the schema
-//! audit wants to catch.
+//! dependency-free on principle, so the ~RFC 8259 subset the repo
+//! benchmark's result documents need (`benchmark/` reads them back
+//! through this module) is implemented here directly: objects, arrays,
+//! strings with escapes, numbers (including exponents), bools and
+//! null. Anything else — trailing commas, comments, `NaN`, unquoted
+//! keys — is a parse error, which is exactly what a reader of
+//! hand-formatted JSON wants to catch.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

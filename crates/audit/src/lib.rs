@@ -5,19 +5,20 @@
 //! poison-tolerant serving — are contracts that ordinary tests can only
 //! sample. `tea-audit` enforces them *structurally*, in the style of
 //! rustc's `tidy`: a fast, dependency-free line/token scanner over
-//! `crates/` plus a handful of semantic audits on artefacts.
+//! `crates/` plus a semantic audit across artefacts.
 //!
 //! Three layers:
 //!
 //! * [`scan`] — the textual linter: wall-clock quarantine,
 //!   nondeterminism sources, panic hygiene, lock hygiene, crate
 //!   hygiene, and the `audit:allow(<rule>) — <reason>` pragma grammar.
-//! * [`semantic`] — cross-artefact audits: deck-key drift between
-//!   `deck.rs` and the README table, and `BENCH_*.json` schema checks.
-//!   (The third semantic audit, `SolverRegistry::audit`, lives in
-//!   `tea-core` because it needs a live registry; `tealeaf --audit`
-//!   combines all three.)
+//! * [`semantic`] — the cross-artefact audit: deck-key drift between
+//!   `deck.rs` and the README table. (The other semantic audit,
+//!   `SolverRegistry::audit`, lives in `tea-core` because it needs a
+//!   live registry; `tealeaf --audit` combines both.)
 //! * [`report`] — findings and the machine-readable [`AuditReport`].
+//! * [`json`] — the strict parser the repo benchmark reads its result
+//!   documents back with.
 //!
 //! Run the linter with `cargo run -p tea-audit` (add `--deny-all` to
 //! also fail on advisory findings, `--json` for the report document).
@@ -32,4 +33,4 @@ pub mod semantic;
 
 pub use report::{AuditReport, CheckOutcome, Finding};
 pub use scan::{scan_file, scan_workspace, RULE_IDS};
-pub use semantic::{bench_artifact_audit, deck_key_audit};
+pub use semantic::deck_key_audit;

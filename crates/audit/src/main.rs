@@ -1,5 +1,5 @@
 //! The `tea-audit` binary: run the textual linter (plus the file-based
-//! semantic audits) over the workspace and exit nonzero on violations.
+//! semantic audit) over the workspace and exit nonzero on violations.
 //!
 //! ```text
 //! cargo run -p tea-audit                # lint, advisory findings tolerated
@@ -12,7 +12,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use tea_audit::{bench_artifact_audit, deck_key_audit, scan_workspace, AuditReport, RULE_IDS};
+use tea_audit::{deck_key_audit, scan_workspace, AuditReport, RULE_IDS};
 
 const USAGE: &str = "\
 tea-audit: first-party static analysis for the TeaLeaf-rs workspace
@@ -81,13 +81,6 @@ fn main() -> ExitCode {
         Ok(findings) => report.record("deck_keys", findings),
         Err(e) => {
             eprintln!("error: deck-key audit: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    match bench_artifact_audit(&root) {
-        Ok(findings) => report.record("bench_artifacts", findings),
-        Err(e) => {
-            eprintln!("error: bench-artifact audit: {e}");
             return ExitCode::FAILURE;
         }
     }

@@ -54,7 +54,7 @@ impl Finding {
 /// records what *ran*, not just what failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckOutcome {
-    /// Check name (`textual`, `registry`, `deck_keys`, `bench_artifacts`).
+    /// Check name (`textual`, `registry`, `deck_keys`).
     pub name: String,
     /// Findings this check contributed.
     pub findings: usize,

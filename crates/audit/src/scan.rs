@@ -15,7 +15,7 @@
 //!
 //! | rule | scope | contract |
 //! |---|---|---|
-//! | `wall_clock` | all crates except `serve`, `app`, `bench` | no `Instant::now`/`SystemTime::now`: solver, comms, tuning and fault paths must be bit-deterministic and replayable |
+//! | `wall_clock` | all crates except `serve`, `app` | no `Instant::now`/`SystemTime::now`: solver, comms, tuning and fault paths must be bit-deterministic and replayable |
 //! | `nondeterminism` | everywhere (tests exempt) | no `HashMap`/`HashSet`/`RandomState`/`DefaultHasher` in result-affecting paths: iteration order and hash seeds vary per process — use `BTreeMap`/`BTreeSet` or seeded splitmix64 |
 //! | `panic_hygiene` | `serve` and `app` (tests exempt) | no `.unwrap()`/`.expect(`/`panic!`/`unreachable!`/`todo!`/`unimplemented!`: the serving path must degrade through typed errors, never abort a worker |
 //! | `lock_hygiene` | everywhere (tests included) | no bare `.lock().unwrap()`/`.lock().expect(`: use `tea_core::lock_tolerant`, which recovers poisoned mutexes instead of cascading one panic into every thread |
@@ -26,10 +26,11 @@
 use crate::report::Finding;
 use std::path::Path;
 
-/// Crates where wall-clock reads are sanctioned: tea-serve (deadlines),
-/// tea-app (driver/CLI timing columns) and tea-bench (it measures wall
-/// time on purpose). Everywhere else `Instant::now` needs a pragma.
-pub const WALL_CLOCK_ALLOWED_CRATES: &[&str] = &["serve", "app", "bench"];
+/// Crates where wall-clock reads are sanctioned: tea-serve (deadlines)
+/// and tea-app (driver/CLI timing columns). Everywhere else
+/// `Instant::now` needs a pragma; timing a run is the repo benchmark's
+/// job (`benchmark/`, outside the scanned tree).
+pub const WALL_CLOCK_ALLOWED_CRATES: &[&str] = &["serve", "app"];
 
 /// Crates under the panic-hygiene contract: the serving queue and the
 /// application driver path, where a panic loses a job (or a queue).
@@ -428,7 +429,7 @@ pub fn scan_file(crate_name: &str, rel_path: &str, source: &str) -> Vec<Finding>
                         line_no,
                         format!(
                             "{pattern} in crate '{crate_name}' — wall-clock reads are \
-                             quarantined to tea-serve/tea-app/tea-bench so solver, \
+                             quarantined to tea-serve/tea-app so solver, \
                              tuning and fault paths stay bit-deterministic"
                         ),
                     ));

@@ -5,16 +5,11 @@
 //!   `crates/app/src/deck.rs` knows must appear in the README's deck-key
 //!   table, and vice versa, so the documented design space and the
 //!   parsed one cannot drift apart.
-//! * [`bench_artifact_audit`] — every committed `BENCH_*.json` claim
-//!   artefact must be strict JSON, a top-level object, and carry the
-//!   shared envelope (`"bench"` naming the producing binary) so
-//!   downstream tooling can consume the whole family uniformly.
 //!
-//! The solver-registry audit is the third semantic check; it needs a
+//! The solver-registry audit is the other semantic check; it needs a
 //! *live* registry, so it lives on `tea_core::SolverRegistry::audit`
-//! and is combined with these two by `tealeaf --audit` and CI.
+//! and is combined with this one by `tealeaf --audit` and CI.
 
-use crate::json;
 use crate::report::Finding;
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -105,75 +100,6 @@ pub fn deck_key_audit(root: &Path) -> std::io::Result<Vec<Finding>> {
                  deck.rs — remove the row or wire the key"
             ),
         ));
-    }
-    Ok(findings)
-}
-
-/// Audits every committed `BENCH_*.json` artefact under `root`: strict
-/// JSON, top-level object, a string `"bench"` field naming the
-/// producing binary, and at least one measurement key beyond the
-/// envelope.
-///
-/// # Errors
-/// I/O errors listing or reading the artefacts.
-pub fn bench_artifact_audit(root: &Path) -> std::io::Result<Vec<Finding>> {
-    let mut artefacts: Vec<_> = std::fs::read_dir(root)?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-        })
-        .collect();
-    artefacts.sort();
-    let mut findings = Vec::new();
-    for path in artefacts {
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("BENCH_?.json")
-            .to_string();
-        let text = std::fs::read_to_string(&path)?;
-        let value = match json::parse(&text) {
-            Ok(v) => v,
-            Err(e) => {
-                findings.push(Finding::deny(
-                    "bench_artifacts",
-                    &name,
-                    0,
-                    format!("not strict JSON: {e}"),
-                ));
-                continue;
-            }
-        };
-        let Some(entries) = value.as_object() else {
-            findings.push(Finding::deny(
-                "bench_artifacts",
-                &name,
-                0,
-                "top level must be a JSON object",
-            ));
-            continue;
-        };
-        match value.get("bench").and_then(json::Value::as_str) {
-            Some(bench) if !bench.trim().is_empty() => {}
-            _ => findings.push(Finding::deny(
-                "bench_artifacts",
-                &name,
-                0,
-                "missing the artefact envelope: a top-level \"bench\" string naming \
-                 the producing tea-bench binary",
-            )),
-        }
-        if entries.len() < 2 {
-            findings.push(Finding::deny(
-                "bench_artifacts",
-                &name,
-                0,
-                "artefact carries no measurements beyond the envelope",
-            ));
-        }
     }
     Ok(findings)
 }

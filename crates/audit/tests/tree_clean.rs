@@ -1,9 +1,9 @@
 //! The committed tree must be audit-clean: no denying textual
-//! findings, no deck-key drift, no malformed benchmark artefacts.
+//! findings, no deck-key drift.
 //! This is the same gate CI runs via `cargo run -p tea-audit`.
 
 use std::path::{Path, PathBuf};
-use tea_audit::{bench_artifact_audit, deck_key_audit, scan_workspace};
+use tea_audit::{deck_key_audit, scan_workspace};
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -46,20 +46,6 @@ fn deck_keys_match_the_readme_table() {
     assert!(
         findings.is_empty(),
         "deck-key drift:\n{}",
-        findings
-            .iter()
-            .map(|f| f.render())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-}
-
-#[test]
-fn bench_artifacts_carry_the_envelope() {
-    let findings = bench_artifact_audit(&workspace_root()).expect("audit runs");
-    assert!(
-        findings.is_empty(),
-        "malformed benchmark artefacts:\n{}",
         findings
             .iter()
             .map(|f| f.render())

@@ -1,70 +1,23 @@
 //! # tea-bench — the experiment harness
 //!
-//! One binary per table/figure of the CLUSTER'17 evaluation (see
-//! DESIGN.md §5 for the index) plus criterion micro-benchmarks. This
+//! The `figures` binary regenerates every table, figure and quantified
+//! claim of the CLUSTER'17 evaluation, one subcommand each. This
 //! library holds the shared machinery: measuring solver traces from real
 //! runs, fitting the iteration-growth law, and extrapolating protocols
-//! to the paper's 4000² mesh (EXPERIMENTS.md documents the method and
-//! its honesty bounds).
+//! to the paper's 4000² mesh. Timing lives in the repo benchmark
+//! (`benchmark/`), not here: nothing in this crate reads a clock.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::path::PathBuf;
 use tea_amg::MgTrace;
 use tea_app::{crooked_pipe_deck, run_serial, Deck};
-use tea_core::{PreconKind, SolveTrace};
-
-/// Common command-line arguments of the figure binaries.
-#[derive(Debug, Clone)]
-pub struct FigArgs {
-    /// Measurement mesh size (traces are measured at this size and two
-    /// smaller sizes for the growth-law fit).
-    pub cells: usize,
-    /// Time steps per measurement run.
-    pub steps: u64,
-    /// Target mesh size the protocol is extrapolated to (the paper's
-    /// 4000 unless overridden).
-    pub target_cells: usize,
-    /// Output directory for CSV artefacts.
-    pub out_dir: PathBuf,
-}
-
-impl FigArgs {
-    /// Parses `--cells N --steps N --target N --out DIR` with the given
-    /// defaults; `--help` prints usage and exits.
-    pub fn parse(bin: &str, default_cells: usize, default_steps: u64) -> FigArgs {
-        let mut args = FigArgs {
-            cells: default_cells,
-            steps: default_steps,
-            target_cells: 4000,
-            out_dir: PathBuf::from("experiments"),
-        };
-        let mut it = std::env::args().skip(1);
-        while let Some(flag) = it.next() {
-            let mut value = || it.next().unwrap_or_default();
-            match flag.as_str() {
-                "--cells" => args.cells = value().parse().expect("--cells"),
-                "--steps" => args.steps = value().parse().expect("--steps"),
-                "--target" => args.target_cells = value().parse().expect("--target"),
-                "--out" => args.out_dir = PathBuf::from(value()),
-                "--help" | "-h" => {
-                    println!(
-                        "{bin}: regenerates a CLUSTER'17 TeaLeaf artefact\n\
-                         --cells N   measurement mesh (default {default_cells})\n\
-                         --steps N   steps per measurement (default {default_steps})\n\
-                         --target N  extrapolation mesh (default 4000)\n\
-                         --out DIR   CSV output directory (default ./experiments)"
-                    );
-                    std::process::exit(0);
-                }
-                other => panic!("unknown flag {other}"),
-            }
-        }
-        std::fs::create_dir_all(&args.out_dir).expect("create output dir");
-        args
-    }
-}
+use tea_comms::{HaloLayout, SerialComm};
+use tea_core::{
+    cg_solve_recording, crooked_pipe_system, estimate_from_cg, Preconditioner, SolveOpts,
+    SolveTrace, Tile, TileOperator, Workspace,
+};
+use tea_mesh::{Decomposition2D, Field2D};
 
 /// A solver configuration measured for the scaling figures.
 #[derive(Debug, Clone)]
@@ -75,48 +28,42 @@ pub struct SolverConfig {
     pub solver: String,
     /// Matrix-powers depth (PPCG only).
     pub depth: usize,
-    /// Preconditioner.
-    pub precon: PreconKind,
+    /// Chebyshev inner steps per outer iteration (PPCG only).
+    pub inner: usize,
 }
 
 impl SolverConfig {
+    fn new(label: String, solver: &str, depth: usize) -> Self {
+        SolverConfig {
+            label,
+            solver: solver.into(),
+            depth,
+            inner: 16,
+        }
+    }
+
     /// Plain CG with depth-1 halos — the paper's `CG - 1`.
     pub fn cg() -> Self {
-        SolverConfig {
-            label: "CG - 1".into(),
-            solver: "cg".into(),
-            depth: 1,
-            precon: PreconKind::None,
-        }
+        Self::new("CG - 1".into(), "cg", 1)
     }
 
     /// `PPCG - depth` (16 inner steps, as in the figures).
     pub fn ppcg(depth: usize) -> Self {
-        SolverConfig {
-            label: format!("PPCG - {depth}"),
-            solver: "ppcg".into(),
-            depth,
-            precon: PreconKind::None,
-        }
+        Self::new(format!("PPCG - {depth}"), "ppcg", depth)
     }
 
     /// The BoomerAMG-class baseline.
     pub fn amg() -> Self {
-        SolverConfig {
-            label: "BoomerAMG".into(),
-            solver: "amg".into(),
-            depth: 1,
-            precon: PreconKind::None,
-        }
+        Self::new("BoomerAMG".into(), "amg", 1)
     }
 
-    fn deck(&self, cells: usize, steps: u64) -> Deck {
+    /// The crooked-pipe deck this configuration runs.
+    pub fn deck(&self, cells: usize, steps: u64) -> Deck {
         let mut deck = crooked_pipe_deck(cells, self.solver.clone());
         deck.control.end_step = steps;
         deck.control.summary_frequency = 0;
-        deck.control.precon = self.precon;
         deck.control.ppcg_halo_depth = self.depth;
-        deck.control.ppcg_inner_steps = 16;
+        deck.control.ppcg_inner_steps = self.inner;
         deck
     }
 }
@@ -189,33 +136,32 @@ pub fn kappa_pcg(kappa: f64, m: usize) -> f64 {
     (1.0 + eps) / (1.0 - eps)
 }
 
-/// Measures `κ(A)` at a mesh size via CG-Lanczos on the crooked pipe.
-pub fn measure_kappa(cells: usize) -> f64 {
-    use tea_comms::{HaloLayout, SerialComm};
-    use tea_core::{
-        cg_solve_recording, crooked_pipe_system, estimate_from_cg, Preconditioner, SolveOpts, Tile,
-        Workspace,
-    };
-    use tea_mesh::Decomposition2D;
-    let n = cells;
-    let (op, b) = crooked_pipe_system(n, 0.04, 1);
+/// Estimates `κ(M⁻¹A)` from the Lanczos coefficients of `steps` CG
+/// iterations on `A u = b` (serial tile, depth-1 halos).
+pub fn lanczos_kappa(op: &TileOperator, b: &Field2D, precon: &Preconditioner, steps: u64) -> f64 {
+    let (nx, ny) = (b.nx(), b.ny());
     let comm = SerialComm::new();
-    let d = Decomposition2D::with_grid(n, n, 1, 1);
-    let layout = HaloLayout::new(&d, 0);
-    let tile = Tile::new(&op, &layout, &comm);
-    let mut ws = Workspace::new(n, n, 1);
+    let layout = HaloLayout::new(&Decomposition2D::with_grid(nx, ny, 1, 1), 0);
+    let tile = Tile::new(op, &layout, &comm);
+    let mut ws = Workspace::new(nx, ny, 1);
     let mut u = b.clone();
     let (_, coeffs) = cg_solve_recording(
         &tile,
         &mut u,
-        &b,
-        &Preconditioner::Identity,
+        b,
+        precon,
         &mut ws,
         SolveOpts::with_eps(1e-12),
-        80,
+        steps,
     );
     let (al, be) = coeffs.for_lanczos();
     estimate_from_cg(al, be, 0.0).condition_number()
+}
+
+/// Measures `κ(A)` at a mesh size via CG-Lanczos on the crooked pipe.
+pub fn measure_kappa(cells: usize) -> f64 {
+    let (op, b) = crooked_pipe_system(cells, 0.04, 1);
+    lanczos_kappa(&op, &b, &Preconditioner::Identity, 80)
 }
 
 /// Extrapolation record: what was measured and how it was scaled.
@@ -252,8 +198,7 @@ pub fn extrapolate_to(
     let ratio = target as f64 / base_cells as f64;
     let kappa_target = kappa_measured * ratio * ratio;
     let factor = if config.solver == "ppcg" {
-        let m = 16; // inner steps used by the figure configs
-        (kappa_pcg(kappa_target, m) / kappa_pcg(kappa_measured, m)).sqrt()
+        (kappa_pcg(kappa_target, config.inner) / kappa_pcg(kappa_measured, config.inner)).sqrt()
     } else {
         (kappa_target / kappa_measured).sqrt()
     };
@@ -273,25 +218,14 @@ pub fn extrapolate_to(
 /// Extrapolates an AMG measurement: iteration growth fitted from three
 /// sizes (multigrid is near mesh-independent, so the fit is safe); level
 /// shapes rebuilt for the target mesh; per-level sweeps and setup cells
-/// scaled consistently.
-pub fn extrapolate_amg_to(
-    base_cells: usize,
-    steps: u64,
-    target: usize,
-) -> (MgTrace, Vec<Measurement>, f64) {
+/// scaled consistently. Returns the trace and the fitted growth exponent.
+pub fn extrapolate_amg_to(base_cells: usize, steps: u64, target: usize) -> (MgTrace, f64) {
     let config = SolverConfig::amg();
     let sizes = [base_cells / 4 * 2, base_cells / 4 * 3, base_cells];
-    let measurements: Vec<Measurement> = sizes
-        .iter()
-        .map(|&n| measure(&config, n.max(16), steps))
-        .collect();
-    let points: Vec<(usize, u64)> = measurements
-        .iter()
-        .map(|m| (m.cells, m.iterations.max(1)))
-        .collect();
-    let (a, p) = fit_power_law(&points);
+    let runs = sizes.map(|n| measure(&config, n.max(16), steps));
+    let (a, p) = fit_power_law(&runs.each_ref().map(|m| (m.cells, m.iterations.max(1))));
     let predicted = a * (target as f64).powf(p);
-    let last = measurements.last().unwrap();
+    let last = &runs[2];
     let factor = predicted / last.iterations.max(1) as f64;
     let mg_last = last.mg.as_ref().expect("AMG runs carry traces");
 
@@ -317,61 +251,18 @@ pub fn extrapolate_amg_to(
     } else {
         6.0
     };
-    let mut mg = MgTrace {
-        outer: {
-            let mut t = mg_last.outer.scaled(factor);
-            t.solver = config.label.clone();
-            t
-        },
-        level_shapes: shapes.clone(),
+    let sweeps = (per_cycle * vcycles as f64).round() as u64;
+    let mut outer = mg_last.outer.scaled(factor);
+    outer.solver = config.label;
+    let mg = MgTrace {
+        outer,
+        level_sweeps: (0..shapes.len() as u32).map(|l| (l, sweeps)).collect(),
+        level_shapes: shapes,
         vcycles,
         coarse_solves: vcycles,
         setup_cells: (total_setup as u64) * (steps.max(1)),
-        ..Default::default()
     };
-    for l in 0..shapes.len() {
-        mg.level_sweeps
-            .insert(l as u32, (per_cycle * vcycles as f64).round() as u64);
-    }
-    (mg, measurements, p)
-}
-
-/// Formats a paper-style scaling table row set to stdout.
-pub fn print_series_table(node_header: &str, series: &[tea_perfmodel::ScalingSeries]) {
-    print!("{node_header:>8}");
-    for s in series {
-        print!(" {:>14}", s.label);
-    }
-    println!();
-    let n = series[0].points.len();
-    for i in 0..n {
-        print!("{:>8}", series[0].points[i].nodes);
-        for s in series {
-            print!(" {:>14.5}", s.points[i].total());
-        }
-        println!();
-    }
-}
-
-/// Writes the series as CSV into the output directory.
-pub fn write_series(
-    args: &FigArgs,
-    name: &str,
-    series: &[tea_perfmodel::ScalingSeries],
-) -> std::path::PathBuf {
-    let xs: Vec<f64> = series[0].points.iter().map(|p| p.nodes as f64).collect();
-    let cols: Vec<(String, Vec<f64>)> = series
-        .iter()
-        .map(|s| {
-            (
-                s.label.clone(),
-                s.points.iter().map(|p| p.total()).collect(),
-            )
-        })
-        .collect();
-    let path = args.out_dir.join(name);
-    tea_app::write_series_csv(&path, "nodes", &xs, &cols).expect("write series CSV");
-    path
+    (mg, p)
 }
 
 #[cfg(test)]

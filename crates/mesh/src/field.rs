@@ -389,6 +389,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)] // the bounds check is a debug_assert
     #[should_panic]
     fn out_of_range_panics_in_debug() {
         let f = Field2D::new(3, 3, 1);

@@ -14,8 +14,12 @@
 //! decks), on 1 and 4 ranks; the far field of `u` staying bit-untouched
 //! (the promote cut); and exact scale equivariance (the pedestal is
 //! relative to the residual norm, never absolute).
+//!
+//! The last test is the wire-volume half of the story: reduced-precision
+//! solves exchange `f32` halos, counted per element on four ranks.
 
 use tealeaf::app::{crooked_pipe_deck, run_serial, run_threaded_ranks, Control, Deck};
+use tealeaf::comms::StatsSnapshot;
 use tealeaf::mesh::Field2D;
 use tealeaf::solvers::{crooked_pipe_system, Precision, PreconKind, Solve};
 
@@ -224,4 +228,34 @@ fn mixed_solves_are_exactly_scale_equivariant() {
             assert!(same, "{name} 2^{k}: u is not exactly 2^{k}·u");
         }
     }
+}
+
+#[test]
+fn reduced_precision_halos_move_fewer_bytes() {
+    // message bytes summed over the four ranks of a decomposed run,
+    // accounted by element width on the wire (8 per f64, 4 per f32)
+    let halo = |solver: &str, precision, precon, depth| {
+        let deck = deck(48, solver, precision, precon, depth, 1e-10, 2);
+        let mut sent = StatsSnapshot::default();
+        for rank in run_threaded_ranks(&deck, 4).expect("deck runs") {
+            sent.merge(&rank.comm);
+        }
+        sent
+    };
+    // every exchanged element is a halo element of the same protocol, so
+    // f32 wire width must halve the per-element cost (0.55 tolerates an
+    // f64 exchange per step)
+    let cg = halo("cg", None, PreconKind::BlockJacobi, 1);
+    let cg_f32 = halo("cg", Some(Precision::F32), PreconKind::BlockJacobi, 1);
+    let per_elem = cg_f32.mean_bytes_per_elem_sent() / cg.mean_bytes_per_elem_sent();
+    assert!(per_elem <= 0.55, "cg_f32 bytes per element: {per_elem:.3}x");
+    // same iteration protocol as ppcg with the deep inner halos at f32:
+    // total bytes must drop
+    let ppcg = halo("ppcg", None, PreconKind::None, 4);
+    let mixed = halo("ppcg", Some(Precision::Mixed), PreconKind::None, 4);
+    let total = mixed.bytes_sent() as f64 / ppcg.bytes_sent() as f64;
+    assert!(
+        total <= 0.75,
+        "mixed_ppcg total halo bytes: {total:.3}x ppcg"
+    );
 }
