@@ -21,11 +21,11 @@ use tea_mesh::{Coefficient, Coefficients, Extent2D, Field2D, Mesh2D};
 pub const COARSEST_CELLS: usize = 64;
 
 /// Jacobi smoothing weight.
-pub const JACOBI_WEIGHT: f64 = 0.8;
+const JACOBI_WEIGHT: f64 = 0.8;
 
 /// One grid level.
 #[derive(Debug)]
-pub struct Level {
+struct Level {
     /// The level's operator (level 0 = finest).
     pub op: TileOperator,
     /// Reciprocal diagonal for the smoother.
@@ -62,7 +62,7 @@ impl Default for MgOpts {
 #[derive(Debug)]
 pub struct MgHierarchy {
     /// Levels, finest first.
-    pub levels: Vec<Level>,
+    levels: Vec<Level>,
     coarse: Cholesky,
     opts: MgOpts,
     /// Total cells touched during setup (for the performance model's

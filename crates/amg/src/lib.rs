@@ -22,6 +22,6 @@ pub mod pcg;
 pub mod trace;
 
 pub use chol::Cholesky;
-pub use hierarchy::{MgHierarchy, MgOpts, COARSEST_CELLS, JACOBI_WEIGHT};
-pub use pcg::{full_registry, register, AmgPcg, AmgPcgOpts, AmgSolveResult, AMG_META};
+pub use hierarchy::{MgHierarchy, MgOpts, COARSEST_CELLS};
+pub use pcg::{full_registry, register, AmgPcg, AmgPcgOpts};
 pub use trace::MgTrace;

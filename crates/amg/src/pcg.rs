@@ -21,7 +21,7 @@ use tea_core::{
 use tea_mesh::{Coefficient, Field2D};
 
 /// Registry metadata for the AMG baseline.
-pub const AMG_META: SolverMeta = SolverMeta {
+const AMG_META: SolverMeta = SolverMeta {
     name: "amg",
     aliases: &["boomeramg", "amg_pcg"],
     summary: "multigrid V-cycle preconditioned CG (the BoomerAMG-class baseline)",
@@ -155,11 +155,11 @@ pub struct AmgPcgOpts {
 /// Result of an AMG-PCG solve: the standard result plus the multigrid
 /// trace.
 #[derive(Debug)]
-pub struct AmgSolveResult {
+pub(crate) struct AmgSolveResult {
     /// Convergence data and outer-CG protocol.
-    pub result: SolveResult,
+    pub(crate) result: SolveResult,
     /// Per-level V-cycle protocol.
-    pub mg_trace: MgTrace,
+    pub(crate) mg_trace: MgTrace,
 }
 
 /// The AMG instance of [`pcg_loop`]: `z = M⁻¹r` is one multigrid

@@ -6,6 +6,7 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Duration;
 use tea_app::{
     crooked_pipe_deck, find_repo_root, parse_deck, run_serial, run_threaded_ranks, semantic_audit,
     serve_decks_with_plan, solver_registry, write_field_csv, write_field_ppm, DeckJob, RankOutput,
@@ -60,8 +61,6 @@ SERVING (batched multi-solve mode):
                          setups; prints jobs/sec, latency percentiles
                          and the session-cache hit/miss counters.
     --workers <w>        concurrent jobs in flight  [default: all cores]
-    --no-cache           build every job cold (baseline for comparing
-                         the session cache's effect)
     --deadline <secs>    wall-clock budget per job attempt; an expired
                          solve is cancelled at its next iteration and
                          the job reports a timeout
@@ -101,8 +100,7 @@ struct Args {
     quiet: bool,
     serve: Option<PathBuf>,
     workers: usize,
-    no_cache: bool,
-    deadline: Option<f64>,
+    deadline: Option<Duration>,
     retries: u32,
     fault_plan: Option<FaultPlan>,
     audit: bool,
@@ -127,7 +125,6 @@ fn parse_args() -> Result<Args, String> {
         quiet: false,
         serve: None,
         workers: 0,
-        no_cache: false,
         deadline: None,
         retries: 0,
         fault_plan: None,
@@ -179,9 +176,11 @@ fn parse_args() -> Result<Args, String> {
             "--workers" => {
                 args.workers = value()?.parse().map_err(|e| format!("--workers: {e}"))?
             }
-            "--no-cache" => args.no_cache = true,
             "--deadline" => {
-                args.deadline = Some(value()?.parse().map_err(|e| format!("--deadline: {e}"))?)
+                let secs: f64 = value()?.parse().map_err(|e| format!("--deadline: {e}"))?;
+                args.deadline = Some(
+                    Duration::try_from_secs_f64(secs).map_err(|e| format!("--deadline: {e}"))?,
+                );
             }
             "--retries" => {
                 args.retries = value()?.parse().map_err(|e| format!("--retries: {e}"))?
@@ -284,8 +283,8 @@ fn run_serve(joblist: &std::path::Path, args: &Args) -> ExitCode {
     let opts = ServeOptions {
         workers: args.workers,
         threads_per_job: args.threads.map(tea_core::request_num_threads),
-        cache: !args.no_cache,
-        deadline: args.deadline.map(std::time::Duration::from_secs_f64),
+        cache: true,
+        deadline: args.deadline,
         retries: args.retries,
     };
     println!(

@@ -37,7 +37,7 @@ use tea_mesh::{Coefficient, Extent2D, Problem, Shape, State};
 
 /// The most inner Chebyshev steps a deck may ask of CPPCG
 /// (`tl_ppcg_inner_steps`); the paper's sweeps stop at 16.
-pub const MAX_PPCG_INNER_STEPS: usize = 4096;
+const MAX_PPCG_INNER_STEPS: usize = 4096;
 
 /// Time-stepping and solver controls (the deck's non-geometry half).
 #[derive(Debug, Clone)]

@@ -382,6 +382,8 @@ impl Stepped {
 /// [`DriverError`] when the deck's problem fails validation, the solver
 /// name or precision does not resolve, the decomposition does not match
 /// the communicator, or a serial-only solver is run decomposed.
+// audit:allow(dead_pub) — benchmark/src/deckrun.rs mirrors it call for call, and ROADMAP
+// direction 1 replaces that mirror with a call to this function
 pub fn run_rank<C: Communicator + ?Sized>(
     deck: &Deck,
     decomp: &Decomposition2D,

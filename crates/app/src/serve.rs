@@ -132,7 +132,7 @@ pub fn serve_decks_with_plan(
                 run_serial_session_with(&deck, &cache, controls)
             } else {
                 // a throwaway per-job cache: cold, never shared — used
-                // both for the no-cache baseline and for probed solves
+                // both for a cache-less drain and for probed solves
                 // (a poisoned session must not enter the pool)
                 let local = SetupCache::new();
                 let out = run_serial_session_with(&deck, &local, controls);
@@ -276,19 +276,22 @@ mod tests {
 
     #[test]
     fn a_bad_deck_fails_its_job_only() {
-        let mut jobs: Vec<DeckJob> = (0..3).map(|_| job(16, "cg", 1e-8)).collect();
+        let mut jobs: Vec<DeckJob> = (0..4).map(|_| job(16, "cg", 1e-8)).collect();
         jobs[0].deck.control.solver = "warp".into();
         jobs[0].label = "bad.in".into();
-        // at the parent this one aborted the whole queue on a 320 GB
-        // allocation; its siblings below panicked and burned retries
+        // these two each aborted the whole queue in the allocator (an
+        // abort is not a panic, so nothing caught it): 320 GB of halo,
+        // 16 TB of cells
         jobs[2].deck.control.ppcg_halo_depth = 100_000;
         jobs[2].label = "deep.in".into();
+        jobs[3].deck.problem.x_cells = 99_999_999_999;
+        jobs[3].label = "wide.in".into();
         let opts = ServeOptions {
             retries: 2,
             ..Default::default()
         };
         let report = serve_decks(jobs, &opts);
-        assert_eq!(report.stats.failed, 2);
+        assert_eq!(report.stats.failed, 3);
         assert_eq!(
             (report.stats.retries, report.stats.panics_recovered),
             (0, 0)
@@ -296,6 +299,7 @@ mod tests {
         for (i, label, names) in [
             (0, "bad.in:", "warp"),
             (2, "deep.in:", "tl_ppcg_halo_depth"),
+            (3, "wide.in:", "99999999999 x 16 cells"),
         ] {
             let err = report.outcomes[i].result.as_ref().unwrap_err();
             assert!(matches!(err, JobError::Failed { .. }), "{err:?}");

@@ -212,3 +212,36 @@ fn out_of_range_controls_are_errors_not_panics() {
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+#[test]
+fn serve_mode_answers_bad_deadlines_and_absurd_meshes_with_errors() {
+    let good = write_deck("served.in", "tl_solver=cg");
+    // regression: aborted the process in the allocator (exit 134),
+    // taking the queue's other jobs with it
+    let wide = write_deck("served_wide.in", "tl_solver=cg\nx_cells=99999999999");
+    let joblist = good.with_file_name("jobs.txt");
+    let (good, wide) = (good.to_str().unwrap(), wide.to_str().unwrap());
+    std::fs::write(&joblist, format!("{good}\n{wide}\n{good}\n")).unwrap();
+    let joblist = joblist.to_str().unwrap();
+
+    // regression: `Duration::from_secs_f64` panicked on each (exit 101)
+    for deadline in ["-1", "nan", "1e30"] {
+        let out = tealeaf(&["--serve", joblist, "--deadline", deadline]);
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert_eq!(out.status.code(), Some(1), "{deadline}: {out:?}");
+        assert!(stderr.starts_with("error: --deadline: "), "{stderr}");
+        assert!(stderr.contains("USAGE:"), "{stderr}");
+    }
+
+    // the absurd deck is refused when the joblist is loaded; the queue
+    // drains the other two and the run still reports the failure
+    let out = tealeaf(&["--serve", joblist, "--workers", "1"]);
+    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(
+        stderr.contains("served_wide.in: mesh of 99999999999 x 24 cells exceeds"),
+        "{stderr}"
+    );
+    assert!(stdout.contains("jobs             2 (0 failed)"), "{stdout}");
+}

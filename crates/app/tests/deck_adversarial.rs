@@ -6,7 +6,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use tea_app::{crooked_pipe_deck, parse_deck, render_deck, run_serial};
+use tea_app::{crooked_pipe_deck, parse_deck, render_deck, run_serial, DriverError};
 use tea_core::PreconKind;
 
 /// The vendored proptest has no `u8` strategy; derive one from `u32`.
@@ -167,6 +167,29 @@ proptest! {
         (c.ppcg_halo_depth, c.ppcg_inner_steps) = (depth as usize, inner as usize);
         c.precon = PRECONS[(pick / SOLVERS.len()) % PRECONS.len()];
         let _ = run_serial(&deck);
+    }
+
+    /// And for the problem half: a cell count whose product overflows
+    /// or would abort the process in the allocator (`x_cells=99999999999`
+    /// did), and an extent that is NaN, infinite or inverted, are
+    /// `Problem::validate`'s to reject — typed, before `Rank::setup`
+    /// sizes a field by them.
+    #[test]
+    fn extreme_problems_never_abort_the_driver(
+        x_cells in edgy(40),
+        y_cells in edgy(40),
+        x_max in edgy_f64(10.0),
+    ) {
+        let mut deck = crooked_pipe_deck(8, "cg");
+        let c = &mut deck.control;
+        (c.end_step, c.summary_frequency, c.opts.max_iters) = (1, 0, 40);
+        (deck.problem.x_cells, deck.problem.y_cells) = (x_cells as usize, y_cells as usize);
+        deck.problem.extent.x_max = x_max;
+        let run = run_serial(&deck);
+        let cells = (x_cells as usize).checked_mul(y_cells as usize);
+        if cells.is_none_or(|c| c == 0 || c > 1 << 28) || !(x_max.is_finite() && x_max > 0.0) {
+            prop_assert!(matches!(run, Err(DriverError::InvalidProblem(_))), "{run:?}");
+        }
     }
 
     /// Single-character mutations of a valid deck never panic: either

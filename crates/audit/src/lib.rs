@@ -11,7 +11,8 @@
 //!
 //! * [`scan`] — the textual linter: wall-clock quarantine,
 //!   nondeterminism sources, panic hygiene, lock hygiene, crate
-//!   hygiene, and the `audit:allow(<rule>) — <reason>` pragma grammar.
+//!   hygiene, `pub` items no other file names, and the
+//!   `audit:allow(<rule>) — <reason>` pragma grammar.
 //! * [`semantic`] — the cross-artefact audit: deck-key drift between
 //!   `deck.rs` and the README table. (The other semantic audit,
 //!   `SolverRegistry::audit`, lives in `tea-core` because it needs a

@@ -22,7 +22,7 @@ USAGE:
 
 OPTIONS:
     --root <dir>    workspace root to audit (default: auto-detected)
-    --deny-all      advisory findings (todo_marker) also fail the run
+    --deny-all      advisory findings (todo_marker, dead_pub) also fail the run
     --json          print the machine-readable AuditReport to stdout
     --list-rules    print the textual rule ids and exit
     --help          this text

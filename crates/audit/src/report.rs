@@ -53,6 +53,7 @@ impl Finding {
 /// A named audit pass and how many findings it produced, so the report
 /// records what *ran*, not just what failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// audit:allow(dead_pub) — element of `AuditReport::checks`, which main.rs and tea-app's audit.rs count
 pub struct CheckOutcome {
     /// Check name (`textual`, `registry`, `deck_keys`).
     pub name: String,

@@ -22,19 +22,21 @@
 //! | `crate_hygiene` | every member crate's `lib.rs` | must carry `#![forbid(unsafe_code)]` and `#![deny(missing_docs)]` |
 //! | `pragma` | everywhere | `audit:allow` pragmas must name a known rule and carry a reason |
 //! | `todo_marker` | everywhere (advisory) | surfaces to-do/fix-me markers left in comments; they fail only under `--deny-all` |
+//! | `dead_pub` | `crates/*/src` and `src/`, tests exempt (advisory) | every `pub` `fn`/`struct`/`enum`/`trait`/`const`/`static`/`type` is named by some *other* file of the workspace or `benchmark/src`: a capability without a caller is deleted or made private — the pragma names the test or document that reads it |
 
 use crate::report::Finding;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 /// Crates where wall-clock reads are sanctioned: tea-serve (deadlines)
 /// and tea-app (driver/CLI timing columns). Everywhere else
 /// `Instant::now` needs a pragma; timing a run is the repo benchmark's
 /// job (`benchmark/`, outside the scanned tree).
-pub const WALL_CLOCK_ALLOWED_CRATES: &[&str] = &["serve", "app"];
+const WALL_CLOCK_ALLOWED_CRATES: &[&str] = &["serve", "app"];
 
 /// Crates under the panic-hygiene contract: the serving queue and the
 /// application driver path, where a panic loses a job (or a queue).
-pub const PANIC_HYGIENE_CRATES: &[&str] = &["serve", "app"];
+const PANIC_HYGIENE_CRATES: &[&str] = &["serve", "app"];
 
 /// Every textual rule id the pragma grammar accepts.
 pub const RULE_IDS: &[&str] = &[
@@ -45,21 +47,22 @@ pub const RULE_IDS: &[&str] = &[
     "crate_hygiene",
     "pragma",
     "todo_marker",
+    "dead_pub",
 ];
 
 /// Per-line views of one source file: `code[i]` is line `i` with
 /// comments removed and string-literal *contents* blanked to spaces
 /// (delimiters kept), `comments[i]` is the comment text of line `i`.
 #[derive(Debug)]
-pub struct SourceText {
+struct SourceText {
     /// Comment-free, string-blanked code per line.
-    pub code: Vec<String>,
+    code: Vec<String>,
     /// Comment contents per line (where pragmas and to-do markers live).
-    pub comments: Vec<String>,
+    comments: Vec<String>,
     /// Plain (non-doc) comment contents per line. Pragmas are parsed
     /// from here only, so rustdoc prose *describing* the pragma
     /// grammar is never mistaken for a directive.
-    pub directives: Vec<String>,
+    directives: Vec<String>,
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -73,7 +76,7 @@ enum LexState {
 /// line/doc comments, nested block comments, string/char/raw-string
 /// literals and escapes; proc-macro exotica is out of scope for a
 /// line linter.
-pub fn split_source(source: &str) -> SourceText {
+fn split_source(source: &str) -> SourceText {
     let mut code = Vec::new();
     let mut comments = Vec::new();
     let mut directives = Vec::new();
@@ -282,6 +285,22 @@ fn parse_pragmas(comments: &[String]) -> Vec<Pragma> {
     pragmas
 }
 
+/// The `(line, rule)` pairs `pragmas` exempt. Only a pragma naming a
+/// known rule and carrying a reason suppresses anything; it covers its
+/// own line and the next code-bearing line (so a multi-line reason
+/// comment still reaches the code).
+fn suppressed_lines(code: &[String], pragmas: &[Pragma]) -> Vec<(usize, String)> {
+    let mut suppressed = Vec::new();
+    let valid = |p: &&Pragma| RULE_IDS.contains(&p.rule.as_str()) && p.reason_ok;
+    for pragma in pragmas.iter().filter(valid) {
+        suppressed.push((pragma.line, pragma.rule.clone()));
+        if let Some(target) = (pragma.line + 1..code.len()).find(|&l| !code[l].trim().is_empty()) {
+            suppressed.push((target, pragma.rule.clone()));
+        }
+    }
+    suppressed
+}
+
 /// Whether line `line` (0-based) of `code` is inside a `#[cfg(test)]`
 /// region, computed by brace tracking. Returned as a per-line mask.
 fn test_mask(code: &[String]) -> Vec<bool> {
@@ -348,7 +367,6 @@ pub fn scan_file(crate_name: &str, rel_path: &str, source: &str) -> Vec<Finding>
     // Validate pragmas first: unknown rules and missing reasons are
     // violations in their own right (the escape hatch must stay
     // self-documenting), and only valid pragmas suppress anything.
-    let mut suppressed: Vec<(usize, String)> = Vec::new();
     for pragma in &pragmas {
         if !RULE_IDS.contains(&pragma.rule.as_str()) {
             findings.push(Finding::deny(
@@ -361,9 +379,7 @@ pub fn scan_file(crate_name: &str, rel_path: &str, source: &str) -> Vec<Finding>
                     RULE_IDS.join(", ")
                 ),
             ));
-            continue;
-        }
-        if !pragma.reason_ok {
+        } else if !pragma.reason_ok {
             findings.push(Finding::deny(
                 "pragma",
                 rel_path,
@@ -374,17 +390,9 @@ pub fn scan_file(crate_name: &str, rel_path: &str, source: &str) -> Vec<Finding>
                     pragma.rule, pragma.rule
                 ),
             ));
-            continue;
-        }
-        // A valid pragma covers its own line and the next code-bearing
-        // line (so a multi-line reason comment still reaches the code).
-        suppressed.push((pragma.line, pragma.rule.clone()));
-        if let Some(target) =
-            (pragma.line + 1..text.code.len()).find(|&l| !text.code[l].trim().is_empty())
-        {
-            suppressed.push((target, pragma.rule.clone()));
         }
     }
+    let suppressed = suppressed_lines(&text.code, &pragmas);
     let is_suppressed =
         |line: usize, rule: &str| suppressed.iter().any(|(l, r)| *l == line && r == rule);
 
@@ -564,12 +572,90 @@ const UMBRELLA_TREES: &[TreeRules] = &[
     },
 ];
 
+/// Identifier tokens that can witness a caller of a `pub` item: every
+/// token of `text.code` outside `use`/`pub use` statements (a re-export
+/// is not a reader).
+fn caller_tokens(text: &SourceText) -> BTreeSet<&str> {
+    let mut tokens = BTreeSet::new();
+    let mut in_use = false;
+    for line in &text.code {
+        let stmt = line.trim_start();
+        let stmt = stmt.strip_prefix("pub ").unwrap_or(stmt);
+        in_use |= stmt.starts_with("use ");
+        if in_use {
+            in_use = !line.contains(';');
+            continue;
+        }
+        tokens.extend(
+            line.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .filter(|t| !t.is_empty()),
+        );
+    }
+    tokens
+}
+
+/// The name a `pub fn|struct|enum|trait|const|static|type` line
+/// declares (`pub(crate)` items are rustc's `dead_code` lint's job).
+fn declared_pub_name(code: &str) -> Option<&str> {
+    let (kind, rest) = code.trim_start().strip_prefix("pub ")?.split_once(' ')?;
+    if !["fn", "struct", "enum", "trait", "const", "static", "type"].contains(&kind) {
+        return None;
+    }
+    let rest = rest.trim_start();
+    let end = rest
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(rest.len());
+    (end > 0).then(|| &rest[..end])
+}
+
+/// The `dead_pub` rule: an advisory finding for every `pub` item
+/// declared in non-test code of a `linted` file (`(rel_path, source)`)
+/// whose name is a caller token of no *other* file — neither another
+/// linted file nor one of `callers` (test, example and `benchmark/src`
+/// sources, read as evidence only). Textual, so a common name, or a
+/// cluster whose members name each other across files, goes unflagged.
+pub fn dead_pub(linted: &[(String, String)], callers: &[String]) -> Vec<Finding> {
+    let linted_texts: Vec<SourceText> = linted.iter().map(|(_, s)| split_source(s)).collect();
+    let caller_texts: Vec<SourceText> = callers.iter().map(|s| split_source(s)).collect();
+    // files naming each token; a declaring file always names its own items
+    let mut named_in: BTreeMap<&str, usize> = BTreeMap::new();
+    for text in linted_texts.iter().chain(&caller_texts) {
+        for token in caller_tokens(text) {
+            *named_in.entry(token).or_default() += 1;
+        }
+    }
+    let mut findings = Vec::new();
+    for ((rel_path, _), text) in linted.iter().zip(&linted_texts) {
+        let tests = test_mask(&text.code);
+        let suppressed = suppressed_lines(&text.code, &parse_pragmas(&text.directives));
+        for (i, code) in text.code.iter().enumerate() {
+            let Some(name) = declared_pub_name(code) else {
+                continue;
+            };
+            let allowed = suppressed.iter().any(|(l, r)| *l == i && r == "dead_pub");
+            if !tests[i] && !allowed && named_in.get(name) == Some(&1) {
+                findings.push(Finding::advise(
+                    "dead_pub",
+                    rel_path,
+                    i + 1,
+                    format!(
+                        "pub item `{name}` is named by no other file of the workspace or \
+                         benchmark/src — delete it, make it private, or name its reader \
+                         with audit:allow(dead_pub)"
+                    ),
+                ));
+            }
+        }
+    }
+    findings
+}
+
 /// Scans every member crate under `root/crates` (src, tests and
-/// benches trees) plus the umbrella package's top-level `src/`,
-/// `tests/` and `examples/` trees (per the `UMBRELLA_TREES` manifest)
-/// with all
-/// textual rules plus `crate_hygiene`. Vendored sources under
-/// `vendor/` are exempt.
+/// benches trees) plus the umbrella package's top-level `src/`, `tests/` and
+/// `examples/` trees (per the `UMBRELLA_TREES` manifest) with all
+/// textual rules plus `crate_hygiene`, then runs the cross-file
+/// [`dead_pub`] rule with `benchmark/src` read as caller evidence.
+/// Vendored sources under `vendor/` are exempt.
 ///
 /// # Errors
 /// I/O errors reading the tree.
@@ -581,27 +667,7 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
         .filter(|p| p.join("Cargo.toml").is_file() && p.join("src/lib.rs").is_file())
         .collect();
     crate_dirs.sort();
-    let mut findings = Vec::new();
-    let scan_tree =
-        |tree: &Path, crate_name: &str, hygiene: bool| -> std::io::Result<Vec<Finding>> {
-            let mut out = Vec::new();
-            if !tree.is_dir() {
-                return Ok(out);
-            }
-            for file in rust_files(tree)? {
-                let rel = file
-                    .strip_prefix(root)
-                    .unwrap_or(&file)
-                    .to_string_lossy()
-                    .replace('\\', "/");
-                let source = std::fs::read_to_string(&file)?;
-                out.extend(scan_file(crate_name, &rel, &source));
-                if hygiene && rel.ends_with("src/lib.rs") {
-                    out.extend(check_crate_hygiene(crate_name, &rel, &source));
-                }
-            }
-            Ok(out)
-        };
+    let mut trees = Vec::new();
     for crate_dir in crate_dirs {
         let crate_name = crate_dir
             .file_name()
@@ -609,16 +675,48 @@ pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
             .unwrap_or("")
             .to_string();
         for sub in ["src", "tests", "benches"] {
-            findings.extend(scan_tree(&crate_dir.join(sub), &crate_name, true)?);
+            trees.push((crate_dir.join(sub), crate_name.clone(), true));
         }
     }
     for rules in UMBRELLA_TREES {
-        findings.extend(scan_tree(
-            &root.join(rules.tree),
-            rules.crate_name,
+        trees.push((
+            root.join(rules.tree),
+            rules.crate_name.to_string(),
             rules.hygiene,
-        )?);
+        ));
     }
+    let mut findings = Vec::new();
+    let mut linted = Vec::new();
+    let mut callers = Vec::new();
+    for (tree, crate_name, hygiene) in trees {
+        if !tree.is_dir() {
+            continue;
+        }
+        for file in rust_files(&tree)? {
+            let rel = file
+                .strip_prefix(root)
+                .unwrap_or(&file)
+                .to_string_lossy()
+                .replace('\\', "/");
+            let source = std::fs::read_to_string(&file)?;
+            findings.extend(scan_file(&crate_name, &rel, &source));
+            if hygiene && rel.ends_with("src/lib.rs") {
+                findings.extend(check_crate_hygiene(&crate_name, &rel, &source));
+            }
+            if path_is_test(&rel) {
+                callers.push(source);
+            } else {
+                linted.push((rel, source));
+            }
+        }
+    }
+    let benchmark_src = root.join("benchmark/src");
+    if benchmark_src.is_dir() {
+        for file in rust_files(&benchmark_src)? {
+            callers.push(std::fs::read_to_string(&file)?);
+        }
+    }
+    findings.extend(dead_pub(&linted, &callers));
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(findings)
 }

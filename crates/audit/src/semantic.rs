@@ -17,14 +17,14 @@ use std::path::Path;
 /// Extracts the normalized `tl_*` key set from deck-parser source
 /// (test modules excluded — tests exercise *invalid* keys on purpose).
 /// The `tl_use_<solver>` legacy alias family normalizes to `tl_use_*`.
-pub fn deck_keys_in_source(deck_rs: &str) -> BTreeSet<String> {
+fn deck_keys_in_source(deck_rs: &str) -> BTreeSet<String> {
     let non_test = deck_rs.split("#[cfg(test)]").next().unwrap_or(deck_rs);
     tl_tokens(non_test)
 }
 
 /// Extracts the normalized `tl_*` key set from README table rows
 /// (lines starting with `|` whose cells contain backticked keys).
-pub fn deck_keys_in_readme(readme: &str) -> BTreeSet<String> {
+fn deck_keys_in_readme(readme: &str) -> BTreeSet<String> {
     let table_text: String = readme
         .lines()
         .filter(|l| l.trim_start().starts_with('|'))

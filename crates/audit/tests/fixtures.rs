@@ -3,19 +3,21 @@
 //! (or, for the clean/pragma-ok/test-exempt fixtures, stays silent).
 
 use std::path::Path;
-use tea_audit::scan::check_crate_hygiene;
+use tea_audit::scan::{check_crate_hygiene, dead_pub};
 use tea_audit::{scan_file, Finding};
+
+fn fixture(name: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("fixtures")
+        .join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("fixture {name} unreadable: {e}"))
+}
 
 /// Loads a fixture and scans it as if it lived at
 /// `crates/<crate>/src/fixture.rs`.
 fn scan_fixture(name: &str, crate_name: &str) -> Vec<Finding> {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("fixtures")
-        .join(name);
-    let source =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("fixture {name} unreadable: {e}"));
     let rel = format!("crates/{crate_name}/src/fixture.rs");
-    scan_file(crate_name, &rel, &source)
+    scan_file(crate_name, &rel, &fixture(name))
 }
 
 fn rules(findings: &[Finding]) -> Vec<&'static str> {
@@ -55,11 +57,29 @@ fn lock_hygiene_fixture_is_flagged_across_the_split_chain() {
 
 #[test]
 fn crate_hygiene_fixture_misses_both_attributes() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/crate_hygiene.rs");
-    let source = std::fs::read_to_string(path).expect("fixture readable");
-    let findings = check_crate_hygiene("x", "crates/x/src/lib.rs", &source);
+    let findings = check_crate_hygiene("x", "crates/x/src/lib.rs", &fixture("crate_hygiene.rs"));
     assert_eq!(findings.len(), 2, "{findings:?}");
     assert!(findings.iter().all(|f| f.rule == "crate_hygiene"));
+}
+
+#[test]
+fn dead_pub_fixture_flags_only_what_no_other_file_names() {
+    let linted = [(
+        "crates/x/src/fixture.rs".to_string(),
+        fixture("dead_pub.rs"),
+    )];
+    let caller =
+        "pub use x::{orphan, OnlyReexported};\nfn main() {\n    x::called_elsewhere();\n}\n";
+    let findings = dead_pub(&linted, &[caller.to_string()]);
+    assert_eq!(rules(&findings), ["dead_pub", "dead_pub"], "{findings:?}");
+    assert!(findings.iter().all(|f| f.advisory));
+    assert!(findings[0].message.contains("`orphan`"), "{findings:?}");
+    assert!(
+        findings[1].message.contains("`OnlyReexported`"),
+        "{findings:?}"
+    );
+    // alone in the workspace, the called item is an orphan too
+    assert_eq!(dead_pub(&linted, &[]).len(), 3);
 }
 
 #[test]

@@ -71,6 +71,7 @@ impl SolverConfig {
 /// A measured protocol: the accumulated trace of a real run plus its
 /// iteration count.
 #[derive(Debug)]
+// audit:allow(dead_pub) — what `measure` returns; figures.rs reads its fields by inference
 pub struct Measurement {
     /// Mesh size of the run.
     pub cells: usize,
@@ -122,7 +123,7 @@ pub fn fit_power_law(points: &[(usize, u64)]) -> (f64, f64) {
 
 /// Chebyshev polynomial of the first kind at `x > 1`:
 /// `T_m(x) = cosh(m · acosh x)`.
-pub fn chebyshev_t(m: usize, x: f64) -> f64 {
+fn chebyshev_t(m: usize, x: f64) -> f64 {
     assert!(x >= 1.0);
     (m as f64 * x.acosh()).cosh()
 }
@@ -166,6 +167,7 @@ pub fn measure_kappa(cells: usize) -> f64 {
 
 /// Extrapolation record: what was measured and how it was scaled.
 #[derive(Debug)]
+// audit:allow(dead_pub) — what `extrapolate_to` returns; figures.rs reads its fields by inference
 pub struct Extrapolation {
     /// Measured protocol at `cells`.
     pub measurement: Measurement,

@@ -48,8 +48,8 @@ pub use gather::gather_to_root;
 pub use halo::{exchange_halo, exchange_halo_many, HaloLayout};
 pub use serial::SerialComm;
 pub use stats::{CommStats, StatsSnapshot};
-pub use threaded::{run_threaded, run_threaded_tapped, PayloadTap, ThreadedComm};
-pub use wire::{Payload, WireError, WireScalar, WIRE_MAGIC};
+pub use threaded::{run_threaded, ThreadedComm};
+pub use wire::{Payload, WireError, WireScalar};
 
 /// A rank's handle onto the simulated machine.
 ///
@@ -99,12 +99,6 @@ pub trait Communicator {
             }
         }
     }
-
-    /// Global minimum.
-    fn allreduce_min(&self, local: f64) -> f64;
-
-    /// Global maximum.
-    fn allreduce_max(&self, local: f64) -> f64;
 
     /// Blocks until every rank reaches the barrier.
     fn barrier(&self);

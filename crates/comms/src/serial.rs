@@ -45,16 +45,6 @@ impl Communicator for SerialComm {
         locals
     }
 
-    fn allreduce_min(&self, local: f64) -> f64 {
-        self.stats.count_reduction(1);
-        local
-    }
-
-    fn allreduce_max(&self, local: f64) -> f64 {
-        self.stats.count_reduction(1);
-        local
-    }
-
     fn barrier(&self) {
         self.stats.count_barrier();
     }
@@ -86,11 +76,9 @@ mod tests {
         assert_eq!(c.rank(), 0);
         assert_eq!(c.size(), 1);
         assert_eq!(c.allreduce_sum(3.25), 3.25);
-        assert_eq!(c.allreduce_min(-1.0), -1.0);
-        assert_eq!(c.allreduce_max(-1.0), -1.0);
         c.barrier();
         let s = c.stats().snapshot();
-        assert_eq!(s.reductions, 3);
+        assert_eq!(s.reductions, 1);
         assert_eq!(s.barriers, 1);
     }
 

@@ -35,27 +35,6 @@ struct ReduceState {
     result: Payload,
 }
 
-/// What to fold during a rendezvous.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum ReduceOp {
-    Sum,
-    Min,
-    Max,
-    Barrier,
-}
-
-/// An interception hook on every point-to-point payload of a threaded
-/// machine: `send` passes the outgoing payload through the tap before
-/// it enters the channel. Production runs install no tap (a `None`
-/// check per send); fault-injection harnesses use it to corrupt or
-/// blank halo traffic deterministically.
-pub trait PayloadTap: Send + Sync {
-    /// Transforms one in-flight payload. `from`/`to` are ranks, `tag`
-    /// is the protocol tag the receiver will match on. Returning the
-    /// payload unchanged makes the tap a no-op for that message.
-    fn tap(&self, from: usize, to: usize, tag: u64, data: Payload) -> Payload;
-}
-
 /// State shared by every rank of one simulated machine.
 struct Shared {
     size: usize,
@@ -65,11 +44,10 @@ struct Shared {
     receivers: Vec<Vec<Receiver<Msg>>>,
     reduce: Mutex<ReduceState>,
     reduce_cv: Condvar,
-    tap: Option<Arc<dyn PayloadTap>>,
 }
 
 impl Shared {
-    fn new(size: usize, tap: Option<Arc<dyn PayloadTap>>) -> Arc<Self> {
+    fn new(size: usize) -> Arc<Self> {
         let mut senders: Vec<Vec<Sender<Msg>>> = (0..size).map(|_| Vec::new()).collect();
         let mut receivers: Vec<Vec<Receiver<Msg>>> = (0..size).map(|_| Vec::new()).collect();
         for from in 0..size {
@@ -97,23 +75,23 @@ impl Shared {
                 result: Payload::F64(Vec::new()),
             }),
             reduce_cv: Condvar::new(),
-            tap,
         })
     }
 
     /// Generic rendezvous: every rank deposits `locals`; the last arrival
-    /// folds all slots in rank order with `op`; everyone returns the
-    /// folded payload. Every rank must deposit the same width and length
-    /// — a mismatch is a protocol error and panics.
-    fn rendezvous(&self, rank: usize, locals: Payload, op: ReduceOp) -> Payload {
+    /// sums all slots in rank order; everyone returns the folded payload
+    /// (a barrier is the sum of empty deposits). Every rank must deposit
+    /// the same width and length — a mismatch is a protocol error and
+    /// panics.
+    fn rendezvous(&self, rank: usize, locals: Payload) -> Payload {
         let mut st = self.reduce.lock();
         st.slots[rank] = locals;
         st.deposited += 1;
         if st.deposited == self.size {
             // fold in rank order for determinism, in the deposited width
             let result = match &st.slots[0] {
-                Payload::F64(_) => fold_slots::<f64>(&st.slots, op),
-                Payload::F32(_) => fold_slots::<f32>(&st.slots, op),
+                Payload::F64(_) => fold_slots::<f64>(&st.slots),
+                Payload::F32(_) => fold_slots::<f32>(&st.slots),
             };
             st.result = result.clone();
             st.deposited = 0;
@@ -130,11 +108,11 @@ impl Shared {
     }
 }
 
-/// Folds rank-ordered slots element-wise in the payload's own precision.
+/// Sums rank-ordered slots element-wise in the payload's own precision.
 /// The accumulator starts from rank 0's contribution, so no width-specific
 /// identity constants are needed and a single-rank fold returns the local
 /// values bit-exactly.
-fn fold_slots<S: WireScalar>(slots: &[Payload], op: ReduceOp) -> Payload {
+fn fold_slots<S: WireScalar>(slots: &[Payload]) -> Payload {
     let first = S::payload_slice(&slots[0]).expect("fold width chosen from slot 0");
     let mut result: Vec<S> = first.to_vec();
     for (r, slot) in slots.iter().enumerate().skip(1) {
@@ -152,25 +130,15 @@ fn fold_slots<S: WireScalar>(slots: &[Payload], op: ReduceOp) -> Payload {
             "rank {r} joined a reduction with mismatched element count"
         );
         for (acc, &v) in result.iter_mut().zip(vals) {
-            match op {
-                ReduceOp::Sum | ReduceOp::Barrier => *acc += v,
-                ReduceOp::Min => {
-                    if v < *acc {
-                        *acc = v;
-                    }
-                }
-                ReduceOp::Max => {
-                    if v > *acc {
-                        *acc = v;
-                    }
-                }
-            }
+            *acc += v;
         }
     }
     S::into_payload(result)
 }
 
 /// Per-rank handle onto the threaded machine.
+// audit:allow(dead_pub) — the handle every `run_threaded` closure receives (tea-app's driver.rs,
+// tests/failure_modes.rs); callers never spell the type
 pub struct ThreadedComm {
     rank: usize,
     shared: Arc<Shared>,
@@ -198,7 +166,7 @@ impl Communicator for ThreadedComm {
     fn allreduce_sum_many(&self, locals: &[f64]) -> Vec<f64> {
         self.stats.count_reduction(locals.len());
         self.shared
-            .rendezvous(self.rank, Payload::F64(locals.to_vec()), ReduceOp::Sum)
+            .rendezvous(self.rank, Payload::F64(locals.to_vec()))
             .try_into_vec()
             .expect("f64 deposit folds to an f64 result")
     }
@@ -207,44 +175,17 @@ impl Communicator for ThreadedComm {
         // width-native: an F32 deposit is accounted at 4 bytes/element
         // and folded in f32, never touching f64 on the "wire"
         self.stats.count_reduction_payload(&locals);
-        self.shared.rendezvous(self.rank, locals, ReduceOp::Sum)
-    }
-
-    fn allreduce_min(&self, local: f64) -> f64 {
-        self.stats.count_reduction(1);
-        match self
-            .shared
-            .rendezvous(self.rank, Payload::F64(vec![local]), ReduceOp::Min)
-        {
-            Payload::F64(v) => v[0],
-            Payload::F32(_) => unreachable!("f64 deposit folds to an f64 result"),
-        }
-    }
-
-    fn allreduce_max(&self, local: f64) -> f64 {
-        self.stats.count_reduction(1);
-        match self
-            .shared
-            .rendezvous(self.rank, Payload::F64(vec![local]), ReduceOp::Max)
-        {
-            Payload::F64(v) => v[0],
-            Payload::F32(_) => unreachable!("f64 deposit folds to an f64 result"),
-        }
+        self.shared.rendezvous(self.rank, locals)
     }
 
     fn barrier(&self) {
         self.stats.count_barrier();
-        self.shared
-            .rendezvous(self.rank, Payload::F64(Vec::new()), ReduceOp::Barrier);
+        self.shared.rendezvous(self.rank, Payload::F64(Vec::new()));
     }
 
     fn send(&self, to: usize, tag: u64, data: Payload) {
         assert!(to < self.shared.size, "send to rank {to} out of range");
         assert_ne!(to, self.rank, "self-sends are a protocol error");
-        let data = match &self.shared.tap {
-            Some(tap) => tap.tap(self.rank, to, tag, data),
-            None => data,
-        };
         self.stats.count_send(&data);
         self.shared.senders[self.rank][to]
             .send(Msg { tag, data })
@@ -292,19 +233,8 @@ where
     T: Send,
     F: Fn(&ThreadedComm) -> T + Sync,
 {
-    run_threaded_tapped(ranks, None, f)
-}
-
-/// [`run_threaded`] with an optional [`PayloadTap`] installed on every
-/// rank's point-to-point sends — the fault-injection entry point. Pass
-/// `None` for byte-identical behaviour to `run_threaded`.
-pub fn run_threaded_tapped<T, F>(ranks: usize, tap: Option<Arc<dyn PayloadTap>>, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&ThreadedComm) -> T + Sync,
-{
     assert!(ranks > 0, "need at least one rank");
-    let shared = Shared::new(ranks, tap);
+    let shared = Shared::new(ranks);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..ranks)
             .map(|rank| {
@@ -337,14 +267,6 @@ mod tests {
             let results = run_threaded(5, |c| c.allreduce_sum((c.rank() + 1) as f64));
             assert!(results.iter().all(|&r| r == 15.0));
         }
-    }
-
-    #[test]
-    fn min_max_reductions() {
-        let mins = run_threaded(4, |c| c.allreduce_min(c.rank() as f64 - 1.5));
-        assert!(mins.iter().all(|&r| r == -1.5));
-        let maxs = run_threaded(4, |c| c.allreduce_max(c.rank() as f64));
-        assert!(maxs.iter().all(|&r| r == 3.0));
     }
 
     #[test]
@@ -475,10 +397,7 @@ mod tests {
     fn mixed_width_reduction_is_a_protocol_error() {
         // exercised on the fold directly: in a live rendezvous the panic
         // fires in whichever rank arrives last, like a tag mismatch
-        fold_slots::<f64>(
-            &[Payload::F64(vec![1.0]), Payload::F32(vec![1.0])],
-            ReduceOp::Sum,
-        );
+        fold_slots::<f64>(&[Payload::F64(vec![1.0]), Payload::F32(vec![1.0])]);
     }
 
     #[test]
@@ -497,29 +416,5 @@ mod tests {
     fn single_rank_machine_works() {
         let r = run_threaded(1, |c| c.allreduce_sum(5.0));
         assert_eq!(r, vec![5.0]);
-    }
-
-    #[test]
-    fn payload_tap_intercepts_point_to_point_only() {
-        struct Doubler;
-        impl PayloadTap for Doubler {
-            fn tap(&self, _from: usize, _to: usize, _tag: u64, data: Payload) -> Payload {
-                match data {
-                    Payload::F64(v) => Payload::F64(v.into_iter().map(|x| 2.0 * x).collect()),
-                    other => other,
-                }
-            }
-        }
-        let results = run_threaded_tapped(2, Some(Arc::new(Doubler)), |c| {
-            let reduced = c.allreduce_sum(1.0); // reductions bypass the tap
-            if c.rank() == 0 {
-                c.send(1, 3, vec![21.0f64].into());
-                reduced
-            } else {
-                let got: Vec<f64> = c.recv(0, 3).try_into_vec().unwrap();
-                got[0] + reduced
-            }
-        });
-        assert_eq!(results, vec![2.0, 44.0]);
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! Point-to-point messages carry a typed [`Payload`] — a packed vector
 //! of `f64` **or** `f32` elements — instead of always widening to
-//! `f64`. An `f32` halo strip therefore travels at 4 bytes per element
+//! `f64`. The in-process channels move `Payload` values themselves, so
+//! there is no byte frame to encode or guard. An `f32` halo strip therefore travels at 4 bytes per element
 //! with no conversion sweep on either side, which halves the
 //! mixed-precision solvers' message volume (the design-space point the
 //! paper's communication study trades against iteration work).
@@ -52,11 +53,6 @@ impl Payload {
         }
     }
 
-    /// Total payload bytes on the wire (`len() * elem_bytes()`).
-    pub fn byte_len(&self) -> usize {
-        self.len() * self.elem_bytes()
-    }
-
     /// The element format's name (`"f64"` / `"f32"`).
     pub fn scalar_name(&self) -> &'static str {
         match self {
@@ -69,87 +65,6 @@ impl Payload {
     /// [`WireError`] if the payload was packed at a different width.
     pub fn try_into_vec<S: WireScalar>(self) -> Result<Vec<S>, WireError> {
         S::from_payload(self)
-    }
-
-    /// Serialises the payload into a self-describing byte frame:
-    /// the [`WIRE_MAGIC`], a one-byte element width (8 or 4), a
-    /// little-endian `u32` element count, then the elements as
-    /// little-endian bytes. [`Payload::decode`] reverses it bit-exactly.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + 1 + 4 + self.byte_len());
-        out.extend_from_slice(&WIRE_MAGIC);
-        out.push(self.elem_bytes() as u8);
-        out.extend_from_slice(&(self.len() as u32).to_le_bytes());
-        match self {
-            Payload::F64(v) => {
-                for x in v {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
-            }
-            Payload::F32(v) => {
-                for x in v {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
-            }
-        }
-        out
-    }
-
-    /// Parses a byte frame produced by [`Payload::encode`], validating
-    /// every structural property before touching the element bytes.
-    ///
-    /// # Errors
-    /// [`WireError::BadMagic`] when the frame prefix is wrong,
-    /// [`WireError::BadWidthTag`] for an element width other than 8 or
-    /// 4, [`WireError::Truncated`] when the stream is shorter than the
-    /// header promises, and [`WireError::TrailingBytes`] when it is
-    /// longer. Arbitrary byte soup always yields one of these — never a
-    /// panic, never a misinterpreted payload.
-    pub fn decode(bytes: &[u8]) -> Result<Payload, WireError> {
-        const HEADER: usize = 4 + 1 + 4;
-        if bytes.len() < 4 || bytes[..4] != WIRE_MAGIC {
-            let mut found = [0u8; 4];
-            let n = bytes.len().min(4);
-            found[..n].copy_from_slice(&bytes[..n]);
-            return Err(WireError::BadMagic { found });
-        }
-        if bytes.len() < HEADER {
-            return Err(WireError::Truncated {
-                needed: HEADER,
-                got: bytes.len(),
-            });
-        }
-        let width = bytes[4];
-        if width != 8 && width != 4 {
-            return Err(WireError::BadWidthTag { tag: width });
-        }
-        let count = u32::from_le_bytes(bytes[5..9].try_into().expect("4 header bytes")) as usize;
-        let needed = HEADER + count * width as usize;
-        if bytes.len() < needed {
-            return Err(WireError::Truncated {
-                needed,
-                got: bytes.len(),
-            });
-        }
-        if bytes.len() > needed {
-            return Err(WireError::TrailingBytes {
-                extra: bytes.len() - needed,
-            });
-        }
-        let body = &bytes[HEADER..];
-        if width == 8 {
-            let v = body
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().expect("exact chunk")))
-                .collect();
-            Ok(Payload::F64(v))
-        } else {
-            let v = body
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().expect("exact chunk")))
-                .collect();
-            Ok(Payload::F32(v))
-        }
     }
 }
 
@@ -166,13 +81,11 @@ impl From<Vec<f32>> for Payload {
 }
 
 /// A structured decoding failure: a payload arrived in a different
-/// element format than the receiver expected, or a byte stream handed
-/// to [`Payload::decode`] was malformed.
+/// element format than the receiver expected.
 ///
 /// Carried as a value (not just a message) so protocol tests can assert
-/// on the exact formats involved. Every malformed input maps onto one
-/// of these variants — decoding never panics and never silently
-/// reinterprets bytes at the wrong width.
+/// on the exact formats involved — decoding never silently reinterprets
+/// elements at the wrong width.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
     /// The payload was packed at a different element width than the
@@ -185,30 +98,6 @@ pub enum WireError {
         received: &'static str,
         /// Elements in the offending payload.
         len: usize,
-    },
-    /// The byte stream does not start with the frame magic.
-    BadMagic {
-        /// The four bytes found where the magic belongs (zero-padded
-        /// if the stream was shorter than four bytes).
-        found: [u8; 4],
-    },
-    /// The byte stream ended before the declared frame was complete.
-    Truncated {
-        /// Bytes the frame header promised.
-        needed: usize,
-        /// Bytes actually present.
-        got: usize,
-    },
-    /// The frame declares an element width that is neither `f64` nor
-    /// `f32`.
-    BadWidthTag {
-        /// The width tag byte found in the header.
-        tag: u8,
-    },
-    /// The byte stream continues past the end of the declared frame.
-    TrailingBytes {
-        /// Bytes left over after the frame.
-        extra: usize,
     },
 }
 
@@ -225,30 +114,11 @@ impl fmt::Display for WireError {
                  {len}-element {received} payload (send and recv sides must agree on the \
                  exchange scalar)"
             ),
-            WireError::BadMagic { found } => write!(
-                f,
-                "wire frame does not start with the TEA1 magic (found {found:?})"
-            ),
-            WireError::Truncated { needed, got } => write!(
-                f,
-                "wire frame truncated: header promises {needed} bytes, stream has {got}"
-            ),
-            WireError::BadWidthTag { tag } => write!(
-                f,
-                "wire frame declares unknown element width {tag} (must be 8 or 4)"
-            ),
-            WireError::TrailingBytes { extra } => write!(
-                f,
-                "wire frame followed by {extra} unexpected trailing bytes"
-            ),
         }
     }
 }
 
 impl std::error::Error for WireError {}
-
-/// Frame magic prefixed to every [`Payload::encode`] byte stream.
-pub const WIRE_MAGIC: [u8; 4] = *b"TEA1";
 
 /// A [`Scalar`] that can travel on the wire: packing into and checked
 /// decoding out of a [`Payload`].
@@ -340,11 +210,9 @@ mod tests {
         let p64 = Payload::from(vec![1.0f64, 2.0]);
         assert_eq!(p64.len(), 2);
         assert_eq!(p64.elem_bytes(), 8);
-        assert_eq!(p64.byte_len(), 16);
         assert_eq!(p64.scalar_name(), "f64");
         let p32 = Payload::from(vec![1.0f32, 2.0, 3.0]);
         assert_eq!(p32.elem_bytes(), 4);
-        assert_eq!(p32.byte_len(), 12);
         assert_eq!(p32.scalar_name(), "f32");
         assert!(!p32.is_empty());
         assert!(Payload::F64(Vec::new()).is_empty());
@@ -380,65 +248,6 @@ mod tests {
                 received: "f32",
                 len: 1,
             }
-        );
-    }
-
-    #[test]
-    fn encode_decode_roundtrips_both_widths() {
-        let p64 = Payload::F64(vec![1.5, -0.0, f64::MIN_POSITIVE, f64::MAX]);
-        assert_eq!(Payload::decode(&p64.encode()).unwrap(), p64);
-        let p32 = Payload::F32(vec![2.25, f32::NAN]);
-        // NaN payloads must survive bit-exactly, so compare bits not values
-        let back = Payload::decode(&p32.encode()).unwrap();
-        match (back, &p32) {
-            (Payload::F32(a), Payload::F32(b)) => {
-                assert_eq!(
-                    a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    b.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-                );
-            }
-            _ => panic!("width changed in the roundtrip"),
-        }
-        assert_eq!(
-            Payload::decode(&Payload::F64(Vec::new()).encode()).unwrap(),
-            Payload::F64(Vec::new())
-        );
-    }
-
-    #[test]
-    fn decode_rejects_malformed_frames_structurally() {
-        assert_eq!(
-            Payload::decode(b"NOPE\x08\x00\x00\x00\x00"),
-            Err(WireError::BadMagic { found: *b"NOPE" })
-        );
-        assert_eq!(
-            Payload::decode(b"TE"),
-            Err(WireError::BadMagic {
-                found: [b'T', b'E', 0, 0],
-            })
-        );
-        assert_eq!(
-            Payload::decode(b"TEA1\x08\x01"),
-            Err(WireError::Truncated { needed: 9, got: 6 })
-        );
-        assert_eq!(
-            Payload::decode(b"TEA1\x07\x00\x00\x00\x00"),
-            Err(WireError::BadWidthTag { tag: 7 })
-        );
-        let mut frame = Payload::F32(vec![1.0, 2.0]).encode();
-        frame.truncate(frame.len() - 3);
-        assert_eq!(
-            Payload::decode(&frame),
-            Err(WireError::Truncated {
-                needed: 17,
-                got: 14
-            })
-        );
-        let mut frame = Payload::F64(vec![4.0]).encode();
-        frame.push(0xFF);
-        assert_eq!(
-            Payload::decode(&frame),
-            Err(WireError::TrailingBytes { extra: 1 })
         );
     }
 }

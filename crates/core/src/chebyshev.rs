@@ -70,14 +70,6 @@ impl ChebyConstants {
         }
     }
 
-    /// The asymptotic per-iteration error contraction factor
-    /// `σ_c = (√κ − 1)/(√κ + 1)` with `κ = λmax/λmin`.
-    pub fn contraction(&self) -> f64 {
-        let kappa = (self.theta + self.delta) / (self.theta - self.delta);
-        let s = kappa.sqrt();
-        (s - 1.0) / (s + 1.0)
-    }
-
     /// Generates the `(α_k, β_k)` recurrence coefficients for `m` steps:
     /// `sd ← α_k·sd + β_k·z` (TeaLeaf's `ch_alphas`/`ch_betas`).
     pub fn coefficients(&self, m: usize) -> Vec<(f64, f64)> {
@@ -243,8 +235,6 @@ mod tests {
         assert_eq!(c.theta, 5.0);
         assert_eq!(c.delta, 4.0);
         assert_eq!(c.sigma, 1.25);
-        // kappa = 9, contraction = (3-1)/(3+1) = 0.5
-        assert!((c.contraction() - 0.5).abs() < 1e-14);
     }
 
     #[test]

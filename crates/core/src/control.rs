@@ -54,7 +54,8 @@ impl StopHandle {
     }
 
     /// An armed handle that expires `budget` from now. A zero budget
-    /// expires immediately — useful for deterministic timeout tests.
+    /// expires immediately — useful for deterministic timeout tests; a
+    /// budget past the end of the clock never expires.
     pub fn with_deadline(budget: Duration) -> Self {
         StopHandle {
             inner: Some(Arc::new(StopInner {
@@ -62,7 +63,7 @@ impl StopHandle {
                 // audit:allow(wall_clock) — deadlines are the one sanctioned clock use in
                 // tea-core: only armed serve-path handles reach here, and the deadline can
                 // shift *when* a solve stops, never the arithmetic of any iteration it runs.
-                deadline: Some(Instant::now() + budget),
+                deadline: Instant::now().checked_add(budget),
             })),
         }
     }
@@ -71,11 +72,6 @@ impl StopHandle {
     /// is always false and costs one `Option` check.
     pub fn disarmed() -> Self {
         StopHandle::default()
-    }
-
-    /// Whether this handle can ever stop a solve.
-    pub fn is_armed(&self) -> bool {
-        self.inner.is_some()
     }
 
     /// Requests cancellation; every solve checking this handle (or a
@@ -184,12 +180,6 @@ impl<'a> SolveControls<'a> {
             S::probe(probe, iteration, u, r);
         }
     }
-
-    /// Whether either hook is armed (used to bypass result memos that
-    /// must never observe a perturbed solve).
-    pub fn is_armed(&self) -> bool {
-        self.probe.is_some() || self.stop.is_some_and(StopHandle::is_armed)
-    }
 }
 
 #[cfg(test)]
@@ -199,12 +189,10 @@ mod tests {
     #[test]
     fn disarmed_handle_never_stops() {
         let h = StopHandle::disarmed();
-        assert!(!h.is_armed());
         assert!(!h.should_stop());
         h.cancel(); // no-op
         assert!(!h.should_stop());
         assert!(!SolveControls::default().should_stop());
-        assert!(!SolveControls::default().is_armed());
     }
 
     #[test]
@@ -220,10 +208,12 @@ mod tests {
     #[test]
     fn zero_deadline_expires_immediately() {
         let h = StopHandle::with_deadline(Duration::ZERO);
-        assert!(h.is_armed());
         assert!(h.should_stop());
         // a generous deadline does not
         let h = StopHandle::with_deadline(Duration::from_secs(3600));
+        assert!(!h.should_stop());
+        // nor does one the clock cannot represent (was an overflow panic)
+        let h = StopHandle::with_deadline(Duration::MAX);
         assert!(!h.should_stop());
     }
 
@@ -241,7 +231,6 @@ mod tests {
             stop: None,
             probe: Some(&probe),
         };
-        assert!(controls.is_armed());
         let mut u = Field2D::new(4, 4, 1);
         let mut r = Field2D::new(4, 4, 1);
         controls.poke(1, &mut u, &mut r);

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 
 /// Why an eigenvalue-estimate operation was rejected.
 #[derive(Debug, Clone, PartialEq)]
-pub enum EigenError {
+enum EigenError {
     /// The widening factor must lie in `[0, 1)`: `factor >= 1` would
     /// drive the widened `min` to zero or below, and the Chebyshev
     /// constants derived from it would divide by zero / go NaN.
@@ -65,7 +65,7 @@ impl EigenEstimate {
     /// a factor of 1 or more flips the sign of the widened `min`, and a
     /// positive spectrum is what every downstream consumer
     /// ([`crate::ChebyConstants`], the Richardson damping) divides by.
-    pub fn try_widened(&self, factor: f64) -> Result<EigenEstimate, EigenError> {
+    fn try_widened(&self, factor: f64) -> Result<EigenEstimate, EigenError> {
         if !(factor.is_finite() && (0.0..1.0).contains(&factor)) {
             return Err(EigenError::InvalidWideningFactor { factor });
         }
@@ -82,7 +82,7 @@ impl EigenEstimate {
     /// `[0, 1)` — a structured rejection instead of silently returning
     /// a non-positive `min` that would surface later as NaN Chebyshev
     /// coefficients.
-    pub fn widened(&self, factor: f64) -> EigenEstimate {
+    fn widened(&self, factor: f64) -> EigenEstimate {
         self.try_widened(factor).unwrap_or_else(|e| panic!("{e}"))
     }
 }
@@ -170,7 +170,7 @@ fn gershgorin(diag: &[f64], off: &[f64]) -> (f64, f64) {
 
 /// The `k`-th smallest eigenvalue (0-based) of the symmetric tridiagonal
 /// `(diag, off)`, by bisection on the Sturm count.
-pub fn tridiag_eigenvalue(diag: &[f64], off: &[f64], k: usize) -> f64 {
+fn tridiag_eigenvalue(diag: &[f64], off: &[f64], k: usize) -> f64 {
     let n = diag.len();
     assert!(k < n, "eigenvalue index out of range");
     let (mut lo, mut hi) = gershgorin(diag, off);
@@ -193,7 +193,7 @@ pub fn tridiag_eigenvalue(diag: &[f64], off: &[f64], k: usize) -> f64 {
 }
 
 /// Smallest and largest eigenvalues of the symmetric tridiagonal.
-pub fn tridiag_extreme_eigenvalues(diag: &[f64], off: &[f64]) -> (f64, f64) {
+fn tridiag_extreme_eigenvalues(diag: &[f64], off: &[f64]) -> (f64, f64) {
     let n = diag.len();
     (
         tridiag_eigenvalue(diag, off, 0),
@@ -210,7 +210,7 @@ pub fn tridiag_all_eigenvalues(diag: &[f64], off: &[f64]) -> Vec<f64> {
 
 /// Estimates the operator spectrum from recorded CG coefficients and
 /// widens by `safety` (reference default 1%–10%; we use 5% max-side and
-/// 5% min-side via [`EigenEstimate::widened`]).
+/// 5% min-side via `EigenEstimate::widened`).
 pub fn estimate_from_cg(alphas: &[f64], betas: &[f64], safety: f64) -> EigenEstimate {
     let (diag, off) = lanczos_tridiagonal(alphas, betas);
     let (min, max) = tridiag_extreme_eigenvalues(&diag, &off);

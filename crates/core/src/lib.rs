@@ -79,22 +79,21 @@ pub use cg_fused::CgFused;
 pub use chebyshev::{cg_iteration_bound, ChebyConstants, ChebyOpts, Chebyshev};
 pub use control::{Probed, SolveControls, SolveProbe, StopHandle};
 pub use eigen::{
-    estimate_from_cg, lanczos_tridiagonal, sturm_count, tridiag_all_eigenvalues,
-    tridiag_extreme_eigenvalues, EigenError, EigenEstimate,
+    estimate_from_cg, lanczos_tridiagonal, sturm_count, tridiag_all_eigenvalues, EigenEstimate,
 };
 pub use jacobi::Jacobi;
 pub use mixed::solver_for_precision;
 pub use ops::{TileBounds, TileOperator};
 pub use ppcg::{Ppcg, PpcgOpts};
-pub use precon::{BlockJacobi, PreconKind, Preconditioner, DEFAULT_BLOCK_STRIP};
+pub use precon::{BlockJacobi, PreconKind, Preconditioner};
 pub use recurrence::{pcg_loop, Entry, Krylov, Precondition};
-pub use registry::{SolverFactory, SolverRegistry};
+pub use registry::SolverRegistry;
 pub use richardson::{Richardson, RichardsonOpts};
 pub use runtime::{
     hardware_threads, num_threads, par_threshold, parallel_sweep, request_num_threads,
     set_num_threads, set_par_threshold, thread_warning, PAR_THRESHOLD,
 };
-pub use session::{CacheStats, SessionSpec, SetupCache, SetupKey, SolveSession};
+pub use session::{CacheStats, SessionSpec, SetupCache, SolveSession};
 pub use solver::{SolveOpts, Tile, Workspace};
 pub use sync::lock_tolerant;
 pub use trace::{KernelCounts, SolveResult, SolveStatus, SolveTrace};

@@ -36,7 +36,7 @@
 //! decays through the subnormal range, and every sweep drags a band of
 //! subnormals along it: same iterations, 2.6× the time. Decks whose far
 //! field is rounding noise instead of zero never see this, so
-//! [`Low::apply`] — the one demotion site every mixed method goes
+//! `Low::apply` — the one demotion site every mixed method goes
 //! through — gives every deck that noise floor: it demotes `r + δ` with
 //! `δ = PEDESTAL·√(r·z)`, where `√(r·z)` is the outer loop's last
 //! *globally reduced* residual norm (`Krylov::norm` from `pcg_loop`, the

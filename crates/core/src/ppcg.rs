@@ -93,16 +93,6 @@ impl Default for PpcgOpts {
 }
 
 impl PpcgOpts {
-    /// The paper's `PPCG - n` configuration: matrix-powers depth `n`
-    /// with 16 inner smoothing steps.
-    pub fn with_depth(halo_depth: usize) -> Self {
-        PpcgOpts {
-            halo_depth,
-            inner_steps: 16,
-            ..Default::default()
-        }
-    }
-
     /// Figure-legend label.
     pub fn label(&self) -> String {
         format!("PPCG-{}", self.halo_depth)
@@ -412,6 +402,18 @@ mod tests {
     use super::*;
     use crate::builder::{crooked_pipe_system, Solve};
     use crate::precon::PreconKind;
+
+    impl PpcgOpts {
+        /// The paper's `PPCG - n` configuration: matrix-powers depth `n`
+        /// with 16 inner smoothing steps.
+        fn with_depth(halo_depth: usize) -> Self {
+            PpcgOpts {
+                halo_depth,
+                inner_steps: 16,
+                ..Default::default()
+            }
+        }
+    }
 
     fn residual_norm(op: &TileOperator, u: &Field2D, b: &Field2D) -> f64 {
         let mut t = SolveTrace::new("check");

@@ -48,7 +48,7 @@ impl PreconKind {
 }
 
 /// Default strip length matching the paper's 4×1 blocks.
-pub const DEFAULT_BLOCK_STRIP: usize = 4;
+const DEFAULT_BLOCK_STRIP: usize = 4;
 
 /// An assembled preconditioner for one tile, generic over the
 /// [`Scalar`] precision. The mixed-precision CG assembles a

@@ -16,7 +16,7 @@ use crate::ppcg::Ppcg;
 use crate::richardson::Richardson;
 
 /// Builds one configured solver instance from generic parameters.
-pub type SolverFactory = fn(&SolverParams) -> Box<dyn IterativeSolver>;
+type SolverFactory = fn(&SolverParams) -> Box<dyn IterativeSolver>;
 
 /// A string-keyed table of iterative methods: per-solver [`SolverMeta`]
 /// plus a factory producing a configured [`IterativeSolver`].
@@ -39,8 +39,8 @@ impl Default for SolverRegistry {
 }
 
 impl SolverRegistry {
-    /// An empty registry (useful for fully custom solver sets).
-    pub fn empty() -> Self {
+    /// An empty registry.
+    fn empty() -> Self {
         SolverRegistry {
             entries: Vec::new(),
         }

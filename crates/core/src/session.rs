@@ -16,7 +16,7 @@
 //! and re-prepares every step, the serving one solves through a session
 //! checked out of the cache below.
 //!
-//! On top sits a keyed pool: [`SetupKey`] fingerprints the setup —
+//! On top sits a keyed pool: `SetupKey` fingerprints the setup —
 //! geometry, coefficient bits, solver configuration, precision, halo
 //! depth — and [`SetupCache::checkout_or_build`] hands a job the warm
 //! session pooled under its key, or wraps the job's freshly constructed
@@ -97,7 +97,7 @@ impl SessionSpec {
 /// across jobs that differ in any of them would silently change
 /// results.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SetupKey {
+struct SetupKey {
     /// Interior cells in x.
     pub nx: usize,
     /// Interior cells in y.
@@ -256,6 +256,8 @@ struct OwnedAssembly {
 /// Sessions are `Send`: a serving queue can move idle sessions between
 /// worker threads. They are not `Sync`; one session runs one solve at a
 /// time.
+// audit:allow(dead_pub) — what `SetupCache::checkout_or_build` hands tea-app's driver.rs,
+// which solves through it without spelling the type
 pub struct SolveSession {
     op: TileOperator,
     serial: SerialTile,
@@ -265,7 +267,6 @@ pub struct SolveSession {
     key: SetupKey,
     assembly: Option<OwnedAssembly>,
     prepares: u64,
-    solves: u64,
     eigen_memo: BTreeMap<u64, EigenEstimate>,
     eigen_hits: u64,
 }
@@ -300,7 +301,6 @@ impl SolveSession {
             key,
             assembly: None,
             prepares: 0,
-            solves: 0,
             eigen_memo: BTreeMap::new(),
             eigen_hits: 0,
         }
@@ -327,11 +327,6 @@ impl SolveSession {
         self
     }
 
-    /// The identity under which this session pools in a [`SetupCache`].
-    pub fn setup_key(&self) -> &SetupKey {
-        &self.key
-    }
-
     /// Human-readable solver label (e.g. `"PPCG-16"`).
     pub fn solver_label(&self) -> String {
         self.solver.label()
@@ -339,17 +334,14 @@ impl SolveSession {
 
     /// How many times this session has run the solver's `prepare` —
     /// exactly once for any number of solves, which is the point.
+    // audit:allow(dead_pub) — asserted by the `SolveSession` doctest and README's session example
     pub fn prepare_count(&self) -> u64 {
         self.prepares
     }
 
-    /// Solves completed by this session.
-    pub fn solve_count(&self) -> u64 {
-        self.solves
-    }
-
     /// Solves that pinned a memoised eigenvalue estimate instead of
     /// re-running the Lanczos analysis.
+    // audit:allow(dead_pub) — read by session.rs::eigen_memo_fires_only_on_identical_input
     pub fn eigen_hits(&self) -> u64 {
         self.eigen_hits
     }
@@ -423,7 +415,6 @@ impl SolveSession {
                 self.eigen_memo.insert(memo_key, est);
             }
         }
-        self.solves += 1;
         result
     }
 
@@ -482,7 +473,7 @@ impl SetupCache {
 
     /// The session for a job that assembled `op` and constructed
     /// `solver` for it: the idle one pooled under the job's
-    /// [`SetupKey`] (a hit — `op` and `solver` are dropped), or a cold
+    /// `SetupKey` (a hit — `op` and `solver` are dropped), or a cold
     /// one wrapping `op` and `solver` and finished by `cold` (a miss;
     /// `cold` is where the job attaches its assembly recipe). The
     /// coefficients are fingerprinted once and no second solver is
@@ -512,7 +503,7 @@ impl SetupCache {
 
     /// Returns a session to the pool under its own key.
     pub fn checkin(&self, session: SolveSession) {
-        let key = session.setup_key().clone();
+        let key = session.key.clone();
         crate::sync::lock_tolerant(&self.pool)
             .entry(key)
             .or_default()
@@ -603,7 +594,6 @@ mod tests {
                 "{solver}"
             );
             assert_eq!(warm.prepare_count(), 1, "{solver}: session re-prepared");
-            assert_eq!(warm.solve_count(), 2);
         }
     }
 

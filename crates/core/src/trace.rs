@@ -51,9 +51,6 @@ impl KernelCounts {
     }
 }
 
-/// Halo-exchange protocol key: `(depth, fused field count)`.
-pub type HaloKey = (u32, u32);
-
 /// The complete communication/computation protocol of one solve.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SolveTrace {
@@ -85,8 +82,8 @@ pub struct SolveTrace {
     pub reductions: u64,
     /// Scalars carried across all reductions.
     pub reduction_elements: u64,
-    /// Halo exchanges: `(depth, nfields) -> count`.
-    pub halo_exchanges: BTreeMap<HaloKey, u64>,
+    /// Halo exchanges: `(depth, fused field count) -> count`.
+    pub halo_exchanges: BTreeMap<(u32, u32), u64>,
     /// Eigenvalue estimate used (λmin, λmax), if the solver computed one.
     pub eigen_bounds: Option<(f64, f64)>,
 }

@@ -2,8 +2,8 @@
 //!
 //! Robustness claims are only testable if faults are *reproducible*.
 //! This crate provides a seeded, wall-clock-free [`FaultPlan`] that
-//! decides — purely from a seed and a job index — whether a job is
-//! faulted and how:
+//! decides — purely from a seed and a job index — whether a served job
+//! is faulted and how:
 //!
 //! * [`FaultKind::PoisonNan`] plants `NaN` into the iterate and
 //!   residual of a running solve at a chosen outer iteration, through
@@ -11,12 +11,6 @@
 //! * [`FaultKind::PanicWorker`] makes the serving worker executing the
 //!   job panic mid-job (the serve layer's `catch_unwind` isolation is
 //!   what's under test).
-//! * [`FaultKind::CorruptHalo`] / [`FaultKind::DropHalo`] mangle halo
-//!   payloads in flight through the [`tea_comms::PayloadTap`] hook
-//!   ([`ChaosTap`]): corruption NaN-poisons one element, a "drop"
-//!   delivers a zeroed payload in place (the threaded rendezvous is
-//!   bulk-synchronous, so a genuinely withheld frame would deadlock
-//!   rather than model a lost message).
 //!
 //! Everything is derived with splitmix64 from `seed ^ index` — no
 //! clocks, no global RNG state — so the same plan replayed at any
@@ -25,10 +19,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::collections::BTreeMap;
-use std::sync::Mutex;
-
-use tea_comms::{Payload, PayloadTap};
 use tea_core::SolveProbe;
 use tea_mesh::{Field2D, Field2F};
 
@@ -41,7 +31,7 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// One way a job (or a message) can be made to fail.
+/// One way a job can be made to fail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// Plant `NaN` in the iterate and residual at outer iteration
@@ -52,10 +42,6 @@ pub enum FaultKind {
     },
     /// Panic the worker thread mid-job.
     PanicWorker,
-    /// NaN-poison one element of a halo payload in flight.
-    CorruptHalo,
-    /// Replace a halo payload with zeros (a modelled lost message).
-    DropHalo,
 }
 
 impl std::fmt::Display for FaultKind {
@@ -65,8 +51,6 @@ impl std::fmt::Display for FaultKind {
                 write!(f, "poison-nan@iter{iteration}")
             }
             FaultKind::PanicWorker => write!(f, "panic-worker"),
-            FaultKind::CorruptHalo => write!(f, "corrupt-halo"),
-            FaultKind::DropHalo => write!(f, "drop-halo"),
         }
     }
 }
@@ -82,30 +66,17 @@ pub struct FaultPlan {
     seed: u64,
     /// Fault probability in thousandths (0..=1000).
     rate_per_mille: u32,
-    /// Serving plans only inject faults the serve layer can both cause
-    /// and observe per-job (poison + panic); halo chaos needs the
-    /// communicator tap and is exercised by [`ChaosTap`] instead.
-    serving_only: bool,
 }
 
 impl FaultPlan {
-    /// A plan faulting about `rate` (0.0..=1.0) of jobs across all
-    /// fault kinds.
-    pub fn new(seed: u64, rate: f64) -> Self {
+    /// A plan faulting about `rate` (0.0..=1.0) of a serving queue's
+    /// jobs with the two kinds the serve layer can both cause and
+    /// observe per job: [`FaultKind::PoisonNan`] and
+    /// [`FaultKind::PanicWorker`].
+    pub fn serving(seed: u64, rate: f64) -> Self {
         FaultPlan {
             seed,
             rate_per_mille: (rate.clamp(0.0, 1.0) * 1000.0).round() as u32,
-            serving_only: false,
-        }
-    }
-
-    /// A plan restricted to the kinds a serving queue can inject
-    /// per-job without a communicator hook: [`FaultKind::PoisonNan`]
-    /// and [`FaultKind::PanicWorker`].
-    pub fn serving(seed: u64, rate: f64) -> Self {
-        FaultPlan {
-            serving_only: true,
-            ..FaultPlan::new(seed, rate)
         }
     }
 
@@ -141,14 +112,11 @@ impl FaultPlan {
             return None;
         }
         let pick = splitmix64(h);
-        let kinds: u64 = if self.serving_only { 2 } else { 4 };
-        Some(match pick % kinds {
+        Some(match pick % 2 {
             0 => FaultKind::PoisonNan {
                 iteration: pick >> 8 & 0xF | 1, // 1..=15, early enough to land
             },
-            1 => FaultKind::PanicWorker,
-            2 => FaultKind::CorruptHalo,
-            _ => FaultKind::DropHalo,
+            _ => FaultKind::PanicWorker,
         })
     }
 }
@@ -187,74 +155,13 @@ impl SolveProbe for NanPoison {
     }
 }
 
-/// A [`PayloadTap`] that deterministically mangles a fraction of
-/// point-to-point halo payloads: corruption NaN-poisons one element,
-/// a drop zeroes the whole payload (delivered in place, because the
-/// bulk-synchronous rendezvous would deadlock on a truly withheld
-/// frame). Decisions hash `(seed, from, to, per-pair sequence number)`
-/// so a run faults the same frames every time.
-pub struct ChaosTap {
-    seed: u64,
-    rate_per_mille: u32,
-    seq: Mutex<BTreeMap<(usize, usize), u64>>,
-}
-
-impl ChaosTap {
-    /// A tap faulting about `rate` (0.0..=1.0) of payloads.
-    pub fn new(seed: u64, rate: f64) -> Self {
-        ChaosTap {
-            seed,
-            rate_per_mille: (rate.clamp(0.0, 1.0) * 1000.0).round() as u32,
-            seq: Mutex::new(BTreeMap::new()),
-        }
-    }
-}
-
-impl PayloadTap for ChaosTap {
-    fn tap(&self, from: usize, to: usize, _tag: u64, data: Payload) -> Payload {
-        let seq = {
-            let mut map = tea_core::lock_tolerant(&self.seq);
-            let ctr = map.entry((from, to)).or_insert(0);
-            let s = *ctr;
-            *ctr += 1;
-            s
-        };
-        let key = self.seed ^ splitmix64((from as u64) << 40 | (to as u64) << 20 | seq);
-        let h = splitmix64(key);
-        if (h % 1000) as u32 >= self.rate_per_mille {
-            return data;
-        }
-        let drop = splitmix64(h) & 1 == 0;
-        match data {
-            Payload::F64(mut v) => {
-                if drop {
-                    v.iter_mut().for_each(|x| *x = 0.0);
-                } else if !v.is_empty() {
-                    let i = (splitmix64(h) >> 1) as usize % v.len();
-                    v[i] = f64::NAN;
-                }
-                Payload::F64(v)
-            }
-            Payload::F32(mut v) => {
-                if drop {
-                    v.iter_mut().for_each(|x| *x = 0.0);
-                } else if !v.is_empty() {
-                    let i = (splitmix64(h) >> 1) as usize % v.len();
-                    v[i] = f32::NAN;
-                }
-                Payload::F32(v)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn plan_is_deterministic_and_rate_bounded() {
-        let plan = FaultPlan::new(42, 0.2);
+        let plan = FaultPlan::serving(42, 0.2);
         let a: Vec<_> = (0..1000).map(|j| plan.fault_for(j)).collect();
         let b: Vec<_> = (0..1000).map(|j| plan.fault_for(j)).collect();
         assert_eq!(a, b, "fault_for must be a pure function of (seed, job)");
@@ -262,29 +169,42 @@ mod tests {
         // 20% nominal; allow generous slack for hash noise.
         assert!((100..=300).contains(&faulted), "faulted {faulted}/1000");
         // a different seed faults a different set
-        let other = FaultPlan::new(43, 0.2);
+        let other = FaultPlan::serving(43, 0.2);
         assert!((0..1000).any(|j| plan.fault_for(j) != other.fault_for(j)));
     }
 
     #[test]
-    fn serving_plan_never_emits_halo_faults() {
+    fn poison_lands_within_the_first_fifteen_iterations() {
         let plan = FaultPlan::serving(7, 1.0);
         for j in 0..500 {
-            match plan.fault_for(j) {
-                Some(FaultKind::PoisonNan { iteration }) => {
-                    assert!((1..=15).contains(&iteration))
-                }
-                Some(FaultKind::PanicWorker) | None => {}
-                Some(k) => panic!("serving plan emitted {k}"),
+            if let Some(FaultKind::PoisonNan { iteration }) = plan.fault_for(j) {
+                assert!((1..=15).contains(&iteration))
             }
         }
     }
 
     #[test]
+    fn serving_plan_answers_are_pinned() {
+        // recorded at the commit before the non-serving mode was removed
+        use FaultKind::{PanicWorker, PoisonNan};
+        let plan = FaultPlan::serving(42, 0.4);
+        let answers: Vec<_> = (0..24).map(|j| plan.fault_for(j)).collect();
+        let poison = |iteration| Some(PoisonNan { iteration });
+        #[rustfmt::skip]
+        let pinned = [
+            Some(PanicWorker), None, None, poison(3), None, poison(5),
+            Some(PanicWorker), None, None, None, Some(PanicWorker), Some(PanicWorker),
+            poison(7), None, None, poison(7), poison(15), None,
+            None, None, poison(7), Some(PanicWorker), None, None,
+        ];
+        assert_eq!(answers, pinned);
+    }
+
+    #[test]
     fn zero_and_full_rates_are_honoured() {
-        let none = FaultPlan::new(1, 0.0);
+        let none = FaultPlan::serving(1, 0.0);
         assert!((0..200).all(|j| none.fault_for(j).is_none()));
-        let all = FaultPlan::new(1, 1.0);
+        let all = FaultPlan::serving(1, 1.0);
         assert!((0..200).all(|j| all.fault_for(j).is_some()));
     }
 
@@ -293,7 +213,6 @@ mod tests {
         let plan = FaultPlan::parse("42:0.25").unwrap();
         assert_eq!(plan.seed(), 42);
         assert_eq!(plan.rate_per_mille, 250);
-        assert!(plan.serving_only);
         assert!(FaultPlan::parse("42").is_err());
         assert!(FaultPlan::parse("x:0.5").is_err());
         assert!(FaultPlan::parse("42:nope").is_err());
@@ -316,57 +235,5 @@ mod tests {
         probe.on_iteration_f32(3, &mut uf, &mut rf);
         assert!(uf.at(4, 4).is_nan());
         assert!(rf.at(4, 4).is_nan());
-    }
-
-    #[test]
-    fn chaos_tap_is_deterministic_per_sequence() {
-        let run = |seed| {
-            let tap = ChaosTap::new(seed, 0.5);
-            (0..64)
-                .map(
-                    |_| match tap.tap(0, 1, 7, Payload::F64(vec![1.0, 2.0, 3.0])) {
-                        Payload::F64(v) => v.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                        Payload::F32(_) => unreachable!(),
-                    },
-                )
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(9), run(9), "same seed, same frame sequence");
-        let faulted = run(9)
-            .iter()
-            .filter(|v| {
-                v.iter().any(|&b| {
-                    b != 1.0f64.to_bits() && b != 2.0f64.to_bits() && b != 3.0f64.to_bits()
-                })
-            })
-            .count();
-        assert!(faulted > 0, "a 50% tap must fault something in 64 frames");
-        assert!(faulted < 64, "and must not fault everything");
-    }
-
-    #[test]
-    fn chaos_tap_drop_zeroes_and_corrupt_nans() {
-        // At rate 1.0 every frame is faulted; across many frames both
-        // kinds must appear, and each is exactly zeroing or one-NaN.
-        let tap = ChaosTap::new(3, 1.0);
-        let (mut drops, mut corrupts) = (0, 0);
-        for _ in 0..64 {
-            match tap.tap(2, 0, 1, Payload::F32(vec![5.0; 6])) {
-                Payload::F32(v) => {
-                    if v.iter().all(|&x| x == 0.0) {
-                        drops += 1;
-                    } else {
-                        assert_eq!(v.iter().filter(|x| x.is_nan()).count(), 1);
-                        assert_eq!(v.iter().filter(|&&x| x == 5.0).count(), 5);
-                        corrupts += 1;
-                    }
-                }
-                Payload::F64(_) => unreachable!(),
-            }
-        }
-        assert!(
-            drops > 0 && corrupts > 0,
-            "drops={drops} corrupts={corrupts}"
-        );
     }
 }

@@ -21,26 +21,6 @@ pub enum Dir {
     North,
 }
 
-impl Dir {
-    /// All four directions in TeaLeaf's exchange order (x pass then y pass).
-    pub const ALL: [Dir; 4] = [Dir::West, Dir::East, Dir::South, Dir::North];
-
-    /// The opposite direction (a message sent `East` arrives `West`).
-    pub fn opposite(self) -> Dir {
-        match self {
-            Dir::West => Dir::East,
-            Dir::East => Dir::West,
-            Dir::South => Dir::North,
-            Dir::North => Dir::South,
-        }
-    }
-
-    /// Whether this is an x-axis direction.
-    pub fn is_x(self) -> bool {
-        matches!(self, Dir::West | Dir::East)
-    }
-}
-
 /// One rank's rectangular tile of the global grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Subdomain {
@@ -95,7 +75,7 @@ pub fn split_extent(n: usize, parts: usize, idx: usize) -> (usize, usize) {
 }
 
 /// Enumerates all ordered factor pairs `(a, b)` with `a * b == p`.
-pub fn factor_pairs(p: usize) -> Vec<(usize, usize)> {
+fn factor_pairs(p: usize) -> Vec<(usize, usize)> {
     assert!(p > 0);
     let mut out = Vec::new();
     let mut a = 1;
@@ -178,24 +158,19 @@ impl Decomposition2D {
         (self.global_nx, self.global_ny)
     }
 
-    /// Process-grid shape.
-    pub fn grid(&self) -> (usize, usize) {
-        (self.px, self.py)
-    }
-
     /// Total rank count.
     pub fn ranks(&self) -> usize {
         self.px * self.py
     }
 
     /// Rank of process-grid coordinates (row-major: x fastest).
-    pub fn rank_of(&self, cx: usize, cy: usize) -> usize {
+    fn rank_of(&self, cx: usize, cy: usize) -> usize {
         assert!(cx < self.px && cy < self.py, "coords out of process grid");
         cy * self.px + cx
     }
 
     /// Process-grid coordinates of `rank`.
-    pub fn coords_of(&self, rank: usize) -> (usize, usize) {
+    fn coords_of(&self, rank: usize) -> (usize, usize) {
         assert!(rank < self.ranks(), "rank out of range");
         (rank % self.px, rank / self.px)
     }
@@ -242,16 +217,26 @@ impl Decomposition2D {
     pub fn subdomains(&self) -> impl Iterator<Item = Subdomain> + '_ {
         (0..self.ranks()).map(|r| self.subdomain(r))
     }
-
-    /// Largest tile cell count (load-balance numerator).
-    pub fn max_tile_cells(&self) -> usize {
-        self.subdomains().map(|s| s.cells()).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Dir {
+        /// All four directions in TeaLeaf's exchange order (x pass then y pass).
+        const ALL: [Dir; 4] = [Dir::West, Dir::East, Dir::South, Dir::North];
+
+        /// The opposite direction (a message sent `East` arrives `West`).
+        fn opposite(self) -> Dir {
+            match self {
+                Dir::West => Dir::East,
+                Dir::East => Dir::West,
+                Dir::South => Dir::North,
+                Dir::North => Dir::South,
+            }
+        }
+    }
 
     #[test]
     fn split_extent_covers_exactly() {
@@ -298,7 +283,7 @@ mod tests {
     #[test]
     fn subdomains_tile_global_grid() {
         let d = Decomposition2D::new(101, 67, 6);
-        let (px, py) = d.grid();
+        let (px, py) = (d.px, d.py);
         assert_eq!(px * py, 6);
         let mut covered = vec![false; 101 * 67];
         for s in d.subdomains() {
@@ -346,15 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn dir_opposites() {
-        for d in Dir::ALL {
-            assert_eq!(d.opposite().opposite(), d);
-        }
-        assert!(Dir::West.is_x());
-        assert!(!Dir::North.is_x());
-    }
-
-    #[test]
     #[should_panic]
     fn too_many_ranks_along_axis_panics() {
         let _ = Decomposition2D::with_grid(4, 4, 8, 1);
@@ -364,7 +340,7 @@ mod tests {
     fn load_balance_within_one_row() {
         let d = Decomposition2D::new(4000, 4000, 32);
         let min = d.subdomains().map(|s| s.cells()).min().unwrap();
-        let max = d.max_tile_cells();
+        let max = d.subdomains().map(|s| s.cells()).max().unwrap();
         // tiles differ by at most one row/column
         assert!(max - min <= 4000 / 4 + 1);
         let total: usize = d.subdomains().map(|s| s.cells()).sum();

@@ -103,12 +103,6 @@ impl<S: Scalar> Field2<S> {
         self.stride
     }
 
-    /// Number of interior cells.
-    #[inline(always)]
-    pub fn interior_len(&self) -> usize {
-        self.nx * self.ny
-    }
-
     /// Flat offset of signed cell index `(j, k)`.
     ///
     /// Debug-asserts the index is within the allocation (ghosts included).

@@ -36,12 +36,8 @@ pub mod mesh;
 pub mod scalar;
 
 pub use coefficients::{timestep_scalings, Coefficients};
-pub use decomp::{
-    choose_process_grid, factor_pairs, split_extent, Decomposition2D, Dir, Subdomain,
-};
+pub use decomp::{choose_process_grid, split_extent, Decomposition2D, Dir, Subdomain};
 pub use field::{Field2, Field2D, Field2F};
-pub use geometry::{
-    crooked_pipe, crooked_pipe_rect, hot_square, Coefficient, Problem, Shape, State,
-};
+pub use geometry::{crooked_pipe, crooked_pipe_rect, Coefficient, Problem, Shape, State};
 pub use mesh::{Extent2D, Mesh2D};
 pub use scalar::Scalar;

@@ -135,34 +135,11 @@ impl Mesh2D {
             self.extent.y_min + (gy + 0.5) * self.dy,
         )
     }
-
-    /// Physical coordinates of the lower-left vertex of local cell `(j, k)`.
-    pub fn cell_vertex(&self, j: isize, k: isize) -> (f64, f64) {
-        let gx = self.sub.offset.0 as f64 + j as f64;
-        let gy = self.sub.offset.1 as f64 + k as f64;
-        (
-            self.extent.x_min + gx * self.dx,
-            self.extent.y_min + gy * self.dy,
-        )
-    }
-
-    /// Whether local cell `(j, k)` sits on the given global boundary.
-    pub fn on_global_boundary(&self, j: isize, k: isize, dir: crate::Dir) -> bool {
-        let gx = self.sub.offset.0 as isize + j;
-        let gy = self.sub.offset.1 as isize + k;
-        match dir {
-            crate::Dir::West => gx == 0,
-            crate::Dir::East => gx == self.global_nx as isize - 1,
-            crate::Dir::South => gy == 0,
-            crate::Dir::North => gy == self.global_ny as isize - 1,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Dir;
 
     #[test]
     fn serial_mesh_geometry() {
@@ -171,7 +148,6 @@ mod tests {
         assert_eq!(m.dy(), 2.0);
         assert_eq!(m.cell_volume(), 2.0);
         assert_eq!(m.cell_center(0, 0), (0.5, 1.0));
-        assert_eq!(m.cell_vertex(0, 0), (0.0, 0.0));
         assert_eq!(m.cell_center(9, 4), (9.5, 9.0));
     }
 
@@ -185,19 +161,6 @@ mod tests {
         assert_eq!(m1.cell_center(0, 0), m0.cell_center(4, 0));
         // ghost of rank 1 at j=-1 coincides with rank 0 interior j=3
         assert_eq!(m1.cell_center(-1, 0), m0.cell_center(3, 0));
-    }
-
-    #[test]
-    fn boundary_detection_uses_global_indices() {
-        let d = Decomposition2D::with_grid(8, 8, 2, 1);
-        let m0 = Mesh2D::new(&d, 0, Extent2D::unit());
-        let m1 = Mesh2D::new(&d, 1, Extent2D::unit());
-        assert!(m0.on_global_boundary(0, 0, Dir::West));
-        assert!(!m0.on_global_boundary(3, 0, Dir::East));
-        assert!(m1.on_global_boundary(3, 0, Dir::East));
-        assert!(!m1.on_global_boundary(0, 0, Dir::West));
-        assert!(m0.on_global_boundary(2, 0, Dir::South));
-        assert!(m0.on_global_boundary(2, 7, Dir::North));
     }
 
     #[test]

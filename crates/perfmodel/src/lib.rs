@@ -26,8 +26,8 @@ pub mod scaling;
 pub use machines::{
     all_machines, piz_daint, spruce_hybrid, spruce_mpi, titan, Machine, NetworkModel, NodeModel,
 };
-pub use roofline::{kernel_roofline, KernelRoofline, HOT_KERNELS};
+pub use roofline::{kernel_roofline, KernelRoofline};
 pub use scaling::{
-    node_counts, predict, predict_amg, predict_width, predicted_iteration_bytes, solver_elem_bytes,
-    KernelBytes, ScalingPoint, ScalingSeries,
+    node_counts, predict_width, predicted_iteration_bytes, solver_elem_bytes, KernelBytes,
+    ScalingPoint, ScalingSeries,
 };

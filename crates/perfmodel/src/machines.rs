@@ -20,6 +20,7 @@ use serde::{Deserialize, Serialize};
 /// Per-node (or per-device) compute model. Kernels are modelled as
 /// memory-bandwidth-bound streams with a fixed per-sweep overhead.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+// audit:allow(dead_pub) — type of `Machine::node`, whose fields scaling.rs and figures.rs read
 pub struct NodeModel {
     /// Device name for Table I.
     pub device: String,
@@ -43,6 +44,7 @@ pub struct NodeModel {
 /// grows with machine size (the mechanism behind Titan-vs-Piz-Daint,
 /// paper §VI).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+// audit:allow(dead_pub) — type of `NetworkModel::topology`, priced through `tree_hop` in scaling.rs
 pub enum Topology {
     /// 3D torus (Gemini): average route length grows as `P^(1/3)`.
     Torus3D {
@@ -77,6 +79,7 @@ impl Topology {
 /// α-β interconnect model with a log-tree reduction term and a
 /// topology-dependent routing term.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+// audit:allow(dead_pub) — type of `Machine::net`, whose fields scaling.rs and figures.rs read
 pub struct NetworkModel {
     /// Interconnect name for Table I.
     pub interconnect: String,
@@ -91,11 +94,6 @@ pub struct NetworkModel {
 }
 
 impl NetworkModel {
-    /// Effective one-message latency on a machine of `ranks` endpoints.
-    pub fn message_latency(&self, ranks: usize) -> f64 {
-        self.latency + self.topology.route_extra(ranks)
-    }
-
     /// Cost of one allreduce tree hop: software overhead plus half the
     /// machine's average route (tree hops span growing distances).
     pub fn tree_hop(&self, ranks: usize) -> f64 {
@@ -129,12 +127,12 @@ pub struct Machine {
 impl Machine {
     /// Effective per-rank memory bandwidth (node bandwidth shared by the
     /// ranks on it).
-    pub fn rank_bandwidth(&self) -> f64 {
+    fn rank_bandwidth(&self) -> f64 {
         self.node.mem_bandwidth / self.ranks_per_node as f64
     }
 
     /// Effective per-rank cache capacity.
-    pub fn rank_cache(&self) -> f64 {
+    fn rank_cache(&self) -> f64 {
         self.node.cache_bytes / self.ranks_per_node as f64
     }
 

@@ -18,6 +18,7 @@
 
 /// Static traffic and arithmetic model of one hot kernel.
 #[derive(Debug, Clone, Copy)]
+// audit:allow(dead_pub) — what `kernel_roofline` returns; benchmark/src/layers.rs prices sweeps with it
 pub struct KernelRoofline {
     /// Kernel name as reported by the `speedup` bench (`apply`/
     /// `apply_fused_dot`/`residual`/`dot`/`axpy`/`scale_add`/
@@ -35,35 +36,6 @@ impl KernelRoofline {
     /// (8 for f64, 4 for f32).
     pub fn bytes_per_cell(&self, elem_bytes: f64) -> f64 {
         self.elems_per_cell * elem_bytes
-    }
-
-    /// Arithmetic intensity in flops/byte at the given element width.
-    pub fn arithmetic_intensity(&self, elem_bytes: f64) -> f64 {
-        self.flops_per_cell / self.bytes_per_cell(elem_bytes)
-    }
-
-    /// Memory bandwidth this kernel achieved, in bytes/second, given a
-    /// measured runtime over `cells` interior cells.
-    pub fn achieved_bandwidth(&self, cells: f64, elem_bytes: f64, seconds: f64) -> f64 {
-        if seconds <= 0.0 {
-            return 0.0;
-        }
-        cells * self.bytes_per_cell(elem_bytes) / seconds
-    }
-
-    /// Percent of a measured streaming peak (bytes/second) this kernel
-    /// achieved: `100 × achieved_bandwidth / streaming_peak`.
-    pub fn percent_of_peak(
-        &self,
-        cells: f64,
-        elem_bytes: f64,
-        seconds: f64,
-        streaming_peak: f64,
-    ) -> f64 {
-        if streaming_peak <= 0.0 {
-            return 0.0;
-        }
-        100.0 * self.achieved_bandwidth(cells, elem_bytes, seconds) / streaming_peak
     }
 }
 
@@ -84,7 +56,7 @@ impl KernelRoofline {
 /// * `fused_cheb` — the fused Chebyshev pass `z += sd; rr −= A·sd`:
 ///   sd 5-point (2) + Kx + Ky + z rmw (2) + rr rmw (2) = 8 elems;
 ///   the stencil + 1 add + 1 subtract = 15 flops.
-pub const HOT_KERNELS: [KernelRoofline; 8] = [
+const HOT_KERNELS: [KernelRoofline; 8] = [
     KernelRoofline {
         name: "apply",
         elems_per_cell: 5.0,
@@ -149,28 +121,5 @@ mod tests {
         // CG's fused update carries two axpys' streams; its dot is free
         let update = kernel_roofline("cg_update").unwrap();
         assert_eq!(update.elems_per_cell, 2.0 * axpy.elems_per_cell);
-    }
-
-    #[test]
-    fn all_kernels_are_bandwidth_bound() {
-        // arithmetic intensity far below any real ridge point
-        // (~5-10 flops/byte on the paper's machines)
-        for k in HOT_KERNELS {
-            assert!(
-                k.arithmetic_intensity(8.0) < 1.0,
-                "{} unexpectedly compute-bound",
-                k.name
-            );
-        }
-    }
-
-    #[test]
-    fn percent_of_peak_arithmetic() {
-        let dot = kernel_roofline("dot").unwrap();
-        // 1e6 cells × 16 B in 1 ms = 16 GB/s; 50% of a 32 GB/s peak
-        let pct = dot.percent_of_peak(1e6, 8.0, 1e-3, 32e9);
-        assert!((pct - 50.0).abs() < 1e-9);
-        assert_eq!(dot.percent_of_peak(1e6, 8.0, 1e-3, 0.0), 0.0);
-        assert_eq!(dot.achieved_bandwidth(1e6, 8.0, 0.0), 0.0);
     }
 }

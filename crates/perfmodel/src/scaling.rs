@@ -77,6 +77,8 @@ impl Default for KernelBytes {
 
 /// One predicted point of a strong-scaling curve.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+// audit:allow(dead_pub) — what `predict_width` returns to tea-tune's search.rs and the element of
+// `ScalingSeries::points` that figures.rs tabulates
 pub struct ScalingPoint {
     /// Node count.
     pub nodes: usize,
@@ -168,7 +170,7 @@ fn reduction_time(m: &Machine, ranks: usize, elements: f64, elem_bytes: f64) -> 
 ///
 /// Shorthand for [`predict_width`] at `elem_bytes = 8.0`; use
 /// `predict_width` to price reduced-precision legs honestly.
-pub fn predict(
+fn predict(
     machine: &Machine,
     trace: &SolveTrace,
     global: (usize, usize),
@@ -249,7 +251,7 @@ pub fn predict_width(
 /// Static per-cell bytes moved per *counted* iteration for a named
 /// solver configuration — the auto-tuner's a-priori cost model.
 ///
-/// Where [`predict`] replays a measured trace, this prices one iteration
+/// Where [`predict_width`] replays a measured trace, this prices one iteration
 /// of each method from the kernel schedule alone, before anything runs:
 /// the tuner orders its candidate search by this prior, and the tuning
 /// bench weights measured iteration counts by it. Per-iteration kernel
@@ -338,19 +340,19 @@ pub fn solver_elem_bytes(solver: &str) -> f64 {
 /// replay prices the library the paper actually ran, not our leaner
 /// stand-in. Sources: hypre scaling studies and the paper's own §I/§VIII
 /// remarks about setup cost and interconnect stress.
-pub mod amg_model {
+mod amg_model {
     /// Galerkin operator complexity: coarse operators densify (9-point
     /// and beyond), multiplying per-sweep traffic.
-    pub const OPERATOR_COMPLEXITY: f64 = 2.5;
+    pub(super) const OPERATOR_COMPLEXITY: f64 = 2.5;
     /// Hybrid Gauss-Seidel smoothing exchanges per sweep (forward +
     /// backward).
-    pub const EXCHANGES_PER_SWEEP: f64 = 2.0;
+    pub(super) const EXCHANGES_PER_SWEEP: f64 = 2.0;
     /// Collective rounds per level during setup (parallel coarsening's
     /// independent-set iterations + interpolation construction).
-    pub const SETUP_ROUNDS: f64 = 25.0;
+    pub(super) const SETUP_ROUNDS: f64 = 25.0;
     /// Setup touches each fine cell several times (strength graph,
     /// coarsening, triple-matrix products).
-    pub const SETUP_BYTES_PER_CELL: f64 = 2000.0;
+    pub(super) const SETUP_BYTES_PER_CELL: f64 = 2000.0;
 }
 
 /// Fan-in contention on a level with fewer cells than the machine has
@@ -372,7 +374,7 @@ fn agglomeration_contention(m: &Machine, nodes: usize, level_cells: f64) -> f64 
 /// Replays an AMG-PCG trace (outer CG on the fine grid + per-level
 /// V-cycle work + per-step hierarchy setup), with the
 /// [`amg_model`] realism factors applied.
-pub fn predict_amg(
+fn predict_amg(
     machine: &Machine,
     mg: &MgTrace,
     global: (usize, usize),

@@ -36,7 +36,7 @@
 //!   outer iteration and return a `Cancelled` status, which the queue
 //!   reports as [`JobError::TimedOut`]. Timeouts are terminal (never
 //!   retried), so a job's wall clock stays bounded.
-//! * **Bounded retry** — transient failures ([`JobError::is_transient`]:
+//! * **Bounded retry** — transient failures (`JobError::is_transient`:
 //!   panics and divergence) are retried up to [`ServeOptions::retries`]
 //!   times with a small backoff; [`QueueStats::retries`] counts the
 //!   re-runs. The attempt index reaches the run function through
@@ -165,7 +165,7 @@ impl JobError {
     /// are transient (a deterministic fault injector arms only the
     /// first attempt; a diverged solve may recover on re-run from the
     /// clean warm start); timeouts and structural failures are not.
-    pub fn is_transient(&self) -> bool {
+    fn is_transient(&self) -> bool {
         matches!(self, JobError::Panicked { .. } | JobError::Diverged { .. })
     }
 }
@@ -189,6 +189,8 @@ pub struct JobCtx<'a> {
 /// One job's result: payload or typed error, plus its wall-clock
 /// latency and how many attempts it took.
 #[derive(Debug)]
+// audit:allow(dead_pub) — element of `ServeReport::outcomes`, which tealeaf.rs and the serve.rs
+// tests in tea-app walk
 pub struct JobOutcome<T> {
     /// Index of the job in the submitted list.
     pub job: usize,

@@ -6,12 +6,10 @@
 //! abandoned once it costs more than the best converged candidate so
 //! far — then adopts the cheapest converged one and answers with its
 //! solution. Every later `solve` goes straight to the adopted winner,
-//! so a session-cached `auto` solver (one per [`tea_core::SetupKey`])
+//! so a session-cached `auto` solver (one per `SetupKey`)
 //! pays the search exactly once per setup.
 
-use crate::log::TuneLog;
 use crate::policy::TuneState;
-use crate::search::Candidate;
 use std::any::Any;
 use tea_core::{
     EigenEstimate, IterativeSolver, Precision, SolveContext, SolveOpts, SolveResult, SolveTrace,
@@ -26,7 +24,7 @@ use tea_mesh::Field2D;
 /// different winners (and thus different halo protocols) — distributed
 /// tuning needs a rank-collective decision, which is a ROADMAP
 /// follow-up.
-pub const AUTO_META: SolverMeta = SolverMeta {
+const AUTO_META: SolverMeta = SolverMeta {
     name: "auto",
     aliases: &["tune", "autotune"],
     summary: "auto-tuned: races the tunable methods, adopts the cheapest converged one",
@@ -45,9 +43,8 @@ pub fn register_auto(registry: &mut SolverRegistry) {
 }
 
 /// The solver behind `tl_solver=auto`. See the module docs for the
-/// race protocol; [`AutoSolver::take_diagnostics`] yields the
-/// [`TuneLog`].
-pub struct AutoSolver {
+/// race protocol; `take_diagnostics` yields the [`crate::TuneLog`].
+struct AutoSolver {
     params: SolverParams,
     opts: SolveOpts,
     registry: SolverRegistry,
@@ -77,17 +74,6 @@ impl AutoSolver {
             winner: None,
             hint: None,
         }
-    }
-
-    /// The decision log so far (also available type-erased through
-    /// [`AutoSolver::take_diagnostics`]).
-    pub fn log(&self) -> Option<&TuneLog> {
-        self.state.as_ref().map(|s| &s.log)
-    }
-
-    /// The adopted design point, once a race has produced one.
-    pub fn winner(&self) -> Option<&Candidate> {
-        self.state.as_ref().and_then(TuneState::winner)
     }
 
     fn race(
@@ -242,13 +228,20 @@ impl IterativeSolver for AutoSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::TuneAction;
+    use crate::log::{TuneAction, TuneLog};
     use tea_core::{crooked_pipe_system, Solve};
 
     fn tuned_registry() -> SolverRegistry {
         let mut reg = SolverRegistry::builtin();
         register_auto(&mut reg);
         reg
+    }
+
+    impl AutoSolver {
+        /// The decision log so far.
+        fn log(&self) -> Option<&TuneLog> {
+            self.state.as_ref().map(|s| &s.log)
+        }
     }
 
     #[test]

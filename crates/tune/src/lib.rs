@@ -8,31 +8,27 @@
 //!
 //! Pieces, bottom up:
 //!
-//! * [`ConvergenceMonitor`] — consumes a per-iteration residual
-//!   trajectory and classifies it as a [`Verdict`]: converging (with a
-//!   projected iterations-to-tolerance), stalling (generalizing the
-//!   `cg_f32` stagnation guard) or diverging. The CG-Lanczos condition
-//!   estimate feeds the same projection through
-//!   [`projected_from_condition`].
-//! * [`TrajectoryProbe`] — a [`tea_core::SolveProbe`] that records the
-//!   residual trajectory of any solve for the monitor to read.
+//! * [`classify_result`] — reads a finished trial's two residuals and
+//!   its ending into a [`Verdict`]: converged, converging (with a
+//!   two-point geometric projection of the iterations to tolerance),
+//!   stalling or diverging.
 //! * [`Candidate`]/[`plan_candidates`] — the seeded, wall-clock-free
 //!   candidate search: every `tunable` registry entry expanded over the
 //!   halo-depth axis, ordered by the `tea-perfmodel` bytes-per-iteration
 //!   prior with seeded tie-breaking ([`splitmix64`], the same generator
 //!   discipline as `tea-fault`).
-//! * [`TuneState`] + [`AutoSolver`] — the policy object behind the
+//! * [`TuneState`] + `AutoSolver` — the policy object behind the
 //!   registered `"auto"` pseudo-solver ([`register_auto`]): on the first
 //!   solve it races the candidates (early-abandoning any that cannot
 //!   beat the best cost so far), adopts the cheapest converged one, and
 //!   reuses it for every subsequent solve. Because the adopted winner
 //!   lives inside the prepared solver, a
 //!   [`tea_core::SetupCache`]-pooled session remembers the tuned design
-//!   point per [`tea_core::SetupKey`] — repeat jobs skip the search.
+//!   point per `SetupKey` — repeat jobs skip the search.
 //! * [`TuneLog`] — every decision (candidate, trajectory verdict,
 //!   action), surfaced through
 //!   [`tea_core::IterativeSolver::take_diagnostics`].
-//! * [`next_precision_rung`]/[`EscalationPolicy`] — the precision
+//! * [`EscalationPolicy`] — the precision
 //!   escalation ladder (f32 → mixed → f64 within a solver family) the
 //!   serving stack consults on divergence, now owned by the tuner
 //!   instead of being hardcoded in the scheduler.
@@ -61,12 +57,10 @@ mod auto;
 mod log;
 mod monitor;
 mod policy;
-mod probe;
 mod search;
 
-pub use auto::{register_auto, AutoSolver, AUTO_META};
+pub use auto::register_auto;
 pub use log::{TuneAction, TuneDecision, TuneLog};
-pub use monitor::{classify_result, projected_from_condition, ConvergenceMonitor, Verdict};
-pub use policy::{next_precision_rung, EscalationPolicy, TuneState};
-pub use probe::TrajectoryProbe;
+pub use monitor::{classify_result, Verdict};
+pub use policy::{EscalationPolicy, TuneState};
 pub use search::{plan_candidates, splitmix64, Candidate};

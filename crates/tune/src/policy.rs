@@ -17,7 +17,7 @@ use tea_core::{solver_for_precision, Precision, SolveResult, SolverParams, Solve
 /// reduced-precision methods escalate towards the full-`f64` member of
 /// their family (`cg_f32 → mixed_cg → cg`), full-precision methods
 /// have nowhere further to go.
-pub fn next_precision_rung(name: &str, registry: &SolverRegistry) -> Option<String> {
+fn next_precision_rung(name: &str, registry: &SolverRegistry) -> Option<String> {
     let meta = registry.resolve(name).ok()?;
     let target = match meta.precision {
         Precision::F32 => Precision::Mixed,
@@ -28,8 +28,9 @@ pub fn next_precision_rung(name: &str, registry: &SolverRegistry) -> Option<Stri
 }
 
 /// The precision-escalation policy a serving scheduler walks when a
-/// solve diverges: same ladder as [`next_precision_rung`], recording
-/// each step as a [`TuneDecision`] when given a log.
+/// solve diverges: reduced-precision methods escalate towards the
+/// full-`f64` member of their family, each step recorded as a
+/// [`TuneDecision`].
 #[derive(Debug, Clone, Copy)]
 pub struct EscalationPolicy<'r> {
     registry: &'r SolverRegistry,
@@ -41,16 +42,11 @@ impl<'r> EscalationPolicy<'r> {
         EscalationPolicy { registry }
     }
 
-    /// The solver to try after `failed` diverged, or `None` when the
-    /// ladder is exhausted.
-    pub fn next_rung(&self, failed: &str) -> Option<String> {
-        next_precision_rung(failed, self.registry)
-    }
-
-    /// [`EscalationPolicy::next_rung`], recording the step (with the
-    /// iteration the divergence was detected at) into `log`.
+    /// The solver to try after `failed` diverged (`None` when the
+    /// ladder is exhausted), recording the step — with the iteration
+    /// the divergence was detected at — into `log`.
     pub fn escalate(&self, failed: &str, diverged_at: u64, log: &mut TuneLog) -> Option<String> {
-        let to = self.next_rung(failed)?;
+        let to = next_precision_rung(failed, self.registry)?;
         log.decisions.push(TuneDecision {
             candidate: failed.to_string(),
             verdict: Verdict::Diverging {
@@ -67,13 +63,12 @@ impl<'r> EscalationPolicy<'r> {
 
 /// Bookkeeping for one candidate race: planned order, best cost, cost
 /// caps, and the decision log. The solves themselves are driven by
-/// [`crate::AutoSolver`].
+/// the `auto` pseudo-solver.
 #[derive(Debug, Clone)]
 pub struct TuneState {
     candidates: Vec<Candidate>,
     /// The decision record (public: the driver surfaces it).
     pub log: TuneLog,
-    winner: Option<usize>,
     best_cost: f64,
 }
 
@@ -88,7 +83,6 @@ impl TuneState {
                 seed,
                 ..TuneLog::default()
             },
-            winner: None,
             best_cost: f64::INFINITY,
         }
     }
@@ -96,17 +90,6 @@ impl TuneState {
     /// The planned candidates in race order.
     pub fn candidates(&self) -> &[Candidate] {
         &self.candidates
-    }
-
-    /// The adopted winner so far.
-    pub fn winner(&self) -> Option<&Candidate> {
-        self.winner.map(|i| &self.candidates[i])
-    }
-
-    /// Modelled cost of the adopted winner (infinite before any
-    /// candidate converges).
-    pub fn best_cost(&self) -> f64 {
-        self.best_cost
     }
 
     /// Iteration cap for a trial of `candidate`: the caller's
@@ -161,7 +144,6 @@ impl TuneState {
         let adopt = result.converged && cost < self.best_cost;
         if adopt {
             self.best_cost = cost;
-            self.winner = Some(idx);
             self.log.decisions.push(TuneDecision {
                 candidate: label.clone(),
                 verdict,
@@ -253,8 +235,8 @@ mod tests {
         assert!(state.record_trial(cheap, &converged(50), 10_000));
         let cap = state.trial_cap(&expensive, 10_000);
         assert!(cap < 50, "ppcg moves >1x cg bytes per iteration, cap {cap}");
-        assert!(state.best_cost().is_finite());
-        assert_eq!(state.winner().unwrap().solver, "cg");
+        assert!(state.best_cost.is_finite());
+        assert_eq!(state.log.winner.as_deref(), Some("cg"));
     }
 
     #[test]
@@ -275,7 +257,7 @@ mod tests {
         // chebyshev at 144 B/iter for 70 iters is cheaper than cg at 112
         // for 100
         assert!(state.record_trial(cheby, &converged(70), 10_000));
-        assert_eq!(state.winner().unwrap().solver, "chebyshev");
+        assert_eq!(state.log.winner.as_deref(), Some("chebyshev"));
         // a non-converged trial never replaces
         let failed = SolveResult {
             converged: false,
@@ -283,7 +265,6 @@ mod tests {
             ..converged(10)
         };
         assert!(!state.record_trial(cg, &failed, 10));
-        assert_eq!(state.winner().unwrap().solver, "chebyshev");
         assert_eq!(state.log.winner.as_deref(), Some("chebyshev"));
     }
 

@@ -15,7 +15,7 @@ use tea_perfmodel::{predicted_iteration_bytes, KernelBytes};
 
 /// Halo depths tried for methods with `deep_halo` metadata (the paper's
 /// `PPCG-n` axis); everything else runs at the standard depth 1.
-pub const DEEP_HALO_DEPTHS: [usize; 3] = [1, 4, 8];
+const DEEP_HALO_DEPTHS: [usize; 3] = [1, 4, 8];
 
 /// One point of the design space the tuner may race.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
