@@ -14,12 +14,13 @@ pub struct Cholesky {
 }
 
 impl Cholesky {
-    /// Factorises the dense SPD matrix `a` (row-major `n x n`).
+    /// Factorises the dense SPD matrix `a` (row-major `n x n`); `None`
+    /// when it is not numerically positive definite (a zero, negative or
+    /// non-finite pivot appears).
     ///
     /// # Panics
-    /// Panics if the matrix is not positive definite (a zero or negative
-    /// pivot appears) or if `a` has the wrong length.
-    pub fn factor(a: &[f64], n: usize) -> Self {
+    /// Panics if `a` has the wrong length.
+    pub fn factor(a: &[f64], n: usize) -> Option<Self> {
         assert_eq!(a.len(), n * n, "matrix must be n*n");
         let mut l = vec![0.0; n * n];
         for i in 0..n {
@@ -29,17 +30,16 @@ impl Cholesky {
                     s -= l[i * n + k] * l[j * n + k];
                 }
                 if i == j {
-                    assert!(
-                        s > 0.0,
-                        "matrix not positive definite at pivot {i} (s = {s})"
-                    );
+                    if !(s > 0.0 && s.is_finite()) {
+                        return None;
+                    }
                     l[i * n + i] = s.sqrt();
                 } else {
                     l[i * n + j] = s / l[j * n + j];
                 }
             }
         }
-        Cholesky { n, l }
+        Some(Cholesky { n, l })
     }
 
     /// Unknown count.
@@ -85,7 +85,7 @@ mod tests {
     fn factor_and_solve_small_spd() {
         // A = [[4,1,0],[1,3,1],[0,1,2]]
         let a = vec![4.0, 1.0, 0.0, 1.0, 3.0, 1.0, 0.0, 1.0, 2.0];
-        let c = Cholesky::factor(&a, 3);
+        let c = Cholesky::factor(&a, 3).unwrap();
         assert_eq!(c.n(), 3);
         let x_true = vec![1.0, -2.0, 3.0];
         let mut b = matvec(&a, &x_true, 3);
@@ -102,7 +102,7 @@ mod tests {
         for i in 0..n {
             a[i * n + i] = 1.0;
         }
-        let c = Cholesky::factor(&a, n);
+        let c = Cholesky::factor(&a, n).unwrap();
         let mut b = vec![1.0, 2.0, 3.0, 4.0, 5.0];
         c.solve_in_place(&mut b);
         assert_eq!(b, vec![1.0, 2.0, 3.0, 4.0, 5.0]);
@@ -133,7 +133,7 @@ mod tests {
                 a[i * n + j] = s;
             }
         }
-        let c = Cholesky::factor(&a, n);
+        let c = Cholesky::factor(&a, n).unwrap();
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64) - 10.0).collect();
         let mut rhs = matvec(&a, &x_true, n);
         c.solve_in_place(&mut rhs);
@@ -143,9 +143,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
     fn indefinite_matrix_rejected() {
         let a = vec![1.0, 2.0, 2.0, 1.0]; // eigenvalues 3, -1
-        let _ = Cholesky::factor(&a, 2);
+        assert!(Cholesky::factor(&a, 2).is_none());
+        // singular: the second pivot is exactly 0
+        assert!(Cholesky::factor(&[1.0, -1.0, -1.0, 1.0], 2).is_none());
+        // an overflowed entry is no pivot either
+        assert!(Cholesky::factor(&[f64::INFINITY, 0.0, 0.0, 1.0], 2).is_none());
+        assert!(Cholesky::factor(&[f64::NAN], 1).is_none());
     }
 }

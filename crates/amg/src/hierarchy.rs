@@ -63,7 +63,9 @@ impl Default for MgOpts {
 pub struct MgHierarchy {
     /// Levels, finest first.
     levels: Vec<Level>,
-    coarse: Cholesky,
+    /// `None`: the coarsest operator is numerically singular and no
+    /// V-cycle can run ([`MgHierarchy::is_singular`]).
+    coarse: Option<Cholesky>,
     opts: MgOpts,
     /// Total cells touched during setup (for the performance model's
     /// setup-cost term).
@@ -204,6 +206,13 @@ impl MgHierarchy {
         }
     }
 
+    /// Whether the coarsest operator failed to factorise — a time step
+    /// so large that `I + Δt·L` lost its identity part to round-off. The
+    /// caller must not run [`MgHierarchy::vcycle`] on such a hierarchy.
+    pub(crate) fn is_singular(&self) -> bool {
+        self.coarse.is_none()
+    }
+
     /// Number of levels (≥ 1).
     pub fn depth(&self) -> usize {
         self.levels.len()
@@ -234,7 +243,10 @@ impl MgHierarchy {
             for k in 0..lev.ny as isize {
                 rhs.extend_from_slice(lev.b.row(k, 0, lev.nx as isize));
             }
-            self.coarse.solve_in_place(&mut rhs);
+            self.coarse
+                .as_ref()
+                .expect("callers check is_singular before cycling")
+                .solve_in_place(&mut rhs);
             for k in 0..lev.ny {
                 lev.x
                     .row_mut(k as isize, 0, lev.nx as isize)

@@ -16,7 +16,7 @@ use crate::trace::MgTrace;
 use tea_comms::Communicator;
 use tea_core::{
     pcg_loop, Entry, IterativeSolver, Krylov, Precondition, SolveContext, SolveOpts, SolveResult,
-    SolveTrace, SolverMeta, SolverParams, SolverRegistry, Tile, Workspace,
+    SolveStatus, SolveTrace, SolverMeta, SolverParams, SolverRegistry, Tile, Workspace,
 };
 use tea_mesh::{Coefficient, Field2D};
 
@@ -204,13 +204,27 @@ pub(crate) fn amg_pcg_solve_impl<C: Communicator + ?Sized>(
         setup_cells: hierarchy.setup_cells,
         ..Default::default()
     };
+    let trace = SolveTrace::new("BoomerAMG");
+    if hierarchy.is_singular() {
+        // nothing to precondition with: the solve ends typed, before
+        // its first V-cycle, like any other breakdown at iteration 0
+        let mut result = SolveResult {
+            converged: false,
+            iterations: 0,
+            initial_residual: f64::NAN,
+            final_residual: f64::NAN,
+            status: SolveStatus::IterationLimit,
+            trace,
+        };
+        result.diverge();
+        return AmgSolveResult { result, mg_trace };
+    }
     let mut step = Vcycle {
         hierarchy: &mut hierarchy,
         mg_trace: &mut mg_trace,
     };
     let (mut k, _) = ws.krylov(tile.op, u, b);
-    let entry = Entry::Fresh(SolveTrace::new("BoomerAMG"));
-    let (result, _) = pcg_loop(tile, &mut k, &mut step, entry, opts);
+    let (result, _) = pcg_loop(tile, &mut k, &mut step, Entry::Fresh(trace), opts);
     AmgSolveResult { result, mg_trace }
 }
 

@@ -11,7 +11,7 @@ use tea_app::{
     crooked_pipe_deck, find_repo_root, parse_deck, run_serial, run_threaded_ranks, semantic_audit,
     serve_decks_with_plan, solver_registry, write_field_csv, write_field_ppm, DeckJob, RankOutput,
 };
-use tea_core::{Precision, PreconKind, SolverParams};
+use tea_core::{ChebyOpts, Precision, PreconKind, SolverParams};
 use tea_fault::FaultPlan;
 use tea_serve::ServeOptions;
 
@@ -217,7 +217,8 @@ fn print_solvers() {
         if meta.needs_eigen_estimate {
             notes.push(format!(
                 "presteps={} eigen_safety={}",
-                defaults.presteps, defaults.eigen_safety
+                defaults.presteps,
+                ChebyOpts::default().eigen_safety
             ));
         }
         if meta.deep_halo {

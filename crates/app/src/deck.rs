@@ -153,6 +153,14 @@ impl Control {
                 self.dt
             ));
         }
+        // a NaN, negative or zero target is one no residual reaches: the
+        // solve would run its whole iteration budget
+        if !(self.opts.eps.is_finite() && self.opts.eps > 0.0) {
+            return Err(format!(
+                "tl_eps must be finite and > 0, got {}",
+                self.opts.eps
+            ));
+        }
         // the count sizes the Chebyshev coefficient vector and the
         // smoothing's level table
         if !(1..=MAX_PPCG_INNER_STEPS).contains(&self.ppcg_inner_steps) {
@@ -189,7 +197,6 @@ impl Control {
             halo_depth: self.ppcg_halo_depth,
             presteps: self.presteps,
             tune_seed: self.tune_seed,
-            ..SolverParams::default()
         }
     }
 }

@@ -478,12 +478,11 @@ pub fn run_threaded_ranks(deck: &Deck, ranks: usize) -> Result<Vec<RankOutput>, 
 /// The session path assembles the operator once per run (the reference
 /// loop reassembles per step, but density is constant so the
 /// coefficient values — and therefore the results — are identical),
-/// prepares the solver only when the cache misses, and memoises the
-/// Chebyshev-family eigenvalue analysis across repeated right-hand
-/// sides. The session's communication counters are reset at checkout so
-/// [`RankOutput::comm`] reports this run's solver traffic only (field
-/// summaries reduce over a throwaway communicator), and the session is
-/// checked back in before returning.
+/// and prepares the solver only when the cache misses. The session's
+/// communication counters are reset at checkout so [`RankOutput::comm`]
+/// reports this run's solver traffic only (field summaries reduce over
+/// a throwaway communicator), and the session is checked back in before
+/// returning.
 ///
 /// Unlike [`run_serial`] this does **not** apply the deck's thread
 /// override: the kernel thread pool is process-global, and a serving

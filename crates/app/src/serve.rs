@@ -276,7 +276,7 @@ mod tests {
 
     #[test]
     fn a_bad_deck_fails_its_job_only() {
-        let mut jobs: Vec<DeckJob> = (0..4).map(|_| job(16, "cg", 1e-8)).collect();
+        let mut jobs: Vec<DeckJob> = (0..5).map(|_| job(16, "cg", 1e-8)).collect();
         jobs[0].deck.control.solver = "warp".into();
         jobs[0].label = "bad.in".into();
         // these two each aborted the whole queue in the allocator (an
@@ -286,12 +286,16 @@ mod tests {
         jobs[2].label = "deep.in".into();
         jobs[3].deck.problem.x_cells = 99_999_999_999;
         jobs[3].label = "wide.in".into();
+        // this one held its worker for the whole iteration budget, or
+        // until its deadline
+        jobs[4].deck.control.opts.eps = f64::NAN;
+        jobs[4].label = "nan.in".into();
         let opts = ServeOptions {
             retries: 2,
             ..Default::default()
         };
         let report = serve_decks(jobs, &opts);
-        assert_eq!(report.stats.failed, 3);
+        assert_eq!(report.stats.failed, 4);
         assert_eq!(
             (report.stats.retries, report.stats.panics_recovered),
             (0, 0)
@@ -300,6 +304,7 @@ mod tests {
             (0, "bad.in:", "warp"),
             (2, "deep.in:", "tl_ppcg_halo_depth"),
             (3, "wide.in:", "99999999999 x 16 cells"),
+            (4, "nan.in:", "tl_eps"),
         ] {
             let err = report.outcomes[i].result.as_ref().unwrap_err();
             assert!(matches!(err, JobError::Failed { .. }), "{err:?}");
@@ -342,11 +347,19 @@ mod tests {
         // b = ρ·e overflows to +inf, so every rung's initial residual is
         // non-finite: the job must try cg_f32 → mixed_cg → cg and report
         // the full attempt history
-        let mut jobs = vec![job(16, "cg", 1e-8)];
+        let mut jobs = vec![
+            job(16, "cg", 1e-8),
+            job(16, "amg", 1e-8),
+            job(16, "cg", 1e-8),
+        ];
         jobs[0].deck.control.precision = Some(tea_core::Precision::F32);
         jobs[0].deck.problem.states[0].energy = 1e308;
+        // a time step that leaves AMG's coarse operator numerically
+        // singular used to panic in its Cholesky; `amg` has no rung below
+        jobs[1].deck.control.dt = 1e300;
         let report = serve_decks(jobs, &ServeOptions::default());
-        assert_eq!(report.stats.failed, 1);
+        assert_eq!(report.stats.failed, 2);
+        assert_eq!(report.stats.panics_recovered, 0);
         assert_eq!(
             report.outcomes[0].result.as_ref().unwrap_err(),
             &JobError::Diverged {
@@ -354,6 +367,14 @@ mod tests {
                 attempts: vec!["cg_f32".into(), "mixed_cg".into(), "cg".into()],
             }
         );
+        assert_eq!(
+            report.outcomes[1].result.as_ref().unwrap_err(),
+            &JobError::Diverged {
+                iteration: 0,
+                attempts: vec!["amg".into()],
+            }
+        );
+        assert!(report.outcomes[2].result.is_ok());
     }
 
     #[test]

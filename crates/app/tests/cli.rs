@@ -173,10 +173,15 @@ fn unconverged_steps_warn_and_exit_nonzero() {
 fn out_of_range_controls_are_errors_not_panics() {
     // regression: each of these reached a solver `assert!` (exit 101)
     // or, for the deep halo, aborted on a 320 GB allocation (exit 134)
-    let cases: [(&[&str], &str); 8] = [
+    // or, for `--eps`, ran the whole iteration budget towards a target
+    // no residual reaches
+    let cases: [(&[&str], &str); 11] = [
         (&["--dt", "0"], "initial_timestep"),
         (&["--dt", "-0.04"], "initial_timestep"),
         (&["--dt", "nan"], "initial_timestep"),
+        (&["--eps", "0"], "tl_eps"),
+        (&["--eps", "-1"], "tl_eps"),
+        (&["--eps", "nan"], "tl_eps"),
         (&["--depth", "0"], "tl_ppcg_halo_depth"),
         (&["--depth", "100000"], "tl_ppcg_halo_depth"),
         (&["--inner", "0"], "tl_ppcg_inner_steps"),
@@ -211,6 +216,22 @@ fn out_of_range_controls_are_errors_not_panics() {
         "{stderr}"
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn amg_on_a_singular_coarse_operator_diverges_typed() {
+    // regression: the coarse Cholesky asserted on its pivot (exit 101)
+    let out = tealeaf(&[
+        "--cells", "16", "--steps", "1", "--solver", "amg", "--dt", "1e300",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        stdout.contains("warning          1 of 1 steps did not converge (first: step 1)"),
+        "{stdout}"
+    );
 }
 
 #[test]

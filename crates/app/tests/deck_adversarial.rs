@@ -141,10 +141,8 @@ proptest! {
         presteps in edgy(12),
         pick in any::<usize>(),
     ) {
-        // every registry method but `amg`: its dense coarse Cholesky
-        // still asserts on an operator a huge finite time step made
-        // numerically singular (ROADMAP, aim 3)
         const SOLVERS: &[&str] = &[
+            "amg",
             "ppcg",
             "mixed_ppcg",
             "chebyshev",
@@ -166,7 +164,10 @@ proptest! {
         (c.dt, c.opts.eps, c.presteps) = (dt, eps, presteps);
         (c.ppcg_halo_depth, c.ppcg_inner_steps) = (depth as usize, inner as usize);
         c.precon = PRECONS[(pick / SOLVERS.len()) % PRECONS.len()];
-        let _ = run_serial(&deck);
+        let run = run_serial(&deck);
+        if !(eps.is_finite() && eps > 0.0) {
+            prop_assert!(matches!(run, Err(DriverError::InvalidControl(_))), "{run:?}");
+        }
     }
 
     /// And for the problem half: a cell count whose product overflows

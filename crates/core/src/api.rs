@@ -15,7 +15,6 @@
 //! 2. [`crate::SolverRegistry`] — string-keyed construction + metadata;
 //! 3. [`IterativeSolver`] — the trait each method implements.
 
-use crate::eigen::EigenEstimate;
 use crate::precon::PreconKind;
 use crate::solver::{SolveOpts, Tile, Workspace};
 use crate::trace::{SolveResult, SolveTrace};
@@ -90,12 +89,6 @@ pub struct SolverParams {
     /// Plain-CG presteps for eigenvalue estimation (Chebyshev, PPCG,
     /// Richardson).
     pub presteps: u64,
-    /// Safety widening of the Lanczos eigenvalue bounds.
-    pub eigen_safety: f64,
-    /// Convergence-check cadence for the reduction-avoiding methods
-    /// (Chebyshev, Richardson): one global reduction per this many
-    /// iterations.
-    pub check_interval: u64,
     /// Seed for the `auto` pseudo-solver's deterministic candidate
     /// search (deck `tl_tune_seed`, CLI `--tune-seed`). Ignored by the
     /// concrete methods.
@@ -109,8 +102,6 @@ impl Default for SolverParams {
             inner_steps: 16,
             halo_depth: 1,
             presteps: 30,
-            eigen_safety: 0.1,
-            check_interval: 10,
             tune_seed: 0,
         }
     }
@@ -187,7 +178,7 @@ pub struct SolverMeta {
     /// Whether the method applies [`SolverParams::precon`].
     pub preconditioned: bool,
     /// Whether the method runs CG presteps to estimate the spectrum
-    /// (consumes `presteps`/`eigen_safety`).
+    /// (consumes `presteps`).
     pub needs_eigen_estimate: bool,
     /// Whether the method consumes [`SolverParams::halo_depth`] for
     /// matrix-powers deep halos (fields and workspace must be allocated
@@ -263,7 +254,11 @@ impl std::error::Error for SolverError {}
 ///    accumulated [`SolveTrace`].
 ///
 /// `solve` also prepares on demand, so single-shot callers may skip
-/// step 1. The supertrait `Any` lets drivers recover solver-specific
+/// step 1. That is the whole protocol: a solver keeps nothing from one
+/// `solve` to the next beyond what `prepare` built, so a solve depends
+/// on the operator, the latched options, `u` and `b` alone.
+///
+/// The supertrait `Any` lets drivers recover solver-specific
 /// diagnostics (e.g. the AMG V-cycle trace) by downcasting without the
 /// solve path ever branching on the concrete type; `Send` lets a
 /// prepared solver move between the scheduler threads of a serving
@@ -310,23 +305,6 @@ pub trait IterativeSolver: Any + Send {
     fn take_diagnostics(&mut self) -> Option<Box<dyn Any>> {
         None
     }
-
-    /// Pins the eigenvalue estimate the next solve would otherwise
-    /// derive from its CG-Lanczos presteps (Chebyshev, Richardson, the
-    /// PPCG family). The presteps still run — they advance the solution
-    /// exactly as before — but the spectrum analysis is skipped in
-    /// favour of `hint`. `None` clears a previous pin. Methods without
-    /// an eigen prelude ignore this (the default).
-    fn set_eigen_hint(&mut self, _hint: Option<EigenEstimate>) {}
-
-    /// The eigenvalue estimate the last solve actually used — computed
-    /// from its presteps or pinned via
-    /// [`IterativeSolver::set_eigen_hint`]. `None` for methods without
-    /// an eigen prelude (the default) or before the first solve. A
-    /// session harvests this to seed the next solve on identical input.
-    fn last_eigen_estimate(&self) -> Option<EigenEstimate> {
-        None
-    }
 }
 
 #[cfg(test)]
@@ -340,8 +318,6 @@ mod tests {
         assert_eq!(p.inner_steps, 16);
         assert_eq!(p.halo_depth, 1);
         assert_eq!(p.presteps, 30);
-        assert_eq!(p.eigen_safety, 0.1);
-        assert_eq!(p.check_interval, 10);
         assert_eq!(p.tune_seed, 0);
     }
 

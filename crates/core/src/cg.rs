@@ -208,19 +208,14 @@ pub(crate) fn eigen_prelude<C: Communicator + ?Sized>(
     ws: &mut Workspace,
     opts: SolveOpts,
     (presteps, eigen_safety): (u64, f64),
-    hint: Option<EigenEstimate>,
     label: &str,
 ) -> Result<(SolveResult, EigenEstimate), Box<SolveResult>> {
     let (mut pre, coeffs) = cg_solve_recording(tile, u, b, precon, ws, opts, presteps.max(1));
     if pre.converged || pre.status.is_diverged() || pre.status.is_cancelled() {
         return Err(Box::new(pre));
     }
-    // a pinned estimate (session replay of identical input) skips only
-    // the Lanczos analysis; the presteps above still advanced u
-    let est = hint.unwrap_or_else(|| {
-        let (al, be) = coeffs.for_lanczos();
-        estimate_from_cg(al, be, eigen_safety)
-    });
+    let (al, be) = coeffs.for_lanczos();
+    let est = estimate_from_cg(al, be, eigen_safety);
     pre.trace.solver = label.to_string();
     pre.trace.eigen_bounds = Some((est.min, est.max));
     Ok((pre, est))
@@ -228,8 +223,8 @@ pub(crate) fn eigen_prelude<C: Communicator + ?Sized>(
 
 /// What the three families that open with [`eigen_prelude`] (CPPCG,
 /// Chebyshev, Richardson) hold in common: the preconditioner choice and
-/// precision switch, the latched options, the state assembled against
-/// the current operator, and the eigen-estimate pin and memo.
+/// precision switch, the latched options and the state assembled
+/// against the current operator.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Family {
     pub kind: PreconKind,
@@ -237,8 +232,6 @@ pub(crate) struct Family {
     pub opts: SolveOpts,
     pub precon: Option<Preconditioner>,
     pub low: Option<Low<f32>>,
-    hint: Option<EigenEstimate>,
-    last_est: Option<EigenEstimate>,
 }
 
 impl Family {
@@ -253,8 +246,8 @@ impl Family {
 
 /// A method of the eigen-prelude family: its options, its names and its
 /// own loop. Everything else an [`IterativeSolver`] needs — prepare,
-/// prepare on demand, the prelude itself, the estimate pin and memo —
-/// is the one blanket impl below.
+/// prepare on demand, the prelude itself — is the one blanket impl
+/// below.
 pub(crate) trait EigenFamily: Any + Send {
     /// Registry names: the `f64` method, then its `mixed` variant.
     const NAMES: [&'static str; 2];
@@ -327,22 +320,12 @@ impl<T: EigenFamily> IterativeSolver for T {
         }
         let family = self.family();
         let precon = family.precon.as_ref().expect("assembled above");
-        let (opts, hint) = (family.opts, family.hint);
-        let result = match eigen_prelude(tile, u, b, precon, ws, opts, spectrum, hint, &label) {
+        let result = match eigen_prelude(tile, u, b, precon, ws, family.opts, spectrum, &label) {
             Ok((pre, est)) => self.run(tile, u, b, ws, pre, est),
             Err(end) => *end,
         };
-        self.family_mut().last_est = result.trace.eigen_estimate();
         trace.merge(&result.trace);
         result
-    }
-
-    fn set_eigen_hint(&mut self, hint: Option<EigenEstimate>) {
-        self.family_mut().hint = hint;
-    }
-
-    fn last_eigen_estimate(&self) -> Option<EigenEstimate> {
-        self.family().last_est
     }
 }
 

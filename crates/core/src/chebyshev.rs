@@ -115,12 +115,12 @@ impl Default for ChebyOpts {
 }
 
 impl From<&SolverParams> for ChebyOpts {
-    /// Consumes `presteps`, `eigen_safety` and `check_interval`.
+    /// Consumes `presteps`; the safety widening and check cadence are
+    /// the defaults.
     fn from(params: &SolverParams) -> Self {
         ChebyOpts {
             presteps: params.presteps,
-            eigen_safety: params.eigen_safety,
-            check_interval: params.check_interval,
+            ..ChebyOpts::default()
         }
     }
 }

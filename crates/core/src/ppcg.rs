@@ -100,14 +100,14 @@ impl PpcgOpts {
 }
 
 impl From<&SolverParams> for PpcgOpts {
-    /// Consumes `inner_steps`, `halo_depth`, `presteps` and
-    /// `eigen_safety`.
+    /// Consumes `inner_steps`, `halo_depth` and `presteps`; the safety
+    /// widening is the default.
     fn from(params: &SolverParams) -> Self {
         PpcgOpts {
             inner_steps: params.inner_steps,
             halo_depth: params.halo_depth,
             presteps: params.presteps,
-            eigen_safety: params.eigen_safety,
+            ..PpcgOpts::default()
         }
     }
 }

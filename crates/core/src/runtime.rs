@@ -1,15 +1,15 @@
 //! Execution-runtime knobs: how many worker threads the kernels use and
 //! how large a sweep must be before it goes parallel.
 //!
-//! Both knobs resolve lazily from the environment on first use and can
-//! be overridden programmatically (benchmarks and the bit-identity tests
-//! flip them within one process):
+//! Both knobs can be set programmatically (benchmarks and the
+//! bit-identity tests flip them within one process); the worker count
+//! also resolves lazily from the environment on first use:
 //!
-//! * `TEA_NUM_THREADS` — worker count for every `par_*` region
-//!   (default: available cores; `1` restores pure sequential execution
-//!   bit-for-bit);
-//! * `TEA_PAR_THRESHOLD` — minimum swept cells before a kernel takes its
-//!   parallel path (default [`PAR_THRESHOLD`]).
+//! * `TEA_NUM_THREADS` / [`set_num_threads`] — worker count for every
+//!   `par_*` region (default: available cores; `1` restores pure
+//!   sequential execution bit-for-bit);
+//! * [`set_par_threshold`] — minimum swept cells before a kernel takes
+//!   its parallel path (default [`PAR_THRESHOLD`]).
 //!
 //! A *user-facing* worker count — `TEA_NUM_THREADS`, the CLI's
 //! `--threads`, a deck's `tl_num_threads` — is clamped to
@@ -40,19 +40,16 @@ static THRESHOLD: OnceLock<AtomicUsize> = OnceLock::new();
 /// The last user request [`request_num_threads`] had to clamp (0: none).
 static OVERSUBSCRIBED: AtomicUsize = AtomicUsize::new(0);
 
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
 /// The environment, read once on the first touch of either knob — every
 /// kernel asks for the threshold before it can open a parallel region,
 /// so an over-subscribed `TEA_NUM_THREADS` is clamped before it is used.
 fn threshold_cell() -> &'static AtomicUsize {
     THRESHOLD.get_or_init(|| {
-        if let Some(requested) = env_usize("TEA_NUM_THREADS") {
+        let requested = std::env::var("TEA_NUM_THREADS").ok();
+        if let Some(requested) = requested.and_then(|v| v.trim().parse().ok()) {
             rayon::set_num_threads(grant_threads(requested, hardware_threads()));
         }
-        AtomicUsize::new(env_usize("TEA_PAR_THRESHOLD").unwrap_or(PAR_THRESHOLD))
+        AtomicUsize::new(PAR_THRESHOLD)
     })
 }
 

@@ -4,9 +4,8 @@
 //! allocates a tile, a workspace and a solver, prepares, solves, and
 //! throws the lot away. That is the right shape for a single solve, but
 //! a serving queue that drains hundreds of decks — many of them
-//! identical — pays the setup tax over and over: workspace allocation,
-//! preconditioner assembly, and (for the Chebyshev family) the CG
-//! prelude's Lanczos eigenvalue analysis.
+//! identical — pays the setup tax over and over: workspace allocation
+//! and preconditioner assembly.
 //!
 //! A [`SolveSession`] owns everything `Solve::run` allocated per call —
 //! operator, serial tile plumbing, workspace, solver instance — and
@@ -23,12 +22,8 @@
 //! solver into a cold one. Either way a job constructs its solver once.
 //! Hit and miss counters feed the serving run summary.
 //!
-//! Sessions also memoise eigenvalue estimates: a solve over bit-
-//! identical `(u, b, opts)` pins the previous [`EigenEstimate`] via
-//! [`crate::IterativeSolver::set_eigen_hint`], skipping the Lanczos
-//! analysis while still running the CG presteps (they advance `u`, so
-//! skipping them would change results). Because the hint only fires on
-//! bit-identical input, a warm solve is bit-identical to a cold one.
+//! A prepared solver carries nothing from one solve to the next but the
+//! state `prepare` built, so a warm solve is bit-identical to a cold one.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,7 +34,6 @@ use crate::api::{
 };
 use crate::builder::create_solver;
 use crate::control::SolveControls;
-use crate::eigen::EigenEstimate;
 use crate::ops::TileOperator;
 use crate::precon::PreconKind;
 use crate::solver::{SolveOpts, Tile, Workspace};
@@ -91,11 +85,10 @@ impl SessionSpec {
 /// assembled face coefficients, the canonical solver name, the
 /// requested precision and the solver's halo depth. The fingerprint is
 /// deliberately broader than the coefficients alone — it also folds in
-/// the solver parameters (preconditioner, inner steps, presteps,
-/// eigenvalue safety, check interval) and the convergence options,
-/// because a prepared solver latches all of those: reusing a session
-/// across jobs that differ in any of them would silently change
-/// results.
+/// the solver parameters (preconditioner, inner steps, halo depth,
+/// presteps, tune seed) and the convergence options, because a prepared
+/// solver latches all of those: reusing a session across jobs that
+/// differ in any of them would silently change results.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 struct SetupKey {
     /// Interior cells in x.
@@ -179,24 +172,9 @@ fn fingerprint(op: &TileOperator, spec: &SessionSpec) -> u64 {
     h.push_u64(p.inner_steps as u64);
     h.push_u64(p.halo_depth as u64);
     h.push_u64(p.presteps);
-    h.push_f64(p.eigen_safety);
-    h.push_u64(p.check_interval);
     h.push_u64(p.tune_seed);
     h.push_f64(spec.opts.eps);
     h.push_u64(spec.opts.max_iters);
-    h.0
-}
-
-/// Memo key for the eigen-estimate cache: every bit of `u` and `b`
-/// (ghosts included) plus the convergence options. Identical key means
-/// the CG prelude would recompute the identical estimate, so pinning
-/// the memoised one changes nothing but the Lanczos work.
-fn eigen_memo_key(u: &Field2D, b: &Field2D, opts: &SolveOpts) -> u64 {
-    let mut h = Fnv::new();
-    h.push_field(u);
-    h.push_field(b);
-    h.push_f64(opts.eps);
-    h.push_u64(opts.max_iters);
     h.0
 }
 
@@ -267,8 +245,6 @@ pub struct SolveSession {
     key: SetupKey,
     assembly: Option<OwnedAssembly>,
     prepares: u64,
-    eigen_memo: BTreeMap<u64, EigenEstimate>,
-    eigen_hits: u64,
 }
 
 impl SolveSession {
@@ -301,8 +277,6 @@ impl SolveSession {
             key,
             assembly: None,
             prepares: 0,
-            eigen_memo: BTreeMap::new(),
-            eigen_hits: 0,
         }
     }
 
@@ -339,13 +313,6 @@ impl SolveSession {
         self.prepares
     }
 
-    /// Solves that pinned a memoised eigenvalue estimate instead of
-    /// re-running the Lanczos analysis.
-    // audit:allow(dead_pub) — read by session.rs::eigen_memo_fires_only_on_identical_input
-    pub fn eigen_hits(&self) -> u64 {
-        self.eigen_hits
-    }
-
     /// Drains the solver's type-erased diagnostics (AMG's multigrid
     /// trace) — the session pass-through of
     /// [`IterativeSolver::take_diagnostics`].
@@ -367,18 +334,14 @@ impl SolveSession {
     }
 
     /// Solves `A u = b` with `u` entering as the initial guess,
-    /// preparing on first use and reusing the prepared state (and any
-    /// memoised eigenvalue estimate) afterwards.
+    /// preparing on first use and reusing the prepared state afterwards.
     pub fn solve(&mut self, u: &mut Field2D, b: &Field2D) -> SolveResult {
         self.solve_controlled(u, b, SolveControls::default())
     }
 
     /// [`SolveSession::solve`] with an armed control bundle: the
     /// serving path's entry point for deadlines, cancellation and fault
-    /// probes. When a probe is armed the eigenvalue memo is bypassed in
-    /// both directions — a fault-perturbed solve must neither consume a
-    /// clean memoised spectrum slot's semantics nor deposit a poisoned
-    /// estimate for later clean solves.
+    /// probes.
     pub fn solve_controlled(
         &mut self,
         u: &mut Field2D,
@@ -392,30 +355,10 @@ impl SolveSession {
             });
             self.prepares = 1;
         }
-        let probed = controls.probe.is_some();
-        let memo_key = eigen_memo_key(u, b, &self.opts);
-        let hint = if probed {
-            None
-        } else {
-            self.eigen_memo.get(&memo_key).copied()
-        };
-        if hint.is_some() {
-            self.eigen_hits += 1;
-        }
-        self.solver.set_eigen_hint(hint);
-        let result = self.in_context(controls, |solver, ctx, ws| {
+        self.in_context(controls, |solver, ctx, ws| {
             let mut trace = SolveTrace::new(solver.label());
             solver.solve(ctx, u, b, ws, &mut trace)
-        });
-        // Clear the pin so a stale spectrum never leaks into a solve
-        // over different input, then memoise what this solve measured.
-        self.solver.set_eigen_hint(None);
-        if !probed && !result.status.is_diverged() && !result.status.is_cancelled() {
-            if let Some(est) = self.solver.last_eigen_estimate() {
-                self.eigen_memo.insert(memo_key, est);
-            }
-        }
-        result
+        })
     }
 
     /// Runs `f` on the solver inside the session's solve context.
@@ -595,33 +538,6 @@ mod tests {
             );
             assert_eq!(warm.prepare_count(), 1, "{solver}: session re-prepared");
         }
-    }
-
-    #[test]
-    fn eigen_memo_fires_only_on_identical_input() {
-        let spec = spec_for("chebyshev");
-        let (op, b) = crooked_pipe_system(24, 0.04, 1);
-        let mut session = SolveSession::build(op, &spec).unwrap();
-
-        let mut u = b.clone();
-        let first = session.solve(&mut u, &b);
-        assert_eq!(session.eigen_hits(), 0);
-
-        let mut u = b.clone();
-        let second = session.solve(&mut u, &b);
-        assert_eq!(
-            session.eigen_hits(),
-            1,
-            "identical input should hit the memo"
-        );
-        assert_eq!(second.trace.eigen_bounds, first.trace.eigen_bounds);
-
-        // Different right-hand side: the memo must not fire.
-        let mut b2 = b.clone();
-        b2.set(3, 3, b.at(3, 3) * 1.5);
-        let mut u = b2.clone();
-        session.solve(&mut u, &b2);
-        assert_eq!(session.eigen_hits(), 1, "memo fired on different input");
     }
 
     #[test]

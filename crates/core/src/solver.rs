@@ -137,8 +137,6 @@ pub struct Workspace {
     pub sd: Field2D,
     /// Inner-solve residual copy (matrix powers).
     pub rr: Field2D,
-    /// Previous-iterate copy (Jacobi).
-    pub u_old: Field2D,
     /// General scratch (preconditioned inner residual, temporaries).
     pub tmp: Field2D,
 }
@@ -155,7 +153,6 @@ impl Workspace {
             z: f(),
             sd: f(),
             rr: f(),
-            u_old: f(),
             tmp: f(),
         }
     }

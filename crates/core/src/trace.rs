@@ -14,7 +14,6 @@
 //! §VI).
 
 use crate::control::{Probed, SolveControls};
-use crate::eigen::EigenEstimate;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use tea_mesh::Field2;
@@ -109,12 +108,6 @@ impl SolveTrace {
     pub fn record_reduction(&mut self, elements: usize) {
         self.reductions += 1;
         self.reduction_elements += elements as u64;
-    }
-
-    /// The eigenvalue estimate the solve used, if it computed one.
-    pub fn eigen_estimate(&self) -> Option<EigenEstimate> {
-        self.eigen_bounds
-            .map(|(min, max)| EigenEstimate { min, max })
     }
 
     /// Total halo exchange operations (any depth).
@@ -330,7 +323,7 @@ impl SolveResult {
     /// Ends the solve [`SolveStatus::Diverged`] at the current
     /// iteration. The one ending convention: every diverged result
     /// reports a NaN final residual, whichever loop detected it.
-    pub(crate) fn diverge(&mut self) {
+    pub fn diverge(&mut self) {
         self.status = SolveStatus::Diverged {
             iteration: self.iterations,
         };

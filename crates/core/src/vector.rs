@@ -22,8 +22,8 @@
 //!
 //! # The reduction shape
 //!
-//! Every row partial — [`dot_local`], [`abs_diff_local`], the `p·w` of
-//! `apply_fused_dot`, the `r·z` of [`cg_update`] — is
+//! Every row partial — [`dot_local`], the `p·w` of `apply_fused_dot`,
+//! the `r·z` of [`cg_update`] — is
 //! [`lanes::tree_sum`]: element `i` of the row accumulates into lane
 //! `i mod 16` of [`lanes::REDUCE_LANES`] accumulators (the same 16 for
 //! `f64` and `f32`) over the whole 16-element blocks, the lanes fold by
@@ -213,12 +213,6 @@ pub mod lanes {
     #[inline(always)]
     pub fn dot_row<S: Scalar>(a: &[S], b: &[S]) -> S {
         reduce2(a, b, |x, y| x * y)
-    }
-
-    /// Row sum of absolute differences `Σ|a[i]-b[i]|`.
-    #[inline(always)]
-    pub fn abs_diff_row<S: Scalar>(a: &[S], b: &[S]) -> S {
-        reduce2(a, b, |x, y| (x - y).abs())
     }
 
     /// One row of [`super::cg_update`]: `u += αp`, `r −= αw`, returning
@@ -713,20 +707,6 @@ pub fn dot_local<S: Scalar>(
     })
 }
 
-/// Local sum of absolute differences `Σ|a - b|` over the interior
-/// (Jacobi's convergence metric).
-pub fn abs_diff_local<S: Scalar>(
-    a: &Field2<S>,
-    b: &Field2<S>,
-    bounds: &TileBounds,
-    trace: &mut SolveTrace,
-) -> S {
-    trace.dot_kernels.record(0);
-    sum_rows(bounds, 0, |k, x_lo, x_hi| {
-        lanes::abs_diff_row(a.row(k, x_lo, x_hi), b.row(k, x_lo, x_hi))
-    })
-}
-
 /// CG's fused update over the tile interior, one sweep: `u += αp`,
 /// `r −= αw`, returning the local `Σ r·z` of the *updated* residual with
 /// `z = r` (`inv_diag` absent) or `z = r·inv_diag` — `z` is never
@@ -890,10 +870,6 @@ mod tests {
             "data must tell the orders apart"
         );
         assert!((dl - chain).abs() <= 1e-13 * prods.iter().map(|p| p.abs()).sum::<f64>());
-
-        let diffs: Vec<f64> = (0..len).map(|i| (xs[i] - ys[i]).abs()).collect();
-        let al = lanes::abs_diff_row(&xs, &ys);
-        assert_eq!(al.to_bits(), scalar_ref::tree_sum(&diffs).to_bits());
     }
 
     #[test]
@@ -956,8 +932,7 @@ mod tests {
         let x = f(4, 0, |_, _| 3.0);
         let y = f(4, 0, |_, _| -1.0);
         assert_eq!(dot_local(&x, &y, &b, &mut t), -48.0);
-        assert_eq!(abs_diff_local(&x, &y, &b, &mut t), 64.0);
-        assert_eq!(t.dot_kernels.total(), 2);
+        assert_eq!(t.dot_kernels.total(), 1);
     }
 
     #[test]

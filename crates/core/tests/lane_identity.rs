@@ -5,8 +5,8 @@
 //!
 //! * **elementwise** lane kernels are bit-identical to the
 //!   element-at-a-time loops in `vector::scalar_ref`;
-//! * **reductions** (`dot_row`, `abs_diff_row`, the `r·z` partial of the
-//!   fused CG update) are bit-identical to an independent scalar model
+//! * **reductions** (`dot_row`, the `r·z` partial of the fused CG
+//!   update) are bit-identical to an independent scalar model
 //!   of the fixed 16-lane tree (`scalar_ref::tree_sum`: plain indexed
 //!   loops over precomputed terms, no `chunks_exact`), and within
 //!   `n·ε·Σ|tᵢ|` of the serial add chain they replaced.
@@ -99,9 +99,7 @@ proptest! {
 
         // reductions: the 16-lane tree, bitwise; the old chain, closely
         let prods: Vec<f64> = (0..n).map(|i| x[i] * r[i]).collect();
-        let diffs: Vec<f64> = (0..n).map(|i| (x[i] - r[i]).abs()).collect();
         check_reduction(lanes::dot_row(&x, &r), &prods);
-        check_reduction(lanes::abs_diff_row(&x, &r), &diffs);
 
         // the fused CG update: u and r like two axpys, r·z like the tree
         for diag in [None, Some(&d)] {
@@ -198,7 +196,6 @@ fn kernel_sweep_bits(nx: usize, ny: usize, seed: u64) -> Vec<u64> {
     out.extend(interior_bits(&y));
 
     out.push(vector::dot_local(&x, &r, &bounds, &mut tr).to_bits());
-    out.push(vector::abs_diff_local(&x, &r, &bounds, &mut tr).to_bits());
 
     for diag in [None, Some(&d)] {
         let (mut u, mut rr) = (field(nx, ny, seed ^ 8), field(nx, ny, seed ^ 9));

@@ -12,8 +12,8 @@
 use crate::policy::TuneState;
 use std::any::Any;
 use tea_core::{
-    EigenEstimate, IterativeSolver, Precision, SolveContext, SolveOpts, SolveResult, SolveTrace,
-    SolverMeta, SolverParams, SolverRegistry, Workspace,
+    IterativeSolver, Precision, SolveContext, SolveOpts, SolveResult, SolveTrace, SolverMeta,
+    SolverParams, SolverRegistry, Workspace,
 };
 use tea_mesh::Field2D;
 
@@ -50,7 +50,6 @@ struct AutoSolver {
     registry: SolverRegistry,
     state: Option<TuneState>,
     winner: Option<Box<dyn IterativeSolver>>,
-    hint: Option<EigenEstimate>,
 }
 
 impl std::fmt::Debug for AutoSolver {
@@ -72,7 +71,6 @@ impl AutoSolver {
             registry: SolverRegistry::builtin(),
             state: None,
             winner: None,
-            hint: None,
         }
     }
 
@@ -85,7 +83,6 @@ impl AutoSolver {
         trace: &mut SolveTrace,
     ) -> SolveResult {
         let mut state = TuneState::plan(&self.registry, &self.params);
-        let mut hint = self.hint;
         let mut best: Option<(SolveResult, Field2D, Box<dyn IterativeSolver>)> = None;
         for idx in 0..state.candidates().len() {
             let candidate = state.candidates()[idx].clone();
@@ -103,7 +100,6 @@ impl AutoSolver {
                 max_iters: cap,
             };
             solver.prepare(ctx, &trial_opts);
-            solver.set_eigen_hint(hint);
             let mut trial_u = u.clone();
             let result = solver.solve(ctx, &mut trial_u, b, ws, trace);
             if result.status.is_cancelled() {
@@ -113,16 +109,10 @@ impl AutoSolver {
                 trace.solver = self.label();
                 return result;
             }
-            if hint.is_none() {
-                if let Some((min, max)) = result.trace.eigen_bounds {
-                    hint = Some(EigenEstimate { min, max });
-                }
-            }
             if state.record_trial(idx, &result, cap) {
                 best = Some((result, trial_u, solver));
             }
         }
-        self.hint = hint;
         let mut outcome = match best {
             Some((result, trial_u, solver)) => {
                 *u = trial_u;
@@ -144,7 +134,6 @@ impl AutoSolver {
                     .create("cg", &candidate.params(&self.params))
                     .expect("cg is registered");
                 solver.prepare(ctx, &self.opts);
-                solver.set_eigen_hint(hint);
                 let result = solver.solve(ctx, u, b, ws, trace);
                 state.record_trial(fallback, &result, self.opts.max_iters);
                 self.winner = Some(solver);
@@ -208,20 +197,6 @@ impl IterativeSolver for AutoSolver {
         self.state
             .as_ref()
             .map(|s| Box::new(s.log.clone()) as Box<dyn Any>)
-    }
-
-    fn set_eigen_hint(&mut self, hint: Option<EigenEstimate>) {
-        self.hint = hint;
-        if let Some(winner) = &mut self.winner {
-            winner.set_eigen_hint(hint);
-        }
-    }
-
-    fn last_eigen_estimate(&self) -> Option<EigenEstimate> {
-        self.winner
-            .as_ref()
-            .and_then(|w| w.last_eigen_estimate())
-            .or(self.hint)
     }
 }
 
@@ -316,6 +291,53 @@ mod tests {
         let diag = auto.take_diagnostics().unwrap();
         let carried = diag.downcast::<TuneLog>().unwrap();
         assert_eq!(carried.winner, log.winner);
+    }
+
+    #[test]
+    fn eigen_prelude_candidates_of_a_race_agree_on_the_spectrum() {
+        // every candidate opens with the same presteps from the same
+        // (u, b) under the same preconditioner, so each one's own
+        // Lanczos analysis must land on the same bits — at any halo
+        // depth, in either precision, even at the tightest trial cap
+        // the race allows
+        use tea_core::PreconKind;
+        let (op, b) = crooked_pipe_system(24, 0.04, 8);
+        let registry = SolverRegistry::builtin();
+        for precon in [
+            PreconKind::None,
+            PreconKind::Diagonal,
+            PreconKind::BlockJacobi,
+        ] {
+            let params = SolverParams {
+                precon,
+                halo_depth: 8,
+                ..SolverParams::default()
+            };
+            let state = TuneState::plan(&registry, &params);
+            let bounds: Vec<(String, (u64, u64))> = state
+                .candidates()
+                .iter()
+                .filter(|c| c.needs_eigen_estimate)
+                .map(|c| {
+                    let result = Solve::on(&op)
+                        .with_solver(c.solver.as_str())
+                        .params(c.params(&params))
+                        .eps(1e-13) // out of the presteps' reach under any precon
+                        .max_iters(TuneState::min_useful_iters(c, params.presteps))
+                        .run(&mut b.clone(), &b)
+                        .unwrap();
+                    let (min, max) = result.trace.eigen_bounds.expect("the prelude ran");
+                    (c.label(), (min.to_bits(), max.to_bits()))
+                })
+                .collect();
+            assert!(
+                bounds.len() >= 6,
+                "three families, two precisions: {bounds:?}"
+            );
+            for (label, bits) in &bounds {
+                assert_eq!(*bits, bounds[0].1, "{precon:?}: {label} vs {}", bounds[0].0);
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! same seed always explores in the same order.
 
 use serde::{Deserialize, Serialize};
-use tea_core::{PreconKind, SolverParams, SolverRegistry};
+use tea_core::{ChebyOpts, PreconKind, SolverParams, SolverRegistry};
 use tea_perfmodel::{predicted_iteration_bytes, KernelBytes};
 
 /// Halo depths tried for methods with `deep_halo` metadata (the paper's
@@ -95,7 +95,9 @@ pub fn plan_candidates(
         // accelerators run one f32 block of `check_interval` sweeps
         let m = match meta.name {
             "ppcg" | "mixed_ppcg" => params.inner_steps,
-            "mixed_chebyshev" | "mixed_richardson" => params.check_interval.max(1) as usize,
+            "mixed_chebyshev" | "mixed_richardson" => {
+                ChebyOpts::default().check_interval.max(1) as usize
+            }
             _ => 1,
         };
         for &depth in depths {
