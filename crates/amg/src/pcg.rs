@@ -5,6 +5,11 @@
 //! honours stop handles and probes and types its endings like every
 //! other solver; this crate plugs in only the V-cycle.
 //!
+//! The hierarchy is built per `prepare`: per time step under the
+//! reference driver's `run_rank` (which re-prepares every step, like
+//! the reference baseline re-runs its setup), once per session under
+//! the serving path, whose setup cache then holds it.
+//!
 //! The defining behaviours this reproduces (paper §VI):
 //! near-mesh-independent iteration counts (fastest time-to-solution at
 //! low node counts) bought with per-iteration work on *every* level —
@@ -15,10 +20,11 @@ use crate::hierarchy::{MgHierarchy, MgOpts};
 use crate::trace::MgTrace;
 use tea_comms::Communicator;
 use tea_core::{
-    pcg_loop, Entry, IterativeSolver, Krylov, Precondition, SolveContext, SolveOpts, SolveResult,
-    SolveStatus, SolveTrace, SolverMeta, SolverParams, SolverRegistry, Tile, Workspace,
+    pcg_loop, Assembly, Entry, IterativeSolver, Krylov, Precondition, SolveContext, SolveOpts,
+    SolveResult, SolveStatus, SolveTrace, SolverMeta, SolverParams, SolverRegistry, Tile,
+    Workspace,
 };
-use tea_mesh::{Coefficient, Field2D};
+use tea_mesh::Field2D;
 
 /// Registry metadata for the AMG baseline.
 const AMG_META: SolverMeta = SolverMeta {
@@ -50,21 +56,28 @@ pub fn full_registry() -> SolverRegistry {
 
 /// V-cycle-preconditioned CG as an [`IterativeSolver`].
 ///
-/// Rebuilds the multigrid hierarchy from the [`tea_core::Assembly`]
-/// carried by the [`SolveContext`] on every solve (the baseline's heavy
-/// setup is part of the protocol being reproduced), and accumulates the
-/// per-level V-cycle trace across solves; drivers recover it via the
-/// [`IterativeSolver::take_diagnostics`] hook (payload [`MgTrace`]) or
-/// directly through [`AmgPcg::take_mg_trace`].
+/// The multigrid hierarchy is prepared state: [`IterativeSolver::prepare`]
+/// builds it from the [`tea_core::Assembly`] carried by the
+/// [`SolveContext`] and every solve reuses it (a solve with no prepare
+/// behind it builds on demand). The reference driver re-prepares every
+/// time step, so the baseline's heavy setup is still paid per step
+/// there; a [`tea_core::SolveSession`] prepares once, so a warm serving
+/// job pays none. The per-level V-cycle trace, setup cells included
+/// where a build ran, accumulates across prepares and solves; drivers
+/// recover it via the [`IterativeSolver::take_diagnostics`] hook
+/// (payload [`MgTrace`]) or directly through [`AmgPcg::take_mg_trace`].
 ///
 /// # Panics
-/// `solve` panics if the context carries no assembly info or if the
-/// communicator spans more than one rank (the baseline is serial; its
-/// distributed behaviour enters through trace replay).
+/// `solve` panics if it has to build and the context carries no
+/// assembly info, or if the communicator spans more than one rank (the
+/// baseline is serial; its distributed behaviour enters through trace
+/// replay).
 #[derive(Debug, Default)]
 pub struct AmgPcg {
     amg: AmgPcgOpts,
     opts: SolveOpts,
+    /// The hierarchy the last prepare (or on-demand build) made.
+    hierarchy: Option<MgHierarchy>,
     mg_trace: Option<MgTrace>,
 }
 
@@ -73,8 +86,7 @@ impl AmgPcg {
     pub fn new(amg: AmgPcgOpts) -> Self {
         AmgPcg {
             amg,
-            opts: SolveOpts::default(),
-            mg_trace: None,
+            ..AmgPcg::default()
         }
     }
 
@@ -84,10 +96,28 @@ impl AmgPcg {
         AmgPcg::new(AmgPcgOpts::default())
     }
 
-    /// Takes the multigrid trace accumulated over all solves since the
-    /// last call (`None` if no solve ran).
+    /// Takes the multigrid trace accumulated over all builds and solves
+    /// since the last call (`None` if none ran).
     pub fn take_mg_trace(&mut self) -> Option<MgTrace> {
         self.mg_trace.take()
+    }
+
+    fn record(&mut self, t: MgTrace) {
+        match &mut self.mg_trace {
+            Some(acc) => acc.merge(&t),
+            None => self.mg_trace = Some(t),
+        }
+    }
+
+    /// Builds the hierarchy from `asm` and records its setup work.
+    fn build(&mut self, asm: &Assembly<'_>) {
+        let h = MgHierarchy::build(asm.density, asm.coefficient, asm.rx, asm.ry, self.amg.mg);
+        self.record(MgTrace {
+            level_shapes: h.shapes(),
+            setup_cells: h.setup_cells,
+            ..MgTrace::default()
+        });
+        self.hierarchy = Some(h);
     }
 }
 
@@ -100,11 +130,12 @@ impl IterativeSolver for AmgPcg {
         "BoomerAMG".into()
     }
 
-    fn prepare(&mut self, _ctx: &SolveContext<'_>, opts: &SolveOpts) {
-        // the hierarchy is rebuilt per solve from the assembly info (the
-        // reference baseline re-runs setup every step); only the options
-        // are latched here
+    fn prepare(&mut self, ctx: &SolveContext<'_>, opts: &SolveOpts) {
         self.opts = *opts;
+        self.hierarchy = None;
+        if let Some(asm) = &ctx.assembly {
+            self.build(asm);
+        }
     }
 
     fn solve(
@@ -115,28 +146,49 @@ impl IterativeSolver for AmgPcg {
         ws: &mut Workspace,
         trace: &mut SolveTrace,
     ) -> SolveResult {
-        let asm = ctx.assembly.expect(
-            "the AMG baseline rebuilds its hierarchy from the density field: \
-             construct the SolveContext with_assembly(..)",
+        let tile = ctx.tile;
+        assert_eq!(
+            tile.comm.size(),
+            1,
+            "the AMG baseline runs on a single tile; scaling comes from trace replay"
         );
-        let out = amg_pcg_solve_impl(
-            ctx.tile,
-            asm.density,
-            asm.coefficient,
-            asm.rx,
-            asm.ry,
-            u,
-            b,
-            ws,
-            self.opts,
-            self.amg,
-        );
-        match &mut self.mg_trace {
-            Some(t) => t.merge(&out.mg_trace),
-            None => self.mg_trace = Some(out.mg_trace),
+        if self.hierarchy.is_none() {
+            let asm = ctx.assembly.expect(
+                "the AMG baseline builds its hierarchy from the density field: \
+                 construct the SolveContext with_assembly(..)",
+            );
+            self.build(&asm);
         }
-        trace.merge(&out.result.trace);
-        out.result
+        let hierarchy = self.hierarchy.as_mut().expect("built above");
+        let mut mg_trace = MgTrace {
+            level_shapes: hierarchy.shapes(),
+            ..MgTrace::default()
+        };
+        let result = if hierarchy.is_singular() {
+            // nothing to precondition with: the solve ends typed, before
+            // its first V-cycle, like any other breakdown at iteration 0
+            let mut result = SolveResult {
+                converged: false,
+                iterations: 0,
+                initial_residual: f64::NAN,
+                final_residual: f64::NAN,
+                status: SolveStatus::IterationLimit,
+                trace: SolveTrace::new("BoomerAMG"),
+            };
+            result.diverge();
+            result
+        } else {
+            let mut step = Vcycle {
+                hierarchy,
+                mg_trace: &mut mg_trace,
+            };
+            let (mut k, _) = ws.krylov(tile.op, u, b);
+            let entry = Entry::Fresh(SolveTrace::new("BoomerAMG"));
+            pcg_loop(tile, &mut k, &mut step, entry, self.opts).0
+        };
+        self.record(mg_trace);
+        trace.merge(&result.trace);
+        result
     }
 
     fn take_diagnostics(&mut self) -> Option<Box<dyn std::any::Any>> {
@@ -150,16 +202,6 @@ impl IterativeSolver for AmgPcg {
 pub struct AmgPcgOpts {
     /// V-cycle smoothing configuration.
     pub mg: MgOpts,
-}
-
-/// Result of an AMG-PCG solve: the standard result plus the multigrid
-/// trace.
-#[derive(Debug)]
-pub(crate) struct AmgSolveResult {
-    /// Convergence data and outer-CG protocol.
-    pub(crate) result: SolveResult,
-    /// Per-level V-cycle protocol.
-    pub(crate) mg_trace: MgTrace,
 }
 
 /// The AMG instance of [`pcg_loop`]: `z = M⁻¹r` is one multigrid
@@ -180,62 +222,17 @@ impl Precondition<f64> for Vcycle<'_> {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn amg_pcg_solve_impl<C: Communicator + ?Sized>(
-    tile: &Tile<'_, C>,
-    density: &Field2D,
-    coefficient: Coefficient,
-    rx: f64,
-    ry: f64,
-    u: &mut Field2D,
-    b: &Field2D,
-    ws: &mut Workspace,
-    opts: SolveOpts,
-    amg: AmgPcgOpts,
-) -> AmgSolveResult {
-    assert_eq!(
-        tile.comm.size(),
-        1,
-        "the AMG baseline runs on a single tile; scaling comes from trace replay"
-    );
-    let mut hierarchy = MgHierarchy::build(density, coefficient, rx, ry, amg.mg);
-    let mut mg_trace = MgTrace {
-        level_shapes: hierarchy.shapes(),
-        setup_cells: hierarchy.setup_cells,
-        ..Default::default()
-    };
-    let trace = SolveTrace::new("BoomerAMG");
-    if hierarchy.is_singular() {
-        // nothing to precondition with: the solve ends typed, before
-        // its first V-cycle, like any other breakdown at iteration 0
-        let mut result = SolveResult {
-            converged: false,
-            iterations: 0,
-            initial_residual: f64::NAN,
-            final_residual: f64::NAN,
-            status: SolveStatus::IterationLimit,
-            trace,
-        };
-        result.diverge();
-        return AmgSolveResult { result, mg_trace };
-    }
-    let mut step = Vcycle {
-        hierarchy: &mut hierarchy,
-        mg_trace: &mut mg_trace,
-    };
-    let (mut k, _) = ws.krylov(tile.op, u, b);
-    let (result, _) = pcg_loop(tile, &mut k, &mut step, Entry::Fresh(trace), opts);
-    AmgSolveResult { result, mg_trace }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tea_comms::{HaloLayout, SerialComm};
     use tea_core::{
-        Solve, SolveControls, SolveStatus, SolveTrace, StopHandle, TileBounds, TileOperator,
+        SessionSpec, SetupCache, Solve, SolveControls, SolveSession, SolveStatus, SolveTrace,
+        StopHandle, TileBounds, TileOperator,
     };
-    use tea_mesh::{crooked_pipe, timestep_scalings, Coefficients, Decomposition2D, Mesh2D};
+    use tea_mesh::{
+        crooked_pipe, timestep_scalings, Coefficient, Coefficients, Decomposition2D, Mesh2D,
+    };
 
     struct Setup {
         op: TileOperator,
@@ -271,31 +268,83 @@ mod tests {
         }
     }
 
-    fn run(n: usize) -> (AmgSolveResult, Field2D, Setup) {
+    /// A solve's result and the multigrid trace of its prepare + solve.
+    struct Solved {
+        result: SolveResult,
+        mg_trace: MgTrace,
+    }
+
+    fn run(n: usize) -> (Solved, Field2D, Setup) {
         run_under(setup(n), SolveControls::default())
     }
 
-    fn run_under(s: Setup, controls: SolveControls<'_>) -> (AmgSolveResult, Field2D, Setup) {
+    /// One prepare + solve through the trait, as the reference driver
+    /// runs a step.
+    fn run_under(s: Setup, controls: SolveControls<'_>) -> (Solved, Field2D, Setup) {
         let (n, _) = s.op.bounds.tile();
         let comm = SerialComm::new();
         let d = Decomposition2D::with_grid(n, n, 1, 1);
         let layout = HaloLayout::new(&d, 0);
-        let tile = Tile::with_controls(&s.op, &layout, &comm, controls);
+        let tile = Tile::with_controls(&s.op, &layout, comm.as_dyn(), controls);
+        let ctx = SolveContext::with_assembly(
+            &tile,
+            Assembly {
+                density: &s.density,
+                coefficient: s.coefficient,
+                rx: s.rx,
+                ry: s.ry,
+            },
+        );
+        let mut solver = AmgPcg::new(AmgPcgOpts::default());
         let mut ws = Workspace::new(n, n, 1);
         let mut u = s.b.clone();
-        let res = amg_pcg_solve_impl(
-            &tile,
-            &s.density,
-            s.coefficient,
-            s.rx,
-            s.ry,
-            &mut u,
-            &s.b,
-            &mut ws,
-            SolveOpts::with_eps(1e-9),
-            AmgPcgOpts::default(),
-        );
-        (res, u, s)
+        let mut trace = SolveTrace::new(solver.label());
+        solver.prepare(&ctx, &SolveOpts::with_eps(1e-9));
+        let result = solver.solve(&ctx, &mut u, &s.b, &mut ws, &mut trace);
+        let mg_trace = solver.take_mg_trace().expect("a build and a solve ran");
+        (Solved { result, mg_trace }, u, s)
+    }
+
+    /// A cold session over `s`, checked out of its own cache the way the
+    /// serving driver builds one.
+    fn cold_session(s: &Setup) -> SolveSession {
+        let spec = SessionSpec {
+            opts: SolveOpts::with_eps(1e-9),
+            ..SessionSpec::solver("amg")
+        };
+        let solver = Box::new(AmgPcg::new(AmgPcgOpts::default()));
+        SetupCache::new().checkout_or_build(s.op.clone(), &spec, solver, |cold| {
+            cold.with_assembly(s.density.clone(), s.coefficient, s.rx, s.ry)
+        })
+    }
+
+    #[test]
+    fn a_session_builds_once_and_solves_warm_like_cold() {
+        let s = setup(32);
+        let one_build =
+            MgHierarchy::build(&s.density, s.coefficient, s.rx, s.ry, MgOpts::default())
+                .setup_cells;
+        let mut warm = cold_session(&s);
+        let mut vcycles = 0;
+        for solve in 0..3 {
+            let mut u = s.b.clone();
+            let got = warm.solve(&mut u, &s.b);
+            let mut u_cold = s.b.clone();
+            let want = cold_session(&s).solve(&mut u_cold, &s.b);
+            assert!(got.converged, "solve {solve}");
+            assert_eq!(u, u_cold, "solve {solve} drifted from a cold session");
+            assert_eq!(got.iterations, want.iterations, "solve {solve}");
+            assert_eq!(got.final_residual.to_bits(), want.final_residual.to_bits());
+            vcycles += got.iterations + 1;
+        }
+        let mg = *warm
+            .take_diagnostics()
+            .expect("the session solved")
+            .downcast::<MgTrace>()
+            .expect("AMG's diagnostics are its MgTrace");
+        assert_eq!(mg.setup_cells, one_build, "three solves, one build");
+        assert_eq!(mg.vcycles, vcycles);
+        assert_eq!(warm.prepare_count(), 1);
     }
 
     #[test]

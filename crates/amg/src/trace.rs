@@ -28,8 +28,9 @@ pub struct MgTrace {
     /// Coarsest-level direct solves (a gather + broadcast on a
     /// distributed run).
     pub coarse_solves: u64,
-    /// Cells touched building the hierarchy (setup cost, paid every time
-    /// step because the coefficients change).
+    /// Cells touched building the hierarchy, summed over the builds —
+    /// one per `prepare`: every time step under the reference driver,
+    /// once per session on the serving path.
     pub setup_cells: u64,
 }
 

@@ -808,7 +808,14 @@ mod tests {
                 );
             }
             if solver == "amg" {
-                assert!(cold.mg_trace.is_some(), "session path must keep MG traces");
+                let [reference, cold, warm] = [&reference, &cold, &warm].map(|out| {
+                    out.mg_trace
+                        .as_ref()
+                        .expect("every path must keep MG traces")
+                        .setup_cells
+                });
+                assert_eq!(reference, 3 * cold, "the session builds its hierarchy once");
+                assert_eq!(warm, 0, "a warm session reuses the cached hierarchy");
             }
         }
         let stats = cache.stats();
@@ -824,9 +831,16 @@ mod tests {
         assert_eq!(out.trace.outer_iterations, total_iters);
         assert!(out.trace.reductions > 0);
         assert!(out.mg_trace.is_none());
-        let amg = run_serial(&small_deck(16, "amg", 2)).expect("deck runs");
+        let amg = run_serial(&small_deck(16, "amg", 3)).expect("deck runs");
         let mg = amg.mg_trace.expect("AMG runs must carry an MG trace");
         assert!(mg.vcycles > 0);
-        assert!(mg.setup_cells > 0);
+        // the reference driver re-prepares, so rebuilds, every step
+        let one_build: u64 = mg.level_shapes.iter().map(|&(x, y)| (x * y) as u64).sum();
+        assert!(one_build > 0);
+        assert_eq!(
+            mg.setup_cells,
+            3 * one_build,
+            "one hierarchy build per step"
+        );
     }
 }

@@ -29,9 +29,10 @@ use tea_mesh::{Coefficients, Field2, Mesh2D, Scalar};
 
 /// The 5-point stencil at column `i` of one row — the one expression
 /// every operator kernel (apply, fused-dot apply, residual, the fused
-/// Chebyshev sweep) evaluates, factored out so the floating-point
-/// association can never drift between them. `pc` is the centre row
-/// sliced one cell wider on each side (centre value at `pc[i + 1]`).
+/// Chebyshev sweep, the Jacobi sweep) evaluates, factored out so the
+/// floating-point association can never drift between them. `pc` is the
+/// centre row sliced one cell wider on each side (centre value at
+/// `pc[i + 1]`).
 #[inline(always)]
 fn stencil5<S: Scalar>(
     kxr: &[S],
@@ -227,6 +228,57 @@ impl<S: Scalar> TileOperator<S> {
             let kyn = ky.row(k + 1, x_lo, x_hi);
             for i in 0..n {
                 rr[i] = br[i] - stencil5(kxr, kyc, kyn, pc, ps, pn, i);
+            }
+        });
+    }
+
+    /// One weighted-Jacobi sweep as one pass over the tile interior:
+    /// `out = x + w⊙(b − A·x)`, where `w` holds the per-cell weights
+    /// (`ω·D⁻¹` for the multigrid smoother). Bit-identical to
+    /// [`TileOperator::residual`] into `r` followed by `x += w·r`: the
+    /// residual is the same `b − stencil` expression and the update the
+    /// same product and sum, minus the `r` store and re-read.
+    ///
+    /// `x = None` is the zero initial guess, whose stencil is skipped:
+    /// with finite coefficients `A·0` is `+0`, so `b − A·0` is `b` bit
+    /// for bit (a `-0.0` included) and the sweep is `out = 0 + w⊙b` (the
+    /// add stays, so a `-0.0` product still leaves `+0.0`).
+    ///
+    /// Requires `x` valid to extension 1. Untraced: the caller counts
+    /// its sweeps (tea-amg's per-level `MgTrace`).
+    pub fn jacobi_sweep(
+        &self,
+        x: Option<&Field2<S>>,
+        b: &Field2<S>,
+        w: &Field2<S>,
+        out: &mut Field2<S>,
+    ) {
+        let (x_lo, x_hi, _, _) = self.bounds.range(0);
+        let n = (x_hi - x_lo) as usize;
+        let kx = &self.coeffs.kx;
+        let ky = &self.coeffs.ky;
+        crate::vector::for_rows(out, &self.bounds, 0, |k, or| {
+            let br = b.row(k, x_lo, x_hi);
+            let wr = w.row(k, x_lo, x_hi);
+            // one plain loop per start, so each vectorizes
+            match x {
+                None => {
+                    for i in 0..n {
+                        or[i] = S::ZERO + wr[i] * br[i];
+                    }
+                }
+                Some(x) => {
+                    let pc = x.row(k, x_lo - 1, x_hi + 1);
+                    let ps = x.row(k - 1, x_lo, x_hi);
+                    let pn = x.row(k + 1, x_lo, x_hi);
+                    let kxr = kx.row(k, x_lo, x_hi + 1);
+                    let kyc = ky.row(k, x_lo, x_hi);
+                    let kyn = ky.row(k + 1, x_lo, x_hi);
+                    for i in 0..n {
+                        or[i] =
+                            pc[i + 1] + wr[i] * (br[i] - stencil5(kxr, kyc, kyn, pc, ps, pn, i));
+                    }
+                }
             }
         });
     }
@@ -548,6 +600,80 @@ mod tests {
         }
         assert_eq!(t.fused_updates.total(), 1);
         assert_eq!(t.spmv.total(), 2);
+    }
+
+    /// An odd-sized crooked-pipe operator with multigrid smoother
+    /// weights `ω·D⁻¹` and a right-hand side from `b_at`.
+    fn jacobi_setup(
+        n: usize,
+        b_at: impl Fn(isize, isize) -> f64,
+    ) -> (TileOperator, Field2D, Field2D) {
+        let op = crooked_op(n, 1);
+        let mut w = Field2D::new(n, n, 1);
+        op.diagonal_into(&mut w, 0);
+        let mut b = Field2D::new(n, n, 1);
+        for k in 0..n as isize {
+            for j in 0..n as isize {
+                w.set(j, k, 0.8 * (1.0 / w.at(j, k)));
+                b.set(j, k, b_at(j, k));
+            }
+        }
+        (op, w, b)
+    }
+
+    fn assert_interior_bits(got: &Field2D, want: &Field2D) {
+        for k in 0..got.ny() as isize {
+            for j in 0..got.nx() as isize {
+                assert_eq!(got.at(j, k).to_bits(), want.at(j, k).to_bits(), "({j},{k})");
+            }
+        }
+    }
+
+    #[test]
+    fn jacobi_sweep_matches_residual_then_update_bitwise() {
+        // one pass must reproduce `residual` + `x += w·r` bit for bit —
+        // the same arithmetic, minus the r store
+        let n = 23;
+        let (op, w, b) = jacobi_setup(n, |j, k| ((2 * j - k) % 9) as f64 / 4.0);
+        let mut x = Field2D::new(n, n, 1);
+        for k in 0..n as isize {
+            for j in 0..n as isize {
+                x.set(j, k, ((j * 29 + k * 31) % 17) as f64 / 5.0 - 1.3);
+            }
+        }
+        let mut r = Field2D::new(n, n, 1);
+        op.residual(&x, &b, &mut r, 0, &mut SolveTrace::new("t"));
+        let mut want = x.clone();
+        for k in 0..n as isize {
+            for j in 0..n as isize {
+                want.set(j, k, want.at(j, k) + w.at(j, k) * r.at(j, k));
+            }
+        }
+        let mut out = Field2D::new(n, n, 1);
+        op.jacobi_sweep(Some(&x), &b, &w, &mut out);
+        assert_interior_bits(&out, &want);
+    }
+
+    #[test]
+    fn jacobi_zero_guess_matches_a_full_sweep_from_zero_bitwise() {
+        // `-0.0` in b: b − A·0 must keep it, and 0 + w·(−0) must leave +0
+        let n = 23;
+        let (op, w, b) = jacobi_setup(n, |j, k| match (j + 2 * k) % 5 {
+            0 => -0.0,
+            1 => 0.0,
+            v => (v as f64 - 3.0) * (1.0 + j as f64 / 7.0),
+        });
+        let zero = Field2D::new(n, n, 1);
+        let mut full = Field2D::new(n, n, 1);
+        op.jacobi_sweep(Some(&zero), &b, &w, &mut full);
+        let mut short = Field2D::new(n, n, 1);
+        op.jacobi_sweep(None, &b, &w, &mut short);
+        assert_interior_bits(&short, &full);
+        assert_eq!(
+            short.at(0, 0).to_bits(),
+            0.0f64.to_bits(),
+            "0 + w·(−0) is +0"
+        );
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! allocates a tile, a workspace and a solver, prepares, solves, and
 //! throws the lot away. That is the right shape for a single solve, but
 //! a serving queue that drains hundreds of decks — many of them
-//! identical — pays the setup tax over and over: workspace allocation
-//! and preconditioner assembly.
+//! identical — pays the setup tax over and over: workspace allocation,
+//! preconditioner assembly, AMG's multigrid hierarchy.
 //!
 //! A [`SolveSession`] owns everything `Solve::run` allocated per call —
 //! operator, serial tile plumbing, workspace, solver instance — and
@@ -95,7 +95,8 @@ struct SetupKey {
     pub nx: usize,
     /// Interior cells in y.
     pub ny: usize,
-    /// FNV-1a over the coefficient bits, solver parameters and options.
+    /// Word-wise FNV-1a over the coefficient bits, solver parameters and
+    /// options.
     pub fingerprint: u64,
     /// Canonical registry name after precision routing (`"cg_f32"`, not
     /// `"cg"` + `F32`).
@@ -125,7 +126,10 @@ impl SetupKey {
     }
 }
 
-/// 64-bit FNV-1a accumulator.
+/// 64-bit FNV-1a accumulator over 64-bit words: one xor-multiply step
+/// per word, not per byte. Each step is a bijection of the state for a
+/// given word, so two inputs that differ in a single word always hash
+/// apart.
 struct Fnv(u64);
 
 impl Fnv {
@@ -134,10 +138,7 @@ impl Fnv {
     }
 
     fn push_u64(&mut self, w: u64) {
-        for byte in w.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0 = (self.0 ^ w).wrapping_mul(0x0000_0100_0000_01b3);
     }
 
     fn push_f64(&mut self, v: f64) {
@@ -281,7 +282,7 @@ impl SolveSession {
     }
 
     /// Attaches the assembly recipe behind the operator, for solvers
-    /// whose `prepare` rebuilds a hierarchy from it (AMG). `density`
+    /// whose `prepare` builds a hierarchy from it (AMG). `density`
     /// must carry a halo at least as deep as the operator's
     /// coefficients.
     #[must_use]
@@ -569,6 +570,20 @@ mod tests {
         loose.opts.eps = 1e-4;
         let kl = key_of(&op, &loose);
         assert_ne!(native, kl, "latched options must split the pool");
+        assert_ne!(
+            native.fingerprint, kl.fingerprint,
+            "eps alone must move the hash"
+        );
+
+        // one coefficient word one ulp apart, interior or ghost (deep-halo
+        // methods read the ghosts), must move the word-wise hash
+        for (j, k, what) in [(5, 7, "interior"), (-2, 3, "ghost")] {
+            let mut nudged = op.clone();
+            let v = nudged.coeffs.kx.at(j, k);
+            nudged.coeffs.kx.set(j, k, f64::from_bits(v.to_bits() + 1));
+            let kn = key_of(&nudged, &SessionSpec::solver("cg"));
+            assert_ne!(native.fingerprint, kn.fingerprint, "{what} coefficient");
+        }
     }
 
     #[test]

@@ -130,13 +130,6 @@ impl<S: Scalar> Field2<S> {
         self.data[self.offset(j, k)]
     }
 
-    /// Mutable reference at signed cell index `(j, k)` (ghosts allowed).
-    #[inline(always)]
-    pub fn at_mut(&mut self, j: isize, k: isize) -> &mut S {
-        let o = self.offset(j, k);
-        &mut self.data[o]
-    }
-
     /// Sets the value at signed cell index `(j, k)`.
     #[inline(always)]
     pub fn set(&mut self, j: isize, k: isize, v: S) {
