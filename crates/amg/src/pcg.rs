@@ -5,10 +5,9 @@
 //! honours stop handles and probes and types its endings like every
 //! other solver; this crate plugs in only the V-cycle.
 //!
-//! The hierarchy is built per `prepare`: per time step under the
-//! reference driver's `run_rank` (which re-prepares every step, like
-//! the reference baseline re-runs its setup), once per session under
-//! the serving path, whose setup cache then holds it.
+//! The hierarchy is built per `prepare`, and every driver road prepares
+//! once per run: one build per run under `run_rank`, none on a warm
+//! serving job, whose setup cache holds it.
 //!
 //! The defining behaviours this reproduces (paper §VI):
 //! near-mesh-independent iteration counts (fastest time-to-solution at
@@ -59,11 +58,11 @@ pub fn full_registry() -> SolverRegistry {
 /// The multigrid hierarchy is prepared state: [`IterativeSolver::prepare`]
 /// builds it from the [`tea_core::Assembly`] carried by the
 /// [`SolveContext`] and every solve reuses it (a solve with no prepare
-/// behind it builds on demand). The reference driver re-prepares every
-/// time step, so the baseline's heavy setup is still paid per step
-/// there; a [`tea_core::SolveSession`] prepares once, so a warm serving
-/// job pays none. The per-level V-cycle trace, setup cells included
-/// where a build ran, accumulates across prepares and solves; drivers
+/// behind it builds on demand). Every driver road solves through a
+/// [`tea_core::SolveSession`], which prepares once: the heavy setup is
+/// paid once per run, and not at all by a warm serving job. The
+/// per-level V-cycle trace, setup cells included where a build ran,
+/// accumulates across prepares and solves; drivers
 /// recover it via the [`IterativeSolver::take_diagnostics`] hook
 /// (payload [`MgTrace`]) or directly through [`AmgPcg::take_mg_trace`].
 ///
@@ -225,6 +224,7 @@ impl Precondition<f64> for Vcycle<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use tea_comms::{HaloLayout, SerialComm};
     use tea_core::{
         SessionSpec, SetupCache, Solve, SolveControls, SolveSession, SolveStatus, SolveTrace,
@@ -278,8 +278,8 @@ mod tests {
         run_under(setup(n), SolveControls::default())
     }
 
-    /// One prepare + solve through the trait, as the reference driver
-    /// runs a step.
+    /// One prepare + solve through the trait, as a session's first
+    /// solve runs it.
     fn run_under(s: Setup, controls: SolveControls<'_>) -> (Solved, Field2D, Setup) {
         let (n, _) = s.op.bounds.tile();
         let comm = SerialComm::new();
@@ -314,7 +314,7 @@ mod tests {
         };
         let solver = Box::new(AmgPcg::new(AmgPcgOpts::default()));
         SetupCache::new().checkout_or_build(s.op.clone(), &spec, solver, |cold| {
-            cold.with_assembly(s.density.clone(), s.coefficient, s.rx, s.ry)
+            cold.with_assembly(Arc::new(s.density.clone()), s.coefficient, s.rx, s.ry)
         })
     }
 

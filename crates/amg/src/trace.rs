@@ -29,8 +29,8 @@ pub struct MgTrace {
     /// distributed run).
     pub coarse_solves: u64,
     /// Cells touched building the hierarchy, summed over the builds —
-    /// one per `prepare`: every time step under the reference driver,
-    /// once per session on the serving path.
+    /// one per `prepare`, so one per run on every driver road and none
+    /// on a warm serving job.
     pub setup_cells: u64,
 }
 

@@ -73,10 +73,10 @@ SERVING (batched multi-solve mode):
                          fault tolerance
 
 EXIT STATUS:
-    0 on success; 1 on a usage, deck or solver error, on a failed
-    audit or --serve job, and when a time step of a single-deck run
-    ends without converging (iteration cap or divergence) — the run
-    summary then carries a 'warning' line naming the first such step
+    0 on success; 1 on a usage, deck or solver error (a diverged solve
+    is one), on a failed audit or --serve job, and when a time step of
+    a single-deck run hits the iteration cap — the run summary then
+    carries a 'warning' line naming the first such step
 ";
 
 /// Solver/stepping flags are `Option` so that, with `--deck`, only the

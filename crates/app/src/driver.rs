@@ -1,22 +1,25 @@
 //! The TeaLeaf application driver.
 //!
-//! Per time step (matching the reference `tea_solve` loop):
+//! Once per run, each rank assembles its face coefficients `Kx, Ky`
+//! from density and `dt` — density is constant, so the system matrix
+//! is too — and builds one [`SolveSession`] around them. Then, per time
+//! step (matching the reference `tea_solve` loop):
 //!
 //! 1. `u⁰ = ρ·e` — build the right-hand side from the state fields;
-//! 2. assemble face coefficients `Kx, Ky` from density and `dt`;
-//! 3. solve `A·u = u⁰` with the configured solver (warm start `u = u⁰`);
-//! 4. `e = u/ρ` — fold the new temperature back into energy;
-//! 5. field summary (reduced diagnostics) at the reporting cadence.
+//! 2. solve `A·u = u⁰` through the session (warm start `u = u⁰`; the
+//!    first solve prepares the solver, every later one reuses it);
+//! 3. `e = u/ρ` — fold the new temperature back into energy;
+//! 4. field summary (reduced diagnostics) at the reporting cadence.
 //!
-//! One road runs through this file — resolve the solver, set the rank
-//! up, loop over the steps, finish — and an entry point chooses only
-//! *how a step is solved*, a closure handed to the loop. [`run_rank`]
+//! One road runs through this file: every entry point — [`run_rank`]
 //! (serially via [`run_serial`], one thread per rank via
-//! [`run_threaded_ranks`]) reassembles the operator and re-prepares the
-//! solver every step, as the reference does; the serving road
-//! [`run_serial_session_with`] solves through a session checked out of
-//! a [`SetupCache`]. Decomposed runs gather the final temperature field
-//! to rank 0 for output.
+//! [`run_threaded_ranks`]) and the serving road
+//! [`run_serial_session_with`] — calls the same private `drive`, which
+//! differs only in whether the session comes out of a [`SetupCache`].
+//! Decomposed runs gather the final temperature field to rank 0 for
+//! output.
+
+use std::sync::Arc;
 
 use crate::deck::Deck;
 use crate::summary::{field_summary, FieldSummary};
@@ -25,8 +28,8 @@ use tea_comms::{
     gather_to_root, run_threaded as comm_run, Communicator, HaloLayout, SerialComm, StatsSnapshot,
 };
 use tea_core::{
-    Assembly, DynTile, IterativeSolver, SessionSpec, SetupCache, SolveContext, SolveControls,
-    SolveResult, SolveStatus, SolveTrace, Tile, TileBounds, TileOperator, Workspace,
+    IterativeSolver, SessionSpec, SetupCache, SolveControls, SolveResult, SolveSession,
+    SolveStatus, SolveTrace, TileBounds, TileOperator,
 };
 use tea_mesh::{timestep_scalings, Coefficient, Coefficients, Decomposition2D, Field2D, Mesh2D};
 use tea_tune::TuneLog;
@@ -186,10 +189,11 @@ fn resolve(deck: &Deck, ranks: usize) -> Result<Box<dyn IterativeSolver>, Driver
 }
 
 /// One rank's share of the problem, fixed for the run: its mesh, the
-/// constant density, the operator recipe and the field halo depth.
+/// constant density (shared with its session's assembly recipe), the
+/// operator recipe and the field halo depth.
 struct Rank {
     mesh: Mesh2D,
-    density: Field2D,
+    density: Arc<Field2D>,
     coefficient: Coefficient,
     rx: f64,
     ry: f64,
@@ -222,7 +226,7 @@ impl Rank {
         let (rx, ry) = timestep_scalings(&mesh, deck.control.dt);
         let rank = Rank {
             mesh,
-            density,
+            density: Arc::new(density),
             coefficient: problem.coefficient,
             rx,
             ry,
@@ -231,7 +235,8 @@ impl Rank {
         (rank, energy)
     }
 
-    /// Assembles the rank's operator.
+    /// Assembles the rank's operator — once per run: density is
+    /// constant, so every step solves the same system matrix.
     fn operator(&self) -> TileOperator {
         let coeffs = Coefficients::assemble(
             &self.mesh,
@@ -242,6 +247,16 @@ impl Rank {
             self.halo + 1,
         );
         TileOperator::new(coeffs, TileBounds::new(&self.mesh, self.halo))
+    }
+
+    /// Attaches the recipe behind [`Rank::operator`] to `session`.
+    fn attach(&self, session: SolveSession) -> SolveSession {
+        session.with_assembly(
+            Arc::clone(&self.density),
+            self.coefficient,
+            self.rx,
+            self.ry,
+        )
     }
 }
 
@@ -264,12 +279,12 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 /// step's system from the warm start in `u` and reports the result and
 /// the [`StepRecord::wall`] seconds it wants recorded; an error ends
 /// the run. Field summaries reduce over `comm`.
-fn time_steps<C: Communicator + ?Sized>(
+fn time_steps(
     deck: &Deck,
     rank: &Rank,
     mut energy: Field2D,
     label: String,
-    comm: &C,
+    comm: &dyn Communicator,
     mut solve_step: impl FnMut(
         u64,
         &mut Field2D,
@@ -278,7 +293,7 @@ fn time_steps<C: Communicator + ?Sized>(
     ) -> Result<(SolveResult, f64), DriverError>,
 ) -> Result<Stepped, DriverError> {
     let control = &deck.control;
-    let (mesh, density) = (&rank.mesh, &rank.density);
+    let (mesh, density) = (&rank.mesh, &*rank.density);
     let (nx, ny) = (mesh.nx(), mesh.ny());
     let mut u = Field2D::new(nx, ny, rank.halo);
     let mut b = Field2D::new(nx, ny, rank.halo);
@@ -299,10 +314,10 @@ fn time_steps<C: Communicator + ?Sized>(
         }
         u.copy_interior_from(&b);
 
-        // 2-3. operator and solve, the entry point's way
+        // 2. the solve
         let (result, wall) = solve_step(step, &mut u, &b, &mut trace)?;
 
-        // 4. fold back into energy
+        // 3. fold back into energy
         for k in 0..ny as isize {
             let ur = u.row(k, 0, nx as isize);
             let dr = density.row(k, 0, nx as isize);
@@ -341,13 +356,12 @@ fn time_steps<C: Communicator + ?Sized>(
 impl Stepped {
     /// Closes the run: final summary over `comm`, then the gather to
     /// rank 0. The caller snapshots `comm_stats` before calling, so the
-    /// record reflects the solver protocol's traffic, not output
-    /// shipping.
-    fn finish<C: Communicator + ?Sized>(
+    /// record reflects the run's stepping traffic, not output shipping.
+    fn finish(
         self,
         rank: &Rank,
         decomp: &Decomposition2D,
-        comm: &C,
+        comm: &dyn Communicator,
         diagnostics: Option<Box<dyn std::any::Any>>,
         comm_stats: StatsSnapshot,
     ) -> RankOutput {
@@ -374,20 +388,18 @@ impl Stepped {
     }
 }
 
-/// Runs the deck on one rank of `decomp`, reassembling the operator and
-/// re-preparing the solver every time step (density is constant, but
-/// the reference does both per step; we follow it).
-///
-/// # Errors
-/// [`DriverError`] when the deck's problem fails validation, the solver
-/// name or precision does not resolve, the decomposition does not match
-/// the communicator, or a serial-only solver is run decomposed.
-// audit:allow(dead_pub) — benchmark/src/deckrun.rs mirrors it call for call, and ROADMAP
-// direction 1 replaces that mirror with a call to this function
-pub fn run_rank<C: Communicator + ?Sized>(
+/// The one road every entry point takes: resolve the solver, set the
+/// rank up, assemble its operator once, build its session — checked out
+/// of `cache` when serving — and step through it. A solve that
+/// diverges or is cancelled ends the run with its [`DriverError`]; one
+/// that hits the iteration cap is recorded unconverged and the run goes
+/// on. A cached session is checked back in only after a clean run.
+fn drive(
     deck: &Deck,
     decomp: &Decomposition2D,
-    comm: &C,
+    comm: &dyn Communicator,
+    cache: Option<&SetupCache>,
+    controls: SolveControls<'_>,
 ) -> Result<RankOutput, DriverError> {
     if decomp.ranks() != comm.size() {
         return Err(DriverError::DecompositionMismatch {
@@ -395,49 +407,99 @@ pub fn run_rank<C: Communicator + ?Sized>(
             comm: comm.size(),
         });
     }
-    let mut solver = resolve(deck, comm.size())?;
+    let solver = resolve(deck, comm.size())?;
+    let name = solver.name();
     let (rank, energy) = Rank::setup(deck, decomp, comm.rank(), solver.halo_depth());
-    let layout = HaloLayout::new(decomp, comm.rank());
-    let mut ws = Workspace::new(rank.mesh.nx(), rank.mesh.ny(), rank.halo);
+    let op = rank.operator();
+    let mut session = match cache {
+        None => {
+            let layout = HaloLayout::new(decomp, comm.rank());
+            rank.attach(SolveSession::new(op, layout, solver, deck.control.opts))
+        }
+        Some(cache) => {
+            // no precision routing: effective_solver already folded
+            // tl_precision into the name
+            let spec = SessionSpec {
+                opts: deck.control.opts,
+                params: deck.control.solver_params(),
+                ..SessionSpec::solver(name)
+            };
+            // the instance built above lands in the session on a miss
+            // and is dropped on a hit
+            cache.checkout_or_build(op, &spec, solver, |cold| rank.attach(cold))
+        }
+    };
 
-    let label = solver.label();
-    let stepped = time_steps(deck, &rank, energy, label, comm, |_, u, b, trace| {
-        let op = rank.operator();
-        let tile: DynTile<'_> = Tile::new(&op, &layout, comm.as_dyn());
-        let ctx = SolveContext::with_assembly(
-            &tile,
-            Assembly {
-                density: &rank.density,
-                coefficient: rank.coefficient,
-                rx: rank.rx,
-                ry: rank.ry,
-            },
-        );
-        // the solve, through the uniform trait protocol
-        Ok(timed(|| {
-            solver.prepare(&ctx, &deck.control.opts);
-            solver.solve(&ctx, u, b, &mut ws, trace)
-        }))
+    let label = session.solver_label();
+    // a diverged or cancelled session is dropped by the early return
+    // (never checked in): its workspace may carry non-finite state
+    let stepped = time_steps(deck, &rank, energy, label, comm, |step, u, b, trace| {
+        let (result, wall) = timed(|| session.solve_controlled(comm, u, b, controls, trace));
+        match result.status {
+            SolveStatus::Diverged { iteration } => Err(DriverError::Diverged {
+                solver: name.to_string(),
+                step,
+                iteration,
+            }),
+            SolveStatus::Cancelled { .. } => Err(DriverError::Cancelled { step }),
+            SolveStatus::Converged | SolveStatus::IterationLimit => Ok((result, wall)),
+        }
     })?;
-    let (diagnostics, comm_stats) = (solver.take_diagnostics(), comm.stats().snapshot());
+    let (diagnostics, comm_stats) = (session.take_diagnostics(), comm.stats().snapshot());
+    // the session (operator, workspace) goes before the gather, so the
+    // run's peak footprint stays the solve's
+    match cache {
+        Some(cache) => cache.checkin(session),
+        None => drop(session),
+    }
     Ok(stepped.finish(&rank, decomp, comm, diagnostics, comm_stats))
 }
 
-/// What [`run_serial`] and [`run_threaded_ranks`] do before building a
-/// decomposition: validate the problem (a zero-cell one must surface as
-/// an error, not a decomposition assert) and apply the deck's
-/// thread-count override, if any, to the kernel runtime, clamped to the
-/// hardware threads (`tea_core::thread_warning` reports a clamp). A
-/// deck without the setting leaves the ambient configuration
-/// (`TEA_NUM_THREADS` / cores) alone.
-fn begin(deck: &Deck) -> Result<(), DriverError> {
+/// Runs the deck on one rank of `decomp`: the operator is assembled
+/// once and the solver prepared once, then every time step solves
+/// through the same session (density is constant, so the reference's
+/// per-step reassembly would rebuild the same matrix).
+///
+/// # Errors
+/// [`DriverError`] when the deck's problem fails validation, the solver
+/// name or precision does not resolve, the decomposition does not match
+/// the communicator, a serial-only solver is run decomposed, or a step's
+/// solve diverges.
+// audit:allow(dead_pub) — benchmark/src/deckrun.rs mirrors its per-step predecessor call for
+// call, and ROADMAP direction 1 replaces that mirror with a call to this function
+pub fn run_rank<C: Communicator + ?Sized>(
+    deck: &Deck,
+    decomp: &Decomposition2D,
+    comm: &C,
+) -> Result<RankOutput, DriverError> {
+    drive(deck, decomp, comm.as_dyn(), None, SolveControls::default())
+}
+
+/// Validates the deck's problem — a zero-cell one must surface as an
+/// error, not a decomposition assert — and decomposes it over `ranks`.
+fn decompose(deck: &Deck, ranks: usize) -> Result<Decomposition2D, DriverError> {
     deck.problem
         .validate()
         .map_err(DriverError::InvalidProblem)?;
+    Ok(Decomposition2D::new(
+        deck.problem.x_cells,
+        deck.problem.y_cells,
+        ranks,
+    ))
+}
+
+/// What [`run_serial`] and [`run_threaded_ranks`] do before driving:
+/// [`decompose`], then apply the deck's thread-count override, if any,
+/// to the kernel runtime, clamped to the hardware threads
+/// (`tea_core::thread_warning` reports a clamp). A deck without the
+/// setting leaves the ambient configuration (`TEA_NUM_THREADS` / cores)
+/// alone.
+fn begin(deck: &Deck, ranks: usize) -> Result<Decomposition2D, DriverError> {
+    let decomp = decompose(deck, ranks)?;
     if let Some(threads) = deck.control.threads {
         tea_core::request_num_threads(threads);
     }
-    Ok(())
+    Ok(decomp)
 }
 
 /// Runs the deck on a single rank.
@@ -445,10 +507,8 @@ fn begin(deck: &Deck) -> Result<(), DriverError> {
 /// # Errors
 /// [`DriverError`] as for [`run_rank`].
 pub fn run_serial(deck: &Deck) -> Result<RankOutput, DriverError> {
-    begin(deck)?;
-    let decomp = Decomposition2D::with_grid(deck.problem.x_cells, deck.problem.y_cells, 1, 1);
-    let comm = SerialComm::new();
-    run_rank(deck, &decomp, &comm)
+    let decomp = begin(deck, 1)?;
+    run_rank(deck, &decomp, &SerialComm::new())
 }
 
 /// Runs the deck on `ranks` threaded ranks; returns per-rank outputs
@@ -464,25 +524,17 @@ pub fn run_serial(deck: &Deck) -> Result<RankOutput, DriverError> {
 /// [`DriverError`] as for [`run_rank`] — every rank hits the same deck
 /// checks, so the first rank's error is returned.
 pub fn run_threaded_ranks(deck: &Deck, ranks: usize) -> Result<Vec<RankOutput>, DriverError> {
-    begin(deck)?;
-    let decomp = Decomposition2D::new(deck.problem.x_cells, deck.problem.y_cells, ranks);
+    let decomp = begin(deck, ranks)?;
     comm_run(decomp.ranks(), |comm| run_rank(deck, &decomp, comm))
         .into_iter()
         .collect()
 }
 
-/// Runs the deck serially through a reusable [`tea_core::SolveSession`]
-/// checked out of `cache` — the serving-queue counterpart of
-/// [`run_serial`].
-///
-/// The session path assembles the operator once per run (the reference
-/// loop reassembles per step, but density is constant so the
-/// coefficient values — and therefore the results — are identical),
-/// and prepares the solver only when the cache misses. The session's
-/// communication counters are reset at checkout so [`RankOutput::comm`]
-/// reports this run's solver traffic only (field summaries reduce over
-/// a throwaway communicator), and the session is checked back in before
-/// returning.
+/// Runs the deck serially through a [`SolveSession`] checked out of
+/// `cache` — the serving-queue counterpart of [`run_serial`], and the
+/// same road: the session is warm on a cache hit (no prepare at all),
+/// cold on a miss. [`RankOutput::comm`] counts the job's own
+/// communicator, field summaries included, as on every road.
 ///
 /// Unlike [`run_serial`] this does **not** apply the deck's thread
 /// override: the kernel thread pool is process-global, and a serving
@@ -497,67 +549,20 @@ pub fn run_serial_session(deck: &Deck, cache: &SetupCache) -> Result<RankOutput,
 /// [`run_serial_session`] with an armed [`SolveControls`] bundle — the
 /// fault-tolerant serving path. Per-step solves observe the stop
 /// handle (deadlines/cancellation → [`DriverError::Cancelled`]) and
-/// the probe (fault injection), and a solve that detects a non-finite
-/// residual surfaces as [`DriverError::Diverged`] instead of burning
-/// the iteration cap. On either failure the session is dropped rather
-/// than checked back into `cache`: a poisoned or half-cancelled
-/// session must never be handed to a later clean job.
+/// the probe (fault injection). On either failure, or on divergence,
+/// the session is dropped rather than checked back into `cache`: a
+/// poisoned or half-cancelled session must never be handed to a later
+/// clean job.
 ///
 /// # Errors
-/// [`DriverError`] as for [`run_rank`], plus `Diverged`/`Cancelled`.
+/// [`DriverError`] as for [`run_rank`], plus `Cancelled`.
 pub fn run_serial_session_with(
     deck: &Deck,
     cache: &SetupCache,
     controls: SolveControls<'_>,
 ) -> Result<RankOutput, DriverError> {
-    let solver = resolve(deck, 1)?;
-    let name = solver.name();
-    let decomp = Decomposition2D::with_grid(deck.problem.x_cells, deck.problem.y_cells, 1, 1);
-    let (rank, energy) = Rank::setup(deck, &decomp, 0, solver.halo_depth());
-
-    // no precision routing: effective_solver already folded
-    // tl_precision into the name
-    let spec = SessionSpec {
-        opts: deck.control.opts,
-        params: deck.control.solver_params(),
-        ..SessionSpec::solver(name)
-    };
-    // the instance built above lands in the session on a miss and is
-    // dropped on a hit; only a miss clones the density
-    let mut session = cache.checkout_or_build(rank.operator(), &spec, solver, |cold| {
-        cold.with_assembly(rank.density.clone(), rank.coefficient, rank.rx, rank.ry)
-    });
-    session.reset_comm_stats();
-
-    let summary_comm = SerialComm::new();
-    let label = session.solver_label();
-    // a diverged or cancelled session is dropped by the early return
-    // (no checkin): its workspace may carry non-finite state and must
-    // not be pooled for later jobs
-    let stepped = time_steps(
-        deck,
-        &rank,
-        energy,
-        label,
-        &summary_comm,
-        |step, u, b, trace| {
-            let (result, wall) = timed(|| session.solve_controlled(u, b, controls));
-            trace.merge(&result.trace);
-            match result.status {
-                SolveStatus::Diverged { iteration } => Err(DriverError::Diverged {
-                    solver: name.to_string(),
-                    step,
-                    iteration,
-                }),
-                SolveStatus::Cancelled { .. } => Err(DriverError::Cancelled { step }),
-                SolveStatus::Converged | SolveStatus::IterationLimit => Ok((result, wall)),
-            }
-        },
-    )?;
-    let (diagnostics, comm_stats) = (session.take_diagnostics(), session.comm_stats());
-    let output = stepped.finish(&rank, &decomp, &summary_comm, diagnostics, comm_stats);
-    cache.checkin(session);
-    Ok(output)
+    let decomp = decompose(deck, 1)?;
+    drive(deck, &decomp, &SerialComm::new(), Some(cache), controls)
 }
 
 #[cfg(test)]
@@ -769,59 +774,79 @@ mod tests {
 
     #[test]
     fn session_driver_matches_reference_bitwise() {
-        // the serving path assembles once per job and prepares once per
-        // cached session instead of once per step — but the coefficient
-        // values are identical, so every residual in every step must be
-        // bit-for-bit the reference driver's
+        // every entry point takes one road: a cold session checked out
+        // of a cache reproduces `run_serial` in every bit, trace counter
+        // and comm counter, and a warm one in every bit with no prepare
         let cache = SetupCache::new();
-        for solver in ["cg", "chebyshev", "ppcg", "amg"] {
-            let mut deck = small_deck(24, solver, 3);
-            if solver == "ppcg" {
+        let decks = [
+            ("cg", small_deck(24, "cg", 3)),
+            ("cg+jac_block", {
+                let mut deck = small_deck(24, "cg", 3);
+                deck.control.precon = tea_core::PreconKind::BlockJacobi;
+                deck
+            }),
+            ("chebyshev", small_deck(24, "chebyshev", 3)),
+            ("ppcg/d4+jac_diag", {
+                let mut deck = small_deck(24, "ppcg", 3);
                 deck.control.ppcg_halo_depth = 4;
                 deck.control.precon = tea_core::PreconKind::Diagonal;
-            }
-            let reference = run_serial(&deck).expect("deck runs");
-            let cold = run_serial_session(&deck, &cache).expect("deck runs");
-            let warm = run_serial_session(&deck, &cache).expect("deck runs");
+                deck
+            }),
+            ("ppcg/d4/mixed", {
+                let mut deck = small_deck(24, "ppcg", 3);
+                deck.control.ppcg_halo_depth = 4;
+                deck.control.precision = Some(tea_core::Precision::Mixed);
+                deck
+            }),
+            ("amg", small_deck(24, "amg", 3)),
+            ("auto", small_deck(24, "auto", 3)),
+        ];
+        for (what, deck) in &decks {
+            let reference = run_serial(deck).expect("deck runs");
+            let cold = run_serial_session(deck, &cache).expect("deck runs");
+            let warm = run_serial_session(deck, &cache).expect("deck runs");
 
+            assert_eq!(reference.trace, cold.trace, "{what}: cold trace");
+            assert_eq!(reference.comm, cold.comm, "{what}: cold comm");
             for out in [&cold, &warm] {
-                assert_eq!(reference.steps.len(), out.steps.len(), "{solver}");
+                assert_eq!(reference.steps.len(), out.steps.len(), "{what}");
                 for (a, b) in reference.steps.iter().zip(&out.steps) {
-                    assert_eq!(a.iterations, b.iterations, "{solver} step {}", a.step);
+                    assert_eq!(a.iterations, b.iterations, "{what} step {}", a.step);
                     assert_eq!(
                         a.initial_residual.to_bits(),
                         b.initial_residual.to_bits(),
-                        "{solver} step {}",
+                        "{what} step {}",
                         a.step
                     );
                     assert_eq!(
                         a.final_residual.to_bits(),
                         b.final_residual.to_bits(),
-                        "{solver} step {}",
+                        "{what} step {}",
                         a.step
                     );
                 }
                 assert_eq!(
                     reference.final_u.as_ref().unwrap(),
                     out.final_u.as_ref().unwrap(),
-                    "{solver}: session path drifted from the reference driver"
+                    "{what}: session path drifted from the reference driver"
                 );
             }
-            if solver == "amg" {
+            if *what == "amg" {
                 let [reference, cold, warm] = [&reference, &cold, &warm].map(|out| {
                     out.mg_trace
                         .as_ref()
                         .expect("every path must keep MG traces")
                         .setup_cells
                 });
-                assert_eq!(reference, 3 * cold, "the session builds its hierarchy once");
+                assert_eq!(reference, cold, "both roads build the hierarchy once");
                 assert_eq!(warm, 0, "a warm session reuses the cached hierarchy");
             }
         }
+        let n = decks.len() as u64;
         let stats = cache.stats();
-        assert_eq!(stats.misses, 4, "first run of each deck builds cold");
-        assert_eq!(stats.hits, 4, "second run of each deck reuses the session");
-        assert_eq!(stats.prepares, 4, "warm checkouts must not re-prepare");
+        assert_eq!(stats.misses, n, "first run of each deck builds cold");
+        assert_eq!(stats.hits, n, "second run of each deck reuses the session");
+        assert_eq!(stats.prepares, n, "warm checkouts must not re-prepare");
     }
 
     #[test]
@@ -834,13 +859,30 @@ mod tests {
         let amg = run_serial(&small_deck(16, "amg", 3)).expect("deck runs");
         let mg = amg.mg_trace.expect("AMG runs must carry an MG trace");
         assert!(mg.vcycles > 0);
-        // the reference driver re-prepares, so rebuilds, every step
+        // the operator is assembled and the solver prepared once per run,
+        // so three steps build one hierarchy
         let one_build: u64 = mg.level_shapes.iter().map(|&(x, y)| (x * y) as u64).sum();
         assert!(one_build > 0);
-        assert_eq!(
-            mg.setup_cells,
-            3 * one_build,
-            "one hierarchy build per step"
-        );
+        assert_eq!(mg.setup_cells, one_build, "one hierarchy build per run");
+    }
+
+    #[test]
+    fn divergence_ends_every_entry_point_typed() {
+        // a singular coarse operator: the AMG solve ends diverged at
+        // iteration 0, and the run ends with it instead of stepping on
+        let mut deck = small_deck(16, "amg", 2);
+        deck.control.dt = 1e300;
+        let cache = SetupCache::new();
+        for out in [run_serial(&deck), run_serial_session(&deck, &cache)] {
+            match out {
+                Err(DriverError::Diverged {
+                    solver,
+                    step,
+                    iteration,
+                }) => assert_eq!((solver.as_str(), step, iteration), ("amg", 1, 0)),
+                other => panic!("expected a typed divergence, got {other:?}"),
+            }
+        }
+        assert_eq!(cache.pooled(), 0, "a diverged session is never pooled");
     }
 }

@@ -4,7 +4,7 @@
 //! `session_driver_matches_reference_bitwise` compares the reference
 //! road ([`run_serial`]) and the serving road ([`run_serial_session`])
 //! to each other at one commit, so it cannot see a change that moves
-//! both, and nothing else pins [`RankOutput::comm`] at all. This suite
+//! both. This suite
 //! pins each entry point against its past self: eight decks on the 24²
 //! crooked pipe, three steps each, through `run_serial`,
 //! `run_threaded_ranks` (4 ranks, where the solver is not serial-only)
@@ -27,6 +27,18 @@
 //! of 30, and only their residual-bit and field-hash words — every
 //! iteration, sweep, halo, reduction and `comm` field in them is what it
 //! was, and every `f64` row and every `cg_f32` row is byte-identical.
+//!
+//! Regenerated a second time when every entry point came to step
+//! through one prepared session, again narrowly and by script: every
+//! `serial` and `ranks4` row (14 of 30) is byte-identical; the 16
+//! `session-*` rows changed only in `comm=`, by +3 reductions and +12
+//! f64 reduction elements, because the per-step field summaries now
+//! reduce over the job's own communicator; `auto/s3 session-cold` also
+//! moved `outer/red/halo` 133/269/136 → 368/713/385, because the race's
+//! trials now accumulate into the run's trace, matching the 713
+//! reductions its `comm` already showed. Each session row now equals
+//! its serial row except for `cache=` and the warm row's tuner reuse
+//! count.
 
 use tea_app::{
     crooked_pipe_deck, run_serial, run_serial_session, run_threaded_ranks, solver_registry,
@@ -208,32 +220,32 @@ fn every_driver_entry_point_matches_its_pinned_fingerprint() {
 const EXPECTED: &[&str] = &[
     "cg serial: steps=[43:406879fe5d254f92:3e4c4e21863bb95a 45:40416ca82f2ce538:3e2187bdd45807fa 45:40228befb6a4068c:3e0745806230d514] u=a084f0e4993beba6 outer=133 inner=0 red=269 halo=136 comm=[tx0/0/0 rx0/0/0 red272/281/0 bar0] mg=n tune=-",
     "cg ranks4: steps=[43:406879fe5d254f8f:3e4c4e21863bb913 45:40416ca82f2ce535:3e2187bdd45807dc 45:40228befb6a4068d:3e0745806230d53f] u=6b47f6197dfa0ef6 outer=133 inner=0 red=269 halo=136 comm=[tx272/3536/0 rx272/3536/0 red272/281/0 bar0 | tx272/3536/0 rx272/3536/0 red272/281/0 bar0 | tx272/3536/0 rx272/3536/0 red272/281/0 bar0 | tx272/3536/0 rx272/3536/0 red272/281/0 bar0] mg=n tune=-",
-    "cg session-cold: steps=[43:406879fe5d254f92:3e4c4e21863bb95a 45:40416ca82f2ce538:3e2187bdd45807fa 45:40228befb6a4068c:3e0745806230d514] u=a084f0e4993beba6 outer=133 inner=0 red=269 halo=136 comm=[tx0/0/0 rx0/0/0 red269/269/0 bar0] mg=n tune=- cache=0/1/1",
-    "cg session-warm: steps=[43:406879fe5d254f92:3e4c4e21863bb95a 45:40416ca82f2ce538:3e2187bdd45807fa 45:40228befb6a4068c:3e0745806230d514] u=a084f0e4993beba6 outer=133 inner=0 red=269 halo=136 comm=[tx0/0/0 rx0/0/0 red269/269/0 bar0] mg=n tune=- cache=1/1/1",
+    "cg session-cold: steps=[43:406879fe5d254f92:3e4c4e21863bb95a 45:40416ca82f2ce538:3e2187bdd45807fa 45:40228befb6a4068c:3e0745806230d514] u=a084f0e4993beba6 outer=133 inner=0 red=269 halo=136 comm=[tx0/0/0 rx0/0/0 red272/281/0 bar0] mg=n tune=- cache=0/1/1",
+    "cg session-warm: steps=[43:406879fe5d254f92:3e4c4e21863bb95a 45:40416ca82f2ce538:3e2187bdd45807fa 45:40228befb6a4068c:3e0745806230d514] u=a084f0e4993beba6 outer=133 inner=0 red=269 halo=136 comm=[tx0/0/0 rx0/0/0 red272/281/0 bar0] mg=n tune=- cache=1/1/1",
     "cg+jac_block serial: steps=[31:40521fdd879a42c1:3e3c60875feb48a3 32:402dd430be17aec6:3e070696236d48da 32:401147cea093fc49:3de9e9d1fe1611c1] u=03c071e711f57387 outer=95 inner=0 red=193 halo=98 comm=[tx0/0/0 rx0/0/0 red196/205/0 bar0] mg=n tune=-",
     "cg+jac_block ranks4: steps=[31:40521fdd879a42c1:3e3c60875feb48a3 32:402dd430be17aec4:3e070696236d48d4 32:401147cea093fc4d:3de9e9d1fe1611a7] u=457a2f19c5961fa4 outer=95 inner=0 red=193 halo=98 comm=[tx196/2548/0 rx196/2548/0 red196/205/0 bar0 | tx196/2548/0 rx196/2548/0 red196/205/0 bar0 | tx196/2548/0 rx196/2548/0 red196/205/0 bar0 | tx196/2548/0 rx196/2548/0 red196/205/0 bar0] mg=n tune=-",
-    "cg+jac_block session-cold: steps=[31:40521fdd879a42c1:3e3c60875feb48a3 32:402dd430be17aec6:3e070696236d48da 32:401147cea093fc49:3de9e9d1fe1611c1] u=03c071e711f57387 outer=95 inner=0 red=193 halo=98 comm=[tx0/0/0 rx0/0/0 red193/193/0 bar0] mg=n tune=- cache=1/2/2",
-    "cg+jac_block session-warm: steps=[31:40521fdd879a42c1:3e3c60875feb48a3 32:402dd430be17aec6:3e070696236d48da 32:401147cea093fc49:3de9e9d1fe1611c1] u=03c071e711f57387 outer=95 inner=0 red=193 halo=98 comm=[tx0/0/0 rx0/0/0 red193/193/0 bar0] mg=n tune=- cache=2/2/2",
+    "cg+jac_block session-cold: steps=[31:40521fdd879a42c1:3e3c60875feb48a3 32:402dd430be17aec6:3e070696236d48da 32:401147cea093fc49:3de9e9d1fe1611c1] u=03c071e711f57387 outer=95 inner=0 red=193 halo=98 comm=[tx0/0/0 rx0/0/0 red196/205/0 bar0] mg=n tune=- cache=1/2/2",
+    "cg+jac_block session-warm: steps=[31:40521fdd879a42c1:3e3c60875feb48a3 32:402dd430be17aec6:3e070696236d48da 32:401147cea093fc49:3de9e9d1fe1611c1] u=03c071e711f57387 outer=95 inner=0 red=193 halo=98 comm=[tx0/0/0 rx0/0/0 red196/205/0 bar0] mg=n tune=- cache=2/2/2",
     "cg/d4 serial: steps=[43:406879fe5d254f92:3e4c4e21863bb95a 45:40416ca82f2ce538:3e2187bdd45807fa 45:40228befb6a4068c:3e0745806230d514] u=a084f0e4993beba6 outer=133 inner=0 red=269 halo=136 comm=[tx0/0/0 rx0/0/0 red272/281/0 bar0] mg=n tune=-",
     "cg/d4 ranks4: steps=[43:406879fe5d254f8f:3e4c4e21863bb913 45:40416ca82f2ce535:3e2187bdd45807dc 45:40228befb6a4068d:3e0745806230d53f] u=6b47f6197dfa0ef6 outer=133 inner=0 red=269 halo=136 comm=[tx272/3536/0 rx272/3536/0 red272/281/0 bar0 | tx272/3536/0 rx272/3536/0 red272/281/0 bar0 | tx272/3536/0 rx272/3536/0 red272/281/0 bar0 | tx272/3536/0 rx272/3536/0 red272/281/0 bar0] mg=n tune=-",
-    "cg/d4 session-cold: steps=[43:406879fe5d254f92:3e4c4e21863bb95a 45:40416ca82f2ce538:3e2187bdd45807fa 45:40228befb6a4068c:3e0745806230d514] u=a084f0e4993beba6 outer=133 inner=0 red=269 halo=136 comm=[tx0/0/0 rx0/0/0 red269/269/0 bar0] mg=n tune=- cache=2/3/3",
-    "cg/d4 session-warm: steps=[43:406879fe5d254f92:3e4c4e21863bb95a 45:40416ca82f2ce538:3e2187bdd45807fa 45:40228befb6a4068c:3e0745806230d514] u=a084f0e4993beba6 outer=133 inner=0 red=269 halo=136 comm=[tx0/0/0 rx0/0/0 red269/269/0 bar0] mg=n tune=- cache=3/3/3",
+    "cg/d4 session-cold: steps=[43:406879fe5d254f92:3e4c4e21863bb95a 45:40416ca82f2ce538:3e2187bdd45807fa 45:40228befb6a4068c:3e0745806230d514] u=a084f0e4993beba6 outer=133 inner=0 red=269 halo=136 comm=[tx0/0/0 rx0/0/0 red272/281/0 bar0] mg=n tune=- cache=2/3/3",
+    "cg/d4 session-warm: steps=[43:406879fe5d254f92:3e4c4e21863bb95a 45:40416ca82f2ce538:3e2187bdd45807fa 45:40228befb6a4068c:3e0745806230d514] u=a084f0e4993beba6 outer=133 inner=0 red=269 halo=136 comm=[tx0/0/0 rx0/0/0 red272/281/0 bar0] mg=n tune=- cache=3/3/3",
     "chebyshev serial: steps=[50:406879fe5d254f92:3e1e07beabfa5002 50:40416ca82f2ce41b:3e0ac8c56a762a67 50:40228befb6a3fb83:3df0e7c17df64767] u=7db9f7a8f96e3188 outer=150 inner=0 red=189 halo=156 comm=[tx0/0/0 rx0/0/0 red192/201/0 bar0] mg=n tune=-",
     "chebyshev ranks4: steps=[50:406879fe5d254f8f:3e1e07beac492650 50:40416ca82f2ce41d:3e0ac8c56ac21481 50:40228befb6a3fb7e:3df0e7c17f2e0254] u=1d9c416e95076d35 outer=150 inner=0 red=189 halo=156 comm=[tx312/4056/0 rx312/4056/0 red192/201/0 bar0 | tx312/4056/0 rx312/4056/0 red192/201/0 bar0 | tx312/4056/0 rx312/4056/0 red192/201/0 bar0 | tx312/4056/0 rx312/4056/0 red192/201/0 bar0] mg=n tune=-",
-    "chebyshev session-cold: steps=[50:406879fe5d254f92:3e1e07beabfa5002 50:40416ca82f2ce41b:3e0ac8c56a762a67 50:40228befb6a3fb83:3df0e7c17df64767] u=7db9f7a8f96e3188 outer=150 inner=0 red=189 halo=156 comm=[tx0/0/0 rx0/0/0 red189/189/0 bar0] mg=n tune=- cache=3/4/4",
-    "chebyshev session-warm: steps=[50:406879fe5d254f92:3e1e07beabfa5002 50:40416ca82f2ce41b:3e0ac8c56a762a67 50:40228befb6a3fb83:3df0e7c17df64767] u=7db9f7a8f96e3188 outer=150 inner=0 red=189 halo=156 comm=[tx0/0/0 rx0/0/0 red189/189/0 bar0] mg=n tune=- cache=4/4/4",
+    "chebyshev session-cold: steps=[50:406879fe5d254f92:3e1e07beabfa5002 50:40416ca82f2ce41b:3e0ac8c56a762a67 50:40228befb6a3fb83:3df0e7c17df64767] u=7db9f7a8f96e3188 outer=150 inner=0 red=189 halo=156 comm=[tx0/0/0 rx0/0/0 red192/201/0 bar0] mg=n tune=- cache=3/4/4",
+    "chebyshev session-warm: steps=[50:406879fe5d254f92:3e1e07beabfa5002 50:40416ca82f2ce41b:3e0ac8c56a762a67 50:40228befb6a3fb83:3df0e7c17df64767] u=7db9f7a8f96e3188 outer=150 inner=0 red=189 halo=156 comm=[tx0/0/0 rx0/0/0 red192/201/0 bar0] mg=n tune=- cache=4/4/4",
     "ppcg/d4+jac_diag serial: steps=[31:40536fd5a46bf272:3df90a045a0810e8 31:402e2549f0265f39:3ddddecc265b6687 31:40108f3f211c700e:3dc4b391abbd4ce9] u=5997bb1ea97b2a24 outer=93 inner=96 red=192 halo=123 comm=[tx0/0/0 rx0/0/0 red195/204/0 bar0] mg=n tune=-",
     "ppcg/d4+jac_diag ranks4: steps=[31:40536fd5a46bf272:3df90a045c9ed038 31:402e2549f0265f39:3ddddecc20d57350 31:40108f3f211c700e:3dc4b391b6b6cc9f] u=4051b6265bb2de1b outer=93 inner=96 red=192 halo=123 comm=[tx246/7950/0 rx246/7950/0 red195/204/0 bar0 | tx246/7950/0 rx246/7950/0 red195/204/0 bar0 | tx246/7950/0 rx246/7950/0 red195/204/0 bar0 | tx246/7950/0 rx246/7950/0 red195/204/0 bar0] mg=n tune=-",
-    "ppcg/d4+jac_diag session-cold: steps=[31:40536fd5a46bf272:3df90a045a0810e8 31:402e2549f0265f39:3ddddecc265b6687 31:40108f3f211c700e:3dc4b391abbd4ce9] u=5997bb1ea97b2a24 outer=93 inner=96 red=192 halo=123 comm=[tx0/0/0 rx0/0/0 red192/192/0 bar0] mg=n tune=- cache=4/5/5",
-    "ppcg/d4+jac_diag session-warm: steps=[31:40536fd5a46bf272:3df90a045a0810e8 31:402e2549f0265f39:3ddddecc265b6687 31:40108f3f211c700e:3dc4b391abbd4ce9] u=5997bb1ea97b2a24 outer=93 inner=96 red=192 halo=123 comm=[tx0/0/0 rx0/0/0 red192/192/0 bar0] mg=n tune=- cache=5/5/5",
+    "ppcg/d4+jac_diag session-cold: steps=[31:40536fd5a46bf272:3df90a045a0810e8 31:402e2549f0265f39:3ddddecc265b6687 31:40108f3f211c700e:3dc4b391abbd4ce9] u=5997bb1ea97b2a24 outer=93 inner=96 red=192 halo=123 comm=[tx0/0/0 rx0/0/0 red195/204/0 bar0] mg=n tune=- cache=4/5/5",
+    "ppcg/d4+jac_diag session-warm: steps=[31:40536fd5a46bf272:3df90a045a0810e8 31:402e2549f0265f39:3ddddecc265b6687 31:40108f3f211c700e:3dc4b391abbd4ce9] u=5997bb1ea97b2a24 outer=93 inner=96 red=192 halo=123 comm=[tx0/0/0 rx0/0/0 red195/204/0 bar0] mg=n tune=- cache=5/5/5",
     "ppcg/d4/mixed serial: steps=[31:406879fe5d254f92:3e36713413095bb6 31:40416ca82f2ce380:3e227ed8c5353288 31:40228befb6a3dbdb:3e06aad37b5e7375] u=675edafda1e1ab04 outer=93 inner=96 red=192 halo=123 comm=[tx0/0/0 rx0/0/0 red195/204/0 bar0] mg=n tune=-",
     "ppcg/d4/mixed ranks4: steps=[31:406879fe5d254f8f:3e3671262066a244 31:40416ca82f2ce39a:3e227edf2c9fc147 31:40228befb6a3dbee:3e06aac6e4cf7c72] u=db1d56fc2bc570a8 outer=93 inner=96 red=192 halo=123 comm=[tx246/2574/5376 rx246/2574/5376 red195/204/0 bar0 | tx246/2574/5376 rx246/2574/5376 red195/204/0 bar0 | tx246/2574/5376 rx246/2574/5376 red195/204/0 bar0 | tx246/2574/5376 rx246/2574/5376 red195/204/0 bar0] mg=n tune=-",
-    "ppcg/d4/mixed session-cold: steps=[31:406879fe5d254f92:3e36713413095bb6 31:40416ca82f2ce380:3e227ed8c5353288 31:40228befb6a3dbdb:3e06aad37b5e7375] u=675edafda1e1ab04 outer=93 inner=96 red=192 halo=123 comm=[tx0/0/0 rx0/0/0 red192/192/0 bar0] mg=n tune=- cache=5/6/6",
-    "ppcg/d4/mixed session-warm: steps=[31:406879fe5d254f92:3e36713413095bb6 31:40416ca82f2ce380:3e227ed8c5353288 31:40228befb6a3dbdb:3e06aad37b5e7375] u=675edafda1e1ab04 outer=93 inner=96 red=192 halo=123 comm=[tx0/0/0 rx0/0/0 red192/192/0 bar0] mg=n tune=- cache=6/6/6",
+    "ppcg/d4/mixed session-cold: steps=[31:406879fe5d254f92:3e36713413095bb6 31:40416ca82f2ce380:3e227ed8c5353288 31:40228befb6a3dbdb:3e06aad37b5e7375] u=675edafda1e1ab04 outer=93 inner=96 red=192 halo=123 comm=[tx0/0/0 rx0/0/0 red195/204/0 bar0] mg=n tune=- cache=5/6/6",
+    "ppcg/d4/mixed session-warm: steps=[31:406879fe5d254f92:3e36713413095bb6 31:40416ca82f2ce380:3e227ed8c5353288 31:40228befb6a3dbdb:3e06aad37b5e7375] u=675edafda1e1ab04 outer=93 inner=96 red=192 halo=123 comm=[tx0/0/0 rx0/0/0 red195/204/0 bar0] mg=n tune=- cache=6/6/6",
     "amg serial: steps=[8:4053816c68df98d1:3e33cee33e03bdeb 9:40310dc8ae7e5c3a:3de4907c507c38e5 9:401637d69f0acdb6:3dd35b2445e8582b] u=8dc928d6a9e36dd6 outer=26 inner=0 red=55 halo=29 comm=[tx0/0/0 rx0/0/0 red58/67/0 bar0] mg=y tune=-",
-    "amg session-cold: steps=[8:4053816c68df98d1:3e33cee33e03bdeb 9:40310dc8ae7e5c3a:3de4907c507c38e5 9:401637d69f0acdb6:3dd35b2445e8582b] u=8dc928d6a9e36dd6 outer=26 inner=0 red=55 halo=29 comm=[tx0/0/0 rx0/0/0 red55/55/0 bar0] mg=y tune=- cache=6/7/7",
-    "amg session-warm: steps=[8:4053816c68df98d1:3e33cee33e03bdeb 9:40310dc8ae7e5c3a:3de4907c507c38e5 9:401637d69f0acdb6:3dd35b2445e8582b] u=8dc928d6a9e36dd6 outer=26 inner=0 red=55 halo=29 comm=[tx0/0/0 rx0/0/0 red55/55/0 bar0] mg=y tune=- cache=7/7/7",
+    "amg session-cold: steps=[8:4053816c68df98d1:3e33cee33e03bdeb 9:40310dc8ae7e5c3a:3de4907c507c38e5 9:401637d69f0acdb6:3dd35b2445e8582b] u=8dc928d6a9e36dd6 outer=26 inner=0 red=55 halo=29 comm=[tx0/0/0 rx0/0/0 red58/67/0 bar0] mg=y tune=- cache=6/7/7",
+    "amg session-warm: steps=[8:4053816c68df98d1:3e33cee33e03bdeb 9:40310dc8ae7e5c3a:3de4907c507c38e5 9:401637d69f0acdb6:3dd35b2445e8582b] u=8dc928d6a9e36dd6 outer=26 inner=0 red=55 halo=29 comm=[tx0/0/0 rx0/0/0 red58/67/0 bar0] mg=y tune=- cache=7/7/7",
     "auto/s3 serial: steps=[43:406879fe5d254f92:3e4c4e21863bb95a 45:40416ca82f2ce538:3e2187bdd45807fa 45:40228befb6a4068c:3e0745806230d514] u=a084f0e4993beba6 outer=368 inner=0 red=713 halo=385 comm=[tx0/0/0 rx0/0/0 red716/518/235 bar0] mg=n tune=cgx2",
-    "auto/s3 session-cold: steps=[43:406879fe5d254f92:3e4c4e21863bb95a 45:40416ca82f2ce538:3e2187bdd45807fa 45:40228befb6a4068c:3e0745806230d514] u=a084f0e4993beba6 outer=133 inner=0 red=269 halo=136 comm=[tx0/0/0 rx0/0/0 red713/506/235 bar0] mg=n tune=cgx2 cache=7/8/8",
-    "auto/s3 session-warm: steps=[43:406879fe5d254f92:3e4c4e21863bb95a 45:40416ca82f2ce538:3e2187bdd45807fa 45:40228befb6a4068c:3e0745806230d514] u=a084f0e4993beba6 outer=133 inner=0 red=269 halo=136 comm=[tx0/0/0 rx0/0/0 red269/269/0 bar0] mg=n tune=cgx5 cache=8/8/8",
+    "auto/s3 session-cold: steps=[43:406879fe5d254f92:3e4c4e21863bb95a 45:40416ca82f2ce538:3e2187bdd45807fa 45:40228befb6a4068c:3e0745806230d514] u=a084f0e4993beba6 outer=368 inner=0 red=713 halo=385 comm=[tx0/0/0 rx0/0/0 red716/518/235 bar0] mg=n tune=cgx2 cache=7/8/8",
+    "auto/s3 session-warm: steps=[43:406879fe5d254f92:3e4c4e21863bb95a 45:40416ca82f2ce538:3e2187bdd45807fa 45:40228befb6a4068c:3e0745806230d514] u=a084f0e4993beba6 outer=133 inner=0 red=269 halo=136 comm=[tx0/0/0 rx0/0/0 red272/281/0 bar0] mg=n tune=cgx5 cache=8/8/8",
 ];

@@ -1,6 +1,6 @@
 //! A minimal strict JSON parser for machine-readable artefacts.
 //!
-//! The workspace vendors no `serde_json`, and the audit crate stays
+//! The workspace vendors no JSON library, and the audit crate stays
 //! dependency-free on principle, so the ~RFC 8259 subset the repo
 //! benchmark's result documents need (`benchmark/` reads them back
 //! through this module) is implemented here directly: objects, arrays,

@@ -195,20 +195,6 @@ impl CommStats {
             barriers: self.barriers.load(Ordering::Relaxed),
         }
     }
-
-    /// Resets all counters to zero.
-    pub fn reset(&self) {
-        self.msgs_sent.store(0, Ordering::Relaxed);
-        self.elems_sent_f64.store(0, Ordering::Relaxed);
-        self.elems_sent_f32.store(0, Ordering::Relaxed);
-        self.msgs_received.store(0, Ordering::Relaxed);
-        self.elems_received_f64.store(0, Ordering::Relaxed);
-        self.elems_received_f32.store(0, Ordering::Relaxed);
-        self.reductions.store(0, Ordering::Relaxed);
-        self.reduction_elems_f64.store(0, Ordering::Relaxed);
-        self.reduction_elems_f32.store(0, Ordering::Relaxed);
-        self.barriers.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -216,7 +202,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_and_reset() {
+    fn counters_accumulate() {
         let s = CommStats::new();
         s.count_send(&Payload::F64(vec![0.0; 100]));
         s.count_send(&Payload::F64(vec![0.0; 50]));
@@ -236,8 +222,6 @@ mod tests {
         assert_eq!(snap.reduction_elements(), 5);
         assert_eq!(snap.reduction_bytes(), 3 * 8 + 2 * 4);
         assert_eq!(snap.barriers, 1);
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
     }
 
     #[test]

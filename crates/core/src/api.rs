@@ -280,8 +280,8 @@ pub trait IterativeSolver: Any + Send {
     /// (Re)builds operator-derived state — assembled preconditioners,
     /// cached diagonals — against `ctx`'s operator, and latches `opts`
     /// for subsequent [`IterativeSolver::solve`] calls. Must be called
-    /// again whenever the operator changes (the driver reassembles every
-    /// time step).
+    /// again whenever the operator changes (the driver's operator is
+    /// fixed for a run, so its session prepares once).
     fn prepare(&mut self, ctx: &SolveContext<'_>, opts: &SolveOpts);
 
     /// Solves `A u = b` with `u` entering as the initial guess, using

@@ -3,15 +3,14 @@
 //! benches share.
 
 use crate::api::{DynTile, IterativeSolver, Precision, SolveContext, SolverError, SolverParams};
-use crate::control::SolveControls;
 use crate::mixed::solver_for_precision;
 use crate::ops::{TileBounds, TileOperator};
 use crate::precon::PreconKind;
 use crate::registry::SolverRegistry;
-use crate::session::{SerialTile, SessionSpec};
+use crate::session::{serial_layout, SessionSpec};
 use crate::solver::{SolveOpts, Tile, Workspace};
 use crate::trace::{SolveResult, SolveTrace};
-use tea_comms::Communicator;
+use tea_comms::{Communicator, SerialComm};
 use tea_mesh::{crooked_pipe, timestep_scalings, Coefficients, Field2D, Mesh2D};
 
 /// Builder for one linear solve: pick a solver by registry name, adjust
@@ -160,8 +159,8 @@ impl<'a> Solve<'a> {
         let solver = self.build()?;
         let (nx, ny) = self.op.bounds.tile();
         let mut ws = Workspace::new(nx, ny, solver.halo_depth());
-        let serial = SerialTile::new(self.op);
-        let tile = serial.tile(self.op, SolveControls::default());
+        let (layout, comm) = (serial_layout(self.op), SerialComm::new());
+        let tile: DynTile<'_> = Tile::new(self.op, &layout, &comm);
         Ok(self.drive(solver, &SolveContext::new(&tile), u, b, &mut ws))
     }
 

@@ -12,8 +12,6 @@
 //! spectrum of `M⁻¹A` — which is how the block-Jacobi condition-number
 //! claim (§IV.C.1) is measured.
 
-use serde::{Deserialize, Serialize};
-
 /// Why an eigenvalue-estimate operation was rejected.
 #[derive(Debug, Clone, PartialEq)]
 enum EigenError {
@@ -42,7 +40,7 @@ impl std::fmt::Display for EigenError {
 impl std::error::Error for EigenError {}
 
 /// An estimated spectral interval of the (preconditioned) operator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EigenEstimate {
     /// Estimated smallest eigenvalue.
     pub min: f64,

@@ -8,37 +8,36 @@
 //! preconditioner assembly, AMG's multigrid hierarchy.
 //!
 //! A [`SolveSession`] owns everything `Solve::run` allocated per call —
-//! operator, serial tile plumbing, workspace, solver instance — and
-//! keeps it alive across solves: the first [`SolveSession::solve`]
-//! prepares, every later one skips it. The application driver's one
-//! time-step loop has two step-solvers: the reference one reassembles
-//! and re-prepares every step, the serving one solves through a session
-//! checked out of the cache below.
+//! operator, the rank's halo layout, workspace, solver instance — and
+//! keeps it alive across solves: the first solve prepares, every later
+//! one skips it. The communicator and the accumulated trace stay the
+//! caller's, lent per solve. Every entry point of the application
+//! driver steps through one session per rank; the serving road checks
+//! its session out of the cache below.
 //!
 //! On top sits a keyed pool: `SetupKey` fingerprints the setup —
 //! geometry, coefficient bits, solver configuration, precision, halo
 //! depth — and [`SetupCache::checkout_or_build`] hands a job the warm
 //! session pooled under its key, or wraps the job's freshly constructed
 //! solver into a cold one. Either way a job constructs its solver once.
-//! Hit and miss counters feed the serving run summary.
+//! Hit and miss counters feed the serving run summary. A session built
+//! outside a cache has no key and never hashes its coefficients.
 //!
 //! A prepared solver carries nothing from one solve to the next but the
 //! state `prepare` built, so a warm solve is bit-identical to a cold one.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-use crate::api::{
-    Assembly, DynTile, IterativeSolver, Precision, SolveContext, SolverError, SolverParams,
-};
+use crate::api::{Assembly, IterativeSolver, Precision, SolveContext, SolverError, SolverParams};
 use crate::builder::create_solver;
 use crate::control::SolveControls;
 use crate::ops::TileOperator;
 use crate::precon::PreconKind;
 use crate::solver::{SolveOpts, Tile, Workspace};
 use crate::trace::{SolveResult, SolveTrace};
-use tea_comms::{Communicator, HaloLayout, SerialComm, StatsSnapshot};
+use tea_comms::{Communicator, HaloLayout, SerialComm};
 use tea_mesh::{Coefficient, Decomposition2D, Field2D};
 
 /// Everything a session needs to know besides the operator: which
@@ -179,46 +178,29 @@ fn fingerprint(op: &TileOperator, spec: &SessionSpec) -> u64 {
     h.0
 }
 
-/// The plumbing around an operator on an undecomposed domain: the 1×1
-/// halo layout and the serial communicator. The one place a single-tile
-/// solve — [`crate::Solve::run`], a session's prepare, a session's
-/// solve — gets its [`Tile`] from.
-pub(crate) struct SerialTile {
-    layout: HaloLayout,
-    comm: SerialComm,
-}
-
-impl SerialTile {
-    pub(crate) fn new(op: &TileOperator) -> Self {
-        let (nx, ny) = op.bounds.tile();
-        SerialTile {
-            layout: HaloLayout::new(&Decomposition2D::with_grid(nx, ny, 1, 1), 0),
-            comm: SerialComm::new(),
-        }
-    }
-
-    pub(crate) fn tile<'a>(
-        &'a self,
-        op: &'a TileOperator,
-        controls: SolveControls<'a>,
-    ) -> DynTile<'a> {
-        Tile::with_controls(op, &self.layout, self.comm.as_dyn(), controls)
-    }
+/// The halo layout of an operator on an undecomposed domain: one rank,
+/// no neighbours.
+pub(crate) fn serial_layout(op: &TileOperator) -> HaloLayout {
+    let (nx, ny) = op.bounds.tile();
+    HaloLayout::new(&Decomposition2D::with_grid(nx, ny, 1, 1), 0)
 }
 
 /// Assembly provenance a session can own (the borrowed
 /// [`Assembly`] is rebuilt from it per solve) so hierarchy-building
-/// solvers like AMG can live in sessions too.
+/// solvers like AMG can live in sessions too. The density is shared
+/// with whoever assembled the operator, never copied.
 struct OwnedAssembly {
-    density: Field2D,
+    density: Arc<Field2D>,
     coefficient: Coefficient,
     rx: f64,
     ry: f64,
 }
 
-/// A reusable solve: owns the operator, tile plumbing, workspace and
-/// solver instance, so repeated solves skip allocation and — after the
-/// first call — preparation.
+/// A reusable solve on one rank: owns the operator, the rank's halo
+/// layout, workspace and solver instance, so repeated solves skip
+/// allocation and — after the first call — preparation. The
+/// communicator is the caller's, lent per solve, so the caller reads
+/// its traffic counters.
 ///
 /// ```
 /// use tea_core::{crooked_pipe_system, SessionSpec, SolveSession};
@@ -235,47 +217,48 @@ struct OwnedAssembly {
 /// Sessions are `Send`: a serving queue can move idle sessions between
 /// worker threads. They are not `Sync`; one session runs one solve at a
 /// time.
-// audit:allow(dead_pub) — what `SetupCache::checkout_or_build` hands tea-app's driver.rs,
-// which solves through it without spelling the type
 pub struct SolveSession {
     op: TileOperator,
-    serial: SerialTile,
+    layout: HaloLayout,
     ws: Workspace,
     solver: Box<dyn IterativeSolver>,
     opts: SolveOpts,
-    key: SetupKey,
+    /// The pool slot of a session a [`SetupCache`] built; `None`
+    /// outside a cache, which then never hashes the coefficients.
+    key: Option<SetupKey>,
     assembly: Option<OwnedAssembly>,
     prepares: u64,
 }
 
 impl SolveSession {
-    /// Builds a cold session over `op` from `spec`, resolving the solver
-    /// in the builtin registry (a [`SetupCache`] takes an instance built
-    /// from any registry). Nothing is prepared yet — the first
-    /// [`SolveSession::solve`] does that.
+    /// Builds a cold session over `op` on an undecomposed domain from
+    /// `spec`, resolving the solver in the builtin registry. Nothing is
+    /// prepared yet — the first [`SolveSession::solve`] does that.
     ///
     /// # Errors
     /// [`SolverError`] when the name or precision does not resolve.
     pub fn build(op: TileOperator, spec: &SessionSpec) -> Result<Self, SolverError> {
         let solver = create_solver(None, spec)?;
-        let key = SetupKey::of(&op, spec, solver.as_ref());
-        Ok(Self::keyed(op, spec, solver, key))
+        let layout = serial_layout(&op);
+        Ok(Self::new(op, layout, solver, spec.opts))
     }
 
-    fn keyed(
+    /// A cold session solving with `solver`, prepared under `opts`, over
+    /// `op` on the rank `layout` describes.
+    pub fn new(
         op: TileOperator,
-        spec: &SessionSpec,
+        layout: HaloLayout,
         solver: Box<dyn IterativeSolver>,
-        key: SetupKey,
+        opts: SolveOpts,
     ) -> Self {
         let (nx, ny) = op.bounds.tile();
         SolveSession {
-            serial: SerialTile::new(&op),
             ws: Workspace::new(nx, ny, solver.halo_depth()),
             op,
+            layout,
             solver,
-            opts: spec.opts,
-            key,
+            opts,
+            key: None,
             assembly: None,
             prepares: 0,
         }
@@ -288,7 +271,7 @@ impl SolveSession {
     #[must_use]
     pub fn with_assembly(
         mut self,
-        density: Field2D,
+        density: Arc<Field2D>,
         coefficient: Coefficient,
         rx: f64,
         ry: f64,
@@ -321,67 +304,50 @@ impl SolveSession {
         self.solver.take_diagnostics()
     }
 
-    /// Zeroes the session communicator's counters — the serving queue
-    /// calls this at job checkout so [`SolveSession::comm_stats`] at
-    /// job end reads per-job traffic, not lifetime traffic.
-    pub fn reset_comm_stats(&self) {
-        self.serial.comm.stats().reset();
-    }
-
-    /// Communication counters since the last
-    /// [`SolveSession::reset_comm_stats`].
-    pub fn comm_stats(&self) -> StatsSnapshot {
-        self.serial.comm.stats().snapshot()
-    }
-
-    /// Solves `A u = b` with `u` entering as the initial guess,
-    /// preparing on first use and reusing the prepared state afterwards.
+    /// Solves `A u = b` on a session over an undecomposed domain, with
+    /// `u` entering as the initial guess:
+    /// [`SolveSession::solve_controlled`] over a serial communicator,
+    /// disarmed, into a fresh trace.
     pub fn solve(&mut self, u: &mut Field2D, b: &Field2D) -> SolveResult {
-        self.solve_controlled(u, b, SolveControls::default())
+        let mut trace = SolveTrace::new(self.solver.label());
+        let comm = SerialComm::new();
+        self.solve_controlled(&comm, u, b, SolveControls::default(), &mut trace)
     }
 
-    /// [`SolveSession::solve`] with an armed control bundle: the
-    /// serving path's entry point for deadlines, cancellation and fault
-    /// probes.
+    /// Solves `A u = b` over `comm` with `u` entering as the initial
+    /// guess, preparing on first use and reusing the prepared state
+    /// afterwards. The solve observes `controls` (deadlines,
+    /// cancellation, fault probes) and merges its protocol into `trace`,
+    /// the [`IterativeSolver::solve`] convention.
     pub fn solve_controlled(
         &mut self,
+        comm: &dyn Communicator,
         u: &mut Field2D,
         b: &Field2D,
         controls: SolveControls<'_>,
+        trace: &mut SolveTrace,
     ) -> SolveResult {
+        let assembly = self.assembly.as_ref().map(|a| Assembly {
+            density: &a.density,
+            coefficient: a.coefficient,
+            rx: a.rx,
+            ry: a.ry,
+        });
         if self.prepares == 0 {
-            let opts = self.opts;
-            self.in_context(SolveControls::default(), |solver, ctx, _| {
-                solver.prepare(ctx, &opts)
-            });
+            let tile = Tile::new(&self.op, &self.layout, comm);
+            let ctx = SolveContext {
+                tile: &tile,
+                assembly,
+            };
+            self.solver.prepare(&ctx, &self.opts);
             self.prepares = 1;
         }
-        self.in_context(controls, |solver, ctx, ws| {
-            let mut trace = SolveTrace::new(solver.label());
-            solver.solve(ctx, u, b, ws, &mut trace)
-        })
-    }
-
-    /// Runs `f` on the solver inside the session's solve context.
-    fn in_context<R>(
-        &mut self,
-        controls: SolveControls<'_>,
-        f: impl FnOnce(&mut dyn IterativeSolver, &SolveContext<'_>, &mut Workspace) -> R,
-    ) -> R {
-        let tile = self.serial.tile(&self.op, controls);
-        let ctx = match &self.assembly {
-            Some(a) => SolveContext::with_assembly(
-                &tile,
-                Assembly {
-                    density: &a.density,
-                    coefficient: a.coefficient,
-                    rx: a.rx,
-                    ry: a.ry,
-                },
-            ),
-            None => SolveContext::new(&tile),
+        let tile = Tile::with_controls(&self.op, &self.layout, comm, controls);
+        let ctx = SolveContext {
+            tile: &tile,
+            assembly,
         };
-        f(self.solver.as_mut(), &ctx, &mut self.ws)
+        self.solver.solve(&ctx, u, b, &mut self.ws, trace)
     }
 }
 
@@ -418,10 +384,10 @@ impl SetupCache {
     /// The session for a job that assembled `op` and constructed
     /// `solver` for it: the idle one pooled under the job's
     /// `SetupKey` (a hit — `op` and `solver` are dropped), or a cold
-    /// one wrapping `op` and `solver` and finished by `cold` (a miss;
-    /// `cold` is where the job attaches its assembly recipe). The
-    /// coefficients are fingerprinted once and no second solver is
-    /// constructed on either branch.
+    /// one wrapping `op` on an undecomposed domain and `solver`,
+    /// finished by `cold` (a miss; `cold` is where the job attaches its
+    /// assembly recipe). The coefficients are fingerprinted once and no
+    /// second solver is constructed on either branch.
     pub fn checkout_or_build(
         &self,
         op: TileOperator,
@@ -440,18 +406,25 @@ impl SetupCache {
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                cold(SolveSession::keyed(op, spec, solver, key))
+                let layout = serial_layout(&op);
+                let session = SolveSession {
+                    key: Some(key),
+                    ..SolveSession::new(op, layout, solver, spec.opts)
+                };
+                cold(session)
             }
         }
     }
 
-    /// Returns a session to the pool under its own key.
+    /// Returns a session to the pool under its own key. A session no
+    /// cache built has no key and is dropped.
     pub fn checkin(&self, session: SolveSession) {
-        let key = session.key.clone();
-        crate::sync::lock_tolerant(&self.pool)
-            .entry(key)
-            .or_default()
-            .push(session);
+        if let Some(key) = session.key.clone() {
+            crate::sync::lock_tolerant(&self.pool)
+                .entry(key)
+                .or_default()
+                .push(session);
+        }
     }
 
     /// Idle sessions currently pooled.

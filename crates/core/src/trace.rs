@@ -14,13 +14,12 @@
 //! §VI).
 
 use crate::control::{Probed, SolveControls};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use tea_mesh::Field2;
 
 /// Sweep counts bucketed by extension outside the interior (0 = interior
 /// sweep).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KernelCounts {
     /// extension (cells beyond interior per side) -> number of sweeps.
     pub sweeps_by_extension: BTreeMap<u32, u64>,
@@ -51,7 +50,7 @@ impl KernelCounts {
 }
 
 /// The complete communication/computation protocol of one solve.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SolveTrace {
     /// Human-readable solver label (e.g. `"PPCG-16"`).
     pub solver: String,
@@ -194,7 +193,7 @@ impl SolveTrace {
 /// a [`crate::StopHandle`] deadline or cancellation surfaces as
 /// [`SolveStatus::Cancelled`]. The serve layer keys its
 /// retry/degradation ladder off this status.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolveStatus {
     /// The residual criterion was met.
     Converged,
@@ -245,7 +244,7 @@ impl std::fmt::Display for SolveStatus {
 }
 
 /// Result of one linear solve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SolveResult {
     /// Whether the residual criterion was met within the iteration cap.
     pub converged: bool,

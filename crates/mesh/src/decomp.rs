@@ -6,10 +6,8 @@
 //! Remainder cells are distributed to the lowest-coordinate tiles so no
 //! two tiles differ by more than one cell per dimension.
 
-use serde::{Deserialize, Serialize};
-
 /// Cardinal neighbour directions of a 2D tile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dir {
     /// Negative x neighbour.
     West,
@@ -22,7 +20,7 @@ pub enum Dir {
 }
 
 /// One rank's rectangular tile of the global grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Subdomain {
     /// Owning rank.
     pub rank: usize,
@@ -54,7 +52,7 @@ impl Subdomain {
 }
 
 /// A balanced 2D block decomposition of a global grid over `px * py` ranks.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Decomposition2D {
     global_nx: usize,
     global_ny: usize,

@@ -11,10 +11,9 @@
 
 use crate::field::Field2D;
 use crate::mesh::{Extent2D, Mesh2D};
-use serde::{Deserialize, Serialize};
 
 /// Geometric region of a material state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Shape {
     /// Applies everywhere; must be the first state.
     Background,
@@ -73,7 +72,7 @@ impl Shape {
 
 /// A material state from the input deck: geometry plus initial
 /// density/energy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct State {
     /// Region the state applies to.
     pub shape: Shape,
@@ -94,7 +93,7 @@ pub struct State {
 ///   what the crooked-pipe problem uses (dense wall, conducting pipe).
 /// * [`Coefficient::RecipConductivity`]: `w = 1/density`, so the face
 ///   coefficient is the mean density — dense material conducts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Coefficient {
     /// `w = density` (`COEF_CONDUCTIVITY`); dense cells conduct poorly.
     #[default]
@@ -106,7 +105,7 @@ pub enum Coefficient {
 
 /// A complete physical problem description: mesh size, physical extent,
 /// material states and coefficient recipe.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Problem {
     /// Global cells in x.
     pub x_cells: usize,

@@ -6,10 +6,9 @@
 //! coordinates, which is what the state/geometry initialisation needs.
 
 use crate::decomp::{Decomposition2D, Subdomain};
-use serde::{Deserialize, Serialize};
 
 /// Physical bounding box of the global domain.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Extent2D {
     /// Minimum x coordinate.
     pub x_min: f64,
@@ -55,7 +54,7 @@ impl Extent2D {
 }
 
 /// One rank's view of the global uniform mesh.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mesh2D {
     global_nx: usize,
     global_ny: usize,

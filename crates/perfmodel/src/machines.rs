@@ -15,11 +15,9 @@
 //! strong-scaling at ~1k nodes for a 4000² mesh, and Spruce's LLC grants
 //! super-linear speedups once tiles fit in cache.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-node (or per-device) compute model. Kernels are modelled as
 /// memory-bandwidth-bound streams with a fixed per-sweep overhead.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 // audit:allow(dead_pub) — type of `Machine::node`, whose fields scaling.rs and figures.rs read
 pub struct NodeModel {
     /// Device name for Table I.
@@ -43,7 +41,7 @@ pub struct NodeModel {
 /// Physical topology of the interconnect; determines how message latency
 /// grows with machine size (the mechanism behind Titan-vs-Piz-Daint,
 /// paper §VI).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 // audit:allow(dead_pub) — type of `NetworkModel::topology`, priced through `tree_hop` in scaling.rs
 pub enum Topology {
     /// 3D torus (Gemini): average route length grows as `P^(1/3)`.
@@ -78,7 +76,7 @@ impl Topology {
 
 /// α-β interconnect model with a log-tree reduction term and a
 /// topology-dependent routing term.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 // audit:allow(dead_pub) — type of `Machine::net`, whose fields scaling.rs and figures.rs read
 pub struct NetworkModel {
     /// Interconnect name for Table I.
@@ -102,7 +100,7 @@ impl NetworkModel {
 }
 
 /// A complete machine: node + network + run configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Machine {
     /// Human-readable system name.
     pub name: String,

@@ -18,7 +18,6 @@
 //!   plain CG stop scaling first (paper §III.A).
 
 use crate::machines::Machine;
-use serde::{Deserialize, Serialize};
 use tea_amg::MgTrace;
 use tea_core::SolveTrace;
 use tea_mesh::{choose_process_grid, split_extent};
@@ -29,7 +28,7 @@ use tea_mesh::{choose_process_grid, split_extent};
 /// the f64 (8-byte) figures. Use [`KernelBytes::for_width`] to price the
 /// same kernel schedule at another precision — f32 sweeps move exactly
 /// half the bytes of their f64 counterparts, element counts unchanged.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct KernelBytes {
     /// Fused stencil: load `p` (5-point, cached ≈ 2 elems), `Kx`, `Ky`,
     /// store `w` — 5 elements/cell.
@@ -76,7 +75,7 @@ impl Default for KernelBytes {
 }
 
 /// One predicted point of a strong-scaling curve.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 // audit:allow(dead_pub) — what `predict_width` returns to tea-tune's search.rs and the element of
 // `ScalingSeries::points` that figures.rs tabulates
 pub struct ScalingPoint {
@@ -433,7 +432,7 @@ fn predict_amg(
 }
 
 /// A labelled strong-scaling series.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScalingSeries {
     /// Legend label (e.g. `"PPCG - 16"`).
     pub label: String,

@@ -179,10 +179,11 @@ pub struct JobCtx<'a> {
     pub job: usize,
     /// 0 on the first attempt, incremented per retry.
     pub attempt: u32,
-    /// Cancellation/deadline token for this attempt. Pass it into
-    /// [`tea_core::SolveSession::solve_controlled`] (via
-    /// [`tea_core::SolveControls::stopping`]) so deadlines can interrupt the
-    /// iteration loop.
+    /// Cancellation/deadline token for this attempt. Arm every solve of
+    /// the attempt with it ([`tea_core::SolveControls::stopping`], handed
+    /// to each [`tea_core::SolveSession::solve_controlled`] — the app's
+    /// serving driver does this per time step) so deadlines can
+    /// interrupt the iteration loop.
     pub stop: &'a StopHandle,
 }
 

@@ -114,8 +114,11 @@ impl AutoSolver {
             }
         }
         let mut outcome = match best {
-            Some((result, trial_u, solver)) => {
+            Some((result, trial_u, mut solver)) => {
                 *u = trial_u;
+                // the trial ran under its cost cap; later solves get the
+                // caller's full iteration budget
+                solver.prepare(ctx, &self.opts);
                 self.winner = Some(solver);
                 result
             }
@@ -204,7 +207,7 @@ impl IterativeSolver for AutoSolver {
 mod tests {
     use super::*;
     use crate::log::{TuneAction, TuneLog};
-    use tea_core::{crooked_pipe_system, Solve};
+    use tea_core::{crooked_pipe_system, Solve, SolveSession};
 
     fn tuned_registry() -> SolverRegistry {
         let mut reg = SolverRegistry::builtin();
@@ -291,6 +294,52 @@ mod tests {
         let diag = auto.take_diagnostics().unwrap();
         let carried = diag.downcast::<TuneLog>().unwrap();
         assert_eq!(carried.winner, log.winner);
+    }
+
+    #[test]
+    fn a_winner_adopted_under_a_cost_cap_gets_the_full_budget_afterwards() {
+        // on this stiff deck cg converges first, uncapped, and
+        // mixed_ppcg@d8 then wins under the cost cap cg set; a session
+        // prepares once, so a later solve from a zero guess — which needs
+        // more iterations than that cap — converges only if the winner
+        // was re-latched with the caller's iteration budget
+        let (op, b) = crooked_pipe_system(48, 100.0, 8);
+        let params = SolverParams {
+            halo_depth: 8,
+            ..SolverParams::default()
+        };
+        let layout = tea_comms::HaloLayout::new(&tea_mesh::Decomposition2D::new(48, 48, 1), 0);
+        let auto = Box::new(AutoSolver::from_params(&params));
+        let mut session = SolveSession::new(op, layout, auto, SolveOpts::with_eps(1e-8));
+        assert!(session.solve(&mut b.clone(), &b).converged);
+
+        let log = *session
+            .take_diagnostics()
+            .and_then(|d| d.downcast::<TuneLog>().ok())
+            .expect("the race ran");
+        let raced = |label: &str| {
+            log.decisions
+                .iter()
+                .find_map(|d| match d.action {
+                    TuneAction::Raced { iterations, cost } if d.candidate == label => {
+                        Some((iterations, cost))
+                    }
+                    _ => None,
+                })
+                .unwrap_or_else(|| panic!("{label} raced: {log}"))
+        };
+        assert_eq!(log.winner.as_deref(), Some("mixed_ppcg@d8"), "{log}");
+        let (_, cg_cost) = raced("cg");
+        let (iterations, cost) = raced("mixed_ppcg@d8");
+        let cap = (cg_cost / (cost / iterations as f64)).floor() as u64;
+
+        let later = session.solve(&mut Field2D::new(48, 48, 8), &b);
+        assert!(later.converged, "{:?}", later.status);
+        assert!(
+            later.iterations > cap,
+            "{} within the race cap {cap}",
+            later.iterations
+        );
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! serve outcomes and the bench reports.
 
 use crate::monitor::Verdict;
-use serde::{Deserialize, Serialize};
 
 /// What the tuner did about one candidate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TuneAction {
     /// Ran a trial solve; `cost` is `iterations ×` the candidate's
     /// bytes-per-iteration prior.
@@ -40,7 +39,7 @@ pub enum TuneAction {
 }
 
 /// One entry of the [`TuneLog`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TuneDecision {
     /// Candidate label (see [`crate::Candidate::label`]).
     pub candidate: String,
@@ -72,7 +71,7 @@ impl std::fmt::Display for TuneDecision {
 }
 
 /// The full decision record of one tuning run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TuneLog {
     /// Seed the candidate order was derived from.
     pub seed: u64,

@@ -3,11 +3,10 @@
 //! residual under the cap it ran with — and turns them into a
 //! [`Verdict`] for the [`crate::TuneLog`].
 
-use serde::{Deserialize, Serialize};
 use tea_core::{SolveResult, SolveStatus};
 
 /// What a residual trajectory is doing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// Nothing to classify: a trial not run yet, or cancelled mid-way.
     Pending,

@@ -9,7 +9,6 @@
 //! `tea-fault`'s `FaultPlan`, so the race never reads a clock and the
 //! same seed always explores in the same order.
 
-use serde::{Deserialize, Serialize};
 use tea_core::{ChebyOpts, PreconKind, SolverParams, SolverRegistry};
 use tea_perfmodel::{predicted_iteration_bytes, KernelBytes};
 
@@ -18,7 +17,7 @@ use tea_perfmodel::{predicted_iteration_bytes, KernelBytes};
 const DEEP_HALO_DEPTHS: [usize; 3] = [1, 4, 8];
 
 /// One point of the design space the tuner may race.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
     /// Canonical registry name.
     pub solver: String,
