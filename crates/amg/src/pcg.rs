@@ -19,9 +19,8 @@ use crate::hierarchy::{MgHierarchy, MgOpts};
 use crate::trace::MgTrace;
 use tea_comms::Communicator;
 use tea_core::{
-    pcg_loop, Assembly, Entry, IterativeSolver, Krylov, Precondition, SolveContext, SolveOpts,
-    SolveResult, SolveStatus, SolveTrace, SolverMeta, SolverParams, SolverRegistry, Tile,
-    Workspace,
+    pcg_loop, Entry, IterativeSolver, Krylov, Precondition, SolveContext, SolveOpts, SolveResult,
+    SolveStatus, SolveTrace, SolverMeta, SolverParams, SolverRegistry, Tile, Workspace,
 };
 use tea_mesh::Field2D;
 
@@ -57,25 +56,24 @@ pub fn full_registry() -> SolverRegistry {
 ///
 /// The multigrid hierarchy is prepared state: [`IterativeSolver::prepare`]
 /// builds it from the [`tea_core::Assembly`] carried by the
-/// [`SolveContext`] and every solve reuses it (a solve with no prepare
-/// behind it builds on demand). Every driver road solves through a
-/// [`tea_core::SolveSession`], which prepares once: the heavy setup is
-/// paid once per run, and not at all by a warm serving job. The
+/// [`SolveContext`] and every solve reuses it. Every driver road solves
+/// through a [`tea_core::SolveSession`], which prepares once: the heavy
+/// setup is paid once per run, and not at all by a warm serving job. The
 /// per-level V-cycle trace, setup cells included where a build ran,
 /// accumulates across prepares and solves; drivers
 /// recover it via the [`IterativeSolver::take_diagnostics`] hook
 /// (payload [`MgTrace`]) or directly through [`AmgPcg::take_mg_trace`].
 ///
 /// # Panics
-/// `solve` panics if it has to build and the context carries no
-/// assembly info, or if the communicator spans more than one rank (the
-/// baseline is serial; its distributed behaviour enters through trace
-/// replay).
+/// `prepare` panics if the context carries no assembly info; `solve`
+/// panics if the solver was never prepared or the communicator spans
+/// more than one rank (the baseline is serial; its distributed
+/// behaviour enters through trace replay).
 #[derive(Debug, Default)]
 pub struct AmgPcg {
     amg: AmgPcgOpts,
     opts: SolveOpts,
-    /// The hierarchy the last prepare (or on-demand build) made.
+    /// The hierarchy the last prepare built.
     hierarchy: Option<MgHierarchy>,
     mg_trace: Option<MgTrace>,
 }
@@ -107,17 +105,6 @@ impl AmgPcg {
             None => self.mg_trace = Some(t),
         }
     }
-
-    /// Builds the hierarchy from `asm` and records its setup work.
-    fn build(&mut self, asm: &Assembly<'_>) {
-        let h = MgHierarchy::build(asm.density, asm.coefficient, asm.rx, asm.ry, self.amg.mg);
-        self.record(MgTrace {
-            level_shapes: h.shapes(),
-            setup_cells: h.setup_cells,
-            ..MgTrace::default()
-        });
-        self.hierarchy = Some(h);
-    }
 }
 
 impl IterativeSolver for AmgPcg {
@@ -129,12 +116,21 @@ impl IterativeSolver for AmgPcg {
         "BoomerAMG".into()
     }
 
+    /// Latches `opts` and builds the hierarchy from the context's
+    /// assembly, recording its setup work.
     fn prepare(&mut self, ctx: &SolveContext<'_>, opts: &SolveOpts) {
         self.opts = *opts;
-        self.hierarchy = None;
-        if let Some(asm) = &ctx.assembly {
-            self.build(asm);
-        }
+        let asm = ctx.assembly.expect(
+            "the AMG baseline builds its hierarchy from the density field: \
+             construct the SolveContext with_assembly(..)",
+        );
+        let h = MgHierarchy::build(asm.density, asm.coefficient, asm.rx, asm.ry, self.amg.mg);
+        self.record(MgTrace {
+            level_shapes: h.shapes(),
+            setup_cells: h.setup_cells,
+            ..MgTrace::default()
+        });
+        self.hierarchy = Some(h);
     }
 
     fn solve(
@@ -151,14 +147,10 @@ impl IterativeSolver for AmgPcg {
             1,
             "the AMG baseline runs on a single tile; scaling comes from trace replay"
         );
-        if self.hierarchy.is_none() {
-            let asm = ctx.assembly.expect(
-                "the AMG baseline builds its hierarchy from the density field: \
-                 construct the SolveContext with_assembly(..)",
-            );
-            self.build(&asm);
-        }
-        let hierarchy = self.hierarchy.as_mut().expect("built above");
+        let hierarchy = self
+            .hierarchy
+            .as_mut()
+            .expect("the AMG baseline solved before prepare");
         let mut mg_trace = MgTrace {
             level_shapes: hierarchy.shapes(),
             ..MgTrace::default()
@@ -227,8 +219,8 @@ mod tests {
     use std::sync::Arc;
     use tea_comms::{HaloLayout, SerialComm};
     use tea_core::{
-        SessionSpec, SetupCache, Solve, SolveControls, SolveSession, SolveStatus, SolveTrace,
-        StopHandle, TileBounds, TileOperator,
+        Assembly, SessionSpec, SetupCache, Solve, SolveControls, SolveSession, SolveStatus,
+        SolveTrace, StopHandle, TileBounds, TileOperator,
     };
     use tea_mesh::{
         crooked_pipe, timestep_scalings, Coefficient, Coefficients, Decomposition2D, Mesh2D,

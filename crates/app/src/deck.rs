@@ -610,7 +610,6 @@ tl_coefficient=1
         for (text, name) in [
             ("tl_use_jacobi", "jacobi"),
             ("tl_use_cg", "cg"),
-            ("tl_use_cg_fused", "cg_fused"),
             ("tl_use_chebyshev", "chebyshev"),
             ("tl_use_ppcg", "ppcg"),
             ("tl_use_amg", "amg"),
@@ -624,6 +623,14 @@ tl_coefficient=1
             ))
             .unwrap();
             assert_eq!(deck.control.solver, name, "{text}");
+        }
+        // an unregistered name fails by either road, listing what is registered
+        for text in ["tl_use_cg_fused", "tl_solver=cg_fused"] {
+            let e = mini_deck(text).unwrap_err();
+            assert!(e.contains("unknown solver"), "{e}");
+            for name in crate::solver_registry().names() {
+                assert!(e.contains(name), "{e} should list {name}");
+            }
         }
     }
 

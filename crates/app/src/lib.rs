@@ -36,12 +36,12 @@ use std::sync::OnceLock;
 use tea_core::SolverRegistry;
 
 /// The application's solver registry: every tea-core builtin (Jacobi,
-/// CG, fused CG, Chebyshev, CPPCG, Richardson and the mixed/f32
-/// variants), the tea-amg baseline, and the tea-tune `auto`
-/// pseudo-solver. The deck parser (`tl_solver=<name>` and the legacy
-/// `tl_use_*` switches), the driver, and the `tealeaf` CLI
-/// (`--solver`, `--list-solvers`) all resolve names against this one
-/// table, so a solver registered here is selectable everywhere.
+/// CG, Chebyshev, CPPCG, Richardson and the mixed/f32 variants), the
+/// tea-amg baseline, and the tea-tune `auto` pseudo-solver. The deck
+/// parser (`tl_solver=<name>` and the legacy `tl_use_*` switches), the
+/// driver, and the `tealeaf` CLI (`--solver`, `--list-solvers`) all
+/// resolve names against this one table, so a solver registered here
+/// is selectable everywhere.
 pub fn solver_registry() -> &'static SolverRegistry {
     static REGISTRY: OnceLock<SolverRegistry> = OnceLock::new();
     REGISTRY.get_or_init(|| {

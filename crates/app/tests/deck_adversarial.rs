@@ -150,7 +150,6 @@ proptest! {
             "richardson",
             "mixed_richardson",
             "cg",
-            "cg_fused",
             "mixed_cg",
             "cg_f32",
             "jacobi",

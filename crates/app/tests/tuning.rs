@@ -126,9 +126,7 @@ fn auto_settles_on_the_plain_family_without_escalation() {
     let tune = out.tune.expect("auto leaves a tune log");
     let winner = tune.winner.clone().expect("the race adopts a winner");
     assert!(
-        ["cg", "cg_fused", "mixed_cg", "chebyshev"]
-            .iter()
-            .any(|w| winner == *w),
+        ["cg", "mixed_cg", "chebyshev"].iter().any(|w| winner == *w),
         "winner {winner} must be a cheap plain-precision method"
     );
     assert!(

@@ -253,10 +253,13 @@ impl std::error::Error for SolverError {}
 ///    merging its communication/computation protocol into the caller's
 ///    accumulated [`SolveTrace`].
 ///
-/// `solve` also prepares on demand, so single-shot callers may skip
-/// step 1. That is the whole protocol: a solver keeps nothing from one
-/// `solve` to the next beyond what `prepare` built, so a solve depends
-/// on the operator, the latched options, `u` and `b` alone.
+/// Prepare, then solve: operator-derived state is assembled in
+/// `prepare` and nowhere else, and `solve` panics on a solver that was
+/// never prepared (single-shot callers go through [`crate::Solve`] or a
+/// [`crate::SolveSession`], which prepare for them). That is the whole
+/// protocol: a solver keeps nothing from one `solve` to the next beyond
+/// what `prepare` built, so a solve depends on the operator, the
+/// latched options, `u` and `b` alone.
 ///
 /// The supertrait `Any` lets drivers recover solver-specific
 /// diagnostics (e.g. the AMG V-cycle trace) by downcasting without the
@@ -285,10 +288,12 @@ pub trait IterativeSolver: Any + Send {
     fn prepare(&mut self, ctx: &SolveContext<'_>, opts: &SolveOpts);
 
     /// Solves `A u = b` with `u` entering as the initial guess, using
-    /// the options latched by the last [`IterativeSolver::prepare`]
-    /// (defaults if never prepared — implementations prepare on demand).
+    /// the state and options of the last [`IterativeSolver::prepare`].
     /// The solve's protocol is merged into `trace` and also returned
     /// inside the [`SolveResult`].
+    ///
+    /// # Panics
+    /// If the solver was never prepared.
     fn solve(
         &mut self,
         ctx: &SolveContext<'_>,

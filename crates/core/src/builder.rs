@@ -83,8 +83,9 @@ impl<'a> Solve<'a> {
     }
 
     /// Arithmetic-precision override. Unset, the solver name is taken
-    /// verbatim. [`Precision::Mixed`] re-routes `cg`/`cg_fused` to
-    /// `mixed_cg` and `ppcg` to `mixed_ppcg`; [`Precision::F32`] routes
+    /// verbatim. [`Precision::Mixed`] re-routes `cg` to `mixed_cg`,
+    /// `ppcg` to `mixed_ppcg`, `chebyshev` to `mixed_chebyshev` and
+    /// `richardson` to `mixed_richardson`; [`Precision::F32`] routes
     /// the CG family to `cg_f32`; [`Precision::F64`] demotes a
     /// reduced-precision name back to its `f64` family solver. Methods
     /// without a registered variant make [`Solve::run`] fail with
@@ -138,17 +139,6 @@ impl<'a> Solve<'a> {
         self
     }
 
-    /// Builds the configured solver without running it (for callers
-    /// that drive [`crate::IterativeSolver`] directly, e.g. benches
-    /// reusing one instance across repeated solves).
-    ///
-    /// # Errors
-    /// [`SolverError::UnknownSolver`] if the name resolves against
-    /// neither the chosen registry nor the builtin one.
-    pub fn build(&self) -> Result<Box<dyn IterativeSolver>, SolverError> {
-        create_solver(self.registry, &self.spec)
-    }
-
     /// Runs the solve on a single serial tile, allocating the workspace
     /// internally. `u` enters as the initial guess and exits as the
     /// solution.
@@ -156,7 +146,7 @@ impl<'a> Solve<'a> {
     /// # Errors
     /// [`SolverError::UnknownSolver`] for an unregistered solver name.
     pub fn run(&self, u: &mut Field2D, b: &Field2D) -> Result<SolveResult, SolverError> {
-        let solver = self.build()?;
+        let solver = create_solver(self.registry, &self.spec)?;
         let (nx, ny) = self.op.bounds.tile();
         let mut ws = Workspace::new(nx, ny, solver.halo_depth());
         let (layout, comm) = (serial_layout(self.op), SerialComm::new());
@@ -178,7 +168,7 @@ impl<'a> Solve<'a> {
         b: &Field2D,
         ws: &mut Workspace,
     ) -> Result<SolveResult, SolverError> {
-        let solver = self.build()?;
+        let solver = create_solver(self.registry, &self.spec)?;
         assert!(
             ws.halo() >= solver.halo_depth(),
             "workspace halo {} shallower than the {} the configured solver needs \

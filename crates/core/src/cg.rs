@@ -29,7 +29,6 @@ use crate::api::{DynTile, IterativeSolver, Precision, SolveContext, SolverParams
 use crate::control::Probed;
 use crate::eigen::{estimate_from_cg, EigenEstimate};
 use crate::mixed::{Inner, Low, Lowered};
-use crate::ops::TileOperator;
 use crate::precon::{PreconKind, Preconditioner};
 use crate::recurrence::{pcg_loop, reduce, Entry, Krylov, Precondition};
 use crate::solver::{SolveOpts, Tile, Workspace};
@@ -81,15 +80,6 @@ impl Cg {
     pub fn from_params(params: &SolverParams) -> Self {
         Cg::new(params.precon)
     }
-
-    /// The one place the preconditioner is assembled for this solver
-    /// (used by both `prepare` and the prepare-on-demand path).
-    fn assemble(&mut self, ctx: &SolveContext<'_>) {
-        match self.precision {
-            Precision::F64 => self.precon = Some(Preconditioner::setup(self.kind, ctx.tile.op, 0)),
-            _ => self.low = Some(Low::assemble(self.kind, ctx.tile.op, 0)),
-        }
-    }
 }
 
 impl IterativeSolver for Cg {
@@ -111,7 +101,11 @@ impl IterativeSolver for Cg {
 
     fn prepare(&mut self, ctx: &SolveContext<'_>, opts: &SolveOpts) {
         self.opts = *opts;
-        self.assemble(ctx);
+        let op = ctx.tile.op;
+        match self.precision {
+            Precision::F64 => self.precon = Some(Preconditioner::setup(self.kind, op, 0)),
+            _ => self.low = Some(Low::assemble(self.kind, op, 0)),
+        }
     }
 
     fn solve(
@@ -122,9 +116,6 @@ impl IterativeSolver for Cg {
         ws: &mut Workspace,
         trace: &mut SolveTrace,
     ) -> SolveResult {
-        if self.precon.is_none() && self.low.is_none() {
-            self.assemble(ctx);
-        }
         let (tile, opts) = (ctx.tile, self.opts);
         let result = match (self.precision, &self.precon, &mut self.low) {
             (Precision::F64, Some(precon), _) => {
@@ -137,7 +128,7 @@ impl IterativeSolver for Cg {
                 pcg_loop(tile, &mut k, &mut step, entry, opts).0
             }
             (Precision::F32, _, Some(low)) => low.cg_solve(tile, u, b, opts),
-            _ => unreachable!("assembled above, in the solver's precision"),
+            _ => panic!("CG solved before prepare"),
         };
         trace.merge(&result.trace);
         result
@@ -245,9 +236,9 @@ impl Family {
 }
 
 /// A method of the eigen-prelude family: its options, its names and its
-/// own loop. Everything else an [`IterativeSolver`] needs — prepare,
-/// prepare on demand, the prelude itself — is the one blanket impl
-/// below.
+/// own loop. Everything else an [`IterativeSolver`] needs — `prepare`,
+/// which assembles the preconditioners, and the prelude `solve` opens
+/// with — is the one blanket impl below.
 pub(crate) trait EigenFamily: Any + Send {
     /// Registry names: the `f64` method, then its `mixed` variant.
     const NAMES: [&'static str; 2];
@@ -264,15 +255,6 @@ pub(crate) trait EigenFamily: Any + Send {
     /// exchanges, interior-only sweeps).
     fn matrix_powers(&self) -> Option<usize> {
         None
-    }
-    /// The one place a family's preconditioners are assembled, over the
-    /// matrix-powers extent, for both `prepare` and the
-    /// prepare-on-demand path.
-    fn assemble(&mut self, op: &TileOperator) {
-        let ext = self.matrix_powers().unwrap_or(0);
-        let family = self.family_mut();
-        family.precon = Some(Preconditioner::setup(family.kind, op, ext));
-        family.low = family.mixed.then(|| Low::assemble(family.kind, op, ext));
     }
     /// The method's own loop, picking up the unfinished prelude `pre`
     /// with the spectrum estimate `est`.
@@ -301,9 +283,14 @@ impl<T: EigenFamily> IterativeSolver for T {
         self.matrix_powers().unwrap_or(1)
     }
 
+    /// Latches `opts` and assembles the preconditioners over the
+    /// matrix-powers extent.
     fn prepare(&mut self, ctx: &SolveContext<'_>, opts: &SolveOpts) {
-        self.family_mut().opts = *opts;
-        self.assemble(ctx.tile.op);
+        let (op, ext) = (ctx.tile.op, self.matrix_powers().unwrap_or(0));
+        let family = self.family_mut();
+        family.opts = *opts;
+        family.precon = Some(Preconditioner::setup(family.kind, op, ext));
+        family.low = family.mixed.then(|| Low::assemble(family.kind, op, ext));
     }
 
     fn solve(
@@ -315,11 +302,8 @@ impl<T: EigenFamily> IterativeSolver for T {
         trace: &mut SolveTrace,
     ) -> SolveResult {
         let (tile, label, spectrum) = (ctx.tile, self.label(), self.spectrum());
-        if self.family().precon.is_none() {
-            self.assemble(tile.op);
-        }
         let family = self.family();
-        let precon = family.precon.as_ref().expect("assembled above");
+        let precon = family.precon.as_ref().expect("solved before prepare");
         let result = match eigen_prelude(tile, u, b, precon, ws, family.opts, spectrum, &label) {
             Ok((pre, est)) => self.run(tile, u, b, ws, pre, est),
             Err(end) => *end,

@@ -17,10 +17,12 @@ use tea_comms::Communicator;
 use tea_mesh::Field2D;
 
 /// Point-Jacobi as an [`IterativeSolver`]: the design-space floor. No
-/// configuration beyond the convergence options latched by `prepare`.
+/// configuration beyond the convergence options latched by `prepare`,
+/// which also computes the reciprocal diagonal `D⁻¹`.
 #[derive(Debug, Clone, Default)]
 pub struct Jacobi {
     opts: SolveOpts,
+    inv_diag: Option<Field2D>,
 }
 
 impl Jacobi {
@@ -44,8 +46,18 @@ impl IterativeSolver for Jacobi {
         "Jacobi".into()
     }
 
-    fn prepare(&mut self, _ctx: &SolveContext<'_>, opts: &SolveOpts) {
+    fn prepare(&mut self, ctx: &SolveContext<'_>, opts: &SolveOpts) {
         self.opts = *opts;
+        let op = ctx.tile.op;
+        let (nx, ny) = op.bounds.tile();
+        let mut inv_diag = Field2D::new(nx, ny, 1);
+        op.diagonal_into(&mut inv_diag, 0);
+        for k in 0..ny as isize {
+            for v in inv_diag.row_mut(k, 0, nx as isize) {
+                *v = 1.0 / *v;
+            }
+        }
+        self.inv_diag = Some(inv_diag);
     }
 
     fn solve(
@@ -56,7 +68,11 @@ impl IterativeSolver for Jacobi {
         ws: &mut Workspace,
         trace: &mut SolveTrace,
     ) -> SolveResult {
-        let result = jacobi_solve_impl(ctx.tile, u, b, ws, self.opts);
+        let inv_diag = self
+            .inv_diag
+            .as_ref()
+            .expect("Jacobi solved before prepare");
+        let result = jacobi_solve_impl(ctx.tile, u, b, inv_diag, ws, self.opts);
         trace.merge(&result.trace);
         result
     }
@@ -66,22 +82,12 @@ pub(crate) fn jacobi_solve_impl<C: Communicator + ?Sized>(
     tile: &Tile<'_, C>,
     u: &mut Field2D,
     b: &Field2D,
+    inv_diag: &Field2D,
     ws: &mut Workspace,
     opts: SolveOpts,
 ) -> SolveResult {
     let mut trace = SolveTrace::new("Jacobi");
     let bounds = &tile.op.bounds;
-    let (nx, ny) = bounds.tile();
-
-    // reciprocal diagonal, computed once
-    let mut inv_diag = Field2D::new(nx, ny, 1);
-    tile.op.diagonal_into(&mut inv_diag, 0);
-    for k in 0..ny as isize {
-        for v in inv_diag.row_mut(k, 0, nx as isize) {
-            *v = 1.0 / *v;
-        }
-    }
-
     tile.exchange(&mut [u], 1, &mut trace);
     tile.op.residual(u, b, &mut ws.r, 0, &mut trace);
     let rr0 = vector::dot_local(&ws.r, &ws.r, bounds, &mut trace);
@@ -92,7 +98,7 @@ pub(crate) fn jacobi_solve_impl<C: Communicator + ?Sized>(
     };
     stationary_loop(tile, u, &mut ws.r, run, opts, None, |u, r, _, trace| {
         // u += D^{-1} r
-        vector::mul_into(&mut ws.z, r, &inv_diag, bounds, 0, trace);
+        vector::mul_into(&mut ws.z, r, inv_diag, bounds, 0, trace);
         vector::axpy(u, 1.0, &ws.z, bounds, 0, trace);
         tile.exchange(&mut [u], 1, trace);
         tile.op.residual(u, b, r, 0, trace);

@@ -50,7 +50,6 @@
 pub mod api;
 pub mod builder;
 pub mod cg;
-pub mod cg_fused;
 pub mod chebyshev;
 pub mod control;
 pub mod eigen;
@@ -75,7 +74,6 @@ pub use api::{
 };
 pub use builder::{crooked_pipe_system, Solve};
 pub use cg::{cg_solve_recording, Cg, CgCoefficients};
-pub use cg_fused::CgFused;
 pub use chebyshev::{cg_iteration_bound, ChebyConstants, ChebyOpts, Chebyshev};
 pub use control::{Probed, SolveControls, SolveProbe, StopHandle};
 pub use eigen::{

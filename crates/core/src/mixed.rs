@@ -95,9 +95,10 @@ use tea_mesh::{Field2, Field2D};
 ///
 /// A solver whose [`crate::SolverMeta::precision`] already matches is
 /// returned unchanged; otherwise the request is re-routed within the
-/// method family (`cg`/`cg_fused` ↔ `mixed_cg`/`cg_f32`, `ppcg` ↔
-/// `mixed_ppcg`), and `Precision::F64` demotes a reduced-precision name
-/// back to its `f64` family solver.
+/// method family (`cg` ↔ `mixed_cg`/`cg_f32`, `ppcg` ↔ `mixed_ppcg`,
+/// `chebyshev` ↔ `mixed_chebyshev`, `richardson` ↔ `mixed_richardson`),
+/// and `Precision::F64` demotes a reduced-precision name back to its
+/// `f64` family solver.
 ///
 /// # Errors
 /// [`SolverError::UnknownSolver`] for an unregistered name, and
@@ -131,11 +132,11 @@ pub fn solver_for_precision(
     };
     let target = match (family, precision) {
         (_, Precision::F64) => Some(family),
-        ("cg" | "cg_fused", Precision::Mixed) => Some("mixed_cg"),
+        ("cg", Precision::Mixed) => Some("mixed_cg"),
         ("ppcg", Precision::Mixed) => Some("mixed_ppcg"),
         ("chebyshev", Precision::Mixed) => Some("mixed_chebyshev"),
         ("richardson", Precision::Mixed) => Some("mixed_richardson"),
-        ("cg" | "cg_fused", Precision::F32) => Some("cg_f32"),
+        ("cg", Precision::F32) => Some("cg_f32"),
         _ => None,
     };
     match target {
@@ -144,8 +145,8 @@ pub fn solver_for_precision(
             solver: meta.name.to_string(),
             precision,
             reason: format!(
-                "no {} variant of '{}' is registered (variants cover the cg, cg_fused, \
-                 ppcg, chebyshev and richardson families)",
+                "no {} variant of '{}' is registered (variants cover the cg, ppcg, \
+                 chebyshev and richardson families)",
                 precision.label(),
                 meta.name
             ),
@@ -542,7 +543,6 @@ mod tests {
         let route = |n: &str, p: Precision| solver_for_precision(n, p, &reg).unwrap();
         assert_eq!(route("cg", Precision::F64), "cg");
         assert_eq!(route("cg", Precision::Mixed), "mixed_cg");
-        assert_eq!(route("cg_fused", Precision::Mixed), "mixed_cg");
         assert_eq!(route("cg", Precision::F32), "cg_f32");
         assert_eq!(route("ppcg", Precision::Mixed), "mixed_ppcg");
         assert_eq!(route("chebyshev", Precision::Mixed), "mixed_chebyshev");

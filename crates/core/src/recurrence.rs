@@ -1,5 +1,8 @@
-//! The two recurrences every solver here is assembled from, each written
-//! once.
+//! The two recurrences every registry solver is an instance of, each
+//! written once. There is no exception: no method keeps a loop of its
+//! own, and each instance's operator-derived state (preconditioner,
+//! `f32` image, multigrid hierarchy) is assembled in
+//! [`crate::IterativeSolver::prepare`], never inside the loop.
 //!
 //! * [`pcg_loop`] — the preconditioned CG outer recurrence (paper
 //!   §III.A): the `α`/`β` updates, the two global reductions per

@@ -9,7 +9,6 @@
 
 use crate::api::{IterativeSolver, Precision, SolverError, SolverMeta, SolverParams};
 use crate::cg::Cg;
-use crate::cg_fused::CgFused;
 use crate::chebyshev::Chebyshev;
 use crate::jacobi::Jacobi;
 use crate::ppcg::Ppcg;
@@ -46,10 +45,11 @@ impl SolverRegistry {
         }
     }
 
-    /// The registry of tea-core's built-in methods: Jacobi, CG, fused
-    /// CG, Chebyshev, CPPCG and Richardson. (The AMG-preconditioned CG
-    /// baseline lives in `tea-amg`, which registers itself on top of
-    /// this set.)
+    /// The registry of tea-core's built-in methods: Jacobi, CG,
+    /// Chebyshev, CPPCG and Richardson at `f64`, then their reduced-
+    /// precision variants — every one a [`crate::recurrence`] instance.
+    /// (The AMG-preconditioned CG baseline lives in `tea-amg`, which
+    /// registers itself on top of this set.)
     pub fn builtin() -> Self {
         let mut reg = SolverRegistry::empty();
         reg.register(
@@ -79,20 +79,6 @@ impl SolverRegistry {
                 tunable: true,
             },
             |p| Box::new(Cg::from_params(p)),
-        );
-        reg.register(
-            SolverMeta {
-                name: "cg_fused",
-                aliases: &["cg-fused"],
-                summary: "single-reduction (Chronopoulos-Gear) CG",
-                preconditioned: true,
-                needs_eigen_estimate: false,
-                deep_halo: false,
-                serial_only: false,
-                precision: Precision::F64,
-                tunable: true,
-            },
-            |p| Box::new(CgFused::from_params(p)),
         );
         reg.register(
             SolverMeta {
@@ -383,7 +369,6 @@ mod tests {
             vec![
                 "jacobi",
                 "cg",
-                "cg_fused",
                 "chebyshev",
                 "ppcg",
                 "richardson",

@@ -70,13 +70,6 @@ impl<'a, C: Communicator + ?Sized> Tile<'a, C> {
         self.comm.allreduce_sum(local)
     }
 
-    /// Globally reduces several scalars in one latency, recording the
-    /// event.
-    pub fn reduce_sum_many(&self, locals: &[f64], trace: &mut SolveTrace) -> Vec<f64> {
-        trace.record_reduction(locals.len());
-        self.comm.allreduce_sum_many(locals)
-    }
-
     /// Globally reduces one scalar *in its own precision*: an `f32` local
     /// travels (and folds) at 4 bytes, so reduced-precision solvers stop
     /// widening their reduction traffic to f64. Trace accounting is

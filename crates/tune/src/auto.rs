@@ -299,7 +299,7 @@ mod tests {
     #[test]
     fn a_winner_adopted_under_a_cost_cap_gets_the_full_budget_afterwards() {
         // on this stiff deck cg converges first, uncapped, and
-        // mixed_ppcg@d8 then wins under the cost cap cg set; a session
+        // mixed_ppcg then wins under the cost cap cg set; a session
         // prepares once, so a later solve from a zero guess — which needs
         // more iterations than that cap — converges only if the winner
         // was re-latched with the caller's iteration budget
@@ -328,9 +328,9 @@ mod tests {
                 })
                 .unwrap_or_else(|| panic!("{label} raced: {log}"))
         };
-        assert_eq!(log.winner.as_deref(), Some("mixed_ppcg@d8"), "{log}");
+        assert_eq!(log.winner.as_deref(), Some("mixed_ppcg"), "{log}");
         let (_, cg_cost) = raced("cg");
-        let (iterations, cost) = raced("mixed_ppcg@d8");
+        let (iterations, cost) = raced("mixed_ppcg");
         let cap = (cg_cost / (cost / iterations as f64)).floor() as u64;
 
         let later = session.solve(&mut Field2D::new(48, 48, 8), &b);

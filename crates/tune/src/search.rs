@@ -131,9 +131,9 @@ mod tests {
     fn plan_covers_every_tunable_meta_and_depth() {
         let reg = SolverRegistry::builtin();
         let plan = plan_candidates(&reg, &SolverParams::default(), 0);
-        // 8 flat tunable methods at depth 1 + ppcg/mixed_ppcg at 3
-        // depths each = 8 + 2*3 = 14
-        assert_eq!(plan.len(), 14, "{plan:#?}");
+        // 7 flat tunable methods at depth 1 + ppcg/mixed_ppcg at 3
+        // depths each = 7 + 2*3 = 13
+        assert_eq!(plan.len(), 13, "{plan:#?}");
         for meta in reg.iter() {
             let instances = plan.iter().filter(|c| c.solver == meta.name).count();
             let expect = match (meta.tunable && !meta.serial_only, meta.deep_halo) {
@@ -152,7 +152,7 @@ mod tests {
             ..SolverParams::default()
         };
         let plan = plan_candidates(&reg, &strips, 0);
-        assert_eq!(plan.len(), 10, "{plan:#?}");
+        assert_eq!(plan.len(), 9, "{plan:#?}");
         assert!(plan.iter().all(|c| c.halo_depth == 1), "{plan:#?}");
     }
 

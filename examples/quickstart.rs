@@ -37,7 +37,6 @@ fn main() {
     for (label, name, precon) in [
         ("CG", "cg", PreconKind::None),
         ("CG + block-Jacobi", "cg", PreconKind::BlockJacobi),
-        ("CG (fused reductions)", "cg_fused", PreconKind::None),
         ("Chebyshev", "chebyshev", PreconKind::None),
         ("Richardson", "richardson", PreconKind::Diagonal),
     ] {

@@ -18,7 +18,7 @@ use tealeaf::app::{crooked_pipe_deck, run_serial, Control, Deck};
 use tealeaf::comms::{Communicator, HaloLayout, SerialComm};
 use tealeaf::mesh::{timestep_scalings, Coefficients, Decomposition2D, Field2D, Mesh2D};
 use tealeaf::solvers::{
-    crooked_pipe_system, Cg, CgFused, ChebyOpts, Chebyshev, DynTile, IterativeSolver, Jacobi, Ppcg,
+    crooked_pipe_system, Cg, ChebyOpts, Chebyshev, DynTile, IterativeSolver, Jacobi, Ppcg,
     PpcgOpts, PreconKind, Richardson, RichardsonOpts, SolveContext, SolveOpts, SolveResult,
     SolveTrace, SolverParams, Tile, TileBounds, TileOperator, Workspace,
 };
@@ -55,7 +55,6 @@ fn direct_solver(name: &str, precon: PreconKind, depth: usize) -> Box<dyn Iterat
     match name {
         "jacobi" => Box::new(Jacobi::new()),
         "cg" => Box::new(Cg::new(precon)),
-        "cg_fused" => Box::new(CgFused::new(precon)),
         "mixed_cg" => Box::new(Cg::new(precon).mixed()),
         "chebyshev" => Box::new(Chebyshev::new(
             precon,
@@ -88,7 +87,7 @@ fn registry_solvers_match_direct_construction_bitwise() {
         (24usize, 0.02, PreconKind::None, 4usize),
     ];
     let opts = SolveOpts::with_eps(1e-9);
-    let names = ["jacobi", "cg", "cg_fused", "mixed_cg", "chebyshev", "ppcg"];
+    let names = ["jacobi", "cg", "mixed_cg", "chebyshev", "ppcg"];
 
     for &(n, dt, precon, depth) in &systems {
         let (op, b) = crooked_pipe_system(n, dt, depth);

@@ -66,7 +66,6 @@ fn solvers_are_bit_identical_across_threads_and_thresholds() {
         ("cg", PreconKind::None),
         ("cg", PreconKind::Diagonal),
         ("cg", PreconKind::BlockJacobi),
-        ("cg_fused", PreconKind::None),
         ("ppcg", PreconKind::None),
         ("ppcg", PreconKind::Diagonal),
         ("chebyshev", PreconKind::None),
