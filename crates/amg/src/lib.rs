@@ -7,7 +7,10 @@
 //! degenerates to geometric 2x2 aggregation) used as a V-cycle
 //! preconditioner inside CG ([`pcg`]), with a dense Cholesky coarsest
 //! solve ([`chol`]) and per-level protocol traces ([`trace`]) for the
-//! strong-scaling model.
+//! strong-scaling model. The solver itself is private: it is built by
+//! name (`"amg"`) from a registry that [`register`] or
+//! [`full_registry`] set up, and its [`MgTrace`] comes back through
+//! `IterativeSolver::take_diagnostics`.
 //!
 //! See DESIGN.md §3 (substitution 3) for why this preserves the baseline
 //! behaviours that matter: near-mesh-independent iteration counts, heavy
@@ -23,5 +26,5 @@ pub mod trace;
 
 pub use chol::Cholesky;
 pub use hierarchy::{MgHierarchy, MgOpts, COARSEST_CELLS};
-pub use pcg::{full_registry, register, AmgPcg, AmgPcgOpts};
+pub use pcg::{full_registry, register};
 pub use trace::MgTrace;

@@ -38,8 +38,9 @@ const AMG_META: SolverMeta = SolverMeta {
 };
 
 /// Registers the AMG baseline into `registry` under `"amg"` (aliases
-/// `"boomeramg"`, `"amg_pcg"`). The application layer calls this on top
-/// of [`SolverRegistry::builtin`]; custom registries can too.
+/// `"boomeramg"`, `"amg_pcg"`) — the only way to build one. The
+/// application layer calls this on top of [`SolverRegistry::builtin`];
+/// custom registries can too.
 pub fn register(registry: &mut SolverRegistry) {
     registry.register(AMG_META, |p| Box::new(AmgPcg::from_params(p)));
 }
@@ -62,16 +63,15 @@ pub fn full_registry() -> SolverRegistry {
 /// per-level V-cycle trace, setup cells included where a build ran,
 /// accumulates across prepares and solves; drivers
 /// recover it via the [`IterativeSolver::take_diagnostics`] hook
-/// (payload [`MgTrace`]) or directly through [`AmgPcg::take_mg_trace`].
+/// (payload [`MgTrace`]).
 ///
 /// # Panics
 /// `prepare` panics if the context carries no assembly info; `solve`
 /// panics if the solver was never prepared or the communicator spans
 /// more than one rank (the baseline is serial; its distributed
 /// behaviour enters through trace replay).
-#[derive(Debug, Default)]
-pub struct AmgPcg {
-    amg: AmgPcgOpts,
+#[derive(Debug)]
+struct AmgPcg {
     opts: SolveOpts,
     /// The hierarchy the last prepare built.
     hierarchy: Option<MgHierarchy>,
@@ -79,24 +79,14 @@ pub struct AmgPcg {
 }
 
 impl AmgPcg {
-    /// An AMG-PCG solver with V-cycle configuration `amg`.
-    pub fn new(amg: AmgPcgOpts) -> Self {
-        AmgPcg {
-            amg,
-            ..AmgPcg::default()
-        }
-    }
-
     /// Registry factory (the V-cycle shape is fixed by [`MgOpts`]
     /// defaults; generic [`SolverParams`] carry nothing it consumes).
-    pub fn from_params(_params: &SolverParams) -> Self {
-        AmgPcg::new(AmgPcgOpts::default())
-    }
-
-    /// Takes the multigrid trace accumulated over all builds and solves
-    /// since the last call (`None` if none ran).
-    pub fn take_mg_trace(&mut self) -> Option<MgTrace> {
-        self.mg_trace.take()
+    fn from_params(_params: &SolverParams) -> Self {
+        AmgPcg {
+            opts: SolveOpts::default(),
+            hierarchy: None,
+            mg_trace: None,
+        }
     }
 
     fn record(&mut self, t: MgTrace) {
@@ -124,7 +114,13 @@ impl IterativeSolver for AmgPcg {
             "the AMG baseline builds its hierarchy from the density field: \
              construct the SolveContext with_assembly(..)",
         );
-        let h = MgHierarchy::build(asm.density, asm.coefficient, asm.rx, asm.ry, self.amg.mg);
+        let h = MgHierarchy::build(
+            asm.density,
+            asm.coefficient,
+            asm.rx,
+            asm.ry,
+            MgOpts::default(),
+        );
         self.record(MgTrace {
             level_shapes: h.shapes(),
             setup_cells: h.setup_cells,
@@ -182,17 +178,13 @@ impl IterativeSolver for AmgPcg {
         result
     }
 
+    /// The multigrid trace accumulated over all builds and solves since
+    /// the last call (`None` if none ran).
     fn take_diagnostics(&mut self) -> Option<Box<dyn std::any::Any>> {
-        self.take_mg_trace()
+        self.mg_trace
+            .take()
             .map(|t| Box::new(t) as Box<dyn std::any::Any>)
     }
-}
-
-/// Options for the AMG-PCG baseline solver.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AmgPcgOpts {
-    /// V-cycle smoothing configuration.
-    pub mg: MgOpts,
 }
 
 /// The AMG instance of [`pcg_loop`]: `z = M⁻¹r` is one multigrid
@@ -287,14 +279,25 @@ mod tests {
                 ry: s.ry,
             },
         );
-        let mut solver = AmgPcg::new(AmgPcgOpts::default());
+        let mut solver = amg();
         let mut ws = Workspace::new(n, n, 1);
         let mut u = s.b.clone();
         let mut trace = SolveTrace::new(solver.label());
         solver.prepare(&ctx, &SolveOpts::with_eps(1e-9));
         let result = solver.solve(&ctx, &mut u, &s.b, &mut ws, &mut trace);
-        let mg_trace = solver.take_mg_trace().expect("a build and a solve ran");
+        let mg_trace = *solver
+            .take_diagnostics()
+            .expect("a build and a solve ran")
+            .downcast::<MgTrace>()
+            .expect("AMG's diagnostics are its MgTrace");
         (Solved { result, mg_trace }, u, s)
+    }
+
+    /// An AMG solver, built the only way there is: by the registry.
+    fn amg() -> Box<dyn IterativeSolver> {
+        full_registry()
+            .create("amg", &SolverParams::default())
+            .expect("amg is registered")
     }
 
     /// A cold session over `s`, checked out of its own cache the way the
@@ -304,8 +307,7 @@ mod tests {
             opts: SolveOpts::with_eps(1e-9),
             ..SessionSpec::solver("amg")
         };
-        let solver = Box::new(AmgPcg::new(AmgPcgOpts::default()));
-        SetupCache::new().checkout_or_build(s.op.clone(), &spec, solver, |cold| {
+        SetupCache::new().checkout_or_build(s.op.clone(), &spec, amg(), |cold| {
             cold.with_assembly(Arc::new(s.density.clone()), s.coefficient, s.rx, s.ry)
         })
     }

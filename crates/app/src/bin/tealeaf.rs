@@ -11,7 +11,7 @@ use tea_app::{
     crooked_pipe_deck, find_repo_root, parse_deck, run_serial, run_threaded_ranks, semantic_audit,
     serve_decks_with_plan, solver_registry, write_field_csv, write_field_ppm, DeckJob, RankOutput,
 };
-use tea_core::{ChebyOpts, Precision, PreconKind, SolverParams};
+use tea_core::{Precision, PreconKind, SolverParams, EIGEN_SAFETY};
 use tea_fault::FaultPlan;
 use tea_serve::ServeOptions;
 
@@ -149,14 +149,7 @@ fn parse_args() -> Result<Args, String> {
                         .to_string(),
                 );
             }
-            "--precon" => {
-                args.precon = Some(match value()?.as_str() {
-                    "none" => PreconKind::None,
-                    "jac_diag" | "diag" => PreconKind::Diagonal,
-                    "jac_block" | "block" => PreconKind::BlockJacobi,
-                    other => return Err(format!("unknown preconditioner '{other}'")),
-                })
-            }
+            "--precon" => args.precon = Some(PreconKind::parse(&value()?)?),
             "--precision" => args.precision = Some(Precision::parse(&value()?)?),
             "--depth" => args.depth = Some(value()?.parse().map_err(|e| format!("--depth: {e}"))?),
             "--inner" => args.inner = Some(value()?.parse().map_err(|e| format!("--inner: {e}"))?),
@@ -216,9 +209,8 @@ fn print_solvers() {
         }
         if meta.needs_eigen_estimate {
             notes.push(format!(
-                "presteps={} eigen_safety={}",
-                defaults.presteps,
-                ChebyOpts::default().eigen_safety
+                "presteps={} eigen_safety={EIGEN_SAFETY}",
+                defaults.presteps
             ));
         }
         if meta.deep_halo {

@@ -312,14 +312,7 @@ pub fn parse_deck(text: &str) -> Result<Deck, String> {
                     other => return Err(err(format!("unknown coefficient '{other}'"))),
                 }
             }
-            "tl_preconditioner_type" => {
-                control.precon = match value {
-                    "none" => PreconKind::None,
-                    "jac_diag" => PreconKind::Diagonal,
-                    "jac_block" => PreconKind::BlockJacobi,
-                    other => return Err(err(format!("unknown preconditioner '{other}'"))),
-                }
-            }
+            "tl_preconditioner_type" => control.precon = PreconKind::parse(value).map_err(err)?,
             other => return Err(err(format!("unknown deck key '{other}'"))),
         }
     }
@@ -709,6 +702,15 @@ tl_coefficient=1
         let e = mini_deck("tl_precision=f16").unwrap_err();
         assert!(e.contains("unknown precision 'f16'"), "{e}");
         assert!(e.contains("f64, f32, mixed"), "{e}");
+        assert!(e.contains("line 5"), "{e}");
+    }
+
+    #[test]
+    fn tl_preconditioner_type_accepts_exactly_the_labels() {
+        // the CLI's `--precon diag` fails with the same text (cli.rs)
+        let e = mini_deck("tl_preconditioner_type=diag").unwrap_err();
+        let want = "unknown preconditioner 'diag' (accepted: none, jac_diag, jac_block)";
+        assert!(e.contains(want), "{e}");
         assert!(e.contains("line 5"), "{e}");
     }
 

@@ -128,16 +128,57 @@ fn precision_flag_overrides_the_deck_and_conflicts_error_cleanly() {
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
+/// The whole `--list-solvers` listing: every registered solver, its
+/// aliases, summary and the defaults it runs with (`eigen_safety` and
+/// the rest read the same constants the solvers do).
+const LIST_SOLVERS: &str = "\
+registered solvers:
+
+  jacobi
+      point-Jacobi iteration (the design-space floor)
+  cg
+      preconditioned conjugate gradient (the baseline)
+      defaults: precon=none, tunable
+  chebyshev (aliases: cheby)
+      CG presteps + Chebyshev acceleration (no dot products)
+      defaults: precon=none, presteps=30 eigen_safety=0.1, tunable
+  ppcg (aliases: cppcg)
+      Chebyshev polynomially preconditioned CG with matrix-powers deep halos
+      defaults: precon=none, presteps=30 eigen_safety=0.1, halo_depth=1 inner_steps=16, tunable
+  richardson
+      preconditioned Richardson with Chebyshev-optimal damping
+      defaults: precon=none, presteps=30 eigen_safety=0.1, tunable
+  mixed_cg (aliases: mixed, cg_mixed)
+      CG with f64 recurrence and the preconditioner applied in f32
+      defaults: precon=none, tunable, precision=mixed
+  mixed_ppcg (aliases: ppcg_mixed)
+      CPPCG with the inner Chebyshev smoothing entirely in f32
+      defaults: precon=none, presteps=30 eigen_safety=0.1, halo_depth=1 inner_steps=16, tunable, precision=mixed
+  mixed_chebyshev (aliases: chebyshev_mixed, cheby_mixed)
+      Chebyshev acceleration with the polynomial sweeps entirely in f32
+      defaults: precon=none, presteps=30 eigen_safety=0.1, tunable, precision=mixed
+  mixed_richardson (aliases: richardson_mixed)
+      Richardson with the damped sweeps in f32 under f64 residual control
+      defaults: precon=none, presteps=30 eigen_safety=0.1, tunable, precision=mixed
+  cg_f32 (aliases: f32_cg)
+      fully single-precision CG (accuracy limited by f32 round-off; no demotion site, so no subnormal pedestal: its far field can run denormal)
+      defaults: precon=none, tunable, precision=f32
+  amg (aliases: boomeramg, amg_pcg)
+      multigrid V-cycle preconditioned CG (the BoomerAMG-class baseline)
+      defaults: serial-only
+  auto (aliases: tune, autotune)
+      auto-tuned: races the tunable methods, adopts the cheapest converged one
+      defaults: precon=none, halo_depth=1 inner_steps=16, serial-only
+
+select with --solver <name>, or tl_solver=<name> in a deck
+'auto' races the solvers marked tunable and keeps the cheapest (--tune-seed)
+";
+
 #[test]
 fn list_solvers_shows_precision_metadata() {
     let out = tealeaf(&["--list-solvers"]);
     assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-    for name in ["mixed_cg", "mixed_ppcg", "cg_f32"] {
-        assert!(stdout.contains(name), "missing {name}:\n{stdout}");
-    }
-    assert!(stdout.contains("precision=mixed"), "{stdout}");
-    assert!(stdout.contains("precision=f32"), "{stdout}");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), LIST_SOLVERS);
 }
 
 #[test]
@@ -146,6 +187,17 @@ fn unknown_precision_value_is_a_usage_error() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr).to_string();
     assert!(stderr.contains("unknown precision 'f16'"), "{stderr}");
+}
+
+#[test]
+fn precon_flag_accepts_exactly_the_deck_spellings() {
+    // `diag` / `block` were undocumented CLI-only spellings the deck
+    // refused; both roads now parse through `PreconKind::parse`
+    let out = tealeaf(&["--precon", "diag"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    let want = "error: unknown preconditioner 'diag' (accepted: none, jac_diag, jac_block)";
+    assert!(stderr.starts_with(want), "{stderr}");
 }
 
 #[test]

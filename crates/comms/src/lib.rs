@@ -80,25 +80,7 @@ pub trait Communicator {
     /// accounted) at 4 bytes per element; every rank must deposit the
     /// same width, and the fold runs in the payload's own precision so
     /// single-rank results are exactly the local values.
-    ///
-    /// The default routes through [`Communicator::allreduce_sum_many`],
-    /// widening `f32` contributions to `f64` on the wire — correct for
-    /// any backend, but paying the 8-byte width. The in-tree backends
-    /// override it with genuinely width-native reductions.
-    fn allreduce_sum_payload(&self, locals: Payload) -> Payload {
-        match locals {
-            Payload::F64(v) => Payload::F64(self.allreduce_sum_many(&v)),
-            Payload::F32(v) => {
-                let wide: Vec<f64> = v.iter().map(|&x| f64::from(x)).collect();
-                Payload::F32(
-                    self.allreduce_sum_many(&wide)
-                        .into_iter()
-                        .map(|x| x as f32)
-                        .collect(),
-                )
-            }
-        }
-    }
+    fn allreduce_sum_payload(&self, locals: Payload) -> Payload;
 
     /// Blocks until every rank reaches the barrier.
     fn barrier(&self);

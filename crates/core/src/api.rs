@@ -3,8 +3,9 @@
 //!
 //! The TeaLeaf paper is a *design-space exploration* of iterative sparse
 //! solvers, so the solver itself must be a first-class, swappable value:
-//! a config-carrying struct implementing [`IterativeSolver`], selected by
-//! name from a [`crate::SolverRegistry`] and driven through the uniform
+//! an [`IterativeSolver`] trait object, built by name by a
+//! [`crate::SolverRegistry`] factory from the one flat [`SolverParams`]
+//! set — the only way to build one — and driven through the uniform
 //! `prepare`/`solve` protocol. The time-stepping driver, the benches and
 //! the examples all speak this interface; adding a new method means
 //! implementing the trait and registering a factory — no driver surgery.
@@ -72,8 +73,12 @@ impl<'a> SolveContext<'a> {
     }
 }
 
-/// Generic knobs a solver factory may consume (each solver reads only
-/// the fields its method uses; see [`crate::SolverMeta`] for which).
+/// The one configuration surface of every solver: the knobs a
+/// [`crate::SolverRegistry`] factory consumes (each solver reads only
+/// the fields its method uses; see [`crate::SolverMeta`] for which). The
+/// deck, the CLI, the [`crate::Solve`] builder, the serving cache key
+/// and the `auto` tuner all configure solvers through it; what no road
+/// varies is a constant ([`EIGEN_SAFETY`], [`CHECK_INTERVAL`]).
 ///
 /// The defaults reproduce the application driver's defaults, so a
 /// registry-built solver with `SolverParams::default()` behaves exactly
@@ -106,6 +111,16 @@ impl Default for SolverParams {
         }
     }
 }
+
+/// Safety widening applied to every Lanczos spectrum estimate of the
+/// CG eigen prelude (Chebyshev, CPPCG, Richardson): the bounds must
+/// *contain* the true spectrum or the iteration diverges.
+pub const EIGEN_SAFETY: f64 = 0.1;
+
+/// Convergence-check cadence, in iterations, of the Chebyshev and
+/// Richardson loops (each check is one global reduction) — and the
+/// length of one `f32` block of their mixed variants.
+pub const CHECK_INTERVAL: u64 = 10;
 
 /// Arithmetic-precision policy of a solver — a first-class axis of the
 /// design space alongside method, preconditioner and halo depth.

@@ -10,7 +10,7 @@ use crate::registry::SolverRegistry;
 use crate::session::{serial_layout, SessionSpec};
 use crate::solver::{SolveOpts, Tile, Workspace};
 use crate::trace::{SolveResult, SolveTrace};
-use tea_comms::{Communicator, SerialComm};
+use tea_comms::SerialComm;
 use tea_mesh::{crooked_pipe, timestep_scalings, Coefficients, Field2D, Mesh2D};
 
 /// Builder for one linear solve: pick a solver by registry name, adjust
@@ -29,10 +29,6 @@ use tea_mesh::{crooked_pipe, timestep_scalings, Coefficients, Field2D, Mesh2D};
 ///     .expect("ppcg is a registered solver");
 /// assert!(result.converged);
 /// ```
-///
-/// Distributed callers that already hold a [`Tile`] and a [`Workspace`]
-/// use [`Solve::run_with`]; everything else (registry resolution,
-/// parameterisation, preparation) is identical.
 #[derive(Debug, Clone)]
 pub struct Solve<'a> {
     op: &'a TileOperator,
@@ -140,59 +136,21 @@ impl<'a> Solve<'a> {
     }
 
     /// Runs the solve on a single serial tile, allocating the workspace
-    /// internally. `u` enters as the initial guess and exits as the
-    /// solution.
+    /// internally: prepare, then solve. `u` enters as the initial guess
+    /// and exits as the solution.
     ///
     /// # Errors
     /// [`SolverError::UnknownSolver`] for an unregistered solver name.
     pub fn run(&self, u: &mut Field2D, b: &Field2D) -> Result<SolveResult, SolverError> {
-        let solver = create_solver(self.registry, &self.spec)?;
+        let mut solver = create_solver(self.registry, &self.spec)?;
         let (nx, ny) = self.op.bounds.tile();
         let mut ws = Workspace::new(nx, ny, solver.halo_depth());
         let (layout, comm) = (serial_layout(self.op), SerialComm::new());
         let tile: DynTile<'_> = Tile::new(self.op, &layout, &comm);
-        Ok(self.drive(solver, &SolveContext::new(&tile), u, b, &mut ws))
-    }
-
-    /// Runs the solve on an existing tile (serial or decomposed) with a
-    /// caller-owned workspace, for callers that manage their own
-    /// decomposition. Ignores the builder's operator in favour of
-    /// `tile.op`.
-    ///
-    /// # Errors
-    /// [`SolverError::UnknownSolver`] for an unregistered solver name.
-    pub fn run_with<C: Communicator + ?Sized>(
-        &self,
-        tile: &Tile<'_, C>,
-        u: &mut Field2D,
-        b: &Field2D,
-        ws: &mut Workspace,
-    ) -> Result<SolveResult, SolverError> {
-        let solver = create_solver(self.registry, &self.spec)?;
-        assert!(
-            ws.halo() >= solver.halo_depth(),
-            "workspace halo {} shallower than the {} the configured solver needs \
-             (allocate Workspace::new(nx, ny, halo_depth))",
-            ws.halo(),
-            solver.halo_depth()
-        );
-        let dyn_tile: DynTile<'_> = Tile::new(tile.op, tile.layout, tile.comm.as_dyn());
-        Ok(self.drive(solver, &SolveContext::new(&dyn_tile), u, b, ws))
-    }
-
-    /// The one-shot protocol behind [`Solve::run`] and
-    /// [`Solve::run_with`]: prepare against `ctx`, then solve.
-    fn drive(
-        &self,
-        mut solver: Box<dyn IterativeSolver>,
-        ctx: &SolveContext<'_>,
-        u: &mut Field2D,
-        b: &Field2D,
-        ws: &mut Workspace,
-    ) -> SolveResult {
-        solver.prepare(ctx, &self.spec.opts);
+        let ctx = SolveContext::new(&tile);
+        solver.prepare(&ctx, &self.spec.opts);
         let mut trace = SolveTrace::new(solver.label());
-        solver.solve(ctx, u, b, ws, &mut trace)
+        Ok(solver.solve(&ctx, u, b, &mut ws, &mut trace))
     }
 }
 
@@ -245,8 +203,6 @@ pub fn crooked_pipe_system(n: usize, dt: f64, halo: usize) -> (TileOperator, Fie
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tea_comms::{HaloLayout, SerialComm};
-    use tea_mesh::Decomposition2D;
 
     #[test]
     fn builder_runs_every_builtin_solver() {
@@ -304,35 +260,5 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("gauss_seidel"), "{err}");
         assert!(err.to_string().contains("ppcg"), "{err}");
-    }
-
-    #[test]
-    fn run_with_matches_run_bitwise() {
-        let n = 16;
-        let (op, b) = crooked_pipe_system(n, 0.04, 1);
-        let mut u1 = b.clone();
-        let r1 = Solve::on(&op)
-            .precon(PreconKind::BlockJacobi)
-            .run(&mut u1, &b)
-            .unwrap();
-
-        let decomp = Decomposition2D::with_grid(n, n, 1, 1);
-        let layout = HaloLayout::new(&decomp, 0);
-        let comm = SerialComm::new();
-        let tile = Tile::new(&op, &layout, &comm);
-        let mut ws = Workspace::new(n, n, 1);
-        let mut u2 = b.clone();
-        let r2 = Solve::on(&op)
-            .precon(PreconKind::BlockJacobi)
-            .run_with(&tile, &mut u2, &b, &mut ws)
-            .unwrap();
-
-        assert_eq!(r1.iterations, r2.iterations);
-        assert_eq!(r1.final_residual.to_bits(), r2.final_residual.to_bits());
-        for k in 0..n as isize {
-            for j in 0..n as isize {
-                assert_eq!(u1.at(j, k).to_bits(), u2.at(j, k).to_bits());
-            }
-        }
     }
 }

@@ -3,7 +3,7 @@
 //! its precision axis, `mixed_cg` and `cg_f32`.
 //!
 //! The recurrence itself is [`pcg_loop`], shared with CPPCG and the AMG
-//! baseline; [`Cg`] plugs in one of three ways to produce `z = M⁻¹r`:
+//! baseline; `Cg` plugs in one of three ways to produce `z = M⁻¹r`:
 //!
 //! * `cg` — `Fused`, three sweeps over the tile per iteration (paper
 //!   §III.A): the fused `w = A·p, pw = p·w` sweep (Listing 1) and its
@@ -14,10 +14,10 @@
 //!   preconditioning never store `z`; block-Jacobi adds its strip solve
 //!   and a separate dot. Two allreduce latencies per iteration — the
 //!   strong-scaling bottleneck the CPPCG solver exists to amortise.
-//! * `mixed_cg` ([`Cg::mixed`]) — the `f64` recurrence around the `f32`
+//! * `mixed_cg` (`Cg::mixed`) — the `f64` recurrence around the `f32`
 //!   preconditioner round trip (`Lowered`); CG tolerates any fixed SPD
 //!   preconditioner, so it still reaches `f64` tolerances.
-//! * `cg_f32` ([`Cg::single`]) — the same `Fused` step with every
+//! * `cg_f32` (`Cg::single`) — the same `Fused` step with every
 //!   vector in `f32`, plus the round-off `Floor` policy: the honest
 //!   end of the precision sweep, stalling near `κ(A)·ε_f32`.
 //!
@@ -25,7 +25,7 @@
 //! reference's criterion; for `M = I` this is the plain relative residual
 //! norm).
 
-use crate::api::{DynTile, IterativeSolver, Precision, SolveContext, SolverParams};
+use crate::api::{DynTile, IterativeSolver, Precision, SolveContext, SolverParams, EIGEN_SAFETY};
 use crate::control::Probed;
 use crate::eigen::{estimate_from_cg, EigenEstimate};
 use crate::mixed::{Inner, Low, Lowered};
@@ -42,8 +42,8 @@ use tea_mesh::Field2D;
 /// Krylov method, at the precision chosen by [`Cg::mixed`] /
 /// [`Cg::single`] (default `f64`). `prepare` assembles the
 /// preconditioner, in that precision, against the current operator.
-#[derive(Debug, Clone, Default)]
-pub struct Cg {
+#[derive(Debug)]
+pub(crate) struct Cg {
     kind: PreconKind,
     precision: Precision,
     opts: SolveOpts,
@@ -52,17 +52,20 @@ pub struct Cg {
 }
 
 impl Cg {
-    /// A CG solver using preconditioner `kind`.
-    pub fn new(kind: PreconKind) -> Self {
+    /// Registry factory: consumes [`SolverParams::precon`].
+    pub(crate) fn from_params(params: &SolverParams) -> Self {
         Cg {
-            kind,
-            ..Default::default()
+            kind: params.precon,
+            precision: Precision::F64,
+            opts: SolveOpts::default(),
+            precon: None,
+            low: None,
         }
     }
 
     /// The `"mixed_cg"` registry entry: the preconditioner is assembled
     /// from the demoted operator and applied to demoted residuals.
-    pub fn mixed(mut self) -> Self {
+    pub(crate) fn mixed(mut self) -> Self {
         self.precision = Precision::Mixed;
         self
     }
@@ -71,14 +74,9 @@ impl Cg {
     /// products widened only for the scalar recurrence. Tight `f64`-era
     /// tolerances are generally unreachable, so the solve ends honestly
     /// unconverged once the residual stops improving.
-    pub fn single(mut self) -> Self {
+    pub(crate) fn single(mut self) -> Self {
         self.precision = Precision::F32;
         self
-    }
-
-    /// Registry factory: consumes [`SolverParams::precon`].
-    pub fn from_params(params: &SolverParams) -> Self {
-        Cg::new(params.precon)
     }
 }
 
@@ -185,11 +183,11 @@ pub fn cg_solve_recording<C: Communicator + ?Sized>(
 
 /// The CG presteps → Lanczos → eigenvalue-estimate prelude every
 /// Chebyshev-family solve opens with (paper §III.D): runs
-/// `presteps.max(1)` CG iterations, keeping the partial solution. `Err`
-/// is a solve the presteps already finished, diverged in, or were
-/// cancelled during; `Ok` carries the unfinished result — its trace
-/// relabelled `label` and stamped with the estimate — for the method's
-/// own loop to pick up.
+/// `presteps.max(1)` CG iterations, keeping the partial solution, and
+/// widens the estimate by [`EIGEN_SAFETY`]. `Err` is a solve the
+/// presteps already finished, diverged in, or were cancelled during;
+/// `Ok` carries the unfinished result — its trace relabelled `label`
+/// and stamped with the estimate — for the method's own loop to pick up.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn eigen_prelude<C: Communicator + ?Sized>(
     tile: &Tile<'_, C>,
@@ -198,7 +196,7 @@ pub(crate) fn eigen_prelude<C: Communicator + ?Sized>(
     precon: &Preconditioner,
     ws: &mut Workspace,
     opts: SolveOpts,
-    (presteps, eigen_safety): (u64, f64),
+    presteps: u64,
     label: &str,
 ) -> Result<(SolveResult, EigenEstimate), Box<SolveResult>> {
     let (mut pre, coeffs) = cg_solve_recording(tile, u, b, precon, ws, opts, presteps.max(1));
@@ -206,19 +204,19 @@ pub(crate) fn eigen_prelude<C: Communicator + ?Sized>(
         return Err(Box::new(pre));
     }
     let (al, be) = coeffs.for_lanczos();
-    let est = estimate_from_cg(al, be, eigen_safety);
+    let est = estimate_from_cg(al, be, EIGEN_SAFETY);
     pre.trace.solver = label.to_string();
     pre.trace.eigen_bounds = Some((est.min, est.max));
     Ok((pre, est))
 }
 
 /// What the three families that open with [`eigen_prelude`] (CPPCG,
-/// Chebyshev, Richardson) hold in common: the preconditioner choice and
-/// precision switch, the latched options and the state assembled
-/// against the current operator.
-#[derive(Debug, Clone, Default)]
+/// Chebyshev, Richardson) hold in common: the parameters they were
+/// built from and the precision switch, the latched options and the
+/// state assembled against the current operator.
+#[derive(Debug)]
 pub(crate) struct Family {
-    pub kind: PreconKind,
+    pub params: SolverParams,
     pub mixed: bool,
     pub opts: SolveOpts,
     pub precon: Option<Preconditioner>,
@@ -226,19 +224,22 @@ pub(crate) struct Family {
 }
 
 impl Family {
-    /// The unassembled `f64` state for preconditioner `kind`.
-    pub fn new(kind: PreconKind) -> Self {
+    /// The unassembled `f64` state for `params`.
+    pub fn new(params: &SolverParams) -> Self {
         Family {
-            kind,
-            ..Default::default()
+            params: params.clone(),
+            mixed: false,
+            opts: SolveOpts::default(),
+            precon: None,
+            low: None,
         }
     }
 }
 
-/// A method of the eigen-prelude family: its options, its names and its
-/// own loop. Everything else an [`IterativeSolver`] needs — `prepare`,
-/// which assembles the preconditioners, and the prelude `solve` opens
-/// with — is the one blanket impl below.
+/// A method of the eigen-prelude family: its names and its own loop.
+/// Everything else an [`IterativeSolver`] needs — `prepare`, which
+/// assembles the preconditioners, and the prelude `solve` opens with —
+/// is the one blanket impl below.
 pub(crate) trait EigenFamily: Any + Send {
     /// Registry names: the `f64` method, then its `mixed` variant.
     const NAMES: [&'static str; 2];
@@ -248,8 +249,6 @@ pub(crate) trait EigenFamily: Any + Send {
     fn family_mut(&mut self) -> &mut Family;
     /// Figure-legend label of the `f64` method.
     fn legend(&self) -> String;
-    /// `(presteps, eigen_safety)` of the prelude.
-    fn spectrum(&self) -> (u64, f64);
     /// Matrix-powers depth: the halo the fields must carry and the
     /// extent the preconditioners are assembled over (`None`: depth-1
     /// exchanges, interior-only sweeps).
@@ -288,9 +287,10 @@ impl<T: EigenFamily> IterativeSolver for T {
     fn prepare(&mut self, ctx: &SolveContext<'_>, opts: &SolveOpts) {
         let (op, ext) = (ctx.tile.op, self.matrix_powers().unwrap_or(0));
         let family = self.family_mut();
+        let kind = family.params.precon;
         family.opts = *opts;
-        family.precon = Some(Preconditioner::setup(family.kind, op, ext));
-        family.low = family.mixed.then(|| Low::assemble(family.kind, op, ext));
+        family.precon = Some(Preconditioner::setup(kind, op, ext));
+        family.low = family.mixed.then(|| Low::assemble(kind, op, ext));
     }
 
     fn solve(
@@ -301,10 +301,11 @@ impl<T: EigenFamily> IterativeSolver for T {
         ws: &mut Workspace,
         trace: &mut SolveTrace,
     ) -> SolveResult {
-        let (tile, label, spectrum) = (ctx.tile, self.label(), self.spectrum());
+        let (tile, label) = (ctx.tile, self.label());
         let family = self.family();
+        let (opts, presteps) = (family.opts, family.params.presteps);
         let precon = family.precon.as_ref().expect("solved before prepare");
-        let result = match eigen_prelude(tile, u, b, precon, ws, family.opts, spectrum, &label) {
+        let result = match eigen_prelude(tile, u, b, precon, ws, opts, presteps, &label) {
             Ok((pre, est)) => self.run(tile, u, b, ws, pre, est),
             Err(end) => *end,
         };

@@ -17,17 +17,16 @@
 //! communication is the occasional convergence check. The eigenvalue
 //! bounds come from a short plain-CG prelude (paper §III.D,
 //! `eigen_prelude`); the iteration itself is that step handed to the
-//! shared `stationary_loop`. `mixed_chebyshev` ([`Chebyshev::mixed`])
+//! shared `stationary_loop`. `mixed_chebyshev` (`Chebyshev::mixed`)
 //! keeps the prelude and the `f64` residual control but runs the
-//! polynomial as `check_interval`-step blocks of CPPCG's inner smoother
-//! in `f32` (`refine`).
+//! polynomial as [`CHECK_INTERVAL`]-step blocks of CPPCG's inner
+//! smoother in `f32` (`refine`).
 
-use crate::api::{DynTile, SolverParams};
+use crate::api::{DynTile, SolverParams, CHECK_INTERVAL};
 use crate::cg::{EigenFamily, Family};
 use crate::eigen::EigenEstimate;
 use crate::mixed::{refine, Inner};
 use crate::ppcg::Smoothing;
-use crate::precon::PreconKind;
 use crate::recurrence::stationary_loop;
 use crate::solver::Workspace;
 use crate::trace::SolveResult;
@@ -89,74 +88,33 @@ pub fn cg_iteration_bound(kappa: f64, eps: f64) -> f64 {
     0.5 * kappa.sqrt() * (2.0 / eps).ln()
 }
 
-/// Options for the standalone Chebyshev and Richardson solvers (the
-/// latter as [`crate::RichardsonOpts`]).
-#[derive(Debug, Clone, Copy)]
-pub struct ChebyOpts {
-    /// Plain-CG iterations used to estimate the spectrum (TeaLeaf
-    /// `tl_ch_cg_presteps`).
-    pub presteps: u64,
-    /// Safety widening applied to the Lanczos estimate (the bounds must
-    /// *contain* the true spectrum or the iteration diverges).
-    pub eigen_safety: f64,
-    /// Convergence check cadence in iterations (each check is one global
-    /// reduction).
-    pub check_interval: u64,
-}
-
-impl Default for ChebyOpts {
-    fn default() -> Self {
-        ChebyOpts {
-            presteps: 30,
-            eigen_safety: 0.1,
-            check_interval: 10,
-        }
-    }
-}
-
-impl From<&SolverParams> for ChebyOpts {
-    /// Consumes `presteps`; the safety widening and check cadence are
-    /// the defaults.
-    fn from(params: &SolverParams) -> Self {
-        ChebyOpts {
-            presteps: params.presteps,
-            ..ChebyOpts::default()
-        }
-    }
-}
-
 /// CG-prelude Chebyshev acceleration as an
 /// [`IterativeSolver`](crate::IterativeSolver): no dot products in the
 /// acceleration phase, only the periodic convergence check
 /// communicates. [`Chebyshev::mixed`] moves the polynomial sweeps to
 /// `f32`.
-#[derive(Debug, Clone, Default)]
-pub struct Chebyshev {
-    cheby: ChebyOpts,
+#[derive(Debug)]
+pub(crate) struct Chebyshev {
     family: Family,
 }
 
 impl Chebyshev {
-    /// A Chebyshev solver with preconditioner `kind` and phase options
-    /// `cheby`.
-    pub fn new(kind: PreconKind, cheby: ChebyOpts) -> Self {
-        let family = Family::new(kind);
-        Chebyshev { cheby, family }
+    /// Registry factory: consumes `precon` and `presteps`.
+    pub(crate) fn from_params(params: &SolverParams) -> Self {
+        Chebyshev {
+            family: Family::new(params),
+        }
     }
 
     /// The `"mixed_chebyshev"` registry entry: each outer iteration
-    /// demotes the `f64` residual, runs `check_interval` Chebyshev steps
-    /// of `A z ≈ r` in `f32`, promotes the correction and re-derives the
-    /// residual in `f64`, so the method reaches `f64` tolerances while
-    /// the bandwidth-dominant sweeps move half the bytes.
-    pub fn mixed(mut self) -> Self {
+    /// demotes the `f64` residual, runs [`CHECK_INTERVAL`] Chebyshev
+    /// steps of `A z ≈ r` in `f32`, promotes the correction and
+    /// re-derives the residual in `f64`, so the method reaches `f64`
+    /// tolerances while the bandwidth-dominant sweeps move half the
+    /// bytes.
+    pub(crate) fn mixed(mut self) -> Self {
         self.family.mixed = true;
         self
-    }
-
-    /// Registry factory: consumes `precon` and the [`ChebyOpts`] fields.
-    pub fn from_params(params: &SolverParams) -> Self {
-        Chebyshev::new(params.precon, params.into())
     }
 }
 
@@ -175,10 +133,6 @@ impl EigenFamily for Chebyshev {
         "Chebyshev".into()
     }
 
-    fn spectrum(&self) -> (u64, f64) {
-        (self.cheby.presteps, self.cheby.eigen_safety)
-    }
-
     /// Chebyshev acceleration from the CG-advanced iterate — in `f64`,
     /// or as `f32` refinement blocks when the solver is `mixed`.
     fn run(
@@ -190,11 +144,11 @@ impl EigenFamily for Chebyshev {
         mut pre: SolveResult,
         est: EigenEstimate,
     ) -> SolveResult {
-        let (cheby, opts) = (self.cheby, self.family.opts);
+        let opts = self.family.opts;
         let precon = self.family.precon.as_ref().expect("assembled by solve");
         let bounds = &tile.op.bounds;
         if let Some(low) = &mut self.family.low {
-            let smoothing = Smoothing::new(est, cheby.check_interval.max(1) as usize, 1);
+            let smoothing = Smoothing::new(est, CHECK_INTERVAL as usize, 1);
             let inner = Inner::Chebyshev(&smoothing);
             return refine(tile, u, b, ws, pre, opts, low, inner);
         }
@@ -207,7 +161,7 @@ impl EigenFamily for Chebyshev {
         vector::scaled_copy(&mut ws.sd, &ws.z, inv_theta, bounds, 0, &mut pre.trace);
 
         let mut rho_old = 1.0 / consts.sigma;
-        let check = Some(cheby.check_interval);
+        let check = Some(CHECK_INTERVAL);
         stationary_loop(tile, u, &mut ws.r, pre, opts, check, |u, r, _, trace| {
             tile.exchange(&mut [&mut ws.sd], 1, trace);
             tile.op.apply(&ws.sd, &mut ws.w, 0, trace);
@@ -306,12 +260,9 @@ mod tests {
             .unwrap();
         assert!(cg.converged && ch.converged);
         let cg_reds_per_iter = cg.trace.reductions as f64 / cg.iterations as f64;
-        let ch_post = ch
-            .trace
-            .reductions
-            .saturating_sub(2 * ChebyOpts::default().presteps);
-        let ch_reds_per_iter =
-            ch_post as f64 / (ch.iterations - ChebyOpts::default().presteps).max(1) as f64;
+        let presteps = SolverParams::default().presteps;
+        let ch_post = ch.trace.reductions.saturating_sub(2 * presteps);
+        let ch_reds_per_iter = ch_post as f64 / (ch.iterations - presteps).max(1) as f64;
         assert!(
             ch_reds_per_iter < 0.5 * cg_reds_per_iter,
             "Chebyshev should slash reductions: {ch_reds_per_iter} vs {cg_reds_per_iter}"

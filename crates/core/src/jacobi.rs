@@ -19,21 +19,19 @@ use tea_mesh::Field2D;
 /// Point-Jacobi as an [`IterativeSolver`]: the design-space floor. No
 /// configuration beyond the convergence options latched by `prepare`,
 /// which also computes the reciprocal diagonal `D⁻¹`.
-#[derive(Debug, Clone, Default)]
-pub struct Jacobi {
+#[derive(Debug)]
+pub(crate) struct Jacobi {
     opts: SolveOpts,
     inv_diag: Option<Field2D>,
 }
 
 impl Jacobi {
-    /// A Jacobi solver with default options.
-    pub fn new() -> Self {
-        Jacobi::default()
-    }
-
     /// Registry factory (Jacobi consumes no [`SolverParams`] fields).
-    pub fn from_params(_params: &SolverParams) -> Self {
-        Jacobi::new()
+    pub(crate) fn from_params(_params: &SolverParams) -> Self {
+        Jacobi {
+            opts: SolveOpts::default(),
+            inv_diag: None,
+        }
     }
 }
 

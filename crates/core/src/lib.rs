@@ -14,10 +14,10 @@
 //! reductions) that `tea-perfmodel` replays on modelled petascale
 //! machines to regenerate the paper's strong-scaling figures.
 //!
-//! The design space is a first-class API: every method is a
-//! config-carrying struct implementing [`IterativeSolver`], resolvable
-//! by name from the [`SolverRegistry`], and the [`Solve`] builder is
-//! the one-expression way in.
+//! The design space is a first-class API: every method is an
+//! [`IterativeSolver`] built by name by the [`SolverRegistry`] from one
+//! flat [`SolverParams`] set — the only way to build a solver — and the
+//! [`Solve`] builder is the one-expression way in.
 //!
 //! There is one kernel path: every precision and thread count runs the
 //! same row bodies ([`vector::lanes`] — explicit-width elementwise
@@ -70,23 +70,20 @@ pub mod vector;
 
 pub use api::{
     Assembly, DynTile, IterativeSolver, Precision, SolveContext, SolverError, SolverMeta,
-    SolverParams,
+    SolverParams, CHECK_INTERVAL, EIGEN_SAFETY,
 };
 pub use builder::{crooked_pipe_system, Solve};
-pub use cg::{cg_solve_recording, Cg, CgCoefficients};
-pub use chebyshev::{cg_iteration_bound, ChebyConstants, ChebyOpts, Chebyshev};
+pub use cg::{cg_solve_recording, CgCoefficients};
+pub use chebyshev::{cg_iteration_bound, ChebyConstants};
 pub use control::{Probed, SolveControls, SolveProbe, StopHandle};
 pub use eigen::{
     estimate_from_cg, lanczos_tridiagonal, sturm_count, tridiag_all_eigenvalues, EigenEstimate,
 };
-pub use jacobi::Jacobi;
 pub use mixed::solver_for_precision;
 pub use ops::{TileBounds, TileOperator};
-pub use ppcg::{Ppcg, PpcgOpts};
 pub use precon::{BlockJacobi, PreconKind, Preconditioner};
 pub use recurrence::{pcg_loop, Entry, Krylov, Precondition};
 pub use registry::SolverRegistry;
-pub use richardson::{Richardson, RichardsonOpts};
 pub use runtime::{
     hardware_threads, num_threads, par_threshold, parallel_sweep, request_num_threads,
     set_num_threads, set_par_threshold, thread_warning, PAR_THRESHOLD,

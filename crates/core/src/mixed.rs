@@ -5,11 +5,10 @@
 //! per value is the single biggest per-node lever on modern hardware.
 //! Operator, preconditioner, vector kernels, halo wire and reductions
 //! are all generic over [`tea_mesh::Scalar`], so a reduced-precision
-//! method is not a second solver: it is an `f64` family struct —
-//! [`crate::Cg`], [`crate::Ppcg`], [`crate::Chebyshev`],
-//! [`crate::Richardson`] — switched to `mixed()` (or, for CG,
-//! `single()`), which then routes its `z ≈ A⁻¹r` work through the
-//! `Low` image of the operator kept here:
+//! method is not a second solver: it is an `f64` family struct — `Cg`,
+//! `Ppcg`, `Chebyshev`, `Richardson` — whose registry factory switches
+//! it to `mixed()` (or, for CG, `single()`), which then routes its
+//! `z ≈ A⁻¹r` work through the `Low` image of the operator kept here:
 //!
 //! | registry name | `f64` outer recurrence | runs in `f32` (`Inner`) |
 //! |---|---|---|

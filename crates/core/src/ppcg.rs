@@ -12,7 +12,7 @@
 //!
 //! `cheb_inner` is generic over the scalar: `ppcg` runs it on the
 //! workspace's own `f64` fields (`Smoothed`); `mixed_ppcg`
-//! ([`Ppcg::mixed`]) runs the same code on the `f32` image of the
+//! (`Ppcg::mixed`) runs the same code on the `f32` image of the
 //! operator (`crate::mixed::Low`), halving the traffic of the dominant
 //! sweeps and the bytes of every deep-halo message while the outer
 //! recurrence, both dot products and the convergence test stay in `f64`.
@@ -59,7 +59,7 @@ use crate::control::Probed;
 use crate::eigen::EigenEstimate;
 use crate::mixed::{Inner, Lowered};
 use crate::ops::TileOperator;
-use crate::precon::{PreconKind, Preconditioner};
+use crate::precon::Preconditioner;
 use crate::recurrence::{pcg_loop, Entry, Krylov, Precondition};
 use crate::solver::{Tile, Workspace};
 use crate::trace::{SolveResult, SolveTrace};
@@ -67,82 +67,32 @@ use crate::vector;
 use tea_comms::Communicator;
 use tea_mesh::{Field2, Field2D, Scalar};
 
-/// CPPCG configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct PpcgOpts {
-    /// Inner Chebyshev smoothing steps per outer iteration (TeaLeaf
-    /// `tl_ppcg_inner_steps`).
-    pub inner_steps: usize,
-    /// Matrix-powers halo depth (the paper's `PPCG - n` label).
-    pub halo_depth: usize,
-    /// Plain-CG presteps for eigenvalue estimation.
-    pub presteps: u64,
-    /// Safety widening of the Lanczos bounds.
-    pub eigen_safety: f64,
-}
-
-impl Default for PpcgOpts {
-    fn default() -> Self {
-        PpcgOpts {
-            inner_steps: 10,
-            halo_depth: 1,
-            presteps: 30,
-            eigen_safety: 0.1,
-        }
-    }
-}
-
-impl PpcgOpts {
-    /// Figure-legend label.
-    pub fn label(&self) -> String {
-        format!("PPCG-{}", self.halo_depth)
-    }
-}
-
-impl From<&SolverParams> for PpcgOpts {
-    /// Consumes `inner_steps`, `halo_depth` and `presteps`; the safety
-    /// widening is the default.
-    fn from(params: &SolverParams) -> Self {
-        PpcgOpts {
-            inner_steps: params.inner_steps,
-            halo_depth: params.halo_depth,
-            presteps: params.presteps,
-            ..PpcgOpts::default()
-        }
-    }
-}
-
 /// CPPCG as an [`IterativeSolver`](crate::IterativeSolver): Chebyshev
 /// polynomially preconditioned CG with the matrix-powers deep-halo
 /// schedule — the paper's communication-avoiding headliner, and the
 /// only built-in method whose halo depth exceeds 1. [`Ppcg::mixed`]
 /// moves the inner smoothing to `f32`.
-#[derive(Debug, Clone, Default)]
-pub struct Ppcg {
-    ppcg: PpcgOpts,
+#[derive(Debug)]
+pub(crate) struct Ppcg {
     family: Family,
 }
 
 impl Ppcg {
-    /// A CPPCG solver with preconditioner `kind` and configuration
-    /// `ppcg`.
-    pub fn new(kind: PreconKind, ppcg: PpcgOpts) -> Self {
-        let family = Family::new(kind);
-        Ppcg { ppcg, family }
+    /// Registry factory: consumes `precon`, `inner_steps`, `halo_depth`
+    /// and `presteps`.
+    pub(crate) fn from_params(params: &SolverParams) -> Self {
+        Ppcg {
+            family: Family::new(params),
+        }
     }
 
     /// The `"mixed_ppcg"` registry entry: the whole inner smoothing,
     /// matrix-powers exchanges included, in `f32`. The CG presteps and
     /// their Lanczos estimate stay in `f64`; the safety widening absorbs
     /// the (tiny) spectral difference to the demoted operator.
-    pub fn mixed(mut self) -> Self {
+    pub(crate) fn mixed(mut self) -> Self {
         self.family.mixed = true;
         self
-    }
-
-    /// Registry factory: consumes `precon` and the [`PpcgOpts`] fields.
-    pub fn from_params(params: &SolverParams) -> Self {
-        Ppcg::new(params.precon, params.into())
     }
 }
 
@@ -157,16 +107,13 @@ impl EigenFamily for Ppcg {
         &mut self.family
     }
 
+    /// The paper's `PPCG-n` legend, `n` the matrix-powers depth.
     fn legend(&self) -> String {
-        self.ppcg.label()
-    }
-
-    fn spectrum(&self) -> (u64, f64) {
-        (self.ppcg.presteps, self.ppcg.eigen_safety)
+        format!("PPCG-{}", self.family.params.halo_depth)
     }
 
     fn matrix_powers(&self) -> Option<usize> {
-        Some(self.ppcg.halo_depth)
+        Some(self.family.params.halo_depth)
     }
 
     /// The PCG loop with the `m`-step Chebyshev preconditioner —
@@ -181,11 +128,11 @@ impl EigenFamily for Ppcg {
         pre: SolveResult,
         est: EigenEstimate,
     ) -> SolveResult {
-        let (ppcg, opts) = (self.ppcg, self.family.opts);
+        let (params, opts) = (&self.family.params, self.family.opts);
+        let (h, inner_steps) = (params.halo_depth, params.inner_steps);
         let precon = self.family.precon.as_ref().expect("assembled by solve");
-        let h = ppcg.halo_depth;
         assert!(h >= 1, "matrix-powers depth must be at least 1");
-        assert!(ppcg.inner_steps >= 1, "need at least one inner step");
+        assert!(inner_steps >= 1, "need at least one inner step");
         assert!(
             ws.halo() >= h,
             "workspace halo {} shallower than matrix-powers depth {h}",
@@ -196,7 +143,7 @@ impl EigenFamily for Ppcg {
             "block-Jacobi cannot be combined with matrix powers (paper §IV.C.2)"
         );
 
-        let smoothing = Smoothing::new(est, ppcg.inner_steps, h);
+        let smoothing = Smoothing::new(est, inner_steps, h);
         let entry = Entry::Carried(pre);
         if let Some(low) = &mut self.family.low {
             let (mut k, _) = ws.krylov(tile.op, u, b);
@@ -403,17 +350,8 @@ mod tests {
     use crate::builder::{crooked_pipe_system, Solve};
     use crate::precon::PreconKind;
 
-    impl PpcgOpts {
-        /// The paper's `PPCG - n` configuration: matrix-powers depth `n`
-        /// with 16 inner smoothing steps.
-        fn with_depth(halo_depth: usize) -> Self {
-            PpcgOpts {
-                halo_depth,
-                inner_steps: 16,
-                ..Default::default()
-            }
-        }
-    }
+    /// Inner steps of the paper's `PPCG - n` runs; the other cases use 10.
+    const PAPER_INNER: usize = 16;
 
     fn residual_norm(op: &TileOperator, u: &Field2D, b: &Field2D) -> f64 {
         let mut t = SolveTrace::new("check");
@@ -422,20 +360,21 @@ mod tests {
         r.interior_norm() / b.interior_norm()
     }
 
+    /// One `ppcg` solve at matrix-powers depth `depth` (the operator's
+    /// halo too) with `inner` smoothing steps per outer iteration.
     fn solve_with(
         n: usize,
-        halo: usize,
         kind: PreconKind,
-        ppcg_opts: PpcgOpts,
+        depth: usize,
+        inner: usize,
     ) -> (SolveResult, Field2D, TileOperator, Field2D) {
-        let (op, b) = crooked_pipe_system(n, 0.04, halo);
+        let (op, b) = crooked_pipe_system(n, 0.04, depth);
         let mut u = b.clone();
         let res = Solve::on(&op)
             .with_solver("ppcg")
             .precon(kind)
-            .halo_depth(ppcg_opts.halo_depth)
-            .inner_steps(ppcg_opts.inner_steps)
-            .presteps(ppcg_opts.presteps)
+            .halo_depth(depth)
+            .inner_steps(inner)
             .eps(1e-9)
             .run(&mut u, &b)
             .expect("ppcg is registered");
@@ -444,14 +383,14 @@ mod tests {
 
     #[test]
     fn ppcg_depth1_converges() {
-        let (res, u, op, b) = solve_with(32, 1, PreconKind::None, PpcgOpts::default());
+        let (res, u, op, b) = solve_with(32, PreconKind::None, 1, 10);
         assert!(res.converged, "{res:?}");
         assert!(residual_norm(&op, &u, &b) < 1e-7);
     }
 
     #[test]
     fn ppcg_with_block_jacobi_at_depth1() {
-        let (res, u, op, b) = solve_with(32, 1, PreconKind::BlockJacobi, PpcgOpts::default());
+        let (res, u, op, b) = solve_with(32, PreconKind::BlockJacobi, 1, 10);
         assert!(res.converged);
         assert!(residual_norm(&op, &u, &b) < 1e-7);
     }
@@ -459,7 +398,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn block_jacobi_with_matrix_powers_rejected() {
-        let _ = solve_with(32, 4, PreconKind::BlockJacobi, PpcgOpts::with_depth(4));
+        let _ = solve_with(32, PreconKind::BlockJacobi, 4, PAPER_INNER);
     }
 
     #[test]
@@ -468,8 +407,8 @@ mod tests {
         // halos move, not the values computed; on a serial tile every
         // extension clamps to zero, so results are bitwise identical.
         // This is the Fig. 1/Fig. 2 equivalence.
-        let (r1, u1, op, b) = solve_with(24, 1, PreconKind::None, PpcgOpts::with_depth(1));
-        let (r8, u8, _, _) = solve_with(24, 8, PreconKind::None, PpcgOpts::with_depth(8));
+        let (r1, u1, op, b) = solve_with(24, PreconKind::None, 1, PAPER_INNER);
+        let (r8, u8, _, _) = solve_with(24, PreconKind::None, 8, PAPER_INNER);
         assert!(r1.converged && r8.converged);
         assert_eq!(r1.iterations, r8.iterations, "same math, same iterations");
         for k in 0..24isize {
@@ -482,15 +421,15 @@ mod tests {
 
     #[test]
     fn deeper_halo_means_fewer_exchanges() {
-        let (r1, ..) = solve_with(32, 1, PreconKind::None, PpcgOpts::with_depth(1));
-        let (r16, ..) = solve_with(32, 16, PreconKind::None, PpcgOpts::with_depth(16));
+        let (r1, ..) = solve_with(32, PreconKind::None, 1, PAPER_INNER);
+        let (r16, ..) = solve_with(32, PreconKind::None, 16, PAPER_INNER);
         assert_eq!(
             r1.iterations, r16.iterations,
             "same math must take the same iterations"
         );
         // exclude the identical CG-prestep phase (presteps p-exchanges +
         // one u-exchange each), leaving only the PPCG phase protocol
-        let presteps = PpcgOpts::with_depth(1).presteps + 1;
+        let presteps = SolverParams::default().presteps + 1;
         let ex1 = r1.trace.total_halo_exchanges() - presteps;
         let ex16 = r16.trace.total_halo_exchanges() - presteps;
         assert!(
@@ -515,7 +454,7 @@ mod tests {
         let mut u1 = b.clone();
         let cg = Solve::on(&op).eps(1e-9).run(&mut u1, &b).unwrap();
 
-        let (pp, u2, ..) = solve_with(n, 1, PreconKind::None, PpcgOpts::default());
+        let (pp, u2, ..) = solve_with(n, PreconKind::None, 1, 10);
         assert!(cg.converged && pp.converged);
         // reductions per spmv sweep is the communication-avoidance metric
         let cg_ratio = cg.trace.reductions as f64 / cg.trace.spmv.total() as f64;
@@ -537,21 +476,12 @@ mod tests {
 
     #[test]
     fn inner_iterations_counted() {
-        let (res, ..) = solve_with(24, 1, PreconKind::None, PpcgOpts::default());
-        let presteps = PpcgOpts::default().presteps.min(res.iterations);
+        let (res, ..) = solve_with(24, PreconKind::None, 1, 10);
+        let presteps = SolverParams::default().presteps.min(res.iterations);
         let outer_after_pre = res.trace.outer_iterations - presteps;
         if outer_after_pre > 0 {
             // one initial application plus one per outer iteration
-            assert_eq!(
-                res.trace.inner_iterations,
-                (outer_after_pre + 1) * PpcgOpts::default().inner_steps as u64
-            );
+            assert_eq!(res.trace.inner_iterations, (outer_after_pre + 1) * 10);
         }
-    }
-
-    #[test]
-    fn labels_match_paper_legend() {
-        assert_eq!(PpcgOpts::with_depth(16).label(), "PPCG-16");
-        assert_eq!(PpcgOpts::default().label(), "PPCG-1");
     }
 }

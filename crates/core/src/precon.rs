@@ -37,13 +37,32 @@ pub enum PreconKind {
 }
 
 impl PreconKind {
-    /// Short label used in solver names and figure legends.
+    /// Short label used in solver names and figure legends — and the
+    /// one deck/CLI spelling [`PreconKind::parse`] accepts.
     pub fn label(self) -> &'static str {
         match self {
             PreconKind::None => "none",
             PreconKind::Diagonal => "jac_diag",
             PreconKind::BlockJacobi => "jac_block",
         }
+    }
+
+    /// Parses a deck/CLI spelling: exactly one of the labels (`none`,
+    /// `jac_diag`, `jac_block`).
+    ///
+    /// # Errors
+    /// Returns a message listing the accepted spellings.
+    pub fn parse(text: &str) -> Result<Self, String> {
+        [
+            PreconKind::None,
+            PreconKind::Diagonal,
+            PreconKind::BlockJacobi,
+        ]
+        .into_iter()
+        .find(|kind| kind.label() == text)
+        .ok_or_else(|| {
+            format!("unknown preconditioner '{text}' (accepted: none, jac_diag, jac_block)")
+        })
     }
 }
 

@@ -18,8 +18,8 @@
 //! closure handed to the shared `stationary_loop` — needs **no dot
 //! products**: one depth-1 halo exchange and one stencil sweep per
 //! iteration, with a global reduction only at the periodic convergence
-//! check. `mixed_richardson` ([`Richardson::mixed`]) runs the damped
-//! sweeps as `check_interval`-sweep `f32` blocks (`rich_inner`) under
+//! check. `mixed_richardson` (`Richardson::mixed`) runs the damped
+//! sweeps as [`CHECK_INTERVAL`]-sweep `f32` blocks (`rich_inner`) under
 //! `f64` residual control (`refine`).
 //!
 //! In the design space it sits between Jacobi (ω = 1, M = diag A) and
@@ -27,15 +27,14 @@
 //! the communication profile of Chebyshev with the convergence rate of
 //! a stationary method.
 
-use crate::api::{DynTile, SolverParams};
+use crate::api::{DynTile, SolverParams, CHECK_INTERVAL};
 use crate::cg::{EigenFamily, Family};
-use crate::chebyshev::ChebyOpts;
 use crate::control::Probed;
 use crate::eigen::EigenEstimate;
 use crate::mixed::{refine, Inner};
 use crate::ops::TileOperator;
 use crate::ppcg::Smooth;
-use crate::precon::{PreconKind, Preconditioner};
+use crate::precon::Preconditioner;
 use crate::recurrence::stationary_loop;
 use crate::solver::{Tile, Workspace};
 use crate::trace::{SolveResult, SolveTrace};
@@ -43,39 +42,28 @@ use crate::vector;
 use tea_comms::Communicator;
 use tea_mesh::{Field2, Field2D};
 
-/// Options for the Richardson solver: the prelude and check cadence it
-/// shares, field for field, with Chebyshev.
-pub type RichardsonOpts = ChebyOpts;
-
 /// Preconditioned Richardson iteration as an
 /// [`IterativeSolver`](crate::IterativeSolver) (see the module docs).
 /// [`Richardson::mixed`] moves the damped sweeps to `f32`.
-#[derive(Debug, Clone, Default)]
-pub struct Richardson {
-    rich: RichardsonOpts,
+#[derive(Debug)]
+pub(crate) struct Richardson {
     family: Family,
 }
 
 impl Richardson {
-    /// A Richardson solver with preconditioner `kind` and options
-    /// `rich`.
-    pub fn new(kind: PreconKind, rich: RichardsonOpts) -> Self {
-        let family = Family::new(kind);
-        Richardson { rich, family }
+    /// Registry factory: consumes `precon` and `presteps`.
+    pub(crate) fn from_params(params: &SolverParams) -> Self {
+        Richardson {
+            family: Family::new(params),
+        }
     }
 
-    /// The `"mixed_richardson"` registry entry: `check_interval` damped
-    /// sweeps run in `f32` against the demoted residual; the promoted
-    /// correction and the convergence test stay in `f64`.
-    pub fn mixed(mut self) -> Self {
+    /// The `"mixed_richardson"` registry entry: [`CHECK_INTERVAL`]
+    /// damped sweeps run in `f32` against the demoted residual; the
+    /// promoted correction and the convergence test stay in `f64`.
+    pub(crate) fn mixed(mut self) -> Self {
         self.family.mixed = true;
         self
-    }
-
-    /// Registry factory: consumes `precon` and the [`RichardsonOpts`]
-    /// fields.
-    pub fn from_params(params: &SolverParams) -> Self {
-        Richardson::new(params.precon, params.into())
     }
 }
 
@@ -94,10 +82,6 @@ impl EigenFamily for Richardson {
         "Richardson".into()
     }
 
-    fn spectrum(&self) -> (u64, f64) {
-        (self.rich.presteps, self.rich.eigen_safety)
-    }
-
     /// The damped stationary iteration from the CG-advanced iterate —
     /// in `f64`, or as `f32` refinement blocks when the solver is
     /// `mixed`.
@@ -110,12 +94,12 @@ impl EigenFamily for Richardson {
         mut pre: SolveResult,
         est: EigenEstimate,
     ) -> SolveResult {
-        let (rich, opts) = (self.rich, self.family.opts);
+        let opts = self.family.opts;
         let precon = self.family.precon.as_ref().expect("assembled by solve");
         let bounds = &tile.op.bounds;
         let omega = 2.0 / (est.min + est.max);
         if let Some(low) = &mut self.family.low {
-            let steps = rich.check_interval.max(1) as usize;
+            let steps = CHECK_INTERVAL as usize;
             let inner = Inner::Richardson { omega, steps };
             return refine(tile, u, b, ws, pre, opts, low, inner);
         }
@@ -123,7 +107,7 @@ impl EigenFamily for Richardson {
         tile.exchange(&mut [u], 1, &mut pre.trace);
         tile.op.residual(u, b, &mut ws.r, 0, &mut pre.trace);
         precon.apply(&ws.r, &mut ws.z, bounds, 0, &mut pre.trace);
-        let check = Some(rich.check_interval);
+        let check = Some(CHECK_INTERVAL);
         stationary_loop(tile, u, &mut ws.r, pre, opts, check, |u, r, _, trace| {
             // u += ω z ; refresh r = b - A u and z = M⁻¹ r
             vector::axpy(u, omega, &ws.z, bounds, 0, trace);
@@ -165,8 +149,10 @@ pub(crate) fn rich_inner<S: Probed, C: Communicator + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{IterativeSolver, SolveContext};
+    use crate::api::SolveContext;
     use crate::builder::{crooked_pipe_system, Solve};
+    use crate::precon::PreconKind;
+    use crate::registry::SolverRegistry;
     use crate::solver::SolveOpts;
     use tea_comms::{HaloLayout, SerialComm};
     use tea_mesh::Decomposition2D;
@@ -182,11 +168,14 @@ mod tests {
         let ctx = SolveContext::new(&tile);
         let mut ws = Workspace::new(n, n, 1);
         let mut u = b.clone();
-        let rich = RichardsonOpts {
+        let params = SolverParams {
+            precon: PreconKind::Diagonal,
             presteps: 8, // few enough that the CG prelude cannot finish the job
-            ..Default::default()
+            ..SolverParams::default()
         };
-        let mut solver = Richardson::new(PreconKind::Diagonal, rich);
+        let mut solver = SolverRegistry::builtin()
+            .create("richardson", &params)
+            .expect("richardson is registered");
         let mut acc = SolveTrace::new("run");
         solver.prepare(
             &ctx,
@@ -210,9 +199,9 @@ mod tests {
     #[test]
     fn richardson_is_reduction_avoiding() {
         // between checks the iteration must not communicate: reductions
-        // grow by ~1 per check_interval iterations, not per iteration
+        // grow by ~1 per CHECK_INTERVAL iterations, not per iteration
         let (op, b) = crooked_pipe_system(24, 0.04, 1);
-        let (presteps, check_interval) = (8, RichardsonOpts::default().check_interval);
+        let presteps = 8;
         let res = Solve::on(&op)
             .with_solver("richardson")
             .precon(PreconKind::Diagonal)
@@ -224,7 +213,7 @@ mod tests {
         assert!(res.converged);
         let post = res.trace.outer_iterations - presteps;
         // presteps cost 2 reductions each (CG); afterwards ~1 per 10 its
-        let cheby_like_budget = 1 + 2 * presteps + post / check_interval + 2;
+        let cheby_like_budget = 1 + 2 * presteps + post / CHECK_INTERVAL + 2;
         assert!(
             res.trace.reductions <= cheby_like_budget,
             "reductions {} exceed the reduction-avoiding budget {}",

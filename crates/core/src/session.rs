@@ -16,8 +16,8 @@
 //! its session out of the cache below.
 //!
 //! On top sits a keyed pool: `SetupKey` fingerprints the setup —
-//! geometry, coefficient bits, solver configuration, precision, halo
-//! depth — and [`SetupCache::checkout_or_build`] hands a job the warm
+//! geometry, coefficient bits, solver configuration, the routed solver
+//! name, halo depth — and [`SetupCache::checkout_or_build`] hands a job the warm
 //! session pooled under its key, or wraps the job's freshly constructed
 //! solver into a cold one. Either way a job constructs its solver once.
 //! Hit and miss counters feed the serving run summary. A session built
@@ -81,8 +81,8 @@ impl SessionSpec {
 /// [`SolveSession`] and get bit-identical results.
 ///
 /// The key follows the serving design: geometry, a fingerprint of the
-/// assembled face coefficients, the canonical solver name, the
-/// requested precision and the solver's halo depth. The fingerprint is
+/// assembled face coefficients, the canonical solver name (which folds
+/// in precision routing) and the solver's halo depth. The fingerprint is
 /// deliberately broader than the coefficients alone — it also folds in
 /// the solver parameters (preconditioner, inner steps, halo depth,
 /// presteps, tune seed) and the convergence options, because a prepared
@@ -100,9 +100,6 @@ struct SetupKey {
     /// Canonical registry name after precision routing (`"cg_f32"`, not
     /// `"cg"` + `F32`).
     pub solver: String,
-    /// Requested precision label (`"native"` when the spec did not
-    /// route).
-    pub precision: &'static str,
     /// Halo depth of the built solver (matrix-powers depth for PPCG).
     pub halo_depth: usize,
 }
@@ -119,7 +116,6 @@ impl SetupKey {
             ny,
             fingerprint: fingerprint(op, spec),
             solver: solver.name().to_string(),
-            precision: spec.precision.map(Precision::label).unwrap_or("native"),
             halo_depth: solver.halo_depth(),
         }
     }
@@ -522,12 +518,16 @@ mod tests {
         let same = key_of(&op, &SessionSpec::solver("cg"));
         assert_eq!(native, same, "identical specs must pool together");
 
+        // precision splits the pool through the routed solver name alone:
+        // asking for f64 explicitly keys with the unrouted spec
         let mut f32_spec = SessionSpec::solver("cg");
         f32_spec.precision = Some(Precision::F32);
         let routed = key_of(&op, &f32_spec);
         assert_ne!(native, routed);
         assert_eq!(routed.solver, "cg_f32");
-        assert_eq!(routed.precision, "f32");
+        let mut f64_spec = SessionSpec::solver("cg");
+        f64_spec.precision = Some(Precision::F64);
+        assert_eq!(key_of(&op, &f64_spec), native);
 
         let mut shallow = SessionSpec::solver("ppcg");
         shallow.params.halo_depth = 2;
@@ -566,7 +566,7 @@ mod tests {
         let meta = *registry.resolve("cg").unwrap();
         registry.register(meta, |p| {
             CONSTRUCTED.fetch_add(1, Ordering::Relaxed);
-            Box::new(crate::Cg::from_params(p))
+            Box::new(crate::cg::Cg::from_params(p))
         });
 
         let spec = spec_for("cg");

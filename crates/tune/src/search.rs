@@ -9,7 +9,7 @@
 //! `tea-fault`'s `FaultPlan`, so the race never reads a clock and the
 //! same seed always explores in the same order.
 
-use tea_core::{ChebyOpts, PreconKind, SolverParams, SolverRegistry};
+use tea_core::{PreconKind, SolverParams, SolverRegistry, CHECK_INTERVAL};
 use tea_perfmodel::{predicted_iteration_bytes, KernelBytes};
 
 /// Halo depths tried for methods with `deep_halo` metadata (the paper's
@@ -91,12 +91,10 @@ pub fn plan_candidates(
         // how many inner steps one counted iteration of the method
         // performs, for the bytes prior: the PPCG family smooths
         // `inner_steps` times per outer iteration, the mixed
-        // accelerators run one f32 block of `check_interval` sweeps
+        // accelerators run one f32 block of `CHECK_INTERVAL` sweeps
         let m = match meta.name {
             "ppcg" | "mixed_ppcg" => params.inner_steps,
-            "mixed_chebyshev" | "mixed_richardson" => {
-                ChebyOpts::default().check_interval.max(1) as usize
-            }
+            "mixed_chebyshev" | "mixed_richardson" => CHECK_INTERVAL as usize,
             _ => 1,
         };
         for &depth in depths {

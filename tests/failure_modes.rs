@@ -7,9 +7,9 @@ use tealeaf::mesh::{
     crooked_pipe, timestep_scalings, Coefficients, Decomposition2D, Field2D, Field2F, Mesh2D,
 };
 use tealeaf::solvers::{
-    crooked_pipe_system, Assembly, DynTile, IterativeSolver, Ppcg, PpcgOpts, PreconKind,
-    Preconditioner, Solve, SolveContext, SolveControls, SolveOpts, SolveProbe, SolveResult,
-    SolveTrace, SolverParams, Tile, TileBounds, TileOperator, Workspace,
+    crooked_pipe_system, Assembly, DynTile, IterativeSolver, PreconKind, Preconditioner, Solve,
+    SolveContext, SolveControls, SolveOpts, SolveProbe, SolveResult, SolveTrace, SolverParams,
+    Tile, TileBounds, TileOperator, Workspace,
 };
 
 /// One default-options solve of `solver` on the serial 32² crooked pipe
@@ -45,16 +45,14 @@ fn indefinite_chebyshev_preconditioner_ends_diverged_not_converged() {
     // undershoots λmax, the even-degree polynomial goes indefinite and
     // `r·z < 0` — which `max(0.0).sqrt() <= target` used to call
     // converged, in 3 iterations, at a true residual of 1.14·‖b‖
-    let mut ppcg = Ppcg::new(
-        PreconKind::None,
-        PpcgOpts {
-            inner_steps: 16,
-            halo_depth: 1,
-            presteps: 2,
-            eigen_safety: 0.1,
-        },
-    );
-    let res = solve_under(&mut ppcg, SolveControls::default());
+    let params = SolverParams {
+        presteps: 2,
+        ..SolverParams::default()
+    };
+    let mut ppcg = solver_registry()
+        .create("ppcg", &params)
+        .expect("ppcg is registered");
+    let res = solve_under(ppcg.as_mut(), SolveControls::default());
     assert!(!res.converged, "{res:?}");
     assert!(res.status.is_diverged(), "{res:?}");
 }
@@ -106,17 +104,12 @@ fn every_diverged_ending_reports_a_nan_final_residual() {
 #[test]
 fn iteration_cap_reports_non_convergence() {
     let (op, b) = crooked_pipe_system(32, 0.04, 1);
-    let comm = SerialComm::new();
-    let d = Decomposition2D::with_grid(32, 32, 1, 1);
-    let layout = HaloLayout::new(&d, 0);
-    let tile = Tile::new(&op, &layout, &comm);
-    let mut ws = Workspace::new(32, 32, 1);
     let mut u = b.clone();
     let res = Solve::on(&op)
         .with_solver("cg")
         .eps(1e-14)
         .max_iters(3)
-        .run_with(&tile, &mut u, &b, &mut ws)
+        .run(&mut u, &b)
         .expect("cg is registered");
     assert!(!res.converged, "3 iterations cannot hit 1e-14");
     assert_eq!(res.iterations, 3);
@@ -213,17 +206,12 @@ fn decomposed_diagonal_precon_rejects_full_depth_extension() {
 #[should_panic(expected = "block-Jacobi cannot be combined with matrix powers")]
 fn ppcg_rejects_block_jacobi_with_deep_halos() {
     let (op, b) = crooked_pipe_system(32, 0.04, 1);
-    let comm = SerialComm::new();
-    let d = Decomposition2D::with_grid(32, 32, 1, 1);
-    let layout = HaloLayout::new(&d, 0);
-    let tile = Tile::new(&op, &layout, &comm);
-    let mut ws = Workspace::new(32, 32, 8);
     let mut u = b.clone();
     let _ = Solve::on(&op)
         .with_solver("ppcg")
         .precon(PreconKind::BlockJacobi)
         .halo_depth(8)
-        .run_with(&tile, &mut u, &b, &mut ws);
+        .run(&mut u, &b);
 }
 
 #[test]
@@ -233,13 +221,19 @@ fn ppcg_rejects_shallow_workspace() {
     let comm = SerialComm::new();
     let d = Decomposition2D::with_grid(32, 32, 1, 1);
     let layout = HaloLayout::new(&d, 0);
-    let tile = Tile::new(&op, &layout, &comm);
+    let tile: DynTile<'_> = Tile::new(&op, &layout, comm.as_dyn());
+    let ctx = SolveContext::new(&tile);
+    let params = SolverParams {
+        halo_depth: 8,
+        ..SolverParams::default()
+    };
+    let mut ppcg = solver_registry()
+        .create("ppcg", &params)
+        .expect("ppcg is registered");
     let mut ws = Workspace::new(32, 32, 1); // too shallow for depth 8
     let mut u = b.clone();
-    let _ = Solve::on(&op)
-        .with_solver("ppcg")
-        .halo_depth(8)
-        .run_with(&tile, &mut u, &b, &mut ws);
+    ppcg.prepare(&ctx, &SolveOpts::default());
+    let _ = ppcg.solve(&ctx, &mut u, &b, &mut ws, &mut SolveTrace::new("run"));
 }
 
 #[test]

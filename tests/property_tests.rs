@@ -7,8 +7,8 @@ use tealeaf::mesh::{
     Field2D, Mesh2D,
 };
 use tealeaf::solvers::{
-    lanczos_tridiagonal, sturm_count, tridiag_all_eigenvalues, Cg, DynTile, IterativeSolver,
-    PreconKind, Preconditioner, SolveContext, SolveOpts, SolveTrace, Tile, TileBounds,
+    lanczos_tridiagonal, sturm_count, tridiag_all_eigenvalues, DynTile, PreconKind, Preconditioner,
+    SolveContext, SolveOpts, SolveTrace, SolverParams, SolverRegistry, Tile, TileBounds,
     TileOperator, Workspace,
 };
 
@@ -129,7 +129,8 @@ proptest! {
         let ctx = SolveContext::new(&tile);
         let mut ws = Workspace::new(n, n, 1);
         let mut u = Field2D::new(n, n, 1);
-        let mut solver = Cg::new(PreconKind::BlockJacobi);
+        let params = SolverParams { precon: PreconKind::BlockJacobi, ..SolverParams::default() };
+        let mut solver = SolverRegistry::builtin().create("cg", &params).expect("cg is registered");
         solver.prepare(&ctx, &SolveOpts { eps: 1e-9, max_iters: 50_000 });
         let mut acc = SolveTrace::new("run");
         let res = solver.solve(&ctx, &mut u, &b, &mut ws, &mut acc);
