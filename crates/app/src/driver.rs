@@ -354,9 +354,10 @@ fn time_steps(
 }
 
 impl Stepped {
-    /// Closes the run: final summary over `comm`, then the gather to
-    /// rank 0. The caller snapshots `comm_stats` before calling, so the
-    /// record reflects the run's stepping traffic, not output shipping.
+    /// Closes the run: the final summary (the last step's), then the
+    /// gather of `u`'s interior to rank 0. The caller snapshots
+    /// `comm_stats` before calling, so the record reflects the run's
+    /// stepping traffic, not output shipping.
     fn finish(
         self,
         rank: &Rank,
@@ -372,28 +373,26 @@ impl Stepped {
             Some(Ok(mg)) => (Some(*mg), None),
             Some(Err(d)) => (None, d.downcast::<TuneLog>().ok().map(|t| *t)),
         };
-        let final_summary = field_summary(&rank.mesh, &rank.density, &self.energy, &self.u, comm);
-        // strip to interior for gathering
-        let mut interior = Field2D::new(rank.mesh.nx(), rank.mesh.ny(), 0);
-        interior.copy_interior_from(&self.u);
+        // the last step always reports, over the same `energy` and `u`;
+        // only a run of no steps has to summarise here
+        let final_summary = match self.steps.last().and_then(|s| s.summary) {
+            Some(summary) => summary,
+            None => field_summary(&rank.mesh, &rank.density, &self.energy, &self.u, comm),
+        };
         RankOutput {
+            final_u: gather_to_root(&self.u, decomp, comm),
             steps: self.steps,
             trace: self.trace,
             mg_trace,
             tune,
-            final_u: gather_to_root(&interior, decomp, comm),
             final_summary,
             comm: comm_stats,
         }
     }
 }
 
-/// The one road every entry point takes: resolve the solver, set the
-/// rank up, assemble its operator once, build its session — checked out
-/// of `cache` when serving — and step through it. A solve that
-/// diverges or is cancelled ends the run with its [`DriverError`]; one
-/// that hits the iteration cap is recorded unconverged and the run goes
-/// on. A cached session is checked back in only after a clean run.
+/// The one road every entry point takes: [`step_rank`], then
+/// [`Stepped::finish`].
 fn drive(
     deck: &Deck,
     decomp: &Decomposition2D,
@@ -401,6 +400,28 @@ fn drive(
     cache: Option<&SetupCache>,
     controls: SolveControls<'_>,
 ) -> Result<RankOutput, DriverError> {
+    let (rank, stepped, diagnostics, comm_stats) = step_rank(deck, decomp, comm, cache, controls)?;
+    Ok(stepped.finish(&rank, decomp, comm, diagnostics, comm_stats))
+}
+
+/// What [`step_rank`] hands to [`Stepped::finish`]: the rank, its stepped
+/// state, the solver's diagnostics and the communicator counters at the
+/// end of stepping.
+type RankStepped = (Rank, Stepped, Option<Box<dyn std::any::Any>>, StatsSnapshot);
+
+/// Resolves the solver, sets the rank up, assembles its operator once,
+/// builds its session — checked out of `cache` when serving — and steps
+/// through it. A solve that diverges or is cancelled ends the run with
+/// its [`DriverError`]; one that hits the iteration cap is recorded
+/// unconverged and the run goes on. A cached session is checked back in
+/// only after a clean run.
+fn step_rank(
+    deck: &Deck,
+    decomp: &Decomposition2D,
+    comm: &dyn Communicator,
+    cache: Option<&SetupCache>,
+    controls: SolveControls<'_>,
+) -> Result<RankStepped, DriverError> {
     if decomp.ranks() != comm.size() {
         return Err(DriverError::DecompositionMismatch {
             decomp: decomp.ranks(),
@@ -452,7 +473,7 @@ fn drive(
         Some(cache) => cache.checkin(session),
         None => drop(session),
     }
-    Ok(stepped.finish(&rank, decomp, comm, diagnostics, comm_stats))
+    Ok((rank, stepped, diagnostics, comm_stats))
 }
 
 /// Runs the deck on one rank of `decomp`: the operator is assembled
@@ -847,6 +868,49 @@ mod tests {
         assert_eq!(stats.misses, n, "first run of each deck builds cold");
         assert_eq!(stats.hits, n, "second run of each deck reuses the session");
         assert_eq!(stats.prepares, n, "warm checkouts must not re-prepare");
+    }
+
+    #[test]
+    fn close_out_matches_the_recompute_and_copy_oracle() {
+        // `finish` reuses the last step's summary and gathers straight
+        // from `u`; the path it replaced summarised again and gathered a
+        // halo-free copy. Both must agree to the bit, at 1 and 4 ranks.
+        let deck = small_deck(24, "ppcg", 3);
+        for ranks in [1, 4] {
+            let decomp = Decomposition2D::new(24, 24, ranks);
+            let closed = comm_run(ranks, |comm| {
+                let (rank, stepped, diagnostics, stats) = step_rank(
+                    &deck,
+                    &decomp,
+                    comm.as_dyn(),
+                    None,
+                    SolveControls::default(),
+                )
+                .expect("deck runs");
+                let summary =
+                    field_summary(&rank.mesh, &rank.density, &stepped.energy, &stepped.u, comm);
+                let mut interior = Field2D::new(rank.mesh.nx(), rank.mesh.ny(), 0);
+                interior.copy_interior_from(&stepped.u);
+                let u = gather_to_root(&interior, &decomp, comm);
+                let out = stepped.finish(&rank, &decomp, comm.as_dyn(), diagnostics, stats);
+                (summary, u, out)
+            });
+            for (rank, (summary, u, out)) in closed.iter().enumerate() {
+                let bits = |s: &FieldSummary| {
+                    [s.volume, s.mass, s.internal_energy, s.temperature].map(f64::to_bits)
+                };
+                assert_eq!(
+                    bits(&out.final_summary),
+                    bits(summary),
+                    "{ranks} ranks, rank {rank}"
+                );
+                assert_eq!(out.final_u.is_some(), rank == 0);
+                if let (Some(want), Some(got)) = (u, &out.final_u) {
+                    let raw = |f: &Field2D| f.raw().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(raw(got), raw(want), "{ranks} ranks");
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use crate::wire::WireScalar;
 use crate::Communicator;
-use tea_mesh::{Decomposition2D, Field2, Scalar};
+use tea_mesh::{Decomposition2D, Field2};
 
 /// Gather messages tag the element width like halo messages do, so a
 /// root expecting one precision rejects a rank shipping another.
@@ -16,7 +16,8 @@ fn gather_tag(elem_bytes: usize) -> u64 {
 
 /// Gathers the interiors of every rank's `field` into a single global
 /// field (halo 0) on rank 0, at the field's native precision. Other
-/// ranks return `None`.
+/// ranks return `None`. Only the interior is read, so `field` may carry
+/// any halo.
 ///
 /// Must be called collectively. The field extents must match each rank's
 /// subdomain in `decomp`.
@@ -37,14 +38,13 @@ pub fn gather_to_root<S: WireScalar, C: Communicator + ?Sized>(
     }
 
     let mut global = Field2::<S>::new(gnx, gny, 0);
-    // own interior
-    place(
-        &mut global,
-        sub.offset,
-        field.pack_rect(0, sub.nx as isize, 0, sub.ny as isize),
-        sub.nx,
-        sub.ny,
-    );
+    // own interior, row by row, straight out of the (possibly haloed) field
+    let (ox, oy) = (sub.offset.0 as isize, sub.offset.1 as isize);
+    for k in 0..sub.ny as isize {
+        global
+            .row_mut(oy + k, ox, ox + sub.nx as isize)
+            .copy_from_slice(field.row(k, 0, sub.nx as isize));
+    }
     // everyone else in rank order
     for r in 1..comm.size() {
         let s = decomp.subdomain(r);
@@ -53,25 +53,10 @@ pub fn gather_to_root<S: WireScalar, C: Communicator + ?Sized>(
             .try_into_vec()
             .unwrap_or_else(|err| panic!("gather decode failed: {err}"));
         assert_eq!(buf.len(), s.nx * s.ny, "gather payload size mismatch");
-        place(&mut global, s.offset, buf, s.nx, s.ny);
+        let (x, y) = (s.offset.0 as isize, s.offset.1 as isize);
+        global.unpack_rect(&buf, x, x + s.nx as isize, y, y + s.ny as isize);
     }
     Some(global)
-}
-
-fn place<S: Scalar>(
-    global: &mut Field2<S>,
-    offset: (usize, usize),
-    buf: Vec<S>,
-    nx: usize,
-    ny: usize,
-) {
-    global.unpack_rect(
-        &buf,
-        offset.0 as isize,
-        (offset.0 + nx) as isize,
-        offset.1 as isize,
-        (offset.1 + ny) as isize,
-    );
 }
 
 #[cfg(test)]

@@ -21,6 +21,8 @@
 //! `u_ghost = u_in`), but it makes the operator's SPD structure explicit
 //! and spares every solver iteration a boundary-reflection pass.
 
+use std::ops::Range;
+
 use crate::field::{Field2, Field2D};
 use crate::geometry::Coefficient;
 use crate::mesh::Mesh2D;
@@ -64,35 +66,74 @@ impl Coefficients<f64> {
             "density halo {} shallower than requested {halo}",
             density.halo()
         );
-        let (nx, ny) = (mesh.nx(), mesh.ny());
+        let (nx, ny) = (mesh.nx() as isize, mesh.ny() as isize);
         let h = halo as isize;
-        let mut kx = Field2D::new(nx, ny, halo);
-        let mut ky = Field2D::new(nx, ny, halo);
-
-        let w_of = |j: isize, k: isize| -> f64 {
-            let d = density.at(j, k);
-            debug_assert!(d > 0.0, "non-positive density at ({j},{k})");
-            match kind {
-                Coefficient::Conductivity => d,
-                Coefficient::RecipConductivity => 1.0 / d,
-            }
-        };
-
+        let mut kx = Field2D::new(mesh.nx(), mesh.ny(), halo);
+        let mut ky = Field2D::new(mesh.nx(), mesh.ny(), halo);
         let (gnx, gny) = mesh.global_cells();
         let (x_off, y_off) = (
             mesh.subdomain().offset.0 as isize,
             mesh.subdomain().offset.1 as isize,
         );
+        // a face is live only when both adjacent cells lie inside the
+        // global domain and inside the allocation: `Kx(j, k)` joins
+        // `(j-1, k)` and `(j, k)`, `Ky(j, k)` joins `(j, k-1)` and `(j, k)`
+        let cols_hi = (gnx as isize - x_off).min(nx + h);
+        let rows_hi = (gny as isize - y_off).min(ny + h);
+        let kx_rows = (-y_off).max(-h)..rows_hi;
+        let kx_cols = (1 - x_off).max(1 - h)..cols_hi;
+        let ky_rows = (1 - y_off).max(1 - h)..rows_hi;
+        let ky_cols = (-x_off).max(-h)..cols_hi;
+        // one monomorphised sweep per recipe keeps the `match` out of the
+        // row loops
+        match kind {
+            Coefficient::Conductivity => {
+                let w = |d: f64| d;
+                fill_faces(&mut kx, density, kx_rows, kx_cols, (1, 0), rx, w);
+                fill_faces(&mut ky, density, ky_rows, ky_cols, (0, 1), ry, w);
+            }
+            Coefficient::RecipConductivity => {
+                let w = |d: f64| 1.0 / d;
+                fill_faces(&mut kx, density, kx_rows, kx_cols, (1, 0), rx, w);
+                fill_faces(&mut ky, density, ky_rows, ky_cols, (0, 1), ry, w);
+            }
+        }
+        Coefficients { kx, ky }
+    }
 
+    /// The per-cell assembly [`Coefficients::assemble`] replaced: face
+    /// liveness decided cell by cell. Kept as the oracle the row
+    /// assembly is checked against.
+    #[cfg(test)]
+    pub(crate) fn assemble_per_cell(
+        mesh: &Mesh2D,
+        density: &Field2D,
+        kind: Coefficient,
+        rx: f64,
+        ry: f64,
+        halo: usize,
+    ) -> Self {
+        let (nx, ny) = (mesh.nx(), mesh.ny());
+        let h = halo as isize;
+        let mut kx = Field2D::new(nx, ny, halo);
+        let mut ky = Field2D::new(nx, ny, halo);
+        let w_of = |j: isize, k: isize| -> f64 {
+            let d = density.at(j, k);
+            match kind {
+                Coefficient::Conductivity => d,
+                Coefficient::RecipConductivity => 1.0 / d,
+            }
+        };
+        let (gnx, gny) = mesh.global_cells();
+        let (x_off, y_off) = (
+            mesh.subdomain().offset.0 as isize,
+            mesh.subdomain().offset.1 as isize,
+        );
         for k in -h..ny as isize + h {
             for j in -h..nx as isize + h {
-                // face between (j-1,k) and (j,k): global face index x_off+j
-                let gxf = x_off + j;
-                let gyf = y_off + k;
-                // a face is live only when both adjacent cells lie inside
-                // the global domain
+                let (gxf, gyf) = (x_off + j, y_off + k);
                 let kx_live =
-                    gxf >= 1 && gxf < gnx as isize && gyf >= 0 && gyf < gny as isize && j > -h; // need w(j-1,k) inside the allocation
+                    gxf >= 1 && gxf < gnx as isize && gyf >= 0 && gyf < gny as isize && j > -h;
                 if kx_live {
                     let (a, b) = (w_of(j - 1, k), w_of(j, k));
                     kx.set(j, k, rx * (a + b) / (2.0 * a * b));
@@ -106,6 +147,33 @@ impl Coefficients<f64> {
             }
         }
         Coefficients { kx, ky }
+    }
+}
+
+/// Fills `faces` over `rows × cols` with `scale·(a + b)/(2ab)`, the mean
+/// of `1/w` across each face: `b = w(ρ(j, k))` and `a = w(ρ(j − dj, k −
+/// dk))` for the neighbour across it.
+fn fill_faces(
+    faces: &mut Field2D,
+    density: &Field2D,
+    rows: Range<isize>,
+    cols: Range<isize>,
+    (dj, dk): (isize, isize),
+    scale: f64,
+    w: impl Fn(f64) -> f64,
+) {
+    if cols.is_empty() {
+        return;
+    }
+    let (lo, hi) = (cols.start, cols.end);
+    for k in rows {
+        let near = density.row(k - dk, lo - dj, hi - dj);
+        let here = density.row(k, lo, hi);
+        for ((f, &dn), &dh) in faces.row_mut(k, lo, hi).iter_mut().zip(near).zip(here) {
+            debug_assert!(dn > 0.0 && dh > 0.0, "non-positive density in row {k}");
+            let (a, b) = (w(dn), w(dh));
+            *f = scale * (a + b) / (2.0 * a * b);
+        }
     }
 }
 
@@ -135,9 +203,10 @@ pub fn timestep_scalings(mesh: &Mesh2D, dt: f64) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::{crooked_pipe, Problem};
+    use crate::geometry::{crooked_pipe, Problem, Shape, State};
     use crate::mesh::Extent2D;
     use crate::Decomposition2D;
+    use proptest::prelude::*;
 
     fn uniform_density(n: usize, halo: usize, rho: f64) -> (Mesh2D, Field2D) {
         let mesh = Mesh2D::serial(n, n, Extent2D::unit());
@@ -241,6 +310,144 @@ mod tests {
                         sc.ky.at(gj, gk),
                         "ky mismatch at global ({gj},{gk}) on rank {rank}"
                     );
+                }
+            }
+        }
+    }
+
+    /// A small deterministic generator for the random problems below.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn unit(&mut self) -> f64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (self.0 >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.unit() * n as f64) as usize % n
+        }
+    }
+
+    /// A random problem on an `nx × ny` mesh: a random extent and up to
+    /// eight states — rectangles (inverted, degenerate, outside the
+    /// domain, or with edges on cell faces and cell centres), circles and
+    /// points (on faces or anywhere), with the odd NaN coordinate — in a
+    /// random order, with the coefficient recipe drawn too.
+    fn random_problem(nx: usize, ny: usize, seed: u64) -> Problem {
+        let mut rng = Lcg(seed | 1);
+        let (x_min, y_min) = (rng.unit() * 10.0 - 5.0, rng.unit() * 10.0 - 5.0);
+        let extent = Extent2D {
+            x_min,
+            x_max: x_min + 0.5 + rng.unit() * 20.0,
+            y_min,
+            y_max: y_min + 0.5 + rng.unit() * 20.0,
+        };
+        let dx = extent.width() / nx as f64;
+        let dy = extent.height() / ny as f64;
+        // a coordinate along one axis: anywhere around the domain, on a
+        // face, on a cell centre (where `>=` / `<` decide), or now and
+        // then NaN, which no cell may match
+        let coord = |rng: &mut Lcg, lo: f64, d: f64, n: usize| -> f64 {
+            let i = rng.below(n + 6) as f64 - 3.0;
+            match rng.below(16) {
+                0 => f64::NAN,
+                1..=5 => lo + (rng.unit() * (n as f64 + 6.0) - 3.0) * d,
+                6..=10 => lo + i * d,
+                _ => lo + (i + 0.5) * d,
+            }
+        };
+        let mut problem = crate::geometry::crooked_pipe_rect(nx, ny);
+        problem.extent = extent;
+        problem.states.truncate(1);
+        for _ in 0..rng.below(9) {
+            let shape = match rng.below(4) {
+                0 | 1 => {
+                    let x_lo = coord(&mut rng, x_min, dx, nx);
+                    let y_lo = coord(&mut rng, y_min, dy, ny);
+                    // degenerate or inverted now and then
+                    let (x_hi, y_hi) = match rng.below(4) {
+                        0 => (x_lo, coord(&mut rng, y_min, dy, ny)),
+                        _ => (
+                            coord(&mut rng, x_min, dx, nx),
+                            coord(&mut rng, y_min, dy, ny),
+                        ),
+                    };
+                    Shape::Rectangle {
+                        x_min: x_lo,
+                        y_min: y_lo,
+                        x_max: x_hi,
+                        y_max: y_hi,
+                    }
+                }
+                2 => Shape::Circle {
+                    cx: coord(&mut rng, x_min, dx, nx),
+                    cy: coord(&mut rng, y_min, dy, ny),
+                    radius: rng.unit() * extent.width() * 0.5,
+                },
+                _ => Shape::Point {
+                    x: coord(&mut rng, x_min, dx, nx),
+                    y: coord(&mut rng, y_min, dy, ny),
+                },
+            };
+            problem.states.push(State {
+                shape,
+                density: 0.05 + rng.unit() * 100.0,
+                energy: rng.unit() * 10.0,
+            });
+        }
+        if rng.below(2) == 1 {
+            problem.coefficient = Coefficient::RecipConductivity;
+        }
+        problem
+    }
+
+    fn bits(f: &Field2D) -> Vec<u64> {
+        f.raw().iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        /// The span painter and the row assembly reproduce the per-cell
+        /// oracles bit for bit, interior and ghosts, on every tile of a
+        /// 1×1, 2×1 and 2×2 decomposition.
+        #[test]
+        fn sweeps_match_the_per_cell_oracles(
+            nx in 2usize..20,
+            ny in 2usize..20,
+            halo in 1usize..6,
+            seed in any::<u64>(),
+            scale in 0.01f64..50.0,
+        ) {
+            let problem = random_problem(nx, ny, seed);
+            let assembly_halo = 1 + seed as usize % halo;
+            for (px, py) in [(1, 1), (2, 1), (2, 2)] {
+                let d = Decomposition2D::with_grid(nx, ny, px, py);
+                for rank in 0..d.ranks() {
+                    let mesh = Mesh2D::new(&d, rank, problem.extent);
+                    let (tx, ty) = (mesh.nx(), mesh.ny());
+                    let mut density = Field2D::new(tx, ty, halo);
+                    let mut energy = Field2D::new(tx, ty, halo);
+                    problem.apply_states(&mesh, &mut density, &mut energy);
+                    let mut want_density = Field2D::new(tx, ty, halo);
+                    let mut want_energy = Field2D::new(tx, ty, halo);
+                    problem.apply_states_per_cell(&mesh, &mut want_density, &mut want_energy);
+                    prop_assert_eq!(bits(&density), bits(&want_density), "density, rank {}", rank);
+                    prop_assert_eq!(bits(&energy), bits(&want_energy), "energy, rank {}", rank);
+
+                    for kind in [Coefficient::Conductivity, Coefficient::RecipConductivity] {
+                        let (rx, ry) = (scale, 1.0 / scale);
+                        let got = Coefficients::assemble(&mesh, &density, kind, rx, ry, assembly_halo);
+                        let want = Coefficients::assemble_per_cell(
+                            &mesh, &density, kind, rx, ry, assembly_halo,
+                        );
+                        prop_assert_eq!(bits(&got.kx), bits(&want.kx), "kx {:?}, rank {}", kind, rank);
+                        prop_assert_eq!(bits(&got.ky), bits(&want.ky), "ky {:?}, rank {}", kind, rank);
+                    }
                 }
             }
         }

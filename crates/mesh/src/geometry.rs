@@ -37,7 +37,9 @@ pub enum Shape {
         /// Radius.
         radius: f64,
     },
-    /// The single cell containing `(x, y)`.
+    /// The single cell containing `(x, y)`, taking each cell as half-open
+    /// `[x_lo, x_hi) × [y_lo, y_hi)`: a point on a face belongs to the
+    /// cell above it.
     Point {
         /// Point x.
         x: f64,
@@ -47,10 +49,13 @@ pub enum Shape {
 }
 
 impl Shape {
-    /// Whether the cell centred at `(x, y)` with spacing `(dx, dy)` belongs
-    /// to this shape. Cell membership is decided by the cell centre, except
-    /// for `Point` which claims the unique containing cell.
-    pub fn contains(&self, x: f64, y: f64, dx: f64, dy: f64) -> bool {
+    /// Whether local cell `(j, k)` of `mesh` (signed; ghosts allowed)
+    /// belongs to this shape. Rectangles and circles decide by the cell
+    /// centre; a `Point` claims the one cell whose global index is
+    /// `⌊(x − x_min)/dx⌋, ⌊(y − y_min)/dy⌋`, so a point on a cell face
+    /// belongs to the cell above it.
+    pub fn contains(&self, mesh: &Mesh2D, j: isize, k: isize) -> bool {
+        let (x, y) = mesh.cell_center(j, k);
         match *self {
             Shape::Background => true,
             Shape::Rectangle {
@@ -63,11 +68,32 @@ impl Shape {
                 let (ddx, ddy) = (x - cx, y - cy);
                 ddx * ddx + ddy * ddy <= radius * radius
             }
-            Shape::Point { x: px, y: py } => {
-                (x - px).abs() <= dx * 0.5 && (y - py).abs() <= dy * 0.5
-            }
+            Shape::Point { x: px, y: py } => point_cell(mesh, px, py) == (j as f64, k as f64),
         }
     }
+}
+
+/// The local index of the one cell a point at `(x, y)` claims: its
+/// global index `⌊(x − x_min)/dx⌋, ⌊(y − y_min)/dy⌋` less the tile
+/// offset. Kept in `f64` so a point far outside the mesh (or NaN)
+/// compares as out of range instead of wrapping in a cast.
+fn point_cell(mesh: &Mesh2D, x: f64, y: f64) -> (f64, f64) {
+    let extent = mesh.extent();
+    let (ox, oy) = mesh.subdomain().offset;
+    (
+        ((x - extent.x_min) / mesh.dx()).floor() - ox as f64,
+        ((y - extent.y_min) / mesh.dy()).floor() - oy as f64,
+    )
+}
+
+/// The index range of the ascending `centres` that lie in `[min, max)`.
+/// Both bounds are monotone predicates over ascending centres, so the
+/// members are contiguous; a NaN or inverted bound gives an empty range.
+fn span(centres: &[f64], min: f64, max: f64) -> std::ops::Range<usize> {
+    // `c >= min` holds for no centre when `min` is NaN
+    let lo = centres.partition_point(|&c| c < min || min.is_nan());
+    let hi = centres.partition_point(|&c| c < max);
+    lo..hi.max(lo)
 }
 
 /// A material state from the input deck: geometry plus initial
@@ -172,18 +198,79 @@ impl Problem {
     /// (ghosts get the geometric value so coefficient computation near tile
     /// edges matches the serial run; the exterior boundary is later fixed
     /// by reflection).
+    ///
+    /// States are painted by row spans: the background fills whole rows,
+    /// a rectangle the contiguous column span whose centres lie inside it
+    /// on every row whose centre does, a point its one cell; circles test
+    /// each cell. Membership is [`Shape::contains`]'s, decision for
+    /// decision.
     pub fn apply_states(&self, mesh: &Mesh2D, density: &mut Field2D, energy: &mut Field2D) {
         assert_eq!(density.nx(), mesh.nx());
         assert_eq!(density.ny(), mesh.ny());
         assert_eq!(energy.nx(), mesh.nx());
         assert_eq!(energy.ny(), mesh.ny());
         let h = density.halo().min(energy.halo()) as isize;
-        let (dx, dy) = (mesh.dx(), mesh.dy());
+        let (nx, ny) = (mesh.nx() as isize, mesh.ny() as isize);
+        // `cell_center`'s x depends on j alone and its y on k alone, and
+        // both ascend with the index
+        let xs: Vec<f64> = (-h..nx + h).map(|j| mesh.cell_center(j, 0).0).collect();
+        let ys: Vec<f64> = (-h..ny + h).map(|k| mesh.cell_center(0, k).1).collect();
+        let window = |i: f64, n: isize| i >= -h as f64 && i < (n + h) as f64;
+        for s in &self.states {
+            let mut paint = |k: isize, lo: isize, hi: isize| {
+                density.row_mut(k, lo, hi).fill(s.density);
+                energy.row_mut(k, lo, hi).fill(s.energy);
+            };
+            match s.shape {
+                Shape::Background => (-h..ny + h).for_each(|k| paint(k, -h, nx + h)),
+                Shape::Rectangle {
+                    x_min,
+                    y_min,
+                    x_max,
+                    y_max,
+                } => {
+                    let cols = span(&xs, x_min, x_max);
+                    let (lo, hi) = (cols.start as isize - h, cols.end as isize - h);
+                    if lo < hi {
+                        for k in span(&ys, y_min, y_max) {
+                            paint(k as isize - h, lo, hi);
+                        }
+                    }
+                }
+                Shape::Circle { .. } => {
+                    for k in -h..ny + h {
+                        for j in -h..nx + h {
+                            if s.shape.contains(mesh, j, k) {
+                                paint(k, j, j + 1);
+                            }
+                        }
+                    }
+                }
+                Shape::Point { x, y } => {
+                    let (j, k) = point_cell(mesh, x, y);
+                    if window(j, nx) && window(k, ny) {
+                        paint(k as isize, j as isize, j as isize + 1);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The per-cell painter [`Problem::apply_states`] replaced: every
+    /// state tested at every cell through [`Shape::contains`]. Kept as
+    /// the oracle the span painter is checked against.
+    #[cfg(test)]
+    pub(crate) fn apply_states_per_cell(
+        &self,
+        mesh: &Mesh2D,
+        density: &mut Field2D,
+        energy: &mut Field2D,
+    ) {
+        let h = density.halo().min(energy.halo()) as isize;
         for k in -h..mesh.ny() as isize + h {
             for j in -h..mesh.nx() as isize + h {
-                let (x, y) = mesh.cell_center(j, k);
                 for s in &self.states {
-                    if s.shape.contains(x, y, dx, dy) {
+                    if s.shape.contains(mesh, j, k) {
                         density.set(j, k, s.density);
                         energy.set(j, k, s.energy);
                     }
@@ -275,33 +362,92 @@ pub fn crooked_pipe_rect(nx: usize, ny: usize) -> Problem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decomp::Decomposition2D;
 
     #[test]
-    fn shapes_contain_expected_points() {
+    fn shapes_contain_expected_cells() {
+        // unit cells over [0, 10]²: cell (j, k) is centred at (j + ½, k + ½)
+        let mesh = Mesh2D::serial(10, 10, Extent2D::square(10.0));
         let r = Shape::Rectangle {
-            x_min: 1.0,
-            y_min: 1.0,
-            x_max: 2.0,
-            y_max: 3.0,
+            x_min: 1.5,
+            y_min: 1.5,
+            x_max: 3.5,
+            y_max: 4.5,
         };
-        assert!(r.contains(1.5, 2.0, 0.1, 0.1));
-        assert!(!r.contains(2.5, 2.0, 0.1, 0.1));
-        assert!(r.contains(1.0, 1.0, 0.1, 0.1)); // inclusive low edge
-        assert!(!r.contains(2.0, 2.0, 0.1, 0.1)); // exclusive high edge
+        assert!(r.contains(&mesh, 2, 2));
+        assert!(!r.contains(&mesh, 0, 2));
+        assert!(r.contains(&mesh, 1, 1)); // inclusive low edge
+        assert!(!r.contains(&mesh, 3, 2)); // exclusive high edge
 
         let c = Shape::Circle {
             cx: 0.0,
             cy: 0.0,
             radius: 1.0,
         };
-        assert!(c.contains(0.5, 0.5, 0.1, 0.1));
-        assert!(!c.contains(1.0, 1.0, 0.1, 0.1));
+        assert!(c.contains(&mesh, 0, 0));
+        assert!(!c.contains(&mesh, 1, 1));
 
-        let p = Shape::Point { x: 0.55, y: 0.55 };
-        assert!(p.contains(0.5, 0.5, 0.2, 0.2));
-        assert!(!p.contains(0.9, 0.5, 0.2, 0.2));
+        // a point on the face x = 2 belongs to the cell above it only
+        let p = Shape::Point { x: 2.0, y: 3.7 };
+        assert!(p.contains(&mesh, 2, 3));
+        assert!(!p.contains(&mesh, 1, 3));
+        assert!(!p.contains(&mesh, 2, 4));
 
-        assert!(Shape::Background.contains(123.0, -9.0, 1.0, 1.0));
+        assert!(Shape::Background.contains(&mesh, -1, 11));
+    }
+
+    /// Background plus one point state at `(x, y)`, density 7.
+    fn point_problem(n: usize, x: f64, y: f64) -> Problem {
+        let mut p = crooked_pipe(n);
+        p.extent = Extent2D::unit();
+        p.states.truncate(1);
+        p.states.push(State {
+            shape: Shape::Point { x, y },
+            density: 7.0,
+            energy: 7.0,
+        });
+        p
+    }
+
+    #[test]
+    fn a_face_point_claims_exactly_one_cell() {
+        // on an 8-cell unit mesh x = 0.25 is the face between cells 1
+        // and 2, and y = 0.5 the face between cells 3 and 4 — which is
+        // also the tile edge of the 2×2 decomposition
+        let (n, halo) = (8, 2);
+        let p = point_problem(n, 0.25, 0.5);
+        let serial = Mesh2D::serial(n, n, p.extent);
+        let mut sd = Field2D::new(n, n, halo);
+        let mut se = Field2D::new(n, n, halo);
+        p.apply_states(&serial, &mut sd, &mut se);
+        for (px, py) in [(1, 1), (2, 2)] {
+            let d = Decomposition2D::with_grid(n, n, px, py);
+            let mut claimed = Vec::new();
+            for rank in 0..d.ranks() {
+                let mesh = Mesh2D::new(&d, rank, p.extent);
+                let mut dd = Field2D::new(mesh.nx(), mesh.ny(), halo);
+                let mut de = Field2D::new(mesh.nx(), mesh.ny(), halo);
+                p.apply_states(&mesh, &mut dd, &mut de);
+                let (ox, oy) = mesh.subdomain().offset;
+                let h = halo as isize;
+                for k in -h..mesh.ny() as isize + h {
+                    for j in -h..mesh.nx() as isize + h {
+                        let (gj, gk) = (j + ox as isize, k + oy as isize);
+                        let interior = (0..mesh.nx() as isize).contains(&j)
+                            && (0..mesh.ny() as isize).contains(&k);
+                        if interior && dd.at(j, k) == 7.0 {
+                            claimed.push((gj, gk));
+                        }
+                        // ghosts are painted geometrically, as serially
+                        if (-h..n as isize + h).contains(&gj) && (-h..n as isize + h).contains(&gk)
+                        {
+                            assert_eq!(dd.at(j, k), sd.at(gj, gk), "{px}x{py} rank {rank}");
+                        }
+                    }
+                }
+            }
+            assert_eq!(claimed, [(2, 4)], "{px}x{py} decomposition");
+        }
     }
 
     #[test]
