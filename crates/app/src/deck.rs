@@ -50,7 +50,7 @@ pub struct Control {
     pub end_step: u64,
     /// Solver selection: a registry name or alias resolved by
     /// [`crate::solver_registry`] (e.g. `"cg"`, `"ppcg"`, `"amg"`,
-    /// `"richardson"`).
+    /// `"auto"`).
     pub solver: String,
     /// Arithmetic-precision override (deck `tl_precision`, CLI
     /// `--precision`). `None` (the default) takes [`Control::solver`]
@@ -607,7 +607,7 @@ tl_coefficient=1
             ("tl_use_ppcg", "ppcg"),
             ("tl_use_amg", "amg"),
             ("tl_use_boomeramg", "amg"),
-            ("tl_solver=richardson", "richardson"),
+            ("tl_solver=mixed_chebyshev", "mixed_chebyshev"),
             ("tl_solver=cppcg", "ppcg"),
             ("tl_solver=BoomerAMG", "amg"),
         ] {

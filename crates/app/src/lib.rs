@@ -36,7 +36,7 @@ use std::sync::OnceLock;
 use tea_core::SolverRegistry;
 
 /// The application's solver registry: every tea-core builtin (Jacobi,
-/// CG, Chebyshev, CPPCG, Richardson and the mixed/f32 variants), the
+/// CG, Chebyshev, CPPCG and the mixed/f32 variants), the
 /// tea-amg baseline, and the tea-tune `auto` pseudo-solver. The deck
 /// parser (`tl_solver=<name>` and the legacy `tl_use_*` switches), the
 /// driver, and the `tealeaf` CLI (`--solver`, `--list-solvers`) all

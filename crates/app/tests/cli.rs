@@ -145,9 +145,6 @@ registered solvers:
   ppcg (aliases: cppcg)
       Chebyshev polynomially preconditioned CG with matrix-powers deep halos
       defaults: precon=none, presteps=30 eigen_safety=0.1, halo_depth=1 inner_steps=16, tunable
-  richardson
-      preconditioned Richardson with Chebyshev-optimal damping
-      defaults: precon=none, presteps=30 eigen_safety=0.1, tunable
   mixed_cg (aliases: mixed, cg_mixed)
       CG with f64 recurrence and the preconditioner applied in f32
       defaults: precon=none, tunable, precision=mixed
@@ -157,12 +154,9 @@ registered solvers:
   mixed_chebyshev (aliases: chebyshev_mixed, cheby_mixed)
       Chebyshev acceleration with the polynomial sweeps entirely in f32
       defaults: precon=none, presteps=30 eigen_safety=0.1, tunable, precision=mixed
-  mixed_richardson (aliases: richardson_mixed)
-      Richardson with the damped sweeps in f32 under f64 residual control
-      defaults: precon=none, presteps=30 eigen_safety=0.1, tunable, precision=mixed
   cg_f32 (aliases: f32_cg)
       fully single-precision CG (accuracy limited by f32 round-off; no demotion site, so no subnormal pedestal: its far field can run denormal)
-      defaults: precon=none, tunable, precision=f32
+      defaults: precon=none, precision=f32
   amg (aliases: boomeramg, amg_pcg)
       multigrid V-cycle preconditioned CG (the BoomerAMG-class baseline)
       defaults: serial-only
@@ -179,6 +173,17 @@ fn list_solvers_shows_precision_metadata() {
     let out = tealeaf(&["--list-solvers"]);
     assert!(out.status.success());
     assert_eq!(String::from_utf8_lossy(&out.stdout), LIST_SOLVERS);
+}
+
+#[test]
+fn a_retired_solver_name_is_a_typed_unknown_solver_error() {
+    let out = tealeaf(&["--cells", "8", "--steps", "1", "--solver", "richardson"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    let want = "error: unknown solver 'richardson' (registered: jacobi, cg, chebyshev, ppcg, \
+                mixed_cg, mixed_ppcg, mixed_chebyshev, cg_f32, amg, auto)";
+    assert!(stderr.starts_with(want), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

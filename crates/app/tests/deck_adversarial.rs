@@ -147,8 +147,6 @@ proptest! {
             "mixed_ppcg",
             "chebyshev",
             "mixed_chebyshev",
-            "richardson",
-            "mixed_richardson",
             "cg",
             "mixed_cg",
             "cg_f32",

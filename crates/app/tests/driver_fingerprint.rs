@@ -46,6 +46,15 @@
 //! `comm=` red716/518/235 → red688/462/235, because the race no longer
 //! runs (and abandons) that candidate's trial. Their step bits, field
 //! hash and winner (`cg`) are unchanged, as is every other row.
+//!
+//! Regenerated a fourth time, by script, when the two stationary
+//! damped-iteration solvers left the registry and `cg_f32` stopped being
+//! tunable: again only `auto/s3 serial` and `auto/s3 session-cold`
+//! moved, and only in `outer/red/halo` 341/685/356 → 194/388/200 and
+//! `comm=` red688/462/235 → red391/400/0 (the 235 `f32` reduction
+//! elements were `cg_f32`'s trial), because the race no longer runs
+//! those three candidates' trials. Their `steps=`, `u=`, `tune=cgx2` and
+//! `cache=` words are unchanged, as is every other row.
 
 use tea_app::{
     crooked_pipe_deck, run_serial, run_serial_session, run_threaded_ranks, solver_registry,
@@ -252,7 +261,7 @@ const EXPECTED: &[&str] = &[
     "amg serial: steps=[8:4053816c68df98d1:3e33cee33e03bdeb 9:40310dc8ae7e5c3a:3de4907c507c38e5 9:401637d69f0acdb6:3dd35b2445e8582b] u=8dc928d6a9e36dd6 outer=26 inner=0 red=55 halo=29 comm=[tx0/0/0 rx0/0/0 red58/67/0 bar0] mg=y tune=-",
     "amg session-cold: steps=[8:4053816c68df98d1:3e33cee33e03bdeb 9:40310dc8ae7e5c3a:3de4907c507c38e5 9:401637d69f0acdb6:3dd35b2445e8582b] u=8dc928d6a9e36dd6 outer=26 inner=0 red=55 halo=29 comm=[tx0/0/0 rx0/0/0 red58/67/0 bar0] mg=y tune=- cache=6/7/7",
     "amg session-warm: steps=[8:4053816c68df98d1:3e33cee33e03bdeb 9:40310dc8ae7e5c3a:3de4907c507c38e5 9:401637d69f0acdb6:3dd35b2445e8582b] u=8dc928d6a9e36dd6 outer=26 inner=0 red=55 halo=29 comm=[tx0/0/0 rx0/0/0 red58/67/0 bar0] mg=y tune=- cache=7/7/7",
-    "auto/s3 serial: steps=[43:406879fe5d254f92:3e4c4e21863bb95a 45:40416ca82f2ce538:3e2187bdd45807fa 45:40228befb6a4068c:3e0745806230d514] u=a084f0e4993beba6 outer=341 inner=0 red=685 halo=356 comm=[tx0/0/0 rx0/0/0 red688/462/235 bar0] mg=n tune=cgx2",
-    "auto/s3 session-cold: steps=[43:406879fe5d254f92:3e4c4e21863bb95a 45:40416ca82f2ce538:3e2187bdd45807fa 45:40228befb6a4068c:3e0745806230d514] u=a084f0e4993beba6 outer=341 inner=0 red=685 halo=356 comm=[tx0/0/0 rx0/0/0 red688/462/235 bar0] mg=n tune=cgx2 cache=7/8/8",
+    "auto/s3 serial: steps=[43:406879fe5d254f92:3e4c4e21863bb95a 45:40416ca82f2ce538:3e2187bdd45807fa 45:40228befb6a4068c:3e0745806230d514] u=a084f0e4993beba6 outer=194 inner=0 red=388 halo=200 comm=[tx0/0/0 rx0/0/0 red391/400/0 bar0] mg=n tune=cgx2",
+    "auto/s3 session-cold: steps=[43:406879fe5d254f92:3e4c4e21863bb95a 45:40416ca82f2ce538:3e2187bdd45807fa 45:40228befb6a4068c:3e0745806230d514] u=a084f0e4993beba6 outer=194 inner=0 red=388 halo=200 comm=[tx0/0/0 rx0/0/0 red391/400/0 bar0] mg=n tune=cgx2 cache=7/8/8",
     "auto/s3 session-warm: steps=[43:406879fe5d254f92:3e4c4e21863bb95a 45:40416ca82f2ce538:3e2187bdd45807fa 45:40228befb6a4068c:3e0745806230d514] u=a084f0e4993beba6 outer=133 inner=0 red=269 halo=136 comm=[tx0/0/0 rx0/0/0 red272/281/0 bar0] mg=n tune=cgx5 cache=8/8/8",
 ];

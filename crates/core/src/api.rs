@@ -91,8 +91,7 @@ pub struct SolverParams {
     pub inner_steps: usize,
     /// Matrix-powers halo depth (PPCG's `PPCG - n`).
     pub halo_depth: usize,
-    /// Plain-CG presteps for eigenvalue estimation (Chebyshev, PPCG,
-    /// Richardson).
+    /// Plain-CG presteps for eigenvalue estimation (Chebyshev, PPCG).
     pub presteps: u64,
     /// Seed for the `auto` pseudo-solver's deterministic candidate
     /// search (deck `tl_tune_seed`, CLI `--tune-seed`). Ignored by the
@@ -113,13 +112,13 @@ impl Default for SolverParams {
 }
 
 /// Safety widening applied to every Lanczos spectrum estimate of the
-/// CG eigen prelude (Chebyshev, CPPCG, Richardson): the bounds must
+/// CG eigen prelude (Chebyshev, CPPCG): the bounds must
 /// *contain* the true spectrum or the iteration diverges.
 pub const EIGEN_SAFETY: f64 = 0.1;
 
-/// Convergence-check cadence, in iterations, of the Chebyshev and
-/// Richardson loops (each check is one global reduction) — and the
-/// length of one `f32` block of their mixed variants.
+/// Convergence-check cadence, in iterations, of the Chebyshev loop
+/// (each check is one global reduction) — and the length of one `f32`
+/// block of `mixed_chebyshev`.
 pub const CHECK_INTERVAL: u64 = 10;
 
 /// Arithmetic-precision policy of a solver — a first-class axis of the
@@ -207,7 +206,8 @@ pub struct SolverMeta {
     pub precision: Precision,
     /// Whether the auto-tuner may pick this method as a candidate.
     /// `false` for diagnostic baselines (Jacobi), serial-only methods
-    /// (AMG) and the `auto` pseudo-solver itself.
+    /// (AMG), the round-off-limited `cg_f32` and the `auto`
+    /// pseudo-solver itself.
     pub tunable: bool,
 }
 

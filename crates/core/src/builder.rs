@@ -80,10 +80,10 @@ impl<'a> Solve<'a> {
 
     /// Arithmetic-precision override. Unset, the solver name is taken
     /// verbatim. [`Precision::Mixed`] re-routes `cg` to `mixed_cg`,
-    /// `ppcg` to `mixed_ppcg`, `chebyshev` to `mixed_chebyshev` and
-    /// `richardson` to `mixed_richardson`; [`Precision::F32`] routes
-    /// the CG family to `cg_f32`; [`Precision::F64`] demotes a
-    /// reduced-precision name back to its `f64` family solver. Methods
+    /// `ppcg` to `mixed_ppcg` and `chebyshev` to `mixed_chebyshev`;
+    /// [`Precision::F32`] routes the CG family to `cg_f32`;
+    /// [`Precision::F64`] demotes a reduced-precision name back to its
+    /// `f64` family solver. Methods
     /// without a registered variant make [`Solve::run`] fail with
     /// [`SolverError::PrecisionUnsupported`].
     ///
@@ -117,7 +117,7 @@ impl<'a> Solve<'a> {
         self
     }
 
-    /// Eigenvalue-estimation CG presteps (Chebyshev, PPCG, Richardson).
+    /// Eigenvalue-estimation CG presteps (Chebyshev, PPCG).
     pub fn presteps(mut self, presteps: u64) -> Self {
         self.spec.params.presteps = presteps;
         self

@@ -210,8 +210,8 @@ pub(crate) fn eigen_prelude<C: Communicator + ?Sized>(
     Ok((pre, est))
 }
 
-/// What the three families that open with [`eigen_prelude`] (CPPCG,
-/// Chebyshev, Richardson) hold in common: the parameters they were
+/// What the two families that open with [`eigen_prelude`] (CPPCG,
+/// Chebyshev) hold in common: the parameters they were
 /// built from and the precision switch, the latched options and the
 /// state assembled against the current operator.
 #[derive(Debug)]

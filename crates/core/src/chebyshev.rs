@@ -20,12 +20,13 @@
 //! shared `stationary_loop`. `mixed_chebyshev` (`Chebyshev::mixed`)
 //! keeps the prelude and the `f64` residual control but runs the
 //! polynomial as [`CHECK_INTERVAL`]-step blocks of CPPCG's inner
-//! smoother in `f32` (`refine`).
+//! smoother in `f32`: iterative refinement, one block per outer
+//! iteration, through the same `stationary_loop`.
 
 use crate::api::{DynTile, SolverParams, CHECK_INTERVAL};
 use crate::cg::{EigenFamily, Family};
 use crate::eigen::EigenEstimate;
-use crate::mixed::{refine, Inner};
+use crate::mixed::Inner;
 use crate::ppcg::Smoothing;
 use crate::recurrence::stationary_loop;
 use crate::solver::Workspace;
@@ -147,15 +148,24 @@ impl EigenFamily for Chebyshev {
         let opts = self.family.opts;
         let precon = self.family.precon.as_ref().expect("assembled by solve");
         let bounds = &tile.op.bounds;
+        tile.exchange(&mut [u], 1, &mut pre.trace);
+        tile.op.residual(u, b, &mut ws.r, 0, &mut pre.trace);
         if let Some(low) = &mut self.family.low {
+            // iterative refinement: each outer iteration runs one `f32`
+            // block against the demoted residual, adds the promoted
+            // correction and re-derives the residual (and its norm — one
+            // reduction per block) in `f64`
             let smoothing = Smoothing::new(est, CHECK_INTERVAL as usize, 1);
             let inner = Inner::Chebyshev(&smoothing);
-            return refine(tile, u, b, ws, pre, opts, low, inner);
+            return stationary_loop(tile, u, &mut ws.r, pre, opts, None, |u, r, norm, trace| {
+                low.apply(tile, r, &mut ws.z, Some(norm), &inner, trace);
+                vector::axpy(u, 1.0, &ws.z, bounds, 0, trace);
+                tile.exchange(&mut [u], 1, trace);
+                tile.op.residual(u, b, r, 0, trace);
+            });
         }
 
         let consts = ChebyConstants::from_estimate(est);
-        tile.exchange(&mut [u], 1, &mut pre.trace);
-        tile.op.residual(u, b, &mut ws.r, 0, &mut pre.trace);
         precon.apply(&ws.r, &mut ws.z, bounds, 0, &mut pre.trace);
         let inv_theta = 1.0 / consts.theta;
         vector::scaled_copy(&mut ws.sd, &ws.z, inv_theta, bounds, 0, &mut pre.trace);

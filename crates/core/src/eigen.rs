@@ -61,8 +61,7 @@ impl EigenEstimate {
     /// # Errors
     /// [`EigenError::InvalidWideningFactor`] unless `0 <= factor < 1`:
     /// a factor of 1 or more flips the sign of the widened `min`, and a
-    /// positive spectrum is what every downstream consumer
-    /// ([`crate::ChebyConstants`], the Richardson damping) divides by.
+    /// positive spectrum is what [`crate::ChebyConstants`] divides by.
     fn try_widened(&self, factor: f64) -> Result<EigenEstimate, EigenError> {
         if !(factor.is_finite() && (0.0..1.0).contains(&factor)) {
             return Err(EigenError::InvalidWideningFactor { factor });

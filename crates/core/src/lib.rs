@@ -60,7 +60,6 @@ pub mod ppcg;
 pub mod precon;
 pub mod recurrence;
 pub mod registry;
-pub mod richardson;
 pub mod runtime;
 pub mod session;
 pub mod solver;

@@ -6,16 +6,15 @@
 //! Operator, preconditioner, vector kernels, halo wire and reductions
 //! are all generic over [`tea_mesh::Scalar`], so a reduced-precision
 //! method is not a second solver: it is an `f64` family struct — `Cg`,
-//! `Ppcg`, `Chebyshev`, `Richardson` — whose registry factory switches
-//! it to `mixed()` (or, for CG, `single()`), which then routes its
-//! `z ≈ A⁻¹r` work through the `Low` image of the operator kept here:
+//! `Ppcg`, `Chebyshev` — whose registry factory switches it to
+//! `mixed()` (or, for CG, `single()`), which then routes its `z ≈ A⁻¹r`
+//! work through the `Low` image of the operator kept here:
 //!
 //! | registry name | `f64` outer recurrence | runs in `f32` (`Inner`) |
 //! |---|---|---|
 //! | `mixed_cg` | the PCG loop | the preconditioner apply |
 //! | `mixed_ppcg` | the PCG loop, after the CG eigen prelude | the `m`-step Chebyshev smoothing, matrix powers included |
-//! | `mixed_chebyshev` | `refine`, after the prelude | blocks of Chebyshev steps |
-//! | `mixed_richardson` | `refine`, after the prelude | blocks of damped Richardson sweeps |
+//! | `mixed_chebyshev` | iterative refinement, after the prelude | blocks of Chebyshev steps |
 //! | `cg_f32` | — | the whole PCG loop (`Low::cg_solve`) |
 //!
 //! The mixed methods keep every dot product, the outer update and the
@@ -79,12 +78,10 @@ use crate::control::Probed;
 use crate::ops::TileOperator;
 use crate::ppcg::{cheb_inner, Smooth, Smoothing};
 use crate::precon::{PreconKind, Preconditioner};
-use crate::recurrence::{pcg_loop, stationary_loop, Entry, Krylov, Precondition};
+use crate::recurrence::{pcg_loop, Entry, Krylov, Precondition};
 use crate::registry::SolverRegistry;
-use crate::richardson::rich_inner;
-use crate::solver::{SolveOpts, Tile, Workspace};
+use crate::solver::{SolveOpts, Tile};
 use crate::trace::{SolveResult, SolveTrace};
-use crate::vector;
 use tea_comms::Communicator;
 use tea_mesh::{Field2, Field2D};
 
@@ -95,9 +92,8 @@ use tea_mesh::{Field2, Field2D};
 /// A solver whose [`crate::SolverMeta::precision`] already matches is
 /// returned unchanged; otherwise the request is re-routed within the
 /// method family (`cg` ↔ `mixed_cg`/`cg_f32`, `ppcg` ↔ `mixed_ppcg`,
-/// `chebyshev` ↔ `mixed_chebyshev`, `richardson` ↔ `mixed_richardson`),
-/// and `Precision::F64` demotes a reduced-precision name back to its
-/// `f64` family solver.
+/// `chebyshev` ↔ `mixed_chebyshev`), and `Precision::F64` demotes a
+/// reduced-precision name back to its `f64` family solver.
 ///
 /// # Errors
 /// [`SolverError::UnknownSolver`] for an unregistered name, and
@@ -126,7 +122,6 @@ pub fn solver_for_precision(
         "mixed_cg" | "cg_f32" => "cg",
         "mixed_ppcg" => "ppcg",
         "mixed_chebyshev" => "chebyshev",
-        "mixed_richardson" => "richardson",
         other => other,
     };
     let target = match (family, precision) {
@@ -134,7 +129,6 @@ pub fn solver_for_precision(
         ("cg", Precision::Mixed) => Some("mixed_cg"),
         ("ppcg", Precision::Mixed) => Some("mixed_ppcg"),
         ("chebyshev", Precision::Mixed) => Some("mixed_chebyshev"),
-        ("richardson", Precision::Mixed) => Some("mixed_richardson"),
         ("cg", Precision::F32) => Some("cg_f32"),
         _ => None,
     };
@@ -144,8 +138,8 @@ pub fn solver_for_precision(
             solver: meta.name.to_string(),
             precision,
             reason: format!(
-                "no {} variant of '{}' is registered (variants cover the cg, ppcg, \
-                 chebyshev and richardson families)",
+                "no {} variant of '{}' is registered (variants cover the cg, ppcg \
+                 and chebyshev families)",
                 precision.label(),
                 meta.name
             ),
@@ -160,12 +154,12 @@ const PEDESTAL: f64 = 1.0 / (1u64 << 40) as f64;
 /// The operator and preconditioner demoted to precision `S`, with the
 /// scratch fields the chosen [`Inner`] application reads — and no more:
 /// they are allocated by count on first use, so `mixed_cg` holds two `S`
-/// fields where the Richardson smoother holds five.
+/// fields where the Chebyshev smoother holds four.
 #[derive(Debug, Clone)]
 pub(crate) struct Low<S: Probed> {
     op: TileOperator<S>,
     precon: Preconditioner<S>,
-    /// `[z, rr, sd, tmp, w]` for [`Low::apply`] (a prefix of it),
+    /// `[z, rr, sd, tmp]` for [`Low::apply`] (a prefix of it),
     /// `[z, r, w, p, u, b]` for [`Low::cg_solve`].
     fields: Vec<Field2<S>>,
 }
@@ -177,17 +171,14 @@ pub(crate) enum Inner<'a> {
     Precon,
     /// Chebyshev smoothing of `A z = r` from `z = 0`.
     Chebyshev(&'a Smoothing),
-    /// `steps` damped Richardson sweeps `z += ω M⁻¹ r̃`.
-    Richardson { omega: f64, steps: usize },
 }
 
 impl Inner<'_> {
-    /// How many of `[z, rr, sd, tmp, w]` the application touches.
+    /// How many of `[z, rr, sd, tmp]` the application touches.
     fn fields(&self) -> usize {
         match self {
             Inner::Precon => 2,
             Inner::Chebyshev(_) => 4,
-            Inner::Richardson { .. } => 5,
         }
     }
 }
@@ -244,15 +235,10 @@ impl<S: Probed> Low<S> {
         }
         match (inner, rest) {
             (Inner::Precon, _) => precon.apply(rr, lz, &op.bounds, 0, trace),
-            (Inner::Chebyshev(smoothing), [sd, tmp, ..]) => {
+            (Inner::Chebyshev(smoothing), [sd, tmp]) => {
                 let mut f = Smooth { z: lz, rr, sd, tmp };
                 cheb_inner(tile, op, precon, &mut f, None, smoothing, trace);
                 trace.inner_iterations += smoothing.cheb.len() as u64;
-            }
-            (&Inner::Richardson { omega, steps }, [sd, tmp, w, ..]) => {
-                let mut f = Smooth { z: lz, rr, sd, tmp };
-                rich_inner(tile, op, precon, &mut f, w, omega, steps, trace);
-                trace.inner_iterations += steps as u64;
             }
             _ => unreachable!("fit() allocated what Inner::fields() asked for"),
         }
@@ -329,32 +315,6 @@ impl<S: Probed> Precondition<f64> for Lowered<'_, S> {
     }
 }
 
-/// Iterative refinement after the `f64` eigen prelude `pre` — the shared
-/// engine of `mixed_chebyshev` and `mixed_richardson`: each outer
-/// iteration runs one `inner` block against the demoted `f64` residual,
-/// adds the promoted correction, and re-derives the residual (and its
-/// norm — one reduction per block) in `f64`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn refine<C: Communicator + ?Sized, S: Probed>(
-    tile: &Tile<'_, C>,
-    u: &mut Field2D,
-    b: &Field2D,
-    ws: &mut Workspace,
-    mut pre: SolveResult,
-    opts: SolveOpts,
-    low: &mut Low<S>,
-    inner: Inner<'_>,
-) -> SolveResult {
-    tile.exchange(&mut [u], 1, &mut pre.trace);
-    tile.op.residual(u, b, &mut ws.r, 0, &mut pre.trace);
-    stationary_loop(tile, u, &mut ws.r, pre, opts, None, |u, r, norm, trace| {
-        low.apply(tile, r, &mut ws.z, Some(norm), &inner, trace);
-        vector::axpy(u, 1.0, &ws.z, &tile.op.bounds, 0, trace);
-        tile.exchange(&mut [u], 1, trace);
-        tile.op.residual(u, b, r, 0, trace);
-    })
-}
-
 /// Test instrument: how many `f32` subnormals each [`Low::apply`] on
 /// this thread left in its scratch fields, and a switch that withholds
 /// the norm — the control that shows the census sees the cliff.
@@ -382,6 +342,7 @@ mod tests {
     use crate::api::SolverError;
     use crate::builder::{crooked_pipe_system, Solve};
     use crate::cg::cg_solve_recording;
+    use crate::solver::Workspace;
     use tea_comms::{HaloLayout, SerialComm};
     use tea_mesh::Decomposition2D;
 
@@ -468,14 +429,12 @@ mod tests {
     }
 
     #[test]
-    fn mixed_chebyshev_and_richardson_reach_f64_tolerance() {
-        for name in ["mixed_chebyshev", "mixed_richardson"] {
-            let (res, u, op, b) = run_named(name, 32, 1e-9, PreconKind::Diagonal, 1);
-            assert!(res.converged, "{name}: {res:?}");
-            assert!(residual_norm(&op, &u, &b) < 1e-7, "{name}");
-            // the damping/shift came from a recorded eigenvalue estimate
-            assert!(res.trace.eigen_bounds.is_some(), "{name}");
-        }
+    fn mixed_chebyshev_reaches_f64_tolerance() {
+        let (res, u, op, b) = run_named("mixed_chebyshev", 32, 1e-9, PreconKind::Diagonal, 1);
+        assert!(res.converged, "{res:?}");
+        assert!(residual_norm(&op, &u, &b) < 1e-7);
+        // the shift came from a recorded eigenvalue estimate
+        assert!(res.trace.eigen_bounds.is_some());
     }
 
     #[test]
@@ -517,12 +476,7 @@ mod tests {
 
     #[test]
     fn pedestal_leaves_no_subnormals_and_the_census_sees_the_cliff() {
-        for name in [
-            "mixed_ppcg",
-            "mixed_cg",
-            "mixed_chebyshev",
-            "mixed_richardson",
-        ] {
+        for name in ["mixed_ppcg", "mixed_cg", "mixed_chebyshev"] {
             let counts = census_of(name, false);
             assert!(counts.len() > 2, "{name}: {counts:?}");
             // (a fresh mixed_cg has no norm yet at its first application)
@@ -545,13 +499,11 @@ mod tests {
         assert_eq!(route("cg", Precision::F32), "cg_f32");
         assert_eq!(route("ppcg", Precision::Mixed), "mixed_ppcg");
         assert_eq!(route("chebyshev", Precision::Mixed), "mixed_chebyshev");
-        assert_eq!(route("richardson", Precision::Mixed), "mixed_richardson");
         assert_eq!(route("mixed_cg", Precision::Mixed), "mixed_cg");
         assert_eq!(route("mixed_cg", Precision::F64), "cg");
         assert_eq!(route("cg_f32", Precision::F64), "cg");
         assert_eq!(route("mixed_ppcg", Precision::F64), "ppcg");
         assert_eq!(route("mixed_chebyshev", Precision::F64), "chebyshev");
-        assert_eq!(route("mixed_richardson", Precision::F64), "richardson");
         // aliases route through canonical names
         assert_eq!(route("cppcg", Precision::Mixed), "mixed_ppcg");
     }

@@ -21,9 +21,8 @@
 //!
 //! * `stationary_loop` — a dot-product-free iteration advanced by a
 //!   step closure, with a residual check every iteration or every `k`
-//!   iterations: `jacobi`, `richardson`, `chebyshev`, and the
-//!   `mixed_chebyshev`/`mixed_richardson` refinement (whose step is a
-//!   block of `f32` sweeps).
+//!   iterations: `jacobi`, `chebyshev`, and the `mixed_chebyshev`
+//!   refinement (whose step is a block of `f32` Chebyshev sweeps).
 //!
 //! Both advance a [`SolveResult`] in place, so the stop-handle,
 //! probe, finiteness and convergence handling (`SolveResult::begin`,

@@ -12,7 +12,6 @@ use crate::cg::Cg;
 use crate::chebyshev::Chebyshev;
 use crate::jacobi::Jacobi;
 use crate::ppcg::Ppcg;
-use crate::richardson::Richardson;
 
 /// Builds one configured solver instance from generic parameters.
 type SolverFactory = fn(&SolverParams) -> Box<dyn IterativeSolver>;
@@ -46,8 +45,8 @@ impl SolverRegistry {
     }
 
     /// The registry of tea-core's built-in methods: Jacobi, CG,
-    /// Chebyshev, CPPCG and Richardson at `f64`, then their reduced-
-    /// precision variants — every one a [`crate::recurrence`] instance.
+    /// Chebyshev and CPPCG at `f64`, then their reduced-precision
+    /// variants — every one a [`crate::recurrence`] instance.
     /// (The AMG-preconditioned CG baseline lives in `tea-amg`, which
     /// registers itself on top of this set.)
     pub fn builtin() -> Self {
@@ -110,20 +109,6 @@ impl SolverRegistry {
         );
         reg.register(
             SolverMeta {
-                name: "richardson",
-                aliases: &[],
-                summary: "preconditioned Richardson with Chebyshev-optimal damping",
-                preconditioned: true,
-                needs_eigen_estimate: true,
-                deep_halo: false,
-                serial_only: false,
-                precision: Precision::F64,
-                tunable: true,
-            },
-            |p| Box::new(Richardson::from_params(p)),
-        );
-        reg.register(
-            SolverMeta {
                 name: "mixed_cg",
                 aliases: &["mixed", "cg_mixed"],
                 summary: "CG with f64 recurrence and the preconditioner applied in f32",
@@ -166,20 +151,6 @@ impl SolverRegistry {
         );
         reg.register(
             SolverMeta {
-                name: "mixed_richardson",
-                aliases: &["richardson_mixed"],
-                summary: "Richardson with the damped sweeps in f32 under f64 residual control",
-                preconditioned: true,
-                needs_eigen_estimate: true,
-                deep_halo: false,
-                serial_only: false,
-                precision: Precision::Mixed,
-                tunable: true,
-            },
-            |p| Box::new(Richardson::from_params(p).mixed()),
-        );
-        reg.register(
-            SolverMeta {
                 name: "cg_f32",
                 aliases: &["f32_cg"],
                 summary: "fully single-precision CG (accuracy limited by f32 round-off; \
@@ -189,7 +160,9 @@ impl SolverRegistry {
                 deep_halo: false,
                 serial_only: false,
                 precision: Precision::F32,
-                tunable: true,
+                // round-off limited: at f64-grade tolerances it only
+                // stalls, so `auto` does not race it
+                tunable: false,
             },
             |p| Box::new(Cg::from_params(p).single()),
         );
@@ -371,11 +344,9 @@ mod tests {
                 "cg",
                 "chebyshev",
                 "ppcg",
-                "richardson",
                 "mixed_cg",
                 "mixed_ppcg",
                 "mixed_chebyshev",
-                "mixed_richardson",
                 "cg_f32"
             ]
         );

@@ -299,15 +299,10 @@ pub fn predicted_iteration_bytes(solver: &str, inner_steps: usize, bytes: &Kerne
         // the f32 round trip keeps z materialized: conversion sweep,
         // half-width preconditioner, separate r·z dot
         "mixed_cg" => cg + bytes.vector + 0.5 * bytes.precon + bytes.dot,
-        "chebyshev" | "richardson" => sweep,
+        "chebyshev" => sweep,
         "mixed_chebyshev" => {
             // one block of m fused f32 sweeps + the f64 residual control
             m * 0.5 * fused_step + bytes.spmv + bytes.vector + bytes.dot
-        }
-        "mixed_richardson" => {
-            // Richardson's inner loop is not a fusion target: m plain
-            // f32 sweeps + the f64 residual control
-            m * 0.5 * sweep + bytes.spmv + bytes.vector + bytes.dot
         }
         "ppcg" => ppcg_outer + m * fused_step,
         "mixed_ppcg" => ppcg_outer + m * 0.5 * fused_step + bytes.vector,

@@ -38,7 +38,6 @@ fn main() {
         ("CG", "cg", PreconKind::None),
         ("CG + block-Jacobi", "cg", PreconKind::BlockJacobi),
         ("Chebyshev", "chebyshev", PreconKind::None),
-        ("Richardson", "richardson", PreconKind::Diagonal),
     ] {
         let mut u = b.clone();
         let r = Solve::on(&op)

@@ -154,8 +154,8 @@ tl_eps=1e-9
     assert!(out.steps.iter().all(|s| s.converged), "{:?}", out.steps);
 }
 
-/// The four families with a mixed variant, as `(f64 name, halo depth)`.
-const FAMILIES: [(&str, usize); 4] = [("cg", 1), ("ppcg", 4), ("chebyshev", 1), ("richardson", 1)];
+/// The three families with a mixed variant, as `(f64 name, halo depth)`.
+const FAMILIES: [(&str, usize); 3] = [("cg", 1), ("ppcg", 4), ("chebyshev", 1)];
 
 #[test]
 fn mixed_matches_f64_on_the_cliff_decks_serial_and_decomposed() {

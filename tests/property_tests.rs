@@ -260,7 +260,7 @@ proptest! {
         solver_idx in 0usize..6,
     ) {
         use tealeaf::app::{parse_deck, render_deck, crooked_pipe_deck};
-        let solver = ["jacobi", "cg", "chebyshev", "ppcg", "amg", "richardson"][solver_idx];
+        let solver = ["jacobi", "cg", "chebyshev", "ppcg", "amg", "mixed_ppcg"][solver_idx];
         let mut deck = crooked_pipe_deck(cells, solver);
         deck.control.opts.eps = 10f64.powi(-eps_exp);
         deck.control.ppcg_inner_steps = inner;

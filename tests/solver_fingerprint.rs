@@ -1,8 +1,8 @@
 //! Bit-level fingerprints of every registry solver, pinned as literals.
 //!
-//! `registry_golden` compares registry construction against direct
-//! construction of the *same* code, so it cannot see a change that moves
-//! both. This suite pins each solver against its past self: every
+//! `registry_golden` compares the driver's one-preparation road against
+//! a per-step replica of the *same* code, so it cannot see a change that
+//! moves both. This suite pins each solver against its past self: every
 //! registry solver × legal preconditioner × halo depth (1, and 4 for the
 //! matrix-powers family) × CG presteps (the default 30, and 10 for the
 //! methods with an eigenvalue prelude, so their own phase runs longer) on
@@ -31,6 +31,13 @@
 //! no longer runs the retired candidate's trial (390/701 → 354/664,
 //! 338/615 → 305/581, 256/491 → 230/464); their winner, bits and own
 //! counters are unchanged. Every other row is byte-identical.
+//!
+//! Edited a third time, by script, when the two stationary
+//! damped-iteration solvers left the registry and `cg_f32` stopped being
+//! tunable: their 24 rows were deleted, and the five serial `auto` rows
+//! moved only in `acc=`, because the race no longer runs those three
+//! candidates' trials (354/664 → 141/257, 305/581 → 129/241,
+//! 230/464 → 102/204). Every other row is byte-identical.
 
 use tealeaf::app::solver_registry;
 use tealeaf::comms::{gather_to_root, run_threaded, Communicator, HaloLayout, SerialComm};
@@ -302,18 +309,6 @@ const EXPECTED: &[&str] = &[
     "ppcg jac_diag d4 p30 x4: its=32 Converged r0=405d313300a515b6 r=3e205cf42dc1e23b u=59070d6fbd475dc8 'PPCG-4' eig=3fb2cfcee0f06274/4000d8d91ee45b5b outer=32 inner=48 spmv={0:46,1:12,2:12,3:12} vec={0:113,1:12,2:12,3:12,4:9} dot={0:4} precon={0:43,1:12,2:12,3:12,4:3} fused={0:12,1:12,2:12,3:12} red=66/66 halo={1x1:34,4x1:3,4x2:9} acc=32/66",
     "ppcg jac_diag d4 p10 x1: its=14 Converged r0=405d313300a515b2 r=3e11fcd65b57eb63 u=630645cb98f088b6 'PPCG-4' eig=3fb9ac8ff508bfcb/4000bd590f5e19cd outer=14 inner=80 spmv={0:36,1:20,2:20,3:20} vec={0:69,1:20,2:20,3:20,4:15} dot={0:6} precon={0:31,1:20,2:20,3:20,4:5} fused={0:20,1:20,2:20,3:20} red=30/30 halo={1x1:16,4x1:5,4x2:15} acc=14/30",
     "ppcg jac_diag d4 p10 x4: its=14 Converged r0=405d313300a515b6 r=3e11fcd65b57ea4c u=b8dce4b3a81c06ca 'PPCG-4' eig=3fb9ac8ff508bfc4/4000bd590f5e19cd outer=14 inner=80 spmv={0:36,1:20,2:20,3:20} vec={0:69,1:20,2:20,3:20,4:15} dot={0:6} precon={0:31,1:20,2:20,3:20,4:5} fused={0:20,1:20,2:20,3:20} red=30/30 halo={1x1:16,4x1:5,4x2:15} acc=14/30",
-    "richardson none d1 p30 x1: its=180 Converged r0=407730511be5ffe9 r=3e5e562b0b5237e2 u=3bcd59b813a705ab 'Richardson' eig=3ff046ea11510b33/4041624a0bdc4780 outer=180 inner=0 spmv={0:182} vec={0:393} dot={0:16} precon={} fused={} red=76/76 halo={1x1:182} acc=180/76",
-    "richardson none d1 p30 x4: its=180 Converged r0=407730511be5ffe8 r=3e5e562b1f4532a5 u=678076f358b46791 'Richardson' eig=3ff046ea11510b4d/4041624a0bdc477f outer=180 inner=0 spmv={0:182} vec={0:393} dot={0:16} precon={} fused={} red=76/76 halo={1x1:182} acc=180/76",
-    "richardson none d1 p10 x1: its=260 Converged r0=407730511be5ffe9 r=3e600782d416af79 u=7b97b9c90cba6711 'Richardson' eig=3ff902556c71fb77/40409d12169e96e6 outer=260 inner=0 spmv={0:262} vec={0:533} dot={0:26} precon={} fused={} red=46/46 halo={1x1:262} acc=260/46",
-    "richardson none d1 p10 x4: its=260 Converged r0=407730511be5ffe8 r=3e600782cdec6359 u=4a8315da8f96ee2d 'Richardson' eig=3ff902556c71fb6e/40409d12169e96e6 outer=260 inner=0 spmv={0:262} vec={0:533} dot={0:26} precon={} fused={} red=46/46 halo={1x1:262} acc=260/46",
-    "richardson jac_diag d1 p30 x1: its=160 Converged r0=405d313300a515b2 r=3e3e1f9a09d6b6b4 u=e952c4d9d16e45b5 'Richardson' eig=3fb2cfcee0f06290/4000d8d91ee45b5c outer=160 inner=0 spmv={0:162} vec={0:353} dot={0:14} precon={0:162} fused={} red=74/74 halo={1x1:162} acc=160/74",
-    "richardson jac_diag d1 p30 x4: its=160 Converged r0=405d313300a515b6 r=3e3e1f9a7d3c30aa u=33aef9fa15439e19 'Richardson' eig=3fb2cfcee0f06274/4000d8d91ee45b5b outer=160 inner=0 spmv={0:162} vec={0:353} dot={0:14} precon={0:162} fused={} red=74/74 halo={1x1:162} acc=160/74",
-    "richardson jac_diag d1 p10 x1: its=250 Converged r0=405d313300a515b2 r=3e4133b88ccb2040 u=70a5e2298d34babc 'Richardson' eig=3fb9ac8ff508bfcb/4000bd590f5e19cd outer=250 inner=0 spmv={0:252} vec={0:513} dot={0:25} precon={0:252} fused={} red=45/45 halo={1x1:252} acc=250/45",
-    "richardson jac_diag d1 p10 x4: its=250 Converged r0=405d313300a515b6 r=3e4133b8f585270e u=d342656172eed9ce 'Richardson' eig=3fb9ac8ff508bfc4/4000bd590f5e19cd outer=250 inner=0 spmv={0:252} vec={0:513} dot={0:25} precon={0:252} fused={} red=45/45 halo={1x1:252} acc=250/45",
-    "richardson jac_block d1 p30 x1: its=80 Converged r0=405d7e20ee4604ff r=3e37f59433edb39d u=e7bbfed677e18c14 'Richardson' eig=3fbb65ddf62a4d19/40006b4e9e5caf1e outer=80 inner=0 spmv={0:82} vec={0:141} dot={0:36} precon={0:82} fused={} red=66/66 halo={1x1:82} acc=80/66",
-    "richardson jac_block d1 p30 x4: its=80 Converged r0=405d7e20ee460502 r=3e37f594a9579bc8 u=d700b7d59552a78b 'Richardson' eig=3fbb65ddf62a4d14/40006b4e9e5caf1e outer=80 inner=0 spmv={0:82} vec={0:141} dot={0:36} precon={0:82} fused={} red=66/66 halo={1x1:82} acc=80/66",
-    "richardson jac_block d1 p10 x1: its=160 Converged r0=405d7e20ee4604ff r=3e36dd8c5b8f33fd u=a4b818684c426995 'Richardson' eig=3fc037838a1e57d6/400042f4995b3bcf outer=160 inner=0 spmv={0:162} vec={0:181} dot={0:26} precon={0:162} fused={} red=36/36 halo={1x1:162} acc=160/36",
-    "richardson jac_block d1 p10 x4: its=160 Converged r0=405d7e20ee460502 r=3e36dd8c57bd9cd2 u=cb782a0875fb981a 'Richardson' eig=3fc037838a1e57d3/400042f4995b3bcf outer=160 inner=0 spmv={0:162} vec={0:181} dot={0:26} precon={0:162} fused={} red=36/36 halo={1x1:162} acc=160/36",
     "mixed_cg none d1 p30 x1: its=58 Converged r0=407730511ac3f819 r=3e6341ebfd7f16d8 u=470772ffdb430024 'CG-mixed' eig=- outer=58 inner=0 spmv={0:59} vec={0:351} dot={0:59} precon={} fused={} red=117/117 halo={1x1:59} acc=58/117",
     "mixed_cg none d1 p30 x4: its=58 Converged r0=407730511ac3f81c r=3e6341ec01b3422b u=a86cabc9b3a82161 'CG-mixed' eig=- outer=58 inner=0 spmv={0:59} vec={0:351} dot={0:59} precon={} fused={} red=117/117 halo={1x1:59} acc=58/117",
     "mixed_cg jac_diag d1 p30 x1: its=53 Converged r0=405d3132efdf8bb4 r=3e4256635026a0b4 u=65f0c32f2339a289 'CG-mixed' eig=- outer=53 inner=0 spmv={0:54} vec={0:321} dot={0:54} precon={0:54} fused={} red=107/107 halo={1x1:54} acc=53/107",
@@ -352,18 +347,6 @@ const EXPECTED: &[&str] = &[
     "mixed_chebyshev jac_block d1 p30 x4: its=32 Converged r0=405d7e20ee460502 r=3e30cc37c0422669 u=6e4ff2178c7f263a 'Chebyshev-mixed' eig=3fbb65ddf62a4d14/40006b4e9e5caf1e outer=32 inner=20 spmv={0:54} vec={0:119,1:2} dot={0:33} precon={0:53} fused={0:20} red=63/63 halo={1x1:54} acc=32/63",
     "mixed_chebyshev jac_block d1 p10 x1: its=15 Converged r0=405d7e20ee4604ff r=3e1ab4b197adde82 u=90bd4617ad434954 'Chebyshev-mixed' eig=3fc037838a1e57d6/400042f4995b3bcf outer=15 inner=50 spmv={0:67} vec={0:101,1:5} dot={0:16} precon={0:66} fused={0:50} red=26/26 halo={1x1:67} acc=15/26",
     "mixed_chebyshev jac_block d1 p10 x4: its=15 Converged r0=405d7e20ee460502 r=3e1ab4b6e1094c7c u=0106b77649d579cf 'Chebyshev-mixed' eig=3fc037838a1e57d3/400042f4995b3bcf outer=15 inner=50 spmv={0:67} vec={0:101,1:5} dot={0:16} precon={0:66} fused={0:50} red=26/26 halo={1x1:67} acc=15/26",
-    "mixed_richardson none d1 p30 x1: its=45 Converged r0=407730511be5ffe9 r=3e5e562c2a669b1b u=61c4912fa777b7f2 'Richardson-mixed' eig=3ff046ea11510b33/4041624a0bdc4780 outer=45 inner=150 spmv={0:197} vec={0:737,1:15} dot={0:16} precon={} fused={} red=76/76 halo={1x1:197} acc=45/76",
-    "mixed_richardson none d1 p30 x4: its=45 Converged r0=407730511be5ffe8 r=3e5e562c1bd44214 u=ce4afabcaf0586dc 'Richardson-mixed' eig=3ff046ea11510b4d/4041624a0bdc477f outer=45 inner=150 spmv={0:197} vec={0:737,1:15} dot={0:16} precon={} fused={} red=76/76 halo={1x1:197} acc=45/76",
-    "mixed_richardson none d1 p10 x1: its=35 Converged r0=407730511be5ffe9 r=3e600782ac131d67 u=3eb47f3a9131ee5f 'Richardson-mixed' eig=3ff902556c71fb77/40409d12169e96e6 outer=35 inner=250 spmv={0:287} vec={0:1107,1:25} dot={0:26} precon={} fused={} red=46/46 halo={1x1:287} acc=35/46",
-    "mixed_richardson none d1 p10 x4: its=35 Converged r0=407730511be5ffe8 r=3e600782d2656b5f u=4e1630bcabf10bf2 'Richardson-mixed' eig=3ff902556c71fb6e/40409d12169e96e6 outer=35 inner=250 spmv={0:287} vec={0:1107,1:25} dot={0:26} precon={} fused={} red=46/46 halo={1x1:287} acc=35/46",
-    "mixed_richardson jac_diag d1 p30 x1: its=43 Converged r0=405d313300a515b2 r=3e3e1f9b20a25829 u=153b8c7c4a72b859 'Richardson-mixed' eig=3fb2cfcee0f06290/4000d8d91ee45b5c outer=43 inner=130 spmv={0:175} vec={0:651,1:13} dot={0:14} precon={0:161} fused={} red=74/74 halo={1x1:175} acc=43/74",
-    "mixed_richardson jac_diag d1 p30 x4: its=43 Converged r0=405d313300a515b6 r=3e3e1f9ac97093be u=80de879e3b5feac0 'Richardson-mixed' eig=3fb2cfcee0f06274/4000d8d91ee45b5b outer=43 inner=130 spmv={0:175} vec={0:651,1:13} dot={0:14} precon={0:161} fused={} red=74/74 halo={1x1:175} acc=43/74",
-    "mixed_richardson jac_diag d1 p10 x1: its=34 Converged r0=405d313300a515b2 r=3e4133bb641d0fcc u=09bbae7d8231039a 'Richardson-mixed' eig=3fb9ac8ff508bfcb/4000bd590f5e19cd outer=34 inner=240 spmv={0:276} vec={0:1064,1:24} dot={0:25} precon={0:251} fused={} red=45/45 halo={1x1:276} acc=34/45",
-    "mixed_richardson jac_diag d1 p10 x4: its=34 Converged r0=405d313300a515b6 r=3e4133bb5fd94f39 u=51ac5f6de2c97f2a 'Richardson-mixed' eig=3fb9ac8ff508bfc4/4000bd590f5e19cd outer=34 inner=240 spmv={0:276} vec={0:1064,1:24} dot={0:25} precon={0:251} fused={} red=45/45 halo={1x1:276} acc=34/45",
-    "mixed_richardson jac_block d1 p30 x1: its=35 Converged r0=405d7e20ee4604ff r=3e37f59699cfbcdc u=3b081e7c7a73babd 'Richardson-mixed' eig=3fbb65ddf62a4d19/40006b4e9e5caf1e outer=35 inner=50 spmv={0:87} vec={0:256,1:5} dot={0:36} precon={0:81} fused={} red=66/66 halo={1x1:87} acc=35/66",
-    "mixed_richardson jac_block d1 p30 x4: its=35 Converged r0=405d7e20ee460502 r=3e37f596d0f9131e u=b01971e2470b691f 'Richardson-mixed' eig=3fbb65ddf62a4d14/40006b4e9e5caf1e outer=35 inner=50 spmv={0:87} vec={0:256,1:5} dot={0:36} precon={0:81} fused={} red=66/66 halo={1x1:87} acc=35/66",
-    "mixed_richardson jac_block d1 p10 x1: its=25 Converged r0=405d7e20ee4604ff r=3e36dd9149afda54 u=4fc813013e4a6a80 'Richardson-mixed' eig=3fc037838a1e57d6/400042f4995b3bcf outer=25 inner=150 spmv={0:177} vec={0:526,1:15} dot={0:26} precon={0:161} fused={} red=36/36 halo={1x1:177} acc=25/36",
-    "mixed_richardson jac_block d1 p10 x4: its=25 Converged r0=405d7e20ee460502 r=3e36dd90ec10077b u=6dd4bbd919d0143f 'Richardson-mixed' eig=3fc037838a1e57d3/400042f4995b3bcf outer=25 inner=150 spmv={0:177} vec={0:526,1:15} dot={0:26} precon={0:161} fused={} red=36/36 halo={1x1:177} acc=25/36",
     "cg_f32 none d1 p30 x1: its=168 IterationLimit r0=4077305129896a9e r=3efc73c4406c3727 u=6b938bb17eaea4de 'CG-f32' eig=- outer=168 inner=0 spmv={0:176} vec={0:514} dot={0:8} precon={} fused={} red=344/344 halo={1x1:176} acc=168/344",
     "cg_f32 none d1 p30 x4: its=116 IterationLimit r0=407730516bc69c9d r=3f03ed68b59a6bf1 u=c21eb812914e9cc3 'CG-f32' eig=- outer=116 inner=0 spmv={0:121} vec={0:355} dot={0:5} precon={} fused={} red=237/237 halo={1x1:121} acc=116/237",
     "cg_f32 jac_diag d1 p30 x1: its=135 IterationLimit r0=405d313317d6d95d r=3ee2d454debf8cde u=a31a49de6f86d5cb 'CG-f32' eig=- outer=135 inner=0 spmv={0:142} vec={0:414} dot={0:7} precon={0:142} fused={} red=277/277 halo={1x1:142} acc=135/277",
@@ -371,9 +354,9 @@ const EXPECTED: &[&str] = &[
     "cg_f32 jac_block d1 p30 x1: its=96 IterationLimit r0=405d7e20e3c90a6d r=3ee3d1a4d3e45781 u=3edb9fe0f77b6869 'CG-f32' eig=- outer=96 inner=0 spmv={0:102} vec={0:290} dot={0:102} precon={0:102} fused={} red=198/198 halo={1x1:102} acc=96/198",
     "cg_f32 jac_block d1 p30 x4: its=69 IterationLimit r0=405d7e20e3c90a6d r=3ee1ae00adc2389f u=935aa8f7471f5c4a 'CG-f32' eig=- outer=69 inner=0 spmv={0:73} vec={0:209} dot={0:73} precon={0:73} fused={} red=142/142 halo={1x1:73} acc=69/142",
     "amg none d1 p30 x1: its=9 Converged r0=405f14c9330d771a r=3e2ffc4c7e8aedcd u=546374f076c1d46a 'BoomerAMG' eig=- outer=9 inner=0 spmv={0:10} vec={0:27} dot={0:10} precon={} fused={} red=19/19 halo={1x1:10} acc=9/19",
-    "auto none d1 p30 x1: its=58 Converged r0=407730511be5ffe9 r=3e6341e8e312d0bc u=d282f47e77d9471b 'auto[CG]' eig=- outer=58 inner=0 spmv={0:59} vec={0:175} dot={0:1} precon={} fused={} red=117/117 halo={1x1:59} acc=354/664",
-    "auto jac_diag d1 p30 x1: its=53 Converged r0=405d313300a515b2 r=3e4256637c8084bf u=78e59051c20aa7aa 'auto[CG]' eig=- outer=53 inner=0 spmv={0:54} vec={0:160} dot={0:1} precon={0:54} fused={} red=107/107 halo={1x1:54} acc=305/581",
-    "auto jac_block d1 p30 x1: its=42 Converged r0=405d7e20ee4604ff r=3e43bc967891d8d1 u=43c9b77ace9cc31d 'auto[CG]' eig=- outer=42 inner=0 spmv={0:43} vec={0:126} dot={0:43} precon={0:43} fused={} red=85/85 halo={1x1:43} acc=230/464",
-    "auto none d4 p30 x1: its=58 Converged r0=407730511be5ffe9 r=3e6341e8e312d0bc u=d282f47e77d9471b 'auto[CG]' eig=- outer=58 inner=0 spmv={0:59} vec={0:175} dot={0:1} precon={} fused={} red=117/117 halo={1x1:59} acc=354/664",
-    "auto jac_diag d4 p30 x1: its=53 Converged r0=405d313300a515b2 r=3e4256637c8084bf u=78e59051c20aa7aa 'auto[CG]' eig=- outer=53 inner=0 spmv={0:54} vec={0:160} dot={0:1} precon={0:54} fused={} red=107/107 halo={1x1:54} acc=305/581",
+    "auto none d1 p30 x1: its=58 Converged r0=407730511be5ffe9 r=3e6341e8e312d0bc u=d282f47e77d9471b 'auto[CG]' eig=- outer=58 inner=0 spmv={0:59} vec={0:175} dot={0:1} precon={} fused={} red=117/117 halo={1x1:59} acc=141/257",
+    "auto jac_diag d1 p30 x1: its=53 Converged r0=405d313300a515b2 r=3e4256637c8084bf u=78e59051c20aa7aa 'auto[CG]' eig=- outer=53 inner=0 spmv={0:54} vec={0:160} dot={0:1} precon={0:54} fused={} red=107/107 halo={1x1:54} acc=129/241",
+    "auto jac_block d1 p30 x1: its=42 Converged r0=405d7e20ee4604ff r=3e43bc967891d8d1 u=43c9b77ace9cc31d 'auto[CG]' eig=- outer=42 inner=0 spmv={0:43} vec={0:126} dot={0:43} precon={0:43} fused={} red=85/85 halo={1x1:43} acc=102/204",
+    "auto none d4 p30 x1: its=58 Converged r0=407730511be5ffe9 r=3e6341e8e312d0bc u=d282f47e77d9471b 'auto[CG]' eig=- outer=58 inner=0 spmv={0:59} vec={0:175} dot={0:1} precon={} fused={} red=117/117 halo={1x1:59} acc=141/257",
+    "auto jac_diag d4 p30 x1: its=53 Converged r0=405d313300a515b2 r=3e4256637c8084bf u=78e59051c20aa7aa 'auto[CG]' eig=- outer=53 inner=0 spmv={0:54} vec={0:160} dot={0:1} precon={0:54} fused={} red=107/107 halo={1x1:54} acc=129/241",
 ];
