@@ -4,6 +4,15 @@
 //! crooked-pipe defaults, on one or many simulated ranks, and prints the
 //! per-step diagnostics the reference prints.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -490,6 +499,10 @@ fn main() -> ExitCode {
         tea_core::num_threads(),
     );
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the run summary's wall-time line; it times the run, never steers it"
+    )]
     let started = std::time::Instant::now();
     // per-rank comm counters, summed machine-wide for the summary
     let (output, halo): (RankOutput, tea_comms::StatsSnapshot) = if args.ranks <= 1 {

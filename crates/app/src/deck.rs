@@ -445,20 +445,9 @@ pub fn render_deck(deck: &Deck) -> String {
     out.push_str(&format!("x_cells={}\n", p.x_cells));
     out.push_str(&format!("y_cells={}\n", p.y_cells));
     out.push_str(&format!(
-        "xmin={} xmax={} ymin={} ymax={}\n",
+        "xmin={}\nxmax={}\nymin={}\nymax={}\n",
         p.extent.x_min, p.extent.x_max, p.extent.y_min, p.extent.y_max
     ));
-    // render extent on separate lines for the parser
-    out = out.replace(
-        &format!(
-            "xmin={} xmax={} ymin={} ymax={}\n",
-            p.extent.x_min, p.extent.x_max, p.extent.y_min, p.extent.y_max
-        ),
-        &format!(
-            "xmin={}\nxmax={}\nymin={}\nymax={}\n",
-            p.extent.x_min, p.extent.x_max, p.extent.y_min, p.extent.y_max
-        ),
-    );
     out.push_str(&format!("initial_timestep={}\n", c.dt));
     out.push_str(&format!("end_time={}\n", c.end_time));
     if c.end_step != u64::MAX {
@@ -483,6 +472,9 @@ pub fn render_deck(deck: &Deck) -> String {
     out.push_str(&format!("tl_ch_cg_presteps={}\n", c.presteps));
     if c.tune_seed != 0 {
         out.push_str(&format!("tl_tune_seed={}\n", c.tune_seed));
+    }
+    if let Some(threads) = c.threads {
+        out.push_str(&format!("tl_num_threads={threads}\n"));
     }
     out.push_str(&format!("summary_frequency={}\n", c.summary_frequency));
     out.push_str("*endtea\n");

@@ -270,6 +270,10 @@ struct Stepped {
 
 /// Runs `f`, returning its value and its wall-clock seconds.
 fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the driver's per-step wall-time column; it times a solve, never steers one"
+    )]
     let started = std::time::Instant::now();
     let value = f();
     (value, started.elapsed().as_secs_f64())
@@ -487,7 +491,7 @@ fn step_rank(
 /// the communicator, a serial-only solver is run decomposed, or a step's
 /// solve diverges.
 // audit:allow(dead_pub) — benchmark/src/deckrun.rs mirrors its per-step predecessor call for
-// call, and ROADMAP direction 1 replaces that mirror with a call to this function
+// call, and ROADMAP direction 3 replaces that mirror with a call to this function
 pub fn run_rank<C: Communicator + ?Sized>(
     deck: &Deck,
     decomp: &Decomposition2D,

@@ -96,9 +96,14 @@ pub fn serve_decks_with_plan(
             .filter(|_| ctx.attempt == 0)
             .and_then(|p| p.fault_for(ctx.job));
         if let Some(FaultKind::PanicWorker) = fault {
-            // audit:allow(panic_hygiene) — deliberate fault injection: this panic IS the
-            // fault being tested; the serve queue's catch_unwind must absorb it.
-            panic!("injected worker panic (job {})", ctx.job);
+            #[expect(
+                clippy::panic,
+                reason = "deliberate fault injection: this panic is the fault under test, \
+                          which the serve queue's catch_unwind must absorb"
+            )]
+            {
+                panic!("injected worker panic (job {})", ctx.job);
+            }
         }
 
         // resolve precision routing up front so escalation starts from

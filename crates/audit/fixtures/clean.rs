@@ -1,10 +1,9 @@
 // Fixture: violation-free code, including decoys inside strings and
-// comments that a naive scanner would flag.
-use std::collections::BTreeMap;
+// doc comments that a naive scanner would flag.
 
-/// Mentions `HashMap`, `.unwrap()` and `Instant::now` in docs only.
+/// Mentions `audit:allow(wibble)` in docs only: pragmas are plain comments.
 pub fn describe() -> String {
-    let mut notes = BTreeMap::new();
-    notes.insert("pattern", "HashMap::new().lock().unwrap() Instant::now()");
-    format!("{notes:?}")
+    let note = "TODO: FIXME audit:allow(wibble)";
+    let raw = r#"// XXX"#;
+    format!("{note}{raw}")
 }

@@ -1,6 +1,4 @@
 // Fixture: a well-formed pragma suppresses exactly its rule on the
 // next code-bearing line.
-pub fn stamp() -> std::time::Instant {
-    // audit:allow(wall_clock) — fixture demonstrating a sanctioned exemption
-    std::time::Instant::now()
-}
+// audit:allow(todo_marker) — fixture demonstrating a sanctioned exemption
+pub fn stamp() {} // TODO is quoted prose here, not a marker

@@ -3,15 +3,17 @@
 //! The repository's core promises — bit-deterministic solves at any
 //! worker count, wall-clock-free tuning and fault injection, panic-safe
 //! poison-tolerant serving — are contracts that ordinary tests can only
-//! sample. `tea-audit` enforces them *structurally*, in the style of
-//! rustc's `tidy`: a fast, dependency-free line/token scanner over
-//! `crates/` plus a semantic audit across artefacts.
+//! sample. The per-line ones (no wall-clock reads, no hash-ordered
+//! containers, no panics on the serving path, no bare `Mutex::lock`)
+//! are clippy's, configured by the root `clippy.toml`. `tea-audit`
+//! checks what a per-line linter cannot, in the style of rustc's
+//! `tidy`: a fast, dependency-free line/token scanner over `crates/`
+//! plus a semantic audit across artefacts.
 //!
-//! Three layers:
+//! Layers:
 //!
-//! * [`scan`] — the textual linter: wall-clock quarantine,
-//!   nondeterminism sources, panic hygiene, lock hygiene, crate
-//!   hygiene, `pub` items no other file names, and the
+//! * [`scan`] — the textual linter: crate-root hygiene, `pub` items no
+//!   other file names, to-do markers, and the
 //!   `audit:allow(<rule>) — <reason>` pragma grammar.
 //! * [`semantic`] — the cross-artefact audit: deck-key drift between
 //!   `deck.rs` and the README table. (The other semantic audit,

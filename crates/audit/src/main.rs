@@ -1,5 +1,7 @@
-//! The `tea-audit` binary: run the textual linter (plus the file-based
-//! semantic audit) over the workspace and exit nonzero on violations.
+//! The `tea-audit` binary: run the textual linter (crate hygiene,
+//! `dead_pub`, to-do markers, pragmas) plus the file-based semantic
+//! audit over the workspace and exit nonzero on violations. The
+//! per-line contracts are clippy's (see the root `clippy.toml`).
 //!
 //! ```text
 //! cargo run -p tea-audit                # lint, advisory findings tolerated

@@ -1,6 +1,8 @@
 //! The committed tree must be audit-clean: no denying textual
 //! findings, no deck-key drift.
-//! This is the same gate CI runs via `cargo run -p tea-audit`.
+//! This is the same gate CI runs via `cargo run -p tea-audit`. It also
+//! pins the clippy configuration that carries the per-line contracts,
+//! so deleting one of its entries fails here rather than silently.
 
 use std::path::{Path, PathBuf};
 use tea_audit::{deck_key_audit, scan_workspace};
@@ -52,4 +54,80 @@ fn deck_keys_match_the_readme_table() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+/// Every per-line contract the root `clippy.toml` must carry.
+const CLIPPY_CONTRACTS: &[&str] = &[
+    r#"path = "std::time::Instant::now""#,
+    r#"path = "std::time::SystemTime::now""#,
+    r#"path = "std::sync::Mutex::lock""#,
+    r#"path = "std::collections::HashMap""#,
+    r#"path = "std::collections::HashSet""#,
+    r#"path = "std::hash::RandomState""#,
+    r#"path = "std::hash::DefaultHasher""#,
+    "allow-unwrap-in-tests = true",
+    "allow-expect-in-tests = true",
+    "allow-panic-in-tests = true",
+];
+
+/// The crate roots under the panic contract, and the lint line each
+/// must carry (whitespace-insensitive).
+const PANIC_ROOTS: &[&str] = &[
+    "crates/serve/src/lib.rs",
+    "crates/app/src/lib.rs",
+    "crates/app/src/bin/tealeaf.rs",
+];
+const PANIC_DENY: &str = "#![deny(clippy::unwrap_used,clippy::expect_used,clippy::panic,\
+                          clippy::unreachable,clippy::todo,clippy::unimplemented)]";
+
+/// The lines of `rel` that are not comments (`#` in TOML, `//` in Rust),
+/// so a commented-out entry does not count as present.
+fn read_live(rel: &str) -> String {
+    let text = std::fs::read_to_string(workspace_root().join(rel))
+        .unwrap_or_else(|e| panic!("{rel}: {e}"));
+    text.lines()
+        .filter(|l| !l.trim_start().starts_with(['#', '/']) || l.trim_start().starts_with("#!["))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+#[test]
+fn clippy_config_carries_every_contract() {
+    let config = read_live("clippy.toml");
+    let missing: Vec<_> = CLIPPY_CONTRACTS
+        .iter()
+        .filter(|entry| !config.contains(*entry))
+        .collect();
+    assert!(missing.is_empty(), "clippy.toml lost {missing:?}");
+    let lock = config
+        .lines()
+        .find(|l| l.contains("std::sync::Mutex::lock"))
+        .unwrap_or_default();
+    assert!(
+        lock.contains("tea_core::lock_tolerant"),
+        "the Mutex::lock ban must name its replacement: {lock}"
+    );
+    // clippy reads the nearest clippy.toml, so a per-crate copy would
+    // replace the root contracts for that crate
+    for dir in std::fs::read_dir(workspace_root().join("crates")).expect("crates/ lists") {
+        let dir = dir.expect("crate dir").path();
+        for name in ["clippy.toml", ".clippy.toml"] {
+            assert!(
+                !dir.join(name).exists(),
+                "{} shadows the root config",
+                dir.join(name).display()
+            );
+        }
+    }
+}
+
+#[test]
+fn serving_crate_roots_deny_the_panic_lints() {
+    for root in PANIC_ROOTS {
+        let source: String = read_live(root).split_whitespace().collect();
+        assert!(
+            source.contains(PANIC_DENY),
+            "{root} lost its panic-lint deny line"
+        );
+    }
 }

@@ -188,7 +188,10 @@ pub fn cg_solve_recording<C: Communicator + ?Sized>(
 /// presteps already finished, diverged in, or were cancelled during;
 /// `Ok` carries the unfinished result — its trace relabelled `label`
 /// and stamped with the estimate — for the method's own loop to pick up.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the solve's operands plus the prelude's own presteps and label; every Chebyshev-family caller passes them straight through"
+)]
 pub(crate) fn eigen_prelude<C: Communicator + ?Sized>(
     tile: &Tile<'_, C>,
     u: &mut Field2D,

@@ -56,13 +56,16 @@ impl StopHandle {
     /// An armed handle that expires `budget` from now. A zero budget
     /// expires immediately — useful for deterministic timeout tests; a
     /// budget past the end of the clock never expires.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "deadlines are tea-core's one sanctioned clock read: only armed serve-path \
+                  handles reach here, and a deadline shifts when a solve stops, never the \
+                  arithmetic of an iteration it runs"
+    )]
     pub fn with_deadline(budget: Duration) -> Self {
         StopHandle {
             inner: Some(Arc::new(StopInner {
                 cancelled: AtomicBool::new(false),
-                // audit:allow(wall_clock) — deadlines are the one sanctioned clock use in
-                // tea-core: only armed serve-path handles reach here, and the deadline can
-                // shift *when* a solve stops, never the arithmetic of any iteration it runs.
                 deadline: Instant::now().checked_add(budget),
             })),
         }
@@ -85,14 +88,16 @@ impl StopHandle {
 
     /// Whether a solve observing this handle should stop now — because
     /// [`StopHandle::cancel`] ran or the deadline passed.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "deadline expiry check; disarmed handles, which every non-serving path \
+                  holds, return in the `None` arm and never read the clock"
+    )]
     pub fn should_stop(&self) -> bool {
         match &self.inner {
             None => false,
             Some(inner) => {
                 inner.cancelled.load(Ordering::Acquire)
-                    // audit:allow(wall_clock) — deadline expiry check; disarmed handles
-                    // (every non-serving path) return in the `None` arm above and never
-                    // read the clock, so deterministic paths stay wall-clock-free.
                     || inner.deadline.is_some_and(|d| Instant::now() >= d)
             }
         }

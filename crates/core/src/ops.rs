@@ -319,7 +319,10 @@ impl<S: Scalar> TileOperator<S> {
     /// for `z`'s zero fill (the add stays, so a `-0.0` direction still
     /// leaves `+0.0`) and, given the outer residual `r`, `rr = r - A·sd`
     /// for its copy into `rr`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one row-blocked sweep reads three fields and its row range; bundling them would hide which fields a block pass streams"
+    )]
     pub(crate) fn cheb_fused_rows(
         &self,
         sd: &Field2<S>,

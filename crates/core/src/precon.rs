@@ -171,7 +171,10 @@ impl<S: Scalar> Preconditioner<S> {
     /// others leave untouched) just before `g` reads them. All round
     /// exactly like [`Preconditioner::apply`] into `tmp` followed by an
     /// elementwise `g`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the lag sweep of one block level: three fields, the sweep extent, its rows and the recurrence closure"
+    )]
     pub(crate) fn combine_rows(
         &self,
         sd: &mut Field2<S>,
@@ -209,7 +212,10 @@ impl<S: Scalar> Preconditioner<S> {
     /// [`Preconditioner::cg_direction`], which does not read it);
     /// block-Jacobi keeps its strip solve into `z` and a separate dot
     /// after the fused `u`/`r` sweep.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "mirrors vector::cg_update plus the z field block-Jacobi solves into"
+    )]
     pub fn cg_update(
         &self,
         u: &mut Field2<S>,

@@ -15,9 +15,9 @@
 //! push/pop/insert operations, which the standard collections make
 //! panic-atomic in practice.
 //!
-//! The `tea-audit` linter's `lock_hygiene` rule enforces this
-//! crate-wide: a bare `.lock().unwrap()` / `.lock().expect(..)`
-//! anywhere in `crates/` fails the audit.
+//! Clippy enforces this workspace-wide: the root `clippy.toml` lists
+//! `std::sync::Mutex::lock` under `disallowed-methods`, so any other
+//! call to it, split chain or not, fails the lint.
 //!
 //! [`PoisonError`]: std::sync::PoisonError
 
@@ -33,6 +33,10 @@ use std::sync::{Mutex, MutexGuard};
 /// *tea_core::lock_tolerant(&counter) += 1;
 /// assert_eq!(*tea_core::lock_tolerant(&counter), 1);
 /// ```
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one sanctioned Mutex::lock: it recovers a poisoned guard instead of panicking"
+)]
 pub fn lock_tolerant<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -50,6 +54,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "poisoning the mutex needs a guard held by a panicking thread"
+    )]
     fn recovers_a_poisoned_mutex() {
         let m = Mutex::new(7_u64);
         // Poison it: panic while holding the guard on another thread.

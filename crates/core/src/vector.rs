@@ -281,7 +281,7 @@ pub mod lanes {
 }
 
 /// The element-at-a-time row bodies from before the lane kernels, kept
-/// as the oracle the test suites and the `speedup` bench compare the
+/// as the oracle `tea-core`'s `lane_identity` suite compares the
 /// [`lanes`] bodies against. Nothing at run time dispatches here.
 #[doc(hidden)]
 pub mod scalar_ref {
@@ -632,7 +632,10 @@ pub fn scale_add<S: Scalar>(
 /// recurrence with the diagonal-preconditioner product fused in, saving
 /// the intermediate `tmp` store and re-read. Rounds exactly like
 /// [`mul_into`] followed by [`scale_add`].
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a fused kernel takes each stream it reads as its own field, like the unfused pair it replaces"
+)]
 pub fn scale_add_mul<S: Scalar>(
     y: &mut Field2<S>,
     a: S,
@@ -715,7 +718,10 @@ pub fn dot_local<S: Scalar>(
 ///
 /// Traced as the two axpy-class streams it carries (6 elements/cell;
 /// `inv_diag` adds a seventh); the dot rides along and records nothing.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "CG's fused update carries the five fields of the four kernels it replaces, each a separate stream"
+)]
 pub fn cg_update<S: Scalar>(
     u: &mut Field2<S>,
     r: &mut Field2<S>,

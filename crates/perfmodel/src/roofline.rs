@@ -20,7 +20,7 @@
 #[derive(Debug, Clone, Copy)]
 // audit:allow(dead_pub) — what `kernel_roofline` returns; benchmark/src/layers.rs prices sweeps with it
 pub struct KernelRoofline {
-    /// Kernel name as reported by the `speedup` bench (`apply`/
+    /// Kernel name, as [`kernel_roofline`] looks it up (`apply`/
     /// `apply_fused_dot`/`residual`/`dot`/`axpy`/`scale_add`/
     /// `cg_update`/`fused_cheb`).
     pub name: &'static str,

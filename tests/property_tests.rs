@@ -250,27 +250,77 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Deck render → parse round-trips for random control settings.
+    /// Deck render → parse round-trips every `Control` field for random
+    /// control settings.
     #[test]
     fn deck_roundtrip(
         cells in 4usize..256,
         eps_exp in 4i32..14,
         inner in 1usize..32,
         depth in 1usize..16,
-        solver_idx in 0usize..6,
+        solver_idx in 0usize..9,
+        threads in 0usize..9,
+        max_iters in 1u64..100_000,
+        presteps in 1u64..100,
+        tune_seed in 0u64..4,
+        precon_idx in 0usize..3,
+        precision_idx in 0usize..4,
     ) {
-        use tealeaf::app::{parse_deck, render_deck, crooked_pipe_deck};
-        let solver = ["jacobi", "cg", "chebyshev", "ppcg", "amg", "mixed_ppcg"][solver_idx];
+        use tealeaf::app::{parse_deck, render_deck, crooked_pipe_deck, Control};
+        use tealeaf::solvers::Precision;
+        let solver = [
+            "jacobi", "cg", "chebyshev", "ppcg", "amg", "mixed_ppcg", "mixed_cg",
+            "mixed_chebyshev", "cg_f32",
+        ][solver_idx];
         let mut deck = crooked_pipe_deck(cells, solver);
-        deck.control.opts.eps = 10f64.powi(-eps_exp);
-        deck.control.ppcg_inner_steps = inner;
-        deck.control.ppcg_halo_depth = depth;
+        let c = &mut deck.control;
+        c.opts.eps = 10f64.powi(-eps_exp);
+        c.opts.max_iters = max_iters;
+        c.ppcg_inner_steps = inner;
+        c.ppcg_halo_depth = depth;
+        c.threads = (threads > 0).then_some(threads);
+        c.presteps = presteps;
+        // 0 is the default, which render_deck leaves out
+        c.tune_seed = [0, 1, 7, u64::MAX][tune_seed as usize];
+        c.precon = [PreconKind::None, PreconKind::Diagonal, PreconKind::BlockJacobi][precon_idx];
+        c.precision =
+            [None, Some(Precision::F64), Some(Precision::F32), Some(Precision::Mixed)][precision_idx];
+        // a precision the solver's family has no variant for is a parse error
+        prop_assume!(c.effective_solver().is_ok());
         let text = render_deck(&deck);
         let re = parse_deck(&text).expect("render must parse");
-        prop_assert_eq!(re.problem, deck.problem);
-        prop_assert_eq!(re.control.solver, deck.control.solver);
-        prop_assert_eq!(re.control.opts.eps, deck.control.opts.eps);
-        prop_assert_eq!(re.control.ppcg_inner_steps, inner);
-        prop_assert_eq!(re.control.ppcg_halo_depth, depth);
+        prop_assert_eq!(&re.problem, &deck.problem);
+        // destructured, so a new Control field fails to compile here
+        // until the round trip covers it
+        let Control {
+            dt,
+            end_time,
+            end_step,
+            solver,
+            precision,
+            opts,
+            precon,
+            ppcg_inner_steps,
+            ppcg_halo_depth,
+            presteps,
+            tune_seed,
+            summary_frequency,
+            threads,
+        } = re.control;
+        let c = &deck.control;
+        prop_assert_eq!(dt, c.dt);
+        prop_assert_eq!(end_time, c.end_time);
+        prop_assert_eq!(end_step, c.end_step);
+        prop_assert_eq!(&solver, &c.solver);
+        prop_assert_eq!(precision, c.precision);
+        prop_assert_eq!(opts.eps, c.opts.eps);
+        prop_assert_eq!(opts.max_iters, c.opts.max_iters);
+        prop_assert_eq!(precon, c.precon);
+        prop_assert_eq!(ppcg_inner_steps, c.ppcg_inner_steps);
+        prop_assert_eq!(ppcg_halo_depth, c.ppcg_halo_depth);
+        prop_assert_eq!(presteps, c.presteps);
+        prop_assert_eq!(tune_seed, c.tune_seed);
+        prop_assert_eq!(summary_frequency, c.summary_frequency);
+        prop_assert_eq!(threads, c.threads);
     }
 }
