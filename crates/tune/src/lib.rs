@@ -22,9 +22,9 @@
 //!   solve it races the candidates (early-abandoning any that cannot
 //!   beat the best cost so far), adopts the cheapest converged one, and
 //!   reuses it for every subsequent solve. Because the adopted winner
-//!   lives inside the prepared solver, a
-//!   [`tea_core::SetupCache`]-pooled session remembers the tuned design
-//!   point per `SetupKey` — repeat jobs skip the search.
+//!   lives inside the prepared solver — the unit a
+//!   [`tea_core::SetupCache`] pools — the cache remembers the tuned
+//!   design point per `SetupKey`: repeat jobs skip the search.
 //! * [`TuneLog`] — every decision (candidate, trajectory verdict,
 //!   action), surfaced through
 //!   [`tea_core::IterativeSolver::take_diagnostics`].
