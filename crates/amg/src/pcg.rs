@@ -201,7 +201,7 @@ impl Precondition<f64> for Vcycle<'_> {
         k: &mut Krylov<'_, f64>,
         _trace: &mut SolveTrace,
     ) {
-        self.hierarchy.vcycle(k.r, k.z, self.mg_trace);
+        self.hierarchy.vcycle(k.r, k.wz, self.mg_trace);
     }
 }
 

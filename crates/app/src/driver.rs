@@ -3,13 +3,19 @@
 //! Once per run, each rank assembles its face coefficients `Kx, Ky`
 //! from density and `dt` — density is constant, so the system matrix
 //! is too — and builds one [`SolveSession`] around them. Then, per time
-//! step (matching the reference `tea_solve` loop):
+//! step (matching the reference `tea_solve` loop), on one field `b`
+//! that holds the energy between solves and the right-hand side during
+//! one:
 //!
-//! 1. `u⁰ = ρ·e` — build the right-hand side from the state fields;
-//! 2. solve `A·u = u⁰` through the session (warm start `u = u⁰`; the
+//! 1. `b ← ρ·b` — the right-hand side `u⁰ = ρ·e`, in place;
+//! 2. solve `A·u = b` through the session (warm start `u = b`; the
 //!    first solve prepares the solver, every later one reuses it);
-//! 3. `e = u/ρ` — fold the new temperature back into energy;
+//! 3. `b ← u/ρ` — fold the new temperature back into energy;
 //! 4. field summary (reduced diagnostics) at the reporting cadence.
+//!
+//! Energy is never read during a solve, so it needs no field of its
+//! own: a run keeps `density`, `b`, `u`, the operator's `Kx`, `Ky` and
+//! the solver's workspace resident, and nothing else.
 //!
 //! One road runs through this file: every entry point — [`run_rank`]
 //! (serially via [`run_serial`], one thread per rank via
@@ -207,7 +213,7 @@ impl Rank {
     /// Sets `rank` of `decomp` up for a solver of halo depth
     /// `solver_halo` — the *solver's*, not the deck's matrix-powers
     /// knob: `auto` reports its deepest candidate — and returns it with
-    /// the initial energy field.
+    /// the initial energy field, shaped as the solve's right-hand side.
     fn setup(
         deck: &Deck,
         decomp: &Decomposition2D,
@@ -217,14 +223,16 @@ impl Rank {
         let problem = &deck.problem;
         let mesh = Mesh2D::new(decomp, rank, problem.extent);
         let halo = solver_halo.max(1);
-        // State fields and face coefficients carry one ghost layer more than
+        // Density and face coefficients carry one ghost layer more than
         // the solver's halo: the operator diagonal at matrix-powers extension
         // `halo` reads `Kx(j+1)` / `Ky(k+1)`, so a Diagonal preconditioner on
         // a decomposed tile needs coefficients assembled a layer deeper. The
         // per-cell values are depth-independent, so solver results are
         // unchanged; only the loud assert on deep-halo setups goes away.
+        // Energy becomes the right-hand side `b`, so it takes the solver's
+        // halo; `apply_states` paints each field to its own depth.
         let mut density = Field2D::new(mesh.nx(), mesh.ny(), halo + 1);
-        let mut energy = Field2D::new(mesh.nx(), mesh.ny(), halo + 1);
+        let mut energy = Field2D::new(mesh.nx(), mesh.ny(), halo);
         problem.apply_states(&mesh, &mut density, &mut energy);
         let (rx, ry) = timestep_scalings(&mesh, deck.control.dt);
         let rank = Rank {
@@ -257,6 +265,7 @@ impl Rank {
 struct Stepped {
     steps: Vec<StepRecord>,
     trace: SolveTrace,
+    /// The final energy (the right-hand side field, folded back).
     energy: Field2D,
     u: Field2D,
 }
@@ -272,14 +281,15 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (value, started.elapsed().as_secs_f64())
 }
 
-/// The time-step loop. `solve_step(step, u, b, trace)` solves one
-/// step's system from the warm start in `u` and reports the result and
-/// the [`StepRecord::wall`] seconds it wants recorded; an error ends
-/// the run. Field summaries reduce over `comm`.
+/// The time-step loop on `b`, which enters holding the initial energy
+/// and leaves holding the final one. `solve_step(step, u, b, trace)`
+/// solves one step's system from the warm start in `u` and reports the
+/// result and the [`StepRecord::wall`] seconds it wants recorded; an
+/// error ends the run. Field summaries reduce over `comm`.
 fn time_steps(
     deck: &Deck,
     rank: &Rank,
-    mut energy: Field2D,
+    mut b: Field2D,
     label: String,
     comm: &dyn Communicator,
     mut solve_step: impl FnMut(
@@ -293,20 +303,19 @@ fn time_steps(
     let (mesh, density) = (&rank.mesh, &*rank.density);
     let (nx, ny) = (mesh.nx(), mesh.ny());
     let mut u = Field2D::new(nx, ny, rank.halo);
-    let mut b = Field2D::new(nx, ny, rank.halo);
     let mut trace = SolveTrace::new(label);
     let mut steps = Vec::new();
 
     let nsteps = control.steps();
     let mut time = 0.0;
     for step in 1..=nsteps {
-        // 1. the right-hand side, which is also the warm start
+        // 1. energy becomes the right-hand side, which is also the warm
+        //    start
         for k in 0..ny as isize {
             let dr = density.row(k, 0, nx as isize);
-            let er = energy.row(k, 0, nx as isize);
             let br = b.row_mut(k, 0, nx as isize);
             for i in 0..br.len() {
-                br[i] = dr[i] * er[i];
+                br[i] *= dr[i];
             }
         }
         u.copy_interior_from(&b);
@@ -318,16 +327,16 @@ fn time_steps(
         for k in 0..ny as isize {
             let ur = u.row(k, 0, nx as isize);
             let dr = density.row(k, 0, nx as isize);
-            let er = energy.row_mut(k, 0, nx as isize);
-            for i in 0..er.len() {
-                er[i] = ur[i] / dr[i];
+            let br = b.row_mut(k, 0, nx as isize);
+            for i in 0..br.len() {
+                br[i] = ur[i] / dr[i];
             }
         }
 
         time += control.dt;
         let report = control.summary_frequency > 0 && step % control.summary_frequency == 0;
         let summary = if report || step == nsteps {
-            Some(field_summary(mesh, density, &energy, &u, comm))
+            Some(field_summary(mesh, density, &b, &u, comm))
         } else {
             None
         };
@@ -345,7 +354,7 @@ fn time_steps(
     Ok(Stepped {
         steps,
         trace,
-        energy,
+        energy: b,
         u,
     })
 }

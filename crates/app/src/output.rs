@@ -6,33 +6,37 @@ use std::io::{self, Write};
 use std::path::Path;
 use tea_mesh::Field2D;
 
+/// Capacity of [`write_field_csv`]'s file buffer.
+const CSV_BUFFER: usize = 64 * 1024;
+
 /// Writes a field's interior as CSV (`x_index,y_index,value` header plus
-/// one row per cell). The file is built row by row in one buffer and
-/// written once; indices are formatted by hand, values by `{}`.
+/// one row per cell), streamed through a 64 KiB `io::BufWriter`, so the
+/// writer's heap is bounded by that buffer, not by the file: `{}` never
+/// switches to exponent form, so a line's length has no useful bound (a
+/// value below 1e-4 alone takes more than 20 bytes). Indices are
+/// formatted by hand, values by `{}`.
 pub fn write_field_csv(field: &Field2D, path: &Path) -> io::Result<()> {
     let (nx, ny) = (field.nx(), field.ny());
-    // ~24 bytes a line covers a 17-digit value and two short indices
-    let mut out = Vec::with_capacity(16 + nx * ny * 24);
-    out.extend_from_slice(b"j,k,value\n");
-    let mut mid = Vec::new();
+    let mut out = io::BufWriter::with_capacity(CSV_BUFFER, std::fs::File::create(path)?);
+    out.write_all(b"j,k,value\n")?;
+    let (mut j_digits, mut k_digits) = ([0u8; 20], [0u8; 20]);
     for k in 0..ny {
-        mid.clear();
-        mid.push(b',');
-        push_decimal(&mut mid, k);
-        mid.push(b',');
+        let k_text = decimal(k, &mut k_digits);
         for (j, v) in field.row(k as isize, 0, nx as isize).iter().enumerate() {
-            push_decimal(&mut out, j);
-            out.extend_from_slice(&mid);
+            out.write_all(decimal(j, &mut j_digits))?;
+            out.write_all(b",")?;
+            out.write_all(k_text)?;
+            out.write_all(b",")?;
             write!(out, "{v}")?;
-            out.push(b'\n');
+            out.write_all(b"\n")?;
         }
     }
-    std::fs::write(path, out)
+    // dropping a BufWriter would discard a failed final write
+    out.flush()
 }
 
-/// Appends `n` in decimal.
-fn push_decimal(out: &mut Vec<u8>, mut n: usize) {
-    let mut digits = [0u8; 20];
+/// `n` in decimal, written into the tail of `digits`.
+fn decimal(mut n: usize, digits: &mut [u8; 20]) -> &[u8] {
     let mut at = digits.len();
     loop {
         at -= 1;
@@ -42,7 +46,7 @@ fn push_decimal(out: &mut Vec<u8>, mut n: usize) {
             break;
         }
     }
-    out.extend_from_slice(&digits[at..]);
+    &digits[at..]
 }
 
 /// Linear colour ramp from cold blue through white to hot red, like the
@@ -193,9 +197,10 @@ mod tests {
         ];
         let dir = std::env::temp_dir().join("tea_output_test");
         std::fs::create_dir_all(&dir).unwrap();
-        // wide enough for two- and three-digit indices, haloed so the
-        // writer must skip ghosts
-        let (nx, ny) = (113, 11);
+        // wide enough for two- and three-digit indices, tall enough to
+        // cross the write buffer's boundary, haloed so the writer must
+        // skip ghosts
+        let (nx, ny) = (113, 41);
         let mut f = Field2D::filled(nx, ny, 2, 9.5);
         for k in 0..ny as isize {
             for j in 0..nx as isize {
@@ -204,7 +209,9 @@ mod tests {
         }
         let p = dir.join("oracle.csv");
         write_field_csv(&f, &p).unwrap();
-        assert_eq!(std::fs::read(&p).unwrap(), per_cell(&f));
+        let written = std::fs::read(&p).unwrap();
+        assert!(written.len() > 2 * CSV_BUFFER, "{} B", written.len());
+        assert_eq!(written, per_cell(&f));
     }
 
     #[test]

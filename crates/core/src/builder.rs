@@ -137,18 +137,25 @@ impl<'a> Solve<'a> {
 
     /// Runs the solve on a single serial tile, allocating the workspace
     /// internally: prepare, then solve. `u` enters as the initial guess
-    /// and exits as the solution.
+    /// and exits as the solution. The workspace takes the solver's halo
+    /// depth or `u`'s, whichever is deeper, so a shallow solver runs on
+    /// fields assembled for a deeper one.
     ///
     /// # Errors
     /// [`SolverError::UnknownSolver`] for an unregistered solver name.
+    ///
+    /// # Panics
+    /// As [`crate::SolveSession::solve_controlled`], when `u` or `b` is
+    /// not shaped like the operator's tile at that workspace's halo.
     pub fn run(&self, u: &mut Field2D, b: &Field2D) -> Result<SolveResult, SolverError> {
         let mut solver = create_solver(self.registry, &self.spec)?;
         let (nx, ny) = self.op.bounds.tile();
-        let mut ws = Workspace::new(nx, ny, solver.halo_depth());
+        let mut ws = Workspace::new(nx, ny, solver.halo_depth().max(u.halo()));
         let (layout, comm) = (serial_layout(self.op), SerialComm::new());
         let tile: DynTile<'_> = Tile::new(self.op, &layout, &comm);
         let ctx = SolveContext::new(&tile);
         solver.prepare(&ctx, &self.spec.opts);
+        ws.check_operands(self.op, u, b);
         let mut trace = SolveTrace::new(solver.label());
         Ok(solver.solve(&ctx, u, b, &mut ws, &mut trace))
     }

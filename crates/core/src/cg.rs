@@ -10,10 +10,14 @@
 //!   **global reduction**; the fused `u += α p`, `r -= α w`,
 //!   `rz = r·M⁻¹r` sweep ([`Preconditioner::cg_update`], upstream's
 //!   `cg_calc_ur`) and its **global reduction**; then `p = M⁻¹r + β p`
-//!   ([`Preconditioner::cg_direction`]). Identity and diagonal
-//!   preconditioning never store `z`; block-Jacobi adds its strip solve
-//!   and a separate dot. Two allreduce latencies per iteration — the
-//!   strong-scaling bottleneck the CPPCG solver exists to amortise.
+//!   ([`Preconditioner::cg_direction`]). Inside the loop identity and
+//!   diagonal preconditioning never store `z`; block-Jacobi adds its
+//!   strip solve and a separate dot. Where `z` is stored — at loop
+//!   entry, in the strip solve, in `cg_f32`'s residual replacement — it
+//!   goes into `w`'s buffer ([`Krylov::wz`]), whose `A·p` is dead by
+//!   then, so CG touches five vectors (`u`, `b`, `p`, `r`, `w`), not
+//!   six. Two allreduce latencies per iteration — the strong-scaling
+//!   bottleneck the CPPCG solver exists to amortise.
 //! * `mixed_cg` (`Cg::mixed`) — the `f64` recurrence around the `f32`
 //!   preconditioner round trip (`Lowered`); CG tolerates any fixed SPD
 //!   preconditioner, so it still reaches `f64` tolerances.
@@ -287,12 +291,21 @@ impl<T: EigenFamily> IterativeSolver for T {
 
     /// Latches `opts` and assembles the preconditioners over the
     /// matrix-powers extent.
+    ///
+    /// # Panics
+    /// For block-Jacobi at a matrix-powers depth above 1: its strips
+    /// need fresh whole blocks (paper §IV.C.2).
     fn prepare(&mut self, ctx: &SolveContext<'_>, opts: &SolveOpts) {
         let (op, ext) = (ctx.tile.op, self.matrix_powers().unwrap_or(0));
         let family = self.family_mut();
         let kind = family.params.precon;
+        let precon = Preconditioner::setup(kind, op, ext);
+        assert!(
+            precon.supports_extension() || ext <= 1,
+            "block-Jacobi cannot be combined with matrix powers (paper §IV.C.2)"
+        );
         family.opts = *opts;
-        family.precon = Some(Preconditioner::setup(kind, op, ext));
+        family.precon = Some(precon);
         family.low = family.mixed.then(|| Low::assemble(kind, op, ext));
     }
 
@@ -355,7 +368,7 @@ impl<S: Probed> Precondition<S> for Fused<'_, S> {
         k: &mut Krylov<'_, S>,
         trace: &mut SolveTrace,
     ) {
-        self.precon.apply(k.r, k.z, &k.op.bounds, 0, trace);
+        self.precon.apply(k.r, k.wz, &k.op.bounds, 0, trace);
     }
 
     fn update<C: Communicator + ?Sized>(
@@ -365,14 +378,13 @@ impl<S: Probed> Precondition<S> for Fused<'_, S> {
         alpha: S,
         trace: &mut SolveTrace,
     ) -> S {
-        let bounds = &k.op.bounds;
         self.precon
-            .cg_update(k.u, k.r, k.z, alpha, k.p, k.w, bounds, trace)
+            .cg_update(k.u, k.r, alpha, k.p, k.wz, &k.op.bounds, trace)
     }
 
     fn direction(&mut self, k: &mut Krylov<'_, S>, beta: S, trace: &mut SolveTrace) {
         self.precon
-            .cg_direction(k.p, k.r, k.z, beta, &k.op.bounds, trace);
+            .cg_direction(k.p, k.r, k.wz, beta, &k.op.bounds, trace);
     }
 
     fn confirm<C: Communicator + ?Sized>(
@@ -395,8 +407,8 @@ impl<S: Probed> Precondition<S> for Fused<'_, S> {
         let bounds = &k.op.bounds;
         tile.exchange(&mut [&mut *k.u], 1, &mut run.trace);
         k.op.residual(k.u, k.b, k.r, 0, &mut run.trace);
-        self.precon.apply(k.r, k.z, bounds, 0, &mut run.trace);
-        let rz_true = vector::dot_local(k.r, k.z, bounds, &mut run.trace);
+        self.precon.apply(k.r, k.wz, bounds, 0, &mut run.trace);
+        let rz_true = vector::dot_local(k.r, k.wz, bounds, &mut run.trace);
         let rz_true = reduce(tile, rz_true, &mut run.trace);
         if run.observe(rz_true, target) {
             return None;
@@ -410,7 +422,7 @@ impl<S: Probed> Precondition<S> for Fused<'_, S> {
         // reset its stall watermark too, or the whole re-descent would
         // count as stalled
         (floor.best_true, floor.best, floor.stalled) = (run.final_residual, run.final_residual, 0);
-        vector::copy(k.p, k.z, bounds, 0, &mut run.trace);
+        vector::copy(k.p, k.wz, bounds, 0, &mut run.trace);
         Some(rz_true)
     }
 

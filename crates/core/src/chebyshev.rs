@@ -158,17 +158,17 @@ impl EigenFamily for Chebyshev {
             let smoothing = Smoothing::new(est, CHECK_INTERVAL as usize, 1);
             let inner = Inner::Chebyshev(&smoothing);
             return stationary_loop(tile, u, &mut ws.r, pre, opts, None, |u, r, norm, trace| {
-                low.apply(tile, r, &mut ws.z, Some(norm), &inner, trace);
-                vector::axpy(u, 1.0, &ws.z, bounds, 0, trace);
+                low.apply(tile, r, &mut ws.w, Some(norm), &inner, trace);
+                vector::axpy(u, 1.0, &ws.w, bounds, 0, trace);
                 tile.exchange(&mut [u], 1, trace);
                 tile.op.residual(u, b, r, 0, trace);
             });
         }
 
         let consts = ChebyConstants::from_estimate(est);
-        precon.apply(&ws.r, &mut ws.z, bounds, 0, &mut pre.trace);
+        precon.apply(&ws.r, &mut ws.w, bounds, 0, &mut pre.trace);
         let inv_theta = 1.0 / consts.theta;
-        vector::scaled_copy(&mut ws.sd, &ws.z, inv_theta, bounds, 0, &mut pre.trace);
+        vector::scaled_copy(&mut ws.sd, &ws.w, inv_theta, bounds, 0, &mut pre.trace);
 
         let mut rho_old = 1.0 / consts.sigma;
         let check = Some(CHECK_INTERVAL);
@@ -177,11 +177,12 @@ impl EigenFamily for Chebyshev {
             tile.op.apply(&ws.sd, &mut ws.w, 0, trace);
             vector::axpy(u, 1.0, &ws.sd, bounds, 0, trace);
             vector::axpy(r, -1.0, &ws.w, bounds, 0, trace);
-            precon.apply(r, &mut ws.z, bounds, 0, trace);
+            // `A·sd` is consumed: `w` takes `M⁻¹r`
+            precon.apply(r, &mut ws.w, bounds, 0, trace);
 
             let rho_new = 1.0 / (2.0 * consts.sigma - rho_old);
             let (alpha, beta) = (rho_new * rho_old, 2.0 * rho_new / consts.delta);
-            vector::scale_add(&mut ws.sd, alpha, beta, &ws.z, bounds, 0, trace);
+            vector::scale_add(&mut ws.sd, alpha, beta, &ws.w, bounds, 0, trace);
             rho_old = rho_new;
         })
     }

@@ -96,8 +96,8 @@ pub(crate) fn jacobi_solve_impl<C: Communicator + ?Sized>(
     };
     stationary_loop(tile, u, &mut ws.r, run, opts, None, |u, r, _, trace| {
         // u += D^{-1} r
-        vector::mul_into(&mut ws.z, r, inv_diag, bounds, 0, trace);
-        vector::axpy(u, 1.0, &ws.z, bounds, 0, trace);
+        vector::mul_into(&mut ws.w, r, inv_diag, bounds, 0, trace);
+        vector::axpy(u, 1.0, &ws.w, bounds, 0, trace);
         tile.exchange(&mut [u], 1, trace);
         tile.op.residual(u, b, r, 0, trace);
     })

@@ -160,7 +160,7 @@ pub(crate) struct Low<S: Probed> {
     op: TileOperator<S>,
     precon: Preconditioner<S>,
     /// `[z, rr, sd, tmp]` for [`Low::apply`] (a prefix of it),
-    /// `[z, r, w, p, u, b]` for [`Low::cg_solve`].
+    /// `[wz, r, p, u, b]` for [`Low::cg_solve`].
     fields: Vec<Field2<S>>,
 }
 
@@ -266,9 +266,9 @@ impl<S: Probed> Low<S> {
         b: &Field2D,
         opts: SolveOpts,
     ) -> SolveResult {
-        self.fit(u, 6);
-        let [z, r, w, p, lu, lb] = &mut self.fields[..] else {
-            unreachable!("fit() allocated six fields");
+        self.fit(u, 5);
+        let [wz, r, p, lu, lb] = &mut self.fields[..] else {
+            unreachable!("fit() allocated five fields");
         };
         let mut trace = SolveTrace::new("CG-f32");
         trace.vector_ops.record(0);
@@ -281,8 +281,7 @@ impl<S: Probed> Low<S> {
             u: u_low,
             p,
             r,
-            w,
-            z,
+            wz,
             norm: None,
         };
         let mut step = Fused {
@@ -311,7 +310,7 @@ impl<S: Probed> Precondition<f64> for Lowered<'_, S> {
         k: &mut Krylov<'_, f64>,
         trace: &mut SolveTrace,
     ) {
-        self.0.apply(tile, k.r, k.z, k.norm, &self.1, trace);
+        self.0.apply(tile, k.r, k.wz, k.norm, &self.1, trace);
     }
 }
 

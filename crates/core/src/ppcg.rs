@@ -138,10 +138,6 @@ impl EigenFamily for Ppcg {
             "workspace halo {} shallower than matrix-powers depth {h}",
             ws.halo()
         );
-        assert!(
-            precon.supports_extension() || h == 1,
-            "block-Jacobi cannot be combined with matrix powers (paper §IV.C.2)"
-        );
 
         let smoothing = Smoothing::new(est, inner_steps, h);
         let entry = Entry::Carried(pre);
@@ -299,7 +295,7 @@ impl Precondition<f64> for Smoothed<'_> {
         // `rr ← r`: the first step reads `r` itself
         trace.vector_ops.record(0);
         let mut f = Smooth {
-            z: k.z,
+            z: k.wz,
             rr,
             sd,
             tmp,

@@ -203,40 +203,39 @@ impl<S: Scalar> Preconditioner<S> {
         });
     }
 
-    /// CG's fused step over the tile interior: `u += αp`, `r −= αw`,
+    /// CG's fused step over the tile interior: `u += αp`, `r −= α·wz`,
     /// then the local `r·z` of the updated residual (`z = M⁻¹r`) —
     /// bit-identical to [`vector::axpy`], [`vector::axpy`],
     /// [`Preconditioner::apply`], [`vector::dot_local`] in that order.
-    /// Identity and Diagonal do all of it in the one [`vector::cg_update`]
-    /// sweep and leave `z` untouched (follow with
-    /// [`Preconditioner::cg_direction`], which does not read it);
-    /// block-Jacobi keeps its strip solve into `z` and a separate dot
-    /// after the fused `u`/`r` sweep.
+    /// `wz` enters holding `A·p`. Identity and Diagonal do all of it in
+    /// the one [`vector::cg_update`] sweep and leave `wz` untouched
+    /// (follow with [`Preconditioner::cg_direction`], which does not
+    /// read it); block-Jacobi solves its strips into `wz` — `A·p` is
+    /// dead once the sweep has consumed it — and pays a separate dot.
     #[expect(
         clippy::too_many_arguments,
-        reason = "mirrors vector::cg_update plus the z field block-Jacobi solves into"
+        reason = "mirrors vector::cg_update, whose w is also where block-Jacobi stages z"
     )]
     pub fn cg_update(
         &self,
         u: &mut Field2<S>,
         r: &mut Field2<S>,
-        z: &mut Field2<S>,
         alpha: S,
         p: &Field2<S>,
-        w: &Field2<S>,
+        wz: &mut Field2<S>,
         bounds: &TileBounds,
         trace: &mut SolveTrace,
     ) -> S {
         match self {
-            Preconditioner::Identity => vector::cg_update(u, r, alpha, p, w, None, bounds, trace),
+            Preconditioner::Identity => vector::cg_update(u, r, alpha, p, wz, None, bounds, trace),
             Preconditioner::Diagonal { inv_diag } => {
                 trace.precon_ops.record(0);
-                vector::cg_update(u, r, alpha, p, w, Some(inv_diag), bounds, trace)
+                vector::cg_update(u, r, alpha, p, wz, Some(inv_diag), bounds, trace)
             }
             Preconditioner::BlockJacobi(_) => {
-                vector::cg_update(u, r, alpha, p, w, None, bounds, trace);
-                self.apply(r, z, bounds, 0, trace);
-                vector::dot_local(r, z, bounds, trace)
+                vector::cg_update(u, r, alpha, p, wz, None, bounds, trace);
+                self.apply(r, wz, bounds, 0, trace);
+                vector::dot_local(r, wz, bounds, trace)
             }
         }
     }
@@ -246,12 +245,13 @@ impl<S: Scalar> Preconditioner<S> {
     /// [`vector::xpay`]`(p, z, β)` on a materialized `z`: Identity reads
     /// `r` itself, Diagonal folds `r·inv_diag` into the sweep
     /// ([`vector::scale_add_mul`]; `βp + 1·(r·d)` rounds as
-    /// `(r·d) + βp`), block-Jacobi reads the `z` its strip solve stored.
+    /// `(r·d) + βp`), block-Jacobi reads the `z` its strip solve stored
+    /// in `wz`.
     pub fn cg_direction(
         &self,
         p: &mut Field2<S>,
         r: &Field2<S>,
-        z: &Field2<S>,
+        wz: &Field2<S>,
         beta: S,
         bounds: &TileBounds,
         trace: &mut SolveTrace,
@@ -261,7 +261,7 @@ impl<S: Scalar> Preconditioner<S> {
             Preconditioner::Diagonal { inv_diag } => {
                 vector::scale_add_mul(p, beta, S::ONE, r, inv_diag, bounds, 0, trace)
             }
-            Preconditioner::BlockJacobi(_) => vector::xpay(p, z, beta, bounds, 0, trace),
+            Preconditioner::BlockJacobi(_) => vector::xpay(p, wz, beta, bounds, 0, trace),
         }
     }
 
@@ -628,13 +628,12 @@ mod tests {
             let want = vector::dot_local(&r1, &z1, bounds, &mut t);
             vector::xpay(&mut p1, &z1, beta, bounds, 0, &mut t);
 
+            // `A·p` enters in the buffer block-Jacobi then stages `z` in
             let (mut u2, mut r2, mut p2) = (u0.clone(), r0.clone(), p0.clone());
-            let mut z2 = Field2::new(n, n, 1);
+            let mut wz = w.clone();
             let mut fused = SolveTrace::new("fused");
-            let got = m.cg_update(
-                &mut u2, &mut r2, &mut z2, alpha, &p0, &w, bounds, &mut fused,
-            );
-            m.cg_direction(&mut p2, &r2, &z2, beta, bounds, &mut fused);
+            let got = m.cg_update(&mut u2, &mut r2, alpha, &p0, &mut wz, bounds, &mut fused);
+            m.cg_direction(&mut p2, &r2, &wz, beta, bounds, &mut fused);
 
             let tag = format!("{kind:?} {} n={n}", S::NAME);
             assert_eq!(
@@ -647,7 +646,9 @@ mod tests {
             assert_eq!(bits(&p2), bits(&p1), "{tag}: p");
             let block = kind == PreconKind::BlockJacobi;
             if block {
-                assert_eq!(bits(&z2), bits(&z1), "{tag}: z");
+                assert_eq!(bits(&wz), bits(&z1), "{tag}: z");
+            } else {
+                assert_eq!(bits(&wz), bits(&w), "{tag}: w untouched");
             }
             // two axpy-class streams + the direction sweep; only the
             // block solve still pays a separate dot

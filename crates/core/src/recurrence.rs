@@ -51,10 +51,11 @@ pub struct Krylov<'a, S: Probed> {
     pub p: &'a mut Field2<S>,
     /// Residual `b − A·u`.
     pub r: &'a mut Field2<S>,
-    /// `A·p`.
-    pub w: &'a mut Field2<S>,
-    /// Preconditioned residual `M⁻¹r`.
-    pub z: &'a mut Field2<S>,
+    /// One buffer for two values whose lifetimes never overlap: `A·p`
+    /// from the operator sweep until the `u`/`r` update has consumed
+    /// it, then the preconditioned residual `M⁻¹r` until the next
+    /// operator sweep overwrites it.
+    pub wz: &'a mut Field2<S>,
     /// `√(r·z)` as last globally reduced — the same value on every rank —
     /// for a [`Precondition`] that needs the residual's scale; `None`
     /// until [`pcg_loop`] has one.
@@ -63,23 +64,22 @@ pub struct Krylov<'a, S: Probed> {
 
 impl Workspace {
     /// Lends the workspace to a PCG recurrence on `A u = b`: the
-    /// [`Krylov`] vectors, and the three fields left over (`rr`, `sd`,
-    /// `tmp`) for an inner smoother to use.
+    /// [`Krylov`] vectors — `p`, `r`, and `w` as the shared
+    /// `A·p`/`M⁻¹r` buffer [`Krylov::wz`] — and the three fields left
+    /// over (`rr`, `sd`, `tmp`) for an inner smoother to use.
     pub fn krylov<'a>(
         &'a mut self,
         op: &'a TileOperator,
         u: &'a mut Field2D,
         b: &'a Field2D,
     ) -> (Krylov<'a, f64>, [&'a mut Field2D; 3]) {
-        let (p, r, w, z) = (&mut self.p, &mut self.r, &mut self.w, &mut self.z);
         let krylov = Krylov {
             op,
             b,
             u,
-            p,
-            r,
-            w,
-            z,
+            p: &mut self.p,
+            r: &mut self.r,
+            wz: &mut self.w,
             norm: None,
         };
         (krylov, [&mut self.rr, &mut self.sd, &mut self.tmp])
@@ -88,9 +88,11 @@ impl Workspace {
 
 /// How one instance of [`pcg_loop`] produces `z = M⁻¹r` and advances
 /// `p`. Only [`Precondition::apply`] is required; the defaults are the
-/// unfused recurrence around it.
+/// unfused recurrence around it. `z` lives in [`Krylov::wz`], so an
+/// instance writes it only where `A·p` is dead: in `apply`, and in
+/// `update` after the `u`/`r` sweep.
 pub trait Precondition<S: Probed> {
-    /// `k.z = M⁻¹ k.r`.
+    /// `k.wz = M⁻¹ k.r`.
     fn apply<C: Communicator + ?Sized>(
         &mut self,
         tile: &Tile<'_, C>,
@@ -98,9 +100,9 @@ pub trait Precondition<S: Probed> {
         trace: &mut SolveTrace,
     );
 
-    /// `u += αp`, `r −= αw`, `z = M⁻¹r`; returns the local `r·z`. The
-    /// default runs the `u`/`r` updates as one sweep, then
-    /// [`Precondition::apply`] and a dot.
+    /// `u += αp`, `r −= αw`, then `z = M⁻¹r` into the `w` it consumed;
+    /// returns the local `r·z`. The default runs the `u`/`r` updates as
+    /// one sweep, then [`Precondition::apply`] and a dot.
     fn update<C: Communicator + ?Sized>(
         &mut self,
         tile: &Tile<'_, C>,
@@ -108,14 +110,14 @@ pub trait Precondition<S: Probed> {
         alpha: S,
         trace: &mut SolveTrace,
     ) -> S {
-        vector::axpy2(k.u, k.r, alpha, k.p, k.w, &k.op.bounds, trace);
+        vector::axpy2(k.u, k.r, alpha, k.p, k.wz, &k.op.bounds, trace);
         self.apply(tile, k, trace);
-        vector::dot_local(k.r, k.z, &k.op.bounds, trace)
+        vector::dot_local(k.r, k.wz, &k.op.bounds, trace)
     }
 
     /// `p = z + βp`.
     fn direction(&mut self, k: &mut Krylov<'_, S>, beta: S, trace: &mut SolveTrace) {
-        vector::xpay(k.p, k.z, beta, &k.op.bounds, 0, trace);
+        vector::xpay(k.p, k.wz, beta, &k.op.bounds, 0, trace);
     }
 
     /// Called when the recurrence residual meets `target`. Either
@@ -190,8 +192,8 @@ pub fn pcg_loop<S: Probed, C: Communicator + ?Sized, M: Precondition<S>>(
     tile.exchange(&mut [&mut *k.u], 1, &mut trace);
     k.op.residual(k.u, k.b, k.r, 0, &mut trace);
     m.apply(tile, k, &mut trace);
-    vector::copy(k.p, k.z, &k.op.bounds, 0, &mut trace);
-    let rz = vector::dot_local(k.r, k.z, &k.op.bounds, &mut trace);
+    vector::copy(k.p, k.wz, &k.op.bounds, 0, &mut trace);
+    let rz = vector::dot_local(k.r, k.wz, &k.op.bounds, &mut trace);
     let mut rro = reduce(tile, rz, &mut trace);
 
     let mut run = match carried {
@@ -210,7 +212,7 @@ pub fn pcg_loop<S: Probed, C: Communicator + ?Sized, M: Precondition<S>>(
 
     while run.iterations < opts.max_iters && run.begin(&tile.controls, k.u, k.r) {
         tile.exchange(&mut [&mut *k.p], 1, &mut run.trace);
-        let pw = k.op.apply_fused_dot(k.p, k.w, &mut run.trace);
+        let pw = k.op.apply_fused_dot(k.p, k.wz, &mut run.trace);
         let pw = reduce(tile, pw, &mut run.trace);
         if !pw.is_finite() || pw <= 0.0 {
             // <p, Ap> lost positivity or went non-finite: the recurrence

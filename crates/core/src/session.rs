@@ -322,6 +322,11 @@ impl SolveSession {
     /// afterwards. The solve observes `controls` (deadlines,
     /// cancellation, fault probes) and merges its protocol into `trace`,
     /// the [`IterativeSolver::solve`] convention.
+    ///
+    /// # Panics
+    /// When `u` or `b` does not have the operator's tile and the
+    /// workspace's halo (the solver's halo depth), at every thread
+    /// count.
     pub fn solve_controlled(
         &mut self,
         comm: &dyn Communicator,
@@ -345,6 +350,7 @@ impl SolveSession {
             self.solver.prepare(&ctx, &self.opts);
             self.prepares = 1;
         }
+        self.ws.check_operands(&self.op, u, b);
         let tile = Tile::with_controls(&self.op, &self.layout, comm, controls);
         let ctx = SolveContext {
             tile: &tile,
@@ -646,7 +652,7 @@ mod tests {
             "a hit runs on the operator the job passed in"
         );
         let ws = &hit.ws;
-        for field in [&ws.p, &ws.r, &ws.w, &ws.z, &ws.sd, &ws.rr, &ws.tmp] {
+        for field in [&ws.p, &ws.r, &ws.w, &ws.sd, &ws.rr, &ws.tmp] {
             assert_eq!((field.nx(), field.ny(), field.halo()), (16, 16, depth));
             assert!(
                 field.raw().iter().all(|&v| v == 0.0),

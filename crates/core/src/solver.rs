@@ -115,17 +115,19 @@ impl SolveOpts {
 }
 
 /// Scratch fields reused across solves (one allocation per time-stepping
-/// run instead of per solve).
+/// run instead of per solve): six fields, and no role among them is
+/// read before a solve has written it, so a solve never depends on what
+/// an earlier one left behind.
 #[derive(Debug)]
 pub struct Workspace {
     /// Search direction.
     pub p: Field2D,
     /// Residual.
     pub r: Field2D,
-    /// Operator output `A·p`.
+    /// Operator output `A·p`, and the preconditioned residual `M⁻¹r` once
+    /// the update has consumed `A·p` (the two never live at once; see
+    /// [`crate::recurrence::Krylov::wz`]).
     pub w: Field2D,
-    /// Preconditioned residual.
-    pub z: Field2D,
     /// Chebyshev smoothing direction.
     pub sd: Field2D,
     /// Inner-solve residual copy (matrix powers).
@@ -143,7 +145,6 @@ impl Workspace {
             p: f(),
             r: f(),
             w: f(),
-            z: f(),
             sd: f(),
             rr: f(),
             tmp: f(),
@@ -153,6 +154,26 @@ impl Workspace {
     /// Halo depth the workspace fields carry.
     pub fn halo(&self) -> usize {
         self.p.halo()
+    }
+
+    /// The shape contract of a solve's operands, checked where a solve
+    /// enters: `u` and `b` have `op`'s tile and this workspace's halo.
+    /// The fused sweeps cut `u`'s rows and the workspace's `r` at one
+    /// shared stride, so a mismatch would otherwise go unnoticed on one
+    /// worker and index out of range on several.
+    ///
+    /// # Panics
+    /// When `u` or `b` is shaped otherwise, naming it.
+    pub(crate) fn check_operands(&self, op: &TileOperator, u: &Field2D, b: &Field2D) {
+        let (nx, ny) = op.bounds.tile();
+        let want = (nx, ny, self.halo());
+        for (name, f) in [("u", u), ("b", b)] {
+            assert_eq!(
+                (f.nx(), f.ny(), f.halo()),
+                want,
+                "{name} must have the operator's tile and the workspace's halo (nx, ny, halo)"
+            );
+        }
     }
 }
 

@@ -468,13 +468,16 @@ pub(crate) fn for_rows2_sum<S: Scalar>(
     ext: usize,
     body: impl Fn(isize, &mut [S], &mut [S]) -> S + Sync,
 ) -> S {
+    // the parallel path cuts both outputs' rows at `out1`'s stride and
+    // halo offset; checked on every path, so a mismatch fails alike at
+    // every thread count
+    let shape = |f: &Field2<S>| (f.nx(), f.ny(), f.halo());
+    assert_eq!(shape(out1), shape(out2), "fused outputs must share shape");
     let (x_lo, x_hi, y_lo, y_hi) = bounds.range(ext);
     let n = (x_hi - x_lo) as usize;
     if parallel_sweep(bounds.cells(ext)) {
         let stride = out1.stride();
         let h = out1.halo() as isize;
-        debug_assert_eq!(stride, out2.stride(), "fused outputs must share shape");
-        debug_assert_eq!(h, out2.halo() as isize, "fused outputs must share halo");
         let x0 = (x_lo + h) as usize;
         let mut partials = vec![S::ZERO; out1.raw().len() / stride];
         out1.raw_mut()

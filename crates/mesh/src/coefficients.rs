@@ -414,12 +414,14 @@ mod tests {
 
         /// The span painter and the row assembly reproduce the per-cell
         /// oracles bit for bit, interior and ghosts, on every tile of a
-        /// 1×1, 2×1 and 2×2 decomposition.
+        /// 1×1, 2×1 and 2×2 decomposition — with the two state fields at
+        /// independent ghost depths, each painted to its own.
         #[test]
         fn sweeps_match_the_per_cell_oracles(
             nx in 2usize..20,
             ny in 2usize..20,
             halo in 1usize..6,
+            energy_halo in 0usize..6,
             seed in any::<u64>(),
             scale in 0.01f64..50.0,
         ) {
@@ -431,10 +433,10 @@ mod tests {
                     let mesh = Mesh2D::new(&d, rank, problem.extent);
                     let (tx, ty) = (mesh.nx(), mesh.ny());
                     let mut density = Field2D::new(tx, ty, halo);
-                    let mut energy = Field2D::new(tx, ty, halo);
+                    let mut energy = Field2D::new(tx, ty, energy_halo);
                     problem.apply_states(&mesh, &mut density, &mut energy);
                     let mut want_density = Field2D::new(tx, ty, halo);
-                    let mut want_energy = Field2D::new(tx, ty, halo);
+                    let mut want_energy = Field2D::new(tx, ty, energy_halo);
                     problem.apply_states_per_cell(&mesh, &mut want_density, &mut want_energy);
                     prop_assert_eq!(bits(&density), bits(&want_density), "density, rank {}", rank);
                     prop_assert_eq!(bits(&energy), bits(&want_energy), "energy, rank {}", rank);

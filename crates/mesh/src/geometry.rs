@@ -197,7 +197,9 @@ impl Problem {
     /// `mesh`, applying states in order over interior *and* ghost cells
     /// (ghosts get the geometric value so coefficient computation near tile
     /// edges matches the serial run; the exterior boundary is later fixed
-    /// by reflection).
+    /// by reflection). Each field is painted to its own ghost depth, so
+    /// the two may differ: the driver assembles from a `density` one layer
+    /// deeper than the solver halo its `energy` (the right-hand side) has.
     ///
     /// States are painted by row spans: the background fills whole rows,
     /// a rectangle the contiguous column span whose centres lie inside it
@@ -209,7 +211,8 @@ impl Problem {
         assert_eq!(density.ny(), mesh.ny());
         assert_eq!(energy.nx(), mesh.nx());
         assert_eq!(energy.ny(), mesh.ny());
-        let h = density.halo().min(energy.halo()) as isize;
+        let (hd, he) = (density.halo() as isize, energy.halo() as isize);
+        let h = hd.max(he);
         let (nx, ny) = (mesh.nx() as isize, mesh.ny() as isize);
         // `cell_center`'s x depends on j alone and its y on k alone, and
         // both ascend with the index
@@ -217,9 +220,16 @@ impl Problem {
         let ys: Vec<f64> = (-h..ny + h).map(|k| mesh.cell_center(0, k).1).collect();
         let window = |i: f64, n: isize| i >= -h as f64 && i < (n + h) as f64;
         for s in &self.states {
+            // the span `lo..hi` of row `k`, clipped to each field's depth
             let mut paint = |k: isize, lo: isize, hi: isize| {
-                density.row_mut(k, lo, hi).fill(s.density);
-                energy.row_mut(k, lo, hi).fill(s.energy);
+                for (field, depth, value) in
+                    [(&mut *density, hd, s.density), (&mut *energy, he, s.energy)]
+                {
+                    let (lo, hi) = (lo.max(-depth), hi.min(nx + depth));
+                    if (-depth..ny + depth).contains(&k) && lo < hi {
+                        field.row_mut(k, lo, hi).fill(value);
+                    }
+                }
             };
             match s.shape {
                 Shape::Background => (-h..ny + h).for_each(|k| paint(k, -h, nx + h)),
@@ -257,8 +267,9 @@ impl Problem {
     }
 
     /// The per-cell painter [`Problem::apply_states`] replaced: every
-    /// state tested at every cell through [`Shape::contains`]. Kept as
-    /// the oracle the span painter is checked against.
+    /// state tested at every cell of each field, to that field's own
+    /// ghost depth, through [`Shape::contains`]. Kept as the oracle the
+    /// span painter is checked against.
     #[cfg(test)]
     pub(crate) fn apply_states_per_cell(
         &self,
@@ -266,17 +277,21 @@ impl Problem {
         density: &mut Field2D,
         energy: &mut Field2D,
     ) {
-        let h = density.halo().min(energy.halo()) as isize;
-        for k in -h..mesh.ny() as isize + h {
-            for j in -h..mesh.nx() as isize + h {
-                for s in &self.states {
-                    if s.shape.contains(mesh, j, k) {
-                        density.set(j, k, s.density);
-                        energy.set(j, k, s.energy);
+        let (nx, ny) = (mesh.nx() as isize, mesh.ny() as isize);
+        let paint = |field: &mut Field2D, value: fn(&State) -> f64| {
+            let h = field.halo() as isize;
+            for k in -h..ny + h {
+                for j in -h..nx + h {
+                    for s in &self.states {
+                        if s.shape.contains(mesh, j, k) {
+                            field.set(j, k, value(s));
+                        }
                     }
                 }
             }
-        }
+        };
+        paint(density, |s| s.density);
+        paint(energy, |s| s.energy);
     }
 
     /// Convenience: number of global cells.

@@ -14,6 +14,14 @@
 //! the result's `SolveTrace`, and the iteration and reduction totals the
 //! caller's accumulated trace received.
 //!
+//! Every row is computed twice: on a fresh `Workspace`, and on one whose
+//! field interiors are NaN (halos left zero, as `Workspace::new` leaves
+//! them — stencils read the physical-boundary ghosts times zero faces).
+//! Both must print the identical row, which pins that every buffer role
+//! is written before it is read in every solve: the one buffer `w`
+//! holds `A·p` and `M⁻¹r` in turn, and a role that read what an earlier
+//! one left behind would turn the poisoned row NaN.
+//!
 //! The rows were generated at the commit that introduced this file and
 //! are not edited by hand. On a mismatch the test prints the complete
 //! table it computed, in source form.
@@ -107,13 +115,32 @@ fn describe(result: &SolveResult, acc: &SolveTrace, u_hash: u64) -> String {
     )
 }
 
+/// NaN in every interior cell of every workspace field; the halos stay
+/// as they were.
+fn poison(ws: &mut Workspace) {
+    for f in [
+        &mut ws.p,
+        &mut ws.r,
+        &mut ws.w,
+        &mut ws.sd,
+        &mut ws.rr,
+        &mut ws.tmp,
+    ] {
+        let nx = f.nx() as isize;
+        for k in 0..f.ny() as isize {
+            f.row_mut(k, 0, nx).fill(f64::NAN);
+        }
+    }
+}
+
 /// One solve on this rank's tile of `decomp`, set up the way the
-/// application driver sets up a time step; returns the result, the
-/// caller-side accumulated trace (which for `auto` also holds the
-/// candidate races) and, on rank 0, the hash of the gathered solution.
+/// application driver sets up a time step, on a fresh workspace or a
+/// [`poison`]ed one; returns the result, the caller-side accumulated
+/// trace (which for `auto` also holds the candidate races) and, on
+/// rank 0, the hash of the gathered solution.
 fn solve_on_rank<C: Communicator + ?Sized>(
     name: &str,
-    (precon, depth, presteps): (PreconKind, usize, u64),
+    (precon, depth, presteps, poisoned): (PreconKind, usize, u64, bool),
     decomp: &Decomposition2D,
     comm: &C,
 ) -> (SolveResult, SolveTrace, Option<u64>) {
@@ -157,6 +184,9 @@ fn solve_on_rank<C: Communicator + ?Sized>(
         },
     );
     let mut ws = Workspace::new(nx, ny, halo);
+    if poisoned {
+        poison(&mut ws);
+    }
     let mut acc = SolveTrace::new(solver.label());
     solver.prepare(&ctx, &SolveOpts::default());
     let result = solver.solve(&ctx, &mut u, &b, &mut ws, &mut acc);
@@ -209,8 +239,12 @@ fn configurations() -> Vec<(&'static str, PreconKind, usize, u64, usize)> {
     out
 }
 
-fn fingerprint(name: &str, precon: PreconKind, depth: usize, pre: u64, ranks: usize) -> String {
-    let cfg = (precon, depth, pre);
+fn fingerprint(
+    name: &str,
+    (precon, depth, pre, ranks): (PreconKind, usize, u64, usize),
+    poisoned: bool,
+) -> String {
+    let cfg = (precon, depth, pre, poisoned);
     let (result, acc, hash) = if ranks == 1 {
         let decomp = Decomposition2D::with_grid(N, N, 1, 1);
         solve_on_rank(name, cfg, &decomp, &SerialComm::new())
@@ -243,7 +277,16 @@ fn fingerprint(name: &str, precon: PreconKind, depth: usize, pre: u64, ranks: us
 fn every_registry_solver_matches_its_pinned_fingerprint() {
     let actual: Vec<String> = configurations()
         .into_iter()
-        .map(|(name, precon, depth, pre, ranks)| fingerprint(name, precon, depth, pre, ranks))
+        .map(|(name, precon, depth, pre, ranks)| {
+            let cfg = (precon, depth, pre, ranks);
+            let row = fingerprint(name, cfg, false);
+            let poisoned = fingerprint(name, cfg, true);
+            assert_eq!(
+                poisoned, row,
+                "a NaN workspace changed the solve: a buffer role is read before it is written"
+            );
+            row
+        })
         .collect();
     let mismatches: Vec<String> = (0..actual.len().max(EXPECTED.len()))
         .filter(|&i| actual.get(i).map(String::as_str) != EXPECTED.get(i).copied())

@@ -9,14 +9,26 @@
 //! reproduce its temperature field, iteration counts, and solve trace to
 //! the last bit.
 //!
-//! Everything runs inside a single `#[test]` because thread count and
-//! threshold are process-global runtime knobs; concurrent tests mutating
+//! Thread count and threshold are process-global runtime knobs, so each
+//! test holds [`KNOBS`] while it turns them: concurrent tests mutating
 //! them would still be *correct* (results are config-independent) but
 //! the failure messages would attribute configs wrongly.
+//!
+//! The contract includes failing alike: a solve whose operands are
+//! shaped unlike its operator must fail the same way on one worker as
+//! on four, not solve on one and index out of range on four.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 use tealeaf::app::{crooked_pipe_deck, run_serial, Deck};
+use tealeaf::mesh::Field2D;
 use tealeaf::solvers as runtime;
-use tealeaf::solvers::{PreconKind, SolveTrace};
+use tealeaf::solvers::{
+    crooked_pipe_system, lock_tolerant, PreconKind, SessionSpec, Solve, SolveSession, SolveTrace,
+};
+
+/// Held by every test that turns the runtime knobs.
+static KNOBS: Mutex<()> = Mutex::new(());
 
 fn deck(n: usize, solver: &str) -> Deck {
     let mut d = crooked_pipe_deck(n, solver);
@@ -50,6 +62,7 @@ fn run_bits(deck: &Deck) -> (Vec<u64>, u64, SolveTrace) {
 
 #[test]
 fn solvers_are_bit_identical_across_threads_and_thresholds() {
+    let _knobs = lock_tolerant(&KNOBS);
     let n = 48;
     // mixed_ppcg exercises the native-f32 halo exchange path (the inner
     // Chebyshev smoothing's deep-halo payloads travel at 4-byte width):
@@ -112,5 +125,48 @@ fn solvers_are_bit_identical_across_threads_and_thresholds() {
 
     // leave the process-global knobs at their defaults
     runtime::set_par_threshold(runtime::PAR_THRESHOLD);
+    runtime::set_num_threads(1);
+}
+
+#[test]
+fn a_misshapen_solve_fails_alike_at_every_thread_count() {
+    let _knobs = lock_tolerant(&KNOBS);
+    runtime::set_par_threshold(runtime::PAR_THRESHOLD);
+    // a 256² tile is above the parallel threshold, where the fused u/r
+    // sweep cuts both fields' rows at one stride: `u` one ghost layer
+    // deeper than the halo-1 operator and workspace used to solve on
+    // one worker and index out of range on more
+    let (op, b) = crooked_pipe_system(256, 0.04, 1);
+    let failure = |threads: usize, via_session: bool| -> String {
+        runtime::set_num_threads(threads);
+        let mut u = Field2D::new(256, 256, 2);
+        u.copy_interior_from(&b);
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            if via_session {
+                let mut session = SolveSession::build(op.clone(), &SessionSpec::solver("cg"))
+                    .expect("cg is registered");
+                session.solve(&mut u, &b);
+            } else {
+                Solve::on(&op).run(&mut u, &b).expect("cg is registered");
+            }
+        }))
+        .expect_err("a misshapen solve must fail");
+        match err.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(_) => "a panic without a formatted message".into(),
+        }
+    };
+    // the builder sizes its workspace from `u`, so `b` is the odd one
+    // out there; a session's workspace has the solver's halo, so `u` is
+    for (via_session, odd) in [(false, "b"), (true, "u")] {
+        let (one, four) = (failure(1, via_session), failure(4, via_session));
+        assert!(
+            one.contains(&format!(
+                "{odd} must have the operator's tile and the workspace's halo"
+            )),
+            "{one}"
+        );
+        assert_eq!(one, four, "the failure depends on the thread count");
+    }
     runtime::set_num_threads(1);
 }
