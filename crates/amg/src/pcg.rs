@@ -19,8 +19,9 @@ use crate::hierarchy::{MgHierarchy, MgOpts};
 use crate::trace::MgTrace;
 use tea_comms::Communicator;
 use tea_core::{
-    pcg_loop, Entry, IterativeSolver, Krylov, Precondition, SolveContext, SolveOpts, SolveResult,
-    SolveStatus, SolveTrace, SolverMeta, SolverParams, SolverRegistry, Tile, Workspace,
+    pcg_loop, Entry, IterationCost, IterativeSolver, Krylov, Precondition, SolveContext, SolveOpts,
+    SolveResult, SolveStatus, SolveTrace, SolverMeta, SolverParams, SolverRegistry, Tile,
+    Workspace,
 };
 use tea_mesh::Field2D;
 
@@ -35,6 +36,9 @@ const AMG_META: SolverMeta = SolverMeta {
     serial_only: true,
     precision: tea_core::Precision::F64,
     tunable: false,
+    // the outer CG prices as plain `cg`: the V-cycle is not a sweep the
+    // bytes prior models (the scaling replay prices it level by level)
+    iteration_cost: IterationCost::flat(14),
 };
 
 /// Registers the AMG baseline into `registry` under `"amg"` (aliases

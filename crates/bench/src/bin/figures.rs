@@ -16,7 +16,8 @@ use tea_bench::{
     SolverConfig,
 };
 use tea_core::{
-    cg_iteration_bound, crooked_pipe_system, BlockJacobi, PreconKind, Preconditioner, SolveTrace,
+    cg_iteration_bound, crooked_pipe_system, kappa_pcg, BlockJacobi, PreconKind, Preconditioner,
+    SolveTrace,
 };
 use tea_perfmodel::{
     all_machines, node_counts, piz_daint, spruce_hybrid, spruce_mpi, titan, KernelBytes, Machine,
@@ -614,13 +615,12 @@ fn claim_iterations(args: &FigArgs) {
         println!("\nestimated κ(A) = {kappa:.1}");
         println!("Eq. 6 bound on total iterations: {k_total:.0} (measured CG: {iters})");
         for m in [4usize, 10, 16] {
-            let c = ((kappa.sqrt() - 1.0) / (kappa.sqrt() + 1.0)).powi(m as i32);
-            let kappa_pcg = ((1.0 + c) / (1.0 - c)).powi(2);
-            let k_outer = cg_iteration_bound(kappa_pcg, eps);
+            let kappa_m = kappa_pcg(kappa, m);
+            let k_outer = cg_iteration_bound(kappa_m, eps);
             println!(
                 "Eq. 7 bound on outer iterations (m = {m:>2}): {k_outer:>6.0} \
                  -> predicted dot-product reduction √(κcg/κpcg) = {:.1}x",
-                (kappa / kappa_pcg).sqrt()
+                (kappa / kappa_m).sqrt()
             );
         }
     }

@@ -14,8 +14,8 @@ use tea_amg::MgTrace;
 use tea_app::{crooked_pipe_deck, run_serial, Deck};
 use tea_comms::{HaloLayout, SerialComm};
 use tea_core::{
-    cg_solve_recording, crooked_pipe_system, estimate_from_cg, Preconditioner, SolveOpts,
-    SolveTrace, Tile, TileOperator, Workspace,
+    cg_solve_recording, crooked_pipe_system, estimate_from_cg, kappa_pcg, Preconditioner,
+    SolveOpts, SolveTrace, Tile, TileOperator, Workspace,
 };
 use tea_mesh::{Decomposition2D, Field2D};
 
@@ -119,22 +119,6 @@ pub fn fit_power_law(points: &[(usize, u64)]) -> (f64, f64) {
     };
     let a = ((sy - p * sx) / n).exp();
     (a, p)
-}
-
-/// Chebyshev polynomial of the first kind at `x > 1`:
-/// `T_m(x) = cosh(m · acosh x)`.
-fn chebyshev_t(m: usize, x: f64) -> f64 {
-    assert!(x >= 1.0);
-    (m as f64 * x.acosh()).cosh()
-}
-
-/// The paper's Eq. 4-5: condition number of the `m`-step Chebyshev
-/// polynomially preconditioned operator given `κ(A)`.
-pub fn kappa_pcg(kappa: f64, m: usize) -> f64 {
-    assert!(kappa > 1.0);
-    let x = (kappa + 1.0) / (kappa - 1.0);
-    let eps = 1.0 / chebyshev_t(m, x);
-    (1.0 + eps) / (1.0 - eps)
 }
 
 /// Estimates `κ(M⁻¹A)` from the Lanczos coefficients of `steps` CG
@@ -321,22 +305,6 @@ mod tests {
                 "m = {m}: CPPCG work ratio {work_ratio} violates O'Leary"
             );
         }
-    }
-
-    #[test]
-    fn kappa_pcg_collapses_small_kappa() {
-        // when m-step Chebyshev nearly solves the system, κpcg -> 1
-        assert!(kappa_pcg(10.0, 16) < 1.01);
-        // and grows towards κ as m -> 1
-        assert!(kappa_pcg(10_000.0, 1) > kappa_pcg(10_000.0, 16));
-    }
-
-    #[test]
-    fn chebyshev_t_matches_recurrence() {
-        // T_3(x) = 4x^3 - 3x
-        let x = 1.7f64;
-        let want = 4.0 * x * x * x - 3.0 * x;
-        assert!((chebyshev_t(3, x) - want).abs() < 1e-10);
     }
 
     #[test]

@@ -164,6 +164,17 @@ impl Precision {
             )),
         }
     }
+
+    /// Element width in bytes of the method's *bulk* sweeps: 4 under
+    /// `F32` and under `Mixed` (whose traffic is dominated by the `f32`
+    /// inner leg), 8 under `F64` — the width a trace replay prices a
+    /// method's kernels at.
+    pub fn elem_bytes(self) -> f64 {
+        match self {
+            Precision::F64 => 8.0,
+            Precision::F32 | Precision::Mixed => 4.0,
+        }
+    }
 }
 
 impl std::str::FromStr for Precision {
@@ -179,8 +190,74 @@ impl std::fmt::Display for Precision {
     }
 }
 
+/// Which inner-step count multiplies an [`IterationCost`]'s per-step
+/// part.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InnerSteps {
+    /// The method runs no inner steps.
+    None,
+    /// [`SolverParams::inner_steps`] smoothing steps per outer
+    /// iteration (the PPCG family).
+    Params,
+    /// One `f32` block of [`CHECK_INTERVAL`] sweeps per outer iteration
+    /// (`mixed_chebyshev`).
+    CheckInterval,
+}
+
+impl InnerSteps {
+    /// The inner steps one counted iteration runs under `params`.
+    pub fn count(self, params: &SolverParams) -> usize {
+        match self {
+            InnerSteps::None => 0,
+            InnerSteps::Params => params.inner_steps,
+            InnerSteps::CheckInterval => CHECK_INTERVAL as usize,
+        }
+    }
+}
+
+/// What one *counted* iteration of a solver streams per cell, in
+/// f64-equivalent elements (8 bytes each, so an `f32` element counts
+/// half): the static bytes-per-iteration prior the auto-tuner orders
+/// its race by, read off the kernel schedule before anything runs.
+///
+/// Each registry entry declares its own cost next to the code it
+/// prices, so a custom solver is ordered by what it declares. The
+/// counts use the kernel classes of `tea-perfmodel`'s `KernelBytes`: a
+/// stencil sweep 5 elements/cell, an axpy-class pass 3, a dot 2, a
+/// preconditioner pass 4, and a fused Chebyshev step 12 (stencil 5 +
+/// fused `z`/`rr` update 3 + the recurrence folded into one
+/// precon-class pass 4).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IterationCost {
+    /// Elements/cell of the outer iteration.
+    pub outer: u32,
+    /// Elements/cell of each inner step.
+    pub per_inner_step: u32,
+    /// Which inner-step count multiplies `per_inner_step`.
+    pub inner_steps: InnerSteps,
+}
+
+impl IterationCost {
+    /// A method without inner steps: `outer` elements/cell per
+    /// iteration.
+    pub const fn flat(outer: u32) -> Self {
+        IterationCost {
+            outer,
+            per_inner_step: 0,
+            inner_steps: InnerSteps::None,
+        }
+    }
+
+    /// Elements/cell of one counted iteration at `inner_steps` inner
+    /// steps (0 prices as one step).
+    pub fn elements(&self, inner_steps: usize) -> u64 {
+        u64::from(self.outer) + u64::from(self.per_inner_step) * inner_steps.max(1) as u64
+    }
+}
+
 /// Static metadata the registry serves for each solver: what the method
-/// needs from its environment and which [`SolverParams`] it honours.
+/// needs from its environment, which [`SolverParams`] it honours and
+/// what one of its iterations costs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverMeta {
     /// Canonical registry key (`"cg"`, `"ppcg"`, ...).
@@ -209,6 +286,9 @@ pub struct SolverMeta {
     /// (AMG), the round-off-limited `cg_f32` and the `auto`
     /// pseudo-solver itself.
     pub tunable: bool,
+    /// What one counted iteration streams per cell — the prior the
+    /// auto-tuner orders its candidates by.
+    pub iteration_cost: IterationCost,
 }
 
 /// Why a solver could not be resolved or run.

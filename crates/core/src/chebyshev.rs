@@ -89,6 +89,20 @@ pub fn cg_iteration_bound(kappa: f64, eps: f64) -> f64 {
     0.5 * kappa.sqrt() * (2.0 / eps).ln()
 }
 
+/// Condition number of the `m`-step Chebyshev polynomially
+/// preconditioned operator given `κ(A)` (paper Eqs. 4-5), in closed
+/// form: `((1 + c)/(1 − c))²` with `c = ((√κ − 1)/(√κ + 1))^m`, the
+/// `m`-step contraction — equal to `(1 + ε)/(1 − ε)` with
+/// `ε = 1/T_m((κ + 1)/(κ − 1))`.
+pub fn kappa_pcg(kappa: f64, m: usize) -> f64 {
+    assert!(
+        kappa >= 1.0,
+        "a condition number is at least 1, got {kappa}"
+    );
+    let c = ((kappa.sqrt() - 1.0) / (kappa.sqrt() + 1.0)).powi(m as i32);
+    ((1.0 + c) / (1.0 - c)).powi(2)
+}
+
 /// CG-prelude Chebyshev acceleration as an
 /// [`IterativeSolver`](crate::IterativeSolver): no dot products in the
 /// acceleration phase, only the periodic convergence check
@@ -285,6 +299,41 @@ mod tests {
         // Eq. 6: kappa = 100, eps = 1e-10 -> 5 * ln(2e10) ~ 118.6
         let k = cg_iteration_bound(100.0, 1e-10);
         assert!((k - 0.5 * 10.0 * (2e10f64).ln()).abs() < 1e-9);
+    }
+
+    /// The reference form of Eqs. 4-5: `ε = 1/T_m((κ+1)/(κ−1))` with
+    /// `T_m(x) = cosh(m · acosh x)`, then `κpcg = (1 + ε)/(1 − ε)`.
+    fn kappa_pcg_by_chebyshev_t(kappa: f64, m: usize) -> f64 {
+        let t_m = |x: f64| (m as f64 * x.acosh()).cosh();
+        let eps = 1.0 / t_m((kappa + 1.0) / (kappa - 1.0));
+        (1.0 + eps) / (1.0 - eps)
+    }
+
+    #[test]
+    fn kappa_pcg_closed_form_matches_the_chebyshev_t_form() {
+        // T_3(x) = 4x³ − 3x: the reference's T_m is the real polynomial
+        let x = 1.7f64;
+        let t_3 = (3.0 * x.acosh()).cosh();
+        assert!((t_3 - (4.0 * x * x * x - 3.0 * x)).abs() < 1e-10);
+        for kappa in [10.0, 231.6, 406.0, 1e4] {
+            for m in [1usize, 4, 10, 16] {
+                let (closed, reference) = (kappa_pcg(kappa, m), kappa_pcg_by_chebyshev_t(kappa, m));
+                let rel = (closed - reference).abs() / reference;
+                assert!(
+                    rel < 1e-12,
+                    "κ = {kappa}, m = {m}: {closed} vs {reference} ({rel:e})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kappa_pcg_collapses_small_kappa() {
+        // when m-step Chebyshev nearly solves the system, κpcg -> 1
+        assert!(kappa_pcg(10.0, 16) < 1.01);
+        // and grows towards κ as m -> 1
+        assert!(kappa_pcg(10_000.0, 1) > kappa_pcg(10_000.0, 16));
+        assert_eq!(kappa_pcg(1.0, 4), 1.0);
     }
 
     #[test]

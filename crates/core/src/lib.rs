@@ -68,12 +68,12 @@ pub mod trace;
 pub mod vector;
 
 pub use api::{
-    Assembly, DynTile, IterativeSolver, Precision, SolveContext, SolverError, SolverMeta,
-    SolverParams, CHECK_INTERVAL, EIGEN_SAFETY,
+    Assembly, DynTile, InnerSteps, IterationCost, IterativeSolver, Precision, SolveContext,
+    SolverError, SolverMeta, SolverParams, CHECK_INTERVAL, EIGEN_SAFETY,
 };
 pub use builder::{crooked_pipe_system, Solve};
 pub use cg::{cg_solve_recording, CgCoefficients};
-pub use chebyshev::{cg_iteration_bound, ChebyConstants};
+pub use chebyshev::{cg_iteration_bound, kappa_pcg, ChebyConstants};
 pub use control::{Probed, SolveControls, SolveProbe, StopHandle};
 pub use eigen::{
     estimate_from_cg, lanczos_tridiagonal, sturm_count, tridiag_all_eigenvalues, EigenEstimate,

@@ -7,7 +7,9 @@
 //! decks (`tl_solver=<name>`), `tealeaf --solver <name>`,
 //! `tealeaf --list-solvers`, and the [`crate::Solve`] builder.
 
-use crate::api::{IterativeSolver, Precision, SolverError, SolverMeta, SolverParams};
+use crate::api::{
+    InnerSteps, IterationCost, IterativeSolver, Precision, SolverError, SolverMeta, SolverParams,
+};
 use crate::cg::Cg;
 use crate::chebyshev::Chebyshev;
 use crate::jacobi::Jacobi;
@@ -62,6 +64,8 @@ impl SolverRegistry {
                 serial_only: false,
                 precision: Precision::F64,
                 tunable: false,
+                // one stencil sweep + one axpy-class update: 5 + 3
+                iteration_cost: IterationCost::flat(8),
             },
             |p| Box::new(Jacobi::from_params(p)),
         );
@@ -76,6 +80,13 @@ impl SolverRegistry {
                 serial_only: false,
                 precision: Precision::F64,
                 tunable: true,
+                // three sweeps, both dots riding in passes that run
+                // anyway: fused stencil + `p·w` (5), fused `u`/`r`/`r·z`
+                // update (two axpy-class streams, 6), direction update
+                // (3). No preconditioner pass of its own: a diagonal
+                // preconditioner's reciprocal diagonal streams through
+                // the update and the direction sweep (+2, unpriced).
+                iteration_cost: IterationCost::flat(14),
             },
             |p| Box::new(Cg::from_params(p)),
         );
@@ -90,6 +101,9 @@ impl SolverRegistry {
                 serial_only: false,
                 precision: Precision::F64,
                 tunable: true,
+                // one sweep: stencil 5 + three axpy-class passes 9 +
+                // preconditioner 4, and no dot
+                iteration_cost: IterationCost::flat(18),
             },
             |p| Box::new(Chebyshev::from_params(p)),
         );
@@ -104,6 +118,24 @@ impl SolverRegistry {
                 serial_only: false,
                 precision: Precision::F64,
                 tunable: true,
+                // outer: the Chebyshev sweep 18 + the `r·z` dot 2 left
+                // after the inner solve (`p·w` rides in the stencil);
+                // each inner step one fused Chebyshev step (12). That
+                // prices `m` full sweeps of main-memory traffic,
+                // although the solver runs each deep-halo block of `h`
+                // steps as one pass through cache ("matrix powers in
+                // time": 8 elements/cell per block, where this charges
+                // `12·h`), so the prior overstates depth > 1 — the
+                // benchmark's `perfmodel.model_error` on `deep_ppcg`
+                // reads ≈ 1.9–2.0. It is depth-blind on purpose: making
+                // it depth-aware belongs to the calibration step of
+                // ROADMAP direction 1, and `auto`'s ranking must not
+                // move before that lands.
+                iteration_cost: IterationCost {
+                    outer: 20,
+                    per_inner_step: 12,
+                    inner_steps: InnerSteps::Params,
+                },
             },
             |p| Box::new(Ppcg::from_params(p)),
         );
@@ -118,6 +150,10 @@ impl SolverRegistry {
                 serial_only: false,
                 precision: Precision::Mixed,
                 tunable: true,
+                // CG's 14 + the f32 round trip, which keeps `z`
+                // materialized: conversion sweep 3, half-width
+                // preconditioner 2, separate `r·z` dot 2
+                iteration_cost: IterationCost::flat(21),
             },
             |p| Box::new(Cg::from_params(p).mixed()),
         );
@@ -132,6 +168,14 @@ impl SolverRegistry {
                 serial_only: false,
                 precision: Precision::Mixed,
                 tunable: true,
+                // `ppcg`'s outer 20 + one conversion sweep 3; the fused
+                // inner steps at half width, 6 each (depth-blind like
+                // `ppcg`)
+                iteration_cost: IterationCost {
+                    outer: 23,
+                    per_inner_step: 6,
+                    inner_steps: InnerSteps::Params,
+                },
             },
             |p| Box::new(Ppcg::from_params(p).mixed()),
         );
@@ -146,6 +190,13 @@ impl SolverRegistry {
                 serial_only: false,
                 precision: Precision::Mixed,
                 tunable: true,
+                // one f32 block of fused steps at half width (6 each) +
+                // the f64 residual control: stencil 5 + update 3 + dot 2
+                iteration_cost: IterationCost {
+                    outer: 10,
+                    per_inner_step: 6,
+                    inner_steps: InnerSteps::CheckInterval,
+                },
             },
             |p| Box::new(Chebyshev::from_params(p).mixed()),
         );
@@ -163,6 +214,8 @@ impl SolverRegistry {
                 // round-off limited: at f64-grade tolerances it only
                 // stalls, so `auto` does not race it
                 tunable: false,
+                // CG's three sweeps at half width: 14 / 2
+                iteration_cost: IterationCost::flat(7),
             },
             |p| Box::new(Cg::from_params(p).single()),
         );
@@ -407,6 +460,7 @@ mod tests {
                 serial_only: false,
                 precision: Precision::F64,
                 tunable: false,
+                iteration_cost: IterationCost::flat(8),
             },
             |p| Box::new(Jacobi::from_params(p)),
         );
@@ -433,6 +487,7 @@ mod tests {
                 serial_only: true,
                 precision: Precision::F64,
                 tunable: true,
+                iteration_cost: IterationCost::flat(8),
             },
             |p| Box::new(Jacobi::from_params(p)),
         );
@@ -469,6 +524,7 @@ mod tests {
                 serial_only: true,
                 precision: Precision::F32,
                 tunable: false,
+                iteration_cost: IterationCost::flat(8),
             },
             |p| Box::new(Jacobi::from_params(p)),
         );
@@ -496,6 +552,7 @@ mod tests {
                 serial_only: false,
                 precision: Precision::Mixed,
                 tunable: true,
+                iteration_cost: IterationCost::flat(8),
             },
             |p| Box::new(Jacobi::from_params(p)),
         );
@@ -521,6 +578,7 @@ mod tests {
                 serial_only: false,
                 precision: Precision::F64,
                 tunable: false,
+                iteration_cost: IterationCost::flat(8),
             },
             |p| Box::new(Jacobi::from_params(p)),
         );

@@ -28,6 +28,6 @@ pub use machines::{
 };
 pub use roofline::{kernel_roofline, KernelRoofline};
 pub use scaling::{
-    node_counts, predict_width, predicted_iteration_bytes, solver_elem_bytes, KernelBytes,
+    iteration_bytes, node_counts, predict_width, predicted_iteration_bytes, KernelBytes,
     ScalingPoint, ScalingSeries,
 };

@@ -19,7 +19,7 @@
 
 use crate::machines::Machine;
 use tea_amg::MgTrace;
-use tea_core::SolveTrace;
+use tea_core::{IterationCost, SolveTrace};
 use tea_mesh::{choose_process_grid, split_extent};
 
 /// Modelled bytes moved per cell per sweep, by kernel class.
@@ -53,6 +53,12 @@ pub struct KernelBytes {
 impl KernelBytes {
     /// Per-cell element counts of each kernel class (see field docs).
     const ELEMS: [f64; 5] = [5.0, 3.0, 2.0, 4.0, 3.0];
+
+    /// Bytes of one element in this schedule: the width it was built
+    /// at (`for_width(w).elem_bytes() == w`).
+    fn elem_bytes(&self) -> f64 {
+        self.vector / Self::ELEMS[1]
+    }
 
     /// Kernel-class bytes at a given element width in bytes (8 for f64,
     /// 4 for f32). `for_width(8.0)` equals `KernelBytes::default()`.
@@ -247,84 +253,33 @@ pub fn predict_width(
     }
 }
 
-/// Static per-cell bytes moved per *counted* iteration for a named
-/// solver configuration — the auto-tuner's a-priori cost model.
+/// Bytes per cell one *counted* iteration moves under a declared
+/// [`IterationCost`] at `inner_steps` inner steps — the auto-tuner's
+/// a-priori cost model, priced at the element width of `bytes`.
 ///
-/// Where [`predict_width`] replays a measured trace, this prices one iteration
-/// of each method from the kernel schedule alone, before anything runs:
-/// the tuner orders its candidate search by this prior, and the tuning
-/// bench weights measured iteration counts by it. Per-iteration kernel
-/// mix by family (one stencil sweep plus the recurrence updates; the
-/// reduction-avoiding methods drop the dots; the PPCG/mixed families add
-/// `inner_steps` smoothing sweeps per outer iteration). CG is priced as
-/// the three sweeps it runs — fused stencil + `p·w`, fused `u`/`r`/`r·z`
-/// update (two axpy-class streams), direction update: 5 + 6 + 3 = 14
-/// elements/cell with no dot and no preconditioner pass of its own (a
-/// diagonal preconditioner adds 2: its reciprocal diagonal streams
-/// through the update and the direction sweep). A name this table does
-/// not know prices as `cg`. Reduced-precision sweeps count half the
-/// bytes (their 4-byte elements move exactly half the traffic of the
-/// 8-byte schedule in `bytes` — see [`solver_elem_bytes`]); the mixed
-/// methods add one conversion sweep for the demote/promote round trip.
-/// The Chebyshev-smoothed inner sweeps (`ppcg`, `mixed_ppcg`,
-/// `mixed_chebyshev`) are priced fused: one stencil +
-/// [`KernelBytes::fused_update`] + the fused recurrence (precon-class)
-/// per step, instead of stencil + three separate vector passes + precon.
-///
-/// That Chebyshev term still prices `m` full sweeps of main-memory
-/// traffic, although the solver now runs each deep-halo block of steps
-/// as one pass through cache (`tea_core::ppcg`, "matrix powers in
-/// time": a block of `h` steps streams 8 elements/cell, not `10·h`).
-/// The prior therefore overstates `ppcg`/`mixed_ppcg` at depth > 1, and
-/// a predicted ÷ measured ratio (the benchmark's `perfmodel.model_error`
-/// on `deep_ppcg`) reads ≈ 1.9–2.0 where it read 1.5. It is left
-/// depth-blind on purpose: making it depth-aware belongs to the
-/// calibration step of ROADMAP direction 1, and `auto`'s ranking must
-/// not move before that lands.
-pub fn predicted_iteration_bytes(solver: &str, inner_steps: usize, bytes: &KernelBytes) -> f64 {
-    let m = inner_steps.max(1) as f64;
-    let sweep = bytes.spmv + 3.0 * bytes.vector + bytes.precon;
-    // CG in three sweeps: both dots ride in passes that run anyway
-    let cg = bytes.spmv + 3.0 * bytes.vector;
-    // the PPCG outer iteration: `p·w` is fused into the stencil, `r·z`
-    // (after the inner solve) is the one separate dot left
-    let ppcg_outer = sweep + bytes.dot;
-    // fused Chebyshev inner step: apply_cheb_fused folds the stencil and
-    // both vector updates into one pass, and the recurrence folds the
-    // preconditioner apply + scale_add into one precon-class pass
-    let fused_step = bytes.spmv + bytes.fused_update + bytes.precon;
-    match solver {
-        "jacobi" => bytes.spmv + bytes.vector,
-        "cg_f32" => 0.5 * cg,
-        // the f32 round trip keeps z materialized: conversion sweep,
-        // half-width preconditioner, separate r·z dot
-        "mixed_cg" => cg + bytes.vector + 0.5 * bytes.precon + bytes.dot,
-        "chebyshev" => sweep,
-        "mixed_chebyshev" => {
-            // one block of m fused f32 sweeps + the f64 residual control
-            m * 0.5 * fused_step + bytes.spmv + bytes.vector + bytes.dot
-        }
-        "ppcg" => ppcg_outer + m * fused_step,
-        "mixed_ppcg" => ppcg_outer + m * 0.5 * fused_step + bytes.vector,
-        // `cg`, the AMG baseline (its V-cycle is not a sweep this model
-        // prices) and unknown methods — a custom solver registered on
-        // top of the builtin set — all price as plain CG, so the tuner
-        // still has a finite ordering key
-        _ => cg,
-    }
+/// Where [`predict_width`] replays a measured trace, this prices one
+/// iteration from the kernel schedule alone, before anything runs: the
+/// tuner orders its candidate search by it, straight from each
+/// candidate's registry entry. The per-solver derivations (and why the
+/// PPCG family's price is deliberately depth-blind) sit next to the
+/// registry entries that declare them.
+pub fn iteration_bytes(cost: &IterationCost, inner_steps: usize, bytes: &KernelBytes) -> f64 {
+    cost.elements(inner_steps) as f64 * bytes.elem_bytes()
 }
 
-/// Element width in bytes of a named solver's *bulk* sweeps: 4 for the
-/// pure-f32 method and the mixed methods (whose traffic is dominated by
-/// the f32 inner leg), 8 for everything else. Feed this to
-/// [`predict_width`] / [`KernelBytes::for_width`] so reduced-precision
-/// candidates are priced at their true 4 B/element instead of the f64 8.
-pub fn solver_elem_bytes(solver: &str) -> f64 {
-    match solver {
-        "cg_f32" => 4.0,
-        s if s.starts_with("mixed_") => 4.0,
-        _ => 8.0,
-    }
+/// [`iteration_bytes`] for a solver named in the full registry
+/// (tea-core's builtins plus the AMG baseline), at `inner_steps` inner
+/// steps whatever count the entry declares — the name-keyed form the
+/// benchmark's attribution layer prices a finished solve with. A name
+/// the registry does not know (the `auto` pseudo-solver, a custom
+/// solver registered elsewhere) prices as `cg`.
+pub fn predicted_iteration_bytes(solver: &str, inner_steps: usize, bytes: &KernelBytes) -> f64 {
+    let registry = tea_amg::full_registry();
+    let meta = registry
+        .resolve(solver)
+        .or_else(|_| registry.resolve("cg"))
+        .expect("cg is a builtin solver");
+    iteration_bytes(&meta.iteration_cost, inner_steps, bytes)
 }
 
 /// BoomerAMG-realism constants for the baseline replay. Our in-repo
@@ -795,11 +750,50 @@ mod tests {
         assert_eq!(b32.dot, 8.0);
         assert_eq!(b32.precon, 16.0);
         assert_eq!(b32.fused_update, 12.0);
-        assert_eq!(solver_elem_bytes("cg_f32"), 4.0);
-        assert_eq!(solver_elem_bytes("mixed_ppcg"), 4.0);
-        assert_eq!(solver_elem_bytes("mixed_chebyshev"), 4.0);
-        assert_eq!(solver_elem_bytes("cg"), 8.0);
-        assert_eq!(solver_elem_bytes("ppcg"), 8.0);
+        // a solver's bulk width follows its registry precision
+        let registry = tea_amg::full_registry();
+        let width = |n: &str| {
+            registry
+                .resolve(n)
+                .expect("registered")
+                .precision
+                .elem_bytes()
+        };
+        assert_eq!(width("cg_f32"), 4.0);
+        assert_eq!(width("mixed_ppcg"), 4.0);
+        assert_eq!(width("mixed_chebyshev"), 4.0);
+        assert_eq!(width("cg"), 8.0);
+        assert_eq!(width("ppcg"), 8.0);
+    }
+
+    #[test]
+    fn every_prior_is_pinned() {
+        // (name, prior at 0 inner steps, prior at 16), bytes/cell at
+        // f64: a change to a declared cost, or to how one is priced,
+        // must show here
+        let pinned: [(&str, f64, f64); 10] = [
+            ("jacobi", 64.0, 64.0),
+            ("cg", 112.0, 112.0),
+            ("chebyshev", 144.0, 144.0),
+            ("ppcg", 256.0, 1696.0),
+            ("mixed_cg", 168.0, 168.0),
+            ("mixed_ppcg", 232.0, 952.0),
+            ("mixed_chebyshev", 128.0, 848.0),
+            ("cg_f32", 56.0, 56.0),
+            ("amg", 112.0, 112.0),
+            ("custom_registered_cg", 112.0, 112.0),
+        ];
+        let b = KernelBytes::default();
+        for (name, at0, at16) in pinned {
+            assert_eq!(predicted_iteration_bytes(name, 0, &b), at0, "{name}");
+            assert_eq!(predicted_iteration_bytes(name, 16, &b), at16, "{name}");
+        }
+        // every registered method is in the table
+        let names = tea_amg::full_registry().names();
+        assert!(
+            names.iter().all(|n| pinned.iter().any(|p| p.0 == *n)),
+            "{names:?}"
+        );
     }
 
     #[test]
@@ -888,7 +882,7 @@ mod tests {
         assert_eq!(block - 14.0, KernelBytes::ELEMS[3] + KernelBytes::ELEMS[2]);
         // mixed CG: + conversion sweeps, f32 preconditioner, r·z dot
         assert!(model("mixed_cg") > model("cg"));
-        // a method the table does not know prices as plain CG
+        // a name the registry does not know prices as plain CG
         assert_eq!(model("custom_registered_cg"), model("cg"));
     }
 

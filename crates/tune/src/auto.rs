@@ -12,8 +12,8 @@
 use crate::policy::TuneState;
 use std::any::Any;
 use tea_core::{
-    IterativeSolver, Precision, SolveContext, SolveOpts, SolveResult, SolveTrace, SolverMeta,
-    SolverParams, SolverRegistry, Workspace,
+    IterationCost, IterativeSolver, Precision, SolveContext, SolveOpts, SolveResult, SolveTrace,
+    SolverMeta, SolverParams, SolverRegistry, Workspace,
 };
 use tea_mesh::Field2D;
 
@@ -34,6 +34,8 @@ const AUTO_META: SolverMeta = SolverMeta {
     serial_only: true,
     precision: Precision::F64,
     tunable: false,
+    // never a candidate itself; it prices as plain `cg`
+    iteration_cost: IterationCost::flat(14),
 };
 
 /// Registers the `auto` pseudo-solver into `registry` (deck

@@ -273,7 +273,6 @@ mod tests {
         let c = Candidate {
             solver: "chebyshev".into(),
             halo_depth: 1,
-            inner_steps: 1,
             bytes_per_iteration: 144.0,
             needs_eigen_estimate: true,
         };

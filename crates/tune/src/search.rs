@@ -2,17 +2,18 @@
 //!
 //! The design space is exactly what the registry says it is: every
 //! `tunable` entry, expanded over the matrix-powers halo-depth axis for
-//! the deep-halo methods. Candidates are ordered by the `tea-perfmodel`
-//! bytes-per-iteration prior (cheapest first, so the cost cap prunes
-//! expensive candidates early), with ties broken by a seeded
-//! [`splitmix64`] hash of each candidate's label — the same
-//! deterministic-generator discipline as `tea-fault`'s `FaultPlan`, so
-//! the race never reads a clock, the same seed always explores in the
-//! same order, and the order of two tied candidates does not depend on
-//! which other solvers are registered.
+//! the deep-halo methods. Candidates are ordered by the
+//! bytes-per-iteration prior each entry declares (its
+//! [`tea_core::IterationCost`], priced by `tea-perfmodel`; cheapest
+//! first, so the cost cap prunes expensive candidates early), with ties
+//! broken by a seeded [`splitmix64`] hash of each candidate's label —
+//! the same deterministic-generator discipline as `tea-fault`'s
+//! `FaultPlan`, so the race never reads a clock, the same seed always
+//! explores in the same order, and the order of two tied candidates
+//! does not depend on which other solvers are registered.
 
-use tea_core::{PreconKind, SolverParams, SolverRegistry, CHECK_INTERVAL};
-use tea_perfmodel::{predicted_iteration_bytes, KernelBytes};
+use tea_core::{PreconKind, SolverParams, SolverRegistry};
+use tea_perfmodel::{iteration_bytes, KernelBytes};
 
 /// Halo depths tried for methods with `deep_halo` metadata (the paper's
 /// `PPCG-n` axis); everything else runs at the standard depth 1.
@@ -25,9 +26,8 @@ pub struct Candidate {
     pub solver: String,
     /// Matrix-powers halo depth (1 for non-deep-halo methods).
     pub halo_depth: usize,
-    /// Inner steps per outer iteration the bytes prior was priced at.
-    pub inner_steps: usize,
-    /// `tea-perfmodel` prior: bytes moved per counted iteration.
+    /// The registry entry's declared cost, priced by `tea-perfmodel`:
+    /// bytes moved per counted iteration.
     pub bytes_per_iteration: f64,
     /// Whether the method runs a CG-Lanczos eigen prelude (such
     /// candidates need `presteps + 2` iterations before a trial can
@@ -78,8 +78,8 @@ fn fnv1a(s: &str) -> u64 {
 /// Expands `registry`'s tunable entries into the ordered candidate
 /// list: tunable, non-serial metas × halo depths (depth 1 only under
 /// the block-Jacobi preconditioner), sorted by the
-/// bytes-per-iteration prior ascending with ties broken by
-/// `splitmix64(seed ^ fnv1a(label))`.
+/// bytes-per-iteration prior each meta declares, ascending, with ties
+/// broken by `splitmix64(seed ^ fnv1a(label))`.
 pub fn plan_candidates(
     registry: &SolverRegistry,
     params: &SolverParams,
@@ -99,21 +99,13 @@ pub fn plan_candidates(
         } else {
             &[1]
         };
-        // how many inner steps one counted iteration of the method
-        // performs, for the bytes prior: the PPCG family smooths
-        // `inner_steps` times per outer iteration, mixed Chebyshev
-        // runs one f32 block of `CHECK_INTERVAL` sweeps
-        let m = match meta.name {
-            "ppcg" | "mixed_ppcg" => params.inner_steps,
-            "mixed_chebyshev" => CHECK_INTERVAL as usize,
-            _ => 1,
-        };
+        let cost = meta.iteration_cost;
+        let bytes_per_iteration = iteration_bytes(&cost, cost.inner_steps.count(params), &bytes);
         for &depth in depths {
             out.push(Candidate {
                 solver: meta.name.to_string(),
                 halo_depth: depth,
-                inner_steps: m,
-                bytes_per_iteration: predicted_iteration_bytes(meta.name, m, &bytes),
+                bytes_per_iteration,
                 needs_eigen_estimate: meta.needs_eigen_estimate,
             });
         }
@@ -179,17 +171,59 @@ mod tests {
         // round-off limited at the tolerances auto is run at: registered,
         // but never raced
         assert!(!plan.iter().any(|c| c.solver == "cg_f32"), "{plan:#?}");
+
+        // the whole race order for seed 7, bit for bit: a change to a
+        // declared cost, or to how one is priced, must show here
+        let table = |p: &[Candidate]| -> Vec<(String, f64)> {
+            p.iter()
+                .map(|c| (c.label(), c.bytes_per_iteration))
+                .collect()
+        };
+        let pinned = |rows: &[(&str, f64)]| -> Vec<(String, f64)> {
+            rows.iter().map(|&(l, b)| (l.to_string(), b)).collect()
+        };
+        assert_eq!(
+            table(&plan),
+            pinned(&[
+                ("cg", 112.0),
+                ("chebyshev", 144.0),
+                ("mixed_cg", 168.0),
+                ("mixed_chebyshev", 560.0),
+                ("mixed_ppcg@d8", 952.0),
+                ("mixed_ppcg@d4", 952.0),
+                ("mixed_ppcg", 952.0),
+                ("ppcg", 1696.0),
+                ("ppcg@d8", 1696.0),
+                ("ppcg@d4", 1696.0),
+            ])
+        );
+        let strips = SolverParams {
+            precon: PreconKind::BlockJacobi,
+            ..SolverParams::default()
+        };
+        assert_eq!(
+            table(&plan_candidates(&reg, &strips, 7)),
+            pinned(&[
+                ("cg", 112.0),
+                ("chebyshev", 144.0),
+                ("mixed_cg", 168.0),
+                ("mixed_chebyshev", 560.0),
+                ("mixed_ppcg", 952.0),
+                ("ppcg", 1696.0),
+            ])
+        );
     }
 
     #[test]
     fn width_correct_prior_prices_cg_f32_at_half_cg() {
         // regression for the precision-blind byte accounting: cg_f32
         // must be priced at 4 B/element — exactly half of cg
-        let bytes = KernelBytes::default();
-        let prior = |n: &str| predicted_iteration_bytes(n, 1, &bytes);
+        let (reg, bytes) = (SolverRegistry::builtin(), KernelBytes::default());
+        let meta = |n: &str| *reg.resolve(n).expect("builtin");
+        let prior = |n: &str| iteration_bytes(&meta(n).iteration_cost, 1, &bytes);
         assert!((prior("cg_f32") - 0.5 * prior("cg")).abs() < 1e-12);
-        let w64 = tea_perfmodel::solver_elem_bytes("cg");
-        let w32 = tea_perfmodel::solver_elem_bytes("cg_f32");
+        let w64 = meta("cg").precision.elem_bytes();
+        let w32 = meta("cg_f32").precision.elem_bytes();
         assert_eq!(w32, 0.5 * w64);
 
         // and on a bandwidth-bound synthetic machine the half-width
@@ -282,7 +316,6 @@ mod tests {
         let c = Candidate {
             solver: "ppcg".into(),
             halo_depth: 8,
-            inner_steps: 16,
             bytes_per_iteration: 1.0,
             needs_eigen_estimate: true,
         };

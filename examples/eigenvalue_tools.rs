@@ -10,8 +10,8 @@ use tealeaf::mesh::{
     crooked_pipe, timestep_scalings, Coefficients, Decomposition2D, Field2D, Mesh2D,
 };
 use tealeaf::solvers::{
-    cg_iteration_bound, cg_solve_recording, estimate_from_cg, PreconKind, Preconditioner,
-    SolveOpts, Tile, TileBounds, TileOperator, Workspace,
+    cg_iteration_bound, cg_solve_recording, estimate_from_cg, kappa_pcg, PreconKind,
+    Preconditioner, SolveOpts, Tile, TileBounds, TileOperator, Workspace,
 };
 
 fn main() {
@@ -92,12 +92,8 @@ fn main() {
     let k_total = cg_iteration_bound(kappas[0], eps);
     println!("\nEq. 6 bound on CG iterations:        {k_total:.0}");
     for m in [4usize, 10, 16] {
-        // the m-step Chebyshev preconditioner reduces kappa to roughly
-        // ((1+c^m)/(1-c^m))^2 with c the per-step contraction
-        let kappa = kappas[0];
-        let c = ((kappa.sqrt() - 1.0) / (kappa.sqrt() + 1.0)).powi(m as i32);
-        let kappa_pcg = ((1.0 + c) / (1.0 - c)).powi(2);
-        let k_outer = cg_iteration_bound(kappa_pcg, eps);
+        // the m-step Chebyshev preconditioner reduces kappa (Eqs. 4-5)
+        let k_outer = cg_iteration_bound(kappa_pcg(kappas[0], m), eps);
         println!(
             "Eq. 7 bound on CPPCG outer iterations (m = {m:>2}): {k_outer:>6.0}  \
              (reduction ratio ≈ {:.1}x)",

@@ -5,7 +5,8 @@
 //! Run with: `cargo run --release --example scaling_study -- [cells] [steps]`
 
 use tealeaf::app::{crooked_pipe_deck, run_serial};
-use tealeaf::perfmodel::{piz_daint, solver_elem_bytes, titan, KernelBytes, ScalingSeries};
+use tealeaf::perfmodel::{piz_daint, titan, KernelBytes, ScalingSeries};
+use tealeaf::solvers::SolverRegistry;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -14,15 +15,24 @@ fn main() {
 
     println!("measuring solver protocols on a {cells}x{cells} crooked pipe ({steps} steps)...\n");
 
-    // measure real traces; each leg carries its element width so the
-    // replay prices f32/mixed protocols at 4 B/element, not 8
+    // measure real traces; each leg carries its element width (from
+    // its solver's registry precision) so the replay prices f32/mixed
+    // protocols at 4 B/element, not 8
+    let registry = SolverRegistry::builtin();
+    let width = |solver: &str| {
+        registry
+            .resolve(solver)
+            .expect("builtin")
+            .precision
+            .elem_bytes()
+    };
     let mut configs: Vec<(String, tealeaf::solvers::SolveTrace, f64)> = Vec::new();
     {
         let mut deck = crooked_pipe_deck(cells, "cg");
         deck.control.end_step = steps;
         deck.control.summary_frequency = 0;
         let out = run_serial(&deck).expect("deck runs");
-        configs.push(("CG - 1".into(), out.trace, solver_elem_bytes("cg")));
+        configs.push(("CG - 1".into(), out.trace, width("cg")));
     }
     for depth in [1usize, 4, 16] {
         let mut deck = crooked_pipe_deck(cells, "ppcg");
@@ -30,22 +40,14 @@ fn main() {
         deck.control.ppcg_halo_depth = depth;
         deck.control.summary_frequency = 0;
         let out = run_serial(&deck).expect("deck runs");
-        configs.push((
-            format!("PPCG - {depth}"),
-            out.trace,
-            solver_elem_bytes("ppcg"),
-        ));
+        configs.push((format!("PPCG - {depth}"), out.trace, width("ppcg")));
     }
     {
         let mut deck = crooked_pipe_deck(cells, "mixed_ppcg");
         deck.control.end_step = steps;
         deck.control.summary_frequency = 0;
         let out = run_serial(&deck).expect("deck runs");
-        configs.push((
-            "mPPCG f32".into(),
-            out.trace,
-            solver_elem_bytes("mixed_ppcg"),
-        ));
+        configs.push(("mPPCG f32".into(), out.trace, width("mixed_ppcg")));
     }
 
     let global = (cells, cells);
