@@ -584,6 +584,7 @@ fn main() -> ExitCode {
         tea_core::num_threads(),
         tea_core::par_threshold()
     );
+    println!("  kernels          {}", tea_core::kernel_isa());
     if let Some(warning) = tea_core::thread_warning() {
         println!("  warning          {warning}");
     }

@@ -169,6 +169,12 @@ impl Control {
                 self.ppcg_inner_steps
             ));
         }
+        // the eigen prelude estimates the spectrum from the presteps' CG
+        // coefficients, so it runs at least one: a 0 here would run one
+        // while the deck echo printed 0
+        if self.presteps == 0 {
+            return Err("tl_ch_cg_presteps must be at least 1, got 0".to_string());
+        }
         // the fields carry the halo on every side: a depth beyond the
         // mesh buys no sweep and is bounded here, before the allocator
         let (depth, deepest) = (self.ppcg_halo_depth, problem.x_cells.min(problem.y_cells));
@@ -534,6 +540,18 @@ tl_coefficient=1
         assert_eq!(deck.control.opts.eps, 1e-9);
         assert_eq!(deck.control.opts.max_iters, 5000);
         assert_eq!(deck.control.steps(), 10);
+    }
+
+    #[test]
+    fn zero_presteps_parse_but_fail_the_check() {
+        let text = SAMPLE.replace("tl_eps=1e-9", "tl_eps=1e-9\ntl_ch_cg_presteps=0");
+        let deck = parse_deck(&text).expect("a count of 0 parses");
+        assert_eq!(deck.control.presteps, 0);
+        let e = deck.control.check(&deck.problem, "ppcg").unwrap_err();
+        assert_eq!(e, "tl_ch_cg_presteps must be at least 1, got 0");
+        let one = parse_deck(&SAMPLE.replace("tl_eps=1e-9", "tl_eps=1e-9\ntl_ch_cg_presteps=1"))
+            .expect("parses");
+        assert_eq!(one.control.check(&one.problem, "ppcg"), Ok(()));
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //!
 //! | rule | scope | contract |
 //! |---|---|---|
-//! | `crate_hygiene` | every member crate's `lib.rs` | must carry `#![forbid(unsafe_code)]` and `#![deny(missing_docs)]` |
+//! | `crate_hygiene` | every member crate's `lib.rs` | must carry `#![deny(missing_docs)]` and `#![forbid(unsafe_code)]` — or, for a crate in the unsafe budget (`UNSAFE_BUDGET`), `#![deny(unsafe_code)]`; `deny(unsafe_code)` anywhere else is flagged |
+//! | `crate_hygiene` | everywhere | an `unsafe` token only in the budgeted file, at most its budgeted count, each under a `// SAFETY:` comment |
 //! | `pragma` | everywhere | `audit:allow` pragmas must name a known rule and carry a reason |
 //! | `todo_marker` | everywhere (advisory) | surfaces to-do/fix-me markers left in comments; they fail only under `--deny-all` |
 //! | `dead_pub` | `crates/*/src` and `src/`, tests exempt (advisory) | every `pub` `fn`/`struct`/`enum`/`trait`/`const`/`static`/`type` is named by some *other* file of the workspace or `benchmark/src`: a capability without a caller is deleted or made private — the pragma names the test or document that reads it |
@@ -366,6 +367,7 @@ pub fn scan_file(rel_path: &str, source: &str) -> Vec<Finding> {
             ));
         }
     }
+    findings.extend(check_unsafe_budget(rel_path, &text));
     let suppressed = suppressed_lines(&text.code, &pragmas);
     for (i, comment) in text.comments.iter().enumerate() {
         let allowed = suppressed
@@ -386,8 +388,18 @@ pub fn scan_file(rel_path: &str, source: &str) -> Vec<Finding> {
     findings
 }
 
-/// The `crate_hygiene` rule: every member crate's `lib.rs` must forbid
-/// `unsafe` and deny missing docs at the crate root.
+/// The workspace's `unsafe` budget, one row per crate allowed any:
+/// `(crate directory, the one file that may hold it, unsafe tokens)`.
+/// tea-core's run-time ISA dispatch calls its AVX2 kernel copies from
+/// code compiled without AVX2, which only an `unsafe` block can do; its
+/// root carries `#![deny(unsafe_code)]` so that one site can `#[expect]`
+/// the lint. Every other crate keeps `#![forbid(unsafe_code)]`.
+const UNSAFE_BUDGET: &[(&str, &str, usize)] = &[("crates/core", "crates/core/src/isa.rs", 1)];
+
+/// The `crate_hygiene` rule at a crate root: every member crate's
+/// `lib.rs` must deny missing docs and forbid `unsafe` — or, for a crate
+/// in `UNSAFE_BUDGET`, deny it — and a crate outside the budget may
+/// not weaken `forbid` to `deny`.
 pub fn check_crate_hygiene(rel_path: &str, lib_rs: &str) -> Vec<Finding> {
     let text = split_source(lib_rs);
     let has = |attr: &str| {
@@ -395,7 +407,14 @@ pub fn check_crate_hygiene(rel_path: &str, lib_rs: &str) -> Vec<Finding> {
             .iter()
             .any(|l| l.split_whitespace().collect::<String>().contains(attr))
     };
-    ["#![forbid(unsafe_code)]", "#![deny(missing_docs)]"]
+    let crate_dir = rel_path.strip_suffix("/src/lib.rs").unwrap_or("");
+    let budgeted = UNSAFE_BUDGET.iter().any(|&(dir, ..)| dir == crate_dir);
+    let unsafe_attr = if budgeted {
+        "#![deny(unsafe_code)]"
+    } else {
+        "#![forbid(unsafe_code)]"
+    };
+    let mut findings: Vec<Finding> = [unsafe_attr, "#![deny(missing_docs)]"]
         .into_iter()
         .filter(|attr| !has(attr))
         .map(|attr| {
@@ -406,7 +425,87 @@ pub fn check_crate_hygiene(rel_path: &str, lib_rs: &str) -> Vec<Finding> {
                 format!("crate root must carry {attr}"),
             )
         })
-        .collect()
+        .collect();
+    if !budgeted && has("#![deny(unsafe_code)]") {
+        findings.push(Finding::deny(
+            "crate_hygiene",
+            rel_path,
+            1,
+            "crate root denies unsafe_code but is not in the unsafe budget (tea-audit's \
+             UNSAFE_BUDGET) — forbid it, or budget the crate, its file and its count",
+        ));
+    }
+    findings
+}
+
+/// Lines (0-based) of `code` holding an `unsafe` token, once per token.
+fn unsafe_tokens(code: &[String]) -> Vec<usize> {
+    let mut lines = Vec::new();
+    for (i, line) in code.iter().enumerate() {
+        let words = line.split(|c: char| !(c.is_alphanumeric() || c == '_'));
+        lines.extend(words.filter(|w| *w == "unsafe").map(|_| i));
+    }
+    lines
+}
+
+/// Whether the comment on line `line`, or the comment block directly
+/// above it, opens with a `SAFETY:` justification.
+fn has_safety_comment(text: &SourceText, line: usize) -> bool {
+    let safety = |l: usize| text.comments[l].trim_start().starts_with("SAFETY:");
+    if safety(line) {
+        return true;
+    }
+    let mut l = line;
+    while l > 0 && text.code[l - 1].trim().is_empty() && !text.comments[l - 1].is_empty() {
+        l -= 1;
+        if safety(l) {
+            return true;
+        }
+    }
+    false
+}
+
+/// The `crate_hygiene` rule per file: an `unsafe` token is flagged
+/// outside the file `UNSAFE_BUDGET` names, past the budgeted count
+/// inside it, and wherever no `// SAFETY:` comment precedes it.
+fn check_unsafe_budget(rel_path: &str, text: &SourceText) -> Vec<Finding> {
+    let tokens = unsafe_tokens(&text.code);
+    let Some(&(_, _, budget)) = UNSAFE_BUDGET.iter().find(|&&(_, file, _)| file == rel_path) else {
+        return tokens
+            .into_iter()
+            .map(|line| {
+                Finding::deny(
+                    "crate_hygiene",
+                    rel_path,
+                    line + 1,
+                    "`unsafe` outside the unsafe budget (tea-audit's UNSAFE_BUDGET)",
+                )
+            })
+            .collect();
+    };
+    let mut findings = Vec::new();
+    if tokens.len() > budget {
+        findings.push(Finding::deny(
+            "crate_hygiene",
+            rel_path,
+            tokens[budget] + 1,
+            format!(
+                "{} `unsafe` tokens where the unsafe budget allows {budget}",
+                tokens.len()
+            ),
+        ));
+    }
+    for line in tokens {
+        if !has_safety_comment(text, line) {
+            findings.push(Finding::deny(
+                "crate_hygiene",
+                rel_path,
+                line + 1,
+                "budgeted `unsafe` without a `// SAFETY:` comment before it",
+            ));
+        }
+    }
+    findings
 }
 
 /// The umbrella `tealeaf` package's workspace-root trees, each with
@@ -663,6 +762,61 @@ fn f() -> String {
             "//! docs\n#![deny(missing_docs)]\n#![forbid(unsafe_code)]\n",
         );
         assert!(clean.is_empty());
+    }
+
+    #[test]
+    fn budgeted_crate_root_denies_unsafe_code() {
+        let root = "//! docs\n#![deny(missing_docs)]\n#![deny(unsafe_code)]\n";
+        assert!(check_crate_hygiene("crates/core/src/lib.rs", root).is_empty());
+        let forbid = "//! docs\n#![deny(missing_docs)]\n#![forbid(unsafe_code)]\n";
+        let findings = check_crate_hygiene("crates/core/src/lib.rs", forbid);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].message.contains("deny(unsafe_code)"));
+    }
+
+    #[test]
+    fn deny_unsafe_code_outside_the_budget_is_flagged() {
+        let root = "//! docs\n#![deny(missing_docs)]\n#![deny(unsafe_code)]\n";
+        let findings = check_crate_hygiene("crates/mesh/src/lib.rs", root);
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        assert!(findings
+            .iter()
+            .any(|f| f.message.contains("not in the unsafe budget")));
+    }
+
+    #[test]
+    fn unsafe_outside_the_budgeted_file_is_flagged() {
+        let src = "fn f(p: *const u8) -> u8 {\n    // SAFETY: p is valid\n    unsafe { *p }\n}\n";
+        let findings = scan_file("crates/core/src/vector.rs", src);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!((findings[0].rule, findings[0].line), ("crate_hygiene", 3));
+        assert!(!findings[0].advisory);
+        // the lint name, comments and strings are not the token
+        let quiet = "#![deny(unsafe_code)]\n// unsafe\nconst S: &str = \"unsafe\";\n";
+        assert!(scan_file("crates/mesh/src/x.rs", quiet).is_empty());
+    }
+
+    #[test]
+    fn unsafe_past_the_budgeted_count_is_flagged() {
+        let one = "fn f() {\n    // SAFETY: detected\n    unsafe { g() }\n}\n";
+        assert!(scan_file("crates/core/src/isa.rs", one).is_empty());
+        let two = format!("{one}fn h() {{\n    // SAFETY: detected\n    unsafe {{ g() }}\n}}\n");
+        let findings = scan_file("crates/core/src/isa.rs", &two);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].line, 7);
+        assert!(findings[0].message.contains("allows 1"));
+    }
+
+    #[test]
+    fn budgeted_unsafe_needs_a_safety_comment() {
+        let bare = "fn f() {\n    // detected above\n    unsafe { g() }\n}\n";
+        let findings = scan_file("crates/core/src/isa.rs", bare);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].message.contains("SAFETY"));
+        // the justification may run over several comment lines
+        let block =
+            "fn f() {\n    // SAFETY: the detection\n    // said so\n    unsafe { g() }\n}\n";
+        assert!(scan_file("crates/core/src/isa.rs", block).is_empty());
     }
 
     #[test]

@@ -19,13 +19,15 @@
 //! flat [`SolverParams`] set — the only way to build a solver — and the
 //! [`Solve`] builder is the one-expression way in.
 //!
-//! There is one kernel path: every precision and thread count runs the
+//! There is one kernel source: every precision and thread count runs the
 //! same row bodies ([`vector::lanes`] — explicit-width elementwise
-//! sweeps, safe `chunks_exact` code only). Contract: elementwise kernels
-//! are bit-identical to element-at-a-time loops, and every reduction
-//! (dots, `p·w`, CG's fused `r·z`) has one fixed shape — 16 lane
-//! accumulators per row, a fixed pairwise tree, remainder last, rows in
-//! row order — that depends only on the sweep bounds, so results are
+//! sweeps, safe `chunks_exact` code only), compiled twice — for the
+//! build's target and for AVX2 — with the copy picked at run time
+//! ([`kernel_isa`] names it) and bit-identical either way. Contract:
+//! elementwise kernels are bit-identical to element-at-a-time loops, and
+//! every reduction (dots, `p·w`, CG's fused `r·z`) has one fixed shape —
+//! 16 lane accumulators per row, a fixed pairwise tree, remainder last,
+//! rows in row order — that depends only on the sweep bounds, so results are
 //! bit-identical for any thread count, chunking and parallel threshold.
 //! Bits differ from pre-PR-12 runs (serial add chain) by design.
 //!
@@ -45,7 +47,7 @@
 //! ```
 
 #![deny(missing_docs)]
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod api;
 pub mod builder;
@@ -53,6 +55,7 @@ pub mod cg;
 pub mod chebyshev;
 pub mod control;
 pub mod eigen;
+mod isa;
 pub mod jacobi;
 pub mod mixed;
 pub mod ops;
@@ -78,6 +81,7 @@ pub use control::{Probed, SolveControls, SolveProbe, StopHandle};
 pub use eigen::{
     estimate_from_cg, lanczos_tridiagonal, sturm_count, tridiag_all_eigenvalues, EigenEstimate,
 };
+pub use isa::kernel_isa;
 pub use mixed::solver_for_precision;
 pub use ops::{TileBounds, TileOperator};
 pub use precon::{BlockJacobi, PreconKind, Preconditioner};

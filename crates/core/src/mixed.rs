@@ -230,9 +230,7 @@ impl<S: Probed> Low<S> {
         let norm = norm.filter(|_| !census::WITHHOLD.get());
         let delta = norm.map_or(0.0, |n| PEDESTAL * n);
         trace.vector_ops.record(0);
-        for (d, &s) in rr.raw_mut().iter_mut().zip(r.raw()) {
-            *d = S::from_f64(s + delta);
-        }
+        demote(rr.raw_mut(), r.raw(), delta);
         match (inner, rest) {
             (Inner::Precon, _) => precon.apply(rr, lz, &op.bounds, 0, trace),
             (Inner::Chebyshev(smoothing), [sd, tmp]) => {
@@ -247,10 +245,7 @@ impl<S: Probed> Low<S> {
         // the constant by a factor near one, never by four
         let cut = 4.0 * delta;
         assert_eq!(z.raw().len(), lz.raw().len(), "z is shaped like r");
-        for (d, &s) in z.raw_mut().iter_mut().zip(lz.raw()) {
-            let v = s.to_f64();
-            *d = if v.abs() <= cut { 0.0 } else { v };
-        }
+        promote(z.raw_mut(), lz.raw(), cut);
         #[cfg(test)]
         census::record(&self.fields);
     }
@@ -296,6 +291,28 @@ impl<S: Probed> Low<S> {
             k.u.convert_into(u);
         }
         result
+    }
+}
+
+// The demote and promote sweeps of [`Low::apply`], each compiled twice
+// (`crate::isa`).
+crate::isa::twins! {
+    mod convert;
+
+    /// `dst = S(src + delta)` element by element.
+    pub(crate) fn demote<S: Probed>(dst: &mut [S], src: &[f64], delta: f64) {
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d = S::from_f64(s + delta);
+        }
+    }
+
+    /// `dst = f64(src)`, with every value of magnitude at most `cut`
+    /// written as zero.
+    pub(crate) fn promote<S: Probed>(dst: &mut [f64], src: &[S], cut: f64) {
+        for (d, &s) in dst.iter_mut().zip(src) {
+            let v = s.to_f64();
+            *d = if v.abs() <= cut { 0.0 } else { v };
+        }
     }
 }
 

@@ -154,7 +154,7 @@ impl<S: Scalar> TileOperator<S> {
     /// `ext + 1` and field halos of at least `ext + 1`.
     pub fn apply(&self, p: &Field2<S>, w: &mut Field2<S>, ext: usize, trace: &mut SolveTrace) {
         trace.spmv.record(ext);
-        self.apply_inner(p, w, ext);
+        apply_rows(self, p, w, ext);
     }
 
     /// Fused `w = A·p; return local p·w` over the tile interior — the
@@ -162,7 +162,7 @@ impl<S: Scalar> TileOperator<S> {
     /// responsible for the global reduction.
     pub fn apply_fused_dot(&self, p: &Field2<S>, w: &mut Field2<S>, trace: &mut SolveTrace) -> S {
         trace.spmv.record(0);
-        self.apply_inner(p, w, 0)
+        apply_rows(self, p, w, 0)
     }
 
     /// Writes the operator diagonal
@@ -214,22 +214,7 @@ impl<S: Scalar> TileOperator<S> {
         trace: &mut SolveTrace,
     ) {
         trace.spmv.record(ext);
-        let (x_lo, x_hi, _, _) = self.bounds.range(ext);
-        let n = (x_hi - x_lo) as usize;
-        let kx = &self.coeffs.kx;
-        let ky = &self.coeffs.ky;
-        crate::vector::for_rows(r, &self.bounds, ext, |k, rr| {
-            let pc = u.row(k, x_lo - 1, x_hi + 1);
-            let ps = u.row(k - 1, x_lo, x_hi);
-            let pn = u.row(k + 1, x_lo, x_hi);
-            let br = b.row(k, x_lo, x_hi);
-            let kxr = kx.row(k, x_lo, x_hi + 1);
-            let kyc = ky.row(k, x_lo, x_hi);
-            let kyn = ky.row(k + 1, x_lo, x_hi);
-            for i in 0..n {
-                rr[i] = br[i] - stencil5(kxr, kyc, kyn, pc, ps, pn, i);
-            }
-        });
+        residual_rows(self, u, b, r, ext);
     }
 
     /// One weighted-Jacobi sweep as one pass over the tile interior:
@@ -253,34 +238,7 @@ impl<S: Scalar> TileOperator<S> {
         w: &Field2<S>,
         out: &mut Field2<S>,
     ) {
-        let (x_lo, x_hi, _, _) = self.bounds.range(0);
-        let n = (x_hi - x_lo) as usize;
-        let kx = &self.coeffs.kx;
-        let ky = &self.coeffs.ky;
-        crate::vector::for_rows(out, &self.bounds, 0, |k, or| {
-            let br = b.row(k, x_lo, x_hi);
-            let wr = w.row(k, x_lo, x_hi);
-            // one plain loop per start, so each vectorizes
-            match x {
-                None => {
-                    for i in 0..n {
-                        or[i] = S::ZERO + wr[i] * br[i];
-                    }
-                }
-                Some(x) => {
-                    let pc = x.row(k, x_lo - 1, x_hi + 1);
-                    let ps = x.row(k - 1, x_lo, x_hi);
-                    let pn = x.row(k + 1, x_lo, x_hi);
-                    let kxr = kx.row(k, x_lo, x_hi + 1);
-                    let kyc = ky.row(k, x_lo, x_hi);
-                    let kyn = ky.row(k + 1, x_lo, x_hi);
-                    for i in 0..n {
-                        or[i] =
-                            pc[i + 1] + wr[i] * (br[i] - stencil5(kxr, kyc, kyn, pc, ps, pn, i));
-                    }
-                }
-            }
-        });
+        jacobi_rows(self, x, b, w, out);
     }
 
     /// Fused Chebyshev inner step, first pass: per cell computes
@@ -308,78 +266,25 @@ impl<S: Scalar> TileOperator<S> {
     ) {
         trace.spmv.record(ext);
         trace.fused_updates.record(ext);
-        self.cheb_fused_rows(sd, z, rr, ext, Rows::All, false, None);
+        cheb_fused_rows(self, sd, z, rr, ext, Rows::All, false, None);
     }
+}
 
-    /// [`TileOperator::apply_cheb_fused`] over `rows` of the sweep,
-    /// untraced — the lead sweep of one level of a
-    /// [`crate::vector::for_rows_block`] pass. `fresh` marks a
-    /// smoothing's first step, which absorbs the sweeps that used to
-    /// prepare its operands and rounds exactly like them: `z = 0 + sd`
-    /// for `z`'s zero fill (the add stays, so a `-0.0` direction still
-    /// leaves `+0.0`) and, given the outer residual `r`, `rr = r - A·sd`
-    /// for its copy into `rr`.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "one row-blocked sweep reads three fields and its row range; bundling them would hide which fields a block pass streams"
-    )]
-    pub(crate) fn cheb_fused_rows(
-        &self,
-        sd: &Field2<S>,
-        z: &mut Field2<S>,
-        rr: &mut Field2<S>,
-        ext: usize,
-        rows: Rows,
-        fresh: bool,
-        r: Option<&Field2<S>>,
-    ) {
-        let (x_lo, x_hi, _, _) = self.bounds.range(ext);
-        let n = (x_hi - x_lo) as usize;
-        let kx = &self.coeffs.kx;
-        let ky = &self.coeffs.ky;
-        debug_assert!(
-            sd.halo() as isize > ext as isize,
-            "sd halo too shallow for extension {ext}"
-        );
-        crate::vector::for_rows2(z, rr, &self.bounds, ext, rows, |k, zr, rrow| {
-            let pc = sd.row(k, x_lo - 1, x_hi + 1);
-            let ps = sd.row(k - 1, x_lo, x_hi);
-            let pn = sd.row(k + 1, x_lo, x_hi);
-            let kxr = kx.row(k, x_lo, x_hi + 1);
-            let kyc = ky.row(k, x_lo, x_hi);
-            let kyn = ky.row(k + 1, x_lo, x_hi);
-            let v = |i| stencil5(kxr, kyc, kyn, pc, ps, pn, i);
-            // one plain loop per start, so each vectorizes
-            match (fresh, r.map(|r| r.row(k, x_lo, x_hi))) {
-                (false, _) => {
-                    for i in 0..n {
-                        let v = v(i);
-                        zr[i] += pc[i + 1];
-                        rrow[i] -= v;
-                    }
-                }
-                (true, None) => {
-                    for i in 0..n {
-                        zr[i] = S::ZERO + pc[i + 1];
-                        rrow[i] -= v(i);
-                    }
-                }
-                (true, Some(r)) => {
-                    for i in 0..n {
-                        zr[i] = S::ZERO + pc[i + 1];
-                        rrow[i] = r[i] - v(i);
-                    }
-                }
-            }
-        });
-    }
+// The operator's row sweeps, each compiled twice (`crate::isa`).
+crate::isa::twins! {
+    mod rows;
 
     /// `w = A·p` over extension `ext`, returning the local `p·w`.
-    fn apply_inner(&self, p: &Field2<S>, w: &mut Field2<S>, ext: usize) -> S {
-        let (x_lo, x_hi, _, _) = self.bounds.range(ext);
+    fn apply_rows<S: Scalar>(
+        op: &TileOperator<S>,
+        p: &Field2<S>,
+        w: &mut Field2<S>,
+        ext: usize,
+    ) -> S {
+        let (x_lo, x_hi, _, _) = op.bounds.range(ext);
         let n = (x_hi - x_lo) as usize;
-        let kx = &self.coeffs.kx;
-        let ky = &self.coeffs.ky;
+        let kx = &op.coeffs.kx;
+        let ky = &op.coeffs.ky;
         debug_assert!(
             p.halo() as isize > ext as isize,
             "p halo too shallow for extension {ext}"
@@ -418,7 +323,134 @@ impl<S: Scalar> TileOperator<S> {
                 }),
             )
         };
-        crate::vector::for_rows_sum(w, &self.bounds, ext, row_body)
+        crate::vector::for_rows_sum(w, &op.bounds, ext, row_body)
+    }
+
+    /// The rows of [`TileOperator::residual`].
+    fn residual_rows<S: Scalar>(
+        op: &TileOperator<S>,
+        u: &Field2<S>,
+        b: &Field2<S>,
+        r: &mut Field2<S>,
+        ext: usize,
+    ) {
+        let (x_lo, x_hi, _, _) = op.bounds.range(ext);
+        let n = (x_hi - x_lo) as usize;
+        let kx = &op.coeffs.kx;
+        let ky = &op.coeffs.ky;
+        crate::vector::for_rows(r, &op.bounds, ext, |k, rr| {
+            let pc = u.row(k, x_lo - 1, x_hi + 1);
+            let ps = u.row(k - 1, x_lo, x_hi);
+            let pn = u.row(k + 1, x_lo, x_hi);
+            let br = b.row(k, x_lo, x_hi);
+            let kxr = kx.row(k, x_lo, x_hi + 1);
+            let kyc = ky.row(k, x_lo, x_hi);
+            let kyn = ky.row(k + 1, x_lo, x_hi);
+            for i in 0..n {
+                rr[i] = br[i] - stencil5(kxr, kyc, kyn, pc, ps, pn, i);
+            }
+        });
+    }
+
+    /// The rows of [`TileOperator::jacobi_sweep`].
+    fn jacobi_rows<S: Scalar>(
+        op: &TileOperator<S>,
+        x: Option<&Field2<S>>,
+        b: &Field2<S>,
+        w: &Field2<S>,
+        out: &mut Field2<S>,
+    ) {
+        let (x_lo, x_hi, _, _) = op.bounds.range(0);
+        let n = (x_hi - x_lo) as usize;
+        let kx = &op.coeffs.kx;
+        let ky = &op.coeffs.ky;
+        crate::vector::for_rows(out, &op.bounds, 0, |k, or| {
+            let br = b.row(k, x_lo, x_hi);
+            let wr = w.row(k, x_lo, x_hi);
+            // one plain loop per start, so each vectorizes
+            match x {
+                None => {
+                    for i in 0..n {
+                        or[i] = S::ZERO + wr[i] * br[i];
+                    }
+                }
+                Some(x) => {
+                    let pc = x.row(k, x_lo - 1, x_hi + 1);
+                    let ps = x.row(k - 1, x_lo, x_hi);
+                    let pn = x.row(k + 1, x_lo, x_hi);
+                    let kxr = kx.row(k, x_lo, x_hi + 1);
+                    let kyc = ky.row(k, x_lo, x_hi);
+                    let kyn = ky.row(k + 1, x_lo, x_hi);
+                    for i in 0..n {
+                        or[i] =
+                            pc[i + 1] + wr[i] * (br[i] - stencil5(kxr, kyc, kyn, pc, ps, pn, i));
+                    }
+                }
+            }
+        });
+    }
+
+    /// [`TileOperator::apply_cheb_fused`] over `rows` of the sweep,
+    /// untraced — the lead sweep of one level of a
+    /// [`crate::vector::for_rows_block`] pass. `fresh` marks a
+    /// smoothing's first step, which absorbs the sweeps that used to
+    /// prepare its operands and rounds exactly like them: `z = 0 + sd`
+    /// for `z`'s zero fill (the add stays, so a `-0.0` direction still
+    /// leaves `+0.0`) and, given the outer residual `r`, `rr = r - A·sd`
+    /// for its copy into `rr`.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one row-blocked sweep reads three fields and its row range; bundling them would hide which fields a block pass streams"
+    )]
+    pub(crate) fn cheb_fused_rows<S: Scalar>(
+        op: &TileOperator<S>,
+        sd: &Field2<S>,
+        z: &mut Field2<S>,
+        rr: &mut Field2<S>,
+        ext: usize,
+        rows: Rows,
+        fresh: bool,
+        r: Option<&Field2<S>>,
+    ) {
+        let (x_lo, x_hi, _, _) = op.bounds.range(ext);
+        let n = (x_hi - x_lo) as usize;
+        let kx = &op.coeffs.kx;
+        let ky = &op.coeffs.ky;
+        debug_assert!(
+            sd.halo() as isize > ext as isize,
+            "sd halo too shallow for extension {ext}"
+        );
+        crate::vector::for_rows2(z, rr, &op.bounds, ext, rows, |k, zr, rrow| {
+            let pc = sd.row(k, x_lo - 1, x_hi + 1);
+            let ps = sd.row(k - 1, x_lo, x_hi);
+            let pn = sd.row(k + 1, x_lo, x_hi);
+            let kxr = kx.row(k, x_lo, x_hi + 1);
+            let kyc = ky.row(k, x_lo, x_hi);
+            let kyn = ky.row(k + 1, x_lo, x_hi);
+            let v = |i| stencil5(kxr, kyc, kyn, pc, ps, pn, i);
+            // one plain loop per start, so each vectorizes
+            match (fresh, r.map(|r| r.row(k, x_lo, x_hi))) {
+                (false, _) => {
+                    for i in 0..n {
+                        let v = v(i);
+                        zr[i] += pc[i + 1];
+                        rrow[i] -= v;
+                    }
+                }
+                (true, None) => {
+                    for i in 0..n {
+                        zr[i] = S::ZERO + pc[i + 1];
+                        rrow[i] -= v(i);
+                    }
+                }
+                (true, Some(r)) => {
+                    for i in 0..n {
+                        zr[i] = S::ZERO + pc[i + 1];
+                        rrow[i] = r[i] - v(i);
+                    }
+                }
+            }
+        });
     }
 }
 

@@ -218,13 +218,36 @@ impl Smoothing {
         precon: &Preconditioner<S>,
         f: &mut Smooth<'_, S>,
         r: Option<&Field2<S>>,
-        (first, exts): (usize, &[usize]),
+        block: (usize, &[usize]),
         trace: &mut SolveTrace,
     ) {
+        block_pass(self, op, precon, f, r, block, trace);
+    }
+}
+
+// The block pass, compiled twice (`crate::isa`): each copy runs the
+// stencil and recurrence rows of its own width.
+crate::isa::twins! {
+    mod block(
+        crate::ops::rows { cheb_fused_rows },
+        crate::precon::rows { combine_rows },
+    );
+
+    /// The body of [`Smoothing::run_block`].
+    fn block_pass<S: Scalar>(
+        smoothing: &Smoothing,
+        op: &TileOperator<S>,
+        precon: &Preconditioner<S>,
+        f: &mut Smooth<'_, S>,
+        r: Option<&Field2<S>>,
+        block: (usize, &[usize]),
+        trace: &mut SolveTrace,
+    ) {
+        let (first, exts) = block;
         let bounds = &op.bounds;
         for (j, &e) in (first..).zip(exts) {
             if j == 0 {
-                trace.vector_ops.record(self.depth);
+                trace.vector_ops.record(smoothing.depth);
                 if precon.supports_extension() {
                     trace.vector_ops.record(e);
                 }
@@ -237,23 +260,23 @@ impl Smoothing {
             }
             trace.vector_ops.record(e);
         }
-        let inv_theta = S::from_f64(1.0 / self.theta);
+        let inv_theta = S::from_f64(1.0 / smoothing.theta);
         vector::for_rows_block(bounds, exts, |l, lag, rows| {
             let (j, e) = (first + l, exts[l]);
             match (j, lag) {
                 (0, false) => {} // the prelude has no stencil
                 (0, true) => {
                     let g = move |_, m| m * inv_theta;
-                    precon.combine_rows(f.sd, r.unwrap_or(f.rr), f.tmp, bounds, e, rows, g);
+                    combine_rows(precon, f.sd, r.unwrap_or(f.rr), f.tmp, bounds, e, rows, g);
                 }
                 (_, false) => {
                     let r = r.filter(|_| j == 1);
-                    op.cheb_fused_rows(f.sd, f.z, f.rr, e, rows, j == 1, r);
+                    cheb_fused_rows(op, f.sd, f.z, f.rr, e, rows, j == 1, r);
                 }
                 (_, true) => {
-                    let (a, b) = self.cheb[j - 1];
+                    let (a, b) = smoothing.cheb[j - 1];
                     let (a, b) = (S::from_f64(a), S::from_f64(b));
-                    precon.combine_rows(f.sd, f.rr, f.tmp, bounds, e, rows, move |y, m| {
+                    combine_rows(precon, f.sd, f.rr, f.tmp, bounds, e, rows, move |y, m| {
                         a * y + b * m
                     });
                 }

@@ -162,47 +162,6 @@ impl<S: Scalar> Preconditioner<S> {
         }
     }
 
-    /// `sd = g(sd, M⁻¹rr)` over `rows` of the sweep in one pass, untraced
-    /// — with `g = a·sd + b·m` the Chebyshev `sd` recurrence, the
-    /// row-local lag sweep of one level of a [`vector::for_rows_block`]
-    /// pass. Identity drops the intermediate copy (`M⁻¹rr = rr`),
-    /// Diagonal fuses the reciprocal-diagonal product in, and
-    /// block-Jacobi solves each row's strips into `tmp` (which the
-    /// others leave untouched) just before `g` reads them. All round
-    /// exactly like [`Preconditioner::apply`] into `tmp` followed by an
-    /// elementwise `g`.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "the lag sweep of one block level: three fields, the sweep extent, its rows and the recurrence closure"
-    )]
-    pub(crate) fn combine_rows(
-        &self,
-        sd: &mut Field2<S>,
-        rr: &Field2<S>,
-        tmp: &mut Field2<S>,
-        bounds: &TileBounds,
-        ext: usize,
-        rows: Rows,
-        g: impl Fn(S, S) -> S + Sync + Copy,
-    ) {
-        let (x_lo, x_hi, _, _) = bounds.range(ext);
-        vector::for_rows2(sd, tmp, bounds, ext, rows, |k, sdr, tr| {
-            let rrow = rr.row(k, x_lo, x_hi);
-            match self {
-                Preconditioner::Identity => lanes::zip_row(sdr, rrow, g),
-                Preconditioner::Diagonal { inv_diag } => {
-                    let d = inv_diag.row(k, x_lo, x_hi);
-                    lanes::zip2_row(sdr, rrow, d, move |y, r, d| g(y, r * d));
-                }
-                Preconditioner::BlockJacobi(bj) => {
-                    debug_assert_eq!(ext, 0, "block-Jacobi strips span the interior only");
-                    bj.solve_row(k, rrow, tr);
-                    lanes::zip_row(sdr, tr, g);
-                }
-            }
-        });
-    }
-
     /// CG's fused step over the tile interior: `u += αp`, `r −= α·wz`,
     /// then the local `r·z` of the updated residual (`z = M⁻¹r`) —
     /// bit-identical to [`vector::axpy`], [`vector::axpy`],
@@ -273,6 +232,56 @@ impl<S: Scalar> Preconditioner<S> {
     /// Whether this is the identity.
     pub fn is_identity(&self) -> bool {
         matches!(self, Preconditioner::Identity)
+    }
+}
+
+// The block pass's preconditioner rows, compiled twice (`crate::isa`).
+crate::isa::twins! {
+    mod rows;
+
+    /// `sd = g(sd, M⁻¹rr)` over `rows` of the sweep in one pass, untraced
+    /// — with `g = a·sd + b·m` the Chebyshev `sd` recurrence, the
+    /// row-local lag sweep of one level of a [`vector::for_rows_block`]
+    /// pass. Identity drops the intermediate copy (`M⁻¹rr = rr`),
+    /// Diagonal fuses the reciprocal-diagonal product in, and
+    /// block-Jacobi solves each row's strips into `tmp` (which the
+    /// others leave untouched) just before `g` reads them. All round
+    /// exactly like [`Preconditioner::apply`] into `tmp` followed by an
+    /// elementwise `g`.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the lag sweep of one block level: three fields, the sweep extent, its rows and the recurrence closure"
+    )]
+    #[cfg_attr(
+        not(test),
+        allow(dead_code, reason = "the block pass calls the copies directly; the dispatcher serves the tests")
+    )]
+    pub(crate) fn combine_rows<S: Scalar>(
+        precon: &Preconditioner<S>,
+        sd: &mut Field2<S>,
+        rr: &Field2<S>,
+        tmp: &mut Field2<S>,
+        bounds: &TileBounds,
+        ext: usize,
+        rows: Rows,
+        g: impl Fn(S, S) -> S + Sync + Copy,
+    ) {
+        let (x_lo, x_hi, _, _) = bounds.range(ext);
+        vector::for_rows2(sd, tmp, bounds, ext, rows, |k, sdr, tr| {
+            let rrow = rr.row(k, x_lo, x_hi);
+            match precon {
+                Preconditioner::Identity => lanes::zip_row(sdr, rrow, g),
+                Preconditioner::Diagonal { inv_diag } => {
+                    let d = inv_diag.row(k, x_lo, x_hi);
+                    lanes::zip2_row(sdr, rrow, d, move |y, r, d| g(y, r * d));
+                }
+                Preconditioner::BlockJacobi(bj) => {
+                    debug_assert_eq!(ext, 0, "block-Jacobi strips span the interior only");
+                    bj.solve_row(k, rrow, tr);
+                    lanes::zip_row(sdr, tr, g);
+                }
+            }
+        });
     }
 }
 
@@ -572,7 +581,7 @@ mod tests {
 
             let mut scratch = Field2D::new(11, 11, 1);
             let g = move |y, m| a * y + b * m;
-            m.combine_rows(&mut sd, &rr, &mut scratch, &op.bounds, 0, Rows::All, g);
+            combine_rows(&m, &mut sd, &rr, &mut scratch, &op.bounds, 0, Rows::All, g);
             for k in 0..11isize {
                 for j in 0..11isize {
                     assert_eq!(

@@ -10,15 +10,26 @@
 //! sites read exactly as before; the mixed-precision solvers
 //! instantiate the same code at `f32`).
 //!
-//! # One kernel path
+//! # One kernel source, two compiled copies
 //!
 //! Every precision and thread count runs the same row bodies, the
 //! [`lanes`] module: elementwise kernels sweep rows in fixed-width
-//! groups of [`Scalar::LANES`] elements (`f64`×4 / `f32`×8, no
-//! `unsafe`, plain `chunks_exact` that LLVM turns into vector code) and
-//! apply the identical per-element expression to each lane, so they are
-//! bitwise equal to the element-at-a-time loops kept in `scalar_ref`, a
-//! hidden test oracle no run dispatches to.
+//! groups of [`Scalar::LANES`] elements (`f64`×4 / `f32`×8, plain
+//! `chunks_exact` that LLVM turns into vector code) and apply the
+//! identical per-element expression to each lane, so they are bitwise
+//! equal to the element-at-a-time loops kept in `scalar_ref`, a hidden
+//! test oracle no run dispatches to.
+//!
+//! The kernels below that sweep rows are each compiled twice from that
+//! one source (`crate::isa`): a baseline copy for the build's target and
+//! an AVX2 copy, and the kernel's name dispatches to the AVX2 copy once
+//! per call on a host that has it. The copies differ in register width
+//! only: no `fma` is enabled and Rust never fuses `a*b + c`, so each lane
+//! rounds every operation exactly as IEEE 754 says at either width, and
+//! the reduction shape below is written out in the source, not left to
+//! the vectorizer. Their bits are equal, and the two are tested to be.
+//! The kernels themselves are safe code; the one `unsafe` operation of
+//! the crate is the dispatcher's call into the AVX2 copy.
 //!
 //! # The reduction shape
 //!
@@ -581,113 +592,6 @@ pub fn copy<S: Scalar>(
     });
 }
 
-/// `y += a * x` over the sweep range.
-pub fn axpy<S: Scalar>(
-    y: &mut Field2<S>,
-    a: S,
-    x: &Field2<S>,
-    bounds: &TileBounds,
-    ext: usize,
-    trace: &mut SolveTrace,
-) {
-    trace.vector_ops.record(ext);
-    let (x_lo, x_hi, _, _) = bounds.range(ext);
-    for_rows(y, bounds, ext, |k, row| {
-        lanes::axpy_row(row, a, x.row(k, x_lo, x_hi));
-    });
-}
-
-/// `y = x + a * y` (TeaLeaf's `p = z + beta p` update) over the sweep
-/// range.
-pub fn xpay<S: Scalar>(
-    y: &mut Field2<S>,
-    x: &Field2<S>,
-    a: S,
-    bounds: &TileBounds,
-    ext: usize,
-    trace: &mut SolveTrace,
-) {
-    trace.vector_ops.record(ext);
-    let (x_lo, x_hi, _, _) = bounds.range(ext);
-    for_rows(y, bounds, ext, |k, row| {
-        lanes::xpay_row(row, x.row(k, x_lo, x_hi), a);
-    });
-}
-
-/// `y = a*y + b*x` (the Chebyshev `sd` recurrence) over the sweep range.
-pub fn scale_add<S: Scalar>(
-    y: &mut Field2<S>,
-    a: S,
-    b: S,
-    x: &Field2<S>,
-    bounds: &TileBounds,
-    ext: usize,
-    trace: &mut SolveTrace,
-) {
-    trace.vector_ops.record(ext);
-    let (x_lo, x_hi, _, _) = bounds.range(ext);
-    for_rows(y, bounds, ext, |k, row| {
-        lanes::scale_add_row(row, a, b, x.row(k, x_lo, x_hi));
-    });
-}
-
-/// `y = a*y + b*(r .* d)` over the sweep range — the Chebyshev `sd`
-/// recurrence with the diagonal-preconditioner product fused in, saving
-/// the intermediate `tmp` store and re-read. Rounds exactly like
-/// [`mul_into`] followed by [`scale_add`].
-#[expect(
-    clippy::too_many_arguments,
-    reason = "a fused kernel takes each stream it reads as its own field, like the unfused pair it replaces"
-)]
-pub fn scale_add_mul<S: Scalar>(
-    y: &mut Field2<S>,
-    a: S,
-    b: S,
-    r: &Field2<S>,
-    d: &Field2<S>,
-    bounds: &TileBounds,
-    ext: usize,
-    trace: &mut SolveTrace,
-) {
-    trace.vector_ops.record(ext);
-    let (x_lo, x_hi, _, _) = bounds.range(ext);
-    for_rows(y, bounds, ext, |k, row| {
-        lanes::scale_add_mul_row(row, a, b, r.row(k, x_lo, x_hi), d.row(k, x_lo, x_hi));
-    });
-}
-
-/// `dst = src * scale` over the sweep range.
-pub fn scaled_copy<S: Scalar>(
-    dst: &mut Field2<S>,
-    src: &Field2<S>,
-    scale: S,
-    bounds: &TileBounds,
-    ext: usize,
-    trace: &mut SolveTrace,
-) {
-    trace.vector_ops.record(ext);
-    let (x_lo, x_hi, _, _) = bounds.range(ext);
-    for_rows(dst, bounds, ext, |k, row| {
-        lanes::scaled_copy_row(row, src.row(k, x_lo, x_hi), scale);
-    });
-}
-
-/// `dst = a .* b` elementwise product (diagonal preconditioner apply).
-pub fn mul_into<S: Scalar>(
-    dst: &mut Field2<S>,
-    a: &Field2<S>,
-    b: &Field2<S>,
-    bounds: &TileBounds,
-    ext: usize,
-    trace: &mut SolveTrace,
-) {
-    trace.vector_ops.record(ext);
-    let (x_lo, x_hi, _, _) = bounds.range(ext);
-    for_rows(dst, bounds, ext, |k, row| {
-        lanes::mul_into_row(row, a.row(k, x_lo, x_hi), b.row(k, x_lo, x_hi));
-    });
-}
-
 /// Zeroes the sweep range.
 pub fn zero<S: Scalar>(
     dst: &mut Field2<S>,
@@ -699,70 +603,182 @@ pub fn zero<S: Scalar>(
     for_rows(dst, bounds, ext, |_k, row| row.fill(S::ZERO));
 }
 
-/// Local (un-reduced) dot product over the tile interior. The caller pays
-/// the global reduction.
-pub fn dot_local<S: Scalar>(
-    a: &Field2<S>,
-    b: &Field2<S>,
-    bounds: &TileBounds,
-    trace: &mut SolveTrace,
-) -> S {
-    trace.dot_kernels.record(0);
-    sum_rows(bounds, 0, |k, x_lo, x_hi| {
-        lanes::dot_row(a.row(k, x_lo, x_hi), b.row(k, x_lo, x_hi))
-    })
-}
+// The vector kernels, each compiled twice (`crate::isa`).
+crate::isa::twins! {
+    mod kernels;
 
-/// CG's fused update over the tile interior, one sweep: `u += αp`,
-/// `r −= αw`, returning the local `Σ r·z` of the *updated* residual with
-/// `z = r` (`inv_diag` absent) or `z = r·inv_diag` — `z` is never
-/// stored. Bit-identical to [`axpy`], [`axpy`], [`mul_into`],
-/// [`dot_local`] run back to back; the caller pays the reduction.
-///
-/// Traced as the two axpy-class streams it carries (6 elements/cell;
-/// `inv_diag` adds a seventh); the dot rides along and records nothing.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "CG's fused update carries the five fields of the four kernels it replaces, each a separate stream"
-)]
-pub fn cg_update<S: Scalar>(
-    u: &mut Field2<S>,
-    r: &mut Field2<S>,
-    alpha: S,
-    p: &Field2<S>,
-    w: &Field2<S>,
-    inv_diag: Option<&Field2<S>>,
-    bounds: &TileBounds,
-    trace: &mut SolveTrace,
-) -> S {
-    trace.vector_ops.record(0);
-    trace.vector_ops.record(0);
-    let (x_lo, x_hi, _, _) = bounds.range(0);
-    for_rows2_sum(u, r, bounds, 0, |k, ur, rr| {
-        let d = inv_diag.map(|d| d.row(k, x_lo, x_hi));
-        lanes::cg_update_row(ur, rr, alpha, p.row(k, x_lo, x_hi), w.row(k, x_lo, x_hi), d)
-    })
-}
+    /// `y += a * x` over the sweep range.
+    pub fn axpy<S: Scalar>(
+        y: &mut Field2<S>,
+        a: S,
+        x: &Field2<S>,
+        bounds: &TileBounds,
+        ext: usize,
+        trace: &mut SolveTrace,
+    ) {
+        trace.vector_ops.record(ext);
+        let (x_lo, x_hi, _, _) = bounds.range(ext);
+        for_rows(y, bounds, ext, |k, row| {
+            lanes::axpy_row(row, a, x.row(k, x_lo, x_hi));
+        });
+    }
 
-/// [`cg_update`] without the dot, for the recurrences whose `r·z` has
-/// to wait for a `z = M⁻¹r` that is more than a row product: `u += αp`,
-/// `r −= αw` in one sweep, traced as the same two axpy-class streams.
-pub fn axpy2<S: Scalar>(
-    u: &mut Field2<S>,
-    r: &mut Field2<S>,
-    alpha: S,
-    p: &Field2<S>,
-    w: &Field2<S>,
-    bounds: &TileBounds,
-    trace: &mut SolveTrace,
-) {
-    trace.vector_ops.record(0);
-    trace.vector_ops.record(0);
-    let (x_lo, x_hi, _, _) = bounds.range(0);
-    for_rows2(u, r, bounds, 0, Rows::All, |k, ur, rr| {
-        lanes::axpy_row(ur, alpha, p.row(k, x_lo, x_hi));
-        lanes::axpy_row(rr, -alpha, w.row(k, x_lo, x_hi));
-    });
+    /// `y = x + a * y` (TeaLeaf's `p = z + beta p` update) over the sweep
+    /// range.
+    pub fn xpay<S: Scalar>(
+        y: &mut Field2<S>,
+        x: &Field2<S>,
+        a: S,
+        bounds: &TileBounds,
+        ext: usize,
+        trace: &mut SolveTrace,
+    ) {
+        trace.vector_ops.record(ext);
+        let (x_lo, x_hi, _, _) = bounds.range(ext);
+        for_rows(y, bounds, ext, |k, row| {
+            lanes::xpay_row(row, x.row(k, x_lo, x_hi), a);
+        });
+    }
+
+    /// `y = a*y + b*x` (the Chebyshev `sd` recurrence) over the sweep range.
+    pub fn scale_add<S: Scalar>(
+        y: &mut Field2<S>,
+        a: S,
+        b: S,
+        x: &Field2<S>,
+        bounds: &TileBounds,
+        ext: usize,
+        trace: &mut SolveTrace,
+    ) {
+        trace.vector_ops.record(ext);
+        let (x_lo, x_hi, _, _) = bounds.range(ext);
+        for_rows(y, bounds, ext, |k, row| {
+            lanes::scale_add_row(row, a, b, x.row(k, x_lo, x_hi));
+        });
+    }
+
+    /// `y = a*y + b*(r .* d)` over the sweep range — the Chebyshev `sd`
+    /// recurrence with the diagonal-preconditioner product fused in, saving
+    /// the intermediate `tmp` store and re-read. Rounds exactly like
+    /// [`mul_into`] followed by [`scale_add`].
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a fused kernel takes each stream it reads as its own field, like the unfused pair it replaces"
+    )]
+    pub fn scale_add_mul<S: Scalar>(
+        y: &mut Field2<S>,
+        a: S,
+        b: S,
+        r: &Field2<S>,
+        d: &Field2<S>,
+        bounds: &TileBounds,
+        ext: usize,
+        trace: &mut SolveTrace,
+    ) {
+        trace.vector_ops.record(ext);
+        let (x_lo, x_hi, _, _) = bounds.range(ext);
+        for_rows(y, bounds, ext, |k, row| {
+            lanes::scale_add_mul_row(row, a, b, r.row(k, x_lo, x_hi), d.row(k, x_lo, x_hi));
+        });
+    }
+
+    /// `dst = src * scale` over the sweep range.
+    pub fn scaled_copy<S: Scalar>(
+        dst: &mut Field2<S>,
+        src: &Field2<S>,
+        scale: S,
+        bounds: &TileBounds,
+        ext: usize,
+        trace: &mut SolveTrace,
+    ) {
+        trace.vector_ops.record(ext);
+        let (x_lo, x_hi, _, _) = bounds.range(ext);
+        for_rows(dst, bounds, ext, |k, row| {
+            lanes::scaled_copy_row(row, src.row(k, x_lo, x_hi), scale);
+        });
+    }
+
+    /// `dst = a .* b` elementwise product (diagonal preconditioner apply).
+    pub fn mul_into<S: Scalar>(
+        dst: &mut Field2<S>,
+        a: &Field2<S>,
+        b: &Field2<S>,
+        bounds: &TileBounds,
+        ext: usize,
+        trace: &mut SolveTrace,
+    ) {
+        trace.vector_ops.record(ext);
+        let (x_lo, x_hi, _, _) = bounds.range(ext);
+        for_rows(dst, bounds, ext, |k, row| {
+            lanes::mul_into_row(row, a.row(k, x_lo, x_hi), b.row(k, x_lo, x_hi));
+        });
+    }
+
+    /// Local (un-reduced) dot product over the tile interior. The caller pays
+    /// the global reduction.
+    pub fn dot_local<S: Scalar>(
+        a: &Field2<S>,
+        b: &Field2<S>,
+        bounds: &TileBounds,
+        trace: &mut SolveTrace,
+    ) -> S {
+        trace.dot_kernels.record(0);
+        sum_rows(bounds, 0, |k, x_lo, x_hi| {
+            lanes::dot_row(a.row(k, x_lo, x_hi), b.row(k, x_lo, x_hi))
+        })
+    }
+
+    /// CG's fused update over the tile interior, one sweep: `u += αp`,
+    /// `r −= αw`, returning the local `Σ r·z` of the *updated* residual with
+    /// `z = r` (`inv_diag` absent) or `z = r·inv_diag` — `z` is never
+    /// stored. Bit-identical to [`axpy`], [`axpy`], [`mul_into`],
+    /// [`dot_local`] run back to back; the caller pays the reduction.
+    ///
+    /// Traced as the two axpy-class streams it carries (6 elements/cell;
+    /// `inv_diag` adds a seventh); the dot rides along and records nothing.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "CG's fused update carries the five fields of the four kernels it replaces, each a separate stream"
+    )]
+    pub fn cg_update<S: Scalar>(
+        u: &mut Field2<S>,
+        r: &mut Field2<S>,
+        alpha: S,
+        p: &Field2<S>,
+        w: &Field2<S>,
+        inv_diag: Option<&Field2<S>>,
+        bounds: &TileBounds,
+        trace: &mut SolveTrace,
+    ) -> S {
+        trace.vector_ops.record(0);
+        trace.vector_ops.record(0);
+        let (x_lo, x_hi, _, _) = bounds.range(0);
+        for_rows2_sum(u, r, bounds, 0, |k, ur, rr| {
+            let d = inv_diag.map(|d| d.row(k, x_lo, x_hi));
+            lanes::cg_update_row(ur, rr, alpha, p.row(k, x_lo, x_hi), w.row(k, x_lo, x_hi), d)
+        })
+    }
+
+    /// [`cg_update`] without the dot, for the recurrences whose `r·z` has
+    /// to wait for a `z = M⁻¹r` that is more than a row product: `u += αp`,
+    /// `r −= αw` in one sweep, traced as the same two axpy-class streams.
+    pub fn axpy2<S: Scalar>(
+        u: &mut Field2<S>,
+        r: &mut Field2<S>,
+        alpha: S,
+        p: &Field2<S>,
+        w: &Field2<S>,
+        bounds: &TileBounds,
+        trace: &mut SolveTrace,
+    ) {
+        trace.vector_ops.record(0);
+        trace.vector_ops.record(0);
+        let (x_lo, x_hi, _, _) = bounds.range(0);
+        for_rows2(u, r, bounds, 0, Rows::All, |k, ur, rr| {
+            lanes::axpy_row(ur, alpha, p.row(k, x_lo, x_hi));
+            lanes::axpy_row(rr, -alpha, w.row(k, x_lo, x_hi));
+        });
+    }
 }
 
 #[cfg(test)]
