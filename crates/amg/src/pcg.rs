@@ -35,6 +35,7 @@ const AMG_META: SolverMeta = SolverMeta {
     deep_halo: false,
     serial_only: true,
     precision: tea_core::Precision::F64,
+    family: "amg",
     tunable: false,
     // the outer CG prices as plain `cg`: the V-cycle is not a sweep the
     // bytes prior models (the scaling replay prices it level by level)
@@ -46,7 +47,7 @@ const AMG_META: SolverMeta = SolverMeta {
 /// application layer calls this on top of [`SolverRegistry::builtin`];
 /// custom registries can too.
 pub fn register(registry: &mut SolverRegistry) {
-    registry.register(AMG_META, |p| Box::new(AmgPcg::from_params(p)));
+    registry.register(AMG_META, |_, p| Box::new(AmgPcg::from_params(p)));
 }
 
 /// A [`SolverRegistry`] with all tea-core builtins plus the AMG

@@ -4,7 +4,7 @@
 //! * **registry** — [`SolverRegistry::audit`] over the application's
 //!   full registry (every tea-core builtin, tea-amg, the `auto`
 //!   pseudo-solver): unique names/aliases, metadata consistency,
-//!   precision routing closure.
+//!   well-formed precision families.
 //! * **deck_keys** — `tea_audit::deck_key_audit`: every `tl_*` key the
 //!   deck parser knows appears in the README table and vice versa.
 //!

@@ -54,9 +54,11 @@ pub struct Control {
     pub solver: String,
     /// Arithmetic-precision override (deck `tl_precision`, CLI
     /// `--precision`). `None` (the default) takes [`Control::solver`]
-    /// verbatim; an explicit value re-routes the solver within its
-    /// family (`cg` → `mixed_cg`/`cg_f32`, `ppcg` → `mixed_ppcg`) via
-    /// [`Control::effective_solver`].
+    /// verbatim; an explicit value re-routes the solver to its
+    /// registered family's entry at that precision (`cg` →
+    /// `mixed_cg`/`cg_f32`, `ppcg` → `mixed_ppcg`) via
+    /// [`Control::effective_solver`] and
+    /// [`tea_core::SolverRegistry::route`].
     pub precision: Option<Precision>,
     /// Convergence options.
     pub opts: SolveOpts,
@@ -116,9 +118,8 @@ impl Control {
     /// an axis the `auto` tuner owns (`tl_solver=auto` with
     /// `tl_precision=...`).
     pub fn effective_solver(&self) -> Result<String, String> {
-        let resolved = crate::solver_registry()
-            .resolve(&self.solver)
-            .map_err(|e| e.to_string())?;
+        let registry = crate::solver_registry();
+        let resolved = registry.resolve(&self.solver).map_err(|e| e.to_string())?;
         if resolved.name == "auto" {
             // the auto-tuner explores the precision axis itself: an
             // explicit override is a conflict, not a routing request
@@ -132,11 +133,11 @@ impl Control {
             }
             return Ok(resolved.name.to_string());
         }
-        match self.precision {
-            Some(p) => tea_core::solver_for_precision(&self.solver, p, crate::solver_registry())
-                .map_err(|e| e.to_string()),
-            None => Ok(resolved.name.to_string()),
-        }
+        let routed = match self.precision {
+            Some(p) => registry.route(&self.solver, p).map_err(|e| e.to_string())?,
+            None => resolved,
+        };
+        Ok(routed.name.to_string())
     }
 
     /// Checks the control values a deck or the CLI can set against what
@@ -185,7 +186,10 @@ impl Control {
             ));
         }
         let strips = self.precon == PreconKind::BlockJacobi;
-        if strips && depth > 1 && matches!(solver, "ppcg" | "mixed_ppcg") {
+        let matrix_powers = crate::solver_registry()
+            .resolve(solver)
+            .is_ok_and(|meta| meta.family == "ppcg");
+        if strips && depth > 1 && matrix_powers {
             return Err(format!(
                 "tl_preconditioner_type=jac_block needs tl_ppcg_halo_depth=1 under {solver} \
                  (its strips cannot span matrix-powers halos), got {depth}"

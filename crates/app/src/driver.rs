@@ -175,9 +175,8 @@ fn resolve(deck: &Deck, ranks: usize) -> Result<Box<dyn IterativeSolver>, Driver
         .map_err(DriverError::InvalidProblem)?;
     let registry = crate::solver_registry();
     let solver_err = |e: tea_core::SolverError| DriverError::Solver(e.to_string());
-    // tl_precision re-routes within the solver family (cg → mixed_cg /
-    // cg_f32, ppcg → mixed_ppcg); at the default f64 this is the
-    // identity on the deck's solver name
+    // tl_precision re-routes along the solver's registered family; at
+    // the default f64 this is the identity on the deck's solver name
     let name = deck
         .control
         .effective_solver()

@@ -91,7 +91,8 @@ pub struct SolverParams {
     pub inner_steps: usize,
     /// Matrix-powers halo depth (PPCG's `PPCG - n`).
     pub halo_depth: usize,
-    /// Plain-CG presteps for eigenvalue estimation (Chebyshev, PPCG).
+    /// Plain-CG presteps for eigenvalue estimation (Chebyshev, PPCG);
+    /// at least 1, for every solver.
     pub presteps: u64,
     /// Seed for the `auto` pseudo-solver's deterministic candidate
     /// search (deck `tl_tune_seed`, CLI `--tune-seed`). Ignored by the
@@ -122,7 +123,10 @@ pub const EIGEN_SAFETY: f64 = 0.1;
 pub const CHECK_INTERVAL: u64 = 10;
 
 /// Arithmetic-precision policy of a solver — a first-class axis of the
-/// design space alongside method, preconditioner and halo depth.
+/// design space alongside method, preconditioner and halo depth. Each
+/// registry entry declares its precision and its family
+/// ([`SolverMeta::family`]); [`crate::SolverRegistry::route`] moves a
+/// request along this axis within the family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
     /// Every kernel in double precision (the reference behaviour).
@@ -278,9 +282,14 @@ pub struct SolverMeta {
     /// Whether the method only runs on a single rank (the AMG baseline;
     /// its distributed behaviour enters through trace replay).
     pub serial_only: bool,
-    /// The method's arithmetic-precision policy (`tl_precision` resolves
-    /// solver names through this).
+    /// The method's arithmetic-precision policy: what its instances
+    /// run at, and the axis [`crate::SolverRegistry::route`] moves along.
     pub precision: Precision,
+    /// Canonical name of the method's `f64` entry — the family its
+    /// precision variants share (an `f64` method names itself).
+    /// [`crate::SolverRegistry::route`] re-routes a request to the entry
+    /// of the same family at the requested precision.
+    pub family: &'static str,
     /// Whether the auto-tuner may pick this method as a candidate.
     /// `false` for diagnostic baselines (Jacobi), serial-only methods
     /// (AMG), the round-off-limited `cg_f32` and the `auto`
@@ -312,6 +321,15 @@ pub enum SolverError {
         /// Why the combination is rejected.
         reason: String,
     },
+    /// The [`SolverParams`] are outside what the method accepts (e.g.
+    /// `presteps == 0`, which leaves the eigen prelude nothing to
+    /// estimate the spectrum from).
+    InvalidParams {
+        /// The solver the parameters were meant for.
+        solver: String,
+        /// Which parameter is out of range, and why.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for SolverError {
@@ -330,6 +348,9 @@ impl std::fmt::Display for SolverError {
                 f,
                 "solver '{solver}' cannot run at precision '{precision}': {reason}"
             ),
+            SolverError::InvalidParams { solver, reason } => {
+                write!(f, "solver '{solver}' rejects its parameters: {reason}")
+            }
         }
     }
 }

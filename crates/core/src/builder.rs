@@ -3,7 +3,6 @@
 //! benches share.
 
 use crate::api::{DynTile, IterativeSolver, Precision, SolveContext, SolverError, SolverParams};
-use crate::mixed::solver_for_precision;
 use crate::ops::{TileBounds, TileOperator};
 use crate::precon::PreconKind;
 use crate::registry::SolverRegistry;
@@ -79,12 +78,11 @@ impl<'a> Solve<'a> {
     }
 
     /// Arithmetic-precision override. Unset, the solver name is taken
-    /// verbatim. [`Precision::Mixed`] re-routes `cg` to `mixed_cg`,
-    /// `ppcg` to `mixed_ppcg` and `chebyshev` to `mixed_chebyshev`;
-    /// [`Precision::F32`] routes the CG family to `cg_f32`;
-    /// [`Precision::F64`] demotes a reduced-precision name back to its
-    /// `f64` family solver. Methods
-    /// without a registered variant make [`Solve::run`] fail with
+    /// verbatim; set, [`SolverRegistry::route`] moves it to the entry of
+    /// the same [`crate::SolverMeta::family`] at `precision` (`cg` at
+    /// [`Precision::Mixed`] runs `mixed_cg`, `mixed_ppcg` at
+    /// [`Precision::F64`] runs `ppcg`). Methods without a registered
+    /// variant make [`Solve::run`] fail with
     /// [`SolverError::PrecisionUnsupported`].
     ///
     /// ```
@@ -142,7 +140,9 @@ impl<'a> Solve<'a> {
     /// fields assembled for a deeper one.
     ///
     /// # Errors
-    /// [`SolverError::UnknownSolver`] for an unregistered solver name.
+    /// [`SolverError::UnknownSolver`] for an unregistered solver name,
+    /// and the other errors of [`SolverRegistry::route`] and
+    /// [`SolverRegistry::create`].
     ///
     /// # Panics
     /// As [`crate::SolveSession::solve_controlled`], when `u` or `b` is
@@ -170,10 +170,10 @@ pub(crate) fn create_solver(
     static BUILTIN: std::sync::OnceLock<SolverRegistry> = std::sync::OnceLock::new();
     let registry = registry.unwrap_or_else(|| BUILTIN.get_or_init(SolverRegistry::builtin));
     let name = match spec.precision {
-        Some(p) => solver_for_precision(&spec.solver, p, registry)?,
-        None => spec.solver.clone(),
+        Some(p) => registry.route(&spec.solver, p)?.name,
+        None => &spec.solver,
     };
-    registry.create(&name, &spec.params)
+    registry.create(name, &spec.params)
 }
 
 /// Assembles the paper's crooked-pipe system at `n × n` cells: the
@@ -255,6 +255,26 @@ mod tests {
             matches!(err, SolverError::PrecisionUnsupported { .. }),
             "{err}"
         );
+    }
+
+    #[test]
+    fn builder_rejects_zero_presteps_for_every_solver() {
+        let (op, b) = crooked_pipe_system(8, 0.04, 1);
+        for name in SolverRegistry::builtin().names() {
+            let mut u = b.clone();
+            let err = Solve::on(&op)
+                .with_solver(name)
+                .presteps(0)
+                .run(&mut u, &b)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                SolverError::InvalidParams {
+                    solver: name.to_string(),
+                    reason: "presteps must be at least 1, got 0".to_string(),
+                }
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The (preconditioned) Conjugate Gradient solver — the paper's baseline,
 //! the eigenvalue-estimation prelude of the Chebyshev family, and, along
-//! its precision axis, `mixed_cg` and `cg_f32`.
+//! its precision axis, the `mixed` and `f32` entries of the `cg` family.
 //!
 //! The recurrence itself is [`pcg_loop`], shared with CPPCG and the AMG
 //! baseline; `Cg` plugs in one of three ways to produce `z = M⁻¹r`:
@@ -18,18 +18,20 @@
 //!   then, so CG touches five vectors (`u`, `b`, `p`, `r`, `w`), not
 //!   six. Two allreduce latencies per iteration — the strong-scaling
 //!   bottleneck the CPPCG solver exists to amortise.
-//! * `mixed_cg` (`Cg::mixed`) — the `f64` recurrence around the `f32`
+//! * at [`Precision::Mixed`] — the `f64` recurrence around the `f32`
 //!   preconditioner round trip (`Lowered`); CG tolerates any fixed SPD
 //!   preconditioner, so it still reaches `f64` tolerances.
-//! * `cg_f32` (`Cg::single`) — the same `Fused` step with every
-//!   vector in `f32`, plus the round-off `Floor` policy: the honest
-//!   end of the precision sweep, stalling near `κ(A)·ε_f32`.
+//! * at [`Precision::F32`] — the same `Fused` step with every vector in
+//!   `f32`, plus the round-off `Floor` policy: the honest end of the
+//!   precision sweep, stalling near `κ(A)·ε_f32`.
 //!
 //! Convergence is declared when `√(r·z) <= eps * √(r₀·z₀)` (the
 //! reference's criterion; for `M = I` this is the plain relative residual
 //! norm).
 
-use crate::api::{DynTile, IterativeSolver, Precision, SolveContext, SolverParams, EIGEN_SAFETY};
+use crate::api::{
+    DynTile, IterativeSolver, Precision, SolveContext, SolverMeta, SolverParams, EIGEN_SAFETY,
+};
 use crate::control::Probed;
 use crate::eigen::{estimate_from_cg, EigenEstimate};
 use crate::mixed::{Inner, Low, Lowered};
@@ -43,11 +45,12 @@ use tea_comms::Communicator;
 use tea_mesh::Field2D;
 
 /// Preconditioned CG as an [`IterativeSolver`] — the paper's baseline
-/// Krylov method, at the precision chosen by [`Cg::mixed`] /
-/// [`Cg::single`] (default `f64`). `prepare` assembles the
-/// preconditioner, in that precision, against the current operator.
+/// Krylov method, at the precision of the registry entry that built it.
+/// `prepare` assembles the preconditioner, in that precision, against
+/// the current operator.
 #[derive(Debug)]
 pub(crate) struct Cg {
+    name: &'static str,
     kind: PreconKind,
     precision: Precision,
     opts: SolveOpts,
@@ -56,49 +59,36 @@ pub(crate) struct Cg {
 }
 
 impl Cg {
-    /// Registry factory: consumes [`SolverParams::precon`].
-    pub(crate) fn from_params(params: &SolverParams) -> Self {
+    /// Registry factory: takes its name and precision from `meta` and
+    /// consumes [`SolverParams::precon`].
+    pub(crate) fn from_params(meta: &SolverMeta, params: &SolverParams) -> Self {
         Cg {
+            name: meta.name,
             kind: params.precon,
-            precision: Precision::F64,
+            precision: meta.precision,
             opts: SolveOpts::default(),
             precon: None,
             low: None,
         }
     }
+}
 
-    /// The `"mixed_cg"` registry entry: the preconditioner is assembled
-    /// from the demoted operator and applied to demoted residuals.
-    pub(crate) fn mixed(mut self) -> Self {
-        self.precision = Precision::Mixed;
-        self
-    }
-
-    /// The `"cg_f32"` registry entry: every kernel in `f32`, dot
-    /// products widened only for the scalar recurrence. Tight `f64`-era
-    /// tolerances are generally unreachable, so the solve ends honestly
-    /// unconverged once the residual stops improving.
-    pub(crate) fn single(mut self) -> Self {
-        self.precision = Precision::F32;
-        self
+/// A figure-legend label at `precision`: `legend` itself at `f64`,
+/// suffixed `-mixed` or `-f32` otherwise (`CG-f32`, `PPCG-4-mixed`).
+fn precision_label(legend: String, precision: Precision) -> String {
+    match precision {
+        Precision::F64 => legend,
+        p => format!("{legend}-{p}"),
     }
 }
 
 impl IterativeSolver for Cg {
     fn name(&self) -> &'static str {
-        match self.precision {
-            Precision::F64 => "cg",
-            Precision::Mixed => "mixed_cg",
-            Precision::F32 => "cg_f32",
-        }
+        self.name
     }
 
     fn label(&self) -> String {
-        match self.precision {
-            Precision::F64 => "CG".into(),
-            Precision::Mixed => "CG-mixed".into(),
-            Precision::F32 => "CG-f32".into(),
-        }
+        precision_label("CG".into(), self.precision)
     }
 
     fn prepare(&mut self, ctx: &SolveContext<'_>, opts: &SolveOpts) {
@@ -186,8 +176,9 @@ pub fn cg_solve_recording<C: Communicator + ?Sized>(
 }
 
 /// The CG presteps → Lanczos → eigenvalue-estimate prelude every
-/// Chebyshev-family solve opens with (paper §III.D): runs
-/// `presteps.max(1)` CG iterations, keeping the partial solution, and
+/// Chebyshev-family solve opens with (paper §III.D): runs `presteps`
+/// (at least 1, as [`crate::SolverRegistry::create`] enforces) CG
+/// iterations, keeping the partial solution, and
 /// widens the estimate by [`EIGEN_SAFETY`]. `Err` is a solve the
 /// presteps already finished, diverged in, or were cancelled during;
 /// `Ok` carries the unfinished result — its trace relabelled `label`
@@ -206,7 +197,7 @@ pub(crate) fn eigen_prelude<C: Communicator + ?Sized>(
     presteps: u64,
     label: &str,
 ) -> Result<(SolveResult, EigenEstimate), Box<SolveResult>> {
-    let (mut pre, coeffs) = cg_solve_recording(tile, u, b, precon, ws, opts, presteps.max(1));
+    let (mut pre, coeffs) = cg_solve_recording(tile, u, b, precon, ws, opts, presteps);
     if pre.converged || pre.status.is_diverged() || pre.status.is_cancelled() {
         return Err(Box::new(pre));
     }
@@ -218,24 +209,26 @@ pub(crate) fn eigen_prelude<C: Communicator + ?Sized>(
 }
 
 /// What the two families that open with [`eigen_prelude`] (CPPCG,
-/// Chebyshev) hold in common: the parameters they were
-/// built from and the precision switch, the latched options and the
+/// Chebyshev) hold in common: the registry entry's name and precision,
+/// the parameters they were built from, the latched options and the
 /// state assembled against the current operator.
 #[derive(Debug)]
 pub(crate) struct Family {
+    pub name: &'static str,
+    pub precision: Precision,
     pub params: SolverParams,
-    pub mixed: bool,
     pub opts: SolveOpts,
     pub precon: Option<Preconditioner>,
     pub low: Option<Low<f32>>,
 }
 
 impl Family {
-    /// The unassembled `f64` state for `params`.
-    pub fn new(params: &SolverParams) -> Self {
+    /// The unassembled state of `meta`'s entry for `params`.
+    pub fn new(meta: &SolverMeta, params: &SolverParams) -> Self {
         Family {
+            name: meta.name,
+            precision: meta.precision,
             params: params.clone(),
-            mixed: false,
             opts: SolveOpts::default(),
             precon: None,
             low: None,
@@ -243,13 +236,11 @@ impl Family {
     }
 }
 
-/// A method of the eigen-prelude family: its names and its own loop.
+/// A method of the eigen-prelude family: its legend and its own loop.
 /// Everything else an [`IterativeSolver`] needs — `prepare`, which
 /// assembles the preconditioners, and the prelude `solve` opens with —
 /// is the one blanket impl below.
 pub(crate) trait EigenFamily: Any + Send {
-    /// Registry names: the `f64` method, then its `mixed` variant.
-    const NAMES: [&'static str; 2];
     /// The shared state.
     fn family(&self) -> &Family;
     /// The shared state, mutably.
@@ -277,12 +268,11 @@ pub(crate) trait EigenFamily: Any + Send {
 
 impl<T: EigenFamily> IterativeSolver for T {
     fn name(&self) -> &'static str {
-        T::NAMES[usize::from(self.family().mixed)]
+        self.family().name
     }
 
     fn label(&self) -> String {
-        let suffix = if self.family().mixed { "-mixed" } else { "" };
-        format!("{}{suffix}", self.legend())
+        precision_label(self.legend(), self.family().precision)
     }
 
     fn halo_depth(&self) -> usize {
@@ -306,7 +296,7 @@ impl<T: EigenFamily> IterativeSolver for T {
         );
         family.opts = *opts;
         family.precon = Some(precon);
-        family.low = family.mixed.then(|| Low::assemble(kind, op, ext));
+        family.low = (family.precision != Precision::F64).then(|| Low::assemble(kind, op, ext));
     }
 
     fn solve(

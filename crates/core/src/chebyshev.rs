@@ -17,13 +17,13 @@
 //! communication is the occasional convergence check. The eigenvalue
 //! bounds come from a short plain-CG prelude (paper §III.D,
 //! `eigen_prelude`); the iteration itself is that step handed to the
-//! shared `stationary_loop`. `mixed_chebyshev` (`Chebyshev::mixed`)
-//! keeps the prelude and the `f64` residual control but runs the
+//! shared `stationary_loop`. `mixed_chebyshev` (the family's
+//! [`crate::Precision::Mixed`] entry) keeps the prelude and the `f64` residual control but runs the
 //! polynomial as [`CHECK_INTERVAL`]-step blocks of CPPCG's inner
 //! smoother in `f32`: iterative refinement, one block per outer
 //! iteration, through the same `stationary_loop`.
 
-use crate::api::{DynTile, SolverParams, CHECK_INTERVAL};
+use crate::api::{DynTile, SolverMeta, SolverParams, CHECK_INTERVAL};
 use crate::cg::{EigenFamily, Family};
 use crate::eigen::EigenEstimate;
 use crate::mixed::Inner;
@@ -106,7 +106,7 @@ pub fn kappa_pcg(kappa: f64, m: usize) -> f64 {
 /// CG-prelude Chebyshev acceleration as an
 /// [`IterativeSolver`](crate::IterativeSolver): no dot products in the
 /// acceleration phase, only the periodic convergence check
-/// communicates. [`Chebyshev::mixed`] moves the polynomial sweeps to
+/// communicates. Its `mixed` entry moves the polynomial sweeps to
 /// `f32`.
 #[derive(Debug)]
 pub(crate) struct Chebyshev {
@@ -114,28 +114,16 @@ pub(crate) struct Chebyshev {
 }
 
 impl Chebyshev {
-    /// Registry factory: consumes `precon` and `presteps`.
-    pub(crate) fn from_params(params: &SolverParams) -> Self {
+    /// Registry factory: takes its name and precision from `meta` and
+    /// consumes `precon` and `presteps`.
+    pub(crate) fn from_params(meta: &SolverMeta, params: &SolverParams) -> Self {
         Chebyshev {
-            family: Family::new(params),
+            family: Family::new(meta, params),
         }
-    }
-
-    /// The `"mixed_chebyshev"` registry entry: each outer iteration
-    /// demotes the `f64` residual, runs [`CHECK_INTERVAL`] Chebyshev
-    /// steps of `A z ≈ r` in `f32`, promotes the correction and
-    /// re-derives the residual in `f64`, so the method reaches `f64`
-    /// tolerances while the bandwidth-dominant sweeps move half the
-    /// bytes.
-    pub(crate) fn mixed(mut self) -> Self {
-        self.family.mixed = true;
-        self
     }
 }
 
 impl EigenFamily for Chebyshev {
-    const NAMES: [&'static str; 2] = ["chebyshev", "mixed_chebyshev"];
-
     fn family(&self) -> &Family {
         &self.family
     }
@@ -149,7 +137,7 @@ impl EigenFamily for Chebyshev {
     }
 
     /// Chebyshev acceleration from the CG-advanced iterate — in `f64`,
-    /// or as `f32` refinement blocks when the solver is `mixed`.
+    /// or as `f32` refinement blocks at reduced precision.
     fn run(
         &mut self,
         tile: &DynTile<'_>,

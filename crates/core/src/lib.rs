@@ -82,7 +82,6 @@ pub use eigen::{
     estimate_from_cg, lanczos_tridiagonal, sturm_count, tridiag_all_eigenvalues, EigenEstimate,
 };
 pub use isa::kernel_isa;
-pub use mixed::solver_for_precision;
 pub use ops::{TileBounds, TileOperator};
 pub use precon::{BlockJacobi, PreconKind, Preconditioner};
 pub use recurrence::{pcg_loop, Entry, Krylov, Precondition};

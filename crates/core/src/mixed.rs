@@ -5,10 +5,12 @@
 //! per value is the single biggest per-node lever on modern hardware.
 //! Operator, preconditioner, vector kernels, halo wire and reductions
 //! are all generic over [`tea_mesh::Scalar`], so a reduced-precision
-//! method is not a second solver: it is an `f64` family struct — `Cg`,
-//! `Ppcg`, `Chebyshev` — whose registry factory switches it to
-//! `mixed()` (or, for CG, `single()`), which then routes its `z ≈ A⁻¹r`
-//! work through the `Low` image of the operator kept here:
+//! method is not a second solver: it is a registry entry of an `f64`
+//! family — `cg`, `ppcg`, `chebyshev` — whose [`crate::SolverMeta`]
+//! declares the family and the precision, and whose factory builds the
+//! family struct (`Cg`, `Ppcg`, `Chebyshev`) at that precision. The
+//! struct then routes its `z ≈ A⁻¹r` work through the `Low` image of
+//! the operator kept here:
 //!
 //! | registry name | `f64` outer recurrence | runs in `f32` (`Inner`) |
 //! |---|---|---|
@@ -69,83 +71,20 @@
 //! is generic over the field scalar, so every `f32` field here
 //! exchanges 4-byte elements directly — half the message volume of the
 //! `f64` solvers, with no conversion staging on either side.
-//! [`solver_for_precision`] maps a `(solver, precision)` request from
-//! the deck/CLI/builder onto the registered variant.
+//! [`crate::SolverRegistry::route`] maps a `(solver, precision)` request
+//! from the deck/CLI/builder onto the registered variant by reading the
+//! entries' `family` and `precision`.
 
-use crate::api::{Precision, SolverError};
 use crate::cg::{Floor, Fused};
 use crate::control::Probed;
 use crate::ops::TileOperator;
 use crate::ppcg::{cheb_inner, Smooth, Smoothing};
 use crate::precon::{PreconKind, Preconditioner};
 use crate::recurrence::{pcg_loop, Entry, Krylov, Precondition};
-use crate::registry::SolverRegistry;
 use crate::solver::{SolveOpts, Tile};
 use crate::trace::{SolveResult, SolveTrace};
 use tea_comms::Communicator;
 use tea_mesh::{Field2, Field2D};
-
-/// Maps a `(solver, precision)` request onto the registered solver that
-/// implements it — the one rule behind the deck's `tl_precision`, the
-/// CLI's `--precision` and [`crate::Solve::precision`].
-///
-/// A solver whose [`crate::SolverMeta::precision`] already matches is
-/// returned unchanged; otherwise the request is re-routed within the
-/// method family (`cg` ↔ `mixed_cg`/`cg_f32`, `ppcg` ↔ `mixed_ppcg`,
-/// `chebyshev` ↔ `mixed_chebyshev`), and `Precision::F64` demotes a
-/// reduced-precision name back to its `f64` family solver.
-///
-/// # Errors
-/// [`SolverError::UnknownSolver`] for an unregistered name, and
-/// [`SolverError::PrecisionUnsupported`] when no variant exists — in
-/// particular for serial-only baselines like `amg`.
-pub fn solver_for_precision(
-    name: &str,
-    precision: Precision,
-    registry: &SolverRegistry,
-) -> Result<String, SolverError> {
-    let meta = *registry.resolve(name)?;
-    if meta.precision == precision {
-        return Ok(meta.name.to_string());
-    }
-    if meta.serial_only {
-        return Err(SolverError::PrecisionUnsupported {
-            solver: meta.name.to_string(),
-            precision,
-            reason: format!(
-                "'{}' is a serial-only f64 baseline; run it without a precision override",
-                meta.name
-            ),
-        });
-    }
-    let family = match meta.name {
-        "mixed_cg" | "cg_f32" => "cg",
-        "mixed_ppcg" => "ppcg",
-        "mixed_chebyshev" => "chebyshev",
-        other => other,
-    };
-    let target = match (family, precision) {
-        (_, Precision::F64) => Some(family),
-        ("cg", Precision::Mixed) => Some("mixed_cg"),
-        ("ppcg", Precision::Mixed) => Some("mixed_ppcg"),
-        ("chebyshev", Precision::Mixed) => Some("mixed_chebyshev"),
-        ("cg", Precision::F32) => Some("cg_f32"),
-        _ => None,
-    };
-    match target {
-        Some(t) => Ok(registry.resolve(t)?.name.to_string()),
-        None => Err(SolverError::PrecisionUnsupported {
-            solver: meta.name.to_string(),
-            precision,
-            reason: format!(
-                "no {} variant of '{}' is registered (variants cover the cg, ppcg \
-                 and chebyshev families)",
-                precision.label(),
-                meta.name
-            ),
-        }),
-    }
-}
 
 /// The noise-floor pedestal of [`Low::apply`] as a fraction of the outer
 /// loop's residual norm (module doc): `2⁻⁴⁰`.
@@ -355,9 +294,10 @@ mod census {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::SolverError;
+    use crate::api::{Precision, SolverError};
     use crate::builder::{crooked_pipe_system, Solve};
     use crate::cg::cg_solve_recording;
+    use crate::registry::SolverRegistry;
     use crate::solver::Workspace;
     use tea_comms::{HaloLayout, SerialComm};
     use tea_mesh::Decomposition2D;
@@ -509,7 +449,7 @@ mod tests {
     #[test]
     fn precision_routing_table() {
         let reg = SolverRegistry::builtin();
-        let route = |n: &str, p: Precision| solver_for_precision(n, p, &reg).unwrap();
+        let route = |n: &str, p: Precision| reg.route(n, p).unwrap().name;
         assert_eq!(route("cg", Precision::F64), "cg");
         assert_eq!(route("cg", Precision::Mixed), "mixed_cg");
         assert_eq!(route("cg", Precision::F32), "cg_f32");
@@ -527,15 +467,15 @@ mod tests {
     #[test]
     fn precision_routing_rejects_uncovered_methods() {
         let reg = SolverRegistry::builtin();
-        let err = solver_for_precision("jacobi", Precision::Mixed, &reg).unwrap_err();
+        let err = reg.route("jacobi", Precision::Mixed).unwrap_err();
         assert!(
             matches!(err, SolverError::PrecisionUnsupported { .. }),
             "{err}"
         );
         assert!(err.to_string().contains("jacobi"), "{err}");
-        let err = solver_for_precision("ppcg", Precision::F32, &reg).unwrap_err();
+        let err = reg.route("ppcg", Precision::F32).unwrap_err();
         assert!(err.to_string().contains("f32"), "{err}");
-        let err = solver_for_precision("nonexistent", Precision::Mixed, &reg).unwrap_err();
+        let err = reg.route("nonexistent", Precision::Mixed).unwrap_err();
         assert!(matches!(err, SolverError::UnknownSolver { .. }), "{err}");
     }
 

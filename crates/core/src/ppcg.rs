@@ -11,9 +11,9 @@
 //! communication-avoidance the paper quantifies with Eqs. 6–7.
 //!
 //! `cheb_inner` is generic over the scalar: `ppcg` runs it on the
-//! workspace's own `f64` fields (`Smoothed`); `mixed_ppcg`
-//! (`Ppcg::mixed`) runs the same code on the `f32` image of the
-//! operator (`crate::mixed::Low`), halving the traffic of the dominant
+//! workspace's own `f64` fields (`Smoothed`); `mixed_ppcg` (the
+//! family's [`crate::Precision::Mixed`] entry) runs the same code on the
+//! `f32` image of the operator (`crate::mixed::Low`), halving the traffic of the dominant
 //! sweeps and the bytes of every deep-halo message while the outer
 //! recurrence, both dot products and the convergence test stay in `f64`.
 //!
@@ -52,7 +52,7 @@
 //! blocks (paper's stated incompatibility with matrix powers, enforced
 //! here at configuration time).
 
-use crate::api::{DynTile, SolverParams};
+use crate::api::{DynTile, SolverMeta, SolverParams};
 use crate::cg::{EigenFamily, Family};
 use crate::chebyshev::ChebyConstants;
 use crate::control::Probed;
@@ -70,7 +70,7 @@ use tea_mesh::{Field2, Field2D, Scalar};
 /// CPPCG as an [`IterativeSolver`](crate::IterativeSolver): Chebyshev
 /// polynomially preconditioned CG with the matrix-powers deep-halo
 /// schedule — the paper's communication-avoiding headliner, and the
-/// only built-in method whose halo depth exceeds 1. [`Ppcg::mixed`]
+/// only built-in method whose halo depth exceeds 1. Its `mixed` entry
 /// moves the inner smoothing to `f32`.
 #[derive(Debug)]
 pub(crate) struct Ppcg {
@@ -78,27 +78,16 @@ pub(crate) struct Ppcg {
 }
 
 impl Ppcg {
-    /// Registry factory: consumes `precon`, `inner_steps`, `halo_depth`
-    /// and `presteps`.
-    pub(crate) fn from_params(params: &SolverParams) -> Self {
+    /// Registry factory: takes its name and precision from `meta` and
+    /// consumes `precon`, `inner_steps`, `halo_depth` and `presteps`.
+    pub(crate) fn from_params(meta: &SolverMeta, params: &SolverParams) -> Self {
         Ppcg {
-            family: Family::new(params),
+            family: Family::new(meta, params),
         }
-    }
-
-    /// The `"mixed_ppcg"` registry entry: the whole inner smoothing,
-    /// matrix-powers exchanges included, in `f32`. The CG presteps and
-    /// their Lanczos estimate stay in `f64`; the safety widening absorbs
-    /// the (tiny) spectral difference to the demoted operator.
-    pub(crate) fn mixed(mut self) -> Self {
-        self.family.mixed = true;
-        self
     }
 }
 
 impl EigenFamily for Ppcg {
-    const NAMES: [&'static str; 2] = ["ppcg", "mixed_ppcg"];
-
     fn family(&self) -> &Family {
         &self.family
     }
@@ -117,8 +106,8 @@ impl EigenFamily for Ppcg {
     }
 
     /// The PCG loop with the `m`-step Chebyshev preconditioner —
-    /// smoothing in the workspace's `f64`, or in `f32` when the solver
-    /// is `mixed`.
+    /// smoothing in the workspace's `f64`, or in `f32` at reduced
+    /// precision.
     fn run(
         &mut self,
         tile: &DynTile<'_>,

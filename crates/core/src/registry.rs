@@ -15,8 +15,9 @@ use crate::chebyshev::Chebyshev;
 use crate::jacobi::Jacobi;
 use crate::ppcg::Ppcg;
 
-/// Builds one configured solver instance from generic parameters.
-type SolverFactory = fn(&SolverParams) -> Box<dyn IterativeSolver>;
+/// Builds one configured solver instance from its registry entry (whose
+/// name and precision the instance takes) and generic parameters.
+type SolverFactory = fn(&SolverMeta, &SolverParams) -> Box<dyn IterativeSolver>;
 
 /// A string-keyed table of iterative methods: per-solver [`SolverMeta`]
 /// plus a factory producing a configured [`IterativeSolver`].
@@ -63,11 +64,12 @@ impl SolverRegistry {
                 deep_halo: false,
                 serial_only: false,
                 precision: Precision::F64,
+                family: "jacobi",
                 tunable: false,
                 // one stencil sweep + one axpy-class update: 5 + 3
                 iteration_cost: IterationCost::flat(8),
             },
-            |p| Box::new(Jacobi::from_params(p)),
+            |_, p| Box::new(Jacobi::from_params(p)),
         );
         reg.register(
             SolverMeta {
@@ -79,6 +81,7 @@ impl SolverRegistry {
                 deep_halo: false,
                 serial_only: false,
                 precision: Precision::F64,
+                family: "cg",
                 tunable: true,
                 // three sweeps, both dots riding in passes that run
                 // anyway: fused stencil + `p·w` (5), fused `u`/`r`/`r·z`
@@ -88,7 +91,7 @@ impl SolverRegistry {
                 // the update and the direction sweep (+2, unpriced).
                 iteration_cost: IterationCost::flat(14),
             },
-            |p| Box::new(Cg::from_params(p)),
+            |m, p| Box::new(Cg::from_params(m, p)),
         );
         reg.register(
             SolverMeta {
@@ -100,12 +103,13 @@ impl SolverRegistry {
                 deep_halo: false,
                 serial_only: false,
                 precision: Precision::F64,
+                family: "chebyshev",
                 tunable: true,
                 // one sweep: stencil 5 + three axpy-class passes 9 +
                 // preconditioner 4, and no dot
                 iteration_cost: IterationCost::flat(18),
             },
-            |p| Box::new(Chebyshev::from_params(p)),
+            |m, p| Box::new(Chebyshev::from_params(m, p)),
         );
         reg.register(
             SolverMeta {
@@ -117,6 +121,7 @@ impl SolverRegistry {
                 deep_halo: true,
                 serial_only: false,
                 precision: Precision::F64,
+                family: "ppcg",
                 tunable: true,
                 // outer: the Chebyshev sweep 18 + the `r·z` dot 2 left
                 // after the inner solve (`p·w` rides in the stencil);
@@ -137,8 +142,10 @@ impl SolverRegistry {
                     inner_steps: InnerSteps::Params,
                 },
             },
-            |p| Box::new(Ppcg::from_params(p)),
+            |m, p| Box::new(Ppcg::from_params(m, p)),
         );
+        // `mixed_cg`: the preconditioner is assembled from the demoted
+        // operator and applied to demoted residuals.
         reg.register(
             SolverMeta {
                 name: "mixed_cg",
@@ -149,14 +156,19 @@ impl SolverRegistry {
                 deep_halo: false,
                 serial_only: false,
                 precision: Precision::Mixed,
+                family: "cg",
                 tunable: true,
                 // CG's 14 + the f32 round trip, which keeps `z`
                 // materialized: conversion sweep 3, half-width
                 // preconditioner 2, separate `r·z` dot 2
                 iteration_cost: IterationCost::flat(21),
             },
-            |p| Box::new(Cg::from_params(p).mixed()),
+            |m, p| Box::new(Cg::from_params(m, p)),
         );
+        // `mixed_ppcg`: the whole inner smoothing, matrix-powers
+        // exchanges included, in `f32`. The CG presteps and their
+        // Lanczos estimate stay in `f64`; the safety widening absorbs the
+        // (tiny) spectral difference to the demoted operator.
         reg.register(
             SolverMeta {
                 name: "mixed_ppcg",
@@ -167,6 +179,7 @@ impl SolverRegistry {
                 deep_halo: true,
                 serial_only: false,
                 precision: Precision::Mixed,
+                family: "ppcg",
                 tunable: true,
                 // `ppcg`'s outer 20 + one conversion sweep 3; the fused
                 // inner steps at half width, 6 each (depth-blind like
@@ -177,8 +190,13 @@ impl SolverRegistry {
                     inner_steps: InnerSteps::Params,
                 },
             },
-            |p| Box::new(Ppcg::from_params(p).mixed()),
+            |m, p| Box::new(Ppcg::from_params(m, p)),
         );
+        // `mixed_chebyshev`: each outer iteration demotes the `f64`
+        // residual, runs `CHECK_INTERVAL` Chebyshev steps of `A z ≈ r` in
+        // `f32`, promotes the correction and re-derives the residual in
+        // `f64`, so the method reaches `f64` tolerances while the
+        // bandwidth-dominant sweeps move half the bytes.
         reg.register(
             SolverMeta {
                 name: "mixed_chebyshev",
@@ -189,6 +207,7 @@ impl SolverRegistry {
                 deep_halo: false,
                 serial_only: false,
                 precision: Precision::Mixed,
+                family: "chebyshev",
                 tunable: true,
                 // one f32 block of fused steps at half width (6 each) +
                 // the f64 residual control: stencil 5 + update 3 + dot 2
@@ -198,8 +217,12 @@ impl SolverRegistry {
                     inner_steps: InnerSteps::CheckInterval,
                 },
             },
-            |p| Box::new(Chebyshev::from_params(p).mixed()),
+            |m, p| Box::new(Chebyshev::from_params(m, p)),
         );
+        // `cg_f32`: every kernel in `f32`, dot products widened only for
+        // the scalar recurrence. Tight `f64`-era tolerances are generally
+        // unreachable, so the solve ends honestly unconverged once the
+        // residual stops improving.
         reg.register(
             SolverMeta {
                 name: "cg_f32",
@@ -211,13 +234,14 @@ impl SolverRegistry {
                 deep_halo: false,
                 serial_only: false,
                 precision: Precision::F32,
+                family: "cg",
                 // round-off limited: at f64-grade tolerances it only
                 // stalls, so `auto` does not race it
                 tunable: false,
                 // CG's three sweeps at half width: 14 / 2
                 iteration_cost: IterationCost::flat(7),
             },
-            |p| Box::new(Cg::from_params(p).single()),
+            |m, p| Box::new(Cg::from_params(m, p)),
         );
         reg
     }
@@ -263,16 +287,66 @@ impl SolverRegistry {
         self.entry(name).map(|(m, _)| m)
     }
 
+    /// The entry that runs `name`'s method at `precision` — the one
+    /// rule behind the deck's `tl_precision`, the CLI's `--precision`,
+    /// [`crate::Solve::precision`] and the serving escalation ladder.
+    ///
+    /// A solver whose [`SolverMeta::precision`] already matches is
+    /// returned unchanged; otherwise the request moves along the
+    /// [`SolverMeta::family`] axis to the family's entry at
+    /// `precision` (`Precision::F64` lands on the family's own entry).
+    ///
+    /// # Errors
+    /// [`SolverError::UnknownSolver`] for an unregistered name, and
+    /// [`SolverError::PrecisionUnsupported`] when no variant is
+    /// registered — in particular for serial-only baselines like `amg`.
+    pub fn route(&self, name: &str, precision: Precision) -> Result<&SolverMeta, SolverError> {
+        let meta = self.resolve(name)?;
+        if meta.precision == precision {
+            return Ok(meta);
+        }
+        let unsupported = |reason| SolverError::PrecisionUnsupported {
+            solver: meta.name.to_string(),
+            precision,
+            reason,
+        };
+        if meta.serial_only {
+            return Err(unsupported(format!(
+                "'{}' is a serial-only f64 baseline; run it without a precision override",
+                meta.name
+            )));
+        }
+        self.iter()
+            .find(|m| m.family == meta.family && m.precision == precision)
+            .ok_or_else(|| {
+                unsupported(format!(
+                    "no {} variant of '{}' is registered",
+                    precision.label(),
+                    meta.name
+                ))
+            })
+    }
+
     /// Builds a configured solver by `name` (canonical or alias).
     ///
     /// # Errors
-    /// [`SolverError::UnknownSolver`] carrying the registered names.
+    /// [`SolverError::UnknownSolver`] carrying the registered names, and
+    /// [`SolverError::InvalidParams`] for `presteps == 0`: the eigen
+    /// prelude estimates the spectrum from the presteps' CG
+    /// coefficients, so every solver asks for at least one.
     pub fn create(
         &self,
         name: &str,
         params: &SolverParams,
     ) -> Result<Box<dyn IterativeSolver>, SolverError> {
-        self.entry(name).map(|(_, f)| f(params))
+        let (meta, factory) = self.entry(name)?;
+        if params.presteps == 0 {
+            return Err(SolverError::InvalidParams {
+                solver: meta.name.to_string(),
+                reason: "presteps must be at least 1, got 0".to_string(),
+            });
+        }
+        Ok(factory(meta, params))
     }
 
     /// Machine-checks the registry's structural contracts and returns
@@ -293,17 +367,14 @@ impl SolverRegistry {
     ///   protocol) and must be plain-`f64` (reduced-precision variants
     ///   exist precisely to trade halo width, which serial baselines
     ///   do not exchange);
-    /// * **routing closure** — for every registered method and every
-    ///   [`Precision`], [`crate::solver_for_precision`] either lands
-    ///   on a *registered* solver or fails with the typed
-    ///   `PrecisionUnsupported` error; an `UnknownSolver` escape means
-    ///   the routing table names a variant nobody registered. A method
-    ///   advertising a reduced precision must also route to itself at
-    ///   that precision.
+    /// * **families** — an entry's [`SolverMeta::family`] names a
+    ///   registered `f64` entry that is its own family, and no two
+    ///   entries share a (family, precision) pair, so
+    ///   [`SolverRegistry::route`] has one answer wherever it has any.
     pub fn audit(&self) -> Vec<String> {
         let mut findings = Vec::new();
         let mut seen: Vec<(&str, &str)> = Vec::new(); // (key, owning canonical name)
-        for meta in self.iter() {
+        for (i, meta) in self.iter().enumerate() {
             for (key, kind) in std::iter::once((meta.name, "name"))
                 .chain(meta.aliases.iter().map(|a| (*a, "alias")))
             {
@@ -342,41 +413,23 @@ impl SolverRegistry {
                     meta.precision.label()
                 ));
             }
-            for precision in [Precision::F64, Precision::F32, Precision::Mixed] {
-                match crate::mixed::solver_for_precision(meta.name, precision, self) {
-                    Ok(target) => {
-                        if self.resolve(&target).is_err() {
-                            findings.push(format!(
-                                "routing ('{}', {}) lands on unregistered solver '{target}'",
-                                meta.name,
-                                precision.label()
-                            ));
-                        }
-                    }
-                    Err(SolverError::PrecisionUnsupported { .. }) => {}
-                    Err(e) => findings.push(format!(
-                        "routing ('{}', {}) escaped with a non-routing error: {e}",
-                        meta.name,
-                        precision.label()
-                    )),
-                }
+            let head = self.iter().find(|m| m.name == meta.family);
+            if !head.is_some_and(|h| h.family == h.name && h.precision == Precision::F64) {
+                findings.push(format!(
+                    "solver '{}' names family '{}', which is not a registered f64 entry \
+                     of its own family",
+                    meta.name, meta.family
+                ));
             }
-            if meta.precision != Precision::F64 {
-                match crate::mixed::solver_for_precision(meta.name, meta.precision, self) {
-                    Ok(target) if target == meta.name => {}
-                    Ok(target) => findings.push(format!(
-                        "solver '{}' advertises precision {} but routes to '{target}' \
-                         at that precision",
-                        meta.name,
-                        meta.precision.label()
-                    )),
-                    Err(e) => findings.push(format!(
-                        "solver '{}' advertises precision {} but does not route to \
-                         itself: {e}",
-                        meta.name,
-                        meta.precision.label()
-                    )),
-                }
+            let twin = |m: &&SolverMeta| m.family == meta.family && m.precision == meta.precision;
+            if let Some(twin) = self.iter().take(i).find(twin) {
+                findings.push(format!(
+                    "solvers '{}' and '{}' both claim family '{}' at precision {}",
+                    twin.name,
+                    meta.name,
+                    meta.family,
+                    meta.precision.label()
+                ));
             }
         }
         findings
@@ -459,10 +512,11 @@ mod tests {
                 deep_halo: false,
                 serial_only: false,
                 precision: Precision::F64,
+                family: "sor",
                 tunable: false,
                 iteration_cost: IterationCost::flat(8),
             },
-            |p| Box::new(Jacobi::from_params(p)),
+            |_, p| Box::new(Jacobi::from_params(p)),
         );
         let findings = reg.audit();
         assert!(
@@ -486,10 +540,11 @@ mod tests {
                 deep_halo: false,
                 serial_only: true,
                 precision: Precision::F64,
+                family: "SOR",
                 tunable: true,
                 iteration_cost: IterationCost::flat(8),
             },
-            |p| Box::new(Jacobi::from_params(p)),
+            |_, p| Box::new(Jacobi::from_params(p)),
         );
         let findings = reg.audit();
         assert!(
@@ -523,10 +578,11 @@ mod tests {
                 deep_halo: false,
                 serial_only: true,
                 precision: Precision::F32,
+                family: "oddball",
                 tunable: false,
                 iteration_cost: IterationCost::flat(8),
             },
-            |p| Box::new(Jacobi::from_params(p)),
+            |_, p| Box::new(Jacobi::from_params(p)),
         );
         let findings = reg.audit();
         assert!(
@@ -538,9 +594,11 @@ mod tests {
     #[test]
     fn audit_flags_routing_escapes() {
         // A registry holding mixed_cg but NOT its f64 family target:
-        // routing (mixed_cg, F64) resolves the name "cg", which is
-        // unregistered here, so the audit must flag the escape.
+        // its family names "cg", which is unregistered here, so the
+        // audit must flag the family.
         let mut reg = SolverRegistry::empty();
+        // `mixed_cg`: the preconditioner is assembled from the demoted
+        // operator and applied to demoted residuals.
         reg.register(
             SolverMeta {
                 name: "mixed_cg",
@@ -551,15 +609,39 @@ mod tests {
                 deep_halo: false,
                 serial_only: false,
                 precision: Precision::Mixed,
+                family: "cg",
                 tunable: true,
                 iteration_cost: IterationCost::flat(8),
             },
-            |p| Box::new(Jacobi::from_params(p)),
+            |_, p| Box::new(Jacobi::from_params(p)),
         );
         let findings = reg.audit();
         assert!(
-            findings.iter().any(|f| f.contains("non-routing error")),
+            findings
+                .iter()
+                .any(|f| f.contains("family 'cg'") && f.contains("not a registered f64 entry")),
             "{findings:?}"
+        );
+    }
+
+    #[test]
+    fn audit_flags_two_entries_of_one_family_and_precision() {
+        let mut reg = SolverRegistry::builtin();
+        let meta = *reg.resolve("mixed_cg").unwrap();
+        reg.register(
+            SolverMeta {
+                name: "mixed_cg_again",
+                aliases: &[],
+                ..meta
+            },
+            |m, p| Box::new(Cg::from_params(m, p)),
+        );
+        let findings = reg.audit();
+        assert_eq!(
+            findings,
+            vec![
+                "solvers 'mixed_cg' and 'mixed_cg_again' both claim family 'cg' at precision mixed"
+            ],
         );
     }
 
@@ -577,10 +659,11 @@ mod tests {
                 deep_halo: false,
                 serial_only: false,
                 precision: Precision::F64,
+                family: "jacobi",
                 tunable: false,
                 iteration_cost: IterationCost::flat(8),
             },
-            |p| Box::new(Jacobi::from_params(p)),
+            |_, p| Box::new(Jacobi::from_params(p)),
         );
         assert_eq!(reg.names().len(), n);
         assert_eq!(reg.resolve("relax").unwrap().summary, "replacement");

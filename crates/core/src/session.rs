@@ -598,9 +598,9 @@ mod tests {
         static CONSTRUCTED: AtomicU64 = AtomicU64::new(0);
         let mut registry = crate::SolverRegistry::builtin();
         let meta = *registry.resolve("cg").unwrap();
-        registry.register(meta, |p| {
+        registry.register(meta, |m, p| {
             CONSTRUCTED.fetch_add(1, Ordering::Relaxed);
-            Box::new(crate::cg::Cg::from_params(p))
+            Box::new(crate::cg::Cg::from_params(m, p))
         });
 
         let spec = spec_for("cg");

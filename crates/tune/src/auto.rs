@@ -33,6 +33,7 @@ const AUTO_META: SolverMeta = SolverMeta {
     deep_halo: true,
     serial_only: true,
     precision: Precision::F64,
+    family: "auto",
     tunable: false,
     // never a candidate itself; it prices as plain `cg`
     iteration_cost: IterationCost::flat(14),
@@ -41,7 +42,7 @@ const AUTO_META: SolverMeta = SolverMeta {
 /// Registers the `auto` pseudo-solver into `registry` (deck
 /// `tl_solver=auto`, CLI `--solver auto`).
 pub fn register_auto(registry: &mut SolverRegistry) {
-    registry.register(AUTO_META, |p| Box::new(AutoSolver::from_params(p)));
+    registry.register(AUTO_META, |_, p| Box::new(AutoSolver::from_params(p)));
 }
 
 /// The solver behind `tl_solver=auto`. See the module docs for the

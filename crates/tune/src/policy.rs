@@ -11,7 +11,7 @@
 use crate::log::{TuneAction, TuneDecision, TuneLog};
 use crate::monitor::{classify_result, Verdict};
 use crate::search::{plan_candidates, Candidate};
-use tea_core::{solver_for_precision, Precision, SolveResult, SolverParams, SolverRegistry};
+use tea_core::{Precision, SolveResult, SolverParams, SolverRegistry};
 
 /// The next rung of the graceful-degradation ladder for `name`:
 /// reduced-precision methods escalate towards the full-`f64` member of
@@ -24,7 +24,7 @@ fn next_precision_rung(name: &str, registry: &SolverRegistry) -> Option<String> 
         Precision::Mixed => Precision::F64,
         Precision::F64 => return None,
     };
-    solver_for_precision(name, target, registry).ok()
+    Some(registry.route(name, target).ok()?.name.to_string())
 }
 
 /// The precision-escalation policy a serving scheduler walks when a
@@ -194,6 +194,32 @@ mod tests {
             Some("chebyshev")
         );
         assert_eq!(next_precision_rung("nonsense", &reg), None);
+    }
+
+    #[test]
+    fn a_registered_variant_joins_its_family() {
+        // an `f32` entry of the `ppcg` family: routing, the escalation
+        // ladder and the audit read it from its registry entry alone
+        let mut reg = SolverRegistry::builtin();
+        let meta = *reg.resolve("ppcg").unwrap();
+        reg.register(
+            tea_core::SolverMeta {
+                name: "ppcg_f32",
+                aliases: &[],
+                precision: Precision::F32,
+                ..meta
+            },
+            |_, p| SolverRegistry::builtin().create("ppcg", p).expect("ppcg"),
+        );
+        assert_eq!(reg.route("cppcg", Precision::F32).unwrap().name, "ppcg_f32");
+        let policy = EscalationPolicy::new(&reg);
+        let mut log = TuneLog::default();
+        let mut ladder = vec!["ppcg_f32".to_string()];
+        while let Some(to) = policy.escalate(ladder.last().unwrap(), 0, &mut log) {
+            ladder.push(to);
+        }
+        assert_eq!(ladder, ["ppcg_f32", "mixed_ppcg", "ppcg"]);
+        assert_eq!(reg.audit(), Vec::<String>::new());
     }
 
     #[test]

@@ -279,7 +279,7 @@ mod tests {
                 tunable: false,
                 ..*meta
             };
-            fewer.register(retired, |p| {
+            fewer.register(retired, |_, p| {
                 SolverRegistry::builtin().create("cg", p).expect("cg")
             });
             for seed in 0..64u64 {
