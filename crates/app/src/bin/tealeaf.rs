@@ -13,14 +13,15 @@
     clippy::unimplemented
 )]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 use tea_app::{
-    crooked_pipe_deck, find_repo_root, parse_deck, run_serial, run_threaded_ranks, semantic_audit,
-    serve_decks_with_plan, solver_registry, write_field_csv, write_field_ppm, DeckJob, RankOutput,
+    crooked_pipe_deck, find_repo_root, parse_deck, run_threaded_ranks, semantic_audit,
+    serve_decks_with_plan, solver_registry, write_field_csv, write_field_ppm, Deck, DeckJob,
+    FLAG_KEYS,
 };
-use tea_core::{Precision, PreconKind, SolverParams, EIGEN_SAFETY};
+use tea_core::{Precision, SolverParams, EIGEN_SAFETY};
 use tea_fault::FaultPlan;
 use tea_serve::ServeOptions;
 
@@ -32,25 +33,37 @@ USAGE:
 
 OPTIONS:
     --deck <file>        read a tea.in-style deck (explicitly passed
-                         flags below override its values)
+                         flags below override its values; a flag with a
+                         deck key sets that key, taking the values a
+                         deck line takes, in any letter case)
     --cells <n>          mesh resolution n x n            [default: 128]
     --solver <s>         any registered solver name       [default: cg]
                          (see --list-solvers; 'auto' races the tunable
                          solvers and keeps the cheapest)
+                         deck key: tl_solver
     --precon <p>         none | jac_diag | jac_block      [default: none]
+                         deck key: tl_preconditioner_type
     --precision <x>      f64 | f32 | mixed                [default: f64]
                          (mixed: f32 preconditioning, f64 recurrence)
+                         deck key: tl_precision
     --depth <d>          PPCG matrix-powers halo depth, 1 up to the
                          mesh's shorter side (1 only with
                          --precon jac_block under ppcg)   [default: 1]
+                         deck key: tl_ppcg_halo_depth
     --inner <m>          PPCG inner steps, 1 to 4096      [default: 16]
+                         deck key: tl_ppcg_inner_steps
     --steps <n>          number of time steps             [default: 10]
+                         deck key: end_step
     --dt <t>             time step, finite and > 0        [default: 0.04]
+                         deck key: initial_timestep
     --eps <e>            solver tolerance                 [default: 1e-10]
+                         deck key: tl_eps
     --tune-seed <n>      seed for --solver auto's candidate
                          search order                     [default: 0]
+                         deck key: tl_tune_seed
     --ranks <r>          simulated MPI ranks (threads)    [default: 1]
-    --threads <t>        kernel worker threads per rank
+    --threads <t>        kernel worker threads per rank; overrides the
+                         deck's tl_num_threads
                          [default: TEA_NUM_THREADS or all cores]
     --out <prefix>       write <prefix>.ppm and <prefix>.csv of the final field
     --quiet              only print the final summary
@@ -69,7 +82,8 @@ SERVING (batched multi-solve mode):
                          Prepared solvers are pooled across jobs with
                          equal setups; prints jobs/sec, latency
                          percentiles and the session-cache hit/miss
-                         counters.
+                         counters. Each job runs its deck as written: a
+                         flag with a deck key is refused.
     --workers <w>        concurrent jobs in flight  [default: all cores]
     --deadline <secs>    wall-clock budget per job attempt; an expired
                          solve is cancelled at its next iteration and
@@ -89,21 +103,16 @@ EXIT STATUS:
     carries a 'warning' line naming the first such step
 ";
 
-/// Solver/stepping flags are `Option` so that, with `--deck`, only the
-/// flags the user actually passed override the deck (as the usage text
-/// promises); without a deck the documented defaults apply.
+/// The deck-key flags ([`FLAG_KEYS`]) are recorded, not parsed, so that
+/// with `--deck` only the flags the user actually passed override the
+/// deck (as the usage text promises); without a deck the documented
+/// defaults apply.
 struct Args {
     deck_path: Option<PathBuf>,
     cells: usize,
-    solver: Option<String>,
-    precon: Option<PreconKind>,
-    precision: Option<Precision>,
-    depth: Option<usize>,
-    inner: Option<usize>,
-    steps: Option<u64>,
-    dt: Option<f64>,
-    eps: Option<f64>,
-    tune_seed: Option<u64>,
+    /// Each deck-key flag's `(flag, key)` row and its case-folded value,
+    /// in command-line order.
+    deck_keys: Vec<((&'static str, &'static str), String)>,
     ranks: usize,
     threads: Option<usize>,
     out: Option<String>,
@@ -120,15 +129,7 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         deck_path: None,
         cells: 128,
-        solver: None,
-        precon: None,
-        precision: None,
-        depth: None,
-        inner: None,
-        steps: None,
-        dt: None,
-        eps: None,
-        tune_seed: None,
+        deck_keys: Vec::new(),
         ranks: 1,
         threads: None,
         out: None,
@@ -144,31 +145,15 @@ fn parse_args() -> Result<Args, String> {
     while let Some(flag) = it.next() {
         let mut value =
             || -> Result<String, String> { it.next().ok_or(format!("{flag} needs a value")) };
+        if let Some(&row) = FLAG_KEYS.iter().find(|(f, _)| *f == flag) {
+            // folded as a deck line is; `main` applies it to the deck
+            args.deck_keys.push((row, value()?.to_ascii_lowercase()));
+            continue;
+        }
         match flag.as_str() {
             "--help" | "-h" => return Err(String::new()),
             "--deck" => args.deck_path = Some(PathBuf::from(value()?)),
             "--cells" => args.cells = value()?.parse().map_err(|e| format!("--cells: {e}"))?,
-            "--solver" => {
-                // resolve eagerly so typos fail before any work happens,
-                // with the registered names in the message
-                args.solver = Some(
-                    solver_registry()
-                        .resolve(&value()?)
-                        .map_err(|e| e.to_string())?
-                        .name
-                        .to_string(),
-                );
-            }
-            "--precon" => args.precon = Some(PreconKind::parse(&value()?)?),
-            "--precision" => args.precision = Some(Precision::parse(&value()?)?),
-            "--depth" => args.depth = Some(value()?.parse().map_err(|e| format!("--depth: {e}"))?),
-            "--inner" => args.inner = Some(value()?.parse().map_err(|e| format!("--inner: {e}"))?),
-            "--steps" => args.steps = Some(value()?.parse().map_err(|e| format!("--steps: {e}"))?),
-            "--dt" => args.dt = Some(value()?.parse().map_err(|e| format!("--dt: {e}"))?),
-            "--eps" => args.eps = Some(value()?.parse().map_err(|e| format!("--eps: {e}"))?),
-            "--tune-seed" => {
-                args.tune_seed = Some(value()?.parse().map_err(|e| format!("--tune-seed: {e}"))?)
-            }
             "--ranks" => args.ranks = value()?.parse().map_err(|e| format!("--ranks: {e}"))?,
             "--threads" => {
                 args.threads = Some(value()?.parse().map_err(|e| format!("--threads: {e}"))?)
@@ -246,10 +231,25 @@ fn print_solvers() {
     println!("'auto' races the solvers marked tunable and keeps the cheapest (--tune-seed)");
 }
 
+/// Reads and parses the deck file at `path`; an error names the path.
+fn load_deck(path: &Path) -> Result<Deck, String> {
+    std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| parse_deck(&text))
+        .map_err(|e| format!("{}: {e}", path.display()))
+}
+
 /// `--serve <joblist>`: drain a queue of deck files through the session
 /// driver and print queue statistics. Exit code is FAILURE when the
 /// joblist is unusable or any job failed.
-fn run_serve(joblist: &std::path::Path, args: &Args) -> ExitCode {
+fn run_serve(joblist: &Path, args: &Args) -> ExitCode {
+    // a job runs its own deck, so a flag meant to override one is refused
+    for ((flag, key), _) in &args.deck_keys {
+        eprintln!("error: {flag} sets deck key {key}; --serve runs each job's deck as written");
+    }
+    if !args.deck_keys.is_empty() {
+        return ExitCode::FAILURE;
+    }
     let text = match std::fs::read_to_string(joblist) {
         Ok(t) => t,
         Err(e) => {
@@ -264,15 +264,12 @@ fn run_serve(joblist: &std::path::Path, args: &Args) -> ExitCode {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let loaded = std::fs::read_to_string(line)
-            .map_err(|e| e.to_string())
-            .and_then(|t| parse_deck(&t));
-        match loaded {
+        match load_deck(Path::new(line)) {
             Ok(deck) => jobs.push(DeckJob {
                 label: line.to_string(),
                 deck,
             }),
-            Err(e) => load_failures.push(format!("{line}: {e}")),
+            Err(e) => load_failures.push(e),
         }
     }
     for failure in &load_failures {
@@ -404,22 +401,11 @@ fn main() -> ExitCode {
         return run_serve(&joblist, &args);
     }
 
-    let mut deck = match &args.deck_path {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot read {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            match parse_deck(&text) {
-                Ok(d) => d,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+    let mut deck = match args.deck_path.as_deref().map(load_deck) {
+        Some(Ok(deck)) => deck,
+        Some(Err(e)) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
         }
         None => crooked_pipe_deck(args.cells, "cg"),
     };
@@ -429,38 +415,17 @@ fn main() -> ExitCode {
         deck.control.end_step = 10;
         deck.control.summary_frequency = 1;
     }
+    for ((_, key), value) in &args.deck_keys {
+        if let Err(e) = deck.control.set(key, value) {
+            eprintln!("error: {e}\n\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    }
     // --quiet applies regardless of where the deck came from: it both
     // silences the per-step table and disables the per-step summary
     // reductions that feed it
     if args.quiet {
         deck.control.summary_frequency = 0;
-    }
-    if let Some(solver) = &args.solver {
-        deck.control.solver = solver.clone();
-    }
-    if let Some(precon) = args.precon {
-        deck.control.precon = precon;
-    }
-    if args.precision.is_some() {
-        deck.control.precision = args.precision;
-    }
-    if let Some(depth) = args.depth {
-        deck.control.ppcg_halo_depth = depth;
-    }
-    if let Some(inner) = args.inner {
-        deck.control.ppcg_inner_steps = inner;
-    }
-    if let Some(steps) = args.steps {
-        deck.control.end_step = steps;
-    }
-    if let Some(dt) = args.dt {
-        deck.control.dt = dt;
-    }
-    if let Some(eps) = args.eps {
-        deck.control.opts.eps = eps;
-    }
-    if let Some(seed) = args.tune_seed {
-        deck.control.tune_seed = seed;
     }
     // CLI --threads overrides the deck's tl_num_threads, which overrides
     // the ambient TEA_NUM_THREADS / core count
@@ -506,37 +471,20 @@ fn main() -> ExitCode {
     )]
     let started = std::time::Instant::now();
     // per-rank comm counters, summed machine-wide for the summary
-    let (output, halo): (RankOutput, tea_comms::StatsSnapshot) = if args.ranks <= 1 {
-        match run_serial(&deck) {
-            Ok(out) => {
-                let halo = out.comm;
-                (out, halo)
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
+    let outs = match run_threaded_ranks(&deck, args.ranks.max(1)) {
+        Ok(outs) => outs,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
         }
-    } else {
-        match run_threaded_ranks(&deck, args.ranks) {
-            Ok(outs) => {
-                let mut halo = tea_comms::StatsSnapshot::default();
-                for o in &outs {
-                    halo.merge(&o.comm);
-                }
-                match outs.into_iter().next() {
-                    Some(first) => (first, halo),
-                    None => {
-                        eprintln!("error: no rank produced output");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    };
+    let mut halo = tea_comms::StatsSnapshot::default();
+    for o in &outs {
+        halo.merge(&o.comm);
+    }
+    let Some(output) = outs.into_iter().next() else {
+        eprintln!("error: no rank produced output");
+        return ExitCode::FAILURE;
     };
     let elapsed = started.elapsed().as_secs_f64();
 

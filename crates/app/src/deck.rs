@@ -198,6 +198,38 @@ impl Control {
         Ok(())
     }
 
+    /// Sets control `key` from its deck value (lower-case, as a deck
+    /// line is folded): the one parser of every control key, shared by
+    /// [`parse_deck`] and the command line's [`FLAG_KEYS`].
+    ///
+    /// # Errors
+    /// A message naming the key: a malformed value or an unknown key.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
+        let fval = || parse_value::<f64>(key, value, "number");
+        let ival = || parse_value::<u64>(key, value, "integer");
+        match key {
+            "initial_timestep" => self.dt = fval()?,
+            "end_time" => self.end_time = fval()?,
+            "end_step" => self.end_step = ival()?,
+            "summary_frequency" => self.summary_frequency = ival()?,
+            "tl_solver" => {
+                let meta = crate::solver_registry().resolve(value);
+                self.solver = meta.map_err(|e| e.to_string())?.name.to_string();
+            }
+            "tl_precision" => self.precision = Some(Precision::parse(value)?),
+            "tl_eps" => self.opts.eps = fval()?,
+            "tl_max_iters" => self.opts.max_iters = ival()?,
+            "tl_ppcg_inner_steps" => self.ppcg_inner_steps = ival()? as usize,
+            "tl_ppcg_halo_depth" => self.ppcg_halo_depth = ival()? as usize,
+            "tl_ch_cg_presteps" => self.presteps = ival()?,
+            "tl_tune_seed" => self.tune_seed = ival()?,
+            "tl_num_threads" => self.threads = Some((ival()? as usize).max(1)),
+            "tl_preconditioner_type" => self.precon = PreconKind::parse(value)?,
+            other => return Err(format!("unknown deck key '{other}'")),
+        }
+        Ok(())
+    }
+
     /// The generic solver parameters this deck configures — what the
     /// driver hands to [`tea_core::SolverRegistry::create`].
     pub fn solver_params(&self) -> SolverParams {
@@ -209,6 +241,24 @@ impl Control {
             tune_seed: self.tune_seed,
         }
     }
+}
+
+/// `tealeaf`'s flags that set a deck key, as `(flag, key)`, each applied by [`Control::set`].
+pub const FLAG_KEYS: [(&str, &str); 9] = [
+    ("--solver", "tl_solver"),
+    ("--precon", "tl_preconditioner_type"),
+    ("--precision", "tl_precision"),
+    ("--depth", "tl_ppcg_halo_depth"),
+    ("--inner", "tl_ppcg_inner_steps"),
+    ("--steps", "end_step"),
+    ("--dt", "initial_timestep"),
+    ("--eps", "tl_eps"),
+    ("--tune-seed", "tl_tune_seed"),
+];
+
+fn parse_value<T: std::str::FromStr>(key: &str, value: &str, what: &str) -> Result<T, String> {
+    let bad = |_| format!("bad {what} '{value}' for {key}");
+    value.parse().map_err(bad)
 }
 
 /// A parsed deck: the physical problem plus controls.
@@ -262,14 +312,9 @@ pub fn parse_deck(text: &str) -> Result<Deck, String> {
             continue;
         }
 
-        // legacy bare solver switches: `tl_use_<name>` aliases
-        // `tl_solver=<name>`, resolved against the same registry
+        // legacy bare solver switches: `tl_use_<name>` is `tl_solver=<name>`
         if let Some(name) = lower.strip_prefix("tl_use_") {
-            control.solver = crate::solver_registry()
-                .resolve(name)
-                .map_err(|e| err(e.to_string()))?
-                .name
-                .to_string();
+            control.set("tl_solver", name).map_err(err)?;
             continue;
         }
 
@@ -277,16 +322,8 @@ pub fn parse_deck(text: &str) -> Result<Deck, String> {
             .split_once('=')
             .map(|(k, v)| (k.trim(), v.trim()))
             .ok_or_else(|| err(format!("expected key=value, got '{line}'")))?;
-        let fval = || -> Result<f64, String> {
-            value
-                .parse::<f64>()
-                .map_err(|_| err(format!("bad number '{value}' for {key}")))
-        };
-        let ival = || -> Result<u64, String> {
-            value
-                .parse::<u64>()
-                .map_err(|_| err(format!("bad integer '{value}' for {key}")))
-        };
+        let fval = || parse_value::<f64>(key, value, "number").map_err(err);
+        let ival = || parse_value::<u64>(key, value, "integer").map_err(err);
         match key {
             "x_cells" => x_cells = ival()? as usize,
             "y_cells" => y_cells = ival()? as usize,
@@ -294,27 +331,6 @@ pub fn parse_deck(text: &str) -> Result<Deck, String> {
             "xmax" => extent.x_max = fval()?,
             "ymin" => extent.y_min = fval()?,
             "ymax" => extent.y_max = fval()?,
-            "initial_timestep" => control.dt = fval()?,
-            "end_time" => control.end_time = fval()?,
-            "end_step" => control.end_step = ival()?,
-            "summary_frequency" => control.summary_frequency = ival()?,
-            "tl_solver" => {
-                control.solver = crate::solver_registry()
-                    .resolve(value)
-                    .map_err(|e| err(e.to_string()))?
-                    .name
-                    .to_string();
-            }
-            "tl_precision" => {
-                control.precision = Some(Precision::parse(value).map_err(err)?);
-            }
-            "tl_eps" => control.opts.eps = fval()?,
-            "tl_max_iters" => control.opts.max_iters = ival()?,
-            "tl_ppcg_inner_steps" => control.ppcg_inner_steps = ival()? as usize,
-            "tl_ppcg_halo_depth" => control.ppcg_halo_depth = ival()? as usize,
-            "tl_ch_cg_presteps" => control.presteps = ival()?,
-            "tl_tune_seed" => control.tune_seed = ival()?,
-            "tl_num_threads" => control.threads = Some((ival()? as usize).max(1)),
             "tl_coefficient" => {
                 coefficient = match value {
                     "1" | "conductivity" => Coefficient::Conductivity,
@@ -322,8 +338,7 @@ pub fn parse_deck(text: &str) -> Result<Deck, String> {
                     other => return Err(err(format!("unknown coefficient '{other}'"))),
                 }
             }
-            "tl_preconditioner_type" => control.precon = PreconKind::parse(value).map_err(err)?,
-            other => return Err(err(format!("unknown deck key '{other}'"))),
+            _ => control.set(key, value).map_err(err)?,
         }
     }
 
@@ -645,6 +660,34 @@ tl_coefficient=1
         parse_deck(&format!(
             "*tea\nstate 1 density=1 energy=1\nx_cells=8\ny_cells=8\n{lines}\n*endtea"
         ))
+    }
+
+    #[test]
+    fn every_flag_sets_its_key_as_a_deck_line_does() {
+        // per key: a value that moves it off its default, and one it refuses
+        let samples = |key: &str| match key {
+            "tl_solver" => ("cppcg", "sor"),
+            "tl_preconditioner_type" => ("jac_diag", "diag"),
+            "tl_precision" => ("mixed", "f16"),
+            "tl_ppcg_halo_depth" | "tl_ppcg_inner_steps" | "end_step" | "tl_tune_seed" => {
+                ("4", "abc")
+            }
+            "initial_timestep" | "tl_eps" => ("0.5", "1e"),
+            other => panic!("FLAG_KEYS names {other}, which this test has no sample for"),
+        };
+        let debug = |c: &Control| format!("{c:?}");
+        for (flag, key) in FLAG_KEYS {
+            let (good, bad) = samples(key);
+            let mut set = Control::default();
+            set.set(key, good).unwrap();
+            assert_ne!(debug(&set), debug(&Control::default()), "{flag} {good}");
+            let deck = mini_deck(&format!("{key}={good}")).unwrap();
+            assert_eq!(debug(&set), debug(&deck.control), "{flag} {good}");
+
+            let e = Control::default().set(key, bad).unwrap_err();
+            let deck_e = mini_deck(&format!("{key}={bad}")).unwrap_err();
+            assert_eq!(deck_e, format!("line 5: {e}"), "{flag} {bad}");
+        }
     }
 
     #[test]

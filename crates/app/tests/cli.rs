@@ -206,6 +206,36 @@ fn precon_flag_accepts_exactly_the_deck_spellings() {
 }
 
 #[test]
+fn precon_flag_folds_case_as_a_deck_line_does() {
+    let out = tealeaf(&["--cells", "16", "--steps", "1", "--precon", "JAC_DIAG"]);
+    assert!(out.status.success(), "{out:?}");
+}
+
+#[test]
+fn a_malformed_flag_value_names_its_deck_key() {
+    let out = tealeaf(&["--depth", "abc"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    let want = "error: bad integer 'abc' for tl_ppcg_halo_depth";
+    assert!(stderr.starts_with(want), "{stderr}");
+}
+
+#[test]
+fn serve_refuses_flags_that_set_a_deck_key() {
+    let deck = write_deck("served_refused.in", "tl_solver=cg");
+    let joblist = deck.with_file_name("jobs_refused.txt");
+    std::fs::write(&joblist, format!("{}\n", deck.to_str().unwrap())).unwrap();
+    let out = tealeaf(&["--serve", joblist.to_str().unwrap(), "--solver", "ppcg"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert_eq!(
+        stderr,
+        "error: --solver sets deck key tl_solver; --serve runs each job's deck as written\n"
+    );
+    assert!(out.stdout.is_empty(), "no job may run: {out:?}");
+}
+
+#[test]
 fn unconverged_steps_warn_and_exit_nonzero() {
     // regression: single-deck mode used to print the summary and exit 0
     // when every step hit the iteration cap

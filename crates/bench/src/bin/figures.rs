@@ -139,7 +139,7 @@ fn main() -> ExitCode {
 /// counts, at the target mesh.
 fn sweep(label: &str, machine: &Machine, trace: &SolveTrace, args: &FigArgs) -> ScalingSeries {
     let global = (args.target_cells, args.target_cells);
-    ScalingSeries::sweep(label, machine, trace, global, KernelBytes::default())
+    ScalingSeries::sweep_width(label, machine, trace, global, KernelBytes::default())
 }
 
 /// Prints the paper-style time-to-solution table of series swept over

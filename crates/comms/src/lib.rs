@@ -72,8 +72,13 @@ pub trait Communicator {
 
     /// Fused global sum of several values (one latency for many dot
     /// products — the optimisation the paper's future-work section
-    /// describes). Deterministic like [`Communicator::allreduce_sum`].
-    fn allreduce_sum_many(&self, locals: &[f64]) -> Vec<f64>;
+    /// describes). Deterministic like [`Communicator::allreduce_sum`]:
+    /// an `f64` [`Communicator::allreduce_sum_payload`].
+    fn allreduce_sum_many(&self, locals: &[f64]) -> Vec<f64> {
+        self.allreduce_sum_payload(Payload::F64(locals.to_vec()))
+            .try_into_vec()
+            .expect("f64 deposit folds to an f64 result")
+    }
 
     /// Precision-native fused global sum: the reduction analogue of the
     /// typed point-to-point path. An `F32` payload travels (and is

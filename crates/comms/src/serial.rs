@@ -33,11 +33,6 @@ impl Communicator for SerialComm {
         1
     }
 
-    fn allreduce_sum_many(&self, locals: &[f64]) -> Vec<f64> {
-        self.stats.count_reduction(locals.len());
-        locals.to_vec()
-    }
-
     fn allreduce_sum_payload(&self, locals: Payload) -> Payload {
         // identity, but width-accounted: an f32 reduction is counted at
         // 4 bytes/element here exactly as on the threaded backend

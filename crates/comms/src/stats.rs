@@ -155,15 +155,6 @@ impl CommStats {
         };
     }
 
-    /// Records one allreduce of `elements` fused `f64` scalars (the
-    /// historical wire width; width-native reductions go through
-    /// [`CommStats::count_reduction_payload`]).
-    pub fn count_reduction(&self, elements: usize) {
-        self.reductions.fetch_add(1, Ordering::Relaxed);
-        self.reduction_elems_f64
-            .fetch_add(elements as u64, Ordering::Relaxed);
-    }
-
     /// Records one allreduce, attributing its elements to the payload's
     /// width bucket.
     pub fn count_reduction_payload(&self, locals: &Payload) {
@@ -207,7 +198,7 @@ mod tests {
         s.count_send(&Payload::F64(vec![0.0; 100]));
         s.count_send(&Payload::F64(vec![0.0; 50]));
         s.count_recv(&Payload::F64(vec![0.0; 100]));
-        s.count_reduction(3);
+        s.count_reduction_payload(&Payload::F64(vec![0.0; 3]));
         s.count_reduction_payload(&Payload::F32(vec![0.0; 2]));
         s.count_barrier();
         let snap = s.snapshot();
@@ -229,7 +220,7 @@ mod tests {
         let a = CommStats::new();
         a.count_send(&Payload::F64(vec![0.0; 4]));
         a.count_recv(&Payload::F32(vec![0.0; 6]));
-        a.count_reduction(2);
+        a.count_reduction_payload(&Payload::F64(vec![0.0; 2]));
         a.count_barrier();
         let b = CommStats::new();
         b.count_send(&Payload::F32(vec![0.0; 10]));

@@ -163,14 +163,6 @@ impl Communicator for ThreadedComm {
         self.shared.size
     }
 
-    fn allreduce_sum_many(&self, locals: &[f64]) -> Vec<f64> {
-        self.stats.count_reduction(locals.len());
-        self.shared
-            .rendezvous(self.rank, Payload::F64(locals.to_vec()))
-            .try_into_vec()
-            .expect("f64 deposit folds to an f64 result")
-    }
-
     fn allreduce_sum_payload(&self, locals: Payload) -> Payload {
         // width-native: an F32 deposit is accounted at 4 bytes/element
         // and folded in f32, never touching f64 on the "wire"

@@ -89,7 +89,7 @@ pub(crate) fn jacobi_solve_impl<C: Communicator + ?Sized>(
     tile.exchange(&mut [u], 1, &mut trace);
     tile.op.residual(u, b, &mut ws.r, 0, &mut trace);
     let rr0 = vector::dot_local(&ws.r, &ws.r, bounds, &mut trace);
-    let rr0 = tile.reduce_sum(rr0, &mut trace);
+    let rr0 = tile.reduce_sum_native(rr0, &mut trace);
     let run = match SolveResult::start(rr0, trace) {
         Ok(run) => run,
         Err(end) => return *end,

@@ -272,7 +272,7 @@ pub(crate) fn stationary_loop<C: Communicator + ?Sized>(
     let every = check_interval.map_or(1, |k| k.max(1)); // 0 would divide by zero
     let check = |run: &mut SolveResult, r: &Field2D| {
         let rr = vector::dot_local(r, r, &tile.op.bounds, &mut run.trace);
-        let rr = tile.reduce_sum(rr, &mut run.trace);
+        let rr = tile.reduce_sum_native(rr, &mut run.trace);
         run.observe(rr, target)
     };
     while run.iterations < opts.max_iters && run.begin(&tile.controls, u, r) {

@@ -64,17 +64,10 @@ impl<'a, C: Communicator + ?Sized> Tile<'a, C> {
         exchange_halo_many(fields, self.layout, self.comm, depth);
     }
 
-    /// Globally reduces one scalar, recording the event.
-    pub fn reduce_sum(&self, local: f64, trace: &mut SolveTrace) -> f64 {
-        trace.record_reduction(1);
-        self.comm.allreduce_sum(local)
-    }
-
-    /// Globally reduces one scalar *in its own precision*: an `f32` local
-    /// travels (and folds) at 4 bytes, so reduced-precision solvers stop
-    /// widening their reduction traffic to f64. Trace accounting is
-    /// identical to [`Tile::reduce_sum`] — one reduction event of one
-    /// element — keeping every solver's reduction-count invariant intact.
+    /// Globally reduces one scalar *in its own precision*, recording one
+    /// reduction event of one element: an `f32` local travels (and
+    /// folds) at 4 bytes, so reduced-precision solvers stop widening
+    /// their reduction traffic to f64.
     pub fn reduce_sum_native<S: WireScalar>(&self, local: S, trace: &mut SolveTrace) -> S {
         trace.record_reduction(1);
         let folded = self

@@ -171,36 +171,19 @@ fn reduction_time(m: &Machine, ranks: usize, elements: f64, elem_bytes: f64) -> 
 }
 
 /// Replays a solver trace on `machine` at `nodes` nodes for a fixed
-/// `global` mesh, with f64 (8-byte) communication payloads.
-///
-/// Shorthand for [`predict_width`] at `elem_bytes = 8.0`; use
-/// `predict_width` to price reduced-precision legs honestly.
-fn predict(
-    machine: &Machine,
-    trace: &SolveTrace,
-    global: (usize, usize),
-    nodes: usize,
-    bytes: KernelBytes,
-) -> ScalingPoint {
-    predict_width(machine, trace, global, nodes, bytes, 8.0)
-}
-
-/// Replays a solver trace on `machine` at `nodes` nodes for a fixed
 /// `global` mesh, with every element — field working sets, halo faces,
-/// reduction payloads — `elem_bytes` wide.
-///
-/// `elem_bytes` is the in-memory width of one mesh element: 8 for f64
-/// solves, 4 for f32 / the inner leg of the mixed methods. Pass a
-/// matching [`KernelBytes::for_width`] so the sweep classes and the
-/// communication terms price the same precision.
+/// reduction payloads — as wide as `bytes` prices one: 8 bytes for f64
+/// solves ([`KernelBytes::default`]), 4 for f32 / the inner leg of the
+/// mixed methods (`KernelBytes::for_width(4.0)`), so the sweep classes
+/// and the communication terms price the same precision.
 pub fn predict_width(
     machine: &Machine,
     trace: &SolveTrace,
     global: (usize, usize),
     nodes: usize,
     bytes: KernelBytes,
-    elem_bytes: f64,
 ) -> ScalingPoint {
+    let elem_bytes = bytes.elem_bytes();
     let ranks = nodes * machine.ranks_per_node;
     let tile = worst_tile(global, ranks);
     let (nx, ny) = (tile.0 as f64, tile.1 as f64);
@@ -331,7 +314,7 @@ fn predict_amg(
     bytes: KernelBytes,
 ) -> ScalingPoint {
     // outer CG protocol on the fine grid
-    let mut point = predict(machine, &mg.outer, global, nodes, bytes);
+    let mut point = predict_width(machine, &mg.outer, global, nodes, bytes);
     let ranks = point.ranks;
 
     // per-level V-cycle work: each sweep is a stencil-class kernel (at
@@ -394,32 +377,19 @@ pub struct ScalingSeries {
 
 impl ScalingSeries {
     /// Predicts a full node sweep (powers of two up to
-    /// `machine.max_nodes`).
-    pub fn sweep(
-        label: impl Into<String>,
-        machine: &Machine,
-        trace: &SolveTrace,
-        global: (usize, usize),
-        bytes: KernelBytes,
-    ) -> Self {
-        Self::sweep_width(label, machine, trace, global, bytes, 8.0)
-    }
-
-    /// [`ScalingSeries::sweep`] at an explicit element width in bytes
-    /// (4.0 for f32/mixed protocols), so half-precision legs replay
-    /// with width-correct wire and working-set accounting. Pair
-    /// `bytes` with the same width ([`KernelBytes::for_width`]).
+    /// `machine.max_nodes`) at the element width `bytes` prices
+    /// ([`predict_width`]), so half-precision legs replay with
+    /// width-correct wire and working-set accounting.
     pub fn sweep_width(
         label: impl Into<String>,
         machine: &Machine,
         trace: &SolveTrace,
         global: (usize, usize),
         bytes: KernelBytes,
-        elem_bytes: f64,
     ) -> Self {
         let points = node_counts(machine.max_nodes)
             .into_iter()
-            .map(|n| predict_width(machine, trace, global, n, bytes, elem_bytes))
+            .map(|n| predict_width(machine, trace, global, n, bytes))
             .collect();
         ScalingSeries {
             label: label.into(),
@@ -553,8 +523,8 @@ mod tests {
     fn compute_shrinks_with_nodes_but_latency_grows() {
         let m = titan();
         let t = cg_like(500);
-        let p1 = predict(&m, &t, (4000, 4000), 1, KernelBytes::default());
-        let p1k = predict(&m, &t, (4000, 4000), 1024, KernelBytes::default());
+        let p1 = predict_width(&m, &t, (4000, 4000), 1, KernelBytes::default());
+        let p1k = predict_width(&m, &t, (4000, 4000), 1024, KernelBytes::default());
         assert!(p1k.compute < p1.compute / 100.0);
         assert!(p1k.reduction > p1.reduction);
         assert!(p1.total() > p1k.total(), "1k nodes must beat 1 node");
@@ -565,7 +535,8 @@ mod tests {
         // paper §VI: the 4000^2 problem stops scaling around 1,024 nodes
         let m = titan();
         let t = cg_like(500);
-        let series = ScalingSeries::sweep("CG - 1", &m, &t, (4000, 4000), KernelBytes::default());
+        let series =
+            ScalingSeries::sweep_width("CG - 1", &m, &t, (4000, 4000), KernelBytes::default());
         let best = series.best_nodes();
         assert!(
             (128..=2048).contains(&best),
@@ -579,8 +550,10 @@ mod tests {
         // comparable total work: 500 CG iterations vs 30 outer x 16 inner
         let cg = cg_like(500);
         let pp = ppcg_like(30, 16, 16);
-        let s_cg = ScalingSeries::sweep("CG - 1", &m, &cg, (4000, 4000), KernelBytes::default());
-        let s_pp = ScalingSeries::sweep("PPCG - 16", &m, &pp, (4000, 4000), KernelBytes::default());
+        let s_cg =
+            ScalingSeries::sweep_width("CG - 1", &m, &cg, (4000, 4000), KernelBytes::default());
+        let s_pp =
+            ScalingSeries::sweep_width("PPCG - 16", &m, &pp, (4000, 4000), KernelBytes::default());
         let at = 8192;
         assert!(
             s_pp.time_at(at).unwrap() < s_cg.time_at(at).unwrap(),
@@ -595,8 +568,10 @@ mod tests {
         let m = piz_daint();
         let d1 = ppcg_like(30, 16, 1);
         let d16 = ppcg_like(30, 16, 16);
-        let s1 = ScalingSeries::sweep("PPCG - 1", &m, &d1, (4000, 4000), KernelBytes::default());
-        let s16 = ScalingSeries::sweep("PPCG - 16", &m, &d16, (4000, 4000), KernelBytes::default());
+        let s1 =
+            ScalingSeries::sweep_width("PPCG - 1", &m, &d1, (4000, 4000), KernelBytes::default());
+        let s16 =
+            ScalingSeries::sweep_width("PPCG - 16", &m, &d16, (4000, 4000), KernelBytes::default());
         assert!(
             s16.time_at(2048).unwrap() < s1.time_at(2048).unwrap(),
             "depth 16 must beat depth 1 at 2,048 nodes"
@@ -610,14 +585,14 @@ mod tests {
     fn piz_daint_beats_titan_at_2048() {
         // paper §VI: ~47 % faster, attributed to Aries vs Gemini
         let pp = ppcg_like(30, 16, 16);
-        let st = ScalingSeries::sweep(
+        let st = ScalingSeries::sweep_width(
             "PPCG - 16",
             &titan(),
             &pp,
             (4000, 4000),
             KernelBytes::default(),
         );
-        let sd = ScalingSeries::sweep(
+        let sd = ScalingSeries::sweep_width(
             "PPCG - 16",
             &piz_daint(),
             &pp,
@@ -636,7 +611,7 @@ mod tests {
     fn spruce_superlinear_cache_window() {
         let m = spruce_hybrid();
         let t = cg_like(500);
-        let s = ScalingSeries::sweep("CG - 1", &m, &t, (4000, 4000), KernelBytes::default());
+        let s = ScalingSeries::sweep_width("CG - 1", &m, &t, (4000, 4000), KernelBytes::default());
         let eff = s.efficiency();
         // somewhere in the sweep, efficiency must exceed 1 (tiles start
         // fitting in LLC)
@@ -698,7 +673,8 @@ mod tests {
         let cg = cg_like(8000);
         let s_amg =
             ScalingSeries::sweep_amg("BoomerAMG", &m, &amg, (4000, 4000), KernelBytes::default());
-        let s_cg = ScalingSeries::sweep("CG - 1", &m, &cg, (4000, 4000), KernelBytes::default());
+        let s_cg =
+            ScalingSeries::sweep_width("CG - 1", &m, &cg, (4000, 4000), KernelBytes::default());
         assert!(s_amg.time_at(1).unwrap() < s_cg.time_at(1).unwrap());
         // the baseline's curve must have an interior minimum (rising tail)
         let best = s_amg.best_nodes();
@@ -814,13 +790,13 @@ mod tests {
         // now pay half the bandwidth term in halo and reduction time
         let m = titan();
         let t = cg_like(100);
-        let p64 = predict_width(&m, &t, (4000, 4000), 64, KernelBytes::for_width(8.0), 8.0);
-        let p32 = predict_width(&m, &t, (4000, 4000), 64, KernelBytes::for_width(4.0), 4.0);
+        let p64 = predict_width(&m, &t, (4000, 4000), 64, KernelBytes::for_width(8.0));
+        let p32 = predict_width(&m, &t, (4000, 4000), 64, KernelBytes::for_width(4.0));
         assert!(p32.compute < p64.compute);
         assert!(p32.halo < p64.halo, "f32 halo faces are half the bytes");
         assert!(p32.reduction < p64.reduction);
-        // predict() is the f64 shorthand
-        let p = predict(&m, &t, (4000, 4000), 64, KernelBytes::default());
+        // the default kernel bytes are the f64 width
+        let p = predict_width(&m, &t, (4000, 4000), 64, KernelBytes::default());
         assert_eq!(p.total(), p64.total());
     }
 
@@ -890,7 +866,7 @@ mod tests {
     fn efficiency_starts_at_one() {
         let m = titan();
         let t = cg_like(100);
-        let s = ScalingSeries::sweep("CG - 1", &m, &t, (1000, 1000), KernelBytes::default());
+        let s = ScalingSeries::sweep_width("CG - 1", &m, &t, (1000, 1000), KernelBytes::default());
         let eff = s.efficiency();
         assert_eq!(eff[0].0, 1);
         assert!((eff[0].1 - 1.0).abs() < 1e-12);

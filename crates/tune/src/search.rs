@@ -247,7 +247,6 @@ mod tests {
             (4000, 4000),
             1,
             KernelBytes::for_width(w64),
-            w64,
         );
         let t32 = tea_perfmodel::predict_width(
             &machine,
@@ -255,7 +254,6 @@ mod tests {
             (4000, 4000),
             1,
             KernelBytes::for_width(w32),
-            w32,
         );
         assert!(
             t32.total() < 0.75 * t64.total(),

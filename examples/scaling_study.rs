@@ -70,7 +70,6 @@ fn main() {
                     trace,
                     global,
                     KernelBytes::for_width(*width),
-                    *width,
                 )
             })
             .collect();
