@@ -13,13 +13,14 @@
     clippy::unimplemented
 )]
 
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 use tea_app::{
     crooked_pipe_deck, find_repo_root, parse_deck, run_threaded_ranks, semantic_audit,
-    serve_decks_with_plan, solver_registry, write_field_csv, write_field_ppm, Deck, DeckJob,
-    FLAG_KEYS,
+    serve_decks_with_plan, solver_registry, write_field_csv, write_field_ppm, Deck, DeckJob, Mode,
+    FLAG_KEYS, FLAG_MODES, SINGLE_RUN,
 };
 use tea_core::{Precision, SolverParams, EIGEN_SAFETY};
 use tea_fault::FaultPlan;
@@ -36,7 +37,7 @@ OPTIONS:
                          flags below override its values; a flag with a
                          deck key sets that key, taking the values a
                          deck line takes, in any letter case)
-    --cells <n>          mesh resolution n x n            [default: 128]
+    --cells <n>          built-in mesh n x n (no --deck)  [default: 128]
     --solver <s>         any registered solver name       [default: cg]
                          (see --list-solvers; 'auto' races the tunable
                          solvers and keeps the cheapest)
@@ -61,10 +62,8 @@ OPTIONS:
     --tune-seed <n>      seed for --solver auto's candidate
                          search order                     [default: 0]
                          deck key: tl_tune_seed
-    --ranks <r>          simulated MPI ranks (threads)    [default: 1]
-    --threads <t>        kernel worker threads per rank; overrides the
-                         deck's tl_num_threads
-                         [default: TEA_NUM_THREADS or all cores]
+    --ranks <r>          simulated MPI ranks, one thread each: the
+                         run's whole parallelism          [default: 1]
     --out <prefix>       write <prefix>.ppm and <prefix>.csv of the final field
     --quiet              only print the final summary
     --list-solvers       print the registered solvers and exit
@@ -73,6 +72,7 @@ OPTIONS:
                          report to stdout and exit nonzero on any
                          violation
     --help               show this help
+    (a flag the chosen mode does not read is refused)
 
 SERVING (batched multi-solve mode):
     --serve <joblist>    drain a queue of decks instead of running one:
@@ -84,7 +84,7 @@ SERVING (batched multi-solve mode):
                          percentiles and the session-cache hit/miss
                          counters. Each job runs its deck as written: a
                          flag with a deck key is refused.
-    --workers <w>        concurrent jobs in flight  [default: all cores]
+    --workers <w>        jobs in flight, one thread each  [default: all cores]
     --deadline <secs>    wall-clock budget per job attempt; an expired
                          solve is cancelled at its next iteration and
                          the job reports a timeout
@@ -107,14 +107,17 @@ EXIT STATUS:
 /// with `--deck` only the flags the user actually passed override the
 /// deck (as the usage text promises); without a deck the documented
 /// defaults apply.
+#[derive(Default)]
 struct Args {
+    /// Every flag given, with what it sets and the modes that read it
+    /// ([`FLAG_MODES`]), in command-line order.
+    given: Vec<(&'static str, String, &'static [Mode])>,
     deck_path: Option<PathBuf>,
     cells: usize,
-    /// Each deck-key flag's `(flag, key)` row and its case-folded value,
-    /// in command-line order.
-    deck_keys: Vec<((&'static str, &'static str), String)>,
+    /// Each deck-key flag's key and its case-folded value, in
+    /// command-line order.
+    deck_keys: Vec<(&'static str, String)>,
     ranks: usize,
-    threads: Option<usize>,
     out: Option<String>,
     quiet: bool,
     serve: Option<PathBuf>,
@@ -125,38 +128,58 @@ struct Args {
     audit: bool,
 }
 
+impl Args {
+    /// What the command line runs: `--audit` over `--serve` over
+    /// `--deck` over the built-in deck.
+    fn mode(&self) -> Mode {
+        match (self.audit, &self.serve, &self.deck_path) {
+            (true, _, _) => Mode::Audit,
+            (_, Some(_), _) => Mode::Serve,
+            (_, _, Some(_)) => Mode::Deck,
+            _ => Mode::Pipe,
+        }
+    }
+
+    /// One message per given flag the chosen mode does not read.
+    fn refusals(&self) -> Vec<String> {
+        let mode = self.mode();
+        self.given
+            .iter()
+            .filter(|(_, _, modes)| !modes.contains(&mode))
+            .map(|(flag, sets, _)| format!("{flag} {sets}; {}", mode.refusal()))
+            .collect()
+    }
+}
+
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        deck_path: None,
         cells: 128,
-        deck_keys: Vec::new(),
         ranks: 1,
-        threads: None,
-        out: None,
-        quiet: false,
-        serve: None,
-        workers: 0,
-        deadline: None,
-        retries: 0,
-        fault_plan: None,
-        audit: false,
+        ..Args::default()
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value =
             || -> Result<String, String> { it.next().ok_or(format!("{flag} needs a value")) };
-        if let Some(&row) = FLAG_KEYS.iter().find(|(f, _)| *f == flag) {
+        if let Some(&(f, key)) = FLAG_KEYS.iter().find(|(f, _)| *f == flag) {
+            let sets = format!("sets deck key {key}");
+            args.given.push((f, sets, SINGLE_RUN));
             // folded as a deck line is; `main` applies it to the deck
-            args.deck_keys.push((row, value()?.to_ascii_lowercase()));
+            args.deck_keys.push((key, value()?.to_ascii_lowercase()));
             continue;
+        }
+        if let Some(&(f, sets, modes)) = FLAG_MODES.iter().find(|(f, ..)| *f == flag) {
+            args.given.push((f, sets.to_string(), modes));
         }
         match flag.as_str() {
             "--help" | "-h" => return Err(String::new()),
             "--deck" => args.deck_path = Some(PathBuf::from(value()?)),
             "--cells" => args.cells = value()?.parse().map_err(|e| format!("--cells: {e}"))?,
-            "--ranks" => args.ranks = value()?.parse().map_err(|e| format!("--ranks: {e}"))?,
-            "--threads" => {
-                args.threads = Some(value()?.parse().map_err(|e| format!("--threads: {e}"))?)
+            "--ranks" => {
+                args.ranks = value()?.parse().map_err(|e| format!("--ranks: {e}"))?;
+                if args.ranks == 0 {
+                    return Err("--ranks must be at least 1".into());
+                }
             }
             "--out" => args.out = Some(value()?),
             "--quiet" => args.quiet = true,
@@ -176,8 +199,8 @@ fn parse_args() -> Result<Args, String> {
             "--fault-plan" => args.fault_plan = Some(FaultPlan::parse(&value()?)?),
             "--audit" => args.audit = true,
             "--list-solvers" => {
-                print_solvers();
-                std::process::exit(0);
+                let listed = print_solvers(&mut Stdout::locked());
+                std::process::exit(if listed.is_ok() { 0 } else { 1 });
             }
             other => return Err(format!("unknown option '{other}'")),
         }
@@ -185,19 +208,57 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// Standard output, locked once, that ends quietly when its reader goes
+/// away, so a closed pipe (`tealeaf ... | head -1`) ends the report,
+/// not the run, and the run still exits with the status it earned.
+struct Stdout(Option<io::StdoutLock<'static>>);
+
+impl Stdout {
+    fn locked() -> Self {
+        Stdout(Some(io::stdout().lock()))
+    }
+
+    /// `result`, except that a `BrokenPipe` ends the output: it, and
+    /// every later call, succeeds as `done` without writing.
+    fn ended<T>(&mut self, result: io::Result<T>, done: T) -> io::Result<T> {
+        match result {
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
+                self.0 = None;
+                Ok(done)
+            }
+            other => other,
+        }
+    }
+}
+
+impl Write for Stdout {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let written = self
+            .0
+            .as_mut()
+            .map_or(Ok(buf.len()), |lock| lock.write(buf));
+        self.ended(written, buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        let flushed = self.0.as_mut().map_or(Ok(()), |lock| lock.flush());
+        self.ended(flushed, ())
+    }
+}
+
 /// Prints each registered solver's name, aliases, metadata and the
 /// default options it would run with (`--list-solvers`).
-fn print_solvers() {
+fn print_solvers(out: &mut impl Write) -> io::Result<()> {
     let defaults = SolverParams::default();
-    println!("registered solvers:\n");
+    writeln!(out, "registered solvers:\n")?;
     for meta in solver_registry().iter() {
         let aliases = if meta.aliases.is_empty() {
             String::new()
         } else {
             format!(" (aliases: {})", meta.aliases.join(", "))
         };
-        println!("  {}{aliases}", meta.name);
-        println!("      {}", meta.summary);
+        writeln!(out, "  {}{aliases}", meta.name)?;
+        writeln!(out, "      {}", meta.summary)?;
         let mut notes = Vec::new();
         if meta.preconditioned {
             notes.push(format!("precon={}", defaults.precon.label()));
@@ -224,11 +285,12 @@ fn print_solvers() {
             notes.push(format!("precision={}", meta.precision.label()));
         }
         if !notes.is_empty() {
-            println!("      defaults: {}", notes.join(", "));
+            writeln!(out, "      defaults: {}", notes.join(", "))?;
         }
     }
-    println!("\nselect with --solver <name>, or tl_solver=<name> in a deck");
-    println!("'auto' races the solvers marked tunable and keeps the cheapest (--tune-seed)");
+    let closing = "\nselect with --solver <name>, or tl_solver=<name> in a deck\n\
+                   'auto' races the solvers marked tunable and keeps the cheapest (--tune-seed)";
+    writeln!(out, "{closing}")
 }
 
 /// Reads and parses the deck file at `path`; an error names the path.
@@ -239,22 +301,15 @@ fn load_deck(path: &Path) -> Result<Deck, String> {
         .map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// `--serve <joblist>`: drain a queue of deck files through the session
+/// `--serve <joblist>`: drain a queue of decks through the session
 /// driver and print queue statistics. Exit code is FAILURE when the
 /// joblist is unusable or any job failed.
-fn run_serve(joblist: &Path, args: &Args) -> ExitCode {
-    // a job runs its own deck, so a flag meant to override one is refused
-    for ((flag, key), _) in &args.deck_keys {
-        eprintln!("error: {flag} sets deck key {key}; --serve runs each job's deck as written");
-    }
-    if !args.deck_keys.is_empty() {
-        return ExitCode::FAILURE;
-    }
+fn run_serve(joblist: &Path, args: &Args, out: &mut impl Write) -> io::Result<ExitCode> {
     let text = match std::fs::read_to_string(joblist) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("error: cannot read {}: {e}", joblist.display());
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let mut jobs = Vec::new();
@@ -277,17 +332,17 @@ fn run_serve(joblist: &Path, args: &Args) -> ExitCode {
     }
     if jobs.is_empty() {
         eprintln!("error: no runnable jobs in {}", joblist.display());
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
 
     let opts = ServeOptions {
         workers: args.workers,
-        threads_per_job: args.threads.map(tea_core::request_num_threads),
-        cache: true,
         deadline: args.deadline,
         retries: args.retries,
+        ..ServeOptions::default()
     };
-    println!(
+    writeln!(
+        out,
         "tealeaf --serve: {} job(s), {} worker(s), session cache {}{}{}",
         jobs.len(),
         opts.effective_workers(),
@@ -299,113 +354,93 @@ fn run_serve(joblist: &Path, args: &Args) -> ExitCode {
             .as_ref()
             .map(|p| format!(", fault plan seed {}", p.seed()))
             .unwrap_or_default(),
-    );
+    )?;
     let report = serve_decks_with_plan(jobs, &opts, args.fault_plan.as_ref());
 
     for outcome in &report.outcomes {
-        let out = match &outcome.result {
+        let done = match &outcome.result {
             Err(e) => {
                 eprintln!("job {} failed: {e}", outcome.job);
                 continue;
             }
             Ok(_) if args.quiet => continue,
-            Ok(out) => out,
+            Ok(done) => done,
         };
-        let converged = out.output.steps.iter().filter(|s| s.converged).count();
-        let degraded = if out.escalations.is_empty() {
+        let converged = done.output.steps.iter().filter(|s| s.converged).count();
+        let degraded = if done.escalations.is_empty() {
             String::new()
         } else {
             format!(
                 " [degraded: {} → {}]",
-                out.escalations.join(" → "),
-                out.solver
+                done.escalations.join(" → "),
+                done.solver
             )
         };
-        println!(
+        writeln!(
+            out,
             "job {:>4}: {} step(s) ({converged} converged), {:.3}s{degraded}",
             outcome.job,
-            out.output.steps.len(),
+            done.output.steps.len(),
             outcome.wall_s,
-        );
-        if let Some(tune) = &out.tune {
+        )?;
+        if let Some(tune) = &done.tune {
             for line in tune.summary_lines() {
-                println!("           {line}");
+                writeln!(out, "           {line}")?;
             }
         }
     }
 
     let s = report.stats;
-    println!("\nqueue summary:");
-    println!("  jobs             {} ({} failed)", s.jobs, s.failed);
-    println!("  wall             {:.3} s", s.wall_s);
-    println!("  throughput       {:.2} jobs/sec", s.jobs_per_sec);
-    println!("  latency p50      {:.4} s", s.p50_latency_s);
-    println!("  latency p99      {:.4} s", s.p99_latency_s);
-    println!(
+    writeln!(out, "\nqueue summary:")?;
+    writeln!(out, "  jobs             {} ({} failed)", s.jobs, s.failed)?;
+    writeln!(out, "  wall             {:.3} s", s.wall_s)?;
+    writeln!(out, "  throughput       {:.2} jobs/sec", s.jobs_per_sec)?;
+    writeln!(out, "  latency p50      {:.4} s", s.p50_latency_s)?;
+    writeln!(out, "  latency p99      {:.4} s", s.p99_latency_s)?;
+    writeln!(
+        out,
         "  session cache    {} hit(s), {} miss(es), {} prepare(s)",
         s.cache.hits, s.cache.misses, s.cache.prepares
-    );
+    )?;
     if s.failed > 0 || s.timeouts + s.retries + s.panics_recovered > 0 {
-        println!(
+        writeln!(
+            out,
             "  recovery         {} timeout(s), {} retry(ies), {} panic(s) recovered",
             s.timeouts, s.retries, s.panics_recovered
-        );
+        )?;
     }
 
-    if let Some(warning) = tea_core::thread_warning() {
-        println!("  warning          {warning}");
-    }
-
-    if s.failed > 0 || !load_failures.is_empty() {
+    Ok(if s.failed > 0 || !load_failures.is_empty() {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
 /// `tealeaf --audit`: run the semantic audits, print the
 /// machine-readable report to stdout (human-readable findings go to
 /// stderr) and exit nonzero on any violation.
-fn run_audit() -> ExitCode {
+fn run_audit(out: &mut impl Write) -> io::Result<ExitCode> {
     let root = find_repo_root();
     let report = semantic_audit(root.as_deref());
     for finding in &report.findings {
         eprintln!("{}", finding.render());
     }
-    print!("{}", report.to_json(false));
-    if report.passed(false) {
+    write!(out, "{}", report.to_json(false))?;
+    Ok(if report.passed(false) {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            if msg.is_empty() {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("error: {msg}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    if args.audit {
-        return run_audit();
-    }
-
-    if let Some(joblist) = args.serve.clone() {
-        return run_serve(&joblist, &args);
-    }
-
+/// One run of a deck: `--deck`'s, or the built-in crooked pipe.
+fn run_single(args: &Args, out: &mut impl Write) -> io::Result<ExitCode> {
     let mut deck = match args.deck_path.as_deref().map(load_deck) {
         Some(Ok(deck)) => deck,
         Some(Err(e)) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         None => crooked_pipe_deck(args.cells, "cg"),
     };
@@ -415,10 +450,10 @@ fn main() -> ExitCode {
         deck.control.end_step = 10;
         deck.control.summary_frequency = 1;
     }
-    for ((_, key), value) in &args.deck_keys {
+    for (key, value) in &args.deck_keys {
         if let Err(e) = deck.control.set(key, value) {
             eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     }
     // --quiet applies regardless of where the deck came from: it both
@@ -427,14 +462,6 @@ fn main() -> ExitCode {
     if args.quiet {
         deck.control.summary_frequency = 0;
     }
-    // CLI --threads overrides the deck's tl_num_threads, which overrides
-    // the ambient TEA_NUM_THREADS / core count
-    if args.threads.is_some() {
-        deck.control.threads = args.threads;
-    }
-    if let Some(t) = deck.control.threads {
-        tea_core::request_num_threads(t);
-    }
 
     // resolve solver × precision before any work so conflicts (e.g.
     // --solver amg --precision mixed) fail with a message, not a panic
@@ -442,7 +469,7 @@ fn main() -> ExitCode {
         Ok(name) => name,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
 
@@ -454,16 +481,16 @@ fn main() -> ExitCode {
             .map(|m| m.precision.label())
             .unwrap_or("f64")
     };
-    println!(
-        "tealeaf: {}x{} cells, solver {}, precision {}, {} steps, {} rank(s), {} worker thread(s)",
+    writeln!(
+        out,
+        "tealeaf: {}x{} cells, solver {}, precision {}, {} steps, {} rank(s)",
         deck.problem.x_cells,
         deck.problem.y_cells,
         effective_solver,
         precision_label,
         deck.control.steps(),
         args.ranks,
-        tea_core::num_threads(),
-    );
+    )?;
 
     #[expect(
         clippy::disallowed_methods,
@@ -471,11 +498,11 @@ fn main() -> ExitCode {
     )]
     let started = std::time::Instant::now();
     // per-rank comm counters, summed machine-wide for the summary
-    let outs = match run_threaded_ranks(&deck, args.ranks.max(1)) {
+    let outs = match run_threaded_ranks(&deck, args.ranks) {
         Ok(outs) => outs,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let mut halo = tea_comms::StatsSnapshot::default();
@@ -484,58 +511,57 @@ fn main() -> ExitCode {
     }
     let Some(output) = outs.into_iter().next() else {
         eprintln!("error: no rank produced output");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     };
     let elapsed = started.elapsed().as_secs_f64();
 
     if !args.quiet {
-        println!(
+        writeln!(
+            out,
             "{:>6} {:>10} {:>8} {:>14} {:>14}",
             "step", "time", "iters", "avg temp", "wall(s)"
-        );
+        )?;
         for s in &output.steps {
             let temp = s
                 .summary
                 .map(|x| format!("{:14.8}", x.average_temperature()))
                 .unwrap_or_else(|| " ".repeat(14));
-            println!(
+            writeln!(
+                out,
                 "{:>6} {:>10.4} {:>8} {} {:>14.6}",
                 s.step, s.time, s.iterations, temp, s.wall
-            );
+            )?;
         }
     }
 
     let s = output.final_summary;
-    println!("\nfield summary:");
-    println!("  volume           {:.6e}", s.volume);
-    println!("  mass             {:.6e}", s.mass);
-    println!("  internal energy  {:.6e}", s.internal_energy);
-    println!("  temperature      {:.6e}", s.temperature);
-    println!("  avg temperature  {:.8}", s.average_temperature());
-    println!("\nsolver protocol:");
-    println!("  outer iterations {}", output.trace.outer_iterations);
-    println!("  inner iterations {}", output.trace.inner_iterations);
-    println!("  stencil sweeps   {}", output.trace.spmv.total());
-    println!("  halo exchanges   {}", output.trace.total_halo_exchanges());
+    writeln!(out, "\nfield summary:")?;
+    writeln!(out, "  volume           {:.6e}", s.volume)?;
+    writeln!(out, "  mass             {:.6e}", s.mass)?;
+    writeln!(out, "  internal energy  {:.6e}", s.internal_energy)?;
+    writeln!(out, "  temperature      {:.6e}", s.temperature)?;
+    writeln!(out, "  avg temperature  {:.8}", s.average_temperature())?;
+    writeln!(out, "\nsolver protocol:")?;
+    writeln!(out, "  outer iterations {}", output.trace.outer_iterations)?;
+    writeln!(out, "  inner iterations {}", output.trace.inner_iterations)?;
+    writeln!(out, "  stencil sweeps   {}", output.trace.spmv.total())?;
+    writeln!(
+        out,
+        "  halo exchanges   {}",
+        output.trace.total_halo_exchanges()
+    )?;
     if halo.msgs_sent > 0 {
         // real per-width accounting: f32 halos cost 4 bytes per element
-        println!(
+        writeln!(
+            out,
             "  halo bytes       {} ({} f64 + {} f32 elems, all ranks)",
             halo.bytes_sent(),
             halo.elems_sent_f64,
             halo.elems_sent_f32,
-        );
+        )?;
     }
-    println!("  reductions       {}", output.trace.reductions);
-    println!(
-        "  threading        {} worker(s), parallel above {} cells",
-        tea_core::num_threads(),
-        tea_core::par_threshold()
-    );
-    println!("  kernels          {}", tea_core::kernel_isa());
-    if let Some(warning) = tea_core::thread_warning() {
-        println!("  warning          {warning}");
-    }
+    writeln!(out, "  reductions       {}", output.trace.reductions)?;
+    writeln!(out, "  kernels          {}", tea_core::kernel_isa())?;
     let unconverged: Vec<u64> = output
         .steps
         .iter()
@@ -543,18 +569,19 @@ fn main() -> ExitCode {
         .map(|s| s.step)
         .collect();
     if let Some(first) = unconverged.first() {
-        println!(
+        writeln!(
+            out,
             "  warning          {} of {} steps did not converge (first: step {first})",
             unconverged.len(),
             output.steps.len()
-        );
+        )?;
     }
-    println!("  wall time        {elapsed:.3}s");
+    writeln!(out, "  wall time        {elapsed:.3}s")?;
 
     if let Some(tune) = &output.tune {
-        println!("\nauto-tuning:");
+        writeln!(out, "\nauto-tuning:")?;
         for line in tune.summary_lines() {
-            println!("  {line}");
+            writeln!(out, "  {line}")?;
         }
     }
 
@@ -563,13 +590,42 @@ fn main() -> ExitCode {
         let csv = PathBuf::from(format!("{prefix}.csv"));
         if let Err(e) = write_field_ppm(u, &ppm).and_then(|_| write_field_csv(u, &csv)) {
             eprintln!("error writing output: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
-        println!("wrote {} and {}", ppm.display(), csv.display());
+        writeln!(out, "wrote {} and {}", ppm.display(), csv.display())?;
     }
-    if unconverged.is_empty() {
+    Ok(if unconverged.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    })
+}
+
+fn main() -> ExitCode {
+    let mut out = Stdout::locked();
+    let ran = match parse_args() {
+        Err(msg) if msg.is_empty() => write!(out, "{USAGE}").map(|()| ExitCode::SUCCESS),
+        Err(msg) => {
+            eprintln!("error: {msg}\n\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+        Ok(args) => match (args.refusals().as_slice(), args.mode(), &args.serve) {
+            ([], Mode::Audit, _) => run_audit(&mut out),
+            ([], Mode::Serve, Some(joblist)) => run_serve(joblist, &args, &mut out),
+            ([], ..) => run_single(&args, &mut out),
+            (refusals, ..) => {
+                for refusal in refusals {
+                    eprintln!("error: {refusal}");
+                }
+                return ExitCode::FAILURE;
+            }
+        },
+    };
+    match ran.and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("error: writing the report: {e}");
+            ExitCode::FAILURE
+        }
     }
 }

@@ -6,30 +6,33 @@
 //! onto this reproduction's option types. Unknown keys are reported as
 //! errors rather than ignored, so decks stay honest.
 //!
-//! ```text
+//! ```
+//! # let text = "
 //! *tea
 //! state 1 density=100.0 energy=0.0001
 //! state 2 density=0.1 energy=25.0 geometry=rectangle xmin=0.0 xmax=3.5 ymin=1.0 ymax=2.0
 //! x_cells=256
 //! y_cells=256
-//! xmin=0.0  xmax=10.0  ymin=0.0  ymax=10.0
+//! xmin=0.0
+//! xmax=10.0
+//! ymin=0.0
+//! ymax=10.0
 //! initial_timestep=0.04
 //! end_time=15.0
 //! end_step=375
 //! tl_use_ppcg
 //! tl_ppcg_inner_steps=16
 //! tl_ppcg_halo_depth=8
-//! tl_preconditioner_type=jac_block
+//! tl_preconditioner_type=jac_diag
 //! tl_eps=1e-10
 //! tl_max_iters=10000
 //! tl_coefficient=1
-//! tl_num_threads=4
 //! *endtea
+//! # ";
+//! # let deck = tea_app::parse_deck(text).unwrap();
+//! # let solver = deck.control.effective_solver().unwrap();
+//! # deck.control.check(&deck.problem, &solver).unwrap();
 //! ```
-//!
-//! `tl_num_threads` is an extension of this reproduction: it pins the
-//! kernel worker-thread count for the run (the same knob as the
-//! `TEA_NUM_THREADS` environment variable and the CLI `--threads` flag).
 
 use std::collections::BTreeMap;
 use tea_core::{Precision, PreconKind, SolveOpts, SolverParams};
@@ -75,9 +78,6 @@ pub struct Control {
     pub tune_seed: u64,
     /// Print a field summary every this many steps (0 = only at end).
     pub summary_frequency: u64,
-    /// Worker threads for the kernel sweeps (`None` = leave the runtime
-    /// default: `TEA_NUM_THREADS` or all available cores).
-    pub threads: Option<usize>,
 }
 
 impl Default for Control {
@@ -95,7 +95,6 @@ impl Default for Control {
             presteps: 30,
             tune_seed: 0,
             summary_frequency: 10,
-            threads: None,
         }
     }
 }
@@ -223,7 +222,6 @@ impl Control {
             "tl_ppcg_halo_depth" => self.ppcg_halo_depth = ival()? as usize,
             "tl_ch_cg_presteps" => self.presteps = ival()?,
             "tl_tune_seed" => self.tune_seed = ival()?,
-            "tl_num_threads" => self.threads = Some((ival()? as usize).max(1)),
             "tl_preconditioner_type" => self.precon = PreconKind::parse(value)?,
             other => return Err(format!("unknown deck key '{other}'")),
         }
@@ -254,6 +252,53 @@ pub const FLAG_KEYS: [(&str, &str); 9] = [
     ("--dt", "initial_timestep"),
     ("--eps", "tl_eps"),
     ("--tune-seed", "tl_tune_seed"),
+];
+
+/// What a `tealeaf` command line runs, which decides the flags it reads
+/// ([`FLAG_MODES`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    /// One run of the built-in crooked pipe (no `--deck`).
+    Pipe,
+    /// One run of a `--deck` file.
+    Deck,
+    /// `--serve`: a queue of deck files.
+    Serve,
+    /// `--audit`: the semantic audits.
+    Audit,
+}
+
+impl Mode {
+    /// What this mode runs, the second half of a refused flag's message.
+    pub fn refusal(self) -> &'static str {
+        match self {
+            Mode::Pipe => "a run without --deck or --serve runs the built-in crooked pipe once",
+            Mode::Deck => "--deck runs one deck, its mesh as written",
+            Mode::Serve => "--serve runs each job's deck as written",
+            Mode::Audit => "--audit runs the semantic audits alone",
+        }
+    }
+}
+
+/// The single-run modes, the only ones that read a [`FLAG_KEYS`] flag.
+pub const SINGLE_RUN: &[Mode] = &[Mode::Pipe, Mode::Deck];
+const SERVE: &[Mode] = &[Mode::Serve];
+const RUNS: &[Mode] = &[Mode::Pipe, Mode::Deck, Mode::Serve];
+
+/// `tealeaf`'s other flags, as `(flag, what it sets, the modes that
+/// read it)`; a flag the chosen mode does not read is refused.
+pub const FLAG_MODES: [(&str, &str, &[Mode]); 11] = [
+    ("--deck", "names the deck file", &[Mode::Deck]),
+    ("--cells", "sizes the built-in mesh", &[Mode::Pipe]),
+    ("--ranks", "sets a single run's rank count", SINGLE_RUN),
+    ("--out", "names a single run's field files", SINGLE_RUN),
+    ("--quiet", "trims the report", RUNS),
+    ("--serve", "names the job list", SERVE),
+    ("--workers", "sets the serving worker count", SERVE),
+    ("--deadline", "sets the serving job deadline", SERVE),
+    ("--retries", "sets the serving retry count", SERVE),
+    ("--fault-plan", "arms serving fault injection", SERVE),
+    ("--audit", "runs the semantic audits", &[Mode::Audit]),
 ];
 
 fn parse_value<T: std::str::FromStr>(key: &str, value: &str, what: &str) -> Result<T, String> {
@@ -497,9 +542,6 @@ pub fn render_deck(deck: &Deck) -> String {
     out.push_str(&format!("tl_ch_cg_presteps={}\n", c.presteps));
     if c.tune_seed != 0 {
         out.push_str(&format!("tl_tune_seed={}\n", c.tune_seed));
-    }
-    if let Some(threads) = c.threads {
-        out.push_str(&format!("tl_num_threads={threads}\n"));
     }
     out.push_str(&format!("summary_frequency={}\n", c.summary_frequency));
     out.push_str("*endtea\n");

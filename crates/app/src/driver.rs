@@ -523,43 +523,26 @@ fn decompose(deck: &Deck, ranks: usize) -> Result<Decomposition2D, DriverError> 
     ))
 }
 
-/// What [`run_serial`] and [`run_threaded_ranks`] do before driving:
-/// [`decompose`], then apply the deck's thread-count override, if any,
-/// to the kernel runtime, clamped to the hardware threads
-/// (`tea_core::thread_warning` reports a clamp). A deck without the
-/// setting leaves the ambient configuration (`TEA_NUM_THREADS` / cores)
-/// alone.
-fn begin(deck: &Deck, ranks: usize) -> Result<Decomposition2D, DriverError> {
-    let decomp = decompose(deck, ranks)?;
-    if let Some(threads) = deck.control.threads {
-        tea_core::request_num_threads(threads);
-    }
-    Ok(decomp)
-}
-
 /// Runs the deck on a single rank.
 ///
 /// # Errors
 /// [`DriverError`] as for [`run_rank`].
 pub fn run_serial(deck: &Deck) -> Result<RankOutput, DriverError> {
-    let decomp = begin(deck, 1)?;
+    let decomp = decompose(deck, 1)?;
     run_rank(deck, &decomp, &SerialComm::new())
 }
 
 /// Runs the deck on `ranks` threaded ranks; returns per-rank outputs
 /// (rank 0 holds the gathered field).
 ///
-/// Each simulated rank is its own OS thread and each rank's sweeps use
-/// the full configured worker count, so `ranks × threads` can
-/// oversubscribe physical cores; pin `threads` (deck `tl_num_threads`,
-/// CLI `--threads`, or `TEA_NUM_THREADS`) to `cores / ranks` for
-/// node-realistic hybrid runs.
+/// Each simulated rank is its own OS thread, and the rank count is the
+/// run's whole parallelism: a rank's kernels run on its own thread.
 ///
 /// # Errors
 /// [`DriverError`] as for [`run_rank`] — every rank hits the same deck
 /// checks, so the first rank's error is returned.
 pub fn run_threaded_ranks(deck: &Deck, ranks: usize) -> Result<Vec<RankOutput>, DriverError> {
-    let decomp = begin(deck, ranks)?;
+    let decomp = decompose(deck, ranks)?;
     comm_run(decomp.ranks(), |comm| run_rank(deck, &decomp, comm))
         .into_iter()
         .collect()
@@ -571,10 +554,6 @@ pub fn run_threaded_ranks(deck: &Deck, ranks: usize) -> Result<Vec<RankOutput>, 
 /// around the pooled prepared solver on a cache hit (no prepare at
 /// all), around the job's fresh solver on a miss. [`RankOutput::comm`] counts the job's own
 /// communicator, field summaries included, as on every road.
-///
-/// Unlike [`run_serial`] this does **not** apply the deck's thread
-/// override: the kernel thread pool is process-global, and a serving
-/// queue owns that budget for all jobs at once.
 ///
 /// # Errors
 /// [`DriverError`] as for [`run_rank`].

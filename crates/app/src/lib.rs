@@ -31,7 +31,10 @@ pub mod serve;
 pub mod summary;
 
 pub use audit::{find_repo_root, semantic_audit};
-pub use deck::{crooked_pipe_deck, parse_deck, render_deck, Control, Deck, FLAG_KEYS};
+pub use deck::{
+    crooked_pipe_deck, parse_deck, render_deck, Control, Deck, Mode, FLAG_KEYS, FLAG_MODES,
+    SINGLE_RUN,
+};
 pub use driver::{
     run_rank, run_serial, run_serial_session, run_serial_session_with, run_threaded_ranks,
     DriverError, RankOutput, StepRecord,

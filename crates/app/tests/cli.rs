@@ -352,3 +352,142 @@ fn serve_mode_answers_bad_deadlines_and_absurd_meshes_with_errors() {
     );
     assert!(stdout.contains("jobs             2 (0 failed)"), "{stdout}");
 }
+
+#[test]
+fn the_retired_thread_options_are_unknown() {
+    let out = tealeaf(&["--cells", "8", "--steps", "1", "--threads", "2"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(
+        stderr.starts_with("error: unknown option '--threads'"),
+        "{stderr}"
+    );
+
+    let deck = write_deck("threads.in", "tl_solver=cg\ntl_num_threads=2");
+    let out = tealeaf(&["--deck", deck.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(
+        stderr.contains("unknown deck key 'tl_num_threads'"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "nothing may run: {out:?}");
+}
+
+#[test]
+fn zero_ranks_is_a_usage_error() {
+    let out = tealeaf(&["--cells", "8", "--steps", "1", "--ranks", "0"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(
+        stderr.starts_with("error: --ranks must be at least 1\n"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "nothing may run: {out:?}");
+}
+
+/// Runs `args` and asserts it is refused with exactly `want` on stderr
+/// (one `error:` line per unread flag) and nothing run.
+fn assert_refused(args: &[&str], want: &[&str]) {
+    let out = tealeaf(args);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+    let want: String = want.iter().map(|l| format!("error: {l}\n")).collect();
+    assert_eq!(String::from_utf8_lossy(&out.stderr), want, "{args:?}");
+    assert!(out.stdout.is_empty(), "{args:?}: nothing may run: {out:?}");
+}
+
+#[test]
+fn audit_refuses_every_other_flag() {
+    assert_refused(
+        &["--audit", "--solver", "bogus", "--quiet"],
+        &[
+            "--solver sets deck key tl_solver; --audit runs the semantic audits alone",
+            "--quiet trims the report; --audit runs the semantic audits alone",
+        ],
+    );
+}
+
+#[test]
+fn a_deck_run_refuses_cells_and_the_serve_flags() {
+    let deck = write_deck("cells_refused.in", "tl_solver=cg");
+    let deck = deck.to_str().unwrap();
+    let why = "--deck runs one deck, its mesh as written";
+    assert_refused(
+        &["--deck", deck, "--cells", "32", "--workers", "2"],
+        &[
+            &format!("--cells sizes the built-in mesh; {why}"),
+            &format!("--workers sets the serving worker count; {why}"),
+        ],
+    );
+}
+
+#[test]
+fn a_built_in_run_refuses_the_serve_flags() {
+    let why = "a run without --deck or --serve runs the built-in crooked pipe once";
+    assert_refused(
+        &[
+            "--cells",
+            "8",
+            "--workers",
+            "2",
+            "--deadline",
+            "1",
+            "--retries",
+            "1",
+            "--fault-plan",
+            "1:0.5",
+        ],
+        &[
+            &format!("--workers sets the serving worker count; {why}"),
+            &format!("--deadline sets the serving job deadline; {why}"),
+            &format!("--retries sets the serving retry count; {why}"),
+            &format!("--fault-plan arms serving fault injection; {why}"),
+        ],
+    );
+}
+
+#[test]
+fn serve_refuses_the_single_run_flags() {
+    let deck = write_deck("served_single.in", "tl_solver=cg");
+    let joblist = deck.with_file_name("jobs_single.txt");
+    std::fs::write(&joblist, format!("{}\n", deck.to_str().unwrap())).unwrap();
+    let why = "--serve runs each job's deck as written";
+    assert_refused(
+        &[
+            "--serve",
+            joblist.to_str().unwrap(),
+            "--deck",
+            deck.to_str().unwrap(),
+            "--cells",
+            "8",
+            "--ranks",
+            "2",
+            "--out",
+            "field",
+        ],
+        &[
+            &format!("--deck names the deck file; {why}"),
+            &format!("--cells sizes the built-in mesh; {why}"),
+            &format!("--ranks sets a single run's rank count; {why}"),
+            &format!("--out names a single run's field files; {why}"),
+        ],
+    );
+}
+
+#[test]
+fn a_closed_stdout_ends_the_report_not_the_run() {
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tealeaf"))
+        .args(["--cells", "16", "--steps", "40"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary starts");
+    // the reader goes away before the banner is written
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(stderr, "", "a closed stdout is not an error");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+}

@@ -19,7 +19,7 @@
 //! flat [`SolverParams`] set — the only way to build a solver — and the
 //! [`Solve`] builder is the one-expression way in.
 //!
-//! There is one kernel source: every precision and thread count runs the
+//! There is one kernel source: every precision runs the
 //! same row bodies ([`vector::lanes`] — explicit-width elementwise
 //! sweeps, safe `chunks_exact` code only), compiled twice — for the
 //! build's target and for AVX2 — with the copy picked at run time
@@ -27,8 +27,8 @@
 //! elementwise kernels are bit-identical to element-at-a-time loops, and
 //! every reduction (dots, `p·w`, CG's fused `r·z`) has one fixed shape —
 //! 16 lane accumulators per row, a fixed pairwise tree, remainder last,
-//! rows in row order — that depends only on the sweep bounds, so results are
-//! bit-identical for any thread count, chunking and parallel threshold.
+//! rows in row order — that depends only on the sweep bounds. Rows are
+//! swept on the calling thread; a run's parallelism is its rank count.
 //! Bits differ from pre-PR-12 runs (serial add chain) by design.
 //!
 //! ## Example: block-Jacobi-preconditioned CG on the crooked pipe
@@ -86,10 +86,7 @@ pub use ops::{TileBounds, TileOperator};
 pub use precon::{BlockJacobi, PreconKind, Preconditioner};
 pub use recurrence::{pcg_loop, Entry, Krylov, Precondition};
 pub use registry::SolverRegistry;
-pub use runtime::{
-    hardware_threads, num_threads, par_threshold, parallel_sweep, request_num_threads,
-    set_num_threads, set_par_threshold, thread_warning, PAR_THRESHOLD,
-};
+pub use runtime::{num_threads, par_threshold, set_num_threads, set_par_threshold};
 pub use session::{CacheStats, SessionSpec, SetupCache, SolveSession};
 pub use solver::{SolveOpts, Tile, Workspace};
 pub use sync::lock_tolerant;

@@ -17,10 +17,9 @@
 //! matrix-powers kernel calls the same code with shrinking extensions
 //! (paper Fig. 2); extension 0 is the ordinary interior sweep.
 //!
-//! Row sweeps are data-parallel (threaded rayon runtime) above the
-//! [`crate::runtime::par_threshold`] size. All reductions are computed
-//! as per-row partials folded in row order, so results are bit-identical
-//! run to run regardless of thread count or scheduling.
+//! Rows are swept in order on the calling thread. All reductions are
+//! computed as per-row partials folded in row order, so results are
+//! bit-identical run to run.
 
 use crate::trace::SolveTrace;
 use crate::vector::lanes::{arr, tree_sum, whole_blocks, REDUCE_LANES};
@@ -819,9 +818,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_sweeps_agree() {
-        // 256x256 crosses PAR_THRESHOLD; compare against a 0-threshold
-        // serial evaluation done row by row with `dense_apply`
+    fn large_fused_apply_matches_the_dense_apply() {
+        // a 256x256 sweep against an evaluation done row by row with
+        // `dense_apply`
         let n = 256;
         let op = crooked_op(n, 1);
         let mut p = Field2D::new(n, n, 1);

@@ -44,8 +44,7 @@
 //! the first block also absorbs the sweeps that used to prepare the
 //! smoothing (`rr ← r`, `z ← 0`, `sd ← M⁻¹r/θ`). The halo depth is the
 //! only knob: the paper's `PPCG-n` axis sets the temporal-blocking
-//! depth as well. With more than one worker a block above the parallel
-//! threshold runs its sweeps one after another, each row-parallel.
+//! depth as well.
 //!
 //! The block-Jacobi preconditioner may additionally smooth the *inner*
 //! residual — but only at depth 1, because its strips need fresh whole

@@ -264,7 +264,7 @@ crate::isa::twins! {
         bounds: &TileBounds,
         ext: usize,
         rows: Rows,
-        g: impl Fn(S, S) -> S + Sync + Copy,
+        g: impl Fn(S, S) -> S + Copy,
     ) {
         let (x_lo, x_hi, _, _) = bounds.range(ext);
         vector::for_rows2(sd, tmp, bounds, ext, rows, |k, sdr, tr| {
@@ -349,10 +349,7 @@ impl<S: Scalar> BlockJacobi<S> {
     /// per strip, strips independent (and row sweeps cache-contiguous).
     ///
     /// Rows couple only through `Kx` *within* a strip, never across rows,
-    /// so the row sweep is embarrassingly parallel: above
-    /// [`crate::runtime::par_threshold`] each worker solves a disjoint
-    /// block of rows in place, with no reduction and therefore trivially
-    /// bit-identical results at every thread count.
+    /// so each row is solved in place on its own, with no reduction.
     pub fn apply(&self, r: &Field2<S>, z: &mut Field2<S>, bounds: &TileBounds) {
         let (nx, _) = bounds.tile();
         vector::for_rows(z, bounds, 0, |k, zr| {

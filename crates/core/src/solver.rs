@@ -151,9 +151,8 @@ impl Workspace {
 
     /// The shape contract of a solve's operands, checked where a solve
     /// enters: `u` and `b` have `op`'s tile and this workspace's halo.
-    /// The fused sweeps cut `u`'s rows and the workspace's `r` at one
-    /// shared stride, so a mismatch would otherwise go unnoticed on one
-    /// worker and index out of range on several.
+    /// The kernels and halo exchanges assume that shape, so a mismatch
+    /// is named here instead of surfacing, or not, deeper in a solve.
     ///
     /// # Panics
     /// When `u` or `b` is shaped otherwise, naming it.

@@ -3,16 +3,14 @@
 //! The axpy-class building blocks of every solver, each sweeping an
 //! extension-clamped range like the operator kernels (the matrix-powers
 //! inner loop updates vectors over the same shrinking bounds as its
-//! stencil applications). All are rayon-parallel where
-//! [`crate::runtime::parallel_sweep`] says so (above the threshold, with
-//! more than one worker) with deterministic row-ordered reductions, and
-//! generic over the [`Scalar`] precision (f64 call
-//! sites read exactly as before; the mixed-precision solvers
-//! instantiate the same code at `f32`).
+//! stencil applications). All sweep rows in order on the calling
+//! thread with deterministic row-ordered reductions, and are generic
+//! over the [`Scalar`] precision (f64 call sites read exactly as before;
+//! the mixed-precision solvers instantiate the same code at `f32`).
 //!
 //! # One kernel source, two compiled copies
 //!
-//! Every precision and thread count runs the same row bodies, the
+//! Every precision runs the same row bodies, the
 //! [`lanes`] module: elementwise kernels sweep rows in fixed-width
 //! groups of [`Scalar::LANES`] elements (`f64`×4 / `f32`×8, plain
 //! `chunks_exact` that LLVM turns into vector code) and apply the
@@ -40,17 +38,14 @@
 //! `f64` and `f32`) over the whole 16-element blocks, the lanes fold by
 //! a fixed pairwise tree (`l += l+8`, `+4`, `+2`, `+1`), the `n mod 16`
 //! remainder elements are added last in order, and rows fold in row
-//! order. The shape is a function of the sweep bounds alone — not of
-//! thread count, chunking or parallel threshold — so results are
-//! bit-identical across the whole runtime matrix, while sixteen
+//! order. The shape is a function of the sweep bounds alone, so a
+//! result's bits depend on the tile and nothing else, while sixteen
 //! independent add chains keep the reduction off the critical path.
 //! Bits differ from the serial add chain used before PR 12 by design
 //! (within `n·ε·Σ|aᵢbᵢ|`); CG-family iteration counts may move by ±1.
 
 use crate::ops::TileBounds;
-use crate::runtime::parallel_sweep;
 use crate::trace::SolveTrace;
-use rayon::prelude::*;
 use tea_mesh::{Field2, Scalar};
 
 /// The row bodies of every kernel: explicit-width elementwise sweeps
@@ -364,22 +359,20 @@ pub mod scalar_ref {
     }
 }
 
-/// Applies `body` to every row of `out` in the `bounds.range(ext)` sweep,
-/// in parallel when large. `body(k, row)` gets the row index and the
-/// mutable row slice.
+/// Applies `body` to every row of `out` in the `bounds.range(ext)` sweep.
+/// `body(k, row)` gets the row index and the mutable row slice.
 ///
-/// With its siblings this is *the* padded-row dispatch of the crate —
-/// the halo offset, interior slice bounds and row-range guard live in
-/// [`for_rows_sum`] (one output) and [`for_rows2_sum`] (two), and every
-/// row-parallel kernel (the vector ops below, the 2D operator apply and
-/// residual, the block-Jacobi solve) routes through one of the four;
-/// [`for_rows_block`] strings several such sweeps into one pass. All of
-/// them open a parallel region on [`parallel_sweep`] alone.
+/// With its siblings this is *the* row dispatch of the crate — the
+/// interior slice bounds and row range live in [`for_rows_sum`] (one
+/// output) and [`for_rows2_sum`] (two), and every row kernel (the vector
+/// ops below, the 2D operator apply and residual, the block-Jacobi
+/// solve) routes through one of the four; [`for_rows_block`] strings
+/// several such sweeps into one pass.
 pub(crate) fn for_rows<S: Scalar>(
     out: &mut Field2<S>,
     bounds: &TileBounds,
     ext: usize,
-    body: impl Fn(isize, &mut [S]) + Sync,
+    body: impl Fn(isize, &mut [S]),
 ) {
     for_rows_sum(out, bounds, ext, |k, row| {
         body(k, row);
@@ -387,14 +380,13 @@ pub(crate) fn for_rows<S: Scalar>(
     });
 }
 
-/// Which rows of a sweep a row dispatch visits: all of them (in
-/// parallel when large), or the one row a [`for_rows_block`] pass has
-/// reached.
+/// Which rows of a sweep a row dispatch visits: all of them, or the one
+/// row a [`for_rows_block`] pass has reached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Rows {
     /// Every row of `bounds.range(ext)`.
     All,
-    /// Row `k` alone, on the calling thread.
+    /// Row `k` alone.
     One(isize),
 }
 
@@ -409,19 +401,15 @@ pub(crate) fn for_rows2<S: Scalar>(
     bounds: &TileBounds,
     ext: usize,
     rows: Rows,
-    body: impl Fn(isize, &mut [S], &mut [S]) + Sync,
+    body: impl Fn(isize, &mut [S], &mut [S]),
 ) {
-    match rows {
-        Rows::All => {
-            for_rows2_sum(out1, out2, bounds, ext, |k, r1, r2| {
-                body(k, r1, r2);
-                S::ZERO
-            });
-        }
-        Rows::One(k) => {
-            let (x_lo, x_hi, _, _) = bounds.range(ext);
-            body(k, out1.row_mut(k, x_lo, x_hi), out2.row_mut(k, x_lo, x_hi));
-        }
+    let (x_lo, x_hi, y_lo, y_hi) = bounds.range(ext);
+    let (first, end) = match rows {
+        Rows::All => (y_lo, y_hi),
+        Rows::One(k) => (k, k + 1),
+    };
+    for k in first..end {
+        body(k, out1.row_mut(k, x_lo, x_hi), out2.row_mut(k, x_lo, x_hi));
     }
 }
 
@@ -433,14 +421,13 @@ pub(crate) fn for_rows2<S: Scalar>(
 /// overwrites that stencil input. `body(l, lag, rows)` runs either over
 /// `rows`.
 ///
-/// Where the widest sweep would open a parallel region the sweeps run
-/// one after another over [`Rows::All`]. Otherwise they are skewed in
-/// time: at wavefront `t` level `l` leads on row `t - 2l`, then lags on
-/// row `t - 2l - 1`, levels in order — every read sees the value the
-/// sweep-at-a-time order produced (rows `k-1..=k+1` of level `l-1` are
-/// complete when level `l` leads on `k`, and row `k-1` is not
-/// overwritten until that lead has passed), so both orders agree bit
-/// for bit with no scratch rows and no redundant cells.
+/// The sweeps are skewed in time: at wavefront `t` level `l` leads on
+/// row `t - 2l`, then lags on row `t - 2l - 1`, levels in order — every
+/// read sees the value the sweep-at-a-time order produced (rows
+/// `k-1..=k+1` of level `l-1` are complete when level `l` leads on `k`,
+/// and row `k-1` is not overwritten until that lead has passed), so
+/// both orders agree bit for bit with no scratch rows and no redundant
+/// cells.
 pub(crate) fn for_rows_block(
     bounds: &TileBounds,
     exts: &[usize],
@@ -448,13 +435,6 @@ pub(crate) fn for_rows_block(
 ) {
     debug_assert!(exts.windows(2).all(|w| w[1] < w[0]), "levels must shrink");
     let Some(&widest) = exts.first() else { return };
-    if parallel_sweep(bounds.cells(widest)) {
-        for l in 0..exts.len() {
-            body(l, false, Rows::All);
-            body(l, true, Rows::All);
-        }
-        return;
-    }
     let (_, _, y_lo, y_hi) = bounds.range(widest);
     for t in y_lo..y_hi + 2 * exts.len() as isize - 1 {
         for (l, &ext) in exts.iter().enumerate() {
@@ -477,104 +457,45 @@ pub(crate) fn for_rows2_sum<S: Scalar>(
     out2: &mut Field2<S>,
     bounds: &TileBounds,
     ext: usize,
-    body: impl Fn(isize, &mut [S], &mut [S]) -> S + Sync,
+    body: impl Fn(isize, &mut [S], &mut [S]) -> S,
 ) -> S {
-    // the parallel path cuts both outputs' rows at `out1`'s stride and
-    // halo offset; checked on every path, so a mismatch fails alike at
-    // every thread count
-    let shape = |f: &Field2<S>| (f.nx(), f.ny(), f.halo());
-    assert_eq!(shape(out1), shape(out2), "fused outputs must share shape");
     let (x_lo, x_hi, y_lo, y_hi) = bounds.range(ext);
-    let n = (x_hi - x_lo) as usize;
-    if parallel_sweep(bounds.cells(ext)) {
-        let stride = out1.stride();
-        let h = out1.halo() as isize;
-        let x0 = (x_lo + h) as usize;
-        let mut partials = vec![S::ZERO; out1.raw().len() / stride];
-        out1.raw_mut()
-            .par_chunks_mut(stride)
-            .zip(out2.raw_mut().par_chunks_mut(stride))
-            .zip(partials.par_iter_mut())
-            .enumerate()
-            .for_each(|(row, ((c1, c2), slot))| {
-                let k = row as isize - h;
-                if k >= y_lo && k < y_hi {
-                    *slot = body(k, &mut c1[x0..x0 + n], &mut c2[x0..x0 + n]);
-                }
-            });
-        partials.iter().fold(S::ZERO, |acc, &p| acc + p)
-    } else {
-        let mut acc = S::ZERO;
-        for k in y_lo..y_hi {
-            acc += body(k, out1.row_mut(k, x_lo, x_hi), out2.row_mut(k, x_lo, x_hi));
-        }
-        acc
+    let mut acc = S::ZERO;
+    for k in y_lo..y_hi {
+        acc += body(k, out1.row_mut(k, x_lo, x_hi), out2.row_mut(k, x_lo, x_hi));
     }
+    acc
 }
 
 /// [`for_rows`] with a fused per-row reduction: `body` returns a row
-/// partial, and the partials are folded in row order on the calling
-/// thread (one preallocated slot vector, bit-identical for every thread
-/// count — padded rows outside the sweep contribute exactly zero).
+/// partial, and the partials are folded in row order.
 pub(crate) fn for_rows_sum<S: Scalar>(
     out: &mut Field2<S>,
     bounds: &TileBounds,
     ext: usize,
-    body: impl Fn(isize, &mut [S]) -> S + Sync,
+    body: impl Fn(isize, &mut [S]) -> S,
 ) -> S {
     let (x_lo, x_hi, y_lo, y_hi) = bounds.range(ext);
-    let n = (x_hi - x_lo) as usize;
-    if parallel_sweep(bounds.cells(ext)) {
-        let stride = out.stride();
-        let h = out.halo() as isize;
-        let x0 = (x_lo + h) as usize;
-        let nrows = out.raw().len() / stride;
-        let mut partials = vec![S::ZERO; nrows];
-        out.raw_mut()
-            .par_chunks_mut(stride)
-            .zip(partials.par_iter_mut())
-            .enumerate()
-            .for_each(|(row, (chunk, slot))| {
-                let k = row as isize - h;
-                if k >= y_lo && k < y_hi {
-                    *slot = body(k, &mut chunk[x0..x0 + n]);
-                }
-            });
-        partials.iter().fold(S::ZERO, |acc, &p| acc + p)
-    } else {
-        let mut acc = S::ZERO;
-        for k in y_lo..y_hi {
-            acc += body(k, out.row_mut(k, x_lo, x_hi));
-        }
-        acc
+    let mut acc = S::ZERO;
+    for k in y_lo..y_hi {
+        acc += body(k, out.row_mut(k, x_lo, x_hi));
     }
+    acc
 }
 
 /// Deterministic read-only reduction over rows: folds per-row partials
-/// in row order. The parallel path allocates exactly one `Vec` — the
-/// ordered partials, filled in place through an indexed `par_iter_mut`
-/// (no intermediate collect) — and folds it left to right, so the
-/// result is bit-identical to the serial path for every thread count.
+/// in row order.
 fn sum_rows<S: Scalar>(
     bounds: &TileBounds,
     ext: usize,
-    body: impl Fn(isize, isize, isize) -> S + Sync,
+    body: impl Fn(isize, isize, isize) -> S,
 ) -> S {
     let (x_lo, x_hi, y_lo, y_hi) = bounds.range(ext);
-    if parallel_sweep(bounds.cells(ext)) {
-        let mut partials = vec![S::ZERO; (y_hi - y_lo) as usize];
-        partials
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(idx, slot)| *slot = body(y_lo + idx as isize, x_lo, x_hi));
-        partials.iter().fold(S::ZERO, |acc, &p| acc + p)
-    } else {
-        let mut acc = S::ZERO;
-        for k in y_lo..y_hi {
-            acc += body(k, x_lo, x_hi);
-        }
-        acc
+    let mut acc = S::ZERO;
+    for k in y_lo..y_hi {
+        acc += body(k, x_lo, x_hi);
     }
+    acc
 }
 
 /// `dst = src` over the sweep range.
@@ -981,8 +902,8 @@ mod tests {
     }
 
     #[test]
-    fn large_parallel_dot_is_deterministic() {
-        let n = 300; // 90000 cells > PAR_THRESHOLD
+    fn large_dot_is_deterministic() {
+        let n = 300;
         let b = TileBounds::serial(n, n);
         let mut t = SolveTrace::new("t");
         let x = f(n, 0, |j, k| ((j * 31 + k * 7) % 13) as f64 / 3.0);

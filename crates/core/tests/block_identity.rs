@@ -4,23 +4,19 @@
 //! sweeps, bit for bit, in `f64` and `f32`, under every preconditioner
 //! a block accepts.
 //!
-//! Three executions of every block of a smoothing are compared:
+//! Two executions of every block of a smoothing are compared:
 //!
 //! * the **oracle** — the unfused public kernels, one whole sweep at a
 //!   time: `zero`, `copy`, `Preconditioner::apply`, `scaled_copy` for
 //!   the prelude; `apply_cheb_fused`, `Preconditioner::apply`,
 //!   `scale_add` for each step;
-//! * the **skewed** pass — `Smoothing::run_block` on one worker;
-//! * the **level-at-a-time** pass — `run_block` on two workers with the
-//!   parallel threshold at zero, every sweep through the row-parallel
-//!   dispatch.
+//! * the **skewed** pass — `Smoothing::run_block`.
 //!
 //! The tile is the centre of a 3×3 decomposition, so all four sides
 //! extend and a depth-4 block sweeps `e = 3, 2, 1, 0`; ghosts hold
 //! arbitrary data, as after an exchange. Sizes run from one row or one
 //! column (the whole pass is ramp-up and drain) through tiles shorter
 //! than `2·h` rows to ones with a steady state, odd widths included.
-//! One `#[test]` only: worker count and threshold are process-global.
 
 use proptest::prelude::*;
 use tea_core::ppcg::{Smooth, Smoothing};
@@ -127,24 +123,18 @@ fn check<S: Scalar>(
         }
     };
     let smoothing = Smoothing::new(est, steps, depth);
-    let (mut want, mut skewed, mut swept) = (start.clone(), start.clone(), start);
-    let (mut t1, mut t2) = (SolveTrace::new("block"), SolveTrace::new("block"));
+    let (mut want, mut skewed) = (start.clone(), start);
+    let mut trace = SolveTrace::new("block");
     for (first, exts) in smoothing.blocks() {
         oracle(&mut want, first, exts);
-        for (f, trace, threads) in [(&mut skewed, &mut t1, 1), (&mut swept, &mut t2, 2)] {
-            tea_core::set_num_threads(threads);
-            tea_core::set_par_threshold(0);
-            let mut smooth = Smooth {
-                z: &mut f.z,
-                rr: &mut f.rr,
-                sd: &mut f.sd,
-                tmp: &mut f.tmp,
-            };
-            let r = from_r.then_some(&f.r);
-            smoothing.run_block(&op, &precon, &mut smooth, r, (first, exts), trace);
-            tea_core::set_num_threads(1);
-            tea_core::set_par_threshold(tea_core::PAR_THRESHOLD);
-        }
+        let mut smooth = Smooth {
+            z: &mut skewed.z,
+            rr: &mut skewed.rr,
+            sd: &mut skewed.sd,
+            tmp: &mut skewed.tmp,
+        };
+        let r = from_r.then_some(&skewed.r);
+        smoothing.run_block(&op, &precon, &mut smooth, r, (first, exts), &mut trace);
         // a pass defines z and rr from its first step on, as far out as
         // that step sweeps (the oracle's zero fill and copy range wider)
         let prelude = usize::from(first == 0);
@@ -156,15 +146,11 @@ fn check<S: Scalar>(
         if want.bits(&op.bounds, e) != skewed.bits(&op.bounds, e) {
             return Err(format!("skewed pass differs from the sweeps: {tag}"));
         }
-        if want.bits(&op.bounds, e) != swept.bits(&op.bounds, e) {
-            return Err(format!(
-                "level-at-a-time pass differs from the sweeps: {tag}"
-            ));
-        }
     }
-    if t1 != t2 || t1.spmv.total() != steps as u64 {
+    if trace.spmv.total() != steps as u64 {
         return Err(format!(
-            "traces differ between the dispatches: {t1:?} vs {t2:?}"
+            "the pass recorded {} stencil sweeps, not {steps}",
+            trace.spmv.total()
         ));
     }
     Ok(())

@@ -97,12 +97,6 @@ impl<S: Scalar> Field2<S> {
         self.halo
     }
 
-    /// Row stride of the underlying allocation (`nx + 2*halo`).
-    #[inline(always)]
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
     /// Flat offset of signed cell index `(j, k)`.
     ///
     /// Debug-asserts the index is within the allocation (ghosts included).
@@ -359,7 +353,7 @@ mod tests {
         assert_eq!(f.nx(), 4);
         assert_eq!(f.ny(), 3);
         assert_eq!(f.halo(), 2);
-        assert_eq!(f.stride(), 8);
+        assert_eq!(f.offset(0, 1) - f.offset(0, 0), 8, "row stride");
         assert_eq!(f.raw().len(), 8 * 7);
         assert!(f.raw().iter().all(|&v| v == 0.0));
     }

@@ -73,18 +73,15 @@ use std::time::{Duration, Instant};
 
 use tea_core::{lock_tolerant, CacheStats, StopHandle};
 
-/// How a serve runs: worker count, kernel thread budget, caching,
-/// deadlines and retry policy.
+/// How a serve runs: worker count, caching, deadlines and retry policy.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Concurrent jobs in flight (worker threads draining the queue).
     /// `0` means one per available core.
     pub workers: usize,
-    /// Kernel threads per job. The sweep thread pool is process-global,
-    /// so this is applied once at serve start (not per job): with W
-    /// workers each running T-thread sweeps, size `W × T` to the
-    /// machine. `None` leaves the ambient configuration alone. The
-    /// ambient value is restored when the drain completes.
+    /// Ignored: a job's kernels run on its worker's thread, so a
+    /// serve's parallelism is [`ServeOptions::workers`]. Kept because
+    /// the repository benchmark (`benchmark/src/serverun.rs`) sets it.
     pub threads_per_job: Option<usize>,
     /// Whether to pool prepared solvers in a [`tea_core::SetupCache`]
     /// across jobs.
@@ -296,13 +293,6 @@ where
     T: Send,
     F: Fn(JobCtx<'_>, &J) -> Result<T, JobError> + Sync,
 {
-    // The sweep pool is process-global: remember the ambient setting so
-    // the drain doesn't permanently reconfigure the host process.
-    let saved_threads = opts.threads_per_job.map(|threads| {
-        let ambient = tea_core::num_threads();
-        tea_core::set_num_threads(threads);
-        ambient
-    });
     let total = jobs.len();
     let queue: Mutex<VecDeque<usize>> = Mutex::new((0..total).collect());
     let outcomes: Mutex<Vec<JobOutcome<T>>> = Mutex::new(Vec::with_capacity(total));
@@ -375,9 +365,6 @@ where
         }
     });
     let wall_s = started.elapsed().as_secs_f64();
-    if let Some(ambient) = saved_threads {
-        tea_core::set_num_threads(ambient);
-    }
 
     let mut outcomes = outcomes
         .into_inner()
@@ -514,30 +501,5 @@ mod tests {
             assert_eq!(o.result.as_ref().unwrap_err(), &JobError::TimedOut);
             assert_eq!(o.attempts, 1);
         }
-    }
-
-    #[test]
-    fn serve_restores_the_ambient_thread_config() {
-        let ambient = tea_core::num_threads();
-        let report = serve_with(
-            vec![()],
-            &ServeOptions {
-                workers: 1,
-                threads_per_job: Some(ambient + 3),
-                ..Default::default()
-            },
-            |_, ()| Ok::<usize, JobError>(tea_core::num_threads()),
-            CacheStats::default,
-        );
-        assert_eq!(
-            report.outcomes[0].result,
-            Ok(ambient + 3),
-            "the per-job budget applies during the drain"
-        );
-        assert_eq!(
-            tea_core::num_threads(),
-            ambient,
-            "the drain must not leak its thread config into the process"
-        );
     }
 }

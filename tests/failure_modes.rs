@@ -7,9 +7,9 @@ use tealeaf::mesh::{
     crooked_pipe, timestep_scalings, Coefficients, Decomposition2D, Field2D, Field2F, Mesh2D,
 };
 use tealeaf::solvers::{
-    crooked_pipe_system, Assembly, DynTile, IterativeSolver, PreconKind, Preconditioner, Solve,
-    SolveContext, SolveControls, SolveOpts, SolveProbe, SolveResult, SolveTrace, SolverParams,
-    Tile, TileBounds, TileOperator, Workspace,
+    crooked_pipe_system, Assembly, DynTile, IterativeSolver, PreconKind, Preconditioner,
+    SessionSpec, Solve, SolveContext, SolveControls, SolveOpts, SolveProbe, SolveResult,
+    SolveSession, SolveTrace, SolverParams, Tile, TileBounds, TileOperator, Workspace,
 };
 
 /// One default-options solve of `solver` on the serial 32² crooked pipe
@@ -284,4 +284,39 @@ fn comms_interleaved_stress() {
     });
     // deterministic: every rank computed the same accumulator
     assert!(sums.windows(2).all(|w| w[0] == w[1]));
+}
+
+#[test]
+fn a_misshapen_solve_names_the_odd_operand() {
+    // `u` one ghost layer deeper than the halo-1 operator and workspace
+    let (op, b) = crooked_pipe_system(32, 0.04, 1);
+    let failure = |via_session: bool| -> String {
+        let mut u = Field2D::new(32, 32, 2);
+        u.copy_interior_from(&b);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if via_session {
+                let mut session = SolveSession::build(op.clone(), &SessionSpec::solver("cg"))
+                    .expect("cg is registered");
+                session.solve(&mut u, &b);
+            } else {
+                Solve::on(&op).run(&mut u, &b).expect("cg is registered");
+            }
+        }))
+        .expect_err("a misshapen solve must fail");
+        match err.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(_) => "a panic without a formatted message".into(),
+        }
+    };
+    // the builder sizes its workspace from `u`, so `b` is the odd one
+    // out there; a session's workspace has the solver's halo, so `u` is
+    for (via_session, odd) in [(false, "b"), (true, "u")] {
+        let msg = failure(via_session);
+        assert!(
+            msg.contains(&format!(
+                "{odd} must have the operator's tile and the workspace's halo"
+            )),
+            "{msg}"
+        );
+    }
 }

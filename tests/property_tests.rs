@@ -259,7 +259,6 @@ proptest! {
         inner in 1usize..32,
         depth in 1usize..16,
         solver_idx in 0usize..9,
-        threads in 0usize..9,
         max_iters in 1u64..100_000,
         presteps in 1u64..100,
         tune_seed in 0u64..4,
@@ -278,7 +277,6 @@ proptest! {
         c.opts.max_iters = max_iters;
         c.ppcg_inner_steps = inner;
         c.ppcg_halo_depth = depth;
-        c.threads = (threads > 0).then_some(threads);
         c.presteps = presteps;
         // 0 is the default, which render_deck leaves out
         c.tune_seed = [0, 1, 7, u64::MAX][tune_seed as usize];
@@ -305,7 +303,6 @@ proptest! {
             presteps,
             tune_seed,
             summary_frequency,
-            threads,
         } = re.control;
         let c = &deck.control;
         prop_assert_eq!(dt, c.dt);
@@ -321,6 +318,5 @@ proptest! {
         prop_assert_eq!(presteps, c.presteps);
         prop_assert_eq!(tune_seed, c.tune_seed);
         prop_assert_eq!(summary_frequency, c.summary_frequency);
-        prop_assert_eq!(threads, c.threads);
     }
 }
