@@ -18,9 +18,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 use tea_app::{
-    crooked_pipe_deck, find_repo_root, parse_deck, run_threaded_ranks, semantic_audit,
-    serve_decks_with_plan, solver_registry, write_field_csv, write_field_ppm, Deck, DeckJob, Mode,
-    FLAG_KEYS, FLAG_MODES, SINGLE_RUN,
+    crooked_pipe_deck, parse_deck, run_threaded_ranks, serve_decks_with_plan, solver_registry,
+    write_field_csv, write_field_ppm, Deck, DeckJob, Mode, FLAG_KEYS, FLAG_MODES, SINGLE_RUN,
 };
 use tea_core::{Precision, SolverParams, EIGEN_SAFETY};
 use tea_fault::FaultPlan;
@@ -67,10 +66,6 @@ OPTIONS:
     --out <prefix>       write <prefix>.ppm and <prefix>.csv of the final field
     --quiet              only print the final summary
     --list-solvers       print the registered solvers and exit
-    --audit              run the semantic audits (solver registry,
-                         deck-key drift), print the machine-readable
-                         report to stdout and exit nonzero on any
-                         violation
     --help               show this help
     (a flag the chosen mode does not read is refused)
 
@@ -98,7 +93,7 @@ SERVING (batched multi-solve mode):
 
 EXIT STATUS:
     0 on success; 1 on a usage, deck or solver error (a diverged solve
-    is one), on a failed audit or --serve job, and when a time step of
+    is one), on a failed --serve job, and when a time step of
     a single-deck run hits the iteration cap — the run summary then
     carries a 'warning' line naming the first such step
 ";
@@ -125,17 +120,15 @@ struct Args {
     deadline: Option<Duration>,
     retries: u32,
     fault_plan: Option<FaultPlan>,
-    audit: bool,
 }
 
 impl Args {
-    /// What the command line runs: `--audit` over `--serve` over
-    /// `--deck` over the built-in deck.
+    /// What the command line runs: `--serve` over `--deck` over the
+    /// built-in deck.
     fn mode(&self) -> Mode {
-        match (self.audit, &self.serve, &self.deck_path) {
-            (true, _, _) => Mode::Audit,
-            (_, Some(_), _) => Mode::Serve,
-            (_, _, Some(_)) => Mode::Deck,
+        match (&self.serve, &self.deck_path) {
+            (Some(_), _) => Mode::Serve,
+            (_, Some(_)) => Mode::Deck,
             _ => Mode::Pipe,
         }
     }
@@ -197,7 +190,6 @@ fn parse_args() -> Result<Args, String> {
                 args.retries = value()?.parse().map_err(|e| format!("--retries: {e}"))?
             }
             "--fault-plan" => args.fault_plan = Some(FaultPlan::parse(&value()?)?),
-            "--audit" => args.audit = true,
             "--list-solvers" => {
                 let listed = print_solvers(&mut Stdout::locked());
                 std::process::exit(if listed.is_ok() { 0 } else { 1 });
@@ -417,23 +409,6 @@ fn run_serve(joblist: &Path, args: &Args, out: &mut impl Write) -> io::Result<Ex
     })
 }
 
-/// `tealeaf --audit`: run the semantic audits, print the
-/// machine-readable report to stdout (human-readable findings go to
-/// stderr) and exit nonzero on any violation.
-fn run_audit(out: &mut impl Write) -> io::Result<ExitCode> {
-    let root = find_repo_root();
-    let report = semantic_audit(root.as_deref());
-    for finding in &report.findings {
-        eprintln!("{}", finding.render());
-    }
-    write!(out, "{}", report.to_json(false))?;
-    Ok(if report.passed(false) {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
-}
-
 /// One run of a deck: `--deck`'s, or the built-in crooked pipe.
 fn run_single(args: &Args, out: &mut impl Write) -> io::Result<ExitCode> {
     let mut deck = match args.deck_path.as_deref().map(load_deck) {
@@ -609,11 +584,10 @@ fn main() -> ExitCode {
             eprintln!("error: {msg}\n\n{USAGE}");
             return ExitCode::FAILURE;
         }
-        Ok(args) => match (args.refusals().as_slice(), args.mode(), &args.serve) {
-            ([], Mode::Audit, _) => run_audit(&mut out),
-            ([], Mode::Serve, Some(joblist)) => run_serve(joblist, &args, &mut out),
-            ([], ..) => run_single(&args, &mut out),
-            (refusals, ..) => {
+        Ok(args) => match (args.refusals().as_slice(), &args.serve) {
+            ([], Some(joblist)) => run_serve(joblist, &args, &mut out),
+            ([], None) => run_single(&args, &mut out),
+            (refusals, _) => {
                 for refusal in refusals {
                     eprintln!("error: {refusal}");
                 }

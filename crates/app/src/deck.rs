@@ -264,8 +264,6 @@ pub enum Mode {
     Deck,
     /// `--serve`: a queue of deck files.
     Serve,
-    /// `--audit`: the semantic audits.
-    Audit,
 }
 
 impl Mode {
@@ -275,7 +273,6 @@ impl Mode {
             Mode::Pipe => "a run without --deck or --serve runs the built-in crooked pipe once",
             Mode::Deck => "--deck runs one deck, its mesh as written",
             Mode::Serve => "--serve runs each job's deck as written",
-            Mode::Audit => "--audit runs the semantic audits alone",
         }
     }
 }
@@ -287,7 +284,7 @@ const RUNS: &[Mode] = &[Mode::Pipe, Mode::Deck, Mode::Serve];
 
 /// `tealeaf`'s other flags, as `(flag, what it sets, the modes that
 /// read it)`; a flag the chosen mode does not read is refused.
-pub const FLAG_MODES: [(&str, &str, &[Mode]); 11] = [
+pub const FLAG_MODES: [(&str, &str, &[Mode]); 10] = [
     ("--deck", "names the deck file", &[Mode::Deck]),
     ("--cells", "sizes the built-in mesh", &[Mode::Pipe]),
     ("--ranks", "sets a single run's rank count", SINGLE_RUN),
@@ -298,7 +295,6 @@ pub const FLAG_MODES: [(&str, &str, &[Mode]); 11] = [
     ("--deadline", "sets the serving job deadline", SERVE),
     ("--retries", "sets the serving retry count", SERVE),
     ("--fault-plan", "arms serving fault injection", SERVE),
-    ("--audit", "runs the semantic audits", &[Mode::Audit]),
 ];
 
 fn parse_value<T: std::str::FromStr>(key: &str, value: &str, what: &str) -> Result<T, String> {

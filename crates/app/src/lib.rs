@@ -23,14 +23,12 @@
     clippy::unimplemented
 )]
 
-pub mod audit;
 pub mod deck;
 pub mod driver;
 pub mod output;
 pub mod serve;
 pub mod summary;
 
-pub use audit::{find_repo_root, semantic_audit};
 pub use deck::{
     crooked_pipe_deck, parse_deck, render_deck, Control, Deck, Mode, FLAG_KEYS, FLAG_MODES,
     SINGLE_RUN,

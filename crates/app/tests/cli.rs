@@ -17,7 +17,9 @@ fn tealeaf(args: &[&str]) -> Output {
 }
 
 fn write_deck(name: &str, extra: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("tealeaf-cli-tests");
+    // one directory per test process, so concurrent runs of this binary
+    // never read each other's half-written decks
+    let dir = std::env::temp_dir().join(format!("tealeaf-cli-tests-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(name);
     std::fs::write(
@@ -355,13 +357,15 @@ fn serve_mode_answers_bad_deadlines_and_absurd_meshes_with_errors() {
 
 #[test]
 fn the_retired_thread_options_are_unknown() {
-    let out = tealeaf(&["--cells", "8", "--steps", "1", "--threads", "2"]);
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-    assert!(
-        stderr.starts_with("error: unknown option '--threads'"),
-        "{stderr}"
-    );
+    // `--audit` is retired too: the audits are tests
+    for retired in [&["--threads", "2"][..], &["--audit"]] {
+        let out = tealeaf(&[&["--cells", "8", "--steps", "1"][..], retired].concat());
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        let unknown = format!("error: unknown option '{}'", retired[0]);
+        assert!(stderr.starts_with(&unknown), "{stderr}");
+        assert!(out.stdout.is_empty(), "nothing may run: {out:?}");
+    }
 
     let deck = write_deck("threads.in", "tl_solver=cg\ntl_num_threads=2");
     let out = tealeaf(&["--deck", deck.to_str().unwrap()]);
@@ -394,17 +398,6 @@ fn assert_refused(args: &[&str], want: &[&str]) {
     let want: String = want.iter().map(|l| format!("error: {l}\n")).collect();
     assert_eq!(String::from_utf8_lossy(&out.stderr), want, "{args:?}");
     assert!(out.stdout.is_empty(), "{args:?}: nothing may run: {out:?}");
-}
-
-#[test]
-fn audit_refuses_every_other_flag() {
-    assert_refused(
-        &["--audit", "--solver", "bogus", "--quiet"],
-        &[
-            "--solver sets deck key tl_solver; --audit runs the semantic audits alone",
-            "--quiet trims the report; --audit runs the semantic audits alone",
-        ],
-    );
 }
 
 #[test]

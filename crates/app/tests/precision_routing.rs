@@ -2,7 +2,8 @@
 //! canonical name and alias at every precision lands on the variant (or
 //! fails with the typed error naming the solver) this table pins, so a
 //! change to an entry's family or precision, or to the routing rule,
-//! that moves an answer fails here row by row.
+//! that moves an answer fails here row by row. The registry these
+//! answers come from must also pass its own structural audit.
 
 use tea_core::{Precision, SolverError};
 
@@ -105,4 +106,11 @@ fn every_name_and_alias_routes_as_pinned() {
             _ => panic!("({name}, {precision}): want {want:?}, got {got:?}"),
         }
     }
+}
+
+/// The only audit of the registry with `amg` and `auto` registered.
+#[test]
+fn full_registry_passes_its_own_audit() {
+    let findings = tea_app::solver_registry().audit();
+    assert!(findings.is_empty(), "{findings:?}");
 }

@@ -18,13 +18,14 @@
 //! * [`semantic`] — the cross-artefact audit: deck-key drift between
 //!   `deck.rs` and the README table. (The other semantic audit,
 //!   `SolverRegistry::audit`, lives in `tea-core` because it needs a
-//!   live registry; `tealeaf --audit` combines both.)
-//! * [`report`] — findings and the machine-readable [`AuditReport`].
+//!   live registry; tea-core's and tea-app's tests run it.)
+//! * [`report`] — the [`Finding`] every check returns.
 //! * [`json`] — the strict parser the repo benchmark reads its result
 //!   documents back with.
 //!
-//! Run the linter with `cargo run -p tea-audit` (add `--deny-all` to
-//! also fail on advisory findings, `--json` for the report document).
+//! The audits run as tests: `cargo test -p tea-audit` scans the
+//! committed tree (`tests/tree_clean.rs`, which fails on any finding)
+//! and the violation fixtures (`tests/fixtures.rs`).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -34,6 +35,6 @@ pub mod report;
 pub mod scan;
 pub mod semantic;
 
-pub use report::{AuditReport, CheckOutcome, Finding};
-pub use scan::{scan_file, scan_workspace, RULE_IDS};
+pub use report::Finding;
+pub use scan::{scan_file, scan_workspace};
 pub use semantic::deck_key_audit;

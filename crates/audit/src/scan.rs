@@ -24,15 +24,15 @@
 //! | `crate_hygiene` | every member crate's `lib.rs` | must carry `#![deny(missing_docs)]` and `#![forbid(unsafe_code)]` — or, for a crate in the unsafe budget (`UNSAFE_BUDGET`), `#![deny(unsafe_code)]`; `deny(unsafe_code)` anywhere else is flagged |
 //! | `crate_hygiene` | everywhere | an `unsafe` token only in the budgeted file, at most its budgeted count, each under a `// SAFETY:` comment |
 //! | `pragma` | everywhere | `audit:allow` pragmas must name a known rule and carry a reason |
-//! | `todo_marker` | everywhere (advisory) | surfaces to-do/fix-me markers left in comments; they fail only under `--deny-all` |
-//! | `dead_pub` | `crates/*/src` and `src/`, tests exempt (advisory) | every `pub` `fn`/`struct`/`enum`/`trait`/`const`/`static`/`type` is named by some *other* file of the workspace or `benchmark/src`: a capability without a caller is deleted or made private — the pragma names the test or document that reads it |
+//! | `todo_marker` | everywhere | to-do/fix-me markers left in comments belong in ROADMAP.md |
+//! | `dead_pub` | `crates/*/src` and `src/`, tests exempt | every `pub` `fn`/`struct`/`enum`/`trait`/`const`/`static`/`type` is named by some *other* file of the workspace or `benchmark/src`: a capability without a caller is deleted or made private — the pragma names the test or document that reads it |
 
 use crate::report::Finding;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 /// Every textual rule id the pragma grammar accepts.
-pub const RULE_IDS: &[&str] = &["crate_hygiene", "pragma", "todo_marker", "dead_pub"];
+const RULE_IDS: &[&str] = &["crate_hygiene", "pragma", "todo_marker", "dead_pub"];
 
 /// Per-line views of one source file: `code[i]` is line `i` with
 /// comments removed and string-literal *contents* blanked to spaces
@@ -344,7 +344,7 @@ pub fn scan_file(rel_path: &str, source: &str) -> Vec<Finding> {
     // self-documenting), and only valid pragmas suppress anything.
     for pragma in &pragmas {
         if !RULE_IDS.contains(&pragma.rule.as_str()) {
-            findings.push(Finding::deny(
+            findings.push(Finding::new(
                 "pragma",
                 rel_path,
                 pragma.line + 1,
@@ -355,7 +355,7 @@ pub fn scan_file(rel_path: &str, source: &str) -> Vec<Finding> {
                 ),
             ));
         } else if !pragma.reason_ok {
-            findings.push(Finding::deny(
+            findings.push(Finding::new(
                 "pragma",
                 rel_path,
                 pragma.line + 1,
@@ -377,7 +377,7 @@ pub fn scan_file(rel_path: &str, source: &str) -> Vec<Finding> {
             .iter()
             .find(|m| comment.contains(**m));
         if let (Some(marker), false) = (marker, allowed) {
-            findings.push(Finding::advise(
+            findings.push(Finding::new(
                 "todo_marker",
                 rel_path,
                 i + 1,
@@ -418,7 +418,7 @@ pub fn check_crate_hygiene(rel_path: &str, lib_rs: &str) -> Vec<Finding> {
         .into_iter()
         .filter(|attr| !has(attr))
         .map(|attr| {
-            Finding::deny(
+            Finding::new(
                 "crate_hygiene",
                 rel_path,
                 1,
@@ -427,7 +427,7 @@ pub fn check_crate_hygiene(rel_path: &str, lib_rs: &str) -> Vec<Finding> {
         })
         .collect();
     if !budgeted && has("#![deny(unsafe_code)]") {
-        findings.push(Finding::deny(
+        findings.push(Finding::new(
             "crate_hygiene",
             rel_path,
             1,
@@ -474,7 +474,7 @@ fn check_unsafe_budget(rel_path: &str, text: &SourceText) -> Vec<Finding> {
         return tokens
             .into_iter()
             .map(|line| {
-                Finding::deny(
+                Finding::new(
                     "crate_hygiene",
                     rel_path,
                     line + 1,
@@ -485,7 +485,7 @@ fn check_unsafe_budget(rel_path: &str, text: &SourceText) -> Vec<Finding> {
     };
     let mut findings = Vec::new();
     if tokens.len() > budget {
-        findings.push(Finding::deny(
+        findings.push(Finding::new(
             "crate_hygiene",
             rel_path,
             tokens[budget] + 1,
@@ -497,7 +497,7 @@ fn check_unsafe_budget(rel_path: &str, text: &SourceText) -> Vec<Finding> {
     }
     for line in tokens {
         if !has_safety_comment(text, line) {
-            findings.push(Finding::deny(
+            findings.push(Finding::new(
                 "crate_hygiene",
                 rel_path,
                 line + 1,
@@ -554,7 +554,7 @@ fn declared_pub_name(code: &str) -> Option<&str> {
     (end > 0).then(|| &rest[..end])
 }
 
-/// The `dead_pub` rule: an advisory finding for every `pub` item
+/// The `dead_pub` rule: a finding for every `pub` item
 /// declared in non-test code of a `linted` file (`(rel_path, source)`)
 /// whose name is a caller token of no *other* file — neither another
 /// linted file nor one of `callers` (test, example and `benchmark/src`
@@ -580,7 +580,7 @@ pub fn dead_pub(linted: &[(String, String)], callers: &[String]) -> Vec<Finding>
             };
             let allowed = suppressed.iter().any(|(l, r)| *l == i && r == "dead_pub");
             if !tests[i] && !allowed && named_in.get(name) == Some(&1) {
-                findings.push(Finding::advise(
+                findings.push(Finding::new(
                     "dead_pub",
                     rel_path,
                     i + 1,
@@ -790,7 +790,6 @@ fn f() -> String {
         let findings = scan_file("crates/core/src/vector.rs", src);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!((findings[0].rule, findings[0].line), ("crate_hygiene", 3));
-        assert!(!findings[0].advisory);
         // the lint name, comments and strings are not the token
         let quiet = "#![deny(unsafe_code)]\n// unsafe\nconst S: &str = \"unsafe\";\n";
         assert!(scan_file("crates/mesh/src/x.rs", quiet).is_empty());
@@ -817,13 +816,5 @@ fn f() -> String {
         let block =
             "fn f() {\n    // SAFETY: the detection\n    // said so\n    unsafe { g() }\n}\n";
         assert!(scan_file("crates/core/src/isa.rs", block).is_empty());
-    }
-
-    #[test]
-    fn todo_markers_are_advisory() {
-        let src = "// TODO: finish this\nfn f() {}\n";
-        let findings = scan_file("crates/core/src/x.rs", src);
-        assert_eq!(findings.len(), 1);
-        assert!(findings[0].advisory);
     }
 }

@@ -8,7 +8,8 @@
 //!
 //! The solver-registry audit is the other semantic check; it needs a
 //! *live* registry, so it lives on `tea_core::SolverRegistry::audit`
-//! and is combined with this one by `tealeaf --audit` and CI.
+//! and runs in tea-core's and tea-app's tests. This one runs in
+//! `tests/tree_clean.rs`.
 
 use crate::report::Finding;
 use std::collections::BTreeSet;
@@ -80,7 +81,7 @@ pub fn deck_key_audit(root: &Path) -> std::io::Result<Vec<Finding>> {
     let documented = deck_keys_in_readme(&readme);
     let mut findings = Vec::new();
     for key in parsed.difference(&documented) {
-        findings.push(Finding::deny(
+        findings.push(Finding::new(
             "deck_keys",
             deck_path,
             0,
@@ -91,7 +92,7 @@ pub fn deck_key_audit(root: &Path) -> std::io::Result<Vec<Finding>> {
         ));
     }
     for key in documented.difference(&parsed) {
-        findings.push(Finding::deny(
+        findings.push(Finding::new(
             "deck_keys",
             "README.md",
             0,

@@ -40,7 +40,6 @@ fn dead_pub_fixture_flags_only_what_no_other_file_names() {
         "pub use x::{orphan, OnlyReexported};\nfn main() {\n    x::called_elsewhere();\n}\n";
     let findings = dead_pub(&linted, &[caller.to_string()]);
     assert_eq!(rules(&findings), ["dead_pub", "dead_pub"], "{findings:?}");
-    assert!(findings.iter().all(|f| f.advisory));
     assert!(findings[0].message.contains("`orphan`"), "{findings:?}");
     assert!(
         findings[1].message.contains("`OnlyReexported`"),

@@ -1,44 +1,34 @@
-//! The committed tree must be audit-clean: no denying textual
-//! findings, no deck-key drift.
-//! This is the same gate CI runs via `cargo run -p tea-audit`. It also
-//! pins the clippy configuration that carries the per-line contracts,
-//! so deleting one of its entries fails here rather than silently.
+//! The committed tree must be audit-clean: no textual findings of any
+//! rule (a to-do marker or an unread `pub` item fails as surely as a
+//! crate root without its attributes), no deck-key drift. These tests
+//! are the audit: CI's audit job runs them with `cargo test -p
+//! tea-audit`. They also pin the clippy configuration that carries the
+//! per-line contracts, so deleting one of its entries fails here rather
+//! than silently.
 
 use std::path::{Path, PathBuf};
-use tea_audit::{deck_key_audit, scan_workspace};
+use tea_audit::{deck_key_audit, scan_workspace, Finding};
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-#[test]
-fn committed_tree_has_no_denying_findings() {
-    let findings = scan_workspace(&workspace_root()).expect("workspace scans");
-    let denied: Vec<_> = findings.iter().filter(|f| !f.advisory).collect();
-    assert!(
-        denied.is_empty(),
-        "committed tree violates its own contracts:\n{}",
-        denied
-            .iter()
-            .map(|f| f.render())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
+fn rendered(findings: &[Finding]) -> String {
+    findings
+        .iter()
+        .map(Finding::render)
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
 #[test]
-fn committed_tree_has_no_advisory_findings_either() {
-    // --deny-all is the CI posture; keep the tree free of to-do markers
-    // (park follow-ups in ROADMAP.md instead).
+fn committed_tree_has_no_findings() {
+    // park follow-ups in ROADMAP.md, not in to-do comments
     let findings = scan_workspace(&workspace_root()).expect("workspace scans");
     assert!(
         findings.is_empty(),
-        "advisory findings present:\n{}",
-        findings
-            .iter()
-            .map(|f| f.render())
-            .collect::<Vec<_>>()
-            .join("\n")
+        "committed tree violates its own contracts:\n{}",
+        rendered(&findings)
     );
 }
 
@@ -48,11 +38,7 @@ fn deck_keys_match_the_readme_table() {
     assert!(
         findings.is_empty(),
         "deck-key drift:\n{}",
-        findings
-            .iter()
-            .map(|f| f.render())
-            .collect::<Vec<_>>()
-            .join("\n")
+        rendered(&findings)
     );
 }
 

@@ -41,6 +41,7 @@ pub mod gather;
 pub mod halo;
 pub mod serial;
 pub mod stats;
+pub mod sync;
 pub mod threaded;
 pub mod wire;
 
@@ -48,6 +49,7 @@ pub use gather::gather_to_root;
 pub use halo::{exchange_halo, exchange_halo_many, HaloLayout};
 pub use serial::SerialComm;
 pub use stats::{CommStats, StatsSnapshot};
+pub use sync::lock_tolerant;
 pub use threaded::{run_threaded, ThreadedComm};
 pub use wire::{Payload, WireError, WireScalar};
 

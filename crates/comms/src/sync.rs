@@ -17,7 +17,10 @@
 //!
 //! Clippy enforces this workspace-wide: the root `clippy.toml` lists
 //! `std::sync::Mutex::lock` under `disallowed-methods`, so any other
-//! call to it, split chain or not, fails the lint.
+//! call to it, split chain or not, fails the lint. The helper lives
+//! here, in the lowest crate that locks (the threaded runtime's
+//! reduction rendezvous), and tea-core re-exports it as
+//! `tea_core::lock_tolerant`, the name `clippy.toml` points at.
 //!
 //! [`PoisonError`]: std::sync::PoisonError
 
@@ -30,8 +33,8 @@ use std::sync::{Mutex, MutexGuard};
 /// use std::sync::Mutex;
 ///
 /// let counter = Mutex::new(0_u64);
-/// *tea_core::lock_tolerant(&counter) += 1;
-/// assert_eq!(*tea_core::lock_tolerant(&counter), 1);
+/// *tea_comms::lock_tolerant(&counter) += 1;
+/// assert_eq!(*tea_comms::lock_tolerant(&counter), 1);
 /// ```
 #[expect(
     clippy::disallowed_methods,

@@ -14,11 +14,11 @@
 //! decomposed runs against serial ones.
 
 use crate::stats::CommStats;
+use crate::sync::lock_tolerant;
 use crate::wire::{Payload, WireScalar};
 use crate::Communicator;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// One point-to-point message: a typed payload travelling under a tag.
 struct Msg {
@@ -35,39 +35,18 @@ struct ReduceState {
     result: Payload,
 }
 
-/// State shared by every rank of one simulated machine.
+/// State shared by every rank of one simulated machine: the reduction
+/// rendezvous. The channels are not shared — each rank owns its ends.
 struct Shared {
     size: usize,
-    /// senders[from][to]
-    senders: Vec<Vec<Sender<Msg>>>,
-    /// receivers[to][from]
-    receivers: Vec<Vec<Receiver<Msg>>>,
     reduce: Mutex<ReduceState>,
     reduce_cv: Condvar,
 }
 
 impl Shared {
     fn new(size: usize) -> Arc<Self> {
-        let mut senders: Vec<Vec<Sender<Msg>>> = (0..size).map(|_| Vec::new()).collect();
-        let mut receivers: Vec<Vec<Receiver<Msg>>> = (0..size).map(|_| Vec::new()).collect();
-        for from in 0..size {
-            for _to in 0..size {
-                let (tx, rx) = unbounded();
-                senders[from].push(tx);
-                receivers[from].push(rx);
-            }
-        }
-        // receivers currently indexed [from][to]; transpose to [to][from]
-        let mut transposed: Vec<Vec<Receiver<Msg>>> = (0..size).map(|_| Vec::new()).collect();
-        for row in receivers.into_iter() {
-            for (to, rx) in row.into_iter().enumerate() {
-                transposed[to].push(rx);
-            }
-        }
         Arc::new(Shared {
             size,
-            senders,
-            receivers: transposed,
             reduce: Mutex::new(ReduceState {
                 generation: 0,
                 deposited: 0,
@@ -84,7 +63,7 @@ impl Shared {
     /// the same width and length — a mismatch is a protocol error and
     /// panics.
     fn rendezvous(&self, rank: usize, locals: Payload) -> Payload {
-        let mut st = self.reduce.lock();
+        let mut st = lock_tolerant(&self.reduce);
         st.slots[rank] = locals;
         st.deposited += 1;
         if st.deposited == self.size {
@@ -100,12 +79,31 @@ impl Shared {
             result
         } else {
             let my_gen = st.generation;
-            while st.generation == my_gen {
-                self.reduce_cv.wait(&mut st);
-            }
+            let st = self
+                .reduce_cv
+                .wait_while(st, |st| st.generation == my_gen)
+                .unwrap_or_else(PoisonError::into_inner);
             st.result.clone()
         }
     }
+}
+
+/// One rank's ends of the per-(sender, receiver) FIFO channels:
+/// `(senders[to], receivers[from])`.
+type Ends = (Vec<Sender<Msg>>, Vec<Receiver<Msg>>);
+
+/// Every rank's [`Ends`], in rank order.
+fn links(size: usize) -> Vec<Ends> {
+    let mut senders: Vec<Vec<Sender<Msg>>> = (0..size).map(|_| Vec::new()).collect();
+    let mut receivers: Vec<Vec<Receiver<Msg>>> = (0..size).map(|_| Vec::new()).collect();
+    for from in senders.iter_mut() {
+        for to in receivers.iter_mut() {
+            let (tx, rx) = channel();
+            from.push(tx);
+            to.push(rx);
+        }
+    }
+    senders.into_iter().zip(receivers).collect()
 }
 
 /// Sums rank-ordered slots element-wise in the payload's own precision.
@@ -142,6 +140,10 @@ fn fold_slots<S: WireScalar>(slots: &[Payload]) -> Payload {
 pub struct ThreadedComm {
     rank: usize,
     shared: Arc<Shared>,
+    /// `senders[to]`: this rank's end of its channel to each rank.
+    senders: Vec<Sender<Msg>>,
+    /// `receivers[from]`: this rank's end of each rank's channel to it.
+    receivers: Vec<Receiver<Msg>>,
     stats: CommStats,
 }
 
@@ -179,7 +181,7 @@ impl Communicator for ThreadedComm {
         assert!(to < self.shared.size, "send to rank {to} out of range");
         assert_ne!(to, self.rank, "self-sends are a protocol error");
         self.stats.count_send(&data);
-        self.shared.senders[self.rank][to]
+        self.senders[to]
             .send(Msg { tag, data })
             .expect("receiver rank terminated while messages were in flight");
     }
@@ -189,7 +191,7 @@ impl Communicator for ThreadedComm {
             from < self.shared.size,
             "recv from rank {from} out of range"
         );
-        let msg = self.shared.receivers[self.rank][from]
+        let msg = self.receivers[from]
             .recv()
             .expect("sender rank terminated before sending expected message");
         assert_eq!(
@@ -228,14 +230,18 @@ where
     assert!(ranks > 0, "need at least one rank");
     let shared = Shared::new(ranks);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..ranks)
-            .map(|rank| {
+        let handles: Vec<_> = links(ranks)
+            .into_iter()
+            .enumerate()
+            .map(|(rank, (senders, receivers))| {
                 let shared = Arc::clone(&shared);
                 let f = &f;
                 scope.spawn(move || {
                     let comm = ThreadedComm {
                         rank,
                         shared,
+                        senders,
+                        receivers,
                         stats: CommStats::new(),
                     };
                     f(&comm)

@@ -66,7 +66,6 @@ pub mod registry;
 pub mod runtime;
 pub mod session;
 pub mod solver;
-pub mod sync;
 pub mod trace;
 pub mod vector;
 
@@ -89,5 +88,5 @@ pub use registry::SolverRegistry;
 pub use runtime::{num_threads, par_threshold, set_num_threads, set_par_threshold};
 pub use session::{CacheStats, SessionSpec, SetupCache, SolveSession};
 pub use solver::{SolveOpts, Tile, Workspace};
-pub use sync::lock_tolerant;
+pub use tea_comms::lock_tolerant;
 pub use trace::{KernelCounts, SolveResult, SolveStatus, SolveTrace};

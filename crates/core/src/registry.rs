@@ -355,8 +355,9 @@ impl SolverRegistry {
     /// Everything downstream — deck parsing, CLI resolution, precision
     /// routing, the auto-tuner's candidate plan — assumes these hold,
     /// and nothing in [`SolverRegistry::register`]'s signature can
-    /// force them, so CI runs this audit (and `tealeaf --audit`
-    /// exposes it) instead of trusting convention:
+    /// force them, so tests run this audit (this crate's over the
+    /// builtins, tea-app's over the full registry) instead of trusting
+    /// convention:
     ///
     /// * **key discipline** — canonical names and aliases are
     ///   non-empty, lowercase ASCII (lookup case-folds, so any other

@@ -417,7 +417,7 @@ impl SetupCache {
         solver: Box<dyn IterativeSolver>,
     ) -> SolveSession {
         let key = SetupKey::of(&op, spec, solver.as_ref());
-        let pooled = crate::sync::lock_tolerant(&self.pool)
+        let pooled = crate::lock_tolerant(&self.pool)
             .get_mut(&key)
             .and_then(Vec::pop);
         let (solver, prepares) = match pooled {
@@ -450,7 +450,7 @@ impl SetupCache {
             ..
         } = session;
         if let Some(key) = key {
-            crate::sync::lock_tolerant(&self.pool)
+            crate::lock_tolerant(&self.pool)
                 .entry(key)
                 .or_default()
                 .push(Prepared { solver, prepares });
@@ -459,7 +459,7 @@ impl SetupCache {
 
     /// Idle prepared solvers currently pooled.
     pub fn pooled(&self) -> usize {
-        crate::sync::lock_tolerant(&self.pool)
+        crate::lock_tolerant(&self.pool)
             .values()
             .map(Vec::len)
             .sum()
@@ -469,7 +469,7 @@ impl SetupCache {
     /// pooled — take the snapshot after every job has checked its
     /// session back in.
     pub fn stats(&self) -> CacheStats {
-        let prepares = crate::sync::lock_tolerant(&self.pool)
+        let prepares = crate::lock_tolerant(&self.pool)
             .values()
             .flatten()
             .map(|p| p.prepares)

@@ -21,9 +21,15 @@
 //! between a recurrence residual and the true one. `cg_f32` stops at its
 //! f32 floor instead of `eps`, so its bound puts `f32::EPSILON` in place
 //! of `eps`.
+//!
+//! The same dense operator checks the spectral interval `(lo, hi)` the
+//! Chebyshev family's CG-presteps prelude records: it must contain the
+//! spectrum, or the Chebyshev polynomial amplifies the modes outside it.
 
 use tealeaf::amg::Cholesky;
-use tealeaf::app::{run_serial, run_threaded_ranks, solver_registry, Control, Deck};
+use tealeaf::app::{
+    crooked_pipe_deck, run_serial, run_threaded_ranks, solver_registry, Control, Deck,
+};
 use tealeaf::mesh::{
     timestep_scalings, Coefficient, Coefficients, Decomposition2D, Extent2D, Field2D, Mesh2D,
     Problem, Shape, State,
@@ -79,9 +85,9 @@ fn problem(coefficient: Coefficient) -> Problem {
     }
 }
 
-/// The serial system of the first time step: the dense operator
-/// (row-major), the right-hand side, the cell densities and the face
-/// scalings `rx, ry`.
+/// The serial system of the first time step of a square problem: the
+/// dense operator (row-major), the right-hand side, the cell densities
+/// and the face scalings `rx, ry`.
 struct System {
     a: Vec<f64>,
     b: Vec<f64>,
@@ -91,28 +97,30 @@ struct System {
 }
 
 fn system(problem: &Problem, dt: f64) -> System {
-    let mesh = Mesh2D::new(&Decomposition2D::new(N, N, 1), 0, problem.extent);
-    let mut density = Field2D::new(N, N, 2);
-    let mut energy = Field2D::new(N, N, 2);
+    let m = problem.x_cells;
+    assert_eq!(problem.y_cells, m, "a square mesh");
+    let mesh = Mesh2D::new(&Decomposition2D::new(m, m, 1), 0, problem.extent);
+    let mut density = Field2D::new(m, m, 2);
+    let mut energy = Field2D::new(m, m, 2);
     problem.apply_states(&mesh, &mut density, &mut energy);
     let (rx, ry) = timestep_scalings(&mesh, dt);
     let coeffs = Coefficients::assemble(&mesh, &density, problem.coefficient, rx, ry, 2);
     let op = TileOperator::new(coeffs, TileBounds::new(&mesh, 1));
-    let n = N * N;
+    let n = m * m;
     let mut a = vec![0.0; n * n];
     let mut trace = SolveTrace::new("oracle");
     for col in 0..n {
-        let mut e = Field2D::new(N, N, 1);
-        e.set((col % N) as isize, (col / N) as isize, 1.0);
-        let mut ae = Field2D::new(N, N, 1);
+        let mut e = Field2D::new(m, m, 1);
+        e.set((col % m) as isize, (col / m) as isize, 1.0);
+        let mut ae = Field2D::new(m, m, 1);
         op.apply(&e, &mut ae, 0, &mut trace);
         for row in 0..n {
-            a[row * n + col] = ae.at((row % N) as isize, (row / N) as isize);
+            a[row * n + col] = ae.at((row % m) as isize, (row / m) as isize);
         }
     }
     let b = (0..n)
         .map(|i| {
-            let (j, k) = ((i % N) as isize, (i / N) as isize);
+            let (j, k) = ((i % m) as isize, (i / m) as isize);
             density.at(j, k) * energy.at(j, k)
         })
         .collect();
@@ -294,4 +302,43 @@ fn every_registry_solver_matches_the_direct_solve() {
     // auto), two depths for the matrix-powers family (ppcg, mixed_ppcg,
     // auto) — 23 runs
     assert!(checked >= 2 * 23, "only {checked} configurations checked");
+}
+
+/// The interval the eigen prelude records (`trace.eigen_bounds`: the
+/// Lanczos extremes of 30 CG presteps, widened by `EIGEN_SAFETY`) holds
+/// the whole spectrum of the unpreconditioned crooked pipe at 24², the
+/// size at which an unwidened interval misses both ends. (At 16² the
+/// presteps finish the solve and no interval is recorded.) At the
+/// bottom, `lo ≤ 1 ≤ λmin` (Gershgorin, because `A = I + L`). At the top
+/// the check needs no estimate of `λmax`, so it states no accuracy:
+/// `hi > λmax` exactly when `hi·I − A` is positive definite, which a
+/// Cholesky factorisation of the dense operator decides. The Ritz `λmax`
+/// sits 1.2e-7 (relative) below `λmax` here, which that factorisation
+/// resolves.
+#[test]
+fn the_eigen_prelude_interval_contains_the_spectrum() {
+    let mut deck = crooked_pipe_deck(24, "chebyshev");
+    deck.control.end_step = 1;
+    let sys = system(&deck.problem, deck.control.dt);
+    let n = deck.problem.x_cells * deck.problem.y_cells;
+    for solver in ["chebyshev", "ppcg"] {
+        deck.control.solver = solver.to_string();
+        let out = run_serial(&deck).unwrap_or_else(|e| panic!("{solver}: {e}"));
+        let (lo, hi) = out
+            .trace
+            .eigen_bounds
+            .unwrap_or_else(|| panic!("{solver}: the presteps finished the solve"));
+        assert!(
+            0.0 < lo && lo <= 1.0,
+            "{solver}: lo = {lo} lies above λmin ≥ 1"
+        );
+        let mut shifted: Vec<f64> = sys.a.iter().map(|v| -v).collect();
+        for i in 0..n {
+            shifted[i * n + i] += hi;
+        }
+        assert!(
+            Cholesky::factor(&shifted, n).is_some(),
+            "{solver}: hi = {hi} lies below λmax (hi·I − A is indefinite)"
+        );
+    }
 }
