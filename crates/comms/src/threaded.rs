@@ -32,7 +32,9 @@ struct ReduceState {
     generation: u64,
     deposited: usize,
     slots: Vec<Payload>,
-    result: Payload,
+    /// The last fold: the folded payload, or the protocol error every
+    /// rank of that generation panics with.
+    result: Result<Payload, String>,
 }
 
 /// State shared by every rank of one simulated machine: the reduction
@@ -51,7 +53,7 @@ impl Shared {
                 generation: 0,
                 deposited: 0,
                 slots: vec![Payload::F64(Vec::new()); size],
-                result: Payload::F64(Vec::new()),
+                result: Ok(Payload::F64(Vec::new())),
             }),
             reduce_cv: Condvar::new(),
         })
@@ -60,13 +62,15 @@ impl Shared {
     /// Generic rendezvous: every rank deposits `locals`; the last arrival
     /// sums all slots in rank order; everyone returns the folded payload
     /// (a barrier is the sum of empty deposits). Every rank must deposit
-    /// the same width and length — a mismatch is a protocol error and
-    /// panics.
+    /// the same width and length — a mismatch is a protocol error, and
+    /// every rank of the rendezvous panics with it: the last arrival
+    /// publishes it and wakes the waiting ranks before it panics, so none
+    /// is left blocked and [`run_threaded`] returns the panic.
     fn rendezvous(&self, rank: usize, locals: Payload) -> Payload {
         let mut st = lock_tolerant(&self.reduce);
         st.slots[rank] = locals;
         st.deposited += 1;
-        if st.deposited == self.size {
+        let result = if st.deposited == self.size {
             // fold in rank order for determinism, in the deposited width
             let result = match &st.slots[0] {
                 Payload::F64(_) => fold_slots::<f64>(&st.slots),
@@ -75,6 +79,7 @@ impl Shared {
             st.result = result.clone();
             st.deposited = 0;
             st.generation = st.generation.wrapping_add(1);
+            drop(st);
             self.reduce_cv.notify_all();
             result
         } else {
@@ -84,7 +89,8 @@ impl Shared {
                 .wait_while(st, |st| st.generation == my_gen)
                 .unwrap_or_else(PoisonError::into_inner);
             st.result.clone()
-        }
+        };
+        result.unwrap_or_else(|error| panic!("{error}"))
     }
 }
 
@@ -110,28 +116,34 @@ fn links(size: usize) -> Vec<Ends> {
 /// The accumulator starts from rank 0's contribution, so no width-specific
 /// identity constants are needed and a single-rank fold returns the local
 /// values bit-exactly.
-fn fold_slots<S: WireScalar>(slots: &[Payload]) -> Payload {
+///
+/// # Errors
+/// Names the first rank whose deposit has another width or length than
+/// rank 0's.
+fn fold_slots<S: WireScalar>(slots: &[Payload]) -> Result<Payload, String> {
     let first = S::payload_slice(&slots[0]).expect("fold width chosen from slot 0");
     let mut result: Vec<S> = first.to_vec();
     for (r, slot) in slots.iter().enumerate().skip(1) {
-        let vals = match S::payload_slice(slot) {
-            Ok(v) => v,
-            Err(e) => panic!(
+        let vals = S::payload_slice(slot).map_err(|e| {
+            format!(
                 "rank {r} joined a {} reduction with a mismatched deposit — {e} \
                  (every rank must deposit the same wire precision)",
                 S::NAME,
-            ),
-        };
-        assert_eq!(
-            vals.len(),
-            result.len(),
-            "rank {r} joined a reduction with mismatched element count"
-        );
+            )
+        })?;
+        if vals.len() != result.len() {
+            return Err(format!(
+                "rank {r} joined a reduction with mismatched element count \
+                 ({} elements against rank 0's {})",
+                vals.len(),
+                result.len()
+            ));
+        }
         for (acc, &v) in result.iter_mut().zip(vals) {
             *acc += v;
         }
     }
-    S::into_payload(result)
+    Ok(S::into_payload(result))
 }
 
 /// Per-rank handle onto the threaded machine.
@@ -258,6 +270,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::AssertUnwindSafe;
 
     #[test]
     fn allreduce_sum_is_deterministic_and_correct() {
@@ -391,11 +404,58 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "same wire precision")]
     fn mixed_width_reduction_is_a_protocol_error() {
-        // exercised on the fold directly: in a live rendezvous the panic
-        // fires in whichever rank arrives last, like a tag mismatch
-        fold_slots::<f64>(&[Payload::F64(vec![1.0]), Payload::F32(vec![1.0])]);
+        let error = fold_slots::<f64>(&[Payload::F64(vec![1.0]), Payload::F32(vec![1.0])])
+            .expect_err("a mixed fold must fail");
+        assert!(error.contains("same wire precision"), "{error}");
+        let error = fold_slots::<f64>(&[Payload::F64(vec![1.0]), Payload::F64(vec![1.0, 2.0])])
+            .expect_err("a ragged fold must fail");
+        assert!(error.contains("element count"), "{error}");
+    }
+
+    /// Runs a two-rank machine whose ranks deposit `deposits[rank]`
+    /// under a watchdog, each rank catching its own panic: what every
+    /// rank's reduction ended with, or a test failure after 30 s if the
+    /// machine hangs.
+    fn mismatched_rendezvous(deposits: [Payload; 2]) -> Vec<Result<Payload, String>> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let ranks = run_threaded(2, |c| {
+                let deposit = deposits[c.rank()].clone();
+                std::panic::catch_unwind(AssertUnwindSafe(|| c.allreduce_sum_payload(deposit)))
+                    .map_err(|panic| {
+                        panic
+                            .downcast_ref::<String>()
+                            .cloned()
+                            .unwrap_or_else(|| "a panic without a message".to_owned())
+                    })
+            });
+            let _ = tx.send(ranks);
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(30))
+            .expect("a mismatched rendezvous hung: the waiting rank was never woken")
+    }
+
+    #[test]
+    fn mismatched_rendezvous_panics_every_rank_instead_of_hanging() {
+        // whichever rank arrives last finds the mismatch; the other is
+        // already waiting and must be woken with the same error
+        for (deposits, error) in [
+            (
+                [Payload::F64(vec![1.0]), Payload::F32(vec![1.0])],
+                "same wire precision",
+            ),
+            (
+                [Payload::F32(vec![1.0]), Payload::F32(vec![1.0; 2])],
+                "element count",
+            ),
+        ] {
+            let ranks = mismatched_rendezvous(deposits);
+            assert_eq!(ranks.len(), 2);
+            assert_eq!(ranks[0], ranks[1], "every rank ends with the one error");
+            let message = ranks[0].as_ref().expect_err("a mismatch must not fold");
+            assert!(message.contains(error), "{message}");
+        }
     }
 
     #[test]

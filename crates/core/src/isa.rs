@@ -35,6 +35,21 @@
 //! of the same width directly: the AVX2 block pass runs the AVX2 stencil
 //! and recurrence rows with no further dispatch.
 //!
+//! The groups are `vector::kernels` (the axpy-class sweeps, `dot_local`
+//! and CG's fused update), `ops::rows` (the stencil sweeps),
+//! `precon::rows` (the block pass's preconditioner rows and the
+//! block-Jacobi strip solve), `ppcg::block` (the matrix-powers block
+//! pass) and `mixed::convert` (the `f32` demote and promote sweeps).
+//!
+//! A copy is only as wide as its loops let LLVM make it, so each row
+//! body is written as loops the vectorizer takes whole: CG's fused
+//! update is two elementwise sweeps and then its reduction, not one loop
+//! doing all three (which stays scalar), and the strip solve runs its
+//! whole 4-cell strips at a compile-time length, so each strip's
+//! forward and backward chains unroll and neighbouring strips share
+//! vector registers. The reductions themselves fold their sixteen lanes
+//! in 128-bit registers in either copy.
+//!
 //! # Why the bits match
 //!
 //! Only the `avx2` feature is enabled — not `fma` — and Rust never

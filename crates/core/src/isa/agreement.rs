@@ -19,7 +19,7 @@ use crate::control::Probed;
 use crate::eigen::EigenEstimate;
 use crate::ops::{cheb_fused_rows, TileBounds, TileOperator};
 use crate::ppcg::{Smooth, Smoothing};
-use crate::precon::{combine_rows, PreconKind, Preconditioner};
+use crate::precon::{combine_rows, BlockJacobi, PreconKind, Preconditioner};
 use crate::trace::SolveTrace;
 use crate::vector::{self, Rows};
 use std::ops::RangeInclusive;
@@ -249,8 +249,9 @@ fn operator_kernels<S: Probed>() {
     });
 }
 
-/// The block pass's recurrence rows for each preconditioner, and the
-/// mixed methods' demote and promote sweeps.
+/// The block pass's recurrence rows for each preconditioner, the
+/// block-Jacobi strip solve at the paper's strip length and at a
+/// run-time one, and the mixed methods' demote and promote sweeps.
 fn precon_and_conversion_kernels<S: Probed>() {
     let (a, b) = (
         S::from_f64(0.8191061549414237),
@@ -281,6 +282,17 @@ fn precon_and_conversion_kernels<S: Probed>() {
             );
             vec![]
         });
+    }
+    for strip in [4, 3] {
+        agree::<S>(
+            &format!("BlockJacobi::apply strip {strip}"),
+            0..=0,
+            &|op, f, _| {
+                let [z, r, ..] = f else { unreachable!() };
+                BlockJacobi::setup(op, strip).apply(r, z, &op.bounds);
+                vec![]
+            },
+        );
     }
     agree::<S>("demote and promote", 0..=0, &|_, f, _| {
         let wide: Field2D = f[1].convert();

@@ -29,6 +29,13 @@
 //! The kernels themselves are safe code; the one `unsafe` operation of
 //! the crate is the dispatcher's call into the AVX2 copy.
 //!
+//! A row body is written as loops the vectorizer takes whole. The fused
+//! CG update ([`cg_update`], [`lanes::cg_update_row`]) is two
+//! elementwise lane sweeps, `u += αp` then `r −= αw`, followed by the
+//! tree-shaped `r·z` reduction over the row just written, still in L1.
+//! Its AVX2 copy runs the two sweeps in `ymm` registers; one loop doing
+//! all three stays scalar in either copy.
+//!
 //! # The reduction shape
 //!
 //! Every row partial — [`dot_local`], the `p·w` of `apply_fused_dot`,
@@ -224,6 +231,12 @@ pub mod lanes {
     /// One row of [`super::cg_update`]: `u += αp`, `r −= αw`, returning
     /// `Σ r·z` with `z = r` (`d` absent) or `z = r·d`. Each element
     /// rounds exactly like `axpy`, `axpy`, `mul_into`, `dot`.
+    ///
+    /// The row is two elementwise lane sweeps ([`axpy_row`] twice), then
+    /// the tree-shaped `r·z` reduction over the row just written, which
+    /// is still in L1: each loop is one the vectorizer takes whole. One
+    /// loop doing all three stays scalar, its sixteen accumulators and
+    /// five chunk streams spilled to the stack.
     #[inline(always)]
     pub fn cg_update_row<S: Scalar>(
         u: &mut [S],
@@ -233,56 +246,12 @@ pub mod lanes {
         w: &[S],
         d: Option<&[S]>,
     ) -> S {
+        axpy_row(u, alpha, p);
+        axpy_row(r, -alpha, w);
         match d {
-            None => cg_update_with(u, r, alpha, p, w, p, |ri, _| ri * ri),
-            Some(d) => cg_update_with(u, r, alpha, p, w, d, |ri, di| ri * (ri * di)),
+            None => dot_row(r, r),
+            Some(d) => reduce2(r, d, |ri, di| ri * (ri * di)),
         }
-    }
-
-    /// [`cg_update_row`] with the `r·z` term `rz(r[i], d[i])` factored
-    /// out (`d` is a dummy row when the term ignores it).
-    #[inline(always)]
-    fn cg_update_with<S: Scalar>(
-        u: &mut [S],
-        r: &mut [S],
-        alpha: S,
-        p: &[S],
-        w: &[S],
-        d: &[S],
-        rz: impl Fn(S, S) -> S,
-    ) -> S {
-        const RL: usize = REDUCE_LANES;
-        let neg = -alpha;
-        let (um, ut) = u.split_at_mut(whole_blocks(u.len()));
-        let (rm, rt) = r.split_at_mut(um.len());
-        let ((pm, pt), (wm, wt), (dm, dt)) = (
-            p.split_at(um.len()),
-            w.split_at(um.len()),
-            d.split_at(um.len()),
-        );
-        let outs = um.chunks_exact_mut(RL).zip(rm.chunks_exact_mut(RL));
-        let ins = pm
-            .chunks_exact(RL)
-            .zip(wm.chunks_exact(RL))
-            .zip(dm.chunks_exact(RL));
-        tree_sum(
-            outs.zip(ins).map(|((ua, ra), ((pa, wa), da))| {
-                let (ua, ra) = (arr_mut::<S, RL>(ua), arr_mut::<S, RL>(ra));
-                let (pa, wa, da) = (arr::<S, RL>(pa), arr::<S, RL>(wa), arr::<S, RL>(da));
-                std::array::from_fn(|l| {
-                    ua[l] += alpha * pa[l];
-                    ra[l] += neg * wa[l];
-                    rz(ra[l], da[l])
-                })
-            }),
-            (ut.iter_mut().zip(rt.iter_mut()))
-                .zip(pt.iter().zip(wt).zip(dt))
-                .map(|((ui, ri), ((&pi, &wi), &di))| {
-                    *ui += alpha * pi;
-                    *ri += neg * wi;
-                    rz(*ri, di)
-                }),
-        )
     }
 }
 
@@ -655,6 +624,10 @@ crate::isa::twins! {
     /// stored. Bit-identical to [`axpy`], [`axpy`], [`mul_into`],
     /// [`dot_local`] run back to back; the caller pays the reduction.
     ///
+    /// Each row is [`lanes::cg_update_row`]: the two axpy sweeps, then
+    /// the `r·z` reduction over the fresh row. Still one pass over the
+    /// field rows, with one row loop per `inv_diag` variant.
+    ///
     /// Traced as the two axpy-class streams it carries (6 elements/cell;
     /// `inv_diag` adds a seventh); the dot rides along and records nothing.
     #[expect(
@@ -674,10 +647,18 @@ crate::isa::twins! {
         trace.vector_ops.record(0);
         trace.vector_ops.record(0);
         let (x_lo, x_hi, _, _) = bounds.range(0);
-        for_rows2_sum(u, r, bounds, 0, |k, ur, rr| {
-            let d = inv_diag.map(|d| d.row(k, x_lo, x_hi));
-            lanes::cg_update_row(ur, rr, alpha, p.row(k, x_lo, x_hi), w.row(k, x_lo, x_hi), d)
-        })
+        // one plain row loop per variant: an `Option` matched per row
+        // costs both variants 4–5 % in cache
+        match inv_diag {
+            None => for_rows2_sum(u, r, bounds, 0, |k, ur, rr| {
+                let (pr, wr) = (p.row(k, x_lo, x_hi), w.row(k, x_lo, x_hi));
+                lanes::cg_update_row(ur, rr, alpha, pr, wr, None)
+            }),
+            Some(d) => for_rows2_sum(u, r, bounds, 0, |k, ur, rr| {
+                let (pr, wr) = (p.row(k, x_lo, x_hi), w.row(k, x_lo, x_hi));
+                lanes::cg_update_row(ur, rr, alpha, pr, wr, Some(d.row(k, x_lo, x_hi)))
+            }),
+        }
     }
 
     /// [`cg_update`] without the dot, for the recurrences whose `r·z` has
