@@ -12,9 +12,11 @@
 //! [`full_registry`] set up, and its [`MgTrace`] comes back through
 //! `IterativeSolver::take_diagnostics`.
 //!
-//! See DESIGN.md §3 (substitution 3) for why this preserves the baseline
-//! behaviours that matter: near-mesh-independent iteration counts, heavy
-//! setup, and per-iteration communication on every level.
+//! The substitution keeps the baseline behaviours the paper's comparison
+//! turns on: near-mesh-independent iteration counts (the multigrid
+//! hierarchy, not the Krylov method, removes the mesh-dependent error),
+//! heavy setup (one hierarchy build per operator), and per-iteration
+//! communication on every level (each V-cycle sweeps every grid).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

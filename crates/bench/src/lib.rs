@@ -3,12 +3,15 @@
 //! The `figures` binary regenerates every table, figure and quantified
 //! claim of the CLUSTER'17 evaluation, one subcommand each. This
 //! library holds the shared machinery: measuring solver traces from real
-//! runs, fitting the iteration-growth law, and extrapolating protocols
-//! to the paper's 4000² mesh. Timing lives in the repo benchmark
+//! runs, fitting the iteration-growth law, extrapolating protocols to
+//! the paper's 4000² mesh, and checking each paper claim once
+//! ([`claims`]). Timing lives in the repo benchmark
 //! (`benchmark/`), not here: nothing in this crate reads a clock.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+
+pub mod claims;
 
 use tea_amg::MgTrace;
 use tea_app::{crooked_pipe_deck, run_serial, Deck};
@@ -71,7 +74,7 @@ impl SolverConfig {
 /// A measured protocol: the accumulated trace of a real run plus its
 /// iteration count.
 #[derive(Debug)]
-// audit:allow(dead_pub) — what `measure` returns; figures.rs reads its fields by inference
+// audit:allow(dead_pub) — what `measure` returns; claims.rs and figures.rs read its fields by inference
 pub struct Measurement {
     /// Mesh size of the run.
     pub cells: usize,
@@ -151,8 +154,11 @@ pub fn measure_kappa(cells: usize) -> f64 {
 
 /// Extrapolation record: what was measured and how it was scaled.
 #[derive(Debug)]
-// audit:allow(dead_pub) — what `extrapolate_to` returns; figures.rs reads its fields by inference
+// audit:allow(dead_pub) — what `extrapolate_to` returns; claims.rs reads its fields by inference
 pub struct Extrapolation {
+    /// The measured trace scaled to the target mesh, labelled with the
+    /// configuration's legend.
+    pub trace: SolveTrace,
     /// Measured protocol at `cells`.
     pub measurement: Measurement,
     /// Measured condition number at the measurement mesh.
@@ -165,7 +171,9 @@ pub struct Extrapolation {
 }
 
 /// Extrapolates a Krylov config's measured trace to `target` cells per
-/// side using the paper's own convergence theory (Eqs. 4-7):
+/// side using the paper's own convergence theory (Eqs. 4-7), given
+/// `kappa_measured`, the [`measure_kappa`] of `base_cells` (one Lanczos
+/// run serves every configuration on that mesh):
 ///
 /// * `κ` scales as `(target/measured)²` (the face coefficients carry
 ///   `Δt/Δx²`);
@@ -178,9 +186,9 @@ pub fn extrapolate_to(
     base_cells: usize,
     steps: u64,
     target: usize,
-) -> (SolveTrace, Extrapolation) {
+    kappa_measured: f64,
+) -> Extrapolation {
     let measurement = measure(config, base_cells, steps);
-    let kappa_measured = measure_kappa(base_cells);
     let ratio = target as f64 / base_cells as f64;
     let kappa_target = kappa_measured * ratio * ratio;
     let factor = if config.solver == "ppcg" {
@@ -190,15 +198,13 @@ pub fn extrapolate_to(
     };
     let mut trace = measurement.trace.scaled(factor);
     trace.solver = config.label.clone();
-    (
+    Extrapolation {
         trace,
-        Extrapolation {
-            measurement,
-            kappa_measured,
-            kappa_target,
-            factor,
-        },
-    )
+        measurement,
+        kappa_measured,
+        kappa_target,
+        factor,
+    }
 }
 
 /// Extrapolates an AMG measurement: iteration growth fitted from three
@@ -284,10 +290,10 @@ mod tests {
 
     #[test]
     fn extrapolation_scales_iterations_up() {
-        let (trace, ext) = extrapolate_to(&SolverConfig::cg(), 48, 1, 512);
+        let ext = extrapolate_to(&SolverConfig::cg(), 48, 1, 512, measure_kappa(48));
         // CG factor is exactly the mesh ratio (κ ∝ n², iters ∝ √κ)
         assert!((ext.factor - 512.0 / 48.0).abs() < 1e-9);
-        assert!(trace.outer_iterations > ext.measurement.iterations);
+        assert!(ext.trace.outer_iterations > ext.measurement.iterations);
         assert!(ext.kappa_target > ext.kappa_measured);
     }
 

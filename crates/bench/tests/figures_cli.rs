@@ -1,6 +1,7 @@
 //! The `figures` command line: one binary, ten subcommands, a bad
-//! command line is a usage error (exit 2) and never a panic, and only a
-//! subcommand that writes a file creates its output directory.
+//! command line is a usage error (exit 2) and never a panic, a violated
+//! paper claim exits 1 naming the claim, and only a subcommand that
+//! writes a file creates its output directory.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -50,6 +51,21 @@ fn a_bad_command_line_prints_usage_and_exits_2() {
         let littered = cwd.join("experiments").exists();
         assert!(!littered, "{args:?} left a directory behind");
     }
+}
+
+#[test]
+fn a_violated_claim_exits_1_and_names_it() {
+    // two meshes (24² and 32²) make Fig. 4's first refinement delta its
+    // last, so "the last delta is smaller" cannot hold
+    let (out, _) = figures("violated", &["fig4", "--cells", "16", "--steps", "1"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("error: claim violated: Fig. 4"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("first delta"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

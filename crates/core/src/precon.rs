@@ -200,7 +200,7 @@ impl<S: Scalar> Preconditioner<S> {
                 vector::cg_update(u, r, alpha, p, wz, Some(inv_diag), bounds, trace)
             }
             Preconditioner::BlockJacobi(_) => {
-                vector::cg_update(u, r, alpha, p, wz, None, bounds, trace);
+                vector::axpy2(u, r, alpha, p, wz, bounds, trace);
                 self.apply(r, wz, bounds, 0, trace);
                 vector::dot_local(r, wz, bounds, trace)
             }

@@ -129,7 +129,8 @@ impl SolveTrace {
     /// iteration count is predicted by a fitted growth law: the
     /// *per-iteration* protocol is mesh-independent, so scaling total
     /// counts by the iteration ratio reproduces the larger run's
-    /// protocol (see EXPERIMENTS.md).
+    /// protocol (`tea-bench`'s `extrapolate_to` derives the ratio from
+    /// the paper's convergence theory).
     pub fn scaled(&self, factor: f64) -> SolveTrace {
         assert!(factor >= 0.0 && factor.is_finite());
         let sc = |n: u64| -> u64 { (n as f64 * factor).round() as u64 };

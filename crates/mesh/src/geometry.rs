@@ -7,7 +7,9 @@
 //! crossed by a low-density, high-conductivity pipe with several kinks, and
 //! a heat source at the pipe inlet. The original deck is not published, so
 //! [`crooked_pipe`] reconstructs it from the paper's description and
-//! Fig. 3 (see DESIGN.md §3, substitution 4).
+//! Fig. 3: what the evaluation needs from it is the geometry's contrast —
+//! a conductive path through an insulating wall, which makes the operator
+//! ill-conditioned — not the exact material values.
 
 use crate::field::Field2D;
 use crate::mesh::{Extent2D, Mesh2D};

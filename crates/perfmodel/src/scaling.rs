@@ -1,7 +1,7 @@
 //! The strong-scaling simulator: replays a measured [`SolveTrace`] on a
 //! modelled [`Machine`] at any node count.
 //!
-//! The key property making this valid (DESIGN.md §3): a solve's
+//! The key property making this valid: a solve's
 //! *protocol* — iteration counts, sweeps per iteration, exchanges per
 //! sweep, reductions per iteration — is decomposition-independent (the
 //! global problem is fixed; only tile sizes change with node count). The
