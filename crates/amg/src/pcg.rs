@@ -111,6 +111,10 @@ impl IterativeSolver for AmgPcg {
         "BoomerAMG".into()
     }
 
+    fn needs_assembly(&self) -> bool {
+        true
+    }
+
     /// Latches `opts` and builds the hierarchy from the context's
     /// assembly, recording its setup work.
     fn prepare(&mut self, ctx: &SolveContext<'_>, opts: &SolveOpts) {

@@ -18,28 +18,30 @@ use tea_bench::{measure, SolverConfig};
 use tea_core::{cg_iteration_bound, kappa_pcg};
 use tea_perfmodel::{all_machines, node_counts, ScalingSeries};
 
-/// One subcommand: its default `--cells` and `--steps`, and the function
-/// that regenerates the artefact.
+/// One subcommand: its default `--cells` and `--steps`, the smallest
+/// `--cells` it can check, and the function that regenerates the
+/// artefact.
 struct Figure {
     name: &'static str,
     about: &'static str,
     cells: usize,
     steps: u64,
+    min_cells: usize,
     run: fn(&FigArgs) -> Result<(), Violation>,
 }
 
 #[rustfmt::skip]
 const FIGURES: [Figure; 10] = [
-    Figure { name: "table1", cells: 0, steps: 0, run: table1, about: "Table I: the modelled machine inventory (flags are ignored)" },
-    Figure { name: "fig3", cells: 256, steps: 60, run: fig3, about: "Fig. 3: the crooked-pipe temperature field (PPM, CSV, VTK)" },
-    Figure { name: "fig4", cells: 192, steps: 25, run: fig4, about: "Fig. 4: average temperature under mesh refinement" },
-    Figure { name: "fig5", cells: 128, steps: 2, run: |a| write_series(a, "fig5_titan.csv", "\n", claims::fig5(&a.scale)?), about: "Fig. 5: CUDA strong scaling on Titan, 1-8,192 nodes" },
-    Figure { name: "fig6", cells: 128, steps: 2, run: |a| write_series(a, "fig6_piz_daint.csv", "", claims::fig6(&a.scale)?), about: "Fig. 6: CUDA strong scaling on Piz Daint, and Titan vs Piz Daint at 2,048 nodes" },
-    Figure { name: "fig7", cells: 96, steps: 2, run: |a| write_series(a, "fig7_spruce.csv", "\n", claims::fig7(&a.scale)?), about: "Fig. 7: MPI and hybrid strong scaling on Spruce against BoomerAMG" },
-    Figure { name: "fig8", cells: 128, steps: 2, run: fig8, about: "Fig. 8: strong-scaling efficiency of the best configuration per system" },
-    Figure { name: "claim_condition", cells: 96, steps: 1, run: |a| claims::claim_condition(a.scale.cells).map(drop), about: "IV.C.1: block Jacobi cuts the condition number by ~40%" },
-    Figure { name: "claim_iterations", cells: 128, steps: 1, run: claim_iterations, about: "Eqs. 6-7: CPPCG outer iterations and dot-product reduction" },
-    Figure { name: "claim_weak_scaling", cells: 192, steps: 1, run: |a| claims::claim_weak_scaling(&a.scale).map(drop), about: "VI: why the evaluation strong-scales (mesh -> kappa -> iterations)" },
+    Figure { name: "table1", cells: 0, steps: 0, min_cells: 0, run: table1, about: "Table I: the modelled machine inventory (flags are ignored)" },
+    Figure { name: "fig3", cells: 256, steps: 60, min_cells: 1, run: fig3, about: "Fig. 3: the crooked-pipe temperature field (PPM, CSV, VTK)" },
+    Figure { name: "fig4", cells: 192, steps: 25, min_cells: claims::FIG4_MIN_CELLS, run: fig4, about: "Fig. 4: average temperature under mesh refinement" },
+    Figure { name: "fig5", cells: 128, steps: 2, min_cells: 1, run: |a| write_series(a, "fig5_titan.csv", "\n", claims::fig5(&a.scale)?), about: "Fig. 5: CUDA strong scaling on Titan, 1-8,192 nodes" },
+    Figure { name: "fig6", cells: 128, steps: 2, min_cells: 1, run: |a| write_series(a, "fig6_piz_daint.csv", "", claims::fig6(&a.scale)?), about: "Fig. 6: CUDA strong scaling on Piz Daint, and Titan vs Piz Daint at 2,048 nodes" },
+    Figure { name: "fig7", cells: 96, steps: 2, min_cells: 1, run: |a| write_series(a, "fig7_spruce.csv", "\n", claims::fig7(&a.scale)?), about: "Fig. 7: MPI and hybrid strong scaling on Spruce against BoomerAMG" },
+    Figure { name: "fig8", cells: 128, steps: 2, min_cells: 1, run: fig8, about: "Fig. 8: strong-scaling efficiency of the best configuration per system" },
+    Figure { name: "claim_condition", cells: 96, steps: 1, min_cells: 1, run: |a| claims::claim_condition(a.scale.cells).map(drop), about: "IV.C.1: block Jacobi cuts the condition number by ~40%" },
+    Figure { name: "claim_iterations", cells: 128, steps: 1, min_cells: 1, run: claim_iterations, about: "Eqs. 6-7: CPPCG outer iterations and dot-product reduction" },
+    Figure { name: "claim_weak_scaling", cells: 192, steps: 1, min_cells: claims::WEAK_SCALING_MIN_CELLS, run: |a| claims::claim_weak_scaling(&a.scale).map(drop), about: "VI: why the evaluation strong-scales (mesh -> kappa -> iterations)" },
 ];
 
 fn usage() -> String {
@@ -91,6 +93,10 @@ impl FigArgs {
                 "--out" => args.out_dir = value(flag, it.next())?,
                 _ => return Err(format!("unknown flag '{flag}'")),
             }
+        }
+        let (name, least, cells) = (figure.name, figure.min_cells, args.scale.cells);
+        if cells < least {
+            return Err(format!("{name} needs --cells {least} or more, got {cells}"));
         }
         Ok(args)
     }

@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use tea_app::run_serial;
+use tea_app::{run_serial, Deck, RankOutput};
 use tea_core::{crooked_pipe_system, BlockJacobi, PreconKind, Preconditioner, SolveTrace};
 use tea_mesh::Field2D;
 use tea_perfmodel::{
@@ -54,6 +54,17 @@ fn check(
     }
 }
 
+/// Runs `deck` for `claim`: a run that fails is a violation naming the
+/// deck.
+fn run(claim: &'static str, deck: &Deck) -> Result<RankOutput, Violation> {
+    run_serial(deck).map_err(|e| {
+        let (n, solver) = (deck.problem.x_cells, &deck.control.solver);
+        Violation(format!(
+            "{claim}: the {n}² {solver} deck runs (measured: {e})"
+        ))
+    })
+}
+
 /// Replays an extrapolated protocol on a modelled machine over its node
 /// counts, at the target mesh.
 fn sweep(label: &str, machine: &Machine, trace: &SolveTrace, scale: &Scale) -> ScalingSeries {
@@ -92,7 +103,7 @@ pub fn fig3(scale: &Scale) -> Result<Field2D, Violation> {
         "Fig. 3: crooked pipe, {n}x{n} cells, {steps} steps of dt = {dt} (t_end = {t_end:.2} µs)"
     );
 
-    let out = run_serial(&deck).expect("deck runs");
+    let out = run("Fig. 3", &deck)?;
     for s in &out.steps {
         if let Some(sum) = s.summary {
             let (step, t, iters, avg) = (s.step, s.time, s.iterations, sum.average_temperature());
@@ -123,15 +134,21 @@ pub fn fig3(scale: &Scale) -> Result<Field2D, Violation> {
     Ok(u)
 }
 
+/// Fig. 4's meshes; it runs those up to twice `scale.cells`.
+const FIG4_MESHES: [usize; 9] = [24, 32, 48, 64, 96, 128, 192, 256, 384];
+
+/// The smallest `scale.cells` [`fig4`] can check: two meshes, so one
+/// refinement delta to compare with another.
+pub const FIG4_MIN_CELLS: usize = FIG4_MESHES[1] / 2;
+
 /// Fig. 4 — the average temperature at a fixed end time converges under
 /// mesh refinement: successive differences shrink, the last below the
 /// first (the study motivating the fixed 4000² strong-scaling mesh; the
 /// paper sweeps up to 5000²). Meshes run from 24² to twice
-/// `scale.cells`. Returns `(cells, average temperature)` per mesh.
+/// `scale.cells`, which must be at least [`FIG4_MIN_CELLS`]. Returns
+/// `(cells, average temperature)` per mesh.
 pub fn fig4(scale: &Scale) -> Result<Vec<(usize, f64)>, Violation> {
-    let sizes = [24, 32, 48, 64, 96, 128, 192, 256, 384]
-        .into_iter()
-        .filter(|&n| n <= scale.cells * 2);
+    let sizes = FIG4_MESHES.into_iter().filter(|&n| n <= scale.cells * 2);
 
     println!(
         "Fig. 4: average mesh temperature at t = {:.2} vs mesh size",
@@ -145,7 +162,7 @@ pub fn fig4(scale: &Scale) -> Result<Vec<(usize, f64)>, Violation> {
     let mut temps = Vec::new();
     let mut prev: Option<f64> = None;
     for n in sizes {
-        let out = run_serial(&SolverConfig::ppcg(4).deck(n, scale.steps)).expect("deck runs");
+        let out = run("Fig. 4", &SolverConfig::ppcg(4).deck(n, scale.steps))?;
         let t = out.final_summary.average_temperature();
         let iters = out.steps.iter().map(|s| s.iterations).sum::<u64>() / scale.steps.max(1);
         let delta = prev.map(|p| (t - p).abs()).unwrap_or(f64::NAN);
@@ -445,15 +462,22 @@ pub fn claim_condition(n: usize) -> Result<f64, Violation> {
     Ok(cut4)
 }
 
+/// [`claim_weak_scaling`]'s meshes; it runs those up to `scale.cells`.
+const WEAK_SCALING_MESHES: [usize; 6] = [32, 48, 64, 96, 128, 192];
+
+/// The smallest `scale.cells` [`claim_weak_scaling`] can check: two
+/// meshes, so a growth exponent to fit.
+pub const WEAK_SCALING_MIN_CELLS: usize = WEAK_SCALING_MESHES[1];
+
 /// §VI's weak-scaling argument — "increasing the mesh size also
 /// increases the condition number, the number of iterations required to
 /// converge, and hence the time to solution" — measured on real solves
-/// from 32² up to `scale.cells` (at least 48², two meshes to fit): κ(A)
+/// from 32² up to `scale.cells` (at least [`WEAK_SCALING_MIN_CELLS`]): κ(A)
 /// grows super-linearly with the cells per side `n` and CG's iterations
 /// grow with it, the justification for the strong-scaling-only
 /// evaluation. Returns the fitted κ and iteration growth exponents.
 pub fn claim_weak_scaling(scale: &Scale) -> Result<(f64, f64), Violation> {
-    let sizes = [32usize, 48, 64, 96, 128, 192]
+    let sizes = WEAK_SCALING_MESHES
         .into_iter()
         .filter(|&n| n <= scale.cells);
 

@@ -40,6 +40,9 @@ fn a_bad_command_line_prints_usage_and_exits_2() {
         &["fig5", "--bogus"],
         &["fig5", "--cells", "many"],
         &["fig5", "--steps"],
+        // fewer meshes than the claim compares or fits
+        &["fig4", "--cells", "12", "--steps", "1"],
+        &["claim_weak_scaling", "--cells", "40"],
     ] {
         let (out, cwd) = figures("usage", args);
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -330,6 +330,15 @@ pub enum SolverError {
         /// Which parameter is out of range, and why.
         reason: String,
     },
+    /// The solve lacks an input the method needs (e.g. the assembly
+    /// recipe AMG builds its hierarchy from, or operands as deep as the
+    /// method's halo).
+    MissingInput {
+        /// The solver that cannot run.
+        solver: String,
+        /// What it needs and did not get.
+        missing: String,
+    },
 }
 
 impl std::fmt::Display for SolverError {
@@ -350,6 +359,9 @@ impl std::fmt::Display for SolverError {
             ),
             SolverError::InvalidParams { solver, reason } => {
                 write!(f, "solver '{solver}' rejects its parameters: {reason}")
+            }
+            SolverError::MissingInput { solver, missing } => {
+                write!(f, "solver '{solver}' needs {missing}")
             }
         }
     }
@@ -394,6 +406,13 @@ pub trait IterativeSolver: Any + Send {
     /// for everything except matrix-powers configurations).
     fn halo_depth(&self) -> usize {
         1
+    }
+
+    /// Whether [`IterativeSolver::prepare`] builds from the context's
+    /// [`SolveContext::assembly`] (AMG's hierarchy), so a context without
+    /// one cannot prepare it. Default: `false`.
+    fn needs_assembly(&self) -> bool {
+        false
     }
 
     /// (Re)builds operator-derived state — assembled preconditioners,

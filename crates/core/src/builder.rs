@@ -52,8 +52,10 @@ impl<'a> Solve<'a> {
     }
 
     /// Resolves names against `registry` instead of
-    /// [`SolverRegistry::builtin`] (e.g. one with `tea-amg` or custom
-    /// methods registered).
+    /// [`SolverRegistry::builtin`] (e.g. one with `auto` or custom
+    /// methods registered). A method that builds from the operator's
+    /// assembly recipe (`tea-amg`'s) cannot run here: [`Solve::run`]
+    /// names what it misses.
     pub fn with_registry(mut self, registry: &'a SolverRegistry) -> Self {
         self.registry = Some(registry);
         self
@@ -135,26 +137,44 @@ impl<'a> Solve<'a> {
 
     /// Runs the solve on a single serial tile, allocating the workspace
     /// internally: prepare, then solve. `u` enters as the initial guess
-    /// and exits as the solution. The workspace takes the solver's halo
-    /// depth or `u`'s, whichever is deeper, so a shallow solver runs on
+    /// and exits as the solution. The workspace takes `u`'s halo depth,
+    /// which must be at least the solver's, so a shallow solver runs on
     /// fields assembled for a deeper one.
     ///
     /// # Errors
     /// [`SolverError::UnknownSolver`] for an unregistered solver name,
-    /// and the other errors of [`SolverRegistry::route`] and
-    /// [`SolverRegistry::create`].
+    /// the other errors of [`SolverRegistry::route`] and
+    /// [`SolverRegistry::create`], and [`SolverError::MissingInput`] for
+    /// a method that builds from the operator's assembly recipe, which a
+    /// `Solve` does not carry, or one whose halo is deeper than `u`'s.
     ///
     /// # Panics
     /// As [`crate::SolveSession::solve_controlled`], when `u` or `b` is
     /// not shaped like the operator's tile at that workspace's halo.
     pub fn run(&self, u: &mut Field2D, b: &Field2D) -> Result<SolveResult, SolverError> {
         let mut solver = create_solver(self.registry, &self.spec)?;
-        let (nx, ny) = self.op.bounds.tile();
-        let mut ws = Workspace::new(nx, ny, solver.halo_depth().max(u.halo()));
+        let name = solver.name();
+        let missing = |missing: String| SolverError::MissingInput {
+            solver: name.to_string(),
+            missing,
+        };
+        if solver.needs_assembly() {
+            let recipe = "the operator's assembly recipe, which a Solve does not carry \
+                          (a SolveSession with_assembly does)";
+            return Err(missing(recipe.to_string()));
+        }
         let (layout, comm) = (serial_layout(self.op), SerialComm::new());
         let tile: DynTile<'_> = Tile::new(self.op, &layout, &comm);
         let ctx = SolveContext::new(&tile);
         solver.prepare(&ctx, &self.spec.opts);
+        // after prepare, which rejects parameters the method cannot take
+        let depth = solver.halo_depth();
+        if depth > u.halo() {
+            let operands = format!("operands with {depth} ghost layers, u has {}", u.halo());
+            return Err(missing(operands));
+        }
+        let (nx, ny) = self.op.bounds.tile();
+        let mut ws = Workspace::new(nx, ny, u.halo());
         ws.check_operands(self.op, u, b);
         let mut trace = SolveTrace::new(solver.label());
         Ok(solver.solve(&ctx, u, b, &mut ws, &mut trace))

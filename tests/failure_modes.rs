@@ -9,7 +9,7 @@ use tealeaf::mesh::{
 use tealeaf::solvers::{
     crooked_pipe_system, Assembly, DynTile, IterativeSolver, PreconKind, Preconditioner,
     SessionSpec, Solve, SolveContext, SolveControls, SolveOpts, SolveProbe, SolveResult,
-    SolveSession, SolveTrace, SolverParams, Tile, TileBounds, TileOperator, Workspace,
+    SolveSession, SolveTrace, SolverError, SolverParams, Tile, TileBounds, TileOperator, Workspace,
 };
 
 /// One default-options solve of `solver` on the serial 32² crooked pipe
@@ -318,5 +318,40 @@ fn a_misshapen_solve_names_the_odd_operand() {
             )),
             "{msg}"
         );
+    }
+}
+
+#[test]
+fn solve_runs_every_registered_name_or_names_what_is_missing() {
+    // a single-tile solve has no assembly recipe (amg builds its
+    // hierarchy from one), and auto races matrix-powers candidates up to
+    // 8 ghost layers: each gets a typed error, never a panic
+    let registry = solver_registry();
+    for depth in [1, 4, 8] {
+        let (op, b) = crooked_pipe_system(16, 0.04, depth);
+        for meta in registry.iter() {
+            let name = meta.name;
+            let mut u = b.clone();
+            let solve = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                Solve::on(&op)
+                    .with_registry(registry)
+                    .with_solver(name)
+                    .halo_depth(depth)
+                    .eps(1e-6)
+                    .run(&mut u, &b)
+            }))
+            .unwrap_or_else(|_| panic!("{name} at depth {depth} panicked"));
+            match (name, solve) {
+                ("amg", Err(SolverError::MissingInput { missing, .. })) => {
+                    assert!(missing.contains("assembly recipe"), "{missing}")
+                }
+                ("auto", Err(SolverError::MissingInput { missing, .. })) if depth < 8 => {
+                    assert!(missing.contains("8 ghost layers"), "{missing}")
+                }
+                ("amg", other) => panic!("amg at depth {depth}: {other:?}"),
+                (_, Ok(_)) => {}
+                (_, Err(e)) => panic!("{name} at depth {depth}: {e}"),
+            }
+        }
     }
 }

@@ -1,42 +1,61 @@
-//! An independent oracle: every registry solver's answer checked
-//! against a direct solve of the same system.
+//! The answer oracle: one table of configurations, each checked against
+//! the truth and against its twins.
 //!
 //! The fingerprint suites pin each solver to its own past; this file
-//! pins it to the truth. At 16² (256 unknowns) the operator is small
-//! enough to hold densely, so it is built by applying [`TileOperator`]
-//! to every unit vector — no second assembly code — and three of its
-//! rows are checked by hand against the 5-point formula from density.
-//! [`Cholesky`] then solves the first time step's system directly, and
-//! every registry solver's answer (through the driver, on one rank and
-//! on 2×2 ranks, at halo depth 1 and also 4 for the matrix-powers
-//! family, under both [`Coefficient`] recipes) must sit within a bound
-//! derived from the operator's condition number and `eps`.
+//! pins it to the truth. A [`Row`] of [`table`] is one configuration —
+//! registry entry (which fixes the precision) × preconditioner × halo
+//! depth × rank count × deck — run through the application driver, and
+//! [`check`] applies every leg the row's contract implies:
 //!
-//! The bound: the operator is `A = I + L` with `L` a weighted graph
-//! Laplacian, so Gershgorin gives `λmin ≥ 1` and `λmax ≤ λG`, the largest
-//! disc edge, hence `κ ≤ λG`. A solve stopping at `‖r‖ ≤ eps·‖r₀‖` from
-//! the warm start `u₀ = b` has relative error
-//! `‖u − u*‖/‖u*‖ ≤ κ·‖r‖/‖b‖ ≤ κ·eps·‖r₀‖/‖b‖`, with `r₀ = b − A·b`
-//! computed from the dense operator. A factor of 10 covers the gap
-//! between a recurrence residual and the true one. `cg_f32` stops at its
-//! f32 floor instead of `eps`, so its bound puts `f32::EPSILON` in place
-//! of `eps`.
+//! - **direct** (the 16² oracle decks): the answer of a 3-step chain
+//!   against a dense [`Cholesky`] solve of the same chain;
+//! - **ranks**: the row's 1-rank twin, to reduction order;
+//! - **depth**: the row's depth-1 twin, bit for bit — the matrix-powers
+//!   depth changes when halos move, never a value;
+//! - **precision**: a `mixed_*` row and its `f64` twin both meet `tl_eps`
+//!   and agree beyond `f32` resolution;
+//! - **heat**: the temperature integral survives the chain (insulated
+//!   boundaries, and `A`'s column sums are 1);
+//! - **exit**: the residual a solve reports is the one its answer has,
+//!   recomputed as `‖b − A·u‖` in `f64`;
+//! - **scale**: energies scaled by `2ᵏ` scale the answer by exactly `2ᵏ`
+//!   in the same iterations.
 //!
-//! The same dense operator checks the spectral interval `(lo, hi)` the
-//! Chebyshev family's CG-presteps prelude records: it must contain the
-//! spectrum, or the Chebyshev polynomial amplifies the modes outside it.
+//! The direct leg's bound: the operator is `A = I + L` with `L` a
+//! weighted graph Laplacian, so `λmin(A) ≥ 1` and `‖A⁻¹‖₂ ≤ 1`. A step
+//! that stops at `‖r‖ ≤ eps·‖r₀‖` (warm start `u₀ = b`, `r₀ = b − A·b`)
+//! is off by `‖A⁻¹r‖ ≤ ‖r‖`, and an error carried into the next step's
+//! right-hand side is not amplified, so after the chain
+//! `‖u − u*‖ ≤ Σₛ eps·‖r₀,ₛ‖`. A factor of [`SAFETY`] covers the gap
+//! between a recurrence residual and the true one; `cg_f32` stops at its
+//! `f32` floor, so its bound puts `f32::EPSILON` in place of `eps`.
+//!
+//! Checks that are not field comparisons follow the table as named
+//! tests: the dense operator and the eigen interval against the formula
+//! and the spectrum, iteration pins, the reductions-per-sweep story, the
+//! `f32` honesty bar, the deck-key pipeline, the far-field bits and halo
+//! bytes by width.
+
+use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use tealeaf::amg::Cholesky;
 use tealeaf::app::{
-    crooked_pipe_deck, run_serial, run_threaded_ranks, solver_registry, Control, Deck,
+    crooked_pipe_deck, parse_deck, run_serial, run_threaded_ranks, solver_registry, Control, Deck,
+    RankOutput, StepRecord,
 };
+use tealeaf::comms::StatsSnapshot;
 use tealeaf::mesh::{
     timestep_scalings, Coefficient, Coefficients, Decomposition2D, Extent2D, Field2D, Mesh2D,
     Problem, Shape, State,
 };
-use tealeaf::solvers::{SolveTrace, TileBounds, TileOperator};
+use tealeaf::solvers::{
+    crooked_pipe_system, Precision, PreconKind, Solve, SolveTrace, TileBounds, TileOperator,
+};
 
 const N: usize = 16;
+/// Steps of the oracle decks' chain.
+const ORACLE_STEPS: u64 = 3;
 /// Slack between a solver's recurrence residual and its true residual.
 const SAFETY: f64 = 10.0;
 
@@ -85,51 +104,478 @@ fn problem(coefficient: Coefficient) -> Problem {
     }
 }
 
-/// The serial system of the first time step of a square problem: the
-/// dense operator (row-major), the right-hand side, the cell densities
-/// and the face scalings `rx, ry`.
+/// The crooked pipe at `n`², `steps` steps, reporting every step.
+fn pipe(n: usize, solver: &str, steps: u64) -> Deck {
+    let mut deck = crooked_pipe_deck(n, solver);
+    deck.control = Control {
+        solver: solver.into(),
+        end_step: steps,
+        summary_frequency: 1,
+        ..Control::default()
+    };
+    deck
+}
+
+/// The serial system of a deck's first time step: the operator, the
+/// cell densities, the right-hand side `b = ρ·e` (row-major) and the
+/// face scalings `rx, ry`.
 struct System {
-    a: Vec<f64>,
-    b: Vec<f64>,
+    op: TileOperator,
     density: Field2D,
+    b: Vec<f64>,
     rx: f64,
     ry: f64,
 }
 
-fn system(problem: &Problem, dt: f64) -> System {
-    let m = problem.x_cells;
-    assert_eq!(problem.y_cells, m, "a square mesh");
-    let mesh = Mesh2D::new(&Decomposition2D::new(m, m, 1), 0, problem.extent);
-    let mut density = Field2D::new(m, m, 2);
-    let mut energy = Field2D::new(m, m, 2);
-    problem.apply_states(&mesh, &mut density, &mut energy);
-    let (rx, ry) = timestep_scalings(&mesh, dt);
-    let coeffs = Coefficients::assemble(&mesh, &density, problem.coefficient, rx, ry, 2);
-    let op = TileOperator::new(coeffs, TileBounds::new(&mesh, 1));
-    let n = m * m;
-    let mut a = vec![0.0; n * n];
-    let mut trace = SolveTrace::new("oracle");
-    for col in 0..n {
-        let mut e = Field2D::new(m, m, 1);
-        e.set((col % m) as isize, (col / m) as isize, 1.0);
-        let mut ae = Field2D::new(m, m, 1);
-        op.apply(&e, &mut ae, 0, &mut trace);
-        for row in 0..n {
-            a[row * n + col] = ae.at((row % m) as isize, (row / m) as isize);
+impl System {
+    fn new(problem: &Problem, dt: f64) -> Self {
+        let (nx, ny) = (problem.x_cells, problem.y_cells);
+        let mesh = Mesh2D::new(&Decomposition2D::new(nx, ny, 1), 0, problem.extent);
+        let mut density = Field2D::new(nx, ny, 2);
+        let mut energy = Field2D::new(nx, ny, 2);
+        problem.apply_states(&mesh, &mut density, &mut energy);
+        let (rx, ry) = timestep_scalings(&mesh, dt);
+        let coeffs = Coefficients::assemble(&mesh, &density, problem.coefficient, rx, ry, 2);
+        let op = TileOperator::new(coeffs, TileBounds::new(&mesh, 1));
+        let b = cells(nx, ny)
+            .map(|(j, k)| density.at(j, k) * energy.at(j, k))
+            .collect();
+        System {
+            op,
+            density,
+            b,
+            rx,
+            ry,
         }
     }
-    let b = (0..n)
-        .map(|i| {
-            let (j, k) = ((i % m) as isize, (i / m) as isize);
-            density.at(j, k) * energy.at(j, k)
-        })
-        .collect();
-    System {
-        a,
-        b,
-        density,
-        rx,
-        ry,
+
+    /// `A·x` for a row-major vector `x`.
+    fn apply(&self, x: &[f64]) -> Vec<f64> {
+        let (nx, ny) = (self.density.nx(), self.density.ny());
+        let mut p = Field2D::new(nx, ny, 1);
+        cells(nx, ny).zip(x).for_each(|((j, k), &v)| p.set(j, k, v));
+        let mut w = Field2D::new(nx, ny, 1);
+        self.op.apply(&p, &mut w, 0, &mut SolveTrace::new("oracle"));
+        interior(&w)
+    }
+
+    /// The operator as a dense row-major matrix, one unit vector at a
+    /// time — no second assembly code.
+    fn dense(&self) -> Vec<f64> {
+        let n = self.b.len();
+        let mut a = vec![0.0; n * n];
+        for col in 0..n {
+            let mut e = vec![0.0; n];
+            e[col] = 1.0;
+            for (row, v) in self.apply(&e).into_iter().enumerate() {
+                a[row * n + col] = v;
+            }
+        }
+        a
+    }
+
+    /// `‖b − A·x‖`.
+    fn residual(&self, x: &[f64], b: &[f64]) -> f64 {
+        norm(self.apply(x).iter().zip(b).map(|(ax, b)| b - ax))
+    }
+}
+
+/// Interior cells in row-major order.
+fn cells(nx: usize, ny: usize) -> impl Iterator<Item = (isize, isize)> {
+    (0..ny as isize).flat_map(move |k| (0..nx as isize).map(move |j| (j, k)))
+}
+
+fn interior(u: &Field2D) -> Vec<f64> {
+    cells(u.nx(), u.ny()).map(|(j, k)| u.at(j, k)).collect()
+}
+
+fn norm(v: impl Iterator<Item = f64>) -> f64 {
+    v.map(|x| x * x).sum::<f64>().sqrt()
+}
+
+/// Which deck a row runs.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Setting {
+    /// The 16² four-decade problem under one coefficient recipe, over
+    /// [`ORACLE_STEPS`] steps: the direct leg checks it.
+    Oracle(Coefficient),
+    /// The 32² crooked pipe, 2 steps: the matrix-powers depths.
+    Pipe,
+    /// One step of an `n`² crooked pipe whose `f64` far-field residual is
+    /// exactly zero — 96² at the stock wall density, 64² at a jittered
+    /// one — where a plain demotion drags a subnormal band along the
+    /// front.
+    Cliff(usize),
+}
+
+/// One configuration of the design space.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Row {
+    /// Registry entry; it fixes the precision.
+    solver: &'static str,
+    precon: PreconKind,
+    depth: usize,
+    ranks: usize,
+    setting: Setting,
+}
+
+impl Row {
+    /// The row's deck, over `steps` steps (its own when `None`), with
+    /// every state energy scaled by `2ᵏ`.
+    fn deck(&self, steps: Option<u64>, k: i32) -> Deck {
+        let mut deck = match self.setting {
+            Setting::Oracle(coefficient) => Deck {
+                problem: problem(coefficient),
+                control: pipe(N, self.solver, ORACLE_STEPS).control,
+            },
+            Setting::Pipe => pipe(32, self.solver, 2),
+            Setting::Cliff(n) => {
+                let mut deck = pipe(n, self.solver, 1);
+                if n == 64 {
+                    deck.problem.states[0].density = 100.158_202_408_161_51;
+                }
+                let control = &mut deck.control;
+                (control.ppcg_inner_steps, control.presteps, control.opts.eps) = (8, 12, 1e-9);
+                deck
+            }
+        };
+        let control = &mut deck.control;
+        (control.precon, control.ppcg_halo_depth) = (self.precon, self.depth);
+        if self.solver == "jacobi" {
+            control.opts.max_iters = 1_000_000;
+        }
+        control.end_step = steps.unwrap_or(control.end_step);
+        for state in &mut deck.problem.states {
+            state.energy *= 2f64.powi(k);
+        }
+        deck
+    }
+}
+
+/// The table: every registry entry on both oracle decks, serial; on the
+/// conductivity deck also under each preconditioner it takes, and on
+/// 2×2 ranks unless serial-only (preconditioned: `cg` and `ppcg`), and
+/// `cg` on 1×2 and 3×2; the matrix-powers family at depth 1 and 4 (not
+/// under block Jacobi, whose strips cannot span deep halos). Then the
+/// matrix-powers depths 1, 2, 4 and 8 on 1, 2 and 4 ranks, and the three
+/// `mixed_*` families on the two cliff decks, serial and 2×2.
+fn table() -> Vec<Row> {
+    use PreconKind::{BlockJacobi, Diagonal};
+    let mut rows = Vec::new();
+    let mut push = |solver, precon, depths: &[usize], ranks: &[usize], setting| {
+        for &depth in depths {
+            for &ranks in ranks {
+                rows.push(Row {
+                    solver,
+                    precon,
+                    depth,
+                    ranks,
+                    setting,
+                });
+            }
+        }
+    };
+    for coefficient in [Coefficient::Conductivity, Coefficient::RecipConductivity] {
+        let (setting, wide) = (
+            Setting::Oracle(coefficient),
+            coefficient == Coefficient::Conductivity,
+        );
+        for meta in solver_registry().iter() {
+            let precons: &[PreconKind] = match meta.preconditioned && wide {
+                true => &[PreconKind::None, Diagonal, BlockJacobi],
+                false => &[PreconKind::None],
+            };
+            for &precon in precons {
+                let ranks: &[usize] = match (meta.name, precon) {
+                    _ if meta.serial_only || !wide => &[1],
+                    ("cg", PreconKind::None) => &[1, 2, 4, 6],
+                    (_, PreconKind::None) | ("cg" | "ppcg", _) => &[1, 4],
+                    _ => &[1],
+                };
+                let deep = meta.deep_halo && precon != BlockJacobi;
+                let depths: &[usize] = if deep { &[1, 4] } else { &[1] };
+                push(meta.name, precon, depths, ranks, setting);
+            }
+        }
+    }
+    let powers = [
+        ("ppcg", PreconKind::None),
+        ("ppcg", Diagonal),
+        ("mixed_ppcg", PreconKind::None),
+    ];
+    for (solver, precon) in powers {
+        push(solver, precon, &[1, 2, 4, 8], &[1, 2, 4], Setting::Pipe);
+    }
+    for n in [96, 64] {
+        for (solver, depth) in [("mixed_cg", 1), ("mixed_ppcg", 4), ("mixed_chebyshev", 1)] {
+            push(solver, Diagonal, &[depth], &[1, 4], Setting::Cliff(n));
+        }
+    }
+    rows
+}
+
+/// The oracle deck's [`ORACLE_STEPS`]-step chain, solved directly: the
+/// final answer, and `Σₛ ‖bₛ − A·bₛ‖`, the warm starts' residuals.
+struct Chain {
+    u: Vec<f64>,
+    r0: f64,
+}
+
+impl Chain {
+    fn new(coefficient: Coefficient) -> Self {
+        let sys = System::new(&problem(coefficient), Control::default().dt);
+        let chol = Cholesky::factor(&sys.dense(), sys.b.len()).expect("the operator is SPD");
+        let (mut b, mut u, mut r0) = (sys.b.clone(), Vec::new(), 0.0);
+        for _ in 0..ORACLE_STEPS {
+            r0 += sys.residual(&b, &b);
+            u = b.clone();
+            chol.solve_in_place(&mut u);
+            // the driver's fold-back and repaint: b ← ρ·(u/ρ)
+            let rho = interior(&sys.density);
+            b = u.iter().zip(&rho).map(|(u, rho)| u / rho * rho).collect();
+        }
+        Chain { u, r0 }
+    }
+}
+
+/// Driver runs and dense chains, each made once: a row's twins are rows
+/// or runs of their own, and a run is deterministic.
+#[derive(Default)]
+struct Runs {
+    done: BTreeMap<String, Rc<RankOutput>>,
+    chains: BTreeMap<String, Rc<Chain>>,
+}
+
+impl Runs {
+    /// Rank 0's output of `row`'s deck over `steps` steps (the row's own
+    /// when `None`), energies scaled by `2ᵏ`.
+    fn get(&mut self, row: Row, steps: Option<u64>, k: i32) -> Rc<RankOutput> {
+        let deck = row.deck(steps, k);
+        let key = format!("{row:?} {} {k}", deck.control.end_step);
+        let run = || {
+            let out = match row.ranks {
+                1 => run_serial(&deck),
+                ranks => run_threaded_ranks(&deck, ranks).map(|mut outs| {
+                    let gathered = outs.iter().map(|o| o.final_u.is_some());
+                    assert!(gathered.eq((0..ranks).map(|r| r == 0)), "{row:?}");
+                    outs.swap_remove(0)
+                }),
+            };
+            Rc::new(out.unwrap_or_else(|e| panic!("{row:?} 2^{k}: {e}")))
+        };
+        Rc::clone(self.done.entry(key).or_insert_with(run))
+    }
+
+    fn chain(&mut self, coefficient: Coefficient) -> Rc<Chain> {
+        let make = || Rc::new(Chain::new(coefficient));
+        Rc::clone(
+            self.chains
+                .entry(format!("{coefficient:?}"))
+                .or_insert_with(make),
+        )
+    }
+}
+
+fn field(out: &RankOutput) -> &Field2D {
+    out.final_u.as_ref().expect("rank 0 gathers the field")
+}
+
+/// Applies every leg `row`'s contract implies.
+fn check(row: Row, runs: &mut Runs) {
+    let meta = solver_registry().resolve(row.solver).expect("an entry");
+    let out = runs.get(row, None, 0);
+    let (u, eps) = (field(&out), row.deck(None, 0).control.opts.eps);
+    // cg_f32 stops at its floor, short of eps
+    let f32_floor = meta.precision == Precision::F32;
+    assert!(
+        f32_floor || out.steps.iter().all(|s| s.converged),
+        "{row:?}: unconverged: {:?}",
+        out.steps
+    );
+
+    if let Setting::Oracle(coefficient) = row.setting {
+        let chain = runs.chain(coefficient);
+        let floor = if f32_floor { f32::EPSILON as f64 } else { eps };
+        let bound = SAFETY * floor * chain.r0;
+        let err = norm(interior(u).iter().zip(&chain.u).map(|(a, b)| a - b));
+        assert!(err <= bound, "{row:?}: ‖u − u*‖ = {err:e} > {bound:e}");
+    }
+
+    if row.ranks > 1 {
+        // reduction order moves an answer that meets eps far less than
+        // eps, and one at the f32 floor by about that floor (2e-6 seen);
+        // the stopping point moves by an iteration or so (2 of 111 for
+        // mixed_cg, whose inner solve sums in f32)
+        let twin = runs.get(Row { ranks: 1, ..row }, None, 0);
+        let tol = if f32_floor { 1e-5 } else { 1e-8 };
+        let diff = u.interior_max_rel_diff(field(&twin));
+        assert!(diff <= tol, "{row:?}: {diff:e} off its 1-rank twin");
+        let (t, t1) = (
+            out.final_summary.temperature,
+            twin.final_summary.temperature,
+        );
+        assert!(
+            (t - t1).abs() <= tol * t1,
+            "{row:?}: temperature {t} vs {t1}"
+        );
+        for (s, s1) in out.steps.iter().zip(&twin.steps) {
+            let (its, its1) = (s.iterations, s1.iterations);
+            let near = its.abs_diff(its1) <= 1 + its1 / 20;
+            assert!(f32_floor || near, "{row:?}: {its} iterations vs {its1}");
+        }
+    }
+
+    if row.depth > 1 {
+        let twin = runs.get(Row { depth: 1, ..row }, None, 0);
+        assert_same_bits(&format!("{row:?} against depth 1"), &out, &twin, 1.0);
+    }
+
+    // a decomposed mixed row reaches its f64 twin through its 1-rank twin
+    if meta.precision == Precision::Mixed && row.ranks == 1 {
+        let solver = meta.family;
+        let twin = runs.get(Row { solver, ..row }, None, 0);
+        let met = |s: &StepRecord| s.converged && s.final_residual <= eps * s.initial_residual;
+        let steps = twin.steps.iter().chain(&out.steps);
+        assert!(steps.clone().all(met), "{row:?}: {steps:?}");
+        let diff = u.interior_max_rel_diff(field(&twin));
+        assert!(diff <= 1e-6, "{row:?}: {diff:e} off its f64 twin");
+    }
+
+    if !f32_floor && out.steps.len() > 1 {
+        let t = |s: &StepRecord| s.summary.expect("every step reports").temperature;
+        let (t0, tn) = (t(&out.steps[0]), t(out.steps.last().expect("steps")));
+        let drift = (tn - t0).abs() / t0;
+        assert!(drift <= 1e-7, "{row:?}: heat leaked: {drift:e}");
+    }
+
+    // A deeper row is its depth-1 twin's bits, and a decomposed row stops
+    // with its 1-rank twin's answer: that twin carries the last two legs.
+    if row.depth > 1 || row.ranks > 1 {
+        return;
+    }
+
+    // exit: a solve reports its residual in the norm of its
+    // preconditioner M⁻¹, which the Euclidean norm bounds within
+    // √κ(M) each way; κ(M) ≤ λG, Gershgorin's bound on λmax(A), for
+    // every M here (λ(M) ⊂ [1, λG] for the diagonal and block-Jacobi
+    // ones; the inner solves of ppcg and amg approximate A⁻¹)
+    let first = runs.get(row, Some(1), 0);
+    let deck = row.deck(Some(1), 0);
+    let sys = System::new(&deck.problem, deck.control.dt);
+    let truth = sys.residual(&interior(field(&first)), &sys.b) / sys.residual(&sys.b, &sys.b);
+    let told = first.steps[0].final_residual / first.steps[0].initial_residual;
+    let mut d = Field2D::new(sys.density.nx(), sys.density.ny(), 1);
+    sys.op.diagonal_into(&mut d, 0);
+    let gap = interior(&d)
+        .iter()
+        .fold(0.0, |g: f64, d| g.max(2.0 * d - 1.0))
+        .sqrt();
+    assert!(
+        truth <= gap * told && told <= gap * truth,
+        "{row:?}: reports a relative residual of {told:e}, its answer has {truth:e}"
+    );
+
+    // scale: cg_f32 holds at 2^±20 only: at 2^60 its f32 norms overflow
+    // (0 iterations, unconverged), and at 2^-60 its bits move
+    let oracle = Setting::Oracle(Coefficient::Conductivity);
+    if row.precon == PreconKind::None && row.setting == oracle {
+        let ks: &[i32] = if f32_floor {
+            &[-20, 20]
+        } else {
+            &[-60, -20, 20, 60]
+        };
+        for &k in ks {
+            let scaled = runs.get(row, Some(1), k);
+            assert_same_bits(&format!("{row:?} at 2^{k}"), &scaled, &first, 2f64.powi(k));
+        }
+    }
+}
+
+/// `out` is `twin` scaled by `scale` (a power of two), bit for bit: every
+/// step's iterations and final residual, and the field.
+fn assert_same_bits(what: &str, out: &RankOutput, twin: &RankOutput, scale: f64) {
+    let bits = |o: &RankOutput, scale: f64| {
+        let steps = o.steps.iter().map(|s| (s.iterations, s.final_residual));
+        let field = interior(field(o)).into_iter().map(|v| (0, v));
+        steps
+            .chain(field)
+            .map(|(i, v)| (i, (v * scale).to_bits()))
+            .collect::<Vec<_>>()
+    };
+    assert!(bits(out, 1.0) == bits(twin, scale), "{what}: bits differ");
+}
+
+/// Checks the table's rows that `pick` selects.
+fn check_rows(pick: impl Fn(&Row) -> bool) {
+    let mut runs = Runs::default();
+    let rows: Vec<Row> = table().into_iter().filter(pick).collect();
+    assert!(rows.len() > 1, "{} rows", rows.len());
+    rows.into_iter().for_each(|row| check(row, &mut runs));
+}
+
+#[test]
+fn every_registry_solver_matches_the_direct_solve() {
+    let oracle = Setting::Oracle(Coefficient::Conductivity);
+    check_rows(|row| row.setting == oracle && row.precon == PreconKind::None);
+}
+
+#[test]
+fn preconditioners_do_not_change_the_answer() {
+    let oracle = Setting::Oracle(Coefficient::Conductivity);
+    check_rows(|row| row.setting == oracle && row.precon != PreconKind::None);
+}
+
+#[test]
+fn every_registry_solver_matches_the_direct_solve_of_the_reciprocal_recipe() {
+    check_rows(|row| row.setting == Setting::Oracle(Coefficient::RecipConductivity));
+}
+
+#[test]
+fn matrix_powers_depths_agree_across_a_decomposition() {
+    check_rows(|row| row.setting == Setting::Pipe);
+}
+
+fn cliff(solver: &str) {
+    check_rows(|row| row.solver == solver && matches!(row.setting, Setting::Cliff(_)));
+}
+
+#[test]
+fn mixed_cg_matches_f64_on_the_cliff_decks_serial_and_decomposed() {
+    cliff("mixed_cg");
+}
+
+#[test]
+fn mixed_ppcg_matches_f64_on_the_cliff_decks_serial_and_decomposed() {
+    cliff("mixed_ppcg");
+}
+
+#[test]
+fn mixed_chebyshev_matches_f64_on_the_cliff_decks_serial_and_decomposed() {
+    cliff("mixed_chebyshev");
+}
+
+#[test]
+fn the_dense_operator_is_the_five_point_stencil_from_density() {
+    for coefficient in [Coefficient::Conductivity, Coefficient::RecipConductivity] {
+        let sys = System::new(&problem(coefficient), Control::default().dt);
+        let a = sys.dense();
+        let n = N * N;
+        // a corner, an edge cell, and an interior cell on a density jump
+        for (j, k) in [(0, 0), (N - 1, 7), (5, 2)] {
+            let row = &a[(k * N + j) * n..(k * N + j + 1) * n];
+            let hand = hand_row(&sys, coefficient, j, k);
+            for (col, (&got, &want)) in row.iter().zip(&hand).enumerate() {
+                assert!(
+                    (got - want).abs() <= 1e-14 * want.abs().max(1.0),
+                    "{coefficient:?} row ({j},{k}) col {col}: operator {got}, formula {want}"
+                );
+            }
+        }
+        for i in 0..n {
+            for c in 0..i {
+                assert_eq!(a[i * n + c], a[c * n + i], "asymmetric at ({i},{c})");
+            }
+        }
     }
 }
 
@@ -172,138 +618,6 @@ fn hand_row(sys: &System, coefficient: Coefficient, j: usize, k: usize) -> Vec<f
     row
 }
 
-/// Gershgorin's upper bound on the largest eigenvalue.
-fn gershgorin_max(a: &[f64]) -> f64 {
-    let n = N * N;
-    (0..n)
-        .map(|i| a[i * n..(i + 1) * n].iter().map(|v| v.abs()).sum::<f64>())
-        .fold(0.0, f64::max)
-}
-
-/// `‖b − A·b‖ / ‖b‖`: the warm start's relative residual.
-fn initial_relative_residual(a: &[f64], b: &[f64]) -> f64 {
-    let n = b.len();
-    let (mut r0, mut norm) = (0.0f64, 0.0f64);
-    for (i, &bi) in b.iter().enumerate() {
-        let ab: f64 = a[i * n..(i + 1) * n]
-            .iter()
-            .zip(b)
-            .map(|(x, y)| x * y)
-            .sum();
-        r0 += (bi - ab) * (bi - ab);
-        norm += bi * bi;
-    }
-    (r0 / norm).sqrt()
-}
-
-fn rel_error(u: &Field2D, exact: &[f64]) -> f64 {
-    let (mut diff, mut norm) = (0.0f64, 0.0f64);
-    for (i, &x) in exact.iter().enumerate() {
-        let v = u.at((i % N) as isize, (i / N) as isize);
-        diff += (v - x) * (v - x);
-        norm += x * x;
-    }
-    (diff / norm).sqrt()
-}
-
-#[test]
-fn the_dense_operator_is_the_five_point_stencil_from_density() {
-    for coefficient in [Coefficient::Conductivity, Coefficient::RecipConductivity] {
-        let sys = system(&problem(coefficient), Control::default().dt);
-        let n = N * N;
-        // a corner, an edge cell, and an interior cell on a density jump
-        for (j, k) in [(0, 0), (N - 1, 7), (5, 2)] {
-            let row = &sys.a[(k * N + j) * n..(k * N + j + 1) * n];
-            let hand = hand_row(&sys, coefficient, j, k);
-            for (col, (&got, &want)) in row.iter().zip(&hand).enumerate() {
-                assert!(
-                    (got - want).abs() <= 1e-14 * want.abs().max(1.0),
-                    "{coefficient:?} row ({j},{k}) col {col}: operator {got}, formula {want}"
-                );
-            }
-        }
-        for i in 0..n {
-            for c in 0..i {
-                assert_eq!(
-                    sys.a[i * n + c],
-                    sys.a[c * n + i],
-                    "asymmetric at ({i},{c})"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn every_registry_solver_matches_the_direct_solve() {
-    let registry = solver_registry();
-    let mut checked = 0;
-    for coefficient in [Coefficient::Conductivity, Coefficient::RecipConductivity] {
-        let problem = problem(coefficient);
-        let control = Control {
-            end_step: 1,
-            ..Control::default()
-        };
-        let sys = system(&problem, control.dt);
-        let chol = Cholesky::factor(&sys.a, N * N).expect("the operator is SPD");
-        let mut exact = sys.b.clone();
-        chol.solve_in_place(&mut exact);
-
-        let kappa = gershgorin_max(&sys.a); // λmin ≥ 1
-        let r0 = initial_relative_residual(&sys.a, &sys.b);
-        for meta in registry.iter() {
-            let floor = if meta.name == "cg_f32" {
-                f32::EPSILON as f64
-            } else {
-                control.opts.eps
-            };
-            let bound = SAFETY * kappa * r0 * floor;
-            let depths: &[usize] = if meta.deep_halo { &[1, 4] } else { &[1] };
-            let ranks: &[usize] = if meta.serial_only { &[1] } else { &[1, 4] };
-            for &depth in depths {
-                for &nranks in ranks {
-                    let mut deck = Deck {
-                        problem: problem.clone(),
-                        control: Control {
-                            solver: meta.name.to_string(),
-                            ppcg_halo_depth: depth,
-                            ..control.clone()
-                        },
-                    };
-                    if meta.name == "jacobi" {
-                        deck.control.opts.max_iters = 1_000_000;
-                    }
-                    let out = if nranks == 1 {
-                        run_serial(&deck)
-                    } else {
-                        run_threaded_ranks(&deck, nranks).map(|mut outs| outs.swap_remove(0))
-                    };
-                    let case = format!(
-                        "{} depth {depth} on {nranks} rank(s), {coefficient:?}",
-                        meta.name
-                    );
-                    let out = out.unwrap_or_else(|e| panic!("{case}: {e}"));
-                    if meta.name != "cg_f32" {
-                        assert!(out.steps[0].converged, "{case}: did not converge");
-                    }
-                    let u = out.final_u.as_ref().expect("rank 0 gathers the field");
-                    let err = rel_error(u, &exact);
-                    assert!(
-                        err <= bound,
-                        "{case}: relative error {err:e} against the direct solve exceeds \
-                         {bound:e} (κ ≤ {kappa:.1})"
-                    );
-                    checked += 1;
-                }
-            }
-        }
-    }
-    // per recipe: ten solvers, two decompositions unless serial-only (amg,
-    // auto), two depths for the matrix-powers family (ppcg, mixed_ppcg,
-    // auto) — 23 runs
-    assert!(checked >= 2 * 23, "only {checked} configurations checked");
-}
-
 /// The interval the eigen prelude records (`trace.eigen_bounds`: the
 /// Lanczos extremes of 30 CG presteps, widened by `EIGEN_SAFETY`) holds
 /// the whole spectrum of the unpreconditioned crooked pipe at 24², the
@@ -319,7 +633,7 @@ fn every_registry_solver_matches_the_direct_solve() {
 fn the_eigen_prelude_interval_contains_the_spectrum() {
     let mut deck = crooked_pipe_deck(24, "chebyshev");
     deck.control.end_step = 1;
-    let sys = system(&deck.problem, deck.control.dt);
+    let a = System::new(&deck.problem, deck.control.dt).dense();
     let n = deck.problem.x_cells * deck.problem.y_cells;
     for solver in ["chebyshev", "ppcg"] {
         deck.control.solver = solver.to_string();
@@ -332,7 +646,7 @@ fn the_eigen_prelude_interval_contains_the_spectrum() {
             0.0 < lo && lo <= 1.0,
             "{solver}: lo = {lo} lies above λmin ≥ 1"
         );
-        let mut shifted: Vec<f64> = sys.a.iter().map(|v| -v).collect();
+        let mut shifted: Vec<f64> = a.iter().map(|v| -v).collect();
         for i in 0..n {
             shifted[i * n + i] += hi;
         }
@@ -341,4 +655,186 @@ fn the_eigen_prelude_interval_contains_the_spectrum() {
             "{solver}: hi = {hi} lies below λmax (hi·I − A is indefinite)"
         );
     }
+}
+
+#[test]
+fn cg_family_iteration_counts_stay_within_two_of_the_serial_chain_era() {
+    // PR 12 changed every reduction's add order (fixed 16-lane tree) and
+    // fused CG's update sweep; bits moved by design, convergence must
+    // not. Counts measured at PR 11 on the crooked pipe, one step,
+    // per (cells, [none, jac_diag, jac_block]); cg_f32 at eps 1e-5.
+    let pins: [(usize, &str, [u64; 3]); 9] = [
+        (32, "cg", [58, 53, 42]),
+        (32, "mixed_cg", [58, 53, 42]),
+        (32, "cg_f32", [28, 26, 21]),
+        (48, "cg", [88, 79, 64]),
+        (48, "mixed_cg", [88, 79, 64]),
+        (48, "cg_f32", [41, 38, 30]),
+        (64, "cg", [116, 106, 84]),
+        (64, "mixed_cg", [116, 106, 84]),
+        (64, "cg_f32", [52, 49, 39]),
+    ];
+    let precons = [
+        PreconKind::None,
+        PreconKind::Diagonal,
+        PreconKind::BlockJacobi,
+    ];
+    for (n, solver, want) in pins {
+        for (precon, want) in precons.into_iter().zip(want) {
+            let mut d = pipe(n, solver, 1);
+            d.control.precon = precon;
+            if solver == "cg_f32" {
+                d.control.opts.eps = 1e-5;
+            }
+            let step = &run_serial(&d).expect("deck runs").steps[0];
+            assert!(step.converged, "{solver}/{precon:?} at {n}^2 unconverged");
+            assert!(
+                step.iterations.abs_diff(want) <= 2,
+                "{solver}/{precon:?} at {n}^2: {} iterations, PR 11 took {want}",
+                step.iterations
+            );
+        }
+    }
+}
+
+#[test]
+fn solver_traces_tell_the_communication_story() {
+    // the paper's core quantitative claim, measured end-to-end through
+    // the driver: CPPCG needs far fewer reductions per stencil sweep
+    let cg = run_serial(&pipe(48, "cg", 2)).expect("deck runs");
+    let mut d = pipe(48, "ppcg", 2);
+    d.control.ppcg_halo_depth = 8;
+    let pp = run_serial(&d).expect("deck runs");
+    let cg_ratio = cg.trace.reductions as f64 / cg.trace.spmv.total() as f64;
+    let pp_ratio = pp.trace.reductions as f64 / pp.trace.spmv.total() as f64;
+    assert!(
+        pp_ratio < 0.6 * cg_ratio,
+        "CPPCG must slash reductions per sweep: {pp_ratio:.3} vs {cg_ratio:.3}"
+    );
+}
+
+#[test]
+fn f32_leg_fails_the_f64_bar_honestly() {
+    // the crooked pipe at tl_precision=f32 must NOT reach the f64-grade
+    // tolerance — if it ever does, the mixed path has no reason to
+    // exist and the sweep's story is wrong
+    let mut deck = pipe(32, "cg", 1);
+    deck.control.precision = Some(Precision::F32);
+    let out = run_serial(&deck).expect("deck runs");
+    assert!(
+        out.steps.iter().any(|s| !s.converged),
+        "all-f32 CG should stall below tl_eps=1e-10, got {:?}",
+        out.steps
+            .iter()
+            .map(|s| (s.converged, s.final_residual))
+            .collect::<Vec<_>>()
+    );
+}
+
+#[test]
+fn mixed_deck_key_drives_the_whole_pipeline() {
+    // tl_precision in actual deck text → parse → driver → converged run
+    let text = "\
+*tea
+state 1 density=100.0 energy=0.0001
+state 2 density=0.1 energy=25.0 geometry=rectangle xmin=0.0 xmax=3.5 ymin=1.0 ymax=2.0
+x_cells=24
+y_cells=24
+end_step=2
+summary_frequency=0
+tl_solver=cg
+tl_precision=mixed
+tl_preconditioner_type=jac_block
+tl_eps=1e-9
+*endtea
+";
+    let deck = parse_deck(text).expect("deck parses");
+    assert_eq!(deck.control.effective_solver().unwrap(), "mixed_cg");
+    let out = run_serial(&deck).expect("deck runs");
+    assert!(out.steps.iter().all(|s| s.converged), "{:?}", out.steps);
+}
+
+#[test]
+fn mixed_ppcg_leaves_the_far_field_bit_untouched_where_ppcg_does() {
+    // pins the promote cut: without it the pedestal's image lands on
+    // every far-field cell of u (on this deck, 4001 of them)
+    let (op, b) = crooked_pipe_system(96, 0.04, 4);
+    let solve = |name: &str| {
+        let mut u = b.clone();
+        let result = Solve::on(&op)
+            .with_solver(name)
+            .halo_depth(4)
+            .inner_steps(16)
+            .eps(1e-10)
+            .run(&mut u, &b)
+            .expect("registered solver");
+        assert!(result.converged, "{name}: {result:?}");
+        u
+    };
+    let (u64f, umx) = (solve("ppcg"), solve("mixed_ppcg"));
+    let untouched = |u: &Field2D, (j, k)| u.at(j, k).to_bits() == b.at(j, k).to_bits();
+    let far: Vec<_> = cells(96, 96).filter(|&c| untouched(&u64f, c)).collect();
+    assert!(far.len() > 1000, "only {} far-field cells", far.len());
+    let moved: Vec<_> = far.iter().filter(|&&c| !untouched(&umx, c)).collect();
+    assert!(
+        moved.is_empty(),
+        "mixed_ppcg wrote {} of {} far-field cells, e.g. {:?}",
+        moved.len(),
+        far.len(),
+        moved[0]
+    );
+}
+
+#[test]
+fn reduced_precision_halos_move_fewer_bytes() {
+    // message bytes per rank and summed over the four ranks of a
+    // decomposed run, accounted by element width on the wire (8 per
+    // f64, 4 per f32)
+    let halo = |solver: &str, precision, precon, depth| {
+        let mut deck = pipe(48, solver, 2);
+        let control = &mut deck.control;
+        (control.precision, control.precon) = (precision, precon);
+        (
+            control.ppcg_halo_depth,
+            control.ppcg_inner_steps,
+            control.presteps,
+        ) = (depth, 8, 12);
+        let ranks = run_threaded_ranks(&deck, 4).expect("deck runs");
+        let mut sent = StatsSnapshot::default();
+        for rank in &ranks {
+            assert!(rank.comm.bytes_sent() > 0, "decomposed ranks exchange");
+            sent.merge(&rank.comm);
+        }
+        (ranks, sent)
+    };
+    // a pure-f64 solver sends every element at 8 bytes
+    let (ranks, cg) = halo("cg", None, PreconKind::BlockJacobi, 1);
+    for r in &ranks {
+        assert_eq!(r.comm.elems_sent_f32, 0);
+        assert_eq!(r.comm.bytes_sent(), r.comm.elems_sent_f64 * 8);
+    }
+    // every exchanged element is a halo element of the same protocol, so
+    // f32 wire width must halve the per-element cost (0.55 tolerates an
+    // f64 exchange per step)
+    let (_, cg_f32) = halo("cg", Some(Precision::F32), PreconKind::BlockJacobi, 1);
+    let per_elem = cg_f32.mean_bytes_per_elem_sent() / cg.mean_bytes_per_elem_sent();
+    assert!(per_elem <= 0.55, "cg_f32 bytes per element: {per_elem:.3}x");
+    // same iteration protocol as ppcg with the deep inner halos at f32
+    // while the outer f64 recurrence still exchanges f64: total bytes
+    // must drop
+    let (_, ppcg) = halo("ppcg", None, PreconKind::None, 4);
+    let (ranks, mixed) = halo("ppcg", Some(Precision::Mixed), PreconKind::None, 4);
+    for r in &ranks {
+        assert!(r.comm.elems_sent_f32 > 0, "inner halos travel as f32");
+        assert!(r.comm.elems_sent_f64 > 0, "outer halos stay f64");
+    }
+    let total = mixed.bytes_sent() as f64 / ppcg.bytes_sent() as f64;
+    assert!(
+        total <= 0.75,
+        "mixed_ppcg total halo bytes: {total:.3}x ppcg"
+    );
+    // a serial run has no neighbours: no point-to-point traffic
+    let out = run_serial(&pipe(16, "cg", 1)).expect("deck runs");
+    assert_eq!(out.comm.msgs_sent, 0);
+    assert_eq!(out.comm.bytes_sent(), 0);
 }
