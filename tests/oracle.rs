@@ -1,569 +1,42 @@
-//! The answer oracle: one table of configurations, each checked against
-//! the truth and against its twins.
-//!
-//! The fingerprint suites pin each solver to its own past; this file
-//! pins it to the truth. A [`Row`] of [`table`] is one configuration —
-//! registry entry (which fixes the precision) × preconditioner × halo
-//! depth × rank count × deck — run through the application driver, and
-//! [`check`] applies every leg the row's contract implies:
-//!
-//! - **direct** (the 16² oracle decks): the answer of a 3-step chain
-//!   against a dense [`Cholesky`] solve of the same chain;
-//! - **ranks**: the row's 1-rank twin, to reduction order;
-//! - **depth**: the row's depth-1 twin, bit for bit — the matrix-powers
-//!   depth changes when halos move, never a value;
-//! - **precision**: a `mixed_*` row and its `f64` twin both meet `tl_eps`
-//!   and agree beyond `f32` resolution;
-//! - **heat**: the temperature integral survives the chain (insulated
-//!   boundaries, and `A`'s column sums are 1);
-//! - **exit**: the residual a solve reports is the one its answer has,
-//!   recomputed as `‖b − A·u‖` in `f64`;
-//! - **scale**: energies scaled by `2ᵏ` scale the answer by exactly `2ᵏ`
-//!   in the same iterations.
-//!
-//! The direct leg's bound: the operator is `A = I + L` with `L` a
-//! weighted graph Laplacian, so `λmin(A) ≥ 1` and `‖A⁻¹‖₂ ≤ 1`. A step
-//! that stops at `‖r‖ ≤ eps·‖r₀‖` (warm start `u₀ = b`, `r₀ = b − A·b`)
-//! is off by `‖A⁻¹r‖ ≤ ‖r‖`, and an error carried into the next step's
-//! right-hand side is not amplified, so after the chain
-//! `‖u − u*‖ ≤ Σₛ eps·‖r₀,ₛ‖`. A factor of [`SAFETY`] covers the gap
-//! between a recurrence residual and the true one; `cg_f32` stops at its
-//! `f32` floor, so its bound puts `f32::EPSILON` in place of `eps`.
-//!
-//! Checks that are not field comparisons follow the table as named
-//! tests: the dense operator and the eigen interval against the formula
-//! and the spectrum, iteration pins, the reductions-per-sweep story, the
-//! `f32` honesty bar, the deck-key pipeline, the far-field bits and halo
-//! bytes by width.
+//! The answer oracle: the table's rows that are not the agreement
+//! checks of `tests/solver_equivalence.rs` and `tests/mixed_precision.rs`
+//! (see [`oracle_table`]), and the checks that are not field comparisons:
+//! the dense operator and the eigen interval against the formula and the
+//! spectrum, iteration pins, the reductions-per-sweep story, the `f32`
+//! honesty bar, the deck-key pipeline, the far-field bits and halo bytes
+//! by width.
 
-use std::collections::BTreeMap;
-use std::rc::Rc;
+mod oracle_table;
 
+use oracle_table::{cells, pipe, problem, System, N};
 use tealeaf::amg::Cholesky;
-use tealeaf::app::{
-    crooked_pipe_deck, parse_deck, run_serial, run_threaded_ranks, solver_registry, Control, Deck,
-    RankOutput, StepRecord,
-};
+use tealeaf::app::{crooked_pipe_deck, parse_deck, run_serial, run_threaded_ranks, Control};
 use tealeaf::comms::StatsSnapshot;
-use tealeaf::mesh::{
-    timestep_scalings, Coefficient, Coefficients, Decomposition2D, Extent2D, Field2D, Mesh2D,
-    Problem, Shape, State,
-};
-use tealeaf::solvers::{
-    crooked_pipe_system, Precision, PreconKind, Solve, SolveTrace, TileBounds, TileOperator,
-};
+use tealeaf::mesh::{timestep_scalings, Coefficient, Decomposition2D, Field2D, Mesh2D};
+use tealeaf::solvers::{crooked_pipe_system, Precision, PreconKind, Solve};
 
-const N: usize = 16;
-/// Steps of the oracle decks' chain.
-const ORACLE_STEPS: u64 = 3;
-/// Slack between a solver's recurrence residual and its true residual.
-const SAFETY: f64 = 10.0;
-
-/// A 16² problem on a stretched 10 × 6 extent (so `rx ≠ ry`), with
-/// densities over four decades.
-fn problem(coefficient: Coefficient) -> Problem {
-    let rect = |x_min, y_min, x_max, y_max, density, energy| State {
-        shape: Shape::Rectangle {
-            x_min,
-            y_min,
-            x_max,
-            y_max,
-        },
-        density,
-        energy,
-    };
-    Problem {
-        x_cells: N,
-        y_cells: N,
-        extent: Extent2D {
-            x_min: 0.0,
-            x_max: 10.0,
-            y_min: 0.0,
-            y_max: 6.0,
-        },
-        states: vec![
-            State {
-                shape: Shape::Background,
-                density: 1.0,
-                energy: 1.0,
-            },
-            rect(0.0, 1.0, 6.0, 2.5, 0.01, 25.0),
-            rect(5.0, 2.0, 9.0, 5.0, 100.0, 0.1),
-            rect(1.0, 3.5, 4.0, 6.0, 10.0, 3.0),
-            State {
-                shape: Shape::Circle {
-                    cx: 8.0,
-                    cy: 1.0,
-                    radius: 1.2,
-                },
-                density: 0.1,
-                energy: 40.0,
-            },
-        ],
-        coefficient,
-    }
-}
-
-/// The crooked pipe at `n`², `steps` steps, reporting every step.
-fn pipe(n: usize, solver: &str, steps: u64) -> Deck {
-    let mut deck = crooked_pipe_deck(n, solver);
-    deck.control = Control {
-        solver: solver.into(),
-        end_step: steps,
-        summary_frequency: 1,
-        ..Control::default()
-    };
-    deck
-}
-
-/// The serial system of a deck's first time step: the operator, the
-/// cell densities, the right-hand side `b = ρ·e` (row-major) and the
-/// face scalings `rx, ry`.
-struct System {
-    op: TileOperator,
-    density: Field2D,
-    b: Vec<f64>,
-    rx: f64,
-    ry: f64,
-}
-
-impl System {
-    fn new(problem: &Problem, dt: f64) -> Self {
-        let (nx, ny) = (problem.x_cells, problem.y_cells);
-        let mesh = Mesh2D::new(&Decomposition2D::new(nx, ny, 1), 0, problem.extent);
-        let mut density = Field2D::new(nx, ny, 2);
-        let mut energy = Field2D::new(nx, ny, 2);
-        problem.apply_states(&mesh, &mut density, &mut energy);
-        let (rx, ry) = timestep_scalings(&mesh, dt);
-        let coeffs = Coefficients::assemble(&mesh, &density, problem.coefficient, rx, ry, 2);
-        let op = TileOperator::new(coeffs, TileBounds::new(&mesh, 1));
-        let b = cells(nx, ny)
-            .map(|(j, k)| density.at(j, k) * energy.at(j, k))
-            .collect();
-        System {
-            op,
-            density,
-            b,
-            rx,
-            ry,
-        }
-    }
-
-    /// `A·x` for a row-major vector `x`.
-    fn apply(&self, x: &[f64]) -> Vec<f64> {
-        let (nx, ny) = (self.density.nx(), self.density.ny());
-        let mut p = Field2D::new(nx, ny, 1);
-        cells(nx, ny).zip(x).for_each(|((j, k), &v)| p.set(j, k, v));
-        let mut w = Field2D::new(nx, ny, 1);
-        self.op.apply(&p, &mut w, 0, &mut SolveTrace::new("oracle"));
-        interior(&w)
-    }
-
-    /// The operator as a dense row-major matrix, one unit vector at a
-    /// time — no second assembly code.
-    fn dense(&self) -> Vec<f64> {
-        let n = self.b.len();
-        let mut a = vec![0.0; n * n];
-        for col in 0..n {
-            let mut e = vec![0.0; n];
-            e[col] = 1.0;
-            for (row, v) in self.apply(&e).into_iter().enumerate() {
-                a[row * n + col] = v;
-            }
-        }
-        a
-    }
-
-    /// `‖b − A·x‖`.
-    fn residual(&self, x: &[f64], b: &[f64]) -> f64 {
-        norm(self.apply(x).iter().zip(b).map(|(ax, b)| b - ax))
-    }
-}
-
-/// Interior cells in row-major order.
-fn cells(nx: usize, ny: usize) -> impl Iterator<Item = (isize, isize)> {
-    (0..ny as isize).flat_map(move |k| (0..nx as isize).map(move |j| (j, k)))
-}
-
-fn interior(u: &Field2D) -> Vec<f64> {
-    cells(u.nx(), u.ny()).map(|(j, k)| u.at(j, k)).collect()
-}
-
-fn norm(v: impl Iterator<Item = f64>) -> f64 {
-    v.map(|x| x * x).sum::<f64>().sqrt()
-}
-
-/// Which deck a row runs.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Setting {
-    /// The 16² four-decade problem under one coefficient recipe, over
-    /// [`ORACLE_STEPS`] steps: the direct leg checks it.
-    Oracle(Coefficient),
-    /// The 32² crooked pipe, 2 steps: the matrix-powers depths.
-    Pipe,
-    /// One step of an `n`² crooked pipe whose `f64` far-field residual is
-    /// exactly zero — 96² at the stock wall density, 64² at a jittered
-    /// one — where a plain demotion drags a subnormal band along the
-    /// front.
-    Cliff(usize),
-}
-
-/// One configuration of the design space.
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct Row {
-    /// Registry entry; it fixes the precision.
-    solver: &'static str,
-    precon: PreconKind,
-    depth: usize,
-    ranks: usize,
-    setting: Setting,
-}
-
-impl Row {
-    /// The row's deck, over `steps` steps (its own when `None`), with
-    /// every state energy scaled by `2ᵏ`.
-    fn deck(&self, steps: Option<u64>, k: i32) -> Deck {
-        let mut deck = match self.setting {
-            Setting::Oracle(coefficient) => Deck {
-                problem: problem(coefficient),
-                control: pipe(N, self.solver, ORACLE_STEPS).control,
-            },
-            Setting::Pipe => pipe(32, self.solver, 2),
-            Setting::Cliff(n) => {
-                let mut deck = pipe(n, self.solver, 1);
-                if n == 64 {
-                    deck.problem.states[0].density = 100.158_202_408_161_51;
-                }
-                let control = &mut deck.control;
-                (control.ppcg_inner_steps, control.presteps, control.opts.eps) = (8, 12, 1e-9);
-                deck
-            }
-        };
-        let control = &mut deck.control;
-        (control.precon, control.ppcg_halo_depth) = (self.precon, self.depth);
-        if self.solver == "jacobi" {
-            control.opts.max_iters = 1_000_000;
-        }
-        control.end_step = steps.unwrap_or(control.end_step);
-        for state in &mut deck.problem.states {
-            state.energy *= 2f64.powi(k);
-        }
-        deck
-    }
-}
-
-/// The table: every registry entry on both oracle decks, serial; on the
-/// conductivity deck also under each preconditioner it takes, and on
-/// 2×2 ranks unless serial-only (preconditioned: `cg` and `ppcg`), and
-/// `cg` on 1×2 and 3×2; the matrix-powers family at depth 1 and 4 (not
-/// under block Jacobi, whose strips cannot span deep halos). Then the
-/// matrix-powers depths 1, 2, 4 and 8 on 1, 2 and 4 ranks, and the three
-/// `mixed_*` families on the two cliff decks, serial and 2×2.
-fn table() -> Vec<Row> {
-    use PreconKind::{BlockJacobi, Diagonal};
-    let mut rows = Vec::new();
-    let mut push = |solver, precon, depths: &[usize], ranks: &[usize], setting| {
-        for &depth in depths {
-            for &ranks in ranks {
-                rows.push(Row {
-                    solver,
-                    precon,
-                    depth,
-                    ranks,
-                    setting,
-                });
-            }
-        }
-    };
-    for coefficient in [Coefficient::Conductivity, Coefficient::RecipConductivity] {
-        let (setting, wide) = (
-            Setting::Oracle(coefficient),
-            coefficient == Coefficient::Conductivity,
-        );
-        for meta in solver_registry().iter() {
-            let precons: &[PreconKind] = match meta.preconditioned && wide {
-                true => &[PreconKind::None, Diagonal, BlockJacobi],
-                false => &[PreconKind::None],
-            };
-            for &precon in precons {
-                let ranks: &[usize] = match (meta.name, precon) {
-                    _ if meta.serial_only || !wide => &[1],
-                    ("cg", PreconKind::None) => &[1, 2, 4, 6],
-                    (_, PreconKind::None) | ("cg" | "ppcg", _) => &[1, 4],
-                    _ => &[1],
-                };
-                let deep = meta.deep_halo && precon != BlockJacobi;
-                let depths: &[usize] = if deep { &[1, 4] } else { &[1] };
-                push(meta.name, precon, depths, ranks, setting);
-            }
-        }
-    }
-    let powers = [
-        ("ppcg", PreconKind::None),
-        ("ppcg", Diagonal),
-        ("mixed_ppcg", PreconKind::None),
-    ];
-    for (solver, precon) in powers {
-        push(solver, precon, &[1, 2, 4, 8], &[1, 2, 4], Setting::Pipe);
-    }
-    for n in [96, 64] {
-        for (solver, depth) in [("mixed_cg", 1), ("mixed_ppcg", 4), ("mixed_chebyshev", 1)] {
-            push(solver, Diagonal, &[depth], &[1, 4], Setting::Cliff(n));
-        }
-    }
-    rows
-}
-
-/// The oracle deck's [`ORACLE_STEPS`]-step chain, solved directly: the
-/// final answer, and `Σₛ ‖bₛ − A·bₛ‖`, the warm starts' residuals.
-struct Chain {
-    u: Vec<f64>,
-    r0: f64,
-}
-
-impl Chain {
-    fn new(coefficient: Coefficient) -> Self {
-        let sys = System::new(&problem(coefficient), Control::default().dt);
-        let chol = Cholesky::factor(&sys.dense(), sys.b.len()).expect("the operator is SPD");
-        let (mut b, mut u, mut r0) = (sys.b.clone(), Vec::new(), 0.0);
-        for _ in 0..ORACLE_STEPS {
-            r0 += sys.residual(&b, &b);
-            u = b.clone();
-            chol.solve_in_place(&mut u);
-            // the driver's fold-back and repaint: b ← ρ·(u/ρ)
-            let rho = interior(&sys.density);
-            b = u.iter().zip(&rho).map(|(u, rho)| u / rho * rho).collect();
-        }
-        Chain { u, r0 }
-    }
-}
-
-/// Driver runs and dense chains, each made once: a row's twins are rows
-/// or runs of their own, and a run is deterministic.
-#[derive(Default)]
-struct Runs {
-    done: BTreeMap<String, Rc<RankOutput>>,
-    chains: BTreeMap<String, Rc<Chain>>,
-}
-
-impl Runs {
-    /// Rank 0's output of `row`'s deck over `steps` steps (the row's own
-    /// when `None`), energies scaled by `2ᵏ`.
-    fn get(&mut self, row: Row, steps: Option<u64>, k: i32) -> Rc<RankOutput> {
-        let deck = row.deck(steps, k);
-        let key = format!("{row:?} {} {k}", deck.control.end_step);
-        let run = || {
-            let out = match row.ranks {
-                1 => run_serial(&deck),
-                ranks => run_threaded_ranks(&deck, ranks).map(|mut outs| {
-                    let gathered = outs.iter().map(|o| o.final_u.is_some());
-                    assert!(gathered.eq((0..ranks).map(|r| r == 0)), "{row:?}");
-                    outs.swap_remove(0)
-                }),
-            };
-            Rc::new(out.unwrap_or_else(|e| panic!("{row:?} 2^{k}: {e}")))
-        };
-        Rc::clone(self.done.entry(key).or_insert_with(run))
-    }
-
-    fn chain(&mut self, coefficient: Coefficient) -> Rc<Chain> {
-        let make = || Rc::new(Chain::new(coefficient));
-        Rc::clone(
-            self.chains
-                .entry(format!("{coefficient:?}"))
-                .or_insert_with(make),
-        )
-    }
-}
-
-fn field(out: &RankOutput) -> &Field2D {
-    out.final_u.as_ref().expect("rank 0 gathers the field")
-}
-
-/// Applies every leg `row`'s contract implies.
-fn check(row: Row, runs: &mut Runs) {
-    let meta = solver_registry().resolve(row.solver).expect("an entry");
-    let out = runs.get(row, None, 0);
-    let (u, eps) = (field(&out), row.deck(None, 0).control.opts.eps);
-    // cg_f32 stops at its floor, short of eps
-    let f32_floor = meta.precision == Precision::F32;
-    assert!(
-        f32_floor || out.steps.iter().all(|s| s.converged),
-        "{row:?}: unconverged: {:?}",
-        out.steps
-    );
-
-    if let Setting::Oracle(coefficient) = row.setting {
-        let chain = runs.chain(coefficient);
-        let floor = if f32_floor { f32::EPSILON as f64 } else { eps };
-        let bound = SAFETY * floor * chain.r0;
-        let err = norm(interior(u).iter().zip(&chain.u).map(|(a, b)| a - b));
-        assert!(err <= bound, "{row:?}: ‖u − u*‖ = {err:e} > {bound:e}");
-    }
-
-    if row.ranks > 1 {
-        // reduction order moves an answer that meets eps far less than
-        // eps, and one at the f32 floor by about that floor (2e-6 seen);
-        // the stopping point moves by an iteration or so (2 of 111 for
-        // mixed_cg, whose inner solve sums in f32)
-        let twin = runs.get(Row { ranks: 1, ..row }, None, 0);
-        let tol = if f32_floor { 1e-5 } else { 1e-8 };
-        let diff = u.interior_max_rel_diff(field(&twin));
-        assert!(diff <= tol, "{row:?}: {diff:e} off its 1-rank twin");
-        let (t, t1) = (
-            out.final_summary.temperature,
-            twin.final_summary.temperature,
-        );
-        assert!(
-            (t - t1).abs() <= tol * t1,
-            "{row:?}: temperature {t} vs {t1}"
-        );
-        for (s, s1) in out.steps.iter().zip(&twin.steps) {
-            let (its, its1) = (s.iterations, s1.iterations);
-            let near = its.abs_diff(its1) <= 1 + its1 / 20;
-            assert!(f32_floor || near, "{row:?}: {its} iterations vs {its1}");
-        }
-    }
-
-    if row.depth > 1 {
-        let twin = runs.get(Row { depth: 1, ..row }, None, 0);
-        assert_same_bits(&format!("{row:?} against depth 1"), &out, &twin, 1.0);
-    }
-
-    // a decomposed mixed row reaches its f64 twin through its 1-rank twin
-    if meta.precision == Precision::Mixed && row.ranks == 1 {
-        let solver = meta.family;
-        let twin = runs.get(Row { solver, ..row }, None, 0);
-        let met = |s: &StepRecord| s.converged && s.final_residual <= eps * s.initial_residual;
-        let steps = twin.steps.iter().chain(&out.steps);
-        assert!(steps.clone().all(met), "{row:?}: {steps:?}");
-        let diff = u.interior_max_rel_diff(field(&twin));
-        assert!(diff <= 1e-6, "{row:?}: {diff:e} off its f64 twin");
-    }
-
-    if !f32_floor && out.steps.len() > 1 {
-        let t = |s: &StepRecord| s.summary.expect("every step reports").temperature;
-        let (t0, tn) = (t(&out.steps[0]), t(out.steps.last().expect("steps")));
-        let drift = (tn - t0).abs() / t0;
-        assert!(drift <= 1e-7, "{row:?}: heat leaked: {drift:e}");
-    }
-
-    // A deeper row is its depth-1 twin's bits, and a decomposed row stops
-    // with its 1-rank twin's answer: that twin carries the last two legs.
-    if row.depth > 1 || row.ranks > 1 {
-        return;
-    }
-
-    // exit: a solve reports its residual in the norm of its
-    // preconditioner M⁻¹, which the Euclidean norm bounds within
-    // √κ(M) each way; κ(M) ≤ λG, Gershgorin's bound on λmax(A), for
-    // every M here (λ(M) ⊂ [1, λG] for the diagonal and block-Jacobi
-    // ones; the inner solves of ppcg and amg approximate A⁻¹)
-    let first = runs.get(row, Some(1), 0);
-    let deck = row.deck(Some(1), 0);
-    let sys = System::new(&deck.problem, deck.control.dt);
-    let truth = sys.residual(&interior(field(&first)), &sys.b) / sys.residual(&sys.b, &sys.b);
-    let told = first.steps[0].final_residual / first.steps[0].initial_residual;
-    let mut d = Field2D::new(sys.density.nx(), sys.density.ny(), 1);
-    sys.op.diagonal_into(&mut d, 0);
-    let gap = interior(&d)
-        .iter()
-        .fold(0.0, |g: f64, d| g.max(2.0 * d - 1.0))
-        .sqrt();
-    assert!(
-        truth <= gap * told && told <= gap * truth,
-        "{row:?}: reports a relative residual of {told:e}, its answer has {truth:e}"
-    );
-
-    // scale: cg_f32 holds at 2^±20 only: at 2^60 its f32 norms overflow
-    // (0 iterations, unconverged), and at 2^-60 its bits move
-    let oracle = Setting::Oracle(Coefficient::Conductivity);
-    if row.precon == PreconKind::None && row.setting == oracle {
-        let ks: &[i32] = if f32_floor {
-            &[-20, 20]
-        } else {
-            &[-60, -20, 20, 60]
-        };
-        for &k in ks {
-            let scaled = runs.get(row, Some(1), k);
-            assert_same_bits(&format!("{row:?} at 2^{k}"), &scaled, &first, 2f64.powi(k));
-        }
-    }
-}
-
-/// `out` is `twin` scaled by `scale` (a power of two), bit for bit: every
-/// step's iterations and final residual, and the field.
-fn assert_same_bits(what: &str, out: &RankOutput, twin: &RankOutput, scale: f64) {
-    let bits = |o: &RankOutput, scale: f64| {
-        let steps = o.steps.iter().map(|s| (s.iterations, s.final_residual));
-        let field = interior(field(o)).into_iter().map(|v| (0, v));
-        steps
-            .chain(field)
-            .map(|(i, v)| (i, (v * scale).to_bits()))
-            .collect::<Vec<_>>()
-    };
-    assert!(bits(out, 1.0) == bits(twin, scale), "{what}: bits differ");
-}
-
-/// Checks the table's rows that `pick` selects.
-fn check_rows(pick: impl Fn(&Row) -> bool) {
-    let mut runs = Runs::default();
-    let rows: Vec<Row> = table().into_iter().filter(pick).collect();
-    assert!(rows.len() > 1, "{} rows", rows.len());
-    rows.into_iter().for_each(|row| check(row, &mut runs));
-}
-
-#[test]
-fn every_registry_solver_matches_the_direct_solve() {
-    let oracle = Setting::Oracle(Coefficient::Conductivity);
-    check_rows(|row| row.setting == oracle && row.precon == PreconKind::None);
-}
-
-#[test]
-fn preconditioners_do_not_change_the_answer() {
-    let oracle = Setting::Oracle(Coefficient::Conductivity);
-    check_rows(|row| row.setting == oracle && row.precon != PreconKind::None);
-}
-
-#[test]
-fn every_registry_solver_matches_the_direct_solve_of_the_reciprocal_recipe() {
-    check_rows(|row| row.setting == Setting::Oracle(Coefficient::RecipConductivity));
-}
-
-#[test]
-fn matrix_powers_depths_agree_across_a_decomposition() {
-    check_rows(|row| row.setting == Setting::Pipe);
-}
-
-fn cliff(solver: &str) {
-    check_rows(|row| row.solver == solver && matches!(row.setting, Setting::Cliff(_)));
-}
-
-#[test]
-fn mixed_cg_matches_f64_on_the_cliff_decks_serial_and_decomposed() {
-    cliff("mixed_cg");
-}
-
-#[test]
-fn mixed_ppcg_matches_f64_on_the_cliff_decks_serial_and_decomposed() {
-    cliff("mixed_ppcg");
-}
-
-#[test]
-fn mixed_chebyshev_matches_f64_on_the_cliff_decks_serial_and_decomposed() {
-    cliff("mixed_chebyshev");
-}
+// every registry entry's decomposed and deeper-halo rows; the pipe's
+// matrix-powers depths; the cliff decks, one test per mixed family
+oracle_table::table_tests!(
+    every_registry_solver_matches_the_direct_solve,
+    matrix_powers_depths_agree_across_a_decomposition,
+    mixed_cg_matches_f64_on_the_cliff_decks_serial_and_decomposed,
+    mixed_ppcg_matches_f64_on_the_cliff_decks_serial_and_decomposed,
+    mixed_chebyshev_matches_f64_on_the_cliff_decks_serial_and_decomposed,
+);
 
 #[test]
 fn the_dense_operator_is_the_five_point_stencil_from_density() {
     for coefficient in [Coefficient::Conductivity, Coefficient::RecipConductivity] {
-        let sys = System::new(&problem(coefficient), Control::default().dt);
+        let (problem, dt) = (problem(coefficient), Control::default().dt);
+        let sys = System::new(&problem, dt);
+        let mesh = Mesh2D::new(&Decomposition2D::new(N, N, 1), 0, problem.extent);
         let a = sys.dense();
         let n = N * N;
         // a corner, an edge cell, and an interior cell on a density jump
         for (j, k) in [(0, 0), (N - 1, 7), (5, 2)] {
             let row = &a[(k * N + j) * n..(k * N + j + 1) * n];
-            let hand = hand_row(&sys, coefficient, j, k);
+            let hand = hand_row(&sys, coefficient, timestep_scalings(&mesh, dt), j, k);
             for (col, (&got, &want)) in row.iter().zip(&hand).enumerate() {
                 assert!(
                     (got - want).abs() <= 1e-14 * want.abs().max(1.0),
@@ -580,10 +53,16 @@ fn the_dense_operator_is_the_five_point_stencil_from_density() {
 }
 
 /// Row `(j, k)` of the operator from the 5-point formula: face
-/// `K = s·(w₁ + w₂)/(2·w₁·w₂)` with `w` the density (conductivity) or its
-/// reciprocal, zero on the domain boundary; diagonal `1 + ΣK`, neighbours
-/// `−K`.
-fn hand_row(sys: &System, coefficient: Coefficient, j: usize, k: usize) -> Vec<f64> {
+/// `K = s·(w₁ + w₂)/(2·w₁·w₂)` with `s` the face scaling `rx` or `ry` and
+/// `w` the density (conductivity) or its reciprocal, zero on the domain
+/// boundary; diagonal `1 + ΣK`, neighbours `−K`.
+fn hand_row(
+    sys: &System,
+    coefficient: Coefficient,
+    (rx, ry): (f64, f64),
+    j: usize,
+    k: usize,
+) -> Vec<f64> {
     let w = |j: usize, k: usize| {
         let d = sys.density.at(j as isize, k as isize);
         match coefficient {
@@ -598,16 +77,16 @@ fn hand_row(sys: &System, coefficient: Coefficient, j: usize, k: usize) -> Vec<f
     let mut row = vec![0.0; N * N];
     let mut neighbours = Vec::new();
     if j > 0 {
-        neighbours.push(((j - 1, k), sys.rx));
+        neighbours.push(((j - 1, k), rx));
     }
     if j + 1 < N {
-        neighbours.push(((j + 1, k), sys.rx));
+        neighbours.push(((j + 1, k), rx));
     }
     if k > 0 {
-        neighbours.push(((j, k - 1), sys.ry));
+        neighbours.push(((j, k - 1), ry));
     }
     if k + 1 < N {
-        neighbours.push(((j, k + 1), sys.ry));
+        neighbours.push(((j, k + 1), ry));
     }
     row[k * N + j] = 1.0;
     for ((jn, kn), s) in neighbours {
