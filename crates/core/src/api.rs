@@ -410,7 +410,9 @@ pub trait IterativeSolver: Any + Send {
 
     /// Whether [`IterativeSolver::prepare`] builds from the context's
     /// [`SolveContext::assembly`] (AMG's hierarchy), so a context without
-    /// one cannot prepare it. Default: `false`.
+    /// one cannot prepare it. Default: `false`. Only [`crate::Solve::run`]
+    /// reads it, to return an error instead of that panic; a
+    /// [`crate::SolveSession`] without an assembly still reaches it.
     fn needs_assembly(&self) -> bool {
         false
     }

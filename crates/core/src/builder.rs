@@ -54,8 +54,9 @@ impl<'a> Solve<'a> {
     /// Resolves names against `registry` instead of
     /// [`SolverRegistry::builtin`] (e.g. one with `auto` or custom
     /// methods registered). A method that builds from the operator's
-    /// assembly recipe (`tea-amg`'s) cannot run here: [`Solve::run`]
-    /// names what it misses.
+    /// assembly recipe (`tea-amg`'s) cannot run in a `Solve`:
+    /// [`Solve::run`] names what it misses. (A [`crate::SolveSession`]
+    /// built without that recipe still panics in `prepare` for it.)
     pub fn with_registry(mut self, registry: &'a SolverRegistry) -> Self {
         self.registry = Some(registry);
         self

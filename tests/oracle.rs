@@ -75,21 +75,11 @@ fn hand_row(
         s * (w1 + w2) / (2.0 * w1 * w2)
     };
     let mut row = vec![0.0; N * N];
-    let mut neighbours = Vec::new();
-    if j > 0 {
-        neighbours.push(((j - 1, k), rx));
-    }
-    if j + 1 < N {
-        neighbours.push(((j + 1, k), rx));
-    }
-    if k > 0 {
-        neighbours.push(((j, k - 1), ry));
-    }
-    if k + 1 < N {
-        neighbours.push(((j, k + 1), ry));
-    }
+    // a neighbour off the domain wraps to usize::MAX or lands on N
+    let (left, down) = (j.wrapping_sub(1), k.wrapping_sub(1));
+    let near = [(left, k, rx), (j + 1, k, rx), (j, down, ry), (j, k + 1, ry)];
     row[k * N + j] = 1.0;
-    for ((jn, kn), s) in neighbours {
+    for (jn, kn, s) in near.into_iter().filter(|&(jn, kn, _)| jn < N && kn < N) {
         let kf = face(s, (j, k), (jn, kn));
         row[kn * N + jn] = -kf;
         row[k * N + j] += kf;
@@ -273,11 +263,8 @@ fn reduced_precision_halos_move_fewer_bytes() {
         let mut deck = pipe(48, solver, 2);
         let control = &mut deck.control;
         (control.precision, control.precon) = (precision, precon);
-        (
-            control.ppcg_halo_depth,
-            control.ppcg_inner_steps,
-            control.presteps,
-        ) = (depth, 8, 12);
+        control.ppcg_halo_depth = depth;
+        (control.ppcg_inner_steps, control.presteps) = (8, 12);
         let ranks = run_threaded_ranks(&deck, 4).expect("deck runs");
         let mut sent = StatsSnapshot::default();
         for rank in &ranks {

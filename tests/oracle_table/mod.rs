@@ -30,10 +30,10 @@
 //! between a recurrence residual and the true one; `cg_f32` stops at its
 //! `f32` floor, so its bound puts `f32::EPSILON` in place of `eps`.
 //!
-//! Every row is checked once, by the named test [`owner`] gives it, in
+//! Every row is checked once, by the test [`table`] names beside it, in
 //! `tests/oracle.rs`, `tests/solver_equivalence.rs` or
 //! `tests/mixed_precision.rs`; each of those files declares its tests
-//! with [`table_tests`].
+//! with [`table_tests`], which checks them against [`TESTS`].
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -240,67 +240,111 @@ impl Row {
     }
 }
 
-/// The table: every registry entry on both oracle decks, serial; on the
-/// conductivity deck also under each preconditioner it takes, and on
-/// 2×2 ranks unless serial-only (preconditioned: `cg` and `ppcg`), and
-/// `cg` on 1×2 and 3×2; the matrix-powers family at depth 1 and 4 (not
-/// under block Jacobi, whose strips cannot span deep halos). Then the
-/// matrix-powers depths 1, 2, 4 and 8 on 1, 2 and 4 ranks on the pipe,
-/// with `mixed_cg` under each preconditioner there, serial, and the three
-/// `mixed_*` families on the two cliff decks, serial and 2×2.
-fn table() -> Vec<Row> {
-    use PreconKind::{BlockJacobi, Diagonal};
+/// Every test that checks table rows, with the file that declares it.
+#[rustfmt::skip]
+const TESTS: [(&str, &str); 13] = [
+    ("oracle.rs", "every_registry_solver_matches_the_direct_solve"),
+    ("oracle.rs", "matrix_powers_depths_agree_across_a_decomposition"),
+    ("oracle.rs", "mixed_cg_matches_f64_on_the_cliff_decks_serial_and_decomposed"),
+    ("oracle.rs", "mixed_ppcg_matches_f64_on_the_cliff_decks_serial_and_decomposed"),
+    ("oracle.rs", "mixed_chebyshev_matches_f64_on_the_cliff_decks_serial_and_decomposed"),
+    ("solver_equivalence.rs", "every_solver_reaches_the_same_temperature_field"),
+    ("solver_equivalence.rs", "rank_counts_agree_for_cg"),
+    ("solver_equivalence.rs", "preconditioners_do_not_change_the_answer"),
+    ("solver_equivalence.rs", "heat_is_conserved_for_every_solver"),
+    ("solver_equivalence.rs", "decomposed_ppcg_with_block_jacobi_depth1"),
+    ("mixed_precision.rs", "mixed_cg_matches_f64_on_the_crooked_pipe"),
+    ("mixed_precision.rs", "mixed_ppcg_matches_f64_on_a_deeper_halo_deck"),
+    ("mixed_precision.rs", "mixed_solves_are_exactly_scale_equivariant"),
+];
+
+/// The table, each row with the test that checks it; a push claims, for
+/// its test, the rows no earlier push claimed, so narrow tests go first.
+/// Every registry entry on both oracle decks, serial, and at depth 1 and
+/// 4 (matrix-powers entries) on 1 and 2×2 ranks unless serial-only —
+/// `cg` also on 2, 3 and 6 ranks; the heat test takes the reciprocal
+/// recipe's rows, with their twins. On the conductivity deck each entry
+/// also under each preconditioner it takes, decomposed for `cg` and
+/// `ppcg` (block Jacobi at depth 1 only: its strips cannot span deep
+/// halos). Then the matrix-powers depths 1, 2, 4 and 8 on 1, 2 and 4
+/// ranks on the pipe, `mixed_cg` under each preconditioner there,
+/// serial, and the three `mixed_*` families on the two cliff decks,
+/// serial and 2×2.
+fn table() -> Vec<(&'static str, Row)> {
+    use PreconKind::{BlockJacobi, Diagonal, None as Plain};
     let mut rows = Vec::new();
-    let mut push = |solver, precon, depths: &[usize], ranks: &[usize], setting| {
+    let mut push = |test, solver, precon, depths: &[usize], ranks: &[usize], setting| {
         for &depth in depths {
             for &ranks in ranks {
-                rows.push(Row {
+                let row = Row {
                     solver,
                     precon,
                     depth,
                     ranks,
                     setting,
-                });
+                };
+                if !rows.iter().any(|&(_, r)| r == row) {
+                    rows.push((test, row));
+                }
             }
         }
     };
     for coefficient in [Coefficient::Conductivity, Coefficient::RecipConductivity] {
-        let (setting, wide) = (
-            Setting::Oracle(coefficient),
-            coefficient == Coefficient::Conductivity,
-        );
+        let setting = Setting::Oracle(coefficient);
+        let recip = coefficient == Coefficient::RecipConductivity;
         for meta in solver_registry().iter() {
-            let precons: &[PreconKind] = match meta.preconditioned && wide {
-                true => &[PreconKind::None, Diagonal, BlockJacobi],
-                false => &[PreconKind::None],
+            let solver = meta.name;
+            let depths: &[usize] = if meta.deep_halo { &[1, 4] } else { &[1] };
+            let ranks: &[usize] = if meta.serial_only { &[1] } else { &[1, 4] };
+            if solver == "cg" {
+                let test = "rank_counts_agree_for_cg";
+                push(test, solver, Plain, &[1], &[2, 3, 4, 6], setting);
+            }
+            if recip {
+                let test = "heat_is_conserved_for_every_solver";
+                push(test, solver, Plain, depths, ranks, setting);
+                continue;
+            }
+            let serial = match meta.precision {
+                Precision::Mixed => "mixed_solves_are_exactly_scale_equivariant",
+                _ => "every_solver_reaches_the_same_temperature_field",
             };
-            for &precon in precons {
-                let ranks: &[usize] = match (meta.name, precon) {
-                    _ if meta.serial_only || !wide => &[1],
-                    ("cg", PreconKind::None) => &[1, 2, 4, 6],
-                    (_, PreconKind::None) | ("cg" | "ppcg", _) => &[1, 4],
-                    _ => &[1],
-                };
-                let deep = meta.deep_halo && precon != BlockJacobi;
-                let depths: &[usize] = if deep { &[1, 4] } else { &[1] };
-                push(meta.name, precon, depths, ranks, setting);
+            push(serial, solver, Plain, &[1], &[1], setting);
+            if solver == "mixed_ppcg" {
+                let test = "mixed_ppcg_matches_f64_on_a_deeper_halo_deck";
+                push(test, solver, Plain, &[4], ranks, setting);
+                push(test, solver, Diagonal, &[4], &[1], setting);
+            }
+            let test = "every_registry_solver_matches_the_direct_solve";
+            push(test, solver, Plain, depths, ranks, setting);
+            if meta.preconditioned {
+                let spread = matches!(solver, "cg" | "ppcg");
+                let ranks = if spread { ranks } else { &[1] };
+                if solver == "ppcg" {
+                    let test = "decomposed_ppcg_with_block_jacobi_depth1";
+                    push(test, solver, BlockJacobi, &[1], ranks, setting);
+                }
+                let test = "preconditioners_do_not_change_the_answer";
+                push(test, solver, Diagonal, depths, ranks, setting);
+                push(test, solver, BlockJacobi, &[1], ranks, setting);
             }
         }
     }
-    let powers = [
-        ("ppcg", PreconKind::None),
-        ("ppcg", Diagonal),
-        ("mixed_ppcg", PreconKind::None),
-    ];
-    for (solver, precon) in powers {
-        push(solver, precon, &[1, 2, 4, 8], &[1, 2, 4], Setting::Pipe);
+    let setting = Setting::Pipe;
+    let test = "matrix_powers_depths_agree_across_a_decomposition";
+    for (solver, precon) in [("ppcg", Plain), ("ppcg", Diagonal), ("mixed_ppcg", Plain)] {
+        push(test, solver, precon, &[1, 2, 4, 8], &[1, 2, 4], setting);
     }
+    let test = "mixed_cg_matches_f64_on_the_crooked_pipe";
     for precon in [Diagonal, BlockJacobi] {
-        push("mixed_cg", precon, &[1], &[1], Setting::Pipe);
+        push(test, "mixed_cg", precon, &[1], &[1], setting);
     }
     for n in [96, 64] {
-        for (solver, depth) in [("mixed_cg", 1), ("mixed_ppcg", 4), ("mixed_chebyshev", 1)] {
-            push(solver, Diagonal, &[depth], &[1, 4], Setting::Cliff(n));
+        for (family, depth) in [("mixed_cg", 1), ("mixed_ppcg", 4), ("mixed_chebyshev", 1)] {
+            let name = format!("{family}_matches_f64_on_the_cliff_decks_serial_and_decomposed");
+            for &(_, test) in TESTS.iter().filter(|&&(_, t)| t == name) {
+                push(test, family, Diagonal, &[depth], &[1, 4], Setting::Cliff(n));
+            }
         }
     }
     rows
@@ -359,12 +403,8 @@ impl Runs {
     }
 
     fn chain(&mut self, coefficient: Coefficient) -> Rc<Chain> {
-        let make = || Rc::new(Chain::new(coefficient));
-        Rc::clone(
-            self.chains
-                .entry(format!("{coefficient:?}"))
-                .or_insert_with(make),
-        )
+        let chain = self.chains.entry(format!("{coefficient:?}"));
+        Rc::clone(chain.or_insert_with(|| Rc::new(Chain::new(coefficient))))
     }
 }
 
@@ -379,11 +419,8 @@ fn check(row: Row, runs: &mut Runs) {
     let (u, eps) = (field(&out), row.deck(None, 0).control.opts.eps);
     // cg_f32 stops at its floor, short of eps
     let f32_floor = meta.precision == Precision::F32;
-    assert!(
-        f32_floor || out.steps.iter().all(|s| s.converged),
-        "{row:?}: unconverged: {:?}",
-        out.steps
-    );
+    let converged = out.steps.iter().all(|s| s.converged);
+    assert!(f32_floor || converged, "{row:?}: {:?}", out.steps);
 
     if let Setting::Oracle(coefficient) = row.setting {
         let chain = runs.chain(coefficient);
@@ -395,21 +432,20 @@ fn check(row: Row, runs: &mut Runs) {
 
     if row.ranks > 1 {
         // reduction order moves an answer that meets eps far less than
-        // eps, and one at the f32 floor by about that floor (2e-6 seen);
-        // the stopping point moves by an iteration or so (2 of 111 for
-        // mixed_cg, whose inner solve sums in f32)
+        // eps (7.6e-11 seen), one whose inner solve sums in f32 further
+        // (7.6e-10, mixed_cg), and one at the f32 floor by about that
+        // floor (1.9e-6); the stopping point moves by an iteration or so
         let twin = runs.get(Row { ranks: 1, ..row }, None, 0);
-        let tol = if f32_floor { 1e-5 } else { 1e-8 };
+        let tol = match meta.precision {
+            Precision::F64 => 1e-9,
+            Precision::Mixed => 1e-8,
+            Precision::F32 => 1e-5,
+        };
         let diff = u.interior_max_rel_diff(field(&twin));
         assert!(diff <= tol, "{row:?}: {diff:e} off its 1-rank twin");
-        let (t, t1) = (
-            out.final_summary.temperature,
-            twin.final_summary.temperature,
-        );
-        assert!(
-            (t - t1).abs() <= tol * t1,
-            "{row:?}: temperature {t} vs {t1}"
-        );
+        let t = |o: &RankOutput| o.final_summary.temperature;
+        let (t, t1) = (t(&out), t(&twin));
+        assert!((t - t1).abs() <= tol * t1, "{row:?}: heat {t} vs {t1}");
         for (s, s1) in out.steps.iter().zip(&twin.steps) {
             let (its, its1) = (s.iterations, s1.iterations);
             let near = its.abs_diff(its1) <= 1 + its1 / 20;
@@ -458,10 +494,7 @@ fn check(row: Row, runs: &mut Runs) {
     let told = first.steps[0].final_residual / first.steps[0].initial_residual;
     let mut d = Field2D::new(sys.density.nx(), sys.density.ny(), 1);
     sys.op.diagonal_into(&mut d, 0);
-    let gap = interior(&d)
-        .iter()
-        .fold(0.0, |g: f64, d| g.max(2.0 * d - 1.0))
-        .sqrt();
+    let gap = (2.0 * interior(&d).into_iter().fold(0.0, f64::max) - 1.0).sqrt();
     assert!(
         truth <= gap * told && told <= gap * truth,
         "{row:?}: reports a relative residual of {told:e}, its answer has {truth:e}"
@@ -471,12 +504,8 @@ fn check(row: Row, runs: &mut Runs) {
     // (0 iterations, unconverged), and at 2^-60 its bits move
     let oracle = Setting::Oracle(Coefficient::Conductivity);
     if row.precon == PreconKind::None && row.setting == oracle {
-        let ks: &[i32] = if f32_floor {
-            &[-20, 20]
-        } else {
-            &[-60, -20, 20, 60]
-        };
-        for &k in ks {
+        let ks = [-60, -20, 20, 60].into_iter();
+        for k in ks.filter(|k: &i32| !f32_floor || k.abs() < 60) {
             let scaled = runs.get(row, Some(1), k);
             assert_same_bits(&format!("{row:?} at 2^{k}"), &scaled, &first, 2f64.powi(k));
         }
@@ -497,53 +526,43 @@ fn assert_same_bits(what: &str, out: &RankOutput, twin: &RankOutput, scale: f64)
     assert!(bits(out, 1.0) == bits(twin, scale), "{what}: bits differ");
 }
 
-/// The name of the test that checks `row`. A row's twins may belong to
-/// other tests; [`Runs`] makes them again there.
-fn owner(row: &Row) -> &'static str {
-    let meta = solver_registry().resolve(row.solver).expect("an entry");
-    let mixed = meta.precision == Precision::Mixed;
-    let (serial, plain) = (row.ranks == 1, row.precon == PreconKind::None);
-    match row.setting {
-        Setting::Oracle(Coefficient::RecipConductivity) => "heat_is_conserved_for_every_solver",
-        Setting::Oracle(Coefficient::Conductivity) => match row.solver {
-            "cg" if plain && !serial => "rank_counts_agree_for_cg",
-            "ppcg" if row.precon == PreconKind::BlockJacobi => {
-                "decomposed_ppcg_with_block_jacobi_depth1"
-            }
-            "mixed_ppcg" if row.depth > 1 => "mixed_ppcg_matches_f64_on_a_deeper_halo_deck",
-            _ if !plain => "preconditioners_do_not_change_the_answer",
-            _ if !serial || row.depth > 1 => "every_registry_solver_matches_the_direct_solve",
-            _ if mixed => "mixed_solves_are_exactly_scale_equivariant",
-            _ => "every_solver_reaches_the_same_temperature_field",
-        },
-        Setting::Pipe if mixed && !plain => "mixed_cg_matches_f64_on_the_crooked_pipe",
-        Setting::Pipe => "matrix_powers_depths_agree_across_a_decomposition",
-        Setting::Cliff(_) => match row.solver {
-            "mixed_cg" => "mixed_cg_matches_f64_on_the_cliff_decks_serial_and_decomposed",
-            "mixed_ppcg" => "mixed_ppcg_matches_f64_on_the_cliff_decks_serial_and_decomposed",
-            _ => "mixed_chebyshev_matches_f64_on_the_cliff_decks_serial_and_decomposed",
-        },
-    }
-}
-
 /// Checks the table's rows that `test` owns.
 pub fn check_rows(test: &str) {
     let mut runs = Runs::default();
     let rows: Vec<Row> = table()
         .into_iter()
-        .filter(|row| owner(row) == test)
+        .filter_map(|(owner, row)| (owner == test).then_some(row))
         .collect();
     assert!(rows.len() > 1, "{test}: {} rows", rows.len());
     rows.into_iter().for_each(|row| check(row, &mut runs));
 }
 
-/// One `#[test]` per name, checking the rows [`owner`] gives that name.
+/// Every row's test is in [`TESTS`], and `file` declares exactly the
+/// tests [`TESTS`] gives it, so each row is checked.
+pub fn assert_declared(file: &str, declared: &[&str]) {
+    for (test, row) in table() {
+        let listed = TESTS.iter().any(|&(_, t)| t == test);
+        assert!(listed, "{row:?}: its test {test} is not in TESTS");
+    }
+    let tests = TESTS.iter().filter(|&&(f, _)| file.ends_with(f));
+    let listed: Vec<&str> = tests.map(|&(_, t)| t).collect();
+    assert_eq!(declared, listed, "{file}'s table tests");
+}
+
+/// One `#[test]` per name, checking the rows [`table`] gives that name,
+/// and one that the names are the ones [`TESTS`] lists for this file.
 macro_rules! table_tests {
-    ($($name:ident),* $(,)?) => {$(
+    ($($name:ident),* $(,)?) => {
+        $(
+            #[test]
+            fn $name() {
+                $crate::oracle_table::check_rows(stringify!($name));
+            }
+        )*
         #[test]
-        fn $name() {
-            $crate::oracle_table::check_rows(stringify!($name));
+        fn this_file_declares_its_table_tests() {
+            $crate::oracle_table::assert_declared(file!(), &[$(stringify!($name)),*]);
         }
-    )*};
+    };
 }
 pub(crate) use table_tests;
