@@ -220,8 +220,8 @@ mod tests {
     use std::sync::Arc;
     use tea_comms::{HaloLayout, SerialComm};
     use tea_core::{
-        Assembly, SessionSpec, SetupCache, Solve, SolveControls, SolveSession, SolveStatus,
-        SolveTrace, StopHandle, TileBounds, TileOperator,
+        Assembly, SetupCache, Solve, SolveControls, SolveSession, SolveStatus, SolveTrace,
+        StopHandle, TileBounds, TileOperator,
     };
     use tea_mesh::{
         crooked_pipe, timestep_scalings, Coefficient, Coefficients, Decomposition2D, Mesh2D,
@@ -313,16 +313,16 @@ mod tests {
     /// driver builds one: the job's own operator and density around the
     /// solver pooled for its setup (a hit) or a fresh one (a miss).
     fn checkout(cache: &SetupCache, s: &Setup) -> SolveSession {
-        let spec = SessionSpec {
-            opts: SolveOpts::with_eps(1e-9),
-            ..SessionSpec::solver("amg")
-        };
-        cache.checkout(s.op.clone(), &spec, amg()).with_assembly(
+        let (n, _) = s.op.bounds.tile();
+        let layout = HaloLayout::new(&Decomposition2D::with_grid(n, n, 1, 1), 0);
+        let opts = SolveOpts::with_eps(1e-9);
+        let session = SolveSession::new(s.op.clone(), layout, amg(), opts).with_assembly(
             Arc::new(s.density.clone()),
             s.coefficient,
             s.rx,
             s.ry,
-        )
+        );
+        cache.checkout(session, &SolverParams::default())
     }
 
     /// A cold session over `s`, checked out of its own cache.
@@ -344,9 +344,11 @@ mod tests {
         for solve in 0..3 {
             let mut warm = checkout(&cache, &s);
             let mut u = s.b.clone();
-            let got = warm.solve(&mut u, &s.b);
+            let got = warm.solve(&mut u, &s.b).expect("the recipe is attached");
             let mut u_cold = s.b.clone();
-            let want = cold_session(&s).solve(&mut u_cold, &s.b);
+            let want = cold_session(&s)
+                .solve(&mut u_cold, &s.b)
+                .expect("the recipe is attached");
             assert!(got.converged, "solve {solve}");
             assert_eq!(u, u_cold, "solve {solve} drifted from a cold session");
             assert_eq!(got.iterations, want.iterations, "solve {solve}");

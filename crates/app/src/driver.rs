@@ -37,8 +37,8 @@ use tea_comms::{
     gather_to_root, run_threaded as comm_run, Communicator, HaloLayout, SerialComm, StatsSnapshot,
 };
 use tea_core::{
-    IterativeSolver, SessionSpec, SetupCache, SolveControls, SolveResult, SolveSession,
-    SolveStatus, SolveTrace, TileBounds, TileOperator,
+    IterativeSolver, SetupCache, SolveControls, SolveResult, SolveSession, SolveStatus, SolveTrace,
+    TileBounds, TileOperator,
 };
 use tea_mesh::{timestep_scalings, Coefficient, Coefficients, Decomposition2D, Field2D, Mesh2D};
 use tea_tune::TuneLog;
@@ -54,7 +54,8 @@ pub enum DriverError {
     /// A control value is outside the range the solvers accept
     /// ([`crate::Control::check`]); the message names the deck key.
     InvalidControl(String),
-    /// The solver name or precision did not resolve in the registry.
+    /// The solver name or precision did not resolve in the registry, or
+    /// the solve's session refused its inputs.
     Solver(String),
     /// A serial-only solver was asked to run decomposed.
     SerialOnly {
@@ -132,9 +133,11 @@ pub struct StepRecord {
     pub iterations: u64,
     /// Whether the solve converged.
     pub converged: bool,
-    /// Euclidean norm of the solve's initial residual.
+    /// The solve's initial residual norm, as
+    /// [`SolveResult::initial_residual`] reports it.
     pub initial_residual: f64,
-    /// Euclidean norm of the solve's final residual.
+    /// The solve's final residual norm, as
+    /// [`SolveResult::final_residual`] reports it.
     pub final_residual: f64,
     /// Diagnostics (present on reporting steps).
     pub summary: Option<FieldSummary>,
@@ -415,9 +418,10 @@ fn drive(
 type RankStepped = (Rank, Stepped, Option<Box<dyn std::any::Any>>, StatsSnapshot);
 
 /// Resolves the solver, sets the rank up, assembles its operator once,
-/// builds its session — around the solver `cache` pools for this setup,
-/// if any, when serving — and steps through it. A solve that diverges
-/// or is cancelled ends the run with its [`DriverError`]; one that hits
+/// builds its session — checked out of `cache` when serving, which may
+/// swap in the solver it pools for this setup — and steps through it. A
+/// solve the session refuses, diverges or is cancelled ends the run with
+/// its [`DriverError`]; one that hits
 /// the iteration cap is recorded unconverged and the run goes on. The
 /// session is checked back in, which pools its solver, only after a
 /// clean run.
@@ -438,38 +442,28 @@ fn step_rank(
     let name = solver.name();
     let (rank, energy) = Rank::setup(deck, decomp, comm.rank(), solver.halo_depth());
     let op = rank.operator();
-    let session = match cache {
-        None => {
-            let layout = HaloLayout::new(decomp, comm.rank());
-            SolveSession::new(op, layout, solver, deck.control.opts)
-        }
-        Some(cache) => {
-            // no precision routing: effective_solver already folded
-            // tl_precision into the name
-            let spec = SessionSpec {
-                opts: deck.control.opts,
-                params: deck.control.solver_params(),
-                ..SessionSpec::solver(name)
-            };
-            // the instance built above solves on a miss and is dropped
-            // on a hit, where the pooled one takes its place
-            cache.checkout(op, &spec, solver)
-        }
-    };
+    let layout = HaloLayout::new(decomp, comm.rank());
     // the recipe behind the operator, for solvers whose prepare builds
     // from it (AMG's hierarchy)
-    let mut session = session.with_assembly(
+    let session = SolveSession::new(op, layout, solver, deck.control.opts).with_assembly(
         Arc::clone(&rank.density),
         rank.coefficient,
         rank.rx,
         rank.ry,
     );
+    // serving: the pooled solver of this setup, if any, replaces the one
+    // built above
+    let mut session = match cache {
+        Some(cache) => cache.checkout(session, &deck.control.solver_params()),
+        None => session,
+    };
 
     let label = session.solver_label();
     // a diverged or cancelled session is dropped by the early return
     // (never checked in): its workspace may carry non-finite state
     let stepped = time_steps(deck, &rank, energy, label, comm, |step, u, b, trace| {
         let (result, wall) = timed(|| session.solve_controlled(comm, u, b, controls, trace));
+        let result = result.map_err(|e| DriverError::Solver(e.to_string()))?;
         match result.status {
             SolveStatus::Diverged { iteration } => Err(DriverError::Diverged {
                 solver: name.to_string(),

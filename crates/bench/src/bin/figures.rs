@@ -247,7 +247,8 @@ fn claim_iterations(args: &FigArgs) -> Result<(), Violation> {
     let (n, steps) = (args.scale.cells, args.scale.steps);
     println!("Eqs. 6-7: iteration accounting on the crooked pipe {n}x{n}\n");
 
-    let cg = measure(&SolverConfig::cg(), n, steps);
+    let failed = || Violation::failed("Eqs. 6-7");
+    let cg = measure(&SolverConfig::cg(), n, steps).map_err(failed())?;
     let (iters, reductions, sweeps) = (cg.iterations, cg.trace.reductions, cg.trace.spmv.total());
     println!("CG - 1:    {iters:>6} iterations, {reductions:>6} reductions, {sweeps:>6} sweeps");
 
@@ -256,7 +257,7 @@ fn claim_iterations(args: &FigArgs) -> Result<(), Violation> {
         config.inner = m;
         // the eigen-estimation prelude runs plain CG iterations first
         let presteps = config.deck(n, steps).control.presteps * steps;
-        let run = measure(&config, n, steps);
+        let run = measure(&config, n, steps).map_err(failed())?;
         let outer = run.iterations.saturating_sub(presteps);
         println!(
             "CPPCG m={m:<2}: {outer:>5} outer iterations (+{presteps} presteps), \
@@ -268,7 +269,8 @@ fn claim_iterations(args: &FigArgs) -> Result<(), Violation> {
     }
 
     // theoretical bounds from the estimated condition number
-    if let Some((lo, hi)) = measure(&SolverConfig::ppcg(1), n, 1).trace.eigen_bounds {
+    let prelude = measure(&SolverConfig::ppcg(1), n, 1).map_err(failed())?;
+    if let Some((lo, hi)) = prelude.trace.eigen_bounds {
         let kappa = hi / lo;
         let eps = 1e-10;
         let k_total = cg_iteration_bound(kappa, eps);

@@ -16,7 +16,7 @@ use tea_perfmodel::{
 
 use crate::{
     extrapolate_amg_to, extrapolate_to, fit_power_law, lanczos_kappa, measure, measure_kappa,
-    SolverConfig,
+    DeckFailure, SolverConfig,
 };
 
 /// The sizes a claim is measured at and extrapolated to.
@@ -42,6 +42,13 @@ impl fmt::Display for Violation {
     }
 }
 
+impl Violation {
+    /// The violation of `claim` by a measured deck that failed.
+    pub fn failed(claim: &str) -> impl FnOnce(DeckFailure) -> Violation + '_ {
+        move |failure| Violation(format!("{claim}: {failure}"))
+    }
+}
+
 /// `Ok` where `holds`, else the violation of `claim` with its numbers.
 fn check(
     holds: bool,
@@ -57,12 +64,7 @@ fn check(
 /// Runs `deck` for `claim`: a run that fails is a violation naming the
 /// deck.
 fn run(claim: &'static str, deck: &Deck) -> Result<RankOutput, Violation> {
-    run_serial(deck).map_err(|e| {
-        let (n, solver) = (deck.problem.x_cells, &deck.control.solver);
-        Violation(format!(
-            "{claim}: the {n}² {solver} deck runs (measured: {e})"
-        ))
-    })
+    run_serial(deck).map_err(|e| Violation::failed(claim)(DeckFailure::of(deck, e)))
 }
 
 /// Replays an extrapolated protocol on a modelled machine over its node
@@ -189,7 +191,11 @@ pub fn fig4(scale: &Scale) -> Result<Vec<(usize, f64)>, Violation> {
 /// measured at `scale.cells`, extrapolated to `scale.target` (one κ
 /// measurement serves all five) and replayed on one GPU machine.
 /// Returns the series and the `PPCG - 16` protocol.
-fn gpu_sweep(scale: &Scale, figure: u32, machine: &Machine) -> (Vec<ScalingSeries>, SolveTrace) {
+fn gpu_sweep(
+    scale: &Scale,
+    figure: u32,
+    machine: &Machine,
+) -> Result<(Vec<ScalingSeries>, SolveTrace), Violation> {
     println!(
         "Fig. {figure}: strong scaling on {} — {}^2 mesh (measured at {}^2, extrapolated)\n",
         machine.name, scale.target, scale.cells
@@ -200,7 +206,8 @@ fn gpu_sweep(scale: &Scale, figure: u32, machine: &Machine) -> (Vec<ScalingSerie
     let mut series = Vec::new();
     let mut deepest = None;
     for config in &configs {
-        let ext = extrapolate_to(config, scale.cells, scale.steps, scale.target, kappa);
+        let ext = extrapolate_to(config, scale.cells, scale.steps, scale.target, kappa)
+            .map_err(Violation::failed(&format!("Fig. {figure}")))?;
         eprintln!(
             "  {}: κ {:.0} -> {:.0}, iterations x{:.1} = {} outer",
             config.label,
@@ -213,14 +220,14 @@ fn gpu_sweep(scale: &Scale, figure: u32, machine: &Machine) -> (Vec<ScalingSerie
         deepest = Some(ext.trace);
     }
     print_series_table(&series);
-    (series, deepest.expect("five configurations"))
+    Ok((series, deepest.expect("five configurations")))
 }
 
 /// Fig. 5 — CUDA strong scaling on Titan (K20x + Gemini): `PPCG - 16`
 /// beats `CG - 1` at the full 8,192 nodes. Returns the five series.
 pub fn fig5(scale: &Scale) -> Result<Vec<ScalingSeries>, Violation> {
     let machine = titan();
-    let (series, _) = gpu_sweep(scale, 5, &machine);
+    let (series, _) = gpu_sweep(scale, 5, &machine)?;
 
     println!("\nshape checks against the paper:");
     for s in &series {
@@ -249,7 +256,7 @@ pub fn fig5(scale: &Scale) -> Result<Vec<ScalingSeries>, Violation> {
 /// cross-machine claim: the same GPUs on Aries beat Titan's Gemini at
 /// 2,048 nodes (paper: 47 %, 4.09 s vs 2.79 s). Returns the five series.
 pub fn fig6(scale: &Scale) -> Result<Vec<ScalingSeries>, Violation> {
-    let (series, pp16) = gpu_sweep(scale, 6, &piz_daint());
+    let (series, pp16) = gpu_sweep(scale, 6, &piz_daint())?;
 
     for s in &series {
         println!("  {} fastest at {} nodes", s.label, s.best_nodes());
@@ -285,9 +292,13 @@ pub fn fig7(scale: &Scale) -> Result<Vec<ScalingSeries>, Violation> {
     // measure the three solver protocols once, and κ once for both
     // Krylov configurations
     let kappa = measure_kappa(scale.cells);
-    let krylov = |config| extrapolate_to(&config, scale.cells, scale.steps, scale.target, kappa);
-    let (cg, pp) = (krylov(SolverConfig::cg()), krylov(SolverConfig::ppcg(1)));
-    let (amg_trace, p_amg) = extrapolate_amg_to(scale.cells, scale.steps, scale.target);
+    let krylov = |config| {
+        extrapolate_to(&config, scale.cells, scale.steps, scale.target, kappa)
+            .map_err(Violation::failed("Fig. 7"))
+    };
+    let (cg, pp) = (krylov(SolverConfig::cg())?, krylov(SolverConfig::ppcg(1))?);
+    let (amg_trace, p_amg) = extrapolate_amg_to(scale.cells, scale.steps, scale.target)
+        .map_err(Violation::failed("Fig. 7"))?;
     eprintln!(
         "  iteration scale factors: CG x{:.1}, PPCG x{:.1}; BoomerAMG growth exponent {p_amg:.2} \
          (multigrid should be near mesh-independent)",
@@ -375,9 +386,11 @@ pub fn fig8(scale: &Scale) -> Result<[Efficiency; 3], Violation> {
     let kappa = measure_kappa(scale.cells);
     let ppcg = |depth| {
         let config = SolverConfig::ppcg(depth);
-        extrapolate_to(&config, scale.cells, scale.steps, scale.target, kappa).trace
+        extrapolate_to(&config, scale.cells, scale.steps, scale.target, kappa)
+            .map(|ext| ext.trace)
+            .map_err(Violation::failed("Fig. 8"))
     };
-    let (pp1, pp16) = (ppcg(1), ppcg(16));
+    let (pp1, pp16) = (ppcg(1)?, ppcg(16)?);
     let effs = [
         ("Spruce - PPCG - 1 (MPI)", spruce_mpi(), &pp1),
         ("Piz Daint - PPCG - 16 (CUDA)", piz_daint(), &pp16),
@@ -491,7 +504,7 @@ pub fn claim_weak_scaling(scale: &Scale) -> Result<(f64, f64), Violation> {
     let mut iter_points = Vec::new();
     for n in sizes {
         let kappa = measure_kappa(n);
-        let m = measure(&SolverConfig::cg(), n, scale.steps);
+        let m = measure(&SolverConfig::cg(), n, scale.steps).map_err(Violation::failed("§VI"))?;
         let (iters, sweeps) = (m.iterations, m.trace.spmv.total());
         let per_root = iters as f64 / kappa.sqrt();
         println!("{n:>5}^2 {kappa:>12.1} {iters:>12} {sweeps:>16} {per_root:>16.2}");

@@ -13,6 +13,8 @@
 
 pub mod claims;
 
+use std::fmt;
+
 use tea_amg::MgTrace;
 use tea_app::{crooked_pipe_deck, run_serial, Deck};
 use tea_comms::{HaloLayout, SerialComm};
@@ -86,21 +88,47 @@ pub struct Measurement {
     pub iterations: u64,
 }
 
+/// A measured deck that did not run to convergence: the deck, named by
+/// its size and solver, and what the driver or its steps reported.
+#[derive(Debug)]
+pub struct DeckFailure(String);
+
+impl DeckFailure {
+    /// The failure of `deck`, for the reason `why`.
+    pub(crate) fn of(deck: &Deck, why: impl fmt::Display) -> Self {
+        let (n, solver) = (deck.problem.x_cells, &deck.control.solver);
+        DeckFailure(format!("the {n}² {solver} deck runs (measured: {why})"))
+    }
+}
+
+impl fmt::Display for DeckFailure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
 /// Runs a configuration serially and returns its protocol.
-pub fn measure(config: &SolverConfig, cells: usize, steps: u64) -> Measurement {
+///
+/// # Errors
+/// [`DeckFailure`] when the deck does not run (an unregistered solver
+/// name, say) or one of its steps does not converge.
+pub fn measure(
+    config: &SolverConfig,
+    cells: usize,
+    steps: u64,
+) -> Result<Measurement, DeckFailure> {
     let deck = config.deck(cells, steps);
-    let out = run_serial(&deck).expect("deck runs");
-    assert!(
-        out.steps.iter().all(|s| s.converged),
-        "{} failed to converge at {cells}^2",
-        config.label
-    );
-    Measurement {
+    let out = run_serial(&deck).map_err(|e| DeckFailure::of(&deck, e))?;
+    if let Some(s) = out.steps.iter().find(|s| !s.converged) {
+        let why = format!("{} did not converge at step {}", config.label, s.step);
+        return Err(DeckFailure::of(&deck, why));
+    }
+    Ok(Measurement {
         cells,
         trace: out.trace,
         mg: out.mg_trace,
         iterations: out.steps.iter().map(|s| s.iterations).sum(),
-    }
+    })
 }
 
 /// Fits `iters = a · n^p` through measured `(n, iters)` points by
@@ -181,14 +209,17 @@ pub struct Extrapolation {
 /// * CPPCG outer iterations scale as `√(κpcg_t/κpcg_m)` with `κpcg`
 ///   from Eqs. 4-5 — which reproduces O'Leary's invariant that the
 ///   *total* matrix-vector work cannot drop below plain CG's.
+///
+/// # Errors
+/// As [`measure`], for the measured deck.
 pub fn extrapolate_to(
     config: &SolverConfig,
     base_cells: usize,
     steps: u64,
     target: usize,
     kappa_measured: f64,
-) -> Extrapolation {
-    let measurement = measure(config, base_cells, steps);
+) -> Result<Extrapolation, DeckFailure> {
+    let measurement = measure(config, base_cells, steps)?;
     let ratio = target as f64 / base_cells as f64;
     let kappa_target = kappa_measured * ratio * ratio;
     let factor = if config.solver == "ppcg" {
@@ -198,23 +229,31 @@ pub fn extrapolate_to(
     };
     let mut trace = measurement.trace.scaled(factor);
     trace.solver = config.label.clone();
-    Extrapolation {
+    Ok(Extrapolation {
         trace,
         measurement,
         kappa_measured,
         kappa_target,
         factor,
-    }
+    })
 }
 
 /// Extrapolates an AMG measurement: iteration growth fitted from three
 /// sizes (multigrid is near mesh-independent, so the fit is safe); level
 /// shapes rebuilt for the target mesh; per-level sweeps and setup cells
 /// scaled consistently. Returns the trace and the fitted growth exponent.
-pub fn extrapolate_amg_to(base_cells: usize, steps: u64, target: usize) -> (MgTrace, f64) {
+///
+/// # Errors
+/// As [`measure`], for the first measured deck that fails.
+pub fn extrapolate_amg_to(
+    base_cells: usize,
+    steps: u64,
+    target: usize,
+) -> Result<(MgTrace, f64), DeckFailure> {
     let config = SolverConfig::amg();
     let sizes = [base_cells / 4 * 2, base_cells / 4 * 3, base_cells];
-    let runs = sizes.map(|n| measure(&config, n.max(16), steps));
+    let [small, mid, base] = sizes.map(|n| measure(&config, n.max(16), steps));
+    let runs = [small?, mid?, base?];
     let (a, p) = fit_power_law(&runs.each_ref().map(|m| (m.cells, m.iterations.max(1))));
     let predicted = a * (target as f64).powf(p);
     let last = &runs[2];
@@ -254,7 +293,7 @@ pub fn extrapolate_amg_to(base_cells: usize, steps: u64, target: usize) -> (MgTr
         coarse_solves: vcycles,
         setup_cells: (total_setup as u64) * (steps.max(1)),
     };
-    (mg, p)
+    Ok((mg, p))
 }
 
 #[cfg(test)]
@@ -279,18 +318,27 @@ mod tests {
 
     #[test]
     fn measure_produces_consistent_protocol() {
-        let m = measure(&SolverConfig::cg(), 24, 1);
+        let m = measure(&SolverConfig::cg(), 24, 1).unwrap();
         assert_eq!(m.cells, 24);
         assert!(m.iterations > 0);
         assert_eq!(m.trace.outer_iterations, m.iterations);
         assert!(m.mg.is_none());
-        let amg = measure(&SolverConfig::amg(), 24, 1);
+        let amg = measure(&SolverConfig::amg(), 24, 1).unwrap();
         assert!(amg.mg.is_some());
     }
 
     #[test]
+    fn measure_names_a_deck_that_does_not_run() {
+        let mut config = SolverConfig::cg();
+        config.solver = "gauss_seidel".into();
+        let err = measure(&config, 16, 1).unwrap_err().to_string();
+        assert!(err.contains("gauss_seidel"), "{err}");
+        assert!(err.contains("16²"), "{err}");
+    }
+
+    #[test]
     fn extrapolation_scales_iterations_up() {
-        let ext = extrapolate_to(&SolverConfig::cg(), 48, 1, 512, measure_kappa(48));
+        let ext = extrapolate_to(&SolverConfig::cg(), 48, 1, 512, measure_kappa(48)).unwrap();
         // CG factor is exactly the mesh ratio (κ ∝ n², iters ∝ √κ)
         assert!((ext.factor - 512.0 / 48.0).abs() < 1e-9);
         assert!(ext.trace.outer_iterations > ext.measurement.iterations);

@@ -12,7 +12,8 @@
 //!
 //! Three layers, thinnest on top:
 //!
-//! 1. [`crate::Solve`] — the one-expression builder entry point;
+//! 1. [`crate::Solve`] — the one-expression builder entry point, a
+//!    one-shot [`crate::SolveSession`];
 //! 2. [`crate::SolverRegistry`] — string-keyed construction + metadata;
 //! 3. [`IterativeSolver`] — the trait each method implements.
 
@@ -410,9 +411,9 @@ pub trait IterativeSolver: Any + Send {
 
     /// Whether [`IterativeSolver::prepare`] builds from the context's
     /// [`SolveContext::assembly`] (AMG's hierarchy), so a context without
-    /// one cannot prepare it. Default: `false`. Only [`crate::Solve::run`]
-    /// reads it, to return an error instead of that panic; a
-    /// [`crate::SolveSession`] without an assembly still reaches it.
+    /// one cannot prepare it. Default: `false`. A [`crate::SolveSession`]
+    /// with no assembly attached refuses such a solver with
+    /// [`SolverError::MissingInput`] instead of preparing it.
     fn needs_assembly(&self) -> bool {
         false
     }

@@ -1,15 +1,14 @@
 //! [`Solve`] — the one-expression entry point into the solver design
-//! space, and the small problem-assembly helper its doctests and the
-//! benches share.
+//! space, a one-shot [`SolveSession`] — and the small problem-assembly
+//! helper its doctests and the benches share.
 
-use crate::api::{DynTile, IterativeSolver, Precision, SolveContext, SolverError, SolverParams};
+use crate::api::{Precision, SolverError, SolverParams};
 use crate::ops::{TileBounds, TileOperator};
 use crate::precon::PreconKind;
 use crate::registry::SolverRegistry;
-use crate::session::{serial_layout, SessionSpec};
-use crate::solver::{SolveOpts, Tile, Workspace};
-use crate::trace::{SolveResult, SolveTrace};
-use tea_comms::SerialComm;
+use crate::session::{SessionSpec, SolveSession};
+use crate::solver::SolveOpts;
+use crate::trace::SolveResult;
 use tea_mesh::{crooked_pipe, timestep_scalings, Coefficients, Field2D, Mesh2D};
 
 /// Builder for one linear solve: pick a solver by registry name, adjust
@@ -54,9 +53,8 @@ impl<'a> Solve<'a> {
     /// Resolves names against `registry` instead of
     /// [`SolverRegistry::builtin`] (e.g. one with `auto` or custom
     /// methods registered). A method that builds from the operator's
-    /// assembly recipe (`tea-amg`'s) cannot run in a `Solve`:
-    /// [`Solve::run`] names what it misses. (A [`crate::SolveSession`]
-    /// built without that recipe still panics in `prepare` for it.)
+    /// assembly recipe (`tea-amg`'s) cannot run in a `Solve`, which
+    /// carries none: [`Solve::run`] names what it misses.
     pub fn with_registry(mut self, registry: &'a SolverRegistry) -> Self {
         self.registry = Some(registry);
         self
@@ -136,65 +134,27 @@ impl<'a> Solve<'a> {
         self
     }
 
-    /// Runs the solve on a single serial tile, allocating the workspace
-    /// internally: prepare, then solve. `u` enters as the initial guess
-    /// and exits as the solution. The workspace takes `u`'s halo depth,
-    /// which must be at least the solver's, so a shallow solver runs on
-    /// fields assembled for a deeper one.
+    /// Runs the solve on a single serial tile as a one-shot
+    /// [`SolveSession`] over a copy of the operator: prepare, then
+    /// solve. `u` enters as the initial guess and exits as the solution.
+    /// The workspace takes `u`'s halo depth, which must be at least the
+    /// solver's, so a shallow solver runs on fields assembled for a
+    /// deeper one.
     ///
     /// # Errors
     /// [`SolverError::UnknownSolver`] for an unregistered solver name,
     /// the other errors of [`SolverRegistry::route`] and
-    /// [`SolverRegistry::create`], and [`SolverError::MissingInput`] for
-    /// a method that builds from the operator's assembly recipe, which a
-    /// `Solve` does not carry, or one whose halo is deeper than `u`'s.
+    /// [`SolverRegistry::create`], and those of
+    /// [`SolveSession::solve_controlled`]: a method that builds from the
+    /// operator's assembly recipe, which a `Solve` does not carry, or
+    /// one whose halo is deeper than `u`'s.
     ///
     /// # Panics
-    /// As [`crate::SolveSession::solve_controlled`], when `u` or `b` is
-    /// not shaped like the operator's tile at that workspace's halo.
+    /// As [`SolveSession::solve_controlled`], when `u` or `b` is not
+    /// shaped like the operator's tile at that workspace's halo.
     pub fn run(&self, u: &mut Field2D, b: &Field2D) -> Result<SolveResult, SolverError> {
-        let mut solver = create_solver(self.registry, &self.spec)?;
-        let name = solver.name();
-        let missing = |missing: String| SolverError::MissingInput {
-            solver: name.to_string(),
-            missing,
-        };
-        if solver.needs_assembly() {
-            let recipe = "the operator's assembly recipe, which a Solve does not carry \
-                          (a SolveSession with_assembly does)";
-            return Err(missing(recipe.to_string()));
-        }
-        let (layout, comm) = (serial_layout(self.op), SerialComm::new());
-        let tile: DynTile<'_> = Tile::new(self.op, &layout, &comm);
-        let ctx = SolveContext::new(&tile);
-        solver.prepare(&ctx, &self.spec.opts);
-        // after prepare, which rejects parameters the method cannot take
-        let depth = solver.halo_depth();
-        if depth > u.halo() {
-            let operands = format!("operands with {depth} ghost layers, u has {}", u.halo());
-            return Err(missing(operands));
-        }
-        let (nx, ny) = self.op.bounds.tile();
-        let mut ws = Workspace::new(nx, ny, u.halo());
-        ws.check_operands(self.op, u, b);
-        let mut trace = SolveTrace::new(solver.label());
-        Ok(solver.solve(&ctx, u, b, &mut ws, &mut trace))
+        SolveSession::build_in(self.registry, self.op.clone(), &self.spec)?.solve(u, b)
     }
-}
-
-/// Routes `spec`'s solver name through its precision override and
-/// constructs the solver from `registry` (the builtin one when `None`).
-pub(crate) fn create_solver(
-    registry: Option<&SolverRegistry>,
-    spec: &SessionSpec,
-) -> Result<Box<dyn IterativeSolver>, SolverError> {
-    static BUILTIN: std::sync::OnceLock<SolverRegistry> = std::sync::OnceLock::new();
-    let registry = registry.unwrap_or_else(|| BUILTIN.get_or_init(SolverRegistry::builtin));
-    let name = match spec.precision {
-        Some(p) => registry.route(&spec.solver, p)?.name,
-        None => &spec.solver,
-    };
-    registry.create(name, &spec.params)
 }
 
 /// Assembles the paper's crooked-pipe system at `n × n` cells: the

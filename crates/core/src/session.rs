@@ -1,32 +1,29 @@
-//! Reusable solve sessions and the setup cache behind batched serving.
+//! Solve sessions — the one road every solve takes — and the setup
+//! cache behind batched serving.
 //!
-//! The [`crate::Solve`] builder is one-shot: every [`crate::Solve::run`]
-//! allocates a tile, a workspace and a solver, prepares, solves, and
-//! throws the lot away. That is the right shape for a single solve, but
-//! a serving queue that drains hundreds of decks — many of them
-//! identical — pays the setup tax over and over: preconditioner
-//! assembly, `f32` operator images, AMG's multigrid hierarchy.
-//!
-//! A [`SolveSession`] owns everything `Solve::run` allocated per call —
-//! operator, the rank's halo layout, workspace, solver instance — and
-//! keeps it alive across solves: the first solve prepares, every later
-//! one skips it. The communicator and the accumulated trace stay the
-//! caller's, lent per solve. Every entry point of the application
-//! driver steps through one session per rank; the serving road checks
-//! its session out of the cache below.
+//! A [`SolveSession`] owns an operator, the rank's halo layout, a
+//! solver instance and, from its first solve on, a workspace, and keeps
+//! them alive across solves: the first solve prepares, every later one
+//! skips it. The communicator and the accumulated trace stay the
+//! caller's, lent per solve. The session is the one place that prepares
+//! a solver and refuses what it cannot prepare: a method that builds
+//! from the assembly recipe when none is attached, or operands shallower
+//! than the method's halo, end as [`SolverError::MissingInput`], never
+//! as a panic. Every entry point of the application driver steps
+//! through one session per rank, and [`crate::Solve::run`] is a
+//! one-shot session.
 //!
 //! On top sits a keyed pool of *prepared solvers*: `SetupKey`
 //! fingerprints the setup — geometry, coefficient bits, solver
 //! configuration, the routed solver name, halo depth — and
-//! [`SetupCache::checkout`] wraps the operator the job assembled and a
-//! fresh workspace of its shape around the solver pooled under its key
-//! (a hit), or around the job's freshly constructed solver (a miss).
-//! [`SetupCache::checkin`] keeps only the solver: the operator,
-//! workspace and assembly recipe are every job's own, so the pool holds
-//! nothing a later job re-creates anyway. Either way a job constructs
-//! its solver once. Hit and miss counters feed the serving run summary.
-//! A session built outside a cache has no key and never hashes its
-//! coefficients.
+//! [`SetupCache::checkout`] swaps the solver pooled under a job's key
+//! into the job's cold session (a hit), or leaves the job's freshly
+//! constructed solver in place (a miss). [`SetupCache::checkin`] keeps
+//! only the solver: the operator, workspace and assembly recipe are
+//! every job's own, so the pool holds nothing a later job re-creates
+//! anyway. Either way a job constructs its solver once. Hit and miss
+//! counters feed the serving run summary. A session no cache checked
+//! out has no key and never hashes its coefficients.
 //!
 //! A prepared solver carries nothing from one solve to the next but the
 //! state `prepare` built, and the key pins the coefficient bits that
@@ -38,10 +35,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::api::{Assembly, IterativeSolver, Precision, SolveContext, SolverError, SolverParams};
-use crate::builder::create_solver;
 use crate::control::SolveControls;
 use crate::ops::TileOperator;
 use crate::precon::PreconKind;
+use crate::registry::SolverRegistry;
 use crate::solver::{SolveOpts, Tile, Workspace};
 use crate::trace::{SolveResult, SolveTrace};
 use tea_comms::{Communicator, HaloLayout, SerialComm};
@@ -112,18 +109,18 @@ struct SetupKey {
 }
 
 impl SetupKey {
-    /// The key of a session running `solver` over `(op, spec)`. Name
+    /// The key of `session`, whose solver was built from `params`. Name
     /// and halo depth are properties of the built instance (PPCG reads
     /// its depth from the params, `auto` reports its deepest
     /// candidate), so they are read from the one the job constructed.
-    fn of(op: &TileOperator, spec: &SessionSpec, solver: &dyn IterativeSolver) -> SetupKey {
-        let (nx, ny) = op.bounds.tile();
+    fn of(session: &SolveSession, params: &SolverParams) -> SetupKey {
+        let (nx, ny) = session.op.bounds.tile();
         SetupKey {
             nx,
             ny,
-            fingerprint: fingerprint(op, spec),
-            solver: solver.name().to_string(),
-            halo_depth: solver.halo_depth(),
+            fingerprint: fingerprint(&session.op, params, &session.opts),
+            solver: session.solver.name().to_string(),
+            halo_depth: session.solver.halo_depth(),
         }
     }
 }
@@ -162,11 +159,10 @@ impl Fnv {
 /// Hashes every allocated coefficient bit (interior and ghosts — deep-
 /// halo methods read the ghosts) plus the solver parameters and options
 /// a prepared solver latches.
-fn fingerprint(op: &TileOperator, spec: &SessionSpec) -> u64 {
+fn fingerprint(op: &TileOperator, p: &SolverParams, opts: &SolveOpts) -> u64 {
     let mut h = Fnv::new();
     h.push_field(&op.coeffs.kx);
     h.push_field(&op.coeffs.ky);
-    let p = &spec.params;
     h.push_u64(match p.precon {
         PreconKind::None => 0,
         PreconKind::Diagonal => 1,
@@ -176,16 +172,9 @@ fn fingerprint(op: &TileOperator, spec: &SessionSpec) -> u64 {
     h.push_u64(p.halo_depth as u64);
     h.push_u64(p.presteps);
     h.push_u64(p.tune_seed);
-    h.push_f64(spec.opts.eps);
-    h.push_u64(spec.opts.max_iters);
+    h.push_f64(opts.eps);
+    h.push_u64(opts.max_iters);
     h.0
-}
-
-/// The halo layout of an operator on an undecomposed domain: one rank,
-/// no neighbours.
-pub(crate) fn serial_layout(op: &TileOperator) -> HaloLayout {
-    let (nx, ny) = op.bounds.tile();
-    HaloLayout::new(&Decomposition2D::with_grid(nx, ny, 1, 1), 0)
 }
 
 /// Assembly provenance a session can own (the borrowed
@@ -211,8 +200,8 @@ struct OwnedAssembly {
 /// let (op, b) = crooked_pipe_system(24, 0.04, 1);
 /// let mut session = SolveSession::build(op, &SessionSpec::default()).unwrap();
 /// let mut u = b.clone();
-/// let first = session.solve(&mut u, &b); // prepares, then solves
-/// let again = session.solve(&mut u, &b); // reuses the prepared state
+/// let first = session.solve(&mut u, &b).unwrap(); // prepares, then solves
+/// let again = session.solve(&mut u, &b).unwrap(); // reuses the prepared state
 /// assert!(first.converged && again.converged);
 /// assert_eq!(session.prepare_count(), 1);
 /// ```
@@ -223,10 +212,11 @@ struct OwnedAssembly {
 pub struct SolveSession {
     op: TileOperator,
     layout: HaloLayout,
-    ws: Workspace,
+    /// Allocated by the first solve, at its operands' halo.
+    ws: Option<Workspace>,
     solver: Box<dyn IterativeSolver>,
     opts: SolveOpts,
-    /// The pool slot of a session a [`SetupCache`] built; `None`
+    /// The pool slot of a session a [`SetupCache`] checked out; `None`
     /// outside a cache, which then never hashes the coefficients.
     key: Option<SetupKey>,
     assembly: Option<OwnedAssembly>,
@@ -241,8 +231,25 @@ impl SolveSession {
     /// # Errors
     /// [`SolverError`] when the name or precision does not resolve.
     pub fn build(op: TileOperator, spec: &SessionSpec) -> Result<Self, SolverError> {
-        let solver = create_solver(None, spec)?;
-        let layout = serial_layout(&op);
+        Self::build_in(None, op, spec)
+    }
+
+    /// [`SolveSession::build`] resolving in `registry` (the builtin one
+    /// when `None`), after routing the name through `spec`'s precision.
+    pub(crate) fn build_in(
+        registry: Option<&SolverRegistry>,
+        op: TileOperator,
+        spec: &SessionSpec,
+    ) -> Result<Self, SolverError> {
+        static BUILTIN: std::sync::OnceLock<SolverRegistry> = std::sync::OnceLock::new();
+        let registry = registry.unwrap_or_else(|| BUILTIN.get_or_init(SolverRegistry::builtin));
+        let name = match spec.precision {
+            Some(p) => registry.route(&spec.solver, p)?.name,
+            None => &spec.solver,
+        };
+        let solver = registry.create(name, &spec.params)?;
+        let (nx, ny) = op.bounds.tile();
+        let layout = HaloLayout::new(&Decomposition2D::with_grid(nx, ny, 1, 1), 0);
         Ok(Self::new(op, layout, solver, spec.opts))
     }
 
@@ -254,11 +261,10 @@ impl SolveSession {
         solver: Box<dyn IterativeSolver>,
         opts: SolveOpts,
     ) -> Self {
-        let (nx, ny) = op.bounds.tile();
         SolveSession {
-            ws: Workspace::new(nx, ny, solver.halo_depth()),
             op,
             layout,
+            ws: None,
             solver,
             opts,
             key: None,
@@ -311,7 +317,10 @@ impl SolveSession {
     /// `u` entering as the initial guess:
     /// [`SolveSession::solve_controlled`] over a serial communicator,
     /// disarmed, into a fresh trace.
-    pub fn solve(&mut self, u: &mut Field2D, b: &Field2D) -> SolveResult {
+    ///
+    /// # Errors
+    /// As [`SolveSession::solve_controlled`].
+    pub fn solve(&mut self, u: &mut Field2D, b: &Field2D) -> Result<SolveResult, SolverError> {
         let mut trace = SolveTrace::new(self.solver.label());
         let comm = SerialComm::new();
         self.solve_controlled(&comm, u, b, SolveControls::default(), &mut trace)
@@ -321,12 +330,22 @@ impl SolveSession {
     /// guess, preparing on first use and reusing the prepared state
     /// afterwards. The solve observes `controls` (deadlines,
     /// cancellation, fault probes) and merges its protocol into `trace`,
-    /// the [`IterativeSolver::solve`] convention.
+    /// the [`IterativeSolver::solve`] convention. The first solve
+    /// allocates the workspace at `u`'s halo, which must be at least the
+    /// solver's, so a shallow solver runs on fields assembled for a
+    /// deeper one.
+    ///
+    /// # Errors
+    /// [`SolverError::MissingInput`], before anything is prepared, for
+    /// a method that builds from the assembly recipe
+    /// ([`IterativeSolver::needs_assembly`]) when none is attached; and
+    /// after `prepare`, which rejects parameters the method cannot
+    /// take, for a first solve whose `u` is shallower than the solver's
+    /// halo.
     ///
     /// # Panics
     /// When `u` or `b` does not have the operator's tile and the
-    /// workspace's halo (the solver's halo depth), at every thread
-    /// count.
+    /// workspace's halo, at every thread count.
     pub fn solve_controlled(
         &mut self,
         comm: &dyn Communicator,
@@ -334,14 +353,24 @@ impl SolveSession {
         b: &Field2D,
         controls: SolveControls<'_>,
         trace: &mut SolveTrace,
-    ) -> SolveResult {
+    ) -> Result<SolveResult, SolverError> {
         let assembly = self.assembly.as_ref().map(|a| Assembly {
             density: &a.density,
             coefficient: a.coefficient,
             rx: a.rx,
             ry: a.ry,
         });
+        let name = self.solver.name();
+        let missing = |missing: String| SolverError::MissingInput {
+            solver: name.to_string(),
+            missing,
+        };
         if self.prepares == 0 {
+            if self.solver.needs_assembly() && assembly.is_none() {
+                let recipe = "the operator's assembly recipe (attach it with \
+                              SolveSession::with_assembly)";
+                return Err(missing(recipe.to_string()));
+            }
             let tile = Tile::new(&self.op, &self.layout, comm);
             let ctx = SolveContext {
                 tile: &tile,
@@ -350,13 +379,27 @@ impl SolveSession {
             self.solver.prepare(&ctx, &self.opts);
             self.prepares = 1;
         }
-        self.ws.check_operands(&self.op, u, b);
+        let ws = match self.ws.take() {
+            Some(ws) => ws,
+            None => {
+                let depth = self.solver.halo_depth();
+                if depth > u.halo() {
+                    let operands =
+                        format!("operands with {depth} ghost layers, u has {}", u.halo());
+                    return Err(missing(operands));
+                }
+                let (nx, ny) = self.op.bounds.tile();
+                Workspace::new(nx, ny, u.halo())
+            }
+        };
+        let ws = self.ws.insert(ws);
+        ws.check_operands(&self.op, u, b);
         let tile = Tile::with_controls(&self.op, &self.layout, comm, controls);
         let ctx = SolveContext {
             tile: &tile,
             assembly,
         };
-        self.solver.solve(&ctx, u, b, &mut self.ws, trace)
+        Ok(self.solver.solve(&ctx, u, b, ws, trace))
     }
 }
 
@@ -380,13 +423,13 @@ struct Prepared {
 }
 
 /// A keyed pool of idle prepared solvers shared across serving
-/// workers. [`SetupCache::checkout`] builds a job's session around the
-/// solver pooled for its key (hit) or around the job's own (miss); the
-/// job checks the session back in when it ends, and the pool keeps its
-/// solver. On the benchmark's `serve_mix` (seed 7) the 20 pooled
-/// solvers hold 3.4 MiB of heap — AMG hierarchies, `f32` operator
-/// images and their scratch, block-Jacobi factors — where 20 whole
-/// sessions held 14.5 MiB.
+/// workers. [`SetupCache::checkout`] puts the solver pooled for a job's
+/// key into the job's session (hit) or leaves the job's own there
+/// (miss); the job checks the session back in when it ends, and the
+/// pool keeps its solver. On the benchmark's `serve_mix` (seed 7) the
+/// 20 pooled solvers hold 3.4 MiB of heap — AMG hierarchies, `f32`
+/// operator images and their scratch, block-Jacobi factors — where 20
+/// whole sessions held 14.5 MiB.
 ///
 /// Interior-locked, so workers share it behind a plain `Arc`.
 #[derive(Default)]
@@ -402,46 +445,38 @@ impl SetupCache {
         SetupCache::default()
     }
 
-    /// The session for a job that assembled `op` and constructed
-    /// `solver` for it, on an undecomposed domain: `op` and a zeroed
-    /// workspace of the job's shape around the solver pooled under the
-    /// job's `SetupKey` (a hit — `solver` is dropped and nothing is
-    /// re-prepared), or around `solver` itself (a miss). The caller
-    /// attaches its assembly recipe with [`SolveSession::with_assembly`]
-    /// either way. The coefficients are fingerprinted once and no second
-    /// solver is constructed on either branch.
-    pub fn checkout(
-        &self,
-        op: TileOperator,
-        spec: &SessionSpec,
-        solver: Box<dyn IterativeSolver>,
-    ) -> SolveSession {
-        let key = SetupKey::of(&op, spec, solver.as_ref());
+    /// The session for a job, from the job's cold `session` around the
+    /// solver it constructed from `params`, on an undecomposed domain:
+    /// the solver pooled under the job's `SetupKey` takes the place of
+    /// the job's own (a hit — the job's instance is dropped and nothing
+    /// is re-prepared), or the job's own stays (a miss). The operator,
+    /// layout and assembly recipe are the job's either way, and the
+    /// workspace is allocated by the first solve. The coefficients are
+    /// fingerprinted once and no second solver is constructed on either
+    /// branch.
+    pub fn checkout(&self, mut session: SolveSession, params: &SolverParams) -> SolveSession {
+        let key = SetupKey::of(&session, params);
         let pooled = crate::lock_tolerant(&self.pool)
             .get_mut(&key)
             .and_then(Vec::pop);
-        let (solver, prepares) = match pooled {
+        match pooled {
             Some(Prepared { solver, prepares }) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                (solver, prepares)
+                session.solver = solver;
+                session.prepares = prepares;
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                (solver, 0)
             }
-        };
-        let layout = serial_layout(&op);
-        SolveSession {
-            key: Some(key),
-            prepares,
-            ..SolveSession::new(op, layout, solver, spec.opts)
         }
+        session.key = Some(key);
+        session
     }
 
     /// Pools the session's solver under the session's key and drops the
     /// rest — operator, workspace, assembly recipe — which the next job
-    /// brings its own of. A session no cache built has no key and is
-    /// dropped whole.
+    /// brings its own of. A session no cache checked out has no key and
+    /// is dropped whole.
     pub fn checkin(&self, session: SolveSession) {
         let SolveSession {
             solver,
@@ -509,7 +544,15 @@ mod tests {
     }
 
     fn key_of(op: &TileOperator, spec: &SessionSpec) -> SetupKey {
-        SetupKey::of(op, spec, create_solver(None, spec).unwrap().as_ref())
+        SetupKey::of(
+            &SolveSession::build(op.clone(), spec).unwrap(),
+            &spec.params,
+        )
+    }
+
+    /// A job's cold session over `op`, checked out of `cache`.
+    fn checkout(cache: &SetupCache, op: TileOperator, spec: &SessionSpec) -> SolveSession {
+        cache.checkout(SolveSession::build(op, spec).unwrap(), &spec.params)
     }
 
     #[test]
@@ -521,13 +564,13 @@ mod tests {
             let mut warm = SolveSession::build(op.clone(), &spec).unwrap();
             assert_eq!(warm.prepare_count(), 0, "{solver}: nothing prepared yet");
             let mut u_first = b.clone();
-            let first = warm.solve(&mut u_first, &b);
+            let first = warm.solve(&mut u_first, &b).unwrap();
             let mut u_warm = b.clone();
-            let second = warm.solve(&mut u_warm, &b);
+            let second = warm.solve(&mut u_warm, &b).unwrap();
 
             let mut cold = SolveSession::build(op, &spec).unwrap();
             let mut u_cold = b.clone();
-            let reference = cold.solve(&mut u_cold, &b);
+            let reference = cold.solve(&mut u_cold, &b).unwrap();
 
             assert!(first.converged, "{solver}: first solve diverged");
             assert_eq!(
@@ -607,13 +650,13 @@ mod tests {
         let (op, b) = crooked_pipe_system(16, 0.04, 1);
         let cache = SetupCache::new();
         // the serving driver's sequence: construct the job's solver (to
-        // read its halo depth), then ask the cache for a session
+        // read its halo depth) into a cold session, then check it out
         let job = |constructed_so_far: u64| {
-            let solver = registry.create(&spec.solver, &spec.params).unwrap();
-            let mut session = cache.checkout(op.clone(), &spec, solver);
+            let session = SolveSession::build_in(Some(&registry), op.clone(), &spec).unwrap();
+            let mut session = cache.checkout(session, &spec.params);
             assert_eq!(CONSTRUCTED.load(Ordering::Relaxed), constructed_so_far);
             let mut u = b.clone();
-            assert!(session.solve(&mut u, &b).converged);
+            assert!(session.solve(&mut u, &b).unwrap().converged);
             assert_eq!(session.prepare_count(), 1);
             cache.checkin(session);
         };
@@ -633,36 +676,35 @@ mod tests {
         let depth = halo_for(&spec);
         let (op, b) = crooked_pipe_system(16, 0.04, depth);
         let cache = SetupCache::new();
-        let solver = || create_solver(None, &spec).unwrap();
 
-        let mut first = cache.checkout(op.clone(), &spec, solver());
+        let mut first = checkout(&cache, op.clone(), &spec);
         let mut u_first = b.clone();
-        let reference = first.solve(&mut u_first, &b);
+        let reference = first.solve(&mut u_first, &b).unwrap();
         cache.checkin(first);
         assert_eq!(cache.pooled(), 1, "the pool counts solvers");
 
         // a later job of the same key brings its own operator
         let job_op = op.clone();
         let kx = job_op.coeffs.kx.raw().as_ptr();
-        let mut hit = cache.checkout(job_op, &spec, solver());
+        let mut hit = checkout(&cache, job_op, &spec);
         assert_eq!(cache.pooled(), 0, "the pooled solver is checked out");
         assert_eq!(
             hit.op.coeffs.kx.raw().as_ptr(),
             kx,
             "a hit runs on the operator the job passed in"
         );
-        let ws = &hit.ws;
-        for field in [&ws.p, &ws.r, &ws.w, &ws.sd, &ws.rr, &ws.tmp] {
-            assert_eq!((field.nx(), field.ny(), field.halo()), (16, 16, depth));
-            assert!(
-                field.raw().iter().all(|&v| v == 0.0),
-                "a hit gets a zeroed workspace, not the last job's"
-            );
-        }
+        assert!(
+            hit.ws.is_none(),
+            "a hit's workspace is its own first solve's, not the last job's"
+        );
         assert_eq!(hit.prepare_count(), 1, "the solver comes prepared");
         let mut u = b.clone();
-        let got = hit.solve(&mut u, &b);
+        let got = hit.solve(&mut u, &b).unwrap();
         assert_eq!(hit.prepare_count(), 1, "a hit does not re-prepare");
+        let ws = hit.ws.as_ref().expect("the first solve allocates");
+        for field in [&ws.p, &ws.r, &ws.w, &ws.sd, &ws.rr, &ws.tmp] {
+            assert_eq!((field.nx(), field.ny(), field.halo()), (16, 16, depth));
+        }
         assert_eq!(u, u_first, "a pooled solver solves like the job's own");
         assert_eq!(got.iterations, reference.iterations);
         assert_eq!(
@@ -673,7 +715,7 @@ mod tests {
 
         // another shape is another key: its solver pools alongside
         let (small, _) = crooked_pipe_system(12, 0.04, depth);
-        cache.checkin(cache.checkout(small, &spec, solver()));
+        cache.checkin(checkout(&cache, small, &spec));
         assert_eq!(cache.pooled(), 2);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.prepares), (1, 2, 1));
@@ -685,7 +727,7 @@ mod tests {
         let (op, b) = crooked_pipe_system(24, 0.04, 1);
         let mut reference_session = SolveSession::build(op.clone(), &spec).unwrap();
         let mut u_ref = b.clone();
-        reference_session.solve(&mut u_ref, &b);
+        reference_session.solve(&mut u_ref, &b).unwrap();
 
         let results: Vec<Field2D> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
@@ -698,9 +740,9 @@ mod tests {
                         let mut u = b.clone();
                         // Two solves each, so warm state is exercised
                         // while the neighbours are mid-solve.
-                        session.solve(&mut u, b);
+                        session.solve(&mut u, b).unwrap();
                         let mut u = b.clone();
-                        session.solve(&mut u, b);
+                        session.solve(&mut u, b).unwrap();
                         u
                     })
                 })

@@ -251,10 +251,13 @@ pub struct SolveResult {
     pub converged: bool,
     /// Outer iterations executed.
     pub iterations: u64,
-    /// Euclidean norm of the initial residual.
+    /// Norm of the initial residual in the method's convergence test:
+    /// √(r·M⁻¹r) under a preconditioner M, the Euclidean ‖r‖ only when
+    /// M = I.
     pub initial_residual: f64,
-    /// Euclidean norm of the final (preconditioned where applicable)
-    /// residual.
+    /// Norm of the final residual in the method's convergence test, as
+    /// for `initial_residual` (a stationary iteration's checks — Jacobi,
+    /// Chebyshev after its CG presteps — read the Euclidean ‖r‖).
     pub final_residual: f64,
     /// How the solve ended (convergence, cap, breakdown, cancellation).
     pub status: SolveStatus,

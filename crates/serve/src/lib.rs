@@ -191,9 +191,11 @@ pub struct JobCtx<'a> {
     pub attempt: u32,
     /// Cancellation/deadline token for this attempt. Arm every solve of
     /// the attempt with it ([`tea_core::SolveControls::stopping`], handed
-    /// to each [`tea_core::SolveSession::solve_controlled`] — the app's
-    /// serving driver does this per time step) so deadlines can
-    /// interrupt the iteration loop.
+    /// to each [`tea_core::SolveSession::solve_controlled`], the one
+    /// road every solve takes — the app's serving driver does this per
+    /// time step) so deadlines can interrupt the iteration loop; a
+    /// cancelled solve ends `Ok` with status `Cancelled`, distinct from
+    /// the session's refusals (`Err`).
     pub stop: &'a StopHandle,
 }
 

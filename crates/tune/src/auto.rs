@@ -315,7 +315,7 @@ mod tests {
         let layout = tea_comms::HaloLayout::new(&tea_mesh::Decomposition2D::new(48, 48, 1), 0);
         let auto = Box::new(AutoSolver::from_params(&params));
         let mut session = SolveSession::new(op, layout, auto, SolveOpts::with_eps(1e-8));
-        assert!(session.solve(&mut b.clone(), &b).converged);
+        assert!(session.solve(&mut b.clone(), &b).unwrap().converged);
 
         let log = *session
             .take_diagnostics()
@@ -346,7 +346,7 @@ mod tests {
             .bytes_per_iteration;
         let cap = (best_before / prior).floor() as u64;
 
-        let later = session.solve(&mut Field2D::new(48, 48, 8), &b);
+        let later = session.solve(&mut Field2D::new(48, 48, 8), &b).unwrap();
         assert!(later.converged, "{:?}", later.status);
         assert!(
             later.iterations > cap,

@@ -297,7 +297,9 @@ fn a_misshapen_solve_names_the_odd_operand() {
             if via_session {
                 let mut session = SolveSession::build(op.clone(), &SessionSpec::solver("cg"))
                     .expect("cg is registered");
-                session.solve(&mut u, &b);
+                session
+                    .solve(&mut u, &b)
+                    .expect("cg runs on these operands");
             } else {
                 Solve::on(&op).run(&mut u, &b).expect("cg is registered");
             }
@@ -308,14 +310,12 @@ fn a_misshapen_solve_names_the_odd_operand() {
             Err(_) => "a panic without a formatted message".into(),
         }
     };
-    // the builder sizes its workspace from `u`, so `b` is the odd one
-    // out there; a session's workspace has the solver's halo, so `u` is
-    for (via_session, odd) in [(false, "b"), (true, "u")] {
+    // both roads are one session, whose workspace takes `u`'s halo, so
+    // `b` is the odd one out on each
+    for via_session in [false, true] {
         let msg = failure(via_session);
         assert!(
-            msg.contains(&format!(
-                "{odd} must have the operator's tile and the workspace's halo"
-            )),
+            msg.contains("b must have the operator's tile and the workspace's halo"),
             "{msg}"
         );
     }
@@ -351,6 +351,47 @@ fn solve_runs_every_registered_name_or_names_what_is_missing() {
                 ("amg", other) => panic!("amg at depth {depth}: {other:?}"),
                 (_, Ok(_)) => {}
                 (_, Err(e)) => panic!("{name} at depth {depth}: {e}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn a_session_runs_every_registered_name_or_names_what_is_missing() {
+    // the session road without an assembly recipe, as a caller builds
+    // one from a registry instance: it refuses what `Solve::run` refuses,
+    // with the same error, and never panics
+    let registry = solver_registry();
+    for depth in [1, 4, 8] {
+        let (op, b) = crooked_pipe_system(16, 0.04, depth);
+        let layout = HaloLayout::new(&Decomposition2D::with_grid(16, 16, 1, 1), 0);
+        let params = SolverParams {
+            halo_depth: depth,
+            ..SolverParams::default()
+        };
+        for meta in registry.iter() {
+            let name = meta.name;
+            let solver = registry.create(name, &params).expect("registered");
+            let opts = SolveOpts::with_eps(1e-6);
+            let mut session = SolveSession::new(op.clone(), layout.clone(), solver, opts);
+            let mut u = b.clone();
+            let solve = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                session.solve(&mut u, &b)
+            }))
+            .unwrap_or_else(|_| panic!("{name} at depth {depth} panicked in a session"));
+            let mut u = b.clone();
+            let builder = Solve::on(&op)
+                .with_registry(registry)
+                .with_solver(name)
+                .halo_depth(depth)
+                .eps(1e-6)
+                .run(&mut u, &b);
+            match (solve, builder) {
+                (Ok(_), Ok(_)) => {}
+                (Err(e @ SolverError::MissingInput { .. }), Err(f)) if e == f => {}
+                (solve, builder) => {
+                    panic!("{name} at depth {depth}: session {solve:?}, Solve::run {builder:?}")
+                }
             }
         }
     }
